@@ -12,9 +12,15 @@ with mean and variance expanding to
     Var[rho] = (1-rho_bar^2)^2 / T * (1 + 11 rho_bar^2 / (2T)) + ...
 
 and a Gaussian approximation N(m_P, sigma_P), m_P = rho_bar,
-sigma_P = (1-rho_bar^2)/sqrt(T).  Everything here is evaluated in
-log-space so large T cannot underflow, and the r-integral uses a
-validated Gauss-Legendre panel scheme (see _log_j).
+sigma_P = (1-rho_bar^2)/sqrt(T).  The r-integral has Hotelling's
+closed form (Hotelling 1953, J. R. Stat. Soc. B 15:193), with a = rho*rho_bar,
+
+    integral_0^inf dr (cosh r - a)^-(T-1)
+        = sqrt(pi/2) Gamma(T-1) / Gamma(T-1/2) * (1-a)^-(T-3/2)
+          * 2F1(1/2, 1/2; T-1/2; (1+a)/2),
+
+evaluated with scipy.special.hyp2f1.  Everything here is evaluated in
+log-space so large T cannot underflow.
 """
 from __future__ import annotations
 
@@ -26,6 +32,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
+from scipy.special import hyp2f1
 
 from .errors import (
     InsufficientData,
@@ -38,10 +45,6 @@ from .errors import (
 
 RHO_BAR_LIMIT = 1.0 - 1e-12
 MIN_T = 10
-
-_QUAD_TOL = 1e-8
-_MAX_REFINEMENTS = 4
-_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -172,75 +175,13 @@ def _gauss_legendre(order):
     return _gl_cache[order]
 
 
-def _panel_edges(width):
-    """Panel boundaries on [0, 1] thinning geometrically toward u = 1."""
-    edges = [0.0, 0.125, 0.25]
-    gap = 0.5
-    while gap > 0.5 * width:
-        edges.append(1.0 - gap)
-        gap *= 0.5
-    edges.append(1.0 - gap)
-    edges.append(1.0)
-    return np.asarray(edges)
-
-
-def _halved(edges):
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    out = np.empty(edges.size + mid.size)
-    out[0::2] = edges
-    out[1::2] = mid
-    return out
-
-
-def _log_j(a, t, edges, order):
-    """log of J(a) = integral_0^1 phi(u)^(t-1) du/u for each a in (-1, 1).
-
-    Substituting u = exp(-r) into integral_0^inf (cosh r - a)^-(t-1) dr
-    gives (1-a)^-(t-1) * J(a) with
-
-        phi(u) = 1 / (1 + (1-u)^2 / (2u(1-a))),
-
-    which rises to phi(1) = 1 over a scale sqrt(2(1-a)/(t-1)), so the
-    edges must thin toward u = 1 at least down to that scale.
-    """
-    x, w = _gauss_legendre(order)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    u = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    wu = (half[:, None] * w[None, :]).ravel() / u
-    q = (1.0 - u)[None, :] ** 2 / (2.0 * u[None, :] * (1.0 - a)[:, None])
-    z = -(t - 1.0) * np.log1p(q)
-    zmax = z.max(axis=1, keepdims=True)
-    j = np.exp(z - zmax) @ wu
-    return zmax[:, 0] + np.log(j)
-
-
 def _log_cosh_power_integral(a, t):
-    """log of integral_0^inf (cosh r - a)^-(t-1) dr, vectorized over a."""
-    a = np.asarray(a, dtype=np.float64)
-    out = np.empty(a.shape)
-    for lo in range(0, a.size, _CHUNK):
-        seg = a[lo : lo + _CHUNK]
-        out[lo : lo + _CHUNK] = _log_integral_chunk(seg, t)
-    return out
-
-
-def _log_integral_chunk(a, t):
-    if a.size == 0:
-        return np.empty(0)
-    width = math.sqrt(2.0 * max(1.0 - float(a.max()), 1e-13) / (t - 1.0))
-    edges = _panel_edges(min(width, 1.0))
-    err = math.inf
-    for _ in range(_MAX_REFINEMENTS):
-        logj = _log_j(a, t, edges, 32)
-        check = _log_j(a, t, edges, 16)
-        err = float(np.abs(logj - check).max())
-        if err <= _QUAD_TOL:
-            return -(t - 1.0) * np.log1p(-a) + logj
-        edges = _halved(edges)
-    raise NumericsError(
-        f"cosh-power quadrature stalled above tolerance {_QUAD_TOL:g}",
-        error_estimate=err,
+    """log of integral_0^inf (cosh r - a)^-(t-1) dr by Hotelling's form."""
+    const = 0.5 * math.log(0.5 * math.pi) + math.lgamma(t - 1.0) - math.lgamma(t - 0.5)
+    return (
+        const
+        - (t - 1.5) * np.log1p(-a)
+        + np.log(hyp2f1(0.5, 0.5, t - 0.5, 0.5 * (1.0 + a)))
     )
 
 
@@ -301,6 +242,7 @@ def gaussian_approx_density(rho, params: CorrParams):
 
 _CDF_KEY_DECIMALS = 4
 _MASS_TOL = 5e-6
+_ENDPOINT_KEY_RHO_BAR = 1.0 - 1e-6
 
 _cdf_lock = threading.Lock()
 _cdf_tables: dict[tuple[float, int], tuple[np.ndarray, np.ndarray, PchipInterpolator]] = {}
@@ -331,8 +273,11 @@ def _build_cdf_table(key):
     # A rounded key can land on +-1.0 when the plug-in estimate was
     # clamped near an endpoint; pull it back inside the open interval.
     # Out there the table only needs to put its mass hard against the
-    # endpoint, which any in-domain rho_bar this close achieves.
-    rb = min(max(rb, -RHO_BAR_LIMIT), RHO_BAR_LIMIT)
+    # endpoint, which any rho_bar in the key's rounding bucket achieves.
+    # Stop well short of RHO_BAR_LIMIT: a law ~1e-12 wide spans too few
+    # doubles for the node grid, and its table misses the mass gate at
+    # some T (12, 25 and 1000 among them).
+    rb = min(max(rb, -_ENDPOINT_KEY_RHO_BAR), _ENDPOINT_KEY_RHO_BAR)
     params = CorrParams(rb, t)
     grid = _cdf_grid(rb, t)
     x, w = _gauss_legendre(7)

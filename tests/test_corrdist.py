@@ -93,9 +93,10 @@ def test_correlation_matrix_validation():
 
 
 def test_density_matches_adaptive_quadrature():
-    for rb, t in ((0.0, 25), (0.3, 50), (-0.6, 150), (0.9, 25)):
+    for rb, t in ((0.0, 25), (0.3, 50), (-0.6, 150), (0.9, 25), (0.5, 10),
+                  (-0.99, 25), (0.999, 50), (0.3, 1000), (-0.95, 1000)):
         params = CorrParams(rb, t)
-        for rho in (-0.7, -0.2, 0.0, 0.4, 0.85):
+        for rho in (-0.7, -0.2, 0.0, 0.4, 0.85, 0.995):
             mine = float(corrdist.rho_density(rho, params))
             ref = density_quad(rho, rb, t)
             assert abs(mine - ref) <= 1e-10 * max(ref, 1.0), (rb, t, rho)
@@ -186,12 +187,13 @@ def test_quantile_round_trip():
 def test_extreme_plugin_rho_bar():
     # plug-ins rounded to 4 decimals share one table, clamped inside (-1, 1);
     # the endpoint-clamped table keeps its mass hard against rho = 1
-    params = CorrParams(1.0 - 1e-9, 150)
-    assert corrdist.rho_cdf(0.9, params) < 1e-6
-    assert corrdist.rho_cdf(1.0, params) == 1.0
-    grid = np.linspace(0.99, 1.0, 41)
-    values = corrdist.rho_cdf(grid, params)
-    assert np.all(np.diff(values) >= 0)
+    for t in (150, 25):
+        params = CorrParams(1.0 - 1e-9, t)
+        assert corrdist.rho_cdf(0.9, params) < 1e-6
+        assert corrdist.rho_cdf(1.0, params) == 1.0
+        grid = np.linspace(0.99, 1.0, 41)
+        values = corrdist.rho_cdf(grid, params)
+        assert np.all(np.diff(values) >= 0)
 
 
 def test_cdf_cache_thread_determinism():

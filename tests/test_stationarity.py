@@ -100,6 +100,18 @@ def test_global_test_degenerate_pair():
     assert result.rejects(0.01)
 
 
+def test_global_test_near_identical_pair_short_window():
+    # the plug-in rounds onto the endpoint key 1.0; its T_w = 25 table
+    # must build, so the pair is KS-rejected rather than skipped
+    rng = np.random.default_rng(10)
+    x = rng.normal(size=500)
+    y = x + 1e-6 * rng.normal(size=500)
+    panel = make_panel(np.vstack([x, y]))
+    result = stationarity.global_test(panel, (0, 1), 25)
+    assert result.rho_bar_hat > 0.99995
+    assert result.rejects(0.01)
+
+
 def test_global_test_needs_five_windows():
     panel = gaussian_panel(2, 400, seed=3)
     with pytest.raises(InsufficientSamples):
