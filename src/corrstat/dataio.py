@@ -155,7 +155,18 @@ def load_price_panel(path, format="prices"):
     if not body:
         raise ParseError(f"{path}: no data rows")
 
-    matrix = np.asarray(body, dtype=np.float64).T  # N x T
+    days = np.asarray(body, dtype=np.float64)  # T x N, file order
+    nonfinite = np.argwhere(~np.isfinite(days))
+    if nonfinite.size:
+        t, jcol = nonfinite[0].tolist()
+        irow, col = t + 2, jcol + (2 if has_dates else 1)
+        cell = rows[t + 1][col - 1]
+        raise ParseError(
+            f"{path}: non-finite cell at row {irow}, col {col}: {cell!r}",
+            row=irow,
+            col=col,
+        )
+    matrix = days.T  # N x T
     if format == "prices":
         return PricePanel(tuple(tickers), tuple(times), matrix)
     return ReturnPanel(tuple(tickers), tuple(times), matrix)

@@ -7,10 +7,12 @@ union of the windows.  The local test tracks expanding-window estimates
 rho_1, rho_2, ... and flags consecutive steps whose change exceeds n
 standard errors of the earlier estimate.
 
-Both scans are parallel maps over pairs; the plug-in makes the global
-test conservative (rejection rates on stationary controls land well
-below nominal alpha), which the scans quantify with reshuffle and
-Monte Carlo control columns instead of correcting.
+The global scan is a parallel map over pairs.  The local scan is one
+array computation per panel: the rows are standardized once, and the
+pairs that share a first index share one cumulative sum.  The plug-in
+makes the global test conservative (rejection rates on stationary
+controls land well below nominal alpha), which the scans quantify with
+reshuffle and Monte Carlo control columns instead of correcting.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from .errors import (
     InvalidParameter,
     ZeroVariance,
 )
-from .parallel import parallel_map
+from .parallel import parallel_map, resolve_threads
 
 # Plug-in estimates this close to +-1 are degenerate (identical rows up
 # to noise); clamp inside the density domain and let KS reject them.
@@ -194,23 +196,26 @@ def _window_estimates(x, y, n_windows):
     Same numbers and the same ZeroVariance("x" / "y") as the per-window
     calls: row reductions and per-row dots match the 1-d ones bit for bit.
     """
-    xs = x.reshape(n_windows, -1)
-    ys = y.reshape(n_windows, -1)
-    mx, sx, bad_x = _row_moments(xs)
-    my, sy, bad_y = _row_moments(ys)
+    zx, bad_x = _standardized_rows(x.reshape(n_windows, -1))
+    zy, bad_y = _standardized_rows(y.reshape(n_windows, -1))
     bad = np.flatnonzero(bad_x | bad_y)
     if bad.size:
         raise ZeroVariance("x" if bad_x[bad[0]] else "y")
-    zx = (xs - mx) / sx
-    zy = (ys - my) / sy
-    t = xs.shape[1]
+    t = zx.shape[1]
     return tuple(min(1.0, max(-1.0, float(a @ b) / t)) for a, b in zip(zx, zy))
 
 
-def _row_moments(block):
+def _standardized_rows(block):
+    """Rows at zero mean and unit population sd, and the zero-variance mask.
+
+    A row whose sd is at most 1e-12 max(1, |mean|) is flagged in the mask
+    and only centred.  Each row's numbers are bit-identical to the same
+    reductions on that row alone.
+    """
     mean = block.mean(axis=1, keepdims=True)
     sd = block.std(axis=1, keepdims=True)
-    return mean, sd, (sd <= 1e-12 * np.maximum(1.0, np.abs(mean)))[:, 0]
+    bad = (sd <= 1e-12 * np.maximum(1.0, np.abs(mean)))[:, 0]
+    return (block - mean) / np.where(bad[:, None], 1.0, sd), bad
 
 
 def all_pairs(n: int):
@@ -327,25 +332,56 @@ def cumulative_corr(panel: ReturnPanel, pair, t1: int, tau: int):
         raise InvalidParameter(f"t1 must be >= 10, got {t1}")
     if tau < 1:
         raise InvalidParameter(f"tau must be >= 1, got {tau}")
+    short = _short_panel(panel, t1, tau)
+    if short is not None:
+        raise short
+    z, bad = _standardized_rows(np.stack(_pair_rows(panel, pair)))
+    if bad.any():
+        raise ZeroVariance(panel.tickers[pair[0] if bad[0] else pair[1]])
+    lengths = np.arange(t1, panel.n_steps + 1, tau)
+    (estimates,) = _expanding_estimates(z[0], z[1:], [lengths])
+    return list(zip(lengths.tolist(), estimates[0].tolist()))
+
+
+def _short_panel(panel, t1, tau):
+    """The InsufficientData a panel too short for two estimates raises, else None."""
     if panel.n_steps < t1 + tau:
-        raise InsufficientData(
+        return InsufficientData(
             f"need at least t1 + tau = {t1 + tau} steps, got {panel.n_steps}"
         )
-    x, y = _pair_rows(panel, pair)
-    i, j = pair
-    x = _global_row(x, panel.tickers[i])
-    y = _global_row(y, panel.tickers[j])
-    products = np.cumsum(x * y)
-    lengths = range(t1, panel.n_steps + 1, tau)
-    return [(length, float(products[length - 1] / length)) for length in lengths]
+    return None
 
 
-def _global_row(row, ticker):
-    mean = row.mean()
-    sd = row.std()
-    if sd <= 1e-12 * max(1.0, abs(mean)):
-        raise ZeroVariance(ticker)
-    return (row - mean) / sd
+def _expanding_estimates(zx, zys, lengths_list):
+    """Estimates of row zx against each row of zys, one block per lengths.
+
+    Block k is (len(zys), len(lengths_list[k])): the prefix means of
+    zx * zy at those lengths, all read from one cumulative sum.
+    """
+    products = np.cumsum(zx * zys, axis=1)
+    return [products[:, lengths - 1] / lengths for lengths in lengths_list]
+
+
+def _step_flags(estimates, lengths, ns, sigma_convention, tau):
+    """local_test's flags for every n in ns: shape (len(ns), *jumps.shape).
+
+    estimates[..., k] is the estimate on the first lengths[k] steps, and
+    jumps are the differences along that last axis.
+    """
+    ns = np.asarray(ns)
+    if (ns < 1).any():
+        raise InvalidParameter(f"n must be >= 1, got {ns[ns < 1][0]}")
+    if sigma_convention == SIGMA_WINDOW:
+        sigma = 1.0 / np.sqrt(np.asarray(lengths[:-1], dtype=np.float64))
+    elif sigma_convention == SIGMA_PAPER:
+        if tau is None:
+            raise InvalidParameter("paper sigma convention needs tau")
+        sigma = 1.0 / np.sqrt(np.arange(1, len(lengths)) * tau)
+    else:
+        raise InvalidParameter(f"unknown sigma convention {sigma_convention!r}")
+    jumps = np.abs(np.diff(estimates, axis=-1))
+    bounds = ns.reshape(ns.shape + (1,) * jumps.ndim) * sigma
+    return jumps > bounds
 
 
 def local_test(estimates, n: int, sigma_convention: str = SIGMA_WINDOW,
@@ -359,73 +395,96 @@ def local_test(estimates, n: int, sigma_convention: str = SIGMA_WINDOW,
     estimates = list(estimates)
     if len(estimates) < 2:
         raise InsufficientData("local test needs >= 2 estimates")
-    if n < 1:
-        raise InvalidParameter(f"n must be >= 1, got {n}")
-    if sigma_convention not in (SIGMA_WINDOW, SIGMA_PAPER):
-        raise InvalidParameter(f"unknown sigma convention {sigma_convention!r}")
-    if sigma_convention == SIGMA_PAPER and tau is None:
-        raise InvalidParameter("paper sigma convention needs tau")
-    flags = []
-    for k in range(len(estimates) - 1):
-        length, rho = estimates[k]
-        _, rho_next = estimates[k + 1]
-        if sigma_convention == SIGMA_WINDOW:
-            sigma = 1.0 / math.sqrt(length)
-        else:
-            sigma = 1.0 / math.sqrt((k + 1) * tau)
-        flags.append(abs(rho_next - rho) > n * sigma)
-    return LocalTestOutcome(int(sum(flags)), tuple(flags))
+    lengths, rhos = zip(*estimates)
+    (flags,) = _step_flags(np.asarray(rhos, dtype=np.float64), lengths, [n],
+                           sigma_convention, tau)
+    return LocalTestOutcome(int(flags.sum()), tuple(flags.tolist()))
+
+
+def _pair_error(panel, pair, bad):
+    """The error cumulative_corr raises for pair when the panel is long enough."""
+    try:
+        _pair_rows(panel, pair)
+    except InvalidParameter as exc:
+        return exc
+    for k in pair:
+        if bad[k]:
+            return ZeroVariance(panel.tickers[k])
+    return None
+
+
+def _local_counts(panel, pairs, plans, sigma_convention):
+    """(violations, steps) per (config, n) over pairs, and each pair's error.
+
+    plans holds (config, n values) tuples.  The rows are standardized
+    once, and the pairs sharing a first index take one cumulative sum
+    that every config reads.
+    """
+    z, bad = _standardized_rows(panel.returns)
+    errors = {pair: _pair_error(panel, pair, bad) for pair in pairs}
+    plans = [(c, ns) for c, ns in plans if _short_panel(panel, c.t1, c.tau) is None]
+    lengths_list = [np.arange(c.t1, panel.n_steps + 1, c.tau) for c, _ in plans]
+    groups = {}
+    for i, j in pairs:
+        if errors[(i, j)] is None:
+            groups.setdefault(i, []).append(j)
+    counts = {}
+    for i, js in groups.items():
+        blocks = _expanding_estimates(z[i], z[js], lengths_list)
+        for (config, ns), lengths, block in zip(plans, lengths_list, blocks):
+            flags = _step_flags(block, lengths, ns, sigma_convention, config.tau)
+            for n, hits in zip(ns, flags.sum(axis=(1, 2)).tolist()):
+                old_hits, old_steps = counts.get((config, n), (0, 0))
+                counts[(config, n)] = (old_hits + hits, old_steps + flags[0].size)
+    return counts, errors
 
 
 def local_scan(panel: ReturnPanel, configs, n_values=None, pairs=None,
                sigma_convention: str = SIGMA_WINDOW, mc_family=None,
                mc_nu=None, mc_seed=0, threads=1,
                dataset="panel") -> ScanReport:
-    """Pooled violating fraction over all (pair, step), per (tau, n)."""
+    """Pooled violating fraction over all (pair, step), per (tau, n).
+
+    Each panel is scanned as one array computation, so ``threads`` is
+    only validated: the work and the report are the same at any count.
+    """
+    resolve_threads(threads)
     if pairs is None:
         pairs = all_pairs(panel.n_series)
     pairs = sorted((min(p), max(p)) for p in pairs)
+    plans = [(c, tuple(n_values) if n_values is not None else c.n_values)
+             for c in configs]
     panels = {"": panel}
     panels.update(_control_panels(panel, None, mc_family, mc_nu, mc_seed))
     counts = {}
+    errors = {}
+    for name, scan_panel in panels.items():
+        counts[name], errors[name] = _local_counts(
+            scan_panel, pairs, plans, sigma_convention
+        )
     skipped = []
     for config in configs:
-        ns = tuple(n_values) if n_values is not None else config.n_values
         for name, scan_panel in panels.items():
-            def one_pair(pair, _c=config, _p=scan_panel):
-                try:
-                    return cumulative_corr(_p, pair, _c.t1, _c.tau)
-                except CorrstatError as exc:
-                    return (pair, exc)
-
-            results = parallel_map(one_pair, pairs, threads)
-            for pair, result in zip(pairs, results):
-                if not isinstance(result, list):
+            short = _short_panel(scan_panel, config.t1, config.tau)
+            for pair in pairs:
+                exc = short if short is not None else errors[name][pair]
+                if exc is not None:
                     skipped.append({
                         "pair": list(pair),
                         "tau": config.tau,
                         "control": name or None,
-                        "error": type(result[1]).__name__,
-                        "detail": str(result[1]),
+                        "error": type(exc).__name__,
+                        "detail": str(exc),
                     })
-                    continue
-                for n in ns:
-                    outcome = local_test(result, n, sigma_convention, config.tau)
-                    hits, steps = counts.get((name, config, n), (0, 0))
-                    counts[(name, config, n)] = (
-                        hits + outcome.violations,
-                        steps + len(outcome.flags),
-                    )
     cells = []
-    for config in configs:
-        ns = tuple(n_values) if n_values is not None else config.n_values
+    for config, ns in plans:
         for n in ns:
-            hits, steps = counts.get(("", config, n), (0, 0))
+            hits, steps = counts[""].get((config, n), (0, 0))
             controls = {}
             for name in panels:
                 if not name:
                     continue
-                chits, csteps = counts.get((name, config, n), (0, 0))
+                chits, csteps = counts[name].get((config, n), (0, 0))
                 controls[name] = chits / csteps if csteps else math.nan
             cells.append(ScanCell(
                 dim_name="tau",
@@ -440,11 +499,7 @@ def local_scan(panel: ReturnPanel, configs, n_values=None, pairs=None,
         "configs": [
             {"t1": c.t1, "tau": c.tau} for c in configs
         ],
-        "n_values": sorted({
-            int(n)
-            for c in configs
-            for n in (tuple(n_values) if n_values is not None else c.n_values)
-        }),
+        "n_values": sorted({int(n) for _, ns in plans for n in ns}),
         "sigma_convention": sigma_convention,
         "n_pairs": len(pairs),
         "mc_family": mc_family,

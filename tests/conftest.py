@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from corrstat import dataio, synthgen
+from corrstat import cli, dataio, synthgen
 
 settings.register_profile(
     "suite",
@@ -11,6 +11,13 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+@pytest.fixture(autouse=True)
+def _timestamp_unset(monkeypatch):
+    # The expected reports assume no pinned timestamp; importing the
+    # benchmark's run.py (collected with the suite) pins one process-wide.
+    monkeypatch.delenv(cli.TIMESTAMP_ENV, raising=False)
 
 
 def make_panel(returns, tickers=None):

@@ -269,6 +269,23 @@ def test_spectral_runtime_error(tmp_path, capsys):
     assert "InsufficientData" in capsys.readouterr().err
 
 
+def test_non_finite_cell_is_a_one_line_error(tmp_path, capsys):
+    panel = simulate_panel(tmp_path, n=4, t=100)
+    lines = panel.read_text().splitlines()
+    cells = lines[40].split(",")
+    cells[2] = "nan"
+    lines[40] = ",".join(cells)
+    panel.write_text("\n".join(lines) + "\n")
+    base = ["--input", str(panel), "--input-kind", "returns"]
+    for argv in (["local-scan", "--t1", "30", "--tau", "10"],
+                 ["qscan", "--t1", "20", "--t2", "20", "--replicas", "30"],
+                 ["spectral", "--window", "20", "--sectors", "1"]):
+        assert run(argv + base) == 1, argv[0]
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert err.startswith("error: ParseError: ") and "row 41, col 3" in err
+
+
 def test_mc_parse_errors(tmp_path, capsys):
     panel = simulate_panel(tmp_path, n=4, t=100)
     rc = run(["global-scan", "--input", str(panel), "--input-kind", "returns",

@@ -60,6 +60,21 @@ def test_parse_error_cites_position(tmp_path):
     assert "oops" in str(err.value)
 
 
+@pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "1e400"])
+def test_non_finite_cell_cites_position(tmp_path, cell):
+    path = write(tmp_path / "bad.csv",
+                 f"date,AAA,BBB\n2020-01-01,1.0,2.0\n2020-01-02,1.1,{cell}\n")
+    for fmt in ("prices", "returns"):
+        with pytest.raises(ParseError) as err:
+            dataio.load_price_panel(path, format=fmt)
+        assert (err.value.row, err.value.col) == (3, 3)
+        assert "non-finite" in str(err.value) and repr(cell) in str(err.value)
+    path = write(tmp_path / "nodates.csv", f"AAA,BBB\n{cell},2.0\n1.0,nan\n")
+    with pytest.raises(ParseError) as err:
+        dataio.load_price_panel(path, format="returns")
+    assert (err.value.row, err.value.col) == (2, 1)  # the first in file order
+
+
 def test_parse_error_ragged_row(tmp_path):
     path = write(tmp_path / "bad.csv", "AAA,BBB\n1.0\n")
     with pytest.raises(ParseError) as err:

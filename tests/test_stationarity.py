@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from corrstat import corrdist, stationarity, synthgen
-from corrstat.errors import InsufficientSamples, InvalidParameter
+from corrstat.errors import CorrstatError, InsufficientSamples, InvalidParameter
 from corrstat.stationarity import LocalTestConfig
 
 from _oracles import ks_pvalue_scipy, ks_statistic_scipy
@@ -239,6 +239,111 @@ def test_local_scan_thread_determinism():
     one = stationarity.local_scan(panel, [config], threads=1)
     four = stationarity.local_scan(panel, [config], threads=4)
     assert one == four
+
+
+def _per_row_cumulative_corr(panel, pair, t1, tau):
+    """Expanding-prefix estimates from each row standardized on its own."""
+    x, y = ((r - r.mean()) / r.std() for r in panel.returns[list(pair)])
+    products = np.cumsum(x * y)
+    return [(length, float(products[length - 1] / length))
+            for length in range(t1, panel.n_steps + 1, tau)]
+
+
+def _scalar_flags(estimates, n, sigma_convention, tau):
+    flags = []
+    for k in range(len(estimates) - 1):
+        (length, rho), (_, rho_next) = estimates[k], estimates[k + 1]
+        if sigma_convention == stationarity.SIGMA_WINDOW:
+            sigma = 1.0 / math.sqrt(length)
+        else:
+            sigma = 1.0 / math.sqrt((k + 1) * tau)
+        flags.append(abs(rho_next - rho) > n * sigma)
+    return tuple(flags)
+
+
+def _per_pair_local_scan(panels, pairs, configs, n_values, sigma_convention):
+    """(violations, steps) per (control, tau, n) and the skip list, pair by pair."""
+    counts, skipped = {}, []
+    for config in configs:
+        for name, panel in panels.items():
+            for pair in sorted((min(p), max(p)) for p in pairs):
+                try:
+                    estimates = stationarity.cumulative_corr(
+                        panel, pair, config.t1, config.tau)
+                except CorrstatError as exc:
+                    skipped.append({"pair": list(pair), "tau": config.tau,
+                                    "control": name or None,
+                                    "error": type(exc).__name__, "detail": str(exc)})
+                    continue
+                assert estimates == _per_row_cumulative_corr(
+                    panel, pair, config.t1, config.tau)
+                for n in n_values:
+                    outcome = stationarity.local_test(
+                        estimates, n, sigma_convention, config.tau)
+                    assert outcome.flags == _scalar_flags(
+                        estimates, n, sigma_convention, config.tau)
+                    hits, steps = counts.get((name, config.tau, n), (0, 0))
+                    counts[(name, config.tau, n)] = (hits + outcome.violations,
+                                                     steps + len(outcome.flags))
+    return counts, skipped
+
+
+@pytest.mark.parametrize("sigma_convention",
+                         [stationarity.SIGMA_WINDOW, stationarity.SIGMA_PAPER])
+@pytest.mark.parametrize("control", ["constant-row", "mc"])
+def test_local_scan_matches_per_pair_reference(sigma_convention, control):
+    rng = np.random.default_rng(21)
+    returns = rng.standard_t(3, size=(6, 400))
+    returns[1, 200:] = returns[0, 200:]  # a correlation jump mid-sample
+    if control == "constant-row":
+        returns[2, :] = 4.2
+        mc_family, mc_seed = None, 0
+    else:
+        mc_family, mc_seed = synthgen.FAMILY_GAUSSIAN, 8
+    panel = make_panel(returns)
+    pairs = [(1, 0), (0, 2), (2, 5), (4, 1), (1, 9), (3, 3), (3, 5), (0, 5), (5, 3)]
+    configs = [LocalTestConfig(10, 5), LocalTestConfig(40, 30)]
+    n_values = (1, 2)
+    report = stationarity.local_scan(
+        panel, configs, n_values=n_values, pairs=pairs,
+        sigma_convention=sigma_convention, mc_family=mc_family, mc_seed=mc_seed)
+    panels = {"": panel}
+    if mc_family is not None:
+        panels["mc"] = stationarity._control_panels(
+            panel, None, mc_family, None, mc_seed)["mc"]
+    counts, skipped = _per_pair_local_scan(
+        panels, pairs, configs, n_values, sigma_convention)
+    assert report.skipped == skipped
+    assert {s["error"] for s in skipped} == (
+        {"ZeroVariance", "InvalidParameter"} if control == "constant-row"
+        else {"InvalidParameter"})
+    expected = []
+    for config in configs:
+        for n in n_values:
+            hits, steps = counts[("", config.tau, n)]
+            controls = {}
+            if "mc" in panels:
+                chits, csteps = counts[("mc", config.tau, n)]
+                controls["mc"] = chits / csteps
+            expected.append(stationarity.ScanCell(
+                "tau", config.tau, "n", n, hits / steps, steps, controls))
+    assert report.cells == expected
+    assert any(cell.fraction > 0 for cell in report.cells)
+
+
+def test_local_scan_short_panel_and_thread_check():
+    panel = gaussian_panel(4, 120, seed=22)
+    configs = [LocalTestConfig(100, 20), LocalTestConfig(100, 21)]
+    report = stationarity.local_scan(panel, configs, pairs=[(0, 1), (2, 7)])
+    assert report.cells[0].denominator == 1  # one usable pair, one step
+    short = [s for s in report.skipped if s["tau"] == 21]
+    assert [s["pair"] for s in short] == [[0, 1], [2, 7]]
+    assert {s["error"] for s in short} == {"InsufficientData"}
+    assert short[0]["detail"] == "need at least t1 + tau = 121 steps, got 120"
+    assert [s["error"] for s in report.skipped if s["tau"] == 20] == ["InvalidParameter"]
+    assert all(math.isnan(cell.fraction) for cell in report.cells[5:])
+    with pytest.raises(InvalidParameter):
+        stationarity.local_scan(panel, configs, threads=0)
 
 
 def test_all_pairs():
