@@ -30,11 +30,11 @@ def switching_panel(n_series, n_steps, rho_before, rho_after, seed):
     return dataio.ReturnPanel(first.tickers, times, returns)
 
 
-def run_case(name, panel, t1, t2, replicas, mc_seed, band_sigmas, threads):
+def run_case(name, panel, t1, t2, replicas, mc_seed, band_sigmas):
     truth = synthgen.sample_estimate_as_truth(panel)
     qs = portfolio.q_series(panel, t1, t2)
     band = portfolio.mc_band(panel.n_series, t1, t2, replicas, truth,
-                             seed=mc_seed, threads=threads)
+                             seed=mc_seed)
     flags = portfolio.flag_band_violations(qs, band, n_sigma=band_sigmas)
     limit = band.mean + band_sigmas * band.sd
     print(f"\n{name}: band mean={band.mean:.4f} sd={band.sd:.4f} "
@@ -76,7 +76,6 @@ def main():
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--mc-seed", type=int, default=7)
     parser.add_argument("--band-sigmas", type=float, default=5.0)
-    parser.add_argument("--threads", type=int, default=4)
     args = parser.parse_args()
 
     stationary = synthgen.sample_panel(synthgen.GeneratorSpec(
@@ -88,11 +87,9 @@ def main():
                                 args.rho_before, args.rho_after, args.seed)
 
     hit_stationary = run_case("stationary twin", stationary, args.t1, args.t2,
-                              args.replicas, args.mc_seed, args.band_sigmas,
-                              args.threads)
+                              args.replicas, args.mc_seed, args.band_sigmas)
     hit_switching = run_case("regime switch", switching, args.t1, args.t2,
-                             args.replicas, args.mc_seed, args.band_sigmas,
-                             args.threads)
+                             args.replicas, args.mc_seed, args.band_sigmas)
     print(f"\nband violated: switching={hit_switching} "
           f"stationary={hit_stationary}")
 

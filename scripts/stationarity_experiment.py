@@ -76,7 +76,7 @@ def main():
     for name, panel in (("stationary", stationary), ("switching", switching)):
         report = stationarity.local_scan(
             panel, [config], mc_family=synthgen.FAMILY_GAUSSIAN, mc_seed=11,
-            threads=args.threads, dataset=name,
+            dataset=name,
         )
         print_scan(f"local scan (t1={t1}, tau=50), {name} panel", report)
 

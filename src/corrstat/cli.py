@@ -233,12 +233,11 @@ def cmd_global_scan(args) -> int:
     pairs = stationarity.all_pairs(panel.n_series)
     if args.max_pairs is not None:
         pairs = pairs[:args.max_pairs]
-    threads = resolve_threads(args.threads)
     scan = stationarity.global_scan(
         panel, windows, alphas, pairs=pairs,
         reshuffle_seed=args.reshuffle_seed,
         mc_family=mc_family, mc_nu=mc_nu, mc_seed=args.mc_seed,
-        threads=threads, dataset=_dataset_name(args.input),
+        threads=args.threads, dataset=_dataset_name(args.input),
     )
     config = {
         "input": args.input, "input_kind": args.input_kind,
@@ -277,12 +276,11 @@ def cmd_local_scan(args) -> int:
     if args.max_pairs is not None:
         pairs = pairs[:args.max_pairs]
     configs = [stationarity.LocalTestConfig(args.t1, tau, tuple(n_values)) for tau in taus]
-    threads = resolve_threads(args.threads)
     scan = stationarity.local_scan(
         panel, configs, n_values=n_values, pairs=pairs,
         sigma_convention=args.sigma_convention,
         mc_family=mc_family, mc_nu=mc_nu, mc_seed=args.mc_seed,
-        threads=threads, dataset=_dataset_name(args.input),
+        dataset=_dataset_name(args.input),
     )
     config = {
         "input": args.input, "input_kind": args.input_kind,
@@ -351,12 +349,10 @@ def cmd_qscan(args) -> int:
         truth = synthgen.identity_correlation(panel.n_series)
     else:
         truth = synthgen.sample_estimate_as_truth(panel)
-    threads = resolve_threads(args.threads)
     qs = portfolio.q_series(panel, args.t1, args.t2,
                             chained=not args.independent_windows)
     band = portfolio.mc_band(panel.n_series, args.t1, args.t2, args.replicas,
-                             truth, args.mc_seed, volatilities=volatilities,
-                             threads=threads)
+                             truth, args.mc_seed, volatilities=volatilities)
     flags = portfolio.flag_band_violations(qs, band, n_sigma=args.band_sigmas)
     band_json = {"mean": band.mean, "sd": band.sd, "k": args.band_sigmas}
     samples = []
@@ -483,10 +479,9 @@ def _recipe_table1(args) -> int:
     )
     panel = synthgen.sample_panel(spec)
     pairs = stationarity.all_pairs(50)[:100]
-    threads = resolve_threads(args.threads)
     scan = stationarity.global_scan(
         panel, (25, 50, 100), (0.01, 0.05, 0.10), pairs=pairs,
-        threads=threads, dataset="synthetic-student-t-nu3",
+        threads=args.threads, dataset="synthetic-student-t-nu3",
     )
     cells = _scan_cells_json(scan)
     comparison = [{
@@ -522,9 +517,7 @@ def _recipe_table2(args) -> int:
         stationarity.LocalTestConfig(200, 100, stationarity.DEFAULT_N_VALUES),
         stationarity.LocalTestConfig(250, 250, stationarity.DEFAULT_N_VALUES),
     ]
-    threads = resolve_threads(args.threads)
-    scan = stationarity.local_scan(panel, configs, threads=threads,
-                                   dataset="synthetic-gaussian")
+    scan = stationarity.local_scan(panel, configs, dataset="synthetic-gaussian")
     cells = _scan_cells_json(scan)
     estimates = {c.tau: (panel.n_steps - c.t1) // c.tau + 1 for c in configs}
     comparison = [{
@@ -556,14 +549,11 @@ def _recipe_fig3_bands(args) -> int:
         seed=42, correlation=truth,
     )
     panel = synthgen.sample_panel(spec)
-    threads = resolve_threads(args.threads)
     qs = portfolio.q_series(panel, 150, 150)
     estimated = synthgen.sample_estimate_as_truth(panel)
-    band_est = portfolio.mc_band(80, 150, 150, 100, estimated, seed=42,
-                                 threads=threads)
+    band_est = portfolio.mc_band(80, 150, 150, 100, estimated, seed=42)
     band_id = portfolio.mc_band(80, 150, 150, 100,
-                                synthgen.identity_correlation(80), seed=42,
-                                threads=threads)
+                                synthgen.identity_correlation(80), seed=42)
     flags = portfolio.flag_band_violations(qs, band_est)
     pooled_sd = float(np.sqrt(0.5 * (band_est.sd ** 2 + band_id.sd ** 2)))
     config = {"recipe": "fig3-bands", "truth_seed": 3, "panel_seed": 42,
@@ -614,7 +604,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: CORRSTAT_THREADS or 1)")
+                        help="worker threads for global-scan and reproduce table1 "
+                             "(default: CORRSTAT_THREADS or 1)")
     common.add_argument("--timestamp", default=None,
                         help="timestamp string for reports (default: "
                              "CORRSTAT_TIMESTAMP or 'unset')")
@@ -718,6 +709,7 @@ def main(argv=None) -> int:
         print(f"error: --out is required for {args.out_required}", file=sys.stderr)
         return EXIT_USAGE
     try:
+        args.threads = resolve_threads(args.threads)
         return args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

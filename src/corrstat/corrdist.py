@@ -34,6 +34,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 from scipy.special import hyp2f1
 
+from .dataio import standardized_rows
 from .errors import (
     InsufficientData,
     InvalidParameter,
@@ -122,19 +123,14 @@ def pearson(x, y, assume_standardized: bool = False) -> float:
     t = x.size
     if t < 2:
         raise InsufficientData("pearson needs at least 2 observations")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise InvalidParameter("pearson needs finite series")
     if not assume_standardized:
-        x = _standardized_series(x, "x")
-        y = _standardized_series(y, "y")
+        (x, y), bad = standardized_rows(np.stack([x, y]))
+        if bad.any():
+            raise ZeroVariance("x" if bad[0] else "y")
     r = float(x @ y) / t
     return min(1.0, max(-1.0, r))
-
-
-def _standardized_series(v, name):
-    mean = v.mean()
-    sd = v.std()
-    if sd <= 1e-12 * max(1.0, abs(mean)):
-        raise ZeroVariance(name)
-    return (v - mean) / sd
 
 
 def corr_matrix(panel, window: tuple[int, int] | None = None) -> CorrelationMatrix:
@@ -148,14 +144,9 @@ def corr_matrix(panel, window: tuple[int, int] | None = None) -> CorrelationMatr
         raise InvalidParameter(f"window {(lo, hi)} outside panel range")
     if hi - lo < MIN_T:
         raise InsufficientData(f"window length {hi - lo} below minimum {MIN_T}")
-    block = panel.returns[:, lo:hi]
-    mean = block.mean(axis=1, keepdims=True)
-    sd = block.std(axis=1, keepdims=True)
-    floor = 1e-12 * np.maximum(1.0, np.abs(mean))
-    bad = np.nonzero(sd <= floor)[0]
-    if bad.size:
-        raise ZeroVariance(panel.tickers[bad[0]], window=(lo, hi))
-    z = (block - mean) / sd
+    z, bad = standardized_rows(panel.returns[:, lo:hi])
+    if bad.any():
+        raise ZeroVariance(panel.tickers[np.argmax(bad)], window=(lo, hi))
     c = (z @ z.T) / (hi - lo)
     c = 0.5 * (c + c.T)
     np.fill_diagonal(c, 1.0)
@@ -330,6 +321,8 @@ def rho_cdf(rho, params: CorrParams):
     if rho_arr.size and float(np.abs(rho_arr).max()) > 1.0:
         raise InvalidParameter("rho must lie in [-1, 1]")
     out = np.clip(interp(rho_arr), 0.0, 1.0)
+    # The table ends are exactly 0 and 1; PCHIP can round its last knot to 1 - 2^-53.
+    out = np.where(rho_arr == 1.0, 1.0, np.where(rho_arr == -1.0, 0.0, out))
     return float(out) if rho_arr.ndim == 0 else out
 
 

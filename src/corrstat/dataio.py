@@ -74,6 +74,10 @@ class ReturnPanel:
         n, t = self.returns.shape
         if len(self.tickers) != n or len(self.times) != t:
             raise InvalidParameter("panel labels do not match matrix shape")
+        if not np.isfinite(self.returns).all():
+            i, col = np.argwhere(~np.isfinite(self.returns))[0]
+            raise DomainError(f"non-finite return {self.returns[i, col]} for "
+                              f"{self.tickers[i]!r} at column {col}")
 
     @property
     def n_series(self) -> int:
@@ -196,18 +200,27 @@ def to_returns(panel: PricePanel, kind: str = "log") -> ReturnPanel:
     else:
         if np.any(prices[:, :-1] == 0):
             raise DomainError("simple returns undefined at a zero price")
-        rets = prices[:, 1:] / prices[:, :-1] - 1.0
+        with np.errstate(over="ignore"):  # ReturnPanel rejects the inf
+            rets = prices[:, 1:] / prices[:, :-1] - 1.0
     return ReturnPanel(panel.tickers, panel.times[1:], rets)
 
 
-def _standardize_block(block: np.ndarray, tickers, window=None) -> np.ndarray:
+def centered_rows(block: np.ndarray):
+    """Rows minus their means, their population sds, and the zero-variance mask.
+
+    The toolkit's one zero-variance rule: sd at most 1e-12 max(1, |mean|).
+    Each row's numbers are bit-identical to the same reductions on it alone.
+    """
     mean = block.mean(axis=1, keepdims=True)
-    sd = block.std(axis=1, keepdims=True)  # population convention
-    floor = 1e-12 * np.maximum(1.0, np.abs(mean))
-    bad = np.nonzero(sd <= floor)[0]
-    if bad.size:
-        raise ZeroVariance(tickers[bad[0]], window=window)
-    return (block - mean) / sd
+    centered = block - mean
+    sd = np.sqrt((centered * centered).mean(axis=1, keepdims=True))
+    return centered, sd, (sd <= 1e-12 * np.maximum(1.0, np.abs(mean)))[:, 0]
+
+
+def standardized_rows(block: np.ndarray):
+    """Rows at zero mean and unit population sd (flagged rows only centred), and the mask."""
+    centered, sd, bad = centered_rows(block)
+    return centered / np.where(bad[:, None], 1.0, sd), bad
 
 
 def standardize(panel: ReturnPanel, scope: str = "global", window_len: int | None = None) -> ReturnPanel:
@@ -217,20 +230,22 @@ def standardize(panel: ReturnPanel, scope: str = "global", window_len: int | Non
     shorter than window_len is left untouched (every windowed computation
     downstream discards it).
     """
-    rets = panel.returns
     if scope == "global":
-        out = _standardize_block(rets, panel.tickers)
+        spans = [(None, (0, panel.n_steps))]
         new_scope = SCOPE_GLOBAL
     elif scope == "per-window":
         if window_len is None:
             raise InvalidParameter("per-window standardization needs window_len")
-        plan = window_slices(panel.n_steps, window_len)
-        out = rets.copy()
-        for w, (lo, hi) in enumerate(plan.windows):
-            out[:, lo:hi] = _standardize_block(rets[:, lo:hi], panel.tickers, window=w)
+        spans = enumerate(window_slices(panel.n_steps, window_len).windows)
         new_scope = f"per-window:{window_len}"
     else:
         raise InvalidParameter(f"scope must be 'global' or 'per-window', got {scope!r}")
+    out = panel.returns.copy()
+    for window, (lo, hi) in spans:
+        z, bad = standardized_rows(panel.returns[:, lo:hi])
+        if bad.any():
+            raise ZeroVariance(panel.tickers[np.argmax(bad)], window=window)
+        out[:, lo:hi] = z
     return replace(panel, returns=out, standardized=True, scope=new_scope)
 
 

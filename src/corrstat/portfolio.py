@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import synthgen
-from .dataio import ReturnPanel
+from .dataio import ReturnPanel, centered_rows
 from .errors import (
     IllPosed,
     InsufficientData,
@@ -25,7 +25,6 @@ from .errors import (
     NumericsError,
     ZeroVariance,
 )
-from .parallel import parallel_map
 from .rngutil import rng_for
 
 _CONDITION_LIMIT = 1e12
@@ -86,7 +85,6 @@ class QExperiment:
     sigma_r: float
     q: float
     sigma_t: float | None = None
-    band: tuple[float, float, float] | None = None  # (mc mean, mc sd, k)
 
 
 class MCBand(NamedTuple):
@@ -101,17 +99,17 @@ def covariance_matrix(panel: ReturnPanel, window: tuple[int, int] | None = None)
         raise InvalidParameter(f"window {(lo, hi)} outside panel range")
     if hi - lo < 2:
         raise InsufficientData("covariance needs at least 2 observations")
-    block = panel.returns[:, lo:hi]
-    mean = block.mean(axis=1, keepdims=True)
-    centered = block - mean
-    var = (centered * centered).mean(axis=1)
-    floor = 1e-12 * np.maximum(1.0, np.abs(mean[:, 0]))
-    bad = np.nonzero(np.sqrt(var) <= floor)[0]
-    if bad.size:
-        raise ZeroVariance(panel.tickers[bad[0]], window=(lo, hi))
+    return _covariance(panel.returns, panel.tickers, (lo, hi))
+
+
+def _covariance(returns, tickers, window) -> CovarianceMatrix:
+    lo, hi = window
+    centered, _, bad = centered_rows(returns[:, lo:hi])
+    if bad.any():
+        raise ZeroVariance(tickers[np.argmax(bad)], window=window)
     c = (centered @ centered.T) / (hi - lo)
     c = 0.5 * (c + c.T)
-    return CovarianceMatrix(panel.tickers, c, (lo, hi))
+    return CovarianceMatrix(tickers, c, window)
 
 
 def min_variance_weights(cov: CovarianceMatrix, ridge: float = 0.0) -> WeightVector:
@@ -221,14 +219,8 @@ def q_series(panel: ReturnPanel, t1: int, t2: int, n_stocks: int | None = None,
         )
     out = []
     for sample, (est_range, real_range) in enumerate(ranges, start=1):
-        cov_est = covariance_matrix(panel, est_range)
-        weights = min_variance_weights(cov_est)
-        cov_real = covariance_matrix(panel, real_range)
-        sigma_e = math.sqrt(portfolio_variance(cov_est, weights))
-        sigma_r = math.sqrt(portfolio_variance(cov_real, weights))
-        sigma_t = None
-        if truth is not None:
-            sigma_t = math.sqrt(portfolio_variance(truth, weights))
+        sigma_e, sigma_r, sigma_t = _sample_risks(panel.returns, panel.tickers,
+                                                  est_range, real_range, truth)
         out.append(QExperiment(
             sample=sample,
             t1_range=est_range,
@@ -241,42 +233,43 @@ def q_series(panel: ReturnPanel, t1: int, t2: int, n_stocks: int | None = None,
     return out
 
 
+def _sample_risks(returns, tickers, est_range, real_range, truth=None):
+    """sigma_E, sigma_R and sigma_T (None without a truth) of weights fitted on est_range."""
+    cov_est = _covariance(returns, tickers, est_range)
+    weights = min_variance_weights(cov_est)
+    cov_real = _covariance(returns, tickers, real_range)
+    sigma_e = math.sqrt(portfolio_variance(cov_est, weights))
+    sigma_r = math.sqrt(portfolio_variance(cov_real, weights))
+    sigma_t = None
+    if truth is not None:
+        sigma_t = math.sqrt(portfolio_variance(truth, weights))
+    return sigma_e, sigma_r, sigma_t
+
+
 def mc_band(n_series: int, t1: int, t2: int, replicas: int,
             truth: synthgen.TrueCorrelation, seed: int,
-            volatilities=None, threads=1) -> MCBand:
+            volatilities=None) -> MCBand:
     """MC mean and sd of q on stationary Gaussian panels from the truth.
 
-    Each replica draws one independent N x (t1 + t2) panel on its own
-    substream and contributes one q; aggregation is in replica order, so
-    the result is identical for any thread count.
+    Replica k draws an N x (t1 + t2) panel on substream k of the seed and
+    contributes the q of its one independent-windows sample (q_series).
     """
     if replicas < 30:
         raise InvalidParameter(f"need >= 30 replicas for a band, got {replicas}")
     if truth.n_series != n_series:
         raise InvalidParameter("truth dimension does not match n_series")
-    scale = None
-    if volatilities is not None:
-        scale = np.asarray(volatilities, dtype=np.float64)
-        if scale.shape != (n_series,) or np.any(scale <= 0):
-            raise InvalidParameter("volatilities must be N positive reals")
-    spec = synthgen.GeneratorSpec(
-        family=synthgen.FAMILY_GAUSSIAN,
-        n_series=n_series,
-        n_steps=t1 + t2,
-        seed=seed,
-        correlation=truth,
-    )
-
-    def one_replica(replica: int) -> float:
-        synth = synthgen.sample_gaussian_panel(spec, replica=replica)
-        if scale is not None:
-            synth = ReturnPanel(
-                synth.tickers, synth.times, synth.returns * scale[:, None]
-            )
-        sample = q_series(synth, t1, t2, chained=False)
-        return sample[0].q
-
-    qs = np.asarray(parallel_map(one_replica, range(replicas), threads))
+    scale = np.ones(n_series) if volatilities is None else np.asarray(volatilities, float)
+    if scale.shape != (n_series,) or np.any(scale <= 0):
+        raise InvalidParameter("volatilities must be N positive reals")
+    if t1 < 2 or t2 < 2:
+        raise InvalidParameter("t1 and t2 must be >= 2")
+    lower = synthgen.cholesky(truth)
+    tickers = synthgen.synthetic_tickers(n_series)
+    qs = np.empty(replicas)
+    for replica in range(replicas):
+        returns = synthgen.gaussian_returns(lower, t1 + t2, seed, replica) * scale[:, None]
+        sigma_e, sigma_r, _ = _sample_risks(returns, tickers, (0, t1), (t1, t1 + t2))
+        qs[replica] = sigma_r / sigma_e
     return MCBand(float(qs.mean()), float(qs.std(ddof=1)))
 
 

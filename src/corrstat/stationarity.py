@@ -24,7 +24,7 @@ import numpy as np
 
 from . import synthgen
 from .corrdist import CorrParams, pearson, rho_cdf
-from .dataio import ReturnPanel, synchronous_reshuffle, window_slices
+from .dataio import ReturnPanel, standardized_rows, synchronous_reshuffle, window_slices
 from .errors import (
     CorrstatError,
     InsufficientData,
@@ -32,7 +32,7 @@ from .errors import (
     InvalidParameter,
     ZeroVariance,
 )
-from .parallel import parallel_map, resolve_threads
+from .parallel import parallel_map
 
 # Plug-in estimates this close to +-1 are degenerate (identical rows up
 # to noise); clamp inside the density domain and let KS reject them.
@@ -196,8 +196,8 @@ def _window_estimates(x, y, n_windows):
     Same numbers and the same ZeroVariance("x" / "y") as the per-window
     calls: row reductions and per-row dots match the 1-d ones bit for bit.
     """
-    zx, bad_x = _standardized_rows(x.reshape(n_windows, -1))
-    zy, bad_y = _standardized_rows(y.reshape(n_windows, -1))
+    zx, bad_x = standardized_rows(x.reshape(n_windows, -1))
+    zy, bad_y = standardized_rows(y.reshape(n_windows, -1))
     bad = np.flatnonzero(bad_x | bad_y)
     if bad.size:
         raise ZeroVariance("x" if bad_x[bad[0]] else "y")
@@ -205,38 +205,34 @@ def _window_estimates(x, y, n_windows):
     return tuple(min(1.0, max(-1.0, float(a @ b) / t)) for a, b in zip(zx, zy))
 
 
-def _standardized_rows(block):
-    """Rows at zero mean and unit population sd, and the zero-variance mask.
-
-    A row whose sd is at most 1e-12 max(1, |mean|) is flagged in the mask
-    and only centred.  Each row's numbers are bit-identical to the same
-    reductions on that row alone.
-    """
-    mean = block.mean(axis=1, keepdims=True)
-    sd = block.std(axis=1, keepdims=True)
-    bad = (sd <= 1e-12 * np.maximum(1.0, np.abs(mean)))[:, 0]
-    return (block - mean) / np.where(bad[:, None], 1.0, sd), bad
-
-
 def all_pairs(n: int):
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
 def _control_panels(panel, reshuffle_seed, mc_family, mc_nu, mc_seed):
+    """Control panels by name.
+
+    The MC copy carries zero-variance rows over unchanged, so its scan
+    skips the same pairs as the panel's.
+    """
     controls = {}
     if reshuffle_seed is not None:
         controls["reshuffle"] = synchronous_reshuffle(panel, reshuffle_seed)
     if mc_family is not None:
-        truth = synthgen.sample_estimate_as_truth(panel)
-        spec = synthgen.GeneratorSpec(
-            family=mc_family,
-            n_series=panel.n_series,
-            n_steps=panel.n_steps,
-            seed=mc_seed,
-            correlation=truth,
-            nu=mc_nu,
-        )
-        controls["mc"] = synthgen.sample_panel(spec)
+        _, bad = standardized_rows(panel.returns)
+        keep = np.flatnonzero(~bad)
+        returns = panel.returns.copy()
+        if keep.size:
+            spec = synthgen.GeneratorSpec(
+                family=mc_family,
+                n_series=keep.size,
+                n_steps=panel.n_steps,
+                seed=mc_seed,
+                correlation=synthgen.sample_estimate_as_truth(panel.select(keep)),
+                nu=mc_nu,
+            )
+            returns[keep] = synthgen.sample_panel(spec).returns
+        controls["mc"] = ReturnPanel(panel.tickers, panel.times, returns)
     return controls
 
 
@@ -335,7 +331,7 @@ def cumulative_corr(panel: ReturnPanel, pair, t1: int, tau: int):
     short = _short_panel(panel, t1, tau)
     if short is not None:
         raise short
-    z, bad = _standardized_rows(np.stack(_pair_rows(panel, pair)))
+    z, bad = standardized_rows(np.stack(_pair_rows(panel, pair)))
     if bad.any():
         raise ZeroVariance(panel.tickers[pair[0] if bad[0] else pair[1]])
     lengths = np.arange(t1, panel.n_steps + 1, tau)
@@ -420,7 +416,7 @@ def _local_counts(panel, pairs, plans, sigma_convention):
     once, and the pairs sharing a first index take one cumulative sum
     that every config reads.
     """
-    z, bad = _standardized_rows(panel.returns)
+    z, bad = standardized_rows(panel.returns)
     errors = {pair: _pair_error(panel, pair, bad) for pair in pairs}
     plans = [(c, ns) for c, ns in plans if _short_panel(panel, c.t1, c.tau) is None]
     lengths_list = [np.arange(c.t1, panel.n_steps + 1, c.tau) for c, _ in plans]
@@ -441,14 +437,12 @@ def _local_counts(panel, pairs, plans, sigma_convention):
 
 def local_scan(panel: ReturnPanel, configs, n_values=None, pairs=None,
                sigma_convention: str = SIGMA_WINDOW, mc_family=None,
-               mc_nu=None, mc_seed=0, threads=1,
-               dataset="panel") -> ScanReport:
+               mc_nu=None, mc_seed=0, dataset="panel") -> ScanReport:
     """Pooled violating fraction over all (pair, step), per (tau, n).
 
-    Each panel is scanned as one array computation, so ``threads`` is
-    only validated: the work and the report are the same at any count.
+    Each panel (and its optional MC control) is scanned as one array
+    computation.
     """
-    resolve_threads(threads)
     if pairs is None:
         pairs = all_pairs(panel.n_series)
     pairs = sorted((min(p), max(p)) for p in pairs)

@@ -123,12 +123,23 @@ def cholesky(c) -> np.ndarray:
         ) from None
 
 
+def synthetic_tickers(n: int) -> tuple[str, ...]:
+    """Ticker names S0, S1, ... (zero-padded) of an N-row synthetic panel."""
+    width = len(str(n - 1))
+    return tuple(f"S{i:0{width}d}" for i in range(n))
+
+
 def _synthetic_panel(returns: np.ndarray) -> ReturnPanel:
     n, t = returns.shape
-    width = len(str(n - 1))
-    tickers = tuple(f"S{i:0{width}d}" for i in range(n))
     times = tuple(str(k) for k in range(t))
-    return ReturnPanel(tickers, times, returns)
+    return ReturnPanel(synthetic_tickers(n), times, returns)
+
+
+def gaussian_returns(lower: np.ndarray, n_steps: int, seed: int,
+                     replica: int = 0) -> np.ndarray:
+    """N x n_steps i.i.d. N(0, L L^T) columns, deterministic per (seed, replica)."""
+    rng = rng_for(seed, "gaussian-panel", replica)
+    return lower @ rng.standard_normal((lower.shape[0], n_steps))
 
 
 def sample_gaussian_panel(spec: GeneratorSpec, replica: int = 0) -> ReturnPanel:
@@ -136,9 +147,7 @@ def sample_gaussian_panel(spec: GeneratorSpec, replica: int = 0) -> ReturnPanel:
     if spec.family != FAMILY_GAUSSIAN:
         raise InvalidParameter(f"spec family is {spec.family!r}, not gaussian")
     lower = cholesky(spec.correlation)
-    rng = rng_for(spec.seed, "gaussian-panel", replica)
-    z = rng.standard_normal((spec.n_series, spec.n_steps))
-    return _synthetic_panel(lower @ z)
+    return _synthetic_panel(gaussian_returns(lower, spec.n_steps, spec.seed, replica))
 
 
 def sample_student_t_panel(spec: GeneratorSpec, replica: int = 0) -> ReturnPanel:

@@ -128,7 +128,7 @@ def test_criterion_4_local_scan_calibration():
     configs = [LocalTestConfig(200, 50, (1, 2, 3, 4, 5)),
                LocalTestConfig(200, 100, (1, 2, 3, 4, 5)),
                LocalTestConfig(250, 250, (1, 2, 3, 4, 5))]
-    report = stationarity.local_scan(panel, configs, threads=4)
+    report = stationarity.local_scan(panel, configs)
     by_tau = {}
     for cell in report.cells:
         by_tau.setdefault(cell.dim_value, {})[cell.threshold_value] = cell.fraction
@@ -177,7 +177,7 @@ def test_criterion_6_q_ratio_and_mc_bands():
         assert exp.sigma_r >= floor - 1e-12
 
     estimated = synthgen.sample_estimate_as_truth(panel)
-    band_est = portfolio.mc_band(80, 150, 150, 100, estimated, seed=42, threads=4)
+    band_est = portfolio.mc_band(80, 150, 150, 100, estimated, seed=42)
     se_mean = band_est.sd / math.sqrt(100)
     sigmas = (band_est.mean - 1.0) / se_mean
     print(f"criterion 6: estimated-truth band {band_est.mean:.4f} "
@@ -185,14 +185,14 @@ def test_criterion_6_q_ratio_and_mc_bands():
     assert sigmas >= 5.0
 
     identity = synthgen.identity_correlation(80)
-    band_id = portfolio.mc_band(80, 150, 150, 100, identity, seed=42, threads=4)
+    band_id = portfolio.mc_band(80, 150, 150, 100, identity, seed=42)
     pooled = math.sqrt(0.5 * (band_est.sd ** 2 + band_id.sd ** 2))
     gap = abs(band_est.mean - band_id.mean)
     print(f"criterion 6: identity-truth band {band_id.mean:.4f} "
           f"+/- {band_id.sd:.4f}, gap {gap:.4f} vs 2 pooled sd {2 * pooled:.4f}")
     assert gap < 2.0 * pooled
 
-    bands = [portfolio.mc_band(80, t1, 150, 100, estimated, seed=42, threads=4)
+    bands = [portfolio.mc_band(80, t1, 150, 100, estimated, seed=42)
              for t1 in (100, 150, 200)]
     print("criterion 6: T1 100/150/200 bands "
           + ", ".join(f"{b.mean:.4f}+/-{b.sd:.4f}" for b in bands))

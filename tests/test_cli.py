@@ -286,6 +286,17 @@ def test_non_finite_cell_is_a_one_line_error(tmp_path, capsys):
         assert err.startswith("error: ParseError: ") and "row 41, col 3" in err
 
 
+def test_threads_zero_is_a_runtime_error(tmp_path, capsys):
+    panel = simulate_panel(tmp_path, n=4, t=100)
+    base = ["--input", str(panel), "--input-kind", "returns", "--threads", "0"]
+    for argv in (["local-scan", "--t1", "30", "--tau", "10"],
+                 ["qscan", "--t1", "20", "--t2", "20", "--replicas", "30"],
+                 ["spectral", "--window", "20", "--sectors", "1"]):
+        assert run(argv + base) == 1, argv[0]
+        err = capsys.readouterr().err
+        assert err == "error: InvalidParameter: threads must be >= 1, got 0\n", argv[0]
+
+
 def test_mc_parse_errors(tmp_path, capsys):
     panel = simulate_panel(tmp_path, n=4, t=100)
     rc = run(["global-scan", "--input", str(panel), "--input-kind", "returns",

@@ -49,6 +49,16 @@ def test_pearson_zero_variance():
         corrdist.pearson([1.0, 1.0, 1.0], [0.0, 1.0, 2.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pearson_rejects_non_finite(bad):
+    x = np.linspace(-1.0, 1.0, 20)
+    y = x ** 3
+    for assume in (False, True):
+        for args in ((np.where(x == x[4], bad, x), y), (x, np.where(y == y[7], bad, y))):
+            with pytest.raises(InvalidParameter, match="finite"):
+                corrdist.pearson(*args, assume_standardized=assume)
+
+
 def test_pearson_assume_standardized():
     rng = np.random.default_rng(1)
     x = rng.normal(size=50)
@@ -194,6 +204,19 @@ def test_extreme_plugin_rho_bar():
         grid = np.linspace(0.99, 1.0, 41)
         values = corrdist.rho_cdf(grid, params)
         assert np.all(np.diff(values) >= 0)
+
+
+def test_cdf_endpoints_exact_at_every_t():
+    # PCHIP evaluates the last knot through the last cubic; the ends are pinned
+    keys = (corrdist.RHO_BAR_LIMIT, -corrdist.RHO_BAR_LIMIT, 0.9999)
+    for t in range(10, 200):
+        for rho_bar in keys:
+            params = CorrParams(rho_bar, t)
+            assert corrdist.rho_cdf(1.0, params) == 1.0, (t, rho_bar)
+            assert corrdist.rho_cdf(-1.0, params) == 0.0, (t, rho_bar)
+            ends = corrdist.rho_cdf(np.array([-1.0, 1.0]), params)
+            assert ends.tolist() == [0.0, 1.0], (t, rho_bar)
+        corrdist.clear_cdf_cache()
 
 
 def test_cdf_cache_thread_determinism():

@@ -124,6 +124,22 @@ def test_log_returns_reject_nonpositive():
         dataio.to_returns(prices)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_return_panel_rejects_non_finite(bad):
+    returns = np.zeros((4, 300))
+    returns[2, 17] = bad
+    with pytest.raises(DomainError) as err:
+        make_panel(returns)
+    assert str(err.value) == f"non-finite return {bad!r} for 'S2' at column 17"
+
+
+def test_simple_return_overflow_rejected():
+    prices = dataio.PricePanel(("A", "B"), ("0", "1", "2"),
+                               np.array([[1.0, 2.0, 3.0], [1.0, 1e-300, 1e300]]))
+    with pytest.raises(DomainError, match="non-finite return inf for 'B' at column 1"):
+        dataio.to_returns(prices, kind="simple")
+
+
 def test_returns_kind_validated():
     prices = dataio.PricePanel(("A",), ("0", "1"), np.array([[1.0, 2.0]]))
     with pytest.raises(InvalidParameter):

@@ -206,7 +206,6 @@ def test_q_series_with_truth():
     exps = portfolio.q_series(panel, 100, 100, truth=cov_true)
     for exp in exps:
         assert exp.sigma_t is not None
-        assert exp.band is None
         assert 0.5 < exp.sigma_t / exp.sigma_e < 2.0
     plain = portfolio.q_series(panel, 100, 100)
     assert all(e.sigma_t is None for e in plain)
@@ -220,18 +219,39 @@ def test_q_series_guards():
         portfolio.q_series(panel, 1, 50)
 
 
-def test_mc_band_deterministic_across_threads():
+def test_mc_band_same_seed_repeats():
     truth = synthgen.one_factor_correlation(5, seed=2)
-    one = portfolio.mc_band(5, 30, 30, 30, truth, seed=3, threads=1)
-    four = portfolio.mc_band(5, 30, 30, 30, truth, seed=3, threads=4)
-    assert one == four
+    one = portfolio.mc_band(5, 30, 30, 30, truth, seed=3)
+    again = portfolio.mc_band(5, 30, 30, 30, truth, seed=3)
+    assert one == again
     assert one.mean > 0 and one.sd > 0
+
+
+@pytest.mark.parametrize("volatilities", [None, [1.0, 2.0, 4.0, 8.0]])
+def test_mc_band_matches_per_replica_panels(volatilities):
+    # reference: each replica as a sampled panel through q_series
+    truth = synthgen.one_factor_correlation(4, seed=5)
+    spec = synthgen.GeneratorSpec(synthgen.FAMILY_GAUSSIAN, 4, 50, 6, truth)
+    qs = []
+    for replica in range(30):
+        panel = synthgen.sample_gaussian_panel(spec, replica=replica)
+        if volatilities is not None:
+            panel = make_panel(panel.returns * np.asarray(volatilities)[:, None])
+        (sample,) = portfolio.q_series(panel, 20, 30, chained=False)
+        qs.append(sample.q)
+    qs = np.asarray(qs)
+    band = portfolio.mc_band(4, 20, 30, 30, truth, seed=6, volatilities=volatilities)
+    assert band == MCBand(float(qs.mean()), float(qs.std(ddof=1)))
 
 
 def test_mc_band_guards():
     truth = synthgen.identity_correlation(3)
     with pytest.raises(InvalidParameter):
         portfolio.mc_band(3, 30, 30, 29, truth, seed=0)
+    with pytest.raises(InvalidParameter):
+        portfolio.mc_band(3, 1, 30, 30, truth, seed=0)
+    with pytest.raises(IllPosed):
+        portfolio.mc_band(3, 3, 30, 30, truth, seed=0)
     with pytest.raises(InvalidParameter):
         portfolio.mc_band(4, 30, 30, 30, truth, seed=0)
     with pytest.raises(InvalidParameter):

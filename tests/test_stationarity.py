@@ -208,6 +208,30 @@ def test_global_scan_skips_degenerate_rows():
     assert cell.denominator == 1  # only the clean pair remains
 
 
+@pytest.mark.parametrize("scan", ["global", "local"])
+def test_mc_control_skips_constant_ticker(scan):
+    rng = np.random.default_rng(23)
+    returns = rng.normal(size=(4, 300))
+    returns[2, :] = 4.2
+    panel = make_panel(returns)
+    control = stationarity._control_panels(panel, None, synthgen.FAMILY_GAUSSIAN, None, 5)
+    assert np.array_equal(control["mc"].returns[2], returns[2])
+    if scan == "global":
+        report = stationarity.global_scan(panel, (25,), (0.05,),
+                                          mc_family=synthgen.FAMILY_GAUSSIAN, mc_seed=5)
+    else:
+        report = stationarity.local_scan(panel, [LocalTestConfig(100, 50)],
+                                         mc_family=synthgen.FAMILY_GAUSSIAN, mc_seed=5)
+    base = [s for s in report.skipped if s.get("control") is None]
+    mc = [s for s in report.skipped if s.get("control") == "mc"]
+    assert [s["pair"] for s in base] == [[0, 2], [1, 2], [2, 3]]
+    assert {s["error"] for s in base} == {"ZeroVariance"}
+    assert [dict(s, control=None) for s in mc] == [dict(s, control=None) for s in base]
+    for cell in report.cells:
+        assert cell.denominator > 0
+        assert 0.0 <= cell.controls["mc"] <= 1.0
+
+
 def test_global_scan_thread_determinism():
     panel = gaussian_panel(4, 400, seed=14)
     kwargs = dict(window_lens=(25, 50), alphas=(0.05,), reshuffle_seed=3,
@@ -233,12 +257,13 @@ def test_local_scan_cells():
         assert set(cell.controls) == {"mc"}
 
 
-def test_local_scan_thread_determinism():
+def test_local_scan_same_seed_repeats():
     panel = gaussian_panel(3, 420, seed=16)
     config = LocalTestConfig(100, 40, (1, 2))
-    one = stationarity.local_scan(panel, [config], threads=1)
-    four = stationarity.local_scan(panel, [config], threads=4)
-    assert one == four
+    kwargs = dict(mc_family=synthgen.FAMILY_GAUSSIAN, mc_seed=4)
+    first = stationarity.local_scan(panel, [config], **kwargs)
+    again = stationarity.local_scan(panel, [config], **kwargs)
+    assert first == again
 
 
 def _per_row_cumulative_corr(panel, pair, t1, tau):
@@ -331,7 +356,7 @@ def test_local_scan_matches_per_pair_reference(sigma_convention, control):
     assert any(cell.fraction > 0 for cell in report.cells)
 
 
-def test_local_scan_short_panel_and_thread_check():
+def test_local_scan_short_panel():
     panel = gaussian_panel(4, 120, seed=22)
     configs = [LocalTestConfig(100, 20), LocalTestConfig(100, 21)]
     report = stationarity.local_scan(panel, configs, pairs=[(0, 1), (2, 7)])
@@ -342,8 +367,6 @@ def test_local_scan_short_panel_and_thread_check():
     assert short[0]["detail"] == "need at least t1 + tau = 121 steps, got 120"
     assert [s["error"] for s in report.skipped if s["tau"] == 20] == ["InvalidParameter"]
     assert all(math.isnan(cell.fraction) for cell in report.cells[5:])
-    with pytest.raises(InvalidParameter):
-        stationarity.local_scan(panel, configs, threads=0)
 
 
 def test_all_pairs():

@@ -1,0 +1,111 @@
+"""Every caller of the zero-variance rule flags the same rows.
+
+A row counts as zero-variance when its population sd is at most
+1e-12 max(1, |mean|).  The panels here hold noise rows, constant rows
+and rows whose sd sits at half, at exactly, or at twice that floor, in
+every window.
+"""
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from corrstat import corrdist, dataio, portfolio, stationarity
+from corrstat.errors import ZeroVariance
+from corrstat.stationarity import LocalTestConfig
+
+from conftest import make_panel
+
+T = 60
+WINDOW = 10
+# (mean, sd): rows mean +- sd have exactly this mean and sd, and
+# 1e-12 |mean| == sd in floating point
+AT_FLOOR = {931.3225746154785: 2.0 ** -30, -29.103830456733704: 2.0 ** -35}
+
+ROW_KINDS = st.tuples(
+    st.sampled_from(["noise", "constant", "below", "at", "above"]),
+    st.sampled_from([0.0, 0.5, -3.0, 250.0, -1.0e4, *AT_FLOOR]),
+)
+
+
+def _row(kind, mean, rng):
+    if kind == "noise":
+        return mean + rng.normal(size=T)
+    if kind == "at":
+        mean = mean if mean in AT_FLOOR else min(AT_FLOOR)
+        scale = AT_FLOOR[mean]
+    else:
+        floor = 1e-12 * max(1.0, abs(mean))
+        scale = {"constant": 0.0, "below": 0.5 * floor, "above": 2.0 * floor}[kind]
+    return mean + scale * np.resize([1.0, -1.0], T)  # same sd in every window
+
+
+def _reference_rows(returns):
+    """Each row standardized on its own with 1-d reductions."""
+    return np.stack([(r - r.mean()) / r.std() for r in returns])
+
+
+def _raised_ticker(fn):
+    try:
+        fn()
+    except ZeroVariance as exc:
+        return exc.ticker
+    return None
+
+
+@given(rows=st.lists(ROW_KINDS, min_size=2, max_size=5), seed=st.integers(0, 2**16))
+def test_every_caller_flags_the_same_rows(rows, seed):
+    rng = np.random.default_rng(seed)
+    panel = make_panel([_row(kind, mean, rng) for kind, mean in rows])
+    n, tickers = panel.n_series, panel.tickers
+    flagged = [r.std() <= 1e-12 * max(1.0, abs(r.mean())) for r in panel.returns]
+    assert flagged == [kind in ("constant", "below", "at") for kind, _ in rows]
+
+    clean = rng.normal(size=T)
+    for i, row in enumerate(panel.returns):
+        one = panel.select([i])
+        expect = tickers[i] if flagged[i] else None
+        assert _raised_ticker(lambda: corrdist.corr_matrix(one)) == expect
+        assert _raised_ticker(lambda: dataio.standardize(one)) == expect
+        assert _raised_ticker(
+            lambda: dataio.standardize(one, "per-window", WINDOW)) == expect
+        assert _raised_ticker(lambda: portfolio.covariance_matrix(one)) == expect
+        assert _raised_ticker(lambda: corrdist.pearson(row, clean)) == (
+            "x" if flagged[i] else None)
+        assert _raised_ticker(lambda: corrdist.pearson(clean, row)) == (
+            "y" if flagged[i] else None)
+        if not flagged[i]:
+            zx, zc = _reference_rows(np.stack([row, clean]))
+            assert corrdist.pearson(row, clean) == min(1.0, max(-1.0, float(zx @ zc) / T))
+
+    first = next((tickers[i] for i in range(n) if flagged[i]), None)
+    assert _raised_ticker(lambda: corrdist.corr_matrix(panel)) == first
+    assert _raised_ticker(lambda: dataio.standardize(panel)) == first
+    assert _raised_ticker(lambda: portfolio.covariance_matrix(panel)) == first
+
+    keep = [i for i in range(n) if not flagged[i]]
+    if keep:
+        sub = panel.select(keep)
+        z = _reference_rows(sub.returns)
+        assert np.array_equal(dataio.standardize(sub).returns, z)
+        c = (z @ z.T) / T
+        c = 0.5 * (c + c.T)
+        np.fill_diagonal(c, 1.0)
+        assert np.array_equal(corrdist.corr_matrix(sub).entries, np.clip(c, -1.0, 1.0))
+        centered = np.stack([r - r.mean() for r in sub.returns])
+        cov = (centered @ centered.T) / T
+        assert np.array_equal(portfolio.covariance_matrix(sub).entries,
+                              0.5 * (cov + cov.T))
+
+    pairs = stationarity.all_pairs(n)
+    skipped_pairs = [[i, j] for i, j in pairs if flagged[i] or flagged[j]]
+    global_report = stationarity.global_scan(panel, (WINDOW,), (0.05,))
+    assert [s["pair"] for s in global_report.skipped] == skipped_pairs
+    assert [s["detail"] for s in global_report.skipped] == [
+        str(ZeroVariance("x" if flagged[i] else "y")) for i, j in skipped_pairs]
+    local_report = stationarity.local_scan(panel, [LocalTestConfig(WINDOW, WINDOW)])
+    assert [s["pair"] for s in local_report.skipped] == skipped_pairs
+    assert [s["detail"] for s in local_report.skipped] == [
+        str(ZeroVariance(tickers[i] if flagged[i] else tickers[j]))
+        for i, j in skipped_pairs]
+    assert global_report.cells[0].denominator == len(pairs) - len(skipped_pairs)
+
