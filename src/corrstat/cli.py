@@ -20,8 +20,8 @@ import sys
 import numpy as np
 
 from . import __version__, corrdist, dataio, portfolio, spectral, stationarity, synthgen
-from .errors import CorrstatError
-from .parallel import resolve_threads
+from .errors import CorrstatError, InvalidParameter
+from .parallel import THREADS_ENV, resolve_threads
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -168,6 +168,17 @@ def _parse_corr_spec(text: str, flag: str, input_kind: str, returns_kind: str):
 def _require(condition: bool, message: str):
     if not condition:
         raise UsageError(message)
+
+
+def _threads(flag_value) -> int:
+    """--threads, else CORRSTAT_THREADS, else 1; a bad value names its source."""
+    source, text = "--threads", flag_value
+    if text is None:
+        source, text = THREADS_ENV, os.environ.get(THREADS_ENV, "1")
+    try:
+        return resolve_threads(text)
+    except InvalidParameter:
+        raise UsageError(f"{source} must be an integer >= 1, got {text!r}") from None
 
 
 def _scan_cells_json(report: stationarity.ScanReport):
@@ -603,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=None,
+    common.add_argument("--threads", default=None,
                         help="worker threads for global-scan and reproduce table1 "
                              "(default: CORRSTAT_THREADS or 1)")
     common.add_argument("--timestamp", default=None,
@@ -709,7 +720,7 @@ def main(argv=None) -> int:
         print(f"error: --out is required for {args.out_required}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        args.threads = resolve_threads(args.threads)
+        args.threads = _threads(args.threads)
         return args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

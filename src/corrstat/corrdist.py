@@ -21,18 +21,19 @@ closed form (Hotelling 1953, J. R. Stat. Soc. B 15:193), with a = rho*rho_bar,
 
 evaluated with scipy.special.hyp2f1.  Everything here is evaluated in
 log-space so large T cannot underflow.
+
+scipy is imported lazily, inside the functions that evaluate the law
+(hyp2f1, the PCHIP table and its brentq inverse), so a process that
+only builds correlation matrices never loads it.
 """
 from __future__ import annotations
 
 import math
 import threading
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
-from scipy.special import hyp2f1
 
 from .dataio import standardized_rows
 from .errors import (
@@ -43,6 +44,9 @@ from .errors import (
     NumericsError,
     ZeroVariance,
 )
+
+if TYPE_CHECKING:
+    from scipy.interpolate import PchipInterpolator
 
 RHO_BAR_LIMIT = 1.0 - 1e-12
 MIN_T = 10
@@ -168,6 +172,8 @@ def _gauss_legendre(order):
 
 def _log_cosh_power_integral(a, t):
     """log of integral_0^inf (cosh r - a)^-(t-1) dr by Hotelling's form."""
+    from scipy.special import hyp2f1
+
     const = 0.5 * math.log(0.5 * math.pi) + math.lgamma(t - 1.0) - math.lgamma(t - 0.5)
     return (
         const
@@ -260,6 +266,8 @@ def _cdf_grid(rb, t):
 
 
 def _build_cdf_table(key):
+    from scipy.interpolate import PchipInterpolator
+
     rb, t = key
     # A rounded key can land on +-1.0 when the plug-in estimate was
     # clamped near an endpoint; pull it back inside the open interval.
@@ -339,4 +347,6 @@ def rho_quantile(p, params: CorrParams) -> float:
     lo, hi = grid[i - 1], grid[i]
     if cdf[i] == cdf[i - 1]:
         return float(hi)
+    from scipy.optimize import brentq
+
     return float(brentq(lambda r: float(interp(r)) - p, lo, hi, xtol=1e-12))

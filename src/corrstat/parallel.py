@@ -11,11 +11,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 from .errors import InvalidParameter
 
+THREADS_ENV = "CORRSTAT_THREADS"
+
 
 def resolve_threads(threads=None) -> int:
     """Explicit argument, else CORRSTAT_THREADS, else 1."""
     if threads is None:
-        threads = os.environ.get("CORRSTAT_THREADS", "1")
+        threads = os.environ.get(THREADS_ENV, "1")
     try:
         threads = int(threads)
     except (TypeError, ValueError):

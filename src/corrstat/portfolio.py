@@ -130,7 +130,10 @@ def min_variance_weights(cov: CovarianceMatrix, ridge: float = 0.0) -> WeightVec
     if ridge > 0.0:
         c = c + ridge * float(np.trace(c)) / n * np.eye(n)
     synthgen.cholesky(c)  # PD gate with pivot report
-    cond = float(np.linalg.cond(c))
+    # C is SPD here, so its 2-norm condition number is lambda_max / lambda_min;
+    # a rounded lambda_min <= 0 means C is numerically singular.
+    eig = np.linalg.eigvalsh(c)
+    cond = float(eig[-1] / eig[0]) if eig[0] > 0.0 else math.inf
     if cond > _CONDITION_LIMIT:
         raise NumericsError(
             f"covariance condition number {cond:.3e} exceeds {_CONDITION_LIMIT:.0e}; "

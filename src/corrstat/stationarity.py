@@ -173,7 +173,8 @@ def global_test(panel: ReturnPanel, pair, window_len: int,
             f"global test needs >= 5 windows, got {plan.n_windows}"
         )
     union = plan.n_windows * window_len
-    samples = _window_estimates(x[:union], y[:union], plan.n_windows)
+    names = (panel.tickers[pair[0]], panel.tickers[pair[1]])
+    samples = _window_estimates(x[:union], y[:union], plan.n_windows, names)
     rho_bar_hat = pearson(x[:union], y[:union])
     clamped = min(max(rho_bar_hat, -_PLUGIN_CLAMP), _PLUGIN_CLAMP)
     params = CorrParams(clamped, window_len)
@@ -190,18 +191,20 @@ def global_test(panel: ReturnPanel, pair, window_len: int,
     )
 
 
-def _window_estimates(x, y, n_windows):
+def _window_estimates(x, y, n_windows, names):
     """pearson() on each of n_windows equal slices, standardized as blocks.
 
-    Same numbers and the same ZeroVariance("x" / "y") as the per-window
-    calls: row reductions and per-row dots match the 1-d ones bit for bit.
+    Same numbers as the per-window calls: row reductions and per-row dots
+    match the 1-d ones bit for bit.  The first zero-variance window raises
+    ZeroVariance with its ticker (x's name before y's) and column range.
     """
     zx, bad_x = standardized_rows(x.reshape(n_windows, -1))
     zy, bad_y = standardized_rows(y.reshape(n_windows, -1))
+    t = zx.shape[1]
     bad = np.flatnonzero(bad_x | bad_y)
     if bad.size:
-        raise ZeroVariance("x" if bad_x[bad[0]] else "y")
-    t = zx.shape[1]
+        k = int(bad[0])
+        raise ZeroVariance(names[0] if bad_x[k] else names[1], window=(k * t, (k + 1) * t))
     return tuple(min(1.0, max(-1.0, float(a @ b) / t)) for a, b in zip(zx, zy))
 
 

@@ -102,6 +102,17 @@ def brute_min_variance(cov):
     return result.x
 
 
+def q_band_mean(n, t1):
+    """Large-T mean of q under a stationary Gaussian truth, 1 / (1 - N/T1).
+
+    Estimation noise shrinks the in-sample risk by sqrt(1 - N/T1) and
+    grows the realized risk by 1/sqrt(1 - N/T1), whatever the truth
+    (Pafka & Kondor 2003, Physica A 319:487; Kondor, Pafka & Nagy 2007,
+    J. Bank. Finance 31:1545).  Finite T1 and T2 add O(1/T) corrections.
+    """
+    return 1.0 / (1.0 - n / t1)
+
+
 def jacobi_eig(matrix, sweeps=100, tol=1e-13):
     """Cyclic Jacobi eigensolver for small symmetric matrices.
 

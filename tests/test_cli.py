@@ -286,15 +286,27 @@ def test_non_finite_cell_is_a_one_line_error(tmp_path, capsys):
         assert err.startswith("error: ParseError: ") and "row 41, col 3" in err
 
 
-def test_threads_zero_is_a_runtime_error(tmp_path, capsys):
+def test_bad_thread_count_is_a_usage_error(tmp_path, capsys, monkeypatch):
     panel = simulate_panel(tmp_path, n=4, t=100)
-    base = ["--input", str(panel), "--input-kind", "returns", "--threads", "0"]
-    for argv in (["local-scan", "--t1", "30", "--tau", "10"],
-                 ["qscan", "--t1", "20", "--t2", "20", "--replicas", "30"],
-                 ["spectral", "--window", "20", "--sectors", "1"]):
-        assert run(argv + base) == 1, argv[0]
-        err = capsys.readouterr().err
-        assert err == "error: InvalidParameter: threads must be >= 1, got 0\n", argv[0]
+    base = ["--input", str(panel), "--input-kind", "returns"]
+    commands = (["local-scan", "--t1", "30", "--tau", "10"],
+                ["qscan", "--t1", "20", "--t2", "20", "--replicas", "30"],
+                ["spectral", "--window", "20", "--sectors", "1"],
+                ["density", "--rho-bar", "0.2", "--T", "50", "--grid", "11"])
+    for bad in ("0", "-3", "two", "1.5"):
+        for argv in commands:
+            assert run(argv + base * (argv[0] != "density") + ["--threads", bad]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: --threads must be an integer >= 1, got {bad!r}\n", argv
+        monkeypatch.setenv(cli.THREADS_ENV, bad)
+        for argv in commands:
+            assert run(argv + base * (argv[0] != "density")) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: CORRSTAT_THREADS must be an integer >= 1, got {bad!r}\n"
+        # the flag wins over the variable
+        assert run(commands[0] + base + ["--threads", "2"]) == 0
+        capsys.readouterr()
+        monkeypatch.delenv(cli.THREADS_ENV)
 
 
 def test_mc_parse_errors(tmp_path, capsys):

@@ -6,7 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from corrstat import corrdist, stationarity, synthgen
-from corrstat.errors import CorrstatError, InsufficientSamples, InvalidParameter
+from corrstat.errors import (
+    CorrstatError,
+    InsufficientSamples,
+    InvalidParameter,
+    ZeroVariance,
+)
 from corrstat.stationarity import LocalTestConfig
 
 from _oracles import ks_pvalue_scipy, ks_statistic_scipy
@@ -206,6 +211,27 @@ def test_global_scan_skips_degenerate_rows():
     assert all(s["error"] == "ZeroVariance" for s in report.skipped)
     cell = report.cells[0]
     assert cell.denominator == 1  # only the clean pair remains
+
+
+def test_global_test_names_the_first_degenerate_window():
+    rng = np.random.default_rng(31)
+    returns = rng.normal(size=(3, 100))
+    returns[1, 40:50] = 2.5  # window 4 of 10
+    returns[2, 20:40] = -1.0  # windows 2 and 3
+    panel = make_panel(returns, tickers=("AAA", "BBB", "CCC"))
+    for pair, name, window in (((0, 1), "BBB", (40, 50)), ((1, 0), "BBB", (40, 50)),
+                               ((1, 2), "CCC", (20, 30)), ((2, 1), "CCC", (20, 30))):
+        with pytest.raises(ZeroVariance) as info:
+            stationarity.global_test(panel, pair, 10)
+        assert (info.value.ticker, info.value.window) == (name, window), pair
+    returns = returns.copy()
+    returns[2, 20:40] = rng.normal(size=20)
+    returns[2, 40:50] = 7.0  # both rows degenerate in window 4 only: x's name
+    panel = make_panel(returns, tickers=("AAA", "BBB", "CCC"))
+    with pytest.raises(ZeroVariance, match=r"^zero variance for 'BBB' in window \(40, 50\)$"):
+        stationarity.global_test(panel, (1, 2), 10)
+    with pytest.raises(ZeroVariance, match=r"^zero variance for 'CCC' in window \(40, 50\)$"):
+        stationarity.global_test(panel, (2, 1), 10)
 
 
 @pytest.mark.parametrize("scan", ["global", "local"])

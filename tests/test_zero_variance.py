@@ -98,14 +98,16 @@ def test_every_caller_flags_the_same_rows(rows, seed):
 
     pairs = stationarity.all_pairs(n)
     skipped_pairs = [[i, j] for i, j in pairs if flagged[i] or flagged[j]]
+    # both scans name the pair's first zero-variance ticker; the global
+    # scan adds the first degenerate window, which is window 0 here
+    names = [tickers[i] if flagged[i] else tickers[j] for i, j in skipped_pairs]
     global_report = stationarity.global_scan(panel, (WINDOW,), (0.05,))
     assert [s["pair"] for s in global_report.skipped] == skipped_pairs
     assert [s["detail"] for s in global_report.skipped] == [
-        str(ZeroVariance("x" if flagged[i] else "y")) for i, j in skipped_pairs]
+        str(ZeroVariance(name, window=(0, WINDOW))) for name in names]
     local_report = stationarity.local_scan(panel, [LocalTestConfig(WINDOW, WINDOW)])
     assert [s["pair"] for s in local_report.skipped] == skipped_pairs
     assert [s["detail"] for s in local_report.skipped] == [
-        str(ZeroVariance(tickers[i] if flagged[i] else tickers[j]))
-        for i, j in skipped_pairs]
+        str(ZeroVariance(name)) for name in names]
     assert global_report.cells[0].denominator == len(pairs) - len(skipped_pairs)
 
