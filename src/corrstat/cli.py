@@ -605,8 +605,15 @@ def cmd_reproduce(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that reports a bad command line in one line, without the usage block."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="corrstat",
         description="Correlation stationarity tests and portfolio q-ratio diagnostics.",
     )

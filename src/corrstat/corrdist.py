@@ -22,16 +22,19 @@ closed form (Hotelling 1953, J. R. Stat. Soc. B 15:193), with a = rho*rho_bar,
 evaluated with scipy.special.hyp2f1.  Everything here is evaluated in
 log-space so large T cannot underflow.
 
-scipy is imported lazily, inside the functions that evaluate the law
-(hyp2f1, the PCHIP table and its brentq inverse), so a process that
-only builds correlation matrices never loads it.
+The CDF is integrated at the points asked for, in Fisher's z = atanh(rho)
+(Fisher 1921), where the law is close to N(atanh(rho_bar), 1/(T-3)) for
+any rho_bar; there is no table and no state.
+
+scipy.special is the only scipy module used, and it is imported inside
+the function that evaluates the law, so a process that only builds
+correlation matrices never loads scipy.
 """
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,9 +47,6 @@ from .errors import (
     NumericsError,
     ZeroVariance,
 )
-
-if TYPE_CHECKING:
-    from scipy.interpolate import PchipInterpolator
 
 RHO_BAR_LIMIT = 1.0 - 1e-12
 MIN_T = 10
@@ -161,49 +161,50 @@ def corr_matrix(panel, window: tuple[int, int] | None = None) -> CorrelationMatr
 # ---------------------------------------------------------------------------
 # density
 
-_gl_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+def _checked_rho(rho):
+    """rho as a float array; NaN and |rho| > 1 are rejected."""
+    rho_arr = np.asarray(rho, dtype=np.float64)
+    if not np.all(np.abs(rho_arr) <= 1.0):
+        raise InvalidParameter("rho must lie in [-1, 1]")
+    return rho_arr
 
 
-def _gauss_legendre(order):
-    if order not in _gl_cache:
-        _gl_cache[order] = np.polynomial.legendre.leggauss(order)
-    return _gl_cache[order]
-
-
-def _log_cosh_power_integral(a, t):
-    """log of integral_0^inf (cosh r - a)^-(t-1) dr by Hotelling's form."""
+def _log_law(log_1m_rho2, a, log_1m_a, params: CorrParams):
+    """Hotelling's log P(rho) from log(1-rho^2), a = rho*rho_bar and log(1-a)."""
     from scipy.special import hyp2f1
 
-    const = 0.5 * math.log(0.5 * math.pi) + math.lgamma(t - 1.0) - math.lgamma(t - 0.5)
+    t = float(params.n_obs)
+    rb = params.rho_bar
+    const = (
+        math.log(t - 2.0)
+        - math.log(math.pi)
+        + 0.5 * (t - 1.0) * (math.log1p(-rb) + math.log1p(rb))
+    )
+    integral_const = (
+        0.5 * math.log(0.5 * math.pi) + math.lgamma(t - 1.0) - math.lgamma(t - 0.5)
+    )
     return (
         const
-        - (t - 1.5) * np.log1p(-a)
-        + np.log(hyp2f1(0.5, 0.5, t - 0.5, 0.5 * (1.0 + a)))
+        + 0.5 * (t - 4.0) * log_1m_rho2
+        + (
+            integral_const
+            - (t - 1.5) * log_1m_a
+            + np.log(hyp2f1(0.5, 0.5, t - 0.5, 0.5 * (1.0 + a)))
+        )
     )
 
 
 def rho_logdensity(rho, params: CorrParams):
     """log rho_density; -inf at the endpoints rho = +-1 (where T > 4)."""
-    rho_arr = np.asarray(rho, dtype=np.float64)
-    flat = np.atleast_1d(rho_arr).ravel().astype(np.float64)
-    if flat.size and float(np.abs(flat).max()) > 1.0:
-        raise InvalidParameter("rho must lie in [-1, 1]")
-    t = float(params.n_obs)
-    rb = params.rho_bar
+    rho_arr = _checked_rho(rho)
+    flat = np.atleast_1d(rho_arr).ravel()
     out = np.full(flat.shape, -np.inf)
     interior = np.abs(flat) < 1.0
     ri = flat[interior]
     if ri.size:
-        const = (
-            math.log(t - 2.0)
-            - math.log(math.pi)
-            + 0.5 * (t - 1.0) * (math.log1p(-rb) + math.log1p(rb))
-        )
-        out[interior] = (
-            const
-            + 0.5 * (t - 4.0) * (np.log1p(-ri) + np.log1p(ri))
-            + _log_cosh_power_integral(ri * rb, t)
-        )
+        a = ri * params.rho_bar
+        out[interior] = _log_law(np.log1p(-ri) + np.log1p(ri), a, np.log1p(-a), params)
     if rho_arr.ndim == 0:
         return float(out[0])
     return out.reshape(rho_arr.shape)
@@ -235,118 +236,79 @@ def gaussian_approx_density(rho, params: CorrParams):
 
 
 # ---------------------------------------------------------------------------
-# CDF with a per-(rho_bar, T) cached table
+# CDF at the samples, by quadrature in Fisher-z space
 
-_CDF_KEY_DECIMALS = 4
 _MASS_TOL = 5e-6
-_ENDPOINT_KEY_RHO_BAR = 1.0 - 1e-6
-
-_cdf_lock = threading.Lock()
-_cdf_tables: dict[tuple[float, int], tuple[np.ndarray, np.ndarray, PchipInterpolator]] = {}
-
-
-def _cdf_key(params: CorrParams):
-    return (round(params.rho_bar, _CDF_KEY_DECIMALS), params.n_obs)
+_PANELS = 64
+_Z_HALF_WIDTH = 10.0  # in units of the Fisher-z scale 1/sqrt(T-3)
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(7)
 
 
-def _cdf_grid(rb, t):
-    """Union of a uniform grid and a Fisher-transform-shaped refinement.
+def _z_logdensity(z, params: CorrParams):
+    """log density of z = atanh(rho): the law at tanh z times sech^2 z.
 
-    The uniform part caps the node spacing at 1e-3; the refinement places
-    nodes where the mass actually sits (the z = atanh(rho) image of the
-    law is close to Gaussian with scale 1/sqrt(T-3), for any rho_bar), so
-    the per-interval quadrature stays accurate even for rho_bar near +-1.
+    log(1-rho^2) is -2 log cosh z, and 1 - rho*rho_bar is the sum of
+    non-negative terms (1-|rho_bar|) + |rho_bar| (1 - tanh(sign(rho_bar) z)),
+    so neither loses digits where rho rounds to +-1.
     """
-    coarse = np.linspace(-1.0, 1.0, 2001)
-    z0 = math.atanh(rb)
-    s = 1.0 / math.sqrt(t - 3.0)
-    dense = np.tanh(np.linspace(z0 - 8.0 * s, z0 + 8.0 * s, 801))
-    grid = np.unique(np.concatenate([coarse, dense]))
-    return grid[(grid >= -1.0) & (grid <= 1.0)]
+    rb = params.rho_bar
+    u = np.exp(-2.0 * np.abs(z))
+    log_1m_rho2 = -2.0 * (np.abs(z) + np.log1p(u) - math.log(2.0))
+    one_minus_tanh = np.where(rb * z >= 0.0, 2.0 * u, 2.0) / (1.0 + u)
+    one_minus_a = (1.0 - abs(rb)) + abs(rb) * one_minus_tanh
+    return _log_law(log_1m_rho2, 1.0 - one_minus_a, np.log(one_minus_a), params) + log_1m_rho2
 
 
-def _build_cdf_table(key):
-    from scipy.interpolate import PchipInterpolator
+def _panel_masses(lo, half, params: CorrParams):
+    """7-node Gauss-Legendre mass of the z density on each [lo, lo + 2 half]."""
+    nodes = (lo + half)[:, None] + half[:, None] * _GL_X
+    return half * (np.exp(_z_logdensity(nodes, params)) @ _GL_W)
 
-    rb, t = key
-    # A rounded key can land on +-1.0 when the plug-in estimate was
-    # clamped near an endpoint; pull it back inside the open interval.
-    # Out there the table only needs to put its mass hard against the
-    # endpoint, which any rho_bar in the key's rounding bucket achieves.
-    # Stop well short of RHO_BAR_LIMIT: a law ~1e-12 wide spans too few
-    # doubles for the node grid, and its table misses the mass gate at
-    # some T (12, 25 and 1000 among them).
-    rb = min(max(rb, -_ENDPOINT_KEY_RHO_BAR), _ENDPOINT_KEY_RHO_BAR)
-    params = CorrParams(rb, t)
-    grid = _cdf_grid(rb, t)
-    x, w = _gauss_legendre(7)
-    half = 0.5 * (grid[1:] - grid[:-1])
-    mid = 0.5 * (grid[1:] + grid[:-1])
-    nodes = mid[:, None] + half[:, None] * x[None, :]
-    dens = np.exp(rho_logdensity(nodes.ravel(), params)).reshape(nodes.shape)
-    masses = (dens @ w) * half
-    cdf = np.concatenate([[0.0], np.cumsum(masses)])
-    total = float(cdf[-1])
+
+def rho_cdf(rho, params: CorrParams):
+    """P(measured coefficient <= rho), integrated up to each rho in z-space.
+
+    _PANELS equal panels cover atanh(rho_bar) +- _Z_HALF_WIDTH/sqrt(T-3);
+    F(rho) is the mass of the whole panels below atanh(rho) plus one
+    partial panel up to it, over the total mass.  Below the range F is 0,
+    above it 1, so rho = -1 and rho = 1 are exact.
+    """
+    rho_arr = _checked_rho(rho)
+    flat = np.atleast_1d(rho_arr).ravel()
+    z0 = math.atanh(params.rho_bar)
+    reach = _Z_HALF_WIDTH / math.sqrt(params.n_obs - 3.0)
+    edges = np.linspace(z0 - reach, z0 + reach, _PANELS + 1)
+    masses = _panel_masses(edges[:-1], 0.5 * np.diff(edges), params)
+    cum = np.concatenate([[0.0], np.cumsum(masses)])
+    total = float(cum[-1])
     if abs(total - 1.0) > _MASS_TOL:
         raise NumericsError(
             f"density mass {total!r} deviates from 1 beyond {_MASS_TOL:g}",
             error_estimate=abs(total - 1.0),
         )
-    cdf /= total  # exact endpoints; the gate above bounds the distortion
-    # Intervals with zero mass give pchip 0/0 slope ratios; it resolves
-    # them to flat (derivative 0) segments, so silence the division noise.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        interp = PchipInterpolator(grid, cdf)
-    return grid, cdf, interp
-
-
-def _cdf_table(params: CorrParams):
-    """Cached table, built at the key's rounded rho_bar.
-
-    Rounding rho_bar to 1e-4 before building makes the table a pure
-    function of its key, so results cannot depend on which caller builds
-    it first; the rounding error is an accepted part of the CDF budget.
-    """
-    key = _cdf_key(params)
-    with _cdf_lock:
-        table = _cdf_tables.get(key)
-    if table is None:
-        table = _build_cdf_table(key)
-        with _cdf_lock:
-            table = _cdf_tables.setdefault(key, table)
-    return table
-
-
-def clear_cdf_cache():
-    with _cdf_lock:
-        _cdf_tables.clear()
-
-
-def rho_cdf(rho, params: CorrParams):
-    """P(measured coefficient <= rho) from the cached table."""
-    _, _, interp = _cdf_table(params)
-    rho_arr = np.asarray(rho, dtype=np.float64)
-    if rho_arr.size and float(np.abs(rho_arr).max()) > 1.0:
-        raise InvalidParameter("rho must lie in [-1, 1]")
-    out = np.clip(interp(rho_arr), 0.0, 1.0)
-    # The table ends are exactly 0 and 1; PCHIP can round its last knot to 1 - 2^-53.
-    out = np.where(rho_arr == 1.0, 1.0, np.where(rho_arr == -1.0, 0.0, out))
-    return float(out) if rho_arr.ndim == 0 else out
+    with np.errstate(divide="ignore"):
+        z = np.arctanh(flat)
+    out = (z >= edges[-1]).astype(np.float64)
+    inside = (z >= edges[0]) & (z < edges[-1])
+    if inside.any():
+        zi = z[inside]
+        k = np.searchsorted(edges, zi, side="right") - 1
+        lo = edges[k]
+        out[inside] = (cum[k] + _panel_masses(lo, 0.5 * (zi - lo), params)) / total
+    return float(out[0]) if rho_arr.ndim == 0 else out.reshape(rho_arr.shape)
 
 
 def rho_quantile(p, params: CorrParams) -> float:
-    """Smallest rho with rho_cdf(rho) >= p (inverse of the cached table)."""
+    """Smallest rho with rho_cdf(rho) >= p, by bisection to 1e-12."""
     if not (0.0 <= p <= 1.0):
         raise InvalidParameter(f"quantile level must lie in [0, 1], got {p!r}")
-    grid, cdf, interp = _cdf_table(params)
-    if p <= cdf[0]:
-        return -1.0
-    if p >= cdf[-1]:
-        return 1.0
-    i = int(np.searchsorted(cdf, p))
-    lo, hi = grid[i - 1], grid[i]
-    if cdf[i] == cdf[i - 1]:
-        return float(hi)
-    from scipy.optimize import brentq
-
-    return float(brentq(lambda r: float(interp(r)) - p, lo, hi, xtol=1e-12))
+    if p in (0.0, 1.0):
+        return 2.0 * p - 1.0
+    lo, hi = -1.0, 1.0
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if rho_cdf(mid, params) >= p:
+            hi = mid
+        else:
+            lo = mid
+    return hi

@@ -110,6 +110,25 @@ class WindowPlan:
         return len(self.windows)
 
 
+def _raise_first_bad_row(path, rows, width, lead):
+    """ParseError for the first data row, in file order, that is short, long or non-numeric."""
+    for irow, row in enumerate(rows[1:], start=2):
+        if len(row) != width:
+            raise ParseError(
+                f"{path}: row {irow} has {len(row)} cells, expected {width}",
+                row=irow,
+            )
+        for col, cell in enumerate(row[lead:], start=lead + 1):
+            try:
+                float(cell)
+            except ValueError:
+                raise ParseError(
+                    f"{path}: non-numeric cell at row {irow}, col {col}: {cell!r}",
+                    row=irow,
+                    col=col,
+                ) from None
+
+
 def load_price_panel(path, format="prices"):
     """Read a CSV panel (header of tickers, optional leading date column).
 
@@ -135,31 +154,18 @@ def load_price_panel(path, format="prices"):
         seen.add(tick)
 
     width = len(header)
-    times = []
-    body = []
-    for irow, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise ParseError(
-                f"{path}: row {irow} has {len(row)} cells, expected {width}",
-                row=irow,
-            )
-        times.append(row[0].strip() if has_dates else str(irow - 1))
-        values = []
-        for jcol, cell in enumerate(row[1:] if has_dates else row):
-            try:
-                values.append(float(cell))
-            except ValueError:
-                col = jcol + (2 if has_dates else 1)
-                raise ParseError(
-                    f"{path}: non-numeric cell at row {irow}, col {col}: {cell!r}",
-                    row=irow,
-                    col=col,
-                ) from None
-        body.append(values)
+    lead = 1 if has_dates else 0
+    body = [row[lead:] for row in rows[1:]]
     if not body:
         raise ParseError(f"{path}: no data rows")
-
-    days = np.asarray(body, dtype=np.float64)  # T x N, file order
+    try:
+        days = np.asarray(body, dtype=np.float64)  # T x N, file order; cells parse as float()
+        if days.shape[1] != width - lead:
+            raise ValueError
+    except ValueError:
+        _raise_first_bad_row(path, rows, width, lead)
+        raise
+    times = [row[0].strip() if has_dates else str(t) for t, row in enumerate(rows[1:], start=1)]
     nonfinite = np.argwhere(~np.isfinite(days))
     if nonfinite.size:
         t, jcol = nonfinite[0].tolist()

@@ -64,6 +64,21 @@ def density_quad(rho, rho_bar, t):
     return math.exp(log_d)
 
 
+def cdf_quad(rho, rho_bar, t):
+    """P(estimator <= rho): adaptive quadrature of density_quad over [-1, rho].
+
+    Breakpoints one Gaussian-approximation sd apart around rho_bar show
+    quad where the mass sits, however narrow the law.
+    """
+    sd = (1.0 - rho_bar * rho_bar) / math.sqrt(t)
+    points = [p for p in rho_bar + sd * np.arange(-8.0, 9.0) if -1.0 < p < rho]
+    value, _ = scipy.integrate.quad(
+        density_quad, -1.0, rho, args=(rho_bar, t), points=points or None,
+        limit=500, epsabs=1e-14, epsrel=1e-13,
+    )
+    return value
+
+
 def numeric_moments(density, order=400):
     """(total mass, mean, variance) of a density on [-1, 1] via Gauss-Legendre."""
     x, w = np.polynomial.legendre.leggauss(order)

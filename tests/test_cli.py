@@ -79,6 +79,24 @@ def test_unknown_recipe():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["local-scan", "--input", "x.csv", "--t1", "abc"],
+     "error: argument --t1: invalid int value: 'abc'"),
+    (["density", "--rho-bar", "0.2", "--T", "x"],
+     "error: argument --T: invalid int value: 'x'"),
+    (["density", "--rho-bar", "0.2", "--T", "50", "--grid", "1.5"],
+     "error: argument --grid: invalid int value: '1.5'"),
+    (["local-scan", "--input", "x.csv", "--t1", "30", "--input-kind", "bonds"],
+     "error: argument --input-kind: invalid choice: 'bonds'"),
+])
+def test_bad_flag_value_is_one_line(argv, message, capsys):
+    with pytest.raises(SystemExit) as err:
+        run(argv)
+    assert err.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(message), lines
+
+
 def test_missing_input(tmp_path, capsys):
     rc = run(["global-scan", "--input", str(tmp_path / "absent.csv")])
     assert rc == 2

@@ -14,7 +14,13 @@ from corrstat.errors import (
     ZeroVariance,
 )
 
-from _oracles import covariance_loops, density_quad, numeric_moments, pearson_loops
+from _oracles import (
+    cdf_quad,
+    covariance_loops,
+    density_quad,
+    numeric_moments,
+    pearson_loops,
+)
 from conftest import make_panel
 
 
@@ -185,6 +191,17 @@ def test_cdf_frozen_value():
     assert abs(value - 0.9800415621662433) < 1e-6
 
 
+@pytest.mark.parametrize("rho_bar, t, rho", [
+    (-0.633, 100, -0.6335),  # at the mode, where F is steepest
+    (0.98, 10, 0.9), (0.98, 10, 0.99), (-0.98, 10, -0.5), (-0.98, 10, -0.995),
+    (0.0, 10, 0.3), (0.5, 25, 0.2), (-0.3, 150, -0.25), (0.98, 1000, 0.981),
+    (0.123456789, 1000, 0.1), (0.123456789, 1000, 0.15),  # rho_bar off the 1e-4 grid
+])
+def test_cdf_matches_adaptive_quadrature(rho_bar, t, rho):
+    mine = corrdist.rho_cdf(rho, CorrParams(rho_bar, t))
+    assert abs(mine - cdf_quad(rho, rho_bar, t)) <= 1e-10
+
+
 def test_quantile_round_trip():
     params = CorrParams(0.35, 80)
     for p in (0.01, 0.1, 0.5, 0.9, 0.99):
@@ -195,8 +212,7 @@ def test_quantile_round_trip():
 
 
 def test_extreme_plugin_rho_bar():
-    # plug-ins rounded to 4 decimals share one table, clamped inside (-1, 1);
-    # the endpoint-clamped table keeps its mass hard against rho = 1
+    # a plug-in clamped at 1 - 1e-9 puts its mass hard against rho = 1
     for t in (150, 25):
         params = CorrParams(1.0 - 1e-9, t)
         assert corrdist.rho_cdf(0.9, params) < 1e-6
@@ -207,7 +223,7 @@ def test_extreme_plugin_rho_bar():
 
 
 def test_cdf_endpoints_exact_at_every_t():
-    # PCHIP evaluates the last knot through the last cubic; the ends are pinned
+    # rho = +-1 lie outside every z range, so their CDF is exactly 0 and 1
     keys = (corrdist.RHO_BAR_LIMIT, -corrdist.RHO_BAR_LIMIT, 0.9999)
     for t in range(10, 200):
         for rho_bar in keys:
@@ -216,11 +232,9 @@ def test_cdf_endpoints_exact_at_every_t():
             assert corrdist.rho_cdf(-1.0, params) == 0.0, (t, rho_bar)
             ends = corrdist.rho_cdf(np.array([-1.0, 1.0]), params)
             assert ends.tolist() == [0.0, 1.0], (t, rho_bar)
-        corrdist.clear_cdf_cache()
 
 
-def test_cdf_cache_thread_determinism():
-    corrdist.clear_cdf_cache()
+def test_cdf_concurrent_calls_deterministic():
     params = CorrParams(0.31415, 60)
     grid = np.linspace(-0.9, 0.9, 7)
     results = [None] * 8
@@ -233,7 +247,6 @@ def test_cdf_cache_thread_determinism():
         th.start()
     for th in threads:
         th.join()
-    corrdist.clear_cdf_cache()
     serial = corrdist.rho_cdf(grid, params).tolist()
     assert all(r == serial for r in results)
 

@@ -75,6 +75,27 @@ def test_non_finite_cell_cites_position(tmp_path, cell):
     assert (err.value.row, err.value.col) == (2, 1)  # the first in file order
 
 
+def test_cells_parse_as_float(tmp_path):
+    cells = [" 1.5 ", "1_000", "+.5e-3"]
+    path = write(tmp_path / "p.csv", "A,B,C\n" + ",".join(cells) + "\n0,0,0\n")
+    panel = dataio.load_price_panel(path, format="returns")
+    assert panel.returns[:, 0].tolist() == [float(c) for c in cells]
+    path = write(tmp_path / "inf.csv", "A,B\n1,-iNF\n2,3\n")
+    with pytest.raises(ParseError, match="non-finite cell at row 2, col 2: '-iNF'"):
+        dataio.load_price_panel(path, format="returns")
+
+
+def test_first_bad_row_in_file_order(tmp_path):
+    path = write(tmp_path / "a.csv", "A,B\n1,2\n1,x\n3\n")
+    with pytest.raises(ParseError) as err:
+        dataio.load_price_panel(path)
+    assert (err.value.row, err.value.col) == (3, 2)
+    path = write(tmp_path / "b.csv", "A,B\n1,2\n3\n1,x\n")
+    with pytest.raises(ParseError) as err:
+        dataio.load_price_panel(path)
+    assert (err.value.row, err.value.col) == (3, None)
+
+
 def test_parse_error_ragged_row(tmp_path):
     path = write(tmp_path / "bad.csv", "AAA,BBB\n1.0\n")
     with pytest.raises(ParseError) as err:

@@ -3,7 +3,8 @@
 The local scan, the q ratio with its Monte Carlo band, the spectrum and
 the simulator never evaluate the law, so their processes must start and
 finish without any scipy module; corrdist imports scipy lazily inside the
-functions that need it.
+function that needs it.  Where the law is evaluated, scipy.special is the
+only scipy module loaded.
 """
 import ast
 import os
@@ -63,6 +64,23 @@ import sys
 from corrstat import cli
 assert cli.main(["density", "--rho-bar", "0.2", "--T", "50", "--grid", "11"]) == 0
 assert "scipy.special" in sys.modules
+""")
+
+
+def test_global_scan_loads_only_scipy_special():
+    # the KS test integrates the law at its samples: no table, no root finder
+    _run_python("""
+import os, sys, tempfile
+from corrstat import cli
+with tempfile.TemporaryDirectory() as tmp:
+    panel = os.path.join(tmp, "panel.csv")
+    assert cli.main(["simulate", "--family", "gaussian", "--corr", "equicorr:3:0.3",
+                     "--T", "250", "--seed", "3", "--out", panel]) == 0
+    assert cli.main(["global-scan", "--input", panel, "--input-kind", "returns",
+                     "--window", "25,50", "--out", os.path.join(tmp, "g.json")]) == 0
+assert "scipy.special" in sys.modules
+for name in ("scipy.interpolate", "scipy.optimize"):
+    assert name not in sys.modules, name
 """)
 
 
