@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -63,28 +64,20 @@ def _report(command: str, args, config: dict, payload: dict) -> dict:
     }
 
 
-def _emit_json(report: dict, out_path):
-    text = json.dumps(report, sort_keys=True, indent=2, default=_json_default) + "\n"
-    if out_path is None:
+def _emit(text: str, out, report: dict):
+    """Write text to stdout, or to the out file and echo the report's config."""
+    if out is None:
         sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        _echo_config(report)
+        return
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    _echo_config(report)
 
 
-def _emit_csv(header, rows, out_path, echo: dict | None = None):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_F % v if isinstance(v, float) else str(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        if echo is not None:
-            _echo_config(echo)
+def _emit_json(report: dict, out) -> int:
+    _emit(json.dumps(report, sort_keys=True, indent=2, default=_json_default) + "\n",
+          out, report)
+    return EXIT_OK
 
 
 def _echo_config(report: dict):
@@ -92,21 +85,13 @@ def _echo_config(report: dict):
     print(json.dumps(slim, sort_keys=True, default=_json_default))
 
 
-def _parse_int_list(text: str, flag: str):
+def _parse_list(text: str, flag: str, cast):
+    """Comma-separated ints or floats; at least one."""
     try:
-        values = [int(tok) for tok in text.split(",") if tok.strip()]
+        values = [cast(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise UsageError(f"{flag} expects comma-separated integers, got {text!r}") from None
-    if not values:
-        raise UsageError(f"{flag} must list at least one value")
-    return values
-
-
-def _parse_float_list(text: str, flag: str):
-    try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise UsageError(f"{flag} expects comma-separated numbers, got {text!r}") from None
+        kind = "integers" if cast is int else "numbers"
+        raise UsageError(f"{flag} expects comma-separated {kind}, got {text!r}") from None
     if not values:
         raise UsageError(f"{flag} must list at least one value")
     return values
@@ -124,8 +109,8 @@ def _parse_mc(text: str, flag: str):
             nu = float(tail)
         except ValueError:
             raise UsageError(f"{flag}: student-t needs a numeric nu, got {text!r}") from None
-        if nu <= 2:
-            raise UsageError(f"{flag}: nu must exceed 2 for finite correlations, got {nu}")
+        _require(math.isfinite(nu), f"{flag}: nu must be finite, got {nu}")
+        _require(nu > 2, f"{flag}: nu must exceed 2 for finite correlations, got {nu}")
         return head, nu
     raise UsageError(f"{flag} must be 'gaussian' or 'student-t:NU', got {text!r}")
 
@@ -181,17 +166,51 @@ def _threads(flag_value) -> int:
         raise UsageError(f"{source} must be an integer >= 1, got {text!r}") from None
 
 
-def _scan_cells_json(report: stationarity.ScanReport):
-    cells = []
-    for cell in report.cells:
-        cells.append({
+def _scan_json(scan: stationarity.ScanReport) -> dict:
+    return {
+        "dataset": scan.dataset,
+        "params": scan.params,
+        "cells": [{
             cell.dim_name: cell.dim_value,
             cell.threshold_name: cell.threshold_value,
             "fraction": cell.fraction,
             "denominator": cell.denominator,
             "control_fractions": dict(sorted(cell.controls.items())),
-        })
-    return cells
+        } for cell in scan.cells],
+        "skipped": scan.skipped,
+    }
+
+
+def _scan_input(args):
+    """--input's panel, and the pairs, MC control and dataset keywords of both scans."""
+    mc_family, mc_nu = _parse_mc(args.mc, "--mc")
+    _require(args.max_pairs is None or args.max_pairs >= 1,
+             f"--max-pairs must be at least 1, got {args.max_pairs}")
+    panel = _load_returns(args.input, args.input_kind, args.returns_kind)
+    return panel, {
+        "pairs": stationarity.all_pairs(panel.n_series)[:args.max_pairs],
+        "mc_family": mc_family, "mc_nu": mc_nu, "mc_seed": args.mc_seed,
+        "dataset": _dataset_name(args.input),
+    }
+
+
+def _panel_config(args, **rest) -> dict:
+    """A panel command's config: its input flags, rest, and --out."""
+    return {"input": args.input, "input_kind": args.input_kind,
+            "returns_kind": args.returns_kind, **rest, "out": args.out}
+
+
+def _q_samples_json(qs, flags, **extra) -> list:
+    return [{
+        "sample": exp.sample,
+        "t1_range": list(exp.t1_range),
+        "t2_range": list(exp.t2_range),
+        "sigma_E": exp.sigma_e,
+        "sigma_R": exp.sigma_r,
+        "q": exp.q,
+        "violation": bool(flag),
+        **extra,
+    } for exp, flag in zip(qs, flags)]
 
 
 def _dataset_name(path: str) -> str:
@@ -211,59 +230,36 @@ def cmd_density(args) -> int:
     grid = np.linspace(-1.0, 1.0, args.grid)
     dens = corrdist.rho_density(grid, params)
     gauss = corrdist.gaussian_approx_density(grid, params)
+    columns = ["rho", "density", "gaussian_approx"]
+    rows = [[float(r), float(d), float(g)] for r, d, g in zip(grid, dens, gauss)]
     config = {"rho_bar": args.rho_bar, "T": args.T, "grid": args.grid,
               "format": args.format, "out": args.out}
     if args.format == "json":
-        report = _report("density", args, config, {
-            "columns": ["rho", "density", "gaussian_approx"],
-            "rows": [[float(r), float(d), float(g)] for r, d, g in zip(grid, dens, gauss)],
-        })
-        _emit_json(report, args.out)
-    else:
-        echo = _report("density", args, config, {})
-        _emit_csv(["rho", "density", "gaussian_approx"],
-                  [(float(r), float(d), float(g)) for r, d, g in zip(grid, dens, gauss)],
-                  args.out, echo=echo)
+        return _emit_json(_report("density", args, config,
+                                  {"columns": columns, "rows": rows}), args.out)
+    lines = [",".join(columns)] + [",".join(_F % v for v in row) for row in rows]
+    _emit("\n".join(lines) + "\n", args.out, _report("density", args, config, {}))
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- global-scan
 
 def cmd_global_scan(args) -> int:
-    windows = _parse_int_list(args.window, "--window")
+    windows = _parse_list(args.window, "--window", int)
     for w in windows:
         _require(w >= corrdist.MIN_T,
                  f"--window entries must be at least {corrdist.MIN_T}, got {w}")
-    alphas = _parse_float_list(args.alpha, "--alpha")
+    alphas = _parse_list(args.alpha, "--alpha", float)
     for a in alphas:
         _require(0.0 < a < 1.0, f"--alpha entries must lie in (0, 1), got {a}")
-    mc_family, mc_nu = _parse_mc(args.mc, "--mc")
-    _require(args.max_pairs is None or args.max_pairs >= 1,
-             f"--max-pairs must be at least 1, got {args.max_pairs}")
-    panel = _load_returns(args.input, args.input_kind, args.returns_kind)
-    pairs = stationarity.all_pairs(panel.n_series)
-    if args.max_pairs is not None:
-        pairs = pairs[:args.max_pairs]
-    scan = stationarity.global_scan(
-        panel, windows, alphas, pairs=pairs,
-        reshuffle_seed=args.reshuffle_seed,
-        mc_family=mc_family, mc_nu=mc_nu, mc_seed=args.mc_seed,
-        threads=args.threads, dataset=_dataset_name(args.input),
-    )
-    config = {
-        "input": args.input, "input_kind": args.input_kind,
-        "returns_kind": args.returns_kind, "window": windows, "alpha": alphas,
-        "max_pairs": args.max_pairs, "reshuffle_seed": args.reshuffle_seed,
-        "mc": args.mc, "mc_seed": args.mc_seed, "out": args.out,
-    }
-    report = _report("global-scan", args, config, {
-        "dataset": scan.dataset,
-        "params": scan.params,
-        "cells": _scan_cells_json(scan),
-        "skipped": scan.skipped,
-    })
-    _emit_json(report, args.out)
-    return EXIT_OK
+    panel, scan_kw = _scan_input(args)
+    scan = stationarity.global_scan(panel, windows, alphas,
+                                    reshuffle_seed=args.reshuffle_seed,
+                                    threads=args.threads, **scan_kw)
+    config = _panel_config(args, window=windows, alpha=alphas, max_pairs=args.max_pairs,
+                           reshuffle_seed=args.reshuffle_seed, mc=args.mc,
+                           mc_seed=args.mc_seed)
+    return _emit_json(_report("global-scan", args, config, _scan_json(scan)), args.out)
 
 
 # ---------------------------------------------------------------- local-scan
@@ -271,52 +267,33 @@ def cmd_global_scan(args) -> int:
 def cmd_local_scan(args) -> int:
     _require(args.t1 >= corrdist.MIN_T,
              f"--t1 must be at least {corrdist.MIN_T}, got {args.t1}")
-    taus = _parse_int_list(args.tau, "--tau")
+    taus = _parse_list(args.tau, "--tau", int)
     for tau in taus:
         _require(tau >= 1, f"--tau entries must be at least 1, got {tau}")
-    n_values = _parse_int_list(args.n, "--n")
+    n_values = _parse_list(args.n, "--n", int)
     for n in n_values:
         _require(n >= 1, f"--n entries must be at least 1, got {n}")
     _require(args.sigma_convention in (stationarity.SIGMA_WINDOW, stationarity.SIGMA_PAPER),
              f"--sigma-convention must be 'window' or 'paper', got {args.sigma_convention!r}")
-    mc_family, mc_nu = _parse_mc(args.mc, "--mc")
-    _require(args.max_pairs is None or args.max_pairs >= 1,
-             f"--max-pairs must be at least 1, got {args.max_pairs}")
-    panel = _load_returns(args.input, args.input_kind, args.returns_kind)
-    pairs = stationarity.all_pairs(panel.n_series)
-    if args.max_pairs is not None:
-        pairs = pairs[:args.max_pairs]
+    panel, scan_kw = _scan_input(args)
     configs = [stationarity.LocalTestConfig(args.t1, tau, tuple(n_values)) for tau in taus]
-    scan = stationarity.local_scan(
-        panel, configs, n_values=n_values, pairs=pairs,
-        sigma_convention=args.sigma_convention,
-        mc_family=mc_family, mc_nu=mc_nu, mc_seed=args.mc_seed,
-        dataset=_dataset_name(args.input),
-    )
-    config = {
-        "input": args.input, "input_kind": args.input_kind,
-        "returns_kind": args.returns_kind, "t1": args.t1, "tau": taus,
-        "n": n_values, "sigma_convention": args.sigma_convention,
-        "max_pairs": args.max_pairs, "mc": args.mc, "mc_seed": args.mc_seed,
-        "out": args.out,
-    }
-    report = _report("local-scan", args, config, {
-        "dataset": scan.dataset,
-        "params": scan.params,
-        "cells": _scan_cells_json(scan),
-        "skipped": scan.skipped,
-    })
-    _emit_json(report, args.out)
-    return EXIT_OK
+    scan = stationarity.local_scan(panel, configs,
+                                   sigma_convention=args.sigma_convention, **scan_kw)
+    config = _panel_config(args, t1=args.t1, tau=taus, n=n_values,
+                           sigma_convention=args.sigma_convention,
+                           max_pairs=args.max_pairs, mc=args.mc, mc_seed=args.mc_seed)
+    return _emit_json(_report("local-scan", args, config, _scan_json(scan)), args.out)
 
 
 # ---------------------------------------------------------------- simulate
 
 def cmd_simulate(args) -> int:
+    _require(args.out is not None, "--out is required for simulate")
     _require(args.family in (synthgen.FAMILY_GAUSSIAN, synthgen.FAMILY_STUDENT_T),
              f"--family must be 'gaussian' or 'student-t', got {args.family!r}")
     if args.family == synthgen.FAMILY_STUDENT_T:
         _require(args.nu is not None, "--nu is required for --family student-t")
+        _require(math.isfinite(args.nu), f"--nu must be finite, got {args.nu}")
         _require(args.nu > 2, f"--nu must exceed 2, got {args.nu}")
     _require(args.T >= 1, f"--T must be at least 1, got {args.T}")
     _require(args.replica >= 0, f"--replica must be >= 0, got {args.replica}")
@@ -366,36 +343,18 @@ def cmd_qscan(args) -> int:
                              truth, args.mc_seed, volatilities=volatilities)
     flags = portfolio.flag_band_violations(qs, band, n_sigma=args.band_sigmas)
     band_json = {"mean": band.mean, "sd": band.sd, "k": args.band_sigmas}
-    samples = []
-    for exp, violation in zip(qs, flags):
-        entry = {
-            "sample": exp.sample,
-            "t1_range": list(exp.t1_range),
-            "t2_range": list(exp.t2_range),
-            "sigma_E": exp.sigma_e,
-            "sigma_R": exp.sigma_r,
-            "q": exp.q,
-            "band": band_json,
-            "violation": violation,
-        }
-        samples.append(entry)
-    config = {
-        "input": args.input, "input_kind": args.input_kind,
-        "returns_kind": args.returns_kind, "n_stocks": args.n_stocks,
-        "select_seed": args.select_seed, "t1": args.t1, "t2": args.t2,
-        "replicas": args.replicas, "mc_seed": args.mc_seed,
-        "band_sigmas": args.band_sigmas, "truth": args.truth,
-        "independent_windows": args.independent_windows,
-        "volatilities": args.volatilities, "out": args.out,
-    }
-    report = _report("qscan", args, config, {
+    config = _panel_config(
+        args, n_stocks=args.n_stocks, select_seed=args.select_seed, t1=args.t1,
+        t2=args.t2, replicas=args.replicas, mc_seed=args.mc_seed,
+        band_sigmas=args.band_sigmas, truth=args.truth,
+        independent_windows=args.independent_windows, volatilities=args.volatilities,
+    )
+    return _emit_json(_report("qscan", args, config, {
         "dataset": _dataset_name(args.input),
         "tickers": list(panel.tickers),
         "band": band_json,
-        "samples": samples,
-    })
-    _emit_json(report, args.out)
-    return EXIT_OK
+        "samples": _q_samples_json(qs, flags, band=band_json),
+    }), args.out)
 
 
 def _load_volatilities(path: str, tickers) -> np.ndarray:
@@ -417,8 +376,8 @@ def _load_volatilities(path: str, tickers) -> np.ndarray:
     if missing:
         raise UsageError(f"--volatilities: no entry for ticker {missing[0]!r}")
     vols = np.array([table[t] for t in tickers], dtype=np.float64)
-    if np.any(vols <= 0):
-        raise UsageError("--volatilities: volatilities must be positive")
+    _require(np.isfinite(vols).all(), "--volatilities: volatilities must be finite")
+    _require((vols > 0).all(), "--volatilities: volatilities must be positive")
     return vols
 
 
@@ -428,7 +387,7 @@ def cmd_spectral(args) -> int:
     _require(args.window >= corrdist.MIN_T,
              f"--window must be at least {corrdist.MIN_T}, got {args.window}")
     _require(args.sectors >= 1, f"--sectors must be at least 1, got {args.sectors}")
-    thresholds = tuple(_parse_float_list(args.thresholds, "--thresholds"))
+    thresholds = tuple(_parse_list(args.thresholds, "--thresholds", float))
     _require(len(thresholds) == 3,
              f"--thresholds needs exactly 3 values (market,sector,ipr), got {len(thresholds)}")
     _require(thresholds[0] >= 0, "--thresholds: market threshold must be >= 0")
@@ -454,12 +413,9 @@ def cmd_spectral(args) -> int:
             "d_ipr": delta.d_ipr,
             "flag": spectral.co_occurrence_flag(delta, thresholds),
         })
-    config = {
-        "input": args.input, "input_kind": args.input_kind,
-        "returns_kind": args.returns_kind, "window": args.window,
-        "sectors": args.sectors, "thresholds": list(thresholds), "out": args.out,
-    }
-    report = _report("spectral", args, config, {
+    config = _panel_config(args, window=args.window, sectors=args.sectors,
+                           thresholds=list(thresholds))
+    return _emit_json(_report("spectral", args, config, {
         "dataset": _dataset_name(args.input),
         "snapshots": [{
             "window": list(s.window),
@@ -469,12 +425,18 @@ def cmd_spectral(args) -> int:
             "ipr_unstable": s.ipr_unstable,
         } for s in snapshots],
         "deltas": deltas,
-    })
-    _emit_json(report, args.out)
-    return EXIT_OK
+    }), args.out)
 
 
 # ---------------------------------------------------------------- reproduce
+
+def _fixture(family: str, n: int, t: int, truth_seed: int, nu=None):
+    """The recipes' stationary panel: one-factor truth, drawn with seed 42."""
+    truth = synthgen.one_factor_correlation(n, seed=truth_seed)
+    return synthgen.sample_panel(synthgen.GeneratorSpec(
+        family=family, n_series=n, n_steps=t, seed=42, correlation=truth, nu=nu,
+    ))
+
 
 def _recipe_fig1(args) -> int:
     args.rho_bar, args.T, args.grid, args.format = 0.2, 50, 2001, "csv"
@@ -483,83 +445,48 @@ def _recipe_fig1(args) -> int:
 
 def _recipe_table1(args) -> int:
     """Stationary heavy-tailed panel: the global test's MC control rows."""
-    truth = synthgen.one_factor_correlation(50, seed=7)
-    spec = synthgen.GeneratorSpec(
-        family=synthgen.FAMILY_STUDENT_T, n_series=50, n_steps=1750,
-        seed=42, correlation=truth, nu=3.0,
-    )
-    panel = synthgen.sample_panel(spec)
-    pairs = stationarity.all_pairs(50)[:100]
+    panel = _fixture(synthgen.FAMILY_STUDENT_T, 50, 1750, truth_seed=7, nu=3.0)
     scan = stationarity.global_scan(
-        panel, (25, 50, 100), (0.01, 0.05, 0.10), pairs=pairs,
+        panel, (25, 50, 100), (0.01, 0.05, 0.10), pairs=stationarity.all_pairs(50)[:100],
         threads=args.threads, dataset="synthetic-student-t-nu3",
     )
-    cells = _scan_cells_json(scan)
-    comparison = [{
+    payload = _scan_json(scan)
+    payload["comparison"] = [{
         "T_w": cell["T_w"],
         "fraction": cell["fraction"],
         "stationary_target": [0.0, 0.03],
         "within_target": cell["fraction"] <= 0.03,
-    } for cell in cells if cell["alpha"] == 0.05]
+    } for cell in payload["cells"] if cell["alpha"] == 0.05]
     config = {"recipe": "table1", "truth_seed": 7, "panel_seed": 42,
               "n_series": 50, "n_steps": 1750, "nu": 3.0, "n_pairs": 100,
               "out": args.out}
-    report = _report("reproduce", args, config, {
-        "dataset": scan.dataset,
-        "params": scan.params,
-        "cells": cells,
-        "skipped": scan.skipped,
-        "comparison": comparison,
-    })
-    _emit_json(report, args.out)
-    return EXIT_OK
+    return _emit_json(_report("reproduce", args, config, payload), args.out)
 
 
 def _recipe_table2(args) -> int:
     """Stationary Gaussian panel: the local test's MC control rows."""
-    truth = synthgen.one_factor_correlation(20, seed=11)
-    spec = synthgen.GeneratorSpec(
-        family=synthgen.FAMILY_GAUSSIAN, n_series=20, n_steps=1758,
-        seed=42, correlation=truth,
-    )
-    panel = synthgen.sample_panel(spec)
-    configs = [
-        stationarity.LocalTestConfig(200, 50, stationarity.DEFAULT_N_VALUES),
-        stationarity.LocalTestConfig(200, 100, stationarity.DEFAULT_N_VALUES),
-        stationarity.LocalTestConfig(250, 250, stationarity.DEFAULT_N_VALUES),
-    ]
+    panel = _fixture(synthgen.FAMILY_GAUSSIAN, 20, 1758, truth_seed=11)
+    configs = [stationarity.LocalTestConfig(t1, tau)
+               for t1, tau in ((200, 50), (200, 100), (250, 250))]
     scan = stationarity.local_scan(panel, configs, dataset="synthetic-gaussian")
-    cells = _scan_cells_json(scan)
     estimates = {c.tau: (panel.n_steps - c.t1) // c.tau + 1 for c in configs}
-    comparison = [{
+    payload = _scan_json(scan)
+    payload["comparison"] = [{
         "tau": cell["tau"],
         "n": cell["n"],
         "fraction": cell["fraction"],
         "estimates_per_pair": estimates[cell["tau"]],
         "stationary_target_at_n5": 0.002,
         "within_target": cell["fraction"] <= 0.002 if cell["n"] == 5 else None,
-    } for cell in cells]
+    } for cell in payload["cells"]]
     config = {"recipe": "table2", "truth_seed": 11, "panel_seed": 42,
               "n_series": 20, "n_steps": 1758, "out": args.out}
-    report = _report("reproduce", args, config, {
-        "dataset": scan.dataset,
-        "params": scan.params,
-        "cells": cells,
-        "skipped": scan.skipped,
-        "comparison": comparison,
-    })
-    _emit_json(report, args.out)
-    return EXIT_OK
+    return _emit_json(_report("reproduce", args, config, payload), args.out)
 
 
 def _recipe_fig3_bands(args) -> int:
     """Non-optimality bands under identity vs estimated truth."""
-    truth = synthgen.one_factor_correlation(80, seed=3)
-    spec = synthgen.GeneratorSpec(
-        family=synthgen.FAMILY_GAUSSIAN, n_series=80, n_steps=1758,
-        seed=42, correlation=truth,
-    )
-    panel = synthgen.sample_panel(spec)
+    panel = _fixture(synthgen.FAMILY_GAUSSIAN, 80, 1758, truth_seed=3)
     qs = portfolio.q_series(panel, 150, 150)
     estimated = synthgen.sample_estimate_as_truth(panel)
     band_est = portfolio.mc_band(80, 150, 150, 100, estimated, seed=42)
@@ -570,25 +497,15 @@ def _recipe_fig3_bands(args) -> int:
     config = {"recipe": "fig3-bands", "truth_seed": 3, "panel_seed": 42,
               "n_series": 80, "n_steps": 1758, "t1": 150, "t2": 150,
               "replicas": 100, "mc_seed": 42, "out": args.out}
-    report = _report("reproduce", args, config, {
+    return _emit_json(_report("reproduce", args, config, {
         "dataset": "synthetic-gaussian",
         "band_estimated_truth": {"mean": band_est.mean, "sd": band_est.sd, "k": 5.0},
         "band_identity_truth": {"mean": band_id.mean, "sd": band_id.sd, "k": 5.0},
         "band_center_gap": abs(band_est.mean - band_id.mean),
         "pooled_sd": pooled_sd,
         "bands_consistent": abs(band_est.mean - band_id.mean) < 2.0 * pooled_sd,
-        "samples": [{
-            "sample": exp.sample,
-            "t1_range": list(exp.t1_range),
-            "t2_range": list(exp.t2_range),
-            "sigma_E": exp.sigma_e,
-            "sigma_R": exp.sigma_r,
-            "q": exp.q,
-            "violation": bool(flag),
-        } for exp, flag in zip(qs, flags)],
-    })
-    _emit_json(report, args.out)
-    return EXIT_OK
+        "samples": _q_samples_json(qs, flags),
+    }), args.out)
 
 
 _RECIPES = {
@@ -637,6 +554,12 @@ def build_parser() -> argparse.ArgumentParser:
     panel_in.add_argument("--returns-kind", choices=("log", "simple"), default="log",
                           help="return definition when the input holds prices")
 
+    scan_in = argparse.ArgumentParser(add_help=False)
+    scan_in.add_argument("--max-pairs", type=int, default=None)
+    scan_in.add_argument("--mc", default=None,
+                         help="stationary MC control family: gaussian or student-t:NU")
+    scan_in.add_argument("--mc-seed", type=int, default=0)
+
     p = sub.add_parser("density", parents=[common],
                        help="exact sampling density of the Pearson estimator")
     p.add_argument("--rho-bar", type=float, required=True)
@@ -645,28 +568,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.set_defaults(handler=cmd_density)
 
-    p = sub.add_parser("global-scan", parents=[common, panel_in],
+    p = sub.add_parser("global-scan", parents=[common, panel_in, scan_in],
                        help="windowed KS test of correlation stationarity, all pairs")
     p.add_argument("--window", default="25,50,100", help="comma-separated window lengths")
     p.add_argument("--alpha", default="0.01,0.05,0.10", help="comma-separated levels")
-    p.add_argument("--max-pairs", type=int, default=None)
     p.add_argument("--reshuffle-seed", type=int, default=None,
                    help="run a synchronous-reshuffle control with this seed")
-    p.add_argument("--mc", default=None,
-                   help="stationary MC control family: gaussian or student-t:NU")
-    p.add_argument("--mc-seed", type=int, default=0)
     p.set_defaults(handler=cmd_global_scan)
 
-    p = sub.add_parser("local-scan", parents=[common, panel_in],
+    p = sub.add_parser("local-scan", parents=[common, panel_in, scan_in],
                        help="expanding-window increment test of correlation stationarity")
     p.add_argument("--t1", type=int, required=True)
     p.add_argument("--tau", default="50", help="comma-separated step sizes")
     p.add_argument("--n", default="1,2,3,4,5", help="comma-separated sigma multiples")
     p.add_argument("--sigma-convention", choices=("window", "paper"), default="window")
-    p.add_argument("--max-pairs", type=int, default=None)
-    p.add_argument("--mc", default=None,
-                   help="stationary MC control family: gaussian or student-t:NU")
-    p.add_argument("--mc-seed", type=int, default=0)
     p.set_defaults(handler=cmd_local_scan)
 
     p = sub.add_parser("simulate", parents=[common],
@@ -682,7 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="how to read the from:PATH panel")
     p.add_argument("--returns-kind", choices=("log", "simple"), default="log")
     p.set_defaults(handler=cmd_simulate)
-    p.set_defaults(out_required="simulate")
 
     p = sub.add_parser("qscan", parents=[common, panel_in],
                        help="realized/in-sample risk ratio with MC non-optimality band")
@@ -722,9 +636,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "handler", None) is None:
         parser.print_usage(sys.stderr)
-        return EXIT_USAGE
-    if getattr(args, "out_required", None) and args.out is None:
-        print(f"error: --out is required for {args.out_required}", file=sys.stderr)
         return EXIT_USAGE
     try:
         args.threads = _threads(args.threads)

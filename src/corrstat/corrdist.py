@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataio import standardized_rows
+from .dataio import freeze, standardized_rows
 from .errors import (
     InsufficientData,
     InvalidParameter,
@@ -78,11 +78,9 @@ class CorrelationMatrix:
     scope: str = "raw"
 
     def __post_init__(self):
-        entries = np.ascontiguousarray(self.entries, dtype=np.float64)
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
+        freeze(self, "entries")
         n = len(self.tickers)
-        if entries.shape != (n, n):
+        if self.entries.shape != (n, n):
             raise InvalidParameter("entries must be N x N matching tickers")
 
     @property

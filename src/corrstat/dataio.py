@@ -29,10 +29,12 @@ SCOPE_RAW = "raw"
 SCOPE_GLOBAL = "global"
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    a.setflags(write=False)
-    return a
+def freeze(obj, *fields):
+    """Store each named array field of a frozen dataclass as read-only float64."""
+    for name in fields:
+        a = np.ascontiguousarray(getattr(obj, name), dtype=np.float64)
+        a.setflags(write=False)
+        object.__setattr__(obj, name, a)
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,7 @@ class PricePanel:
     prices: np.ndarray  # N x (T+1)
 
     def __post_init__(self):
-        object.__setattr__(self, "prices", _freeze(self.prices))
+        freeze(self, "prices")
         n, t1 = self.prices.shape
         if len(self.tickers) != n or len(self.times) != t1:
             raise InvalidParameter("panel labels do not match matrix shape")
@@ -70,7 +72,7 @@ class ReturnPanel:
     scope: str = SCOPE_RAW
 
     def __post_init__(self):
-        object.__setattr__(self, "returns", _freeze(self.returns))
+        freeze(self, "returns")
         n, t = self.returns.shape
         if len(self.tickers) != n or len(self.times) != t:
             raise InvalidParameter("panel labels do not match matrix shape")

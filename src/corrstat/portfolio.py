@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import synthgen
-from .dataio import ReturnPanel, centered_rows
+from .dataio import ReturnPanel, centered_rows, freeze
 from .errors import (
     IllPosed,
     InsufficientData,
@@ -40,11 +40,9 @@ class CovarianceMatrix:
     window: tuple[int, int] | None = None
 
     def __post_init__(self):
-        entries = np.ascontiguousarray(self.entries, dtype=np.float64)
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
+        freeze(self, "entries")
         n = len(self.tickers)
-        if entries.shape != (n, n):
+        if self.entries.shape != (n, n):
             raise InvalidParameter("entries must be N x N matching tickers")
 
     @property
@@ -64,9 +62,8 @@ class WeightVector:
     w: np.ndarray
 
     def __post_init__(self):
-        w = np.ascontiguousarray(self.w, dtype=np.float64)
-        w.setflags(write=False)
-        object.__setattr__(self, "w", w)
+        freeze(self, "w")
+        w = self.w
         if w.ndim != 1 or w.size != len(self.tickers):
             raise InvalidParameter("weights must be one per ticker")
         budget = float(w.sum())
@@ -201,8 +198,7 @@ def _independent_ranges(t_total: int, t1: int, t2: int):
     ]
 
 
-def q_series(panel: ReturnPanel, t1: int, t2: int, n_stocks: int | None = None,
-             select_seed: int = 0, chained: bool = True,
+def q_series(panel: ReturnPanel, t1: int, t2: int, chained: bool = True,
              truth: CovarianceMatrix | None = None) -> list[QExperiment]:
     """q = sigma_R / sigma_E over successive estimation/realized windows.
 
@@ -211,8 +207,6 @@ def q_series(panel: ReturnPanel, t1: int, t2: int, n_stocks: int | None = None,
     """
     if t1 < 2 or t2 < 2:
         raise InvalidParameter("t1 and t2 must be >= 2")
-    if n_stocks is not None:
-        panel = select_stocks(panel, n_stocks, select_seed)
     ranges = (_chained_ranges if chained else _independent_ranges)(
         panel.n_steps, t1, t2
     )
@@ -262,8 +256,8 @@ def mc_band(n_series: int, t1: int, t2: int, replicas: int,
     if truth.n_series != n_series:
         raise InvalidParameter("truth dimension does not match n_series")
     scale = np.ones(n_series) if volatilities is None else np.asarray(volatilities, float)
-    if scale.shape != (n_series,) or np.any(scale <= 0):
-        raise InvalidParameter("volatilities must be N positive reals")
+    if scale.shape != (n_series,) or not np.all(np.isfinite(scale) & (scale > 0)):
+        raise InvalidParameter("volatilities must be N finite positive reals")
     if t1 < 2 or t2 < 2:
         raise InvalidParameter("t1 and t2 must be >= 2")
     lower = synthgen.cholesky(truth)

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataio import ReturnPanel
+from .dataio import ReturnPanel, freeze
 from .errors import (
     DegenerateComponent,
     InvalidParameter,
@@ -38,12 +38,8 @@ class EigenSystem:
     eigenvectors: np.ndarray
 
     def __post_init__(self):
-        lam = np.ascontiguousarray(self.eigenvalues, dtype=np.float64)
-        vec = np.ascontiguousarray(self.eigenvectors, dtype=np.float64)
-        lam.setflags(write=False)
-        vec.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", lam)
-        object.__setattr__(self, "eigenvectors", vec)
+        freeze(self, "eigenvalues", "eigenvectors")
+        lam, vec = self.eigenvalues, self.eigenvectors
         n = lam.size
         if vec.shape != (n, n):
             raise InvalidParameter("eigenvector matrix must be N x N")

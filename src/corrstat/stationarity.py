@@ -117,12 +117,9 @@ def ks_statistic(samples, cdf: Callable) -> float:
     k = s.size
     if k < 5:
         raise InsufficientSamples(f"KS test needs >= 5 samples, got {k}")
-    try:
-        f = np.asarray(cdf(s), dtype=np.float64)
-        if f.shape != s.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        f = np.asarray([float(cdf(v)) for v in s])
+    f = np.asarray(cdf(s), dtype=np.float64)
+    if f.shape != s.shape:
+        raise InvalidParameter(f"cdf returned shape {f.shape} for {k} samples")
     steps = np.arange(1, k + 1, dtype=np.float64)
     d_plus = float((steps / k - f).max())
     d_minus = float((f - (steps - 1.0) / k).max())
@@ -412,17 +409,16 @@ def _pair_error(panel, pair, bad):
     return None
 
 
-def _local_counts(panel, pairs, plans, sigma_convention):
+def _local_counts(panel, pairs, configs, sigma_convention):
     """(violations, steps) per (config, n) over pairs, and each pair's error.
 
-    plans holds (config, n values) tuples.  The rows are standardized
-    once, and the pairs sharing a first index take one cumulative sum
-    that every config reads.
+    The rows are standardized once, and the pairs sharing a first index
+    take one cumulative sum that every config reads.
     """
     z, bad = standardized_rows(panel.returns)
     errors = {pair: _pair_error(panel, pair, bad) for pair in pairs}
-    plans = [(c, ns) for c, ns in plans if _short_panel(panel, c.t1, c.tau) is None]
-    lengths_list = [np.arange(c.t1, panel.n_steps + 1, c.tau) for c, _ in plans]
+    configs = [c for c in configs if _short_panel(panel, c.t1, c.tau) is None]
+    lengths_list = [np.arange(c.t1, panel.n_steps + 1, c.tau) for c in configs]
     groups = {}
     for i, j in pairs:
         if errors[(i, j)] is None:
@@ -430,34 +426,33 @@ def _local_counts(panel, pairs, plans, sigma_convention):
     counts = {}
     for i, js in groups.items():
         blocks = _expanding_estimates(z[i], z[js], lengths_list)
-        for (config, ns), lengths, block in zip(plans, lengths_list, blocks):
-            flags = _step_flags(block, lengths, ns, sigma_convention, config.tau)
-            for n, hits in zip(ns, flags.sum(axis=(1, 2)).tolist()):
+        for config, lengths, block in zip(configs, lengths_list, blocks):
+            flags = _step_flags(block, lengths, config.n_values, sigma_convention,
+                                config.tau)
+            for n, hits in zip(config.n_values, flags.sum(axis=(1, 2)).tolist()):
                 old_hits, old_steps = counts.get((config, n), (0, 0))
                 counts[(config, n)] = (old_hits + hits, old_steps + flags[0].size)
     return counts, errors
 
 
-def local_scan(panel: ReturnPanel, configs, n_values=None, pairs=None,
+def local_scan(panel: ReturnPanel, configs, pairs=None,
                sigma_convention: str = SIGMA_WINDOW, mc_family=None,
                mc_nu=None, mc_seed=0, dataset="panel") -> ScanReport:
     """Pooled violating fraction over all (pair, step), per (tau, n).
 
-    Each panel (and its optional MC control) is scanned as one array
-    computation.
+    Each config carries its own n values.  Each panel (and its optional
+    MC control) is scanned as one array computation.
     """
     if pairs is None:
         pairs = all_pairs(panel.n_series)
     pairs = sorted((min(p), max(p)) for p in pairs)
-    plans = [(c, tuple(n_values) if n_values is not None else c.n_values)
-             for c in configs]
     panels = {"": panel}
     panels.update(_control_panels(panel, None, mc_family, mc_nu, mc_seed))
     counts = {}
     errors = {}
     for name, scan_panel in panels.items():
         counts[name], errors[name] = _local_counts(
-            scan_panel, pairs, plans, sigma_convention
+            scan_panel, pairs, configs, sigma_convention
         )
     skipped = []
     for config in configs:
@@ -474,8 +469,8 @@ def local_scan(panel: ReturnPanel, configs, n_values=None, pairs=None,
                         "detail": str(exc),
                     })
     cells = []
-    for config, ns in plans:
-        for n in ns:
+    for config in configs:
+        for n in config.n_values:
             hits, steps = counts[""].get((config, n), (0, 0))
             controls = {}
             for name in panels:
@@ -496,7 +491,7 @@ def local_scan(panel: ReturnPanel, configs, n_values=None, pairs=None,
         "configs": [
             {"t1": c.t1, "tau": c.tau} for c in configs
         ],
-        "n_values": sorted({int(n) for _, ns in plans for n in ns}),
+        "n_values": sorted({int(n) for c in configs for n in c.n_values}),
         "sigma_convention": sigma_convention,
         "n_pairs": len(pairs),
         "mc_family": mc_family,

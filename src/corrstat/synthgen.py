@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corrdist import corr_matrix
-from .dataio import ReturnPanel
+from .dataio import ReturnPanel, freeze
 from .errors import InvalidParameter, NotPositiveDefinite
 from .rngutil import rng_for
 
@@ -38,9 +38,8 @@ class TrueCorrelation:
     repaired: bool = False
 
     def __post_init__(self):
-        entries = np.ascontiguousarray(self.entries, dtype=np.float64)
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
+        freeze(self, "entries")
+        entries = self.entries
         n = entries.shape[0]
         if entries.ndim != 2 or entries.shape != (n, n):
             raise InvalidParameter("correlation entries must be square")
@@ -75,9 +74,9 @@ class GeneratorSpec:
         if self.family not in (FAMILY_GAUSSIAN, FAMILY_STUDENT_T):
             raise InvalidParameter(f"unknown family {self.family!r}")
         if self.family == FAMILY_STUDENT_T:
-            if self.nu is None or not self.nu > 2.0:
+            if self.nu is None or not 2.0 < self.nu < math.inf:
                 raise InvalidParameter(
-                    "student-t family needs nu > 2 for a finite-variance target"
+                    "student-t family needs a finite nu > 2 for a finite-variance target"
                 )
         if self.n_steps < 1:
             raise InvalidParameter("n_steps must be >= 1")

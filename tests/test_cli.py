@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -231,12 +232,15 @@ def test_qscan_volatilities(tmp_path, capsys):
               "--t1", "20", "--t2", "20", "--replicas", "30",
               "--volatilities", str(vols), "--out", str(tmp_path / "q.json")])
     assert rc == 0
-    vols.write_text("ticker,vol\nS0,1.0\nS1,2.0\nS2,1.5\n")
-    rc = run(["qscan", "--input", str(panel), "--input-kind", "returns",
-              "--t1", "20", "--t2", "20", "--replicas", "30",
-              "--volatilities", str(vols), "--out", str(tmp_path / "q.json")])
-    assert rc == 2
-    assert "--volatilities" in capsys.readouterr().err
+    capsys.readouterr()
+    for last in ("", "S3,nan\n", "S3,inf\n"):  # a missing ticker, then non-finite ones
+        vols.write_text("ticker,vol\nS0,1.0\nS1,2.0\nS2,1.5\n" + last)
+        rc = run(["qscan", "--input", str(panel), "--input-kind", "returns",
+                  "--t1", "20", "--t2", "20", "--replicas", "30",
+                  "--volatilities", str(vols), "--out", str(tmp_path / "q.json")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "--volatilities" in err[0], err
 
 
 def test_qscan_usage_errors(tmp_path, capsys):
@@ -337,6 +341,23 @@ def test_mc_parse_errors(tmp_path, capsys):
               "--t1", "30", "--n", "0,1"])
     assert rc == 2
     assert "--n" in capsys.readouterr().err
+    for command in (["global-scan"], ["local-scan", "--t1", "30"]):
+        for nu in ("inf", "nan", "-inf"):
+            rc = run([*command, "--input", str(panel), "--input-kind", "returns",
+                      "--mc", f"student-t:{nu}"])
+            assert rc == 2
+            err = capsys.readouterr().err.splitlines()
+            assert err == [f"error: --mc: nu must be finite, got {nu}"], err
+
+
+@pytest.mark.parametrize("nu", ["inf", "nan"])
+def test_simulate_rejects_non_finite_nu(tmp_path, capsys, nu):
+    out = tmp_path / "panel.csv"
+    rc = run(["simulate", "--family", "student-t", "--nu", nu, "--corr", "identity:3",
+              "--T", "50", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: --nu must be finite, got {nu}"]
+    assert not out.exists()
 
 
 def test_reproduce_fig1(tmp_path, capsys):
@@ -349,3 +370,30 @@ def test_reproduce_fig1(tmp_path, capsys):
     echo = json.loads(capsys.readouterr().out.strip())
     assert echo["config"]["rho_bar"] == 0.2
     assert echo["config"]["T"] == 50
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+def assert_matches(got, ref, where="report"):
+    """Floats agree to 1e-9 relative; every other value and every key exactly."""
+    if isinstance(ref, float) and isinstance(got, float):
+        assert abs(got - ref) <= 1e-9 * max(abs(got), abs(ref)), (where, got, ref)
+    elif isinstance(ref, dict) and isinstance(got, dict):
+        assert sorted(got) == sorted(ref), where
+        for key in ref:
+            assert_matches(got[key], ref[key], f"{where}.{key}")
+    elif isinstance(ref, list) and isinstance(got, list):
+        assert len(got) == len(ref), where
+        for k, (a, b) in enumerate(zip(got, ref)):
+            assert_matches(a, b, f"{where}[{k}]")
+    else:
+        assert type(got) is type(ref) and got == ref, (where, got, ref)
+
+
+@pytest.mark.parametrize("recipe", ["table1", "table2", "fig3-bands"])
+def test_reproduce_recipe_golden(recipe, capsys):
+    assert run(["reproduce", recipe]) == 0
+    got = json.loads(capsys.readouterr().out)
+    ref = json.loads((GOLDEN / f"reproduce_{recipe}.json").read_text())
+    assert_matches(got, ref)

@@ -290,6 +290,9 @@ def test_mc_band_guards():
         portfolio.mc_band(4, 30, 30, 30, truth, seed=0)
     with pytest.raises(InvalidParameter):
         portfolio.mc_band(3, 30, 30, 30, truth, seed=0, volatilities=[1.0, -1.0, 2.0])
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(InvalidParameter):
+            portfolio.mc_band(3, 30, 30, 30, truth, seed=0, volatilities=[1.0, bad, 2.0])
 
 
 def test_mc_band_volatility_scaling():

@@ -47,6 +47,14 @@ def test_ks_statistic_needs_five():
         stationarity.ks_statistic([0.1, 0.2, 0.3, 0.4], lambda x: np.asarray(x))
 
 
+def test_ks_statistic_rejects_misshapen_cdf():
+    samples = [0.1, 0.3, 0.5, 0.7, 0.9]
+    with pytest.raises(InvalidParameter):
+        stationarity.ks_statistic(samples, lambda x: np.asarray(x)[:-1])
+    with pytest.raises(InvalidParameter):
+        stationarity.ks_statistic(samples, lambda x: 0.5)
+
+
 def test_ks_pvalue_frozen():
     # frozen against scipy.special.kolmogorov at the Stephens-corrected
     # argument d* = D (sqrt(K) + 0.12 + 0.11/sqrt(K))
@@ -353,10 +361,10 @@ def test_local_scan_matches_per_pair_reference(sigma_convention, control):
         mc_family, mc_seed = synthgen.FAMILY_GAUSSIAN, 8
     panel = make_panel(returns)
     pairs = [(1, 0), (0, 2), (2, 5), (4, 1), (1, 9), (3, 3), (3, 5), (0, 5), (5, 3)]
-    configs = [LocalTestConfig(10, 5), LocalTestConfig(40, 30)]
     n_values = (1, 2)
+    configs = [LocalTestConfig(10, 5, n_values), LocalTestConfig(40, 30, n_values)]
     report = stationarity.local_scan(
-        panel, configs, n_values=n_values, pairs=pairs,
+        panel, configs, pairs=pairs,
         sigma_convention=sigma_convention, mc_family=mc_family, mc_seed=mc_seed)
     panels = {"": panel}
     if mc_family is not None:

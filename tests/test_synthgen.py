@@ -42,6 +42,9 @@ def test_generator_spec_validation():
         GeneratorSpec(synthgen.FAMILY_STUDENT_T, 3, 100, 0, truth)
     with pytest.raises(InvalidParameter):
         GeneratorSpec(synthgen.FAMILY_STUDENT_T, 3, 100, 0, truth, nu=2.0)
+    for nu in (float("inf"), float("nan")):
+        with pytest.raises(InvalidParameter):
+            GeneratorSpec(synthgen.FAMILY_STUDENT_T, 3, 100, 0, truth, nu=nu)
     with pytest.raises(InvalidParameter):
         GeneratorSpec(synthgen.FAMILY_GAUSSIAN, 3, 0, 0, truth)
     with pytest.raises(InvalidParameter):
