@@ -319,7 +319,8 @@ def cmd_qscan(args) -> int:
     _require(args.t1 >= 2, f"--t1 must be at least 2, got {args.t1}")
     _require(args.t2 >= 2, f"--t2 must be at least 2, got {args.t2}")
     _require(args.replicas >= 30, f"--replicas must be at least 30, got {args.replicas}")
-    _require(args.band_sigmas > 0, f"--band-sigmas must be positive, got {args.band_sigmas}")
+    _require(0.0 < args.band_sigmas < math.inf,
+             f"--band-sigmas must be finite and positive, got {args.band_sigmas}")
     _require(args.truth in ("estimated", "identity"),
              f"--truth must be 'estimated' or 'identity', got {args.truth!r}")
     panel = _load_returns(args.input, args.input_kind, args.returns_kind)

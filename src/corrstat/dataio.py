@@ -30,9 +30,16 @@ SCOPE_GLOBAL = "global"
 
 
 def freeze(obj, *fields):
-    """Store each named array field of a frozen dataclass as read-only float64."""
+    """Store each named array field of a frozen dataclass as read-only float64.
+
+    An input that is already contiguous float64 is not copied; the field is
+    then a read-only view, so the caller's own array stays writeable.
+    """
     for name in fields:
-        a = np.ascontiguousarray(getattr(obj, name), dtype=np.float64)
+        given = getattr(obj, name)
+        a = np.ascontiguousarray(given, dtype=np.float64)
+        if a is given:
+            a = a.view()
         a.setflags(write=False)
         object.__setattr__(obj, name, a)
 

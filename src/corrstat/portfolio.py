@@ -1,7 +1,10 @@
 """Minimum-variance portfolio machinery and the q-ratio experiment.
 
 Weights minimize w' C w under sum(w) = 1 (shorts allowed), solved from
-C x = 1 and normalized, never through an explicit inverse.  The q ratio
+C x = 1 and normalized, never through an explicit inverse.  C is gated
+in this order: symmetry, a one-Cholesky certificate that it is positive
+definite and well conditioned, and only where that fails the exact
+Cholesky and eigvalsh gates, which raise the named errors.  The q ratio
 sigma_R / sigma_E compares realized risk (previous window's weights held
 over the next window) against the in-sample optimum; Monte Carlo bands
 of q under a stationary truth mark the non-optimality region, and
@@ -28,6 +31,7 @@ from .errors import (
 from .rngutil import rng_for
 
 _CONDITION_LIMIT = 1e12
+_CERTIFICATE_SHIFT = 1e-11  # of trace(C); see _certified
 DEFAULT_BAND_SIGMAS = 5.0
 
 
@@ -116,6 +120,11 @@ def min_variance_weights(cov: CovarianceMatrix, ridge: float = 0.0) -> WeightVec
     w_i = sum_j inv(C)_ij / sum_jk inv(C)_jk without forming the inverse.
     A positive ridge adds ridge * mean(diag) to the diagonal first; it is
     never applied silently, callers must ask for it.
+
+    Gates, in order: symmetry, the shifted-Cholesky certificate
+    (_certified), and only where it fails the exact gates, which raise
+    NotPositiveDefinite with the pivot or NumericsError with the 2-norm
+    condition number.
     """
     n = cov.n_series
     t_len = cov.window_len
@@ -126,19 +135,39 @@ def min_variance_weights(cov: CovarianceMatrix, ridge: float = 0.0) -> WeightVec
     c = cov.entries
     if ridge > 0.0:
         c = c + ridge * float(np.trace(c)) / n * np.eye(n)
-    synthgen.cholesky(c)  # PD gate with pivot report
-    # C is SPD here, so its 2-norm condition number is lambda_max / lambda_min;
-    # a rounded lambda_min <= 0 means C is numerically singular.
-    eig = np.linalg.eigvalsh(c)
-    cond = float(eig[-1] / eig[0]) if eig[0] > 0.0 else math.inf
-    if cond > _CONDITION_LIMIT:
-        raise NumericsError(
-            f"covariance condition number {cond:.3e} exceeds {_CONDITION_LIMIT:.0e}; "
-            "pass a ridge to regularize explicitly",
-            error_estimate=cond,
-        )
+    # np.linalg.cholesky reads only the lower triangle, so symmetry comes first
+    if synthgen.asymmetric(c) or not _certified(c):
+        synthgen.cholesky(c)  # PD gate with pivot report
+        # C is SPD here, so its 2-norm condition number is lambda_max / lambda_min;
+        # a rounded lambda_min <= 0 means C is numerically singular.
+        eig = np.linalg.eigvalsh(c)
+        cond = float(eig[-1] / eig[0]) if eig[0] > 0.0 else math.inf
+        if cond > _CONDITION_LIMIT:
+            raise NumericsError(
+                f"covariance condition number {cond:.3e} exceeds {_CONDITION_LIMIT:.0e}; "
+                "pass a ridge to regularize explicitly",
+                error_estimate=cond,
+            )
     x = np.linalg.solve(c, np.ones(n))
     return WeightVector(cov.tickers, x / x.sum())
+
+
+def _certified(c: np.ndarray) -> bool:
+    """Sufficient test, by one Cholesky, that a symmetric C passes both exact gates.
+
+    lambda_max <= trace(C), so if C - s I with s = 1e-11 trace(C) factors,
+    C is positive definite with lambda_min above s less an O(N eps ||C||)
+    rounding term, and cond(C) < ~1.1e11 < _CONDITION_LIMIT.  False proves
+    nothing; the exact gates decide.
+    """
+    trace = float(np.trace(c))
+    if not 0.0 < trace < math.inf:
+        return False
+    try:
+        np.linalg.cholesky(c - _CERTIFICATE_SHIFT * trace * np.eye(c.shape[0]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def portfolio_variance(cov: CovarianceMatrix, weights: WeightVector) -> float:
@@ -273,7 +302,7 @@ def mc_band(n_series: int, t1: int, t2: int, replicas: int,
 def flag_band_violations(experiments, band: MCBand,
                          n_sigma: float = DEFAULT_BAND_SIGMAS) -> list[bool]:
     """True where q exceeds band mean + n_sigma * band sd."""
-    if n_sigma <= 0:
-        raise InvalidParameter(f"n_sigma must be > 0, got {n_sigma!r}")
+    if not 0.0 < n_sigma < math.inf:
+        raise InvalidParameter(f"n_sigma must be finite and > 0, got {n_sigma!r}")
     limit = band.mean + n_sigma * band.sd
     return [exp.q > limit for exp in experiments]

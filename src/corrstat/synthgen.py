@@ -106,13 +106,18 @@ def _failing_pivot(c: np.ndarray) -> int:
     return lo - 1  # zero-based pivot index
 
 
+def asymmetric(mat: np.ndarray) -> bool:
+    """True where mat and mat.T differ by more than 1e-12 max(1, max |entry|)."""
+    scale = max(1.0, float(np.abs(mat).max()))
+    return bool(np.abs(mat - mat.T).max() > 1e-12 * scale)
+
+
 def cholesky(c) -> np.ndarray:
     """Lower-triangular L with L @ L.T equal to the input matrix."""
     mat = _as_matrix(c)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise InvalidParameter("cholesky needs a square matrix")
-    scale = max(1.0, float(np.abs(mat).max()))
-    if np.abs(mat - mat.T).max() > 1e-12 * scale:
+    if asymmetric(mat):
         raise NotPositiveDefinite("matrix is not symmetric", pivot=None)
     try:
         return np.linalg.cholesky(mat)

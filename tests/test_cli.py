@@ -1,10 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corrstat import __version__, cli
+from corrstat import __version__, cli, dataio
+
+from conftest import gaussian_panel
 
 
 def run(argv):
@@ -252,6 +259,37 @@ def test_qscan_usage_errors(tmp_path, capsys):
     assert "--replicas" in capsys.readouterr().err
     assert run(base + ["--t1", "20", "--t2", "20", "--n-stocks", "9"]) == 2
     assert "--n-stocks" in capsys.readouterr().err
+    for k in ("0", "inf", "-inf", "nan"):
+        assert run(base + ["--t1", "20", "--t2", "20", f"--band-sigmas={k}"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "--band-sigmas" in err[0], err
+
+
+@pytest.fixture(scope="module")
+def qscan_panel(tmp_path_factory):
+    path = tmp_path_factory.mktemp("qscan") / "panel.csv"
+    dataio.save_panel_csv(gaussian_panel(4, 200, seed=16), path)
+    return path
+
+
+@settings(max_examples=25)
+@given(t1=st.integers(-2, 120), t2=st.integers(-2, 120),
+       replicas=st.one_of(st.integers(-5, 29), st.integers(30, 60)),
+       k=st.one_of(st.sampled_from([0.0, -1.0, math.inf, -math.inf, math.nan]),
+                   st.floats(0.5, 10.0), st.floats()))
+def test_qscan_exits_0_1_or_2_with_one_error_line(qscan_panel, t1, t2, replicas, k):
+    argv = ["qscan", "--input", str(qscan_panel), "--input-kind", "returns",
+            "--t1", str(t1), "--t2", str(t2), "--replicas", str(replicas),
+            f"--band-sigmas={k!r}", "--out", str(qscan_panel.with_suffix(".json"))]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            rc = run(argv)
+        except SystemExit as exc:  # argparse's own errors exit this way
+            rc = exc.code
+    assert rc in (0, 1, 2)
+    if rc != 0:
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
 
 
 def test_spectral_schema(tmp_path, capsys):

@@ -12,6 +12,7 @@ from corrstat.errors import (
     ParseError,
     ZeroVariance,
 )
+from corrstat.portfolio import CovarianceMatrix
 
 from conftest import make_panel
 
@@ -234,6 +235,20 @@ def test_select_preserves_order():
 def test_panels_are_immutable(small_panel):
     with pytest.raises(ValueError):
         small_panel.returns[0, 0] = 99.0
+
+
+def test_freezing_leaves_the_callers_array_writeable():
+    a = np.zeros((2, 3))
+    panel = dataio.ReturnPanel(("A", "B"), ("0", "1", "2"), a)
+    c = np.eye(2)
+    cov = CovarianceMatrix(("A", "B"), c)
+    for mine, field in ((a, panel.returns), (c, cov.entries)):
+        assert mine.flags.writeable
+        assert not field.flags.writeable
+        assert np.shares_memory(mine, field)  # frozen as a view, not a copy
+        with pytest.raises(ValueError):
+            field[0, 0] = 1.0
+        mine[0, 0] = 1.0
 
 
 @given(st.integers(10, 60), st.integers(10, 25))

@@ -146,6 +146,68 @@ def test_rank_deficient_covariance_never_gives_weights():
             portfolio.min_variance_weights(abstract_cov(0.5 * (c + c.T)))
 
 
+def exact_gate_weights(c):
+    """The gates without the certificate: pivot report, eigvalsh condition, LU solve."""
+    synthgen.cholesky(c)
+    eig = np.linalg.eigvalsh(c)
+    cond = float(eig[-1] / eig[0]) if eig[0] > 0.0 else math.inf
+    if cond > 1e12:
+        raise NumericsError("ill-conditioned", error_estimate=cond)
+    x = np.linalg.solve(c, np.ones(c.shape[0]))
+    return x / x.sum()
+
+
+def gate_outcome(solve, c):
+    try:
+        return solve(c).tobytes()
+    except (NotPositiveDefinite, NumericsError) as exc:
+        return type(exc), getattr(exc, "error_estimate", None), getattr(exc, "pivot", None)
+
+
+def test_certificate_agrees_with_the_exact_gates():
+    rng = np.random.default_rng(20)
+    cases = []
+    for _ in range(200):
+        n = int(rng.integers(2, 121))
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        lam = 10.0 ** rng.uniform(-rng.uniform(0, 15), 0, size=n) * 10.0 ** rng.uniform(-3, 3)
+        if rng.random() < 0.2:
+            lam[: int(rng.integers(1, 3))] *= -1.0
+        c = (q * lam) @ q.T
+        cases.append(0.5 * (c + c.T))
+    asymmetric = np.eye(5)
+    asymmetric[0, 3] = 1e-6
+    barely = np.eye(5)
+    barely[3, 0] = 1e-14  # asymmetric within the tolerance: factored, then solved
+    q, _ = np.linalg.qr(rng.normal(size=(100, 100)))
+    lam = np.ones(100)
+    lam[0] = 5e-11  # lambda_min < 1e-11 trace(C), yet cond(C) = 2e10 < 1e12
+    uncertified = (q * lam) @ q.T
+    uncertified = 0.5 * (uncertified + uncertified.T)
+    assert not portfolio._certified(uncertified)
+    cases += [asymmetric, barely, -np.eye(4), uncertified]
+    certified = 0
+    for c in cases:
+        mine = gate_outcome(lambda m: portfolio.min_variance_weights(abstract_cov(m)).w, c)
+        assert mine == gate_outcome(exact_gate_weights, c)
+        certified += not synthgen.asymmetric(c) and portfolio._certified(c)
+    assert isinstance(gate_outcome(exact_gate_weights, uncertified), bytes)
+    assert 50 < certified < len(cases) - 50  # both paths are exercised
+
+
+def test_no_eigendecomposition_on_the_hot_path(monkeypatch):
+    # Truths check their spectrum when built, so build them first.
+    cov = portfolio.covariance_matrix(gaussian_panel(100, 150, seed=17))
+    truth = synthgen.one_factor_correlation(20, seed=18)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called on the minimum-variance hot path")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    portfolio.min_variance_weights(cov)
+    portfolio.mc_band(20, 60, 60, 30, truth, seed=19)
+
+
 def test_weight_vector_budget():
     with pytest.raises(InvalidParameter):
         WeightVector(("A", "B"), np.array([0.6, 0.6]))
@@ -311,8 +373,9 @@ def test_flag_band_violations():
             portfolio.QExperiment(2, (2, 4), (4, 6), 1.0, 2.0, 2.0)]
     flags = portfolio.flag_band_violations(exps, MCBand(1.0, 0.1), n_sigma=5.0)
     assert flags == [False, True]
-    with pytest.raises(InvalidParameter):
-        portfolio.flag_band_violations(exps, MCBand(1.0, 0.1), n_sigma=0.0)
+    for k in (0.0, -1.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(InvalidParameter):
+            portfolio.flag_band_violations(exps, MCBand(1.0, 0.1), n_sigma=k)
 
 
 @given(st.floats(0.1, 10.0))
