@@ -22,12 +22,13 @@ import numpy as np
 
 from . import __version__, corrdist, dataio, portfolio, spectral, stationarity, synthgen
 from .errors import CorrstatError, InvalidParameter
-from .parallel import THREADS_ENV, resolve_threads
+from .parallel import resolve_threads
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
+THREADS_ENV = "CORRSTAT_THREADS"
 TIMESTAMP_ENV = "CORRSTAT_TIMESTAMP"
 TIMESTAMP_UNSET = "unset"
 
@@ -190,7 +191,7 @@ def _scan_input(args):
     return panel, {
         "pairs": stationarity.all_pairs(panel.n_series)[:args.max_pairs],
         "mc_family": mc_family, "mc_nu": mc_nu, "mc_seed": args.mc_seed,
-        "dataset": _dataset_name(args.input),
+        "dataset": os.path.basename(args.input),
     }
 
 
@@ -211,10 +212,6 @@ def _q_samples_json(qs, flags, **extra) -> list:
         "violation": bool(flag),
         **extra,
     } for exp, flag in zip(qs, flags)]
-
-
-def _dataset_name(path: str) -> str:
-    return os.path.basename(path)
 
 
 # ---------------------------------------------------------------- density
@@ -273,8 +270,6 @@ def cmd_local_scan(args) -> int:
     n_values = _parse_list(args.n, "--n", int)
     for n in n_values:
         _require(n >= 1, f"--n entries must be at least 1, got {n}")
-    _require(args.sigma_convention in (stationarity.SIGMA_WINDOW, stationarity.SIGMA_PAPER),
-             f"--sigma-convention must be 'window' or 'paper', got {args.sigma_convention!r}")
     panel, scan_kw = _scan_input(args)
     configs = [stationarity.LocalTestConfig(args.t1, tau, tuple(n_values)) for tau in taus]
     scan = stationarity.local_scan(panel, configs,
@@ -307,7 +302,8 @@ def cmd_simulate(args) -> int:
     dataio.save_panel_csv(panel, args.out)
     config = {
         "family": args.family, "nu": args.nu, "corr": args.corr, "T": args.T,
-        "seed": args.seed, "replica": args.replica, "out": args.out,
+        "seed": args.seed, "replica": args.replica, "input_kind": args.input_kind,
+        "returns_kind": args.returns_kind, "out": args.out,
     }
     _echo_config(_report("simulate", args, config, {}))
     return EXIT_OK
@@ -321,8 +317,6 @@ def cmd_qscan(args) -> int:
     _require(args.replicas >= 30, f"--replicas must be at least 30, got {args.replicas}")
     _require(0.0 < args.band_sigmas < math.inf,
              f"--band-sigmas must be finite and positive, got {args.band_sigmas}")
-    _require(args.truth in ("estimated", "identity"),
-             f"--truth must be 'estimated' or 'identity', got {args.truth!r}")
     panel = _load_returns(args.input, args.input_kind, args.returns_kind)
     if args.n_stocks is not None:
         _require(1 <= args.n_stocks <= panel.n_series,
@@ -351,7 +345,7 @@ def cmd_qscan(args) -> int:
         independent_windows=args.independent_windows, volatilities=args.volatilities,
     )
     return _emit_json(_report("qscan", args, config, {
-        "dataset": _dataset_name(args.input),
+        "dataset": os.path.basename(args.input),
         "tickers": list(panel.tickers),
         "band": band_json,
         "samples": _q_samples_json(qs, flags, band=band_json),
@@ -417,7 +411,7 @@ def cmd_spectral(args) -> int:
     config = _panel_config(args, window=args.window, sectors=args.sectors,
                            thresholds=list(thresholds))
     return _emit_json(_report("spectral", args, config, {
-        "dataset": _dataset_name(args.input),
+        "dataset": os.path.basename(args.input),
         "snapshots": [{
             "window": list(s.window),
             "lambda_market": s.lambda_market,

@@ -42,8 +42,6 @@ from .dataio import freeze, standardized_rows
 from .errors import (
     InsufficientData,
     InvalidParameter,
-    NotPositiveDefinite,
-    NotSymmetric,
     NumericsError,
     ZeroVariance,
 )
@@ -75,7 +73,6 @@ class CorrelationMatrix:
     tickers: tuple[str, ...]
     entries: np.ndarray
     window: tuple[int, int]
-    scope: str = "raw"
 
     def __post_init__(self):
         freeze(self, "entries")
@@ -87,23 +84,6 @@ class CorrelationMatrix:
     def n_series(self) -> int:
         return self.entries.shape[0]
 
-    def validate(self):
-        """Check symmetry, unit diagonal, entry range and the PSD bound."""
-        c = self.entries
-        n = c.shape[0]
-        if np.abs(c - c.T).max() > 1e-14:
-            raise NotSymmetric("correlation matrix is not symmetric")
-        if np.abs(np.diag(c) - 1.0).max() > 1e-12:
-            raise InvalidParameter("correlation matrix diagonal deviates from 1")
-        if np.abs(c).max() > 1.0:
-            raise InvalidParameter("correlation entries outside [-1, 1]")
-        smallest = float(np.linalg.eigvalsh(c)[0])
-        if smallest < -1e-10 * n:
-            raise NotPositiveDefinite(
-                f"correlation matrix has eigenvalue {smallest:.3e}", pivot=None
-            )
-        return self
-
 
 class CorrMoments(NamedTuple):
     mean: float
@@ -112,11 +92,11 @@ class CorrMoments(NamedTuple):
     sigma_p: float
 
 
-def pearson(x, y, assume_standardized: bool = False) -> float:
+def pearson(x, y) -> float:
     """Pearson coefficient (1/T) sum x_t y_t on standardized series.
 
-    Standardizes internally (population sd) unless told both inputs
-    already are; the result is clamped into [-1, 1] against roundoff.
+    Standardizes both inputs (population sd); the result is clamped into
+    [-1, 1] against roundoff.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -127,10 +107,9 @@ def pearson(x, y, assume_standardized: bool = False) -> float:
         raise InsufficientData("pearson needs at least 2 observations")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise InvalidParameter("pearson needs finite series")
-    if not assume_standardized:
-        (x, y), bad = standardized_rows(np.stack([x, y]))
-        if bad.any():
-            raise ZeroVariance("x" if bad[0] else "y")
+    (x, y), bad = standardized_rows(np.stack([x, y]))
+    if bad.any():
+        raise ZeroVariance("x" if bad[0] else "y")
     r = float(x @ y) / t
     return min(1.0, max(-1.0, r))
 
@@ -138,8 +117,7 @@ def pearson(x, y, assume_standardized: bool = False) -> float:
 def corr_matrix(panel, window: tuple[int, int] | None = None) -> CorrelationMatrix:
     """Pairwise Pearson matrix on a column range (default: full sample).
 
-    Rows are standardized over the range itself, so the result is the
-    same whether the panel came in raw or standardized on another scope.
+    Rows are standardized over the range itself.
     """
     lo, hi = (0, panel.n_steps) if window is None else (int(window[0]), int(window[1]))
     if not (0 <= lo < hi <= panel.n_steps):
@@ -153,7 +131,7 @@ def corr_matrix(panel, window: tuple[int, int] | None = None) -> CorrelationMatr
     c = 0.5 * (c + c.T)
     np.fill_diagonal(c, 1.0)
     np.clip(c, -1.0, 1.0, out=c)
-    return CorrelationMatrix(panel.tickers, c, (lo, hi), panel.scope)
+    return CorrelationMatrix(panel.tickers, c, (lo, hi))
 
 
 # ---------------------------------------------------------------------------

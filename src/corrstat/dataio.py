@@ -25,21 +25,15 @@ from .errors import (
 )
 from .rngutil import rng_for
 
-SCOPE_RAW = "raw"
-SCOPE_GLOBAL = "global"
-
 
 def freeze(obj, *fields):
-    """Store each named array field of a frozen dataclass as read-only float64.
+    """Store each named array field of a frozen dataclass as a read-only float64 copy.
 
-    An input that is already contiguous float64 is not copied; the field is
-    then a read-only view, so the caller's own array stays writeable.
+    The copy never shares memory with the caller's array, so a later write
+    to that array cannot get past the checks in __post_init__.
     """
     for name in fields:
-        given = getattr(obj, name)
-        a = np.ascontiguousarray(given, dtype=np.float64)
-        if a is given:
-            a = a.view()
+        a = np.array(getattr(obj, name), dtype=np.float64, order="C")
         a.setflags(write=False)
         object.__setattr__(obj, name, a)
 
@@ -65,18 +59,11 @@ class PricePanel:
 
 @dataclass(frozen=True)
 class ReturnPanel:
-    """N tickers, T price changes each.
-
-    ``scope`` records how the panel was standardized: "raw" (not at all),
-    "global" (each full row), or "per-window:<T_w>" (each row within each
-    window of a length-T_w partition).
-    """
+    """N tickers, T price changes each."""
 
     tickers: tuple[str, ...]
     times: tuple[str, ...]
     returns: np.ndarray  # N x T
-    standardized: bool = False
-    scope: str = SCOPE_RAW
 
     def __post_init__(self):
         freeze(self, "returns")
@@ -238,30 +225,12 @@ def standardized_rows(block: np.ndarray):
     return centered / np.where(bad[:, None], 1.0, sd), bad
 
 
-def standardize(panel: ReturnPanel, scope: str = "global", window_len: int | None = None) -> ReturnPanel:
-    """Zero-mean/unit-sd rows, globally or within each length-window_len window.
-
-    Per-window scope standardizes the K full windows; a trailing remainder
-    shorter than window_len is left untouched (every windowed computation
-    downstream discards it).
-    """
-    if scope == "global":
-        spans = [(None, (0, panel.n_steps))]
-        new_scope = SCOPE_GLOBAL
-    elif scope == "per-window":
-        if window_len is None:
-            raise InvalidParameter("per-window standardization needs window_len")
-        spans = enumerate(window_slices(panel.n_steps, window_len).windows)
-        new_scope = f"per-window:{window_len}"
-    else:
-        raise InvalidParameter(f"scope must be 'global' or 'per-window', got {scope!r}")
-    out = panel.returns.copy()
-    for window, (lo, hi) in spans:
-        z, bad = standardized_rows(panel.returns[:, lo:hi])
-        if bad.any():
-            raise ZeroVariance(panel.tickers[np.argmax(bad)], window=window)
-        out[:, lo:hi] = z
-    return replace(panel, returns=out, standardized=True, scope=new_scope)
+def standardize(panel: ReturnPanel) -> ReturnPanel:
+    """Each row at zero mean and unit population sd over the full sample."""
+    z, bad = standardized_rows(panel.returns)
+    if bad.any():
+        raise ZeroVariance(panel.tickers[np.argmax(bad)])
+    return replace(panel, returns=z)
 
 
 def synchronous_reshuffle(panel: ReturnPanel, seed: int) -> ReturnPanel:

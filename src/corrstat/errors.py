@@ -68,9 +68,5 @@ class IllPosed(CorrstatError):
         self.n_obs = n_obs
 
 
-class DegenerateComponent(CorrstatError):
-    pass
-
-
 class InvalidParameter(CorrstatError):
     pass

@@ -6,18 +6,13 @@ so any worker count produces identical output.
 """
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 
 from .errors import InvalidParameter
 
-THREADS_ENV = "CORRSTAT_THREADS"
 
-
-def resolve_threads(threads=None) -> int:
-    """Explicit argument, else CORRSTAT_THREADS, else 1."""
-    if threads is None:
-        threads = os.environ.get(THREADS_ENV, "1")
+def resolve_threads(threads) -> int:
+    """threads as an int >= 1."""
     try:
         threads = int(threads)
     except (TypeError, ValueError):

@@ -85,7 +85,6 @@ class QExperiment:
     sigma_e: float
     sigma_r: float
     q: float
-    sigma_t: float | None = None
 
 
 class MCBand(NamedTuple):
@@ -113,13 +112,11 @@ def _covariance(returns, tickers, window) -> CovarianceMatrix:
     return CovarianceMatrix(tickers, c, window)
 
 
-def min_variance_weights(cov: CovarianceMatrix, ridge: float = 0.0) -> WeightVector:
+def min_variance_weights(cov: CovarianceMatrix) -> WeightVector:
     """Budget-constrained minimum-variance weights.
 
     Solves C x = 1 and normalizes, which is the closed form
     w_i = sum_j inv(C)_ij / sum_jk inv(C)_jk without forming the inverse.
-    A positive ridge adds ridge * mean(diag) to the diagonal first; it is
-    never applied silently, callers must ask for it.
 
     Gates, in order: symmetry, the shifted-Cholesky certificate
     (_certified), and only where it fails the exact gates, which raise
@@ -130,11 +127,7 @@ def min_variance_weights(cov: CovarianceMatrix, ridge: float = 0.0) -> WeightVec
     t_len = cov.window_len
     if t_len is not None and t_len <= n:
         raise IllPosed(n, t_len)
-    if ridge < 0.0:
-        raise InvalidParameter(f"ridge must be >= 0, got {ridge!r}")
     c = cov.entries
-    if ridge > 0.0:
-        c = c + ridge * float(np.trace(c)) / n * np.eye(n)
     # np.linalg.cholesky reads only the lower triangle, so symmetry comes first
     if synthgen.asymmetric(c) or not _certified(c):
         synthgen.cholesky(c)  # PD gate with pivot report
@@ -144,8 +137,7 @@ def min_variance_weights(cov: CovarianceMatrix, ridge: float = 0.0) -> WeightVec
         cond = float(eig[-1] / eig[0]) if eig[0] > 0.0 else math.inf
         if cond > _CONDITION_LIMIT:
             raise NumericsError(
-                f"covariance condition number {cond:.3e} exceeds {_CONDITION_LIMIT:.0e}; "
-                "pass a ridge to regularize explicitly",
+                f"covariance condition number {cond:.3e} exceeds {_CONDITION_LIMIT:.0e}",
                 error_estimate=cond,
             )
     x = np.linalg.solve(c, np.ones(n))
@@ -178,18 +170,6 @@ def portfolio_variance(cov: CovarianceMatrix, weights: WeightVector) -> float:
     if w.size != np.asarray(c).shape[0]:
         raise InvalidParameter("weights and covariance dimensions differ")
     return max(0.0, float(w @ c @ w))
-
-
-def portfolio_pnl(weights: WeightVector, panel: ReturnPanel,
-                  window: tuple[int, int] | None = None) -> np.ndarray:
-    """Portfolio value changes sum_i w_i r_it over the range."""
-    lo, hi = (0, panel.n_steps) if window is None else (int(window[0]), int(window[1]))
-    if not (0 <= lo < hi <= panel.n_steps):
-        raise InvalidParameter(f"window {(lo, hi)} outside panel range")
-    w = weights.w if isinstance(weights, WeightVector) else np.asarray(weights, float)
-    if w.size != panel.n_series:
-        raise InvalidParameter("one weight per panel row required")
-    return w @ panel.returns[:, lo:hi]
 
 
 def select_stocks(panel: ReturnPanel, n_stocks: int, select_seed: int) -> ReturnPanel:
@@ -227,13 +207,8 @@ def _independent_ranges(t_total: int, t1: int, t2: int):
     ]
 
 
-def q_series(panel: ReturnPanel, t1: int, t2: int, chained: bool = True,
-             truth: CovarianceMatrix | None = None) -> list[QExperiment]:
-    """q = sigma_R / sigma_E over successive estimation/realized windows.
-
-    With a truth covariance supplied (synthetic runs), each sample also
-    carries sigma_T, the held weights' risk under the true covariance.
-    """
+def q_series(panel: ReturnPanel, t1: int, t2: int, chained: bool = True) -> list[QExperiment]:
+    """q = sigma_R / sigma_E over successive estimation/realized windows."""
     if t1 < 2 or t2 < 2:
         raise InvalidParameter("t1 and t2 must be >= 2")
     ranges = (_chained_ranges if chained else _independent_ranges)(
@@ -245,8 +220,8 @@ def q_series(panel: ReturnPanel, t1: int, t2: int, chained: bool = True,
         )
     out = []
     for sample, (est_range, real_range) in enumerate(ranges, start=1):
-        sigma_e, sigma_r, sigma_t = _sample_risks(panel.returns, panel.tickers,
-                                                  est_range, real_range, truth)
+        sigma_e, sigma_r = _sample_risks(panel.returns, panel.tickers,
+                                         est_range, real_range)
         out.append(QExperiment(
             sample=sample,
             t1_range=est_range,
@@ -254,22 +229,18 @@ def q_series(panel: ReturnPanel, t1: int, t2: int, chained: bool = True,
             sigma_e=sigma_e,
             sigma_r=sigma_r,
             q=sigma_r / sigma_e,
-            sigma_t=sigma_t,
         ))
     return out
 
 
-def _sample_risks(returns, tickers, est_range, real_range, truth=None):
-    """sigma_E, sigma_R and sigma_T (None without a truth) of weights fitted on est_range."""
+def _sample_risks(returns, tickers, est_range, real_range):
+    """sigma_E and sigma_R of weights fitted on est_range."""
     cov_est = _covariance(returns, tickers, est_range)
     weights = min_variance_weights(cov_est)
     cov_real = _covariance(returns, tickers, real_range)
     sigma_e = math.sqrt(portfolio_variance(cov_est, weights))
     sigma_r = math.sqrt(portfolio_variance(cov_real, weights))
-    sigma_t = None
-    if truth is not None:
-        sigma_t = math.sqrt(portfolio_variance(truth, weights))
-    return sigma_e, sigma_r, sigma_t
+    return sigma_e, sigma_r
 
 
 def mc_band(n_series: int, t1: int, t2: int, replicas: int,
@@ -294,7 +265,7 @@ def mc_band(n_series: int, t1: int, t2: int, replicas: int,
     qs = np.empty(replicas)
     for replica in range(replicas):
         returns = synthgen.gaussian_returns(lower, t1 + t2, seed, replica) * scale[:, None]
-        sigma_e, sigma_r, _ = _sample_risks(returns, tickers, (0, t1), (t1, t1 + t2))
+        sigma_e, sigma_r = _sample_risks(returns, tickers, (0, t1), (t1, t1 + t2))
         qs[replica] = sigma_r / sigma_e
     return MCBand(float(qs.mean()), float(qs.std(ddof=1)))
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from .dataio import ReturnPanel, freeze
 from .errors import (
-    DegenerateComponent,
     InvalidParameter,
     NotNormalized,
     NotSymmetric,
@@ -122,8 +121,7 @@ def ipr(vector) -> float:
     return float(np.sum(v ** 4))
 
 
-def spectral_snapshot(corr, sectors: int = DEFAULT_SECTOR_COUNT,
-                      window: tuple[int, int] | None = None) -> SpectralSnapshot:
+def spectral_snapshot(corr, sectors: int = DEFAULT_SECTOR_COUNT) -> SpectralSnapshot:
     """Market / sector / IPR summary of one correlation matrix.
 
     The market eigenvalue is the largest; the sector sum covers the next
@@ -146,11 +144,9 @@ def spectral_snapshot(corr, sectors: int = DEFAULT_SECTOR_COUNT,
             error_estimate=trace_gap,
         )
     lam = eig.eigenvalues
-    if window is None:
-        window = getattr(corr, "window", None)
     gap = float(lam[-1] - lam[-2])
     return SpectralSnapshot(
-        window=window,
+        window=getattr(corr, "window", None),
         lambda_market=float(lam[-1]),
         lambda_sector=float(lam[-1 - sectors:-1].sum()),
         ipr_market=ipr(eig.eigenvectors[:, -1]),
@@ -195,38 +191,21 @@ def co_occurrence_flag(delta: SpectralDelta,
             and delta.d_ipr < theta_i)
 
 
-def pca_decompose(panel: ReturnPanel, eig: EigenSystem,
-                  window: tuple[int, int] | None = None,
-                  components=None) -> PCAComponents:
+def pca_decompose(panel: ReturnPanel, eig: EigenSystem) -> PCAComponents:
     """Eigenmode time series e_l(t) = (1/sqrt(lambda_l)) sum_i v_l^i r_i(t).
 
-    The panel block must be the standardized window the eigensystem was
-    computed from; then the retained components are mutually uncorrelated
-    with unit variance.  Components at numerically zero eigenvalues carry
-    no variance and are dropped by default; asking for one raises.
+    The panel must be the standardized sample the eigensystem was computed
+    from; then the retained components are mutually uncorrelated with unit
+    variance.  Components at numerically zero eigenvalues carry no
+    variance and are dropped.
     """
-    lo, hi = (0, panel.n_steps) if window is None else (int(window[0]), int(window[1]))
-    if not (0 <= lo < hi <= panel.n_steps):
-        raise InvalidParameter(f"window {(lo, hi)} outside panel range")
     if panel.n_series != eig.n_series:
         raise InvalidParameter("panel and eigensystem dimensions differ")
     lam = eig.eigenvalues
-    if components is None:
-        retained = [k for k in range(lam.size) if lam[k] > _COMPONENT_FLOOR]
-    else:
-        retained = [int(k) for k in components]
-        for k in retained:
-            if not (0 <= k < lam.size):
-                raise InvalidParameter(f"component index {k} out of range")
-            if lam[k] <= _COMPONENT_FLOOR:
-                raise DegenerateComponent(
-                    f"component {k} has eigenvalue {lam[k]:.3e}, below "
-                    f"{_COMPONENT_FLOOR:.0e}"
-                )
-    block = panel.returns[:, lo:hi]
-    series = np.empty((len(retained), hi - lo))
+    retained = [k for k in range(lam.size) if lam[k] > _COMPONENT_FLOOR]
+    series = np.empty((len(retained), panel.n_steps))
     for row, k in enumerate(retained):
-        series[row] = (eig.eigenvectors[:, k] @ block) / np.sqrt(lam[k])
+        series[row] = (eig.eigenvectors[:, k] @ panel.returns) / np.sqrt(lam[k])
     return PCAComponents(tuple(retained), series)
 
 

@@ -24,6 +24,7 @@ from .rngutil import rng_for
 
 _MIN_EIGENVALUE = 1e-10
 _REPAIR_FLOOR = 1e-8
+_LOADING_RANGE = (0.3, 0.9)  # one-factor loadings; below 1, so C is positive definite
 
 FAMILY_GAUSSIAN = "gaussian"
 FAMILY_STUDENT_T = "student-t"
@@ -174,14 +175,14 @@ def sample_panel(spec: GeneratorSpec, replica: int = 0) -> ReturnPanel:
     return sample_student_t_panel(spec, replica)
 
 
-def sample_estimate_as_truth(panel, window=None) -> TrueCorrelation:
-    """Full-sample (or windowed) correlation estimate promoted to truth.
+def sample_estimate_as_truth(panel) -> TrueCorrelation:
+    """Full-sample correlation estimate promoted to truth.
 
-    A rank-deficient or indefinite estimate (N > T windows) is repaired
+    A rank-deficient or indefinite estimate (N > T) is repaired
     by clipping eigenvalues at 1e-8 and renormalizing the diagonal; the
     repair is recorded on the result.
     """
-    estimate = corr_matrix(panel, window).entries
+    estimate = corr_matrix(panel).entries
     smallest = float(np.linalg.eigvalsh(estimate)[0])
     if smallest > _MIN_EIGENVALUE:
         return TrueCorrelation(estimate, source="sample-estimate")
@@ -214,12 +215,9 @@ def equicorr_correlation(n: int, rho: float) -> TrueCorrelation:
     return TrueCorrelation(c, source=f"model:equicorr({n},{rho})")
 
 
-def one_factor_correlation(n: int, seed: int, loading_range=(0.3, 0.9)) -> TrueCorrelation:
+def one_factor_correlation(n: int, seed: int) -> TrueCorrelation:
     """C = beta beta^T + diag(1 - beta^2) with seeded uniform loadings."""
-    lo, hi = loading_range
-    if not (0.0 <= lo <= hi < 1.0):
-        raise InvalidParameter("loadings must satisfy 0 <= lo <= hi < 1")
-    beta = rng_for(seed, "one-factor-loadings").uniform(lo, hi, size=n)
+    beta = rng_for(seed, "one-factor-loadings").uniform(*_LOADING_RANGE, size=n)
     c = np.outer(beta, beta)
     np.fill_diagonal(c, 1.0)
     return TrueCorrelation(c, source=f"model:one-factor({n},seed={seed})")

@@ -5,6 +5,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -96,6 +97,10 @@ def test_unknown_recipe():
      "error: argument --grid: invalid int value: '1.5'"),
     (["local-scan", "--input", "x.csv", "--t1", "30", "--input-kind", "bonds"],
      "error: argument --input-kind: invalid choice: 'bonds'"),
+    (["local-scan", "--input", "x.csv", "--t1", "30", "--sigma-convention", "bogus"],
+     "error: argument --sigma-convention: invalid choice: 'bogus'"),
+    (["qscan", "--input", "x.csv", "--t1", "30", "--t2", "30", "--truth", "bogus"],
+     "error: argument --truth: invalid choice: 'bogus'"),
 ])
 def test_bad_flag_value_is_one_line(argv, message, capsys):
     with pytest.raises(SystemExit) as err:
@@ -386,6 +391,26 @@ def test_mc_parse_errors(tmp_path, capsys):
             assert rc == 2
             err = capsys.readouterr().err.splitlines()
             assert err == [f"error: --mc: nu must be finite, got {nu}"], err
+
+
+def test_simulate_echoes_the_flags_that_read_its_panel(tmp_path, capsys):
+    rng = np.random.default_rng(3)
+    prices = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.01, size=(4, 121)), axis=1))
+    source = tmp_path / "prices.csv"
+    dataio.save_panel_csv(dataio.PricePanel(
+        ("A", "B", "C", "D"), tuple(str(t) for t in range(121)), prices), source)
+    configs, panels = {}, {}
+    for kind in ("log", "simple"):
+        out = tmp_path / f"{kind}.csv"
+        rc = run(["simulate", "--family", "gaussian", "--corr", f"from:{source}",
+                  "--T", "50", "--returns-kind", kind, "--out", str(out)])
+        assert rc == 0
+        configs[kind] = json.loads(capsys.readouterr().out)["config"]
+        panels[kind] = out.read_text()
+    assert panels["log"] != panels["simple"]
+    for kind, config in configs.items():
+        assert config["input_kind"] == "prices"
+        assert config["returns_kind"] == kind
 
 
 @pytest.mark.parametrize("nu", ["inf", "nan"])

@@ -141,14 +141,6 @@ def test_estimate_as_truth_clean():
                           corrdist.corr_matrix(panel).entries)
 
 
-def test_estimate_as_truth_windowed():
-    truth = synthgen.equicorr_correlation(3, 0.2)
-    panel = synthgen.sample_gaussian_panel(spec_for(truth, n_steps=400, seed=3))
-    promoted = synthgen.sample_estimate_as_truth(panel, window=(0, 100))
-    direct = corrdist.corr_matrix(panel, window=(0, 100)).entries
-    assert np.array_equal(promoted.entries, direct)
-
-
 def test_estimate_as_truth_repairs_rank_deficiency():
     rng = np.random.default_rng(4)
     panel = make_panel(rng.normal(size=(20, 12)))  # N > T: singular estimate
@@ -179,8 +171,6 @@ def test_one_factor_structure():
     assert off.max() < 0.9 ** 2 + 1e-12
     again = synthgen.one_factor_correlation(6, seed=9)
     assert np.array_equal(entries, again.entries)
-    with pytest.raises(InvalidParameter):
-        synthgen.one_factor_correlation(6, seed=9, loading_range=(0.5, 1.0))
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 5))

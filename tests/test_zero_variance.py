@@ -66,8 +66,6 @@ def test_every_caller_flags_the_same_rows(rows, seed):
         expect = tickers[i] if flagged[i] else None
         assert _raised_ticker(lambda: corrdist.corr_matrix(one)) == expect
         assert _raised_ticker(lambda: dataio.standardize(one)) == expect
-        assert _raised_ticker(
-            lambda: dataio.standardize(one, "per-window", WINDOW)) == expect
         assert _raised_ticker(lambda: portfolio.covariance_matrix(one)) == expect
         assert _raised_ticker(lambda: corrdist.pearson(row, clean)) == (
             "x" if flagged[i] else None)
