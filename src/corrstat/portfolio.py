@@ -234,13 +234,20 @@ def q_series(panel: ReturnPanel, t1: int, t2: int, chained: bool = True) -> list
 
 
 def _sample_risks(returns, tickers, est_range, real_range):
-    """sigma_E and sigma_R of weights fitted on est_range."""
+    """sigma_E and sigma_R of weights fitted on est_range.
+
+    sigma_R is the population sd of the held portfolio's P&L over
+    real_range, which equals sqrt(w' C_R w) without forming C_R.
+    """
     cov_est = _covariance(returns, tickers, est_range)
     weights = min_variance_weights(cov_est)
-    cov_real = _covariance(returns, tickers, real_range)
     sigma_e = math.sqrt(portfolio_variance(cov_est, weights))
-    sigma_r = math.sqrt(portfolio_variance(cov_real, weights))
-    return sigma_e, sigma_r
+    lo, hi = real_range
+    centered, _, bad = centered_rows(returns[:, lo:hi])
+    if bad.any():
+        raise ZeroVariance(tickers[np.argmax(bad)], window=real_range)
+    pnl = weights.w @ centered
+    return sigma_e, math.sqrt(float(pnl @ pnl) / (hi - lo))
 
 
 def mc_band(n_series: int, t1: int, t2: int, replicas: int,
@@ -264,7 +271,9 @@ def mc_band(n_series: int, t1: int, t2: int, replicas: int,
     tickers = synthgen.synthetic_tickers(n_series)
     qs = np.empty(replicas)
     for replica in range(replicas):
-        returns = synthgen.gaussian_returns(lower, t1 + t2, seed, replica) * scale[:, None]
+        returns = synthgen.gaussian_returns(lower, t1 + t2, seed, replica)
+        if volatilities is not None:
+            returns *= scale[:, None]
         sigma_e, sigma_r = _sample_risks(returns, tickers, (0, t1), (t1, t1 + t2))
         qs[replica] = sigma_r / sigma_e
     return MCBand(float(qs.mean()), float(qs.std(ddof=1)))

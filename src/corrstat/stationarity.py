@@ -8,11 +8,13 @@ rho_1, rho_2, ... and flags consecutive steps whose change exceeds n
 standard errors of the earlier estimate.
 
 The global scan is a parallel map over pairs.  The local scan is one
-array computation per panel: the rows are standardized once, and the
-pairs that share a first index share one cumulative sum.  The plug-in
-makes the global test conservative (rejection rates on stationary
-controls land well below nominal alpha), which the scans quantify with
-reshuffle and Monte Carlo control columns instead of correcting.
+array computation per panel: the rows are standardized once, and every
+pair reads its prefix sums at the expanding lengths from Gram products
+of the first-index rows with the second-index rows, which grow by one
+block of columns per step.  The plug-in makes the global test
+conservative (rejection rates on stationary controls land well below
+nominal alpha), which the scans quantify with reshuffle and Monte Carlo
+control columns instead of correcting.
 """
 from __future__ import annotations
 
@@ -335,8 +337,8 @@ def cumulative_corr(panel: ReturnPanel, pair, t1: int, tau: int):
     if bad.any():
         raise ZeroVariance(panel.tickers[pair[0] if bad[0] else pair[1]])
     lengths = np.arange(t1, panel.n_steps + 1, tau)
-    (estimates,) = _expanding_estimates(z[0], z[1:], [lengths])
-    return list(zip(lengths.tolist(), estimates[0].tolist()))
+    estimates = np.cumsum(z[0] * z[1])[lengths - 1] / lengths
+    return list(zip(lengths.tolist(), estimates.tolist()))
 
 
 def _short_panel(panel, t1, tau):
@@ -346,16 +348,6 @@ def _short_panel(panel, t1, tau):
             f"need at least t1 + tau = {t1 + tau} steps, got {panel.n_steps}"
         )
     return None
-
-
-def _expanding_estimates(zx, zys, lengths_list):
-    """Estimates of row zx against each row of zys, one block per lengths.
-
-    Block k is (len(zys), len(lengths_list[k])): the prefix means of
-    zx * zy at those lengths, all read from one cumulative sum.
-    """
-    products = np.cumsum(zx * zys, axis=1)
-    return [products[:, lengths - 1] / lengths for lengths in lengths_list]
 
 
 def _step_flags(estimates, lengths, ns, sigma_convention, tau):
@@ -409,29 +401,61 @@ def _pair_error(panel, pair, bad):
     return None
 
 
-def _local_counts(panel, pairs, configs, sigma_convention):
-    """(violations, steps) per (config, n) over pairs, and each pair's error.
+# Gram cells times lengths per chunk of first-index rows: keeps a chunk's
+# (pairs, lengths) estimates and flags a few MB at any N.
+_CHUNK_CELLS = 1 << 18
 
-    The rows are standardized once, and the pairs sharing a first index
-    take one cumulative sum that every config reads.
+
+def _local_counts(panel, pairs, configs, sigma_convention):
+    """(violations, steps) per (config, n) over pairs, and each failing pair's error.
+
+    The rows are standardized once, and only the failing pairs build an
+    error.  Per config, chunks of the distinct first-index rows take Gram
+    products with the distinct second-index rows, accumulated one block
+    of columns per length, so the Gram after block k holds every prefix
+    sum of z_i z_j at lengths[k] and each pair reads its estimate from
+    its (first, second) cell.
     """
     z, bad = standardized_rows(panel.returns)
-    errors = {pair: _pair_error(panel, pair, bad) for pair in pairs}
-    configs = [c for c in configs if _short_panel(panel, c.t1, c.tau) is None]
-    lengths_list = [np.arange(c.t1, panel.n_steps + 1, c.tau) for c in configs]
-    groups = {}
-    for i, j in pairs:
-        if errors[(i, j)] is None:
-            groups.setdefault(i, []).append(j)
+    ij = np.asarray(pairs).reshape(-1, 2)  # object dtype if an index overflows int64
+    invalid = ((ij < 0) | (ij >= panel.n_series)).any(axis=1) | (ij[:, 0] == ij[:, 1])
+    ij = np.where(invalid[:, None], 0, ij).astype(np.int64)
+    failed = invalid | bad[ij].any(axis=1)
+    errors = {pairs[p]: _pair_error(panel, pairs[p], bad)
+              for p in np.flatnonzero(failed).tolist()}
+    good = ij[~failed]
     counts = {}
-    for i, js in groups.items():
-        blocks = _expanding_estimates(z[i], z[js], lengths_list)
-        for config, lengths, block in zip(configs, lengths_list, blocks):
-            flags = _step_flags(block, lengths, config.n_values, sigma_convention,
-                                config.tau)
-            for n, hits in zip(config.n_values, flags.sum(axis=(1, 2)).tolist()):
-                old_hits, old_steps = counts.get((config, n), (0, 0))
-                counts[(config, n)] = (old_hits + hits, old_steps + flags[0].size)
+    if not good.size:
+        return counts, errors
+    firsts, at_i = np.unique(good[:, 0], return_inverse=True)  # at_i sorted, as pairs are
+    seconds, at_j = np.unique(good[:, 1], return_inverse=True)
+    zj = z[seconds]
+    for config in configs:
+        if _short_panel(panel, config.t1, config.tau) is not None:
+            continue
+        lengths = np.arange(config.t1, panel.n_steps + 1, config.tau)
+        rows = max(1, _CHUNK_CELLS // (seconds.size * lengths.size))
+        hits = np.zeros(len(config.n_values), dtype=np.int64)
+        steps = 0
+        for r0 in range(0, firsts.size, rows):
+            lo, hi = np.searchsorted(at_i, (r0, r0 + rows))
+            ai, aj = at_i[lo:hi] - r0, at_j[lo:hi]
+            zi = z[firsts[r0:r0 + rows]]
+            gram = np.zeros((zi.shape[0], zj.shape[0]))
+            estimates = np.empty((ai.size, lengths.size))
+            start = 0
+            for k, stop in enumerate(lengths.tolist()):
+                gram += zi[:, start:stop] @ zj[:, start:stop].T
+                estimates[:, k] = gram[ai, aj]
+                start = stop
+            estimates /= lengths
+            flags = _step_flags(estimates, lengths, config.n_values,
+                                sigma_convention, config.tau)
+            hits += flags.sum(axis=(1, 2))
+            steps += flags[0].size
+        for n, n_hits in zip(config.n_values, hits.tolist()):
+            old_hits, old_steps = counts.get((config, n), (0, 0))
+            counts[(config, n)] = (old_hits + n_hits, old_steps + steps)
     return counts, errors
 
 
@@ -459,7 +483,7 @@ def local_scan(panel: ReturnPanel, configs, pairs=None,
         for name, scan_panel in panels.items():
             short = _short_panel(scan_panel, config.t1, config.tau)
             for pair in pairs:
-                exc = short if short is not None else errors[name][pair]
+                exc = short if short is not None else errors[name].get(pair)
                 if exc is not None:
                     skipped.append({
                         "pair": list(pair),

@@ -278,6 +278,26 @@ def test_realized_risk_dominates_realized_optimum():
         assert exp.sigma_r >= floor - 1e-12
 
 
+def test_sigma_r_equals_the_realized_covariance_form():
+    panel = gaussian_panel(6, 600, seed=15)
+    for exp in portfolio.q_series(panel, 100, 100)[:3]:
+        cov_est = portfolio.covariance_matrix(panel, exp.t1_range)
+        weights = portfolio.min_variance_weights(cov_est)
+        cov_real = portfolio.covariance_matrix(panel, exp.t2_range)
+        ref = math.sqrt(portfolio.portfolio_variance(cov_real, weights))
+        assert abs(exp.sigma_r - ref) <= 1e-12 * ref
+
+
+def test_q_series_names_a_ticker_constant_in_a_realized_window():
+    rng = np.random.default_rng(16)
+    returns = rng.normal(size=(3, 300))
+    returns[1, 200:] = 0.5  # realized window of sample 2, no estimation window
+    panel = make_panel(returns, tickers=["AA", "BB", "CC"])
+    with pytest.raises(ZeroVariance) as err:
+        portfolio.q_series(panel, 100, 100)
+    assert (err.value.ticker, err.value.window) == ("BB", (200, 300))
+
+
 def test_q_series_guards():
     panel = gaussian_panel(3, 100, seed=14)
     with pytest.raises(InsufficientData):

@@ -1,0 +1,20 @@
+"""Smoke runs of the demonstration scripts, from the repo root as documented."""
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["scripts/stationarity_experiment.py", "--n-series", "6", "--n-steps", "400"],
+    ["scripts/q_band_experiment.py", "--n-series", "10", "--n-steps", "400",
+     "--t1", "50", "--t2", "50", "--replicas", "30"],
+])
+def test_script_runs(argv):
+    proc = subprocess.run([sys.executable, *argv], cwd=ROOT, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from corrstat import corrdist, stationarity, synthgen
+from corrstat import stationarity, synthgen
 from corrstat.errors import (
     CorrstatError,
     InsufficientSamples,
@@ -388,6 +388,56 @@ def test_local_scan_matches_per_pair_reference(sigma_convention, control):
                 "tau", config.tau, "n", n, hits / steps, steps, controls))
     assert report.cells == expected
     assert any(cell.fraction > 0 for cell in report.cells)
+
+
+@pytest.mark.parametrize("sigma_convention",
+                         [stationarity.SIGMA_WINDOW, stationarity.SIGMA_PAPER])
+@pytest.mark.parametrize("chunk_cells", [None, 1])
+def test_local_scan_all_pairs_matches_per_pair_reference(
+        sigma_convention, chunk_cells, monkeypatch):
+    if chunk_cells is not None:  # one first-index row per Gram chunk
+        monkeypatch.setattr(stationarity, "_CHUNK_CELLS", chunk_cells)
+    rng = np.random.default_rng(23)
+    returns = rng.standard_t(4, size=(13, 360))
+    returns[3, 180:] = returns[8, 180:]  # a correlation jump mid-sample
+    returns[5, :] = -1.5
+    panel = make_panel(returns)
+    n_values = (1, 2, 3)
+    configs = [LocalTestConfig(10, 4, n_values), LocalTestConfig(60, 45, n_values)]
+    report = stationarity.local_scan(panel, configs, sigma_convention=sigma_convention)
+    counts, skipped = _per_pair_local_scan(
+        {"": panel}, stationarity.all_pairs(13), configs, n_values, sigma_convention)
+    assert report.skipped == skipped
+    assert [s["error"] for s in skipped] == ["ZeroVariance"] * 24
+    expected = []
+    for config in configs:
+        for n in n_values:
+            hits, steps = counts[("", config.tau, n)]
+            expected.append(stationarity.ScanCell(
+                "tau", config.tau, "n", n, hits / steps, steps, {}))
+    assert report.cells == expected
+    assert any(cell.fraction > 0 for cell in report.cells)
+
+
+def test_local_scan_every_pair_skipped():
+    rng = np.random.default_rng(24)
+    returns = rng.normal(size=(4, 200))
+    returns[[0, 2], :] = 3.0
+    panel = make_panel(returns)
+    pairs = [(0, 1), (2, 1), (3, 0), (2, 3), (1, 4), (0, 2 ** 70)]
+    configs = [LocalTestConfig(20, 10, (1, 2))]
+    report = stationarity.local_scan(panel, configs, pairs=pairs,
+                                     mc_family=synthgen.FAMILY_GAUSSIAN)
+    panels = {"": panel, "mc": stationarity._control_panels(
+        panel, None, synthgen.FAMILY_GAUSSIAN, None, 0)["mc"]}
+    counts, skipped = _per_pair_local_scan(
+        panels, pairs, configs, (1, 2), stationarity.SIGMA_WINDOW)
+    assert counts == {}
+    assert report.skipped == skipped
+    assert len(skipped) == 2 * len(pairs)
+    assert [cell.denominator for cell in report.cells] == [0, 0]
+    for cell in report.cells:
+        assert math.isnan(cell.fraction) and math.isnan(cell.controls["mc"])
 
 
 def test_local_scan_short_panel():
