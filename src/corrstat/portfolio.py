@@ -102,12 +102,18 @@ def covariance_matrix(panel: ReturnPanel, window: tuple[int, int] | None = None)
     return _covariance(panel.returns, panel.tickers, (lo, hi))
 
 
-def _covariance(returns, tickers, window) -> CovarianceMatrix:
+def _centered(returns, tickers, window):
+    """The window's rows minus their means; ZeroVariance names the first flat ticker."""
     lo, hi = window
     centered, _, bad = centered_rows(returns[:, lo:hi])
     if bad.any():
         raise ZeroVariance(tickers[np.argmax(bad)], window=window)
-    c = (centered @ centered.T) / (hi - lo)
+    return centered
+
+
+def _covariance(returns, tickers, window) -> CovarianceMatrix:
+    centered = _centered(returns, tickers, window)
+    c = (centered @ centered.T) / centered.shape[1]
     c = 0.5 * (c + c.T)
     return CovarianceMatrix(tickers, c, window)
 
@@ -242,12 +248,8 @@ def _sample_risks(returns, tickers, est_range, real_range):
     cov_est = _covariance(returns, tickers, est_range)
     weights = min_variance_weights(cov_est)
     sigma_e = math.sqrt(portfolio_variance(cov_est, weights))
-    lo, hi = real_range
-    centered, _, bad = centered_rows(returns[:, lo:hi])
-    if bad.any():
-        raise ZeroVariance(tickers[np.argmax(bad)], window=real_range)
-    pnl = weights.w @ centered
-    return sigma_e, math.sqrt(float(pnl @ pnl) / (hi - lo))
+    pnl = weights.w @ _centered(returns, tickers, real_range)
+    return sigma_e, math.sqrt(float(pnl @ pnl) / pnl.size)
 
 
 def mc_band(n_series: int, t1: int, t2: int, replicas: int,
@@ -271,9 +273,7 @@ def mc_band(n_series: int, t1: int, t2: int, replicas: int,
     tickers = synthgen.synthetic_tickers(n_series)
     qs = np.empty(replicas)
     for replica in range(replicas):
-        returns = synthgen.gaussian_returns(lower, t1 + t2, seed, replica)
-        if volatilities is not None:
-            returns *= scale[:, None]
+        returns = synthgen.gaussian_returns(lower, t1 + t2, seed, replica) * scale[:, None]
         sigma_e, sigma_r = _sample_risks(returns, tickers, (0, t1), (t1, t1 + t2))
         qs[replica] = sigma_r / sigma_e
     return MCBand(float(qs.mean()), float(qs.std(ddof=1)))

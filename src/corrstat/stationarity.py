@@ -8,13 +8,14 @@ rho_1, rho_2, ... and flags consecutive steps whose change exceeds n
 standard errors of the earlier estimate.
 
 The global scan is a parallel map over pairs.  The local scan is one
-array computation per panel: the rows are standardized once, and every
-pair reads its prefix sums at the expanding lengths from Gram products
-of the first-index rows with the second-index rows, which grow by one
-block of columns per step.  The plug-in makes the global test
-conservative (rejection rates on stationary controls land well below
-nominal alpha), which the scans quantify with reshuffle and Monte Carlo
-control columns instead of correcting.
+array computation per panel: the rows are standardized once, one
+batched Gram product of the first-index rows with the second-index rows
+gives every pair's sum of z_i z_j over each block of tau steps, and a
+cumulative sum over the blocks gives the prefix sums at the expanding
+lengths.  The plug-in makes the global test conservative (rejection
+rates on stationary controls land well below nominal alpha), which the
+scans quantify with reshuffle and Monte Carlo control columns instead
+of correcting.
 """
 from __future__ import annotations
 
@@ -401,8 +402,9 @@ def _pair_error(panel, pair, bad):
     return None
 
 
-# Gram cells times lengths per chunk of first-index rows: keeps a chunk's
-# (pairs, lengths) estimates and flags a few MB at any N.
+# Block-Gram cells (lengths x rows x seconds) per chunk of first-index
+# rows: keeps a chunk's block products, estimates and flags a few MB
+# unless a single row needs more.
 _CHUNK_CELLS = 1 << 18
 
 
@@ -410,11 +412,11 @@ def _local_counts(panel, pairs, configs, sigma_convention):
     """(violations, steps) per (config, n) over pairs, and each failing pair's error.
 
     The rows are standardized once, and only the failing pairs build an
-    error.  Per config, chunks of the distinct first-index rows take Gram
-    products with the distinct second-index rows, accumulated one block
-    of columns per length, so the Gram after block k holds every prefix
-    sum of z_i z_j at lengths[k] and each pair reads its estimate from
-    its (first, second) cell.
+    error.  Per config, chunks of the distinct first-index rows take one
+    Gram product with the distinct second-index rows over the first t1
+    columns and one batched product over each later block of tau columns;
+    each pair reads its (first, second) cell of every block, and a
+    cumulative sum over the blocks gives its prefix sums at the lengths.
     """
     z, bad = standardized_rows(panel.returns)
     ij = np.asarray(pairs).reshape(-1, 2)  # object dtype if an index overflows int64
@@ -433,7 +435,11 @@ def _local_counts(panel, pairs, configs, sigma_convention):
     for config in configs:
         if _short_panel(panel, config.t1, config.tau) is not None:
             continue
-        lengths = np.arange(config.t1, panel.n_steps + 1, config.tau)
+        t1, tau = config.t1, config.tau
+        lengths = np.arange(t1, panel.n_steps + 1, tau)
+        blocks = lengths.size - 1
+        # (blocks, tau, seconds): the columns each step after t1 adds
+        tail_j = zj[:, t1:lengths[-1]].reshape(-1, blocks, tau).transpose(1, 2, 0)
         rows = max(1, _CHUNK_CELLS // (seconds.size * lengths.size))
         hits = np.zeros(len(config.n_values), dtype=np.int64)
         steps = 0
@@ -441,16 +447,16 @@ def _local_counts(panel, pairs, configs, sigma_convention):
             lo, hi = np.searchsorted(at_i, (r0, r0 + rows))
             ai, aj = at_i[lo:hi] - r0, at_j[lo:hi]
             zi = z[firsts[r0:r0 + rows]]
-            gram = np.zeros((zi.shape[0], zj.shape[0]))
-            estimates = np.empty((ai.size, lengths.size))
-            start = 0
-            for k, stop in enumerate(lengths.tolist()):
-                gram += zi[:, start:stop] @ zj[:, start:stop].T
-                estimates[:, k] = gram[ai, aj]
-                start = stop
+            tail_i = zi[:, t1:lengths[-1]].reshape(-1, blocks, tau).transpose(1, 0, 2)
+            sums = np.empty((ai.size, lengths.size))
+            sums[:, 0] = (zi[:, :t1] @ zj[:, :t1].T)[ai, aj]
+            # tau == 1: the block products are plain products; skip a BLAS call per block
+            grams = tail_i * tail_j if tau == 1 else np.matmul(tail_i, tail_j)
+            sums[:, 1:] = grams.transpose(1, 2, 0)[ai, aj]
+            estimates = np.cumsum(sums, axis=1, out=sums)
             estimates /= lengths
             flags = _step_flags(estimates, lengths, config.n_values,
-                                sigma_convention, config.tau)
+                                sigma_convention, tau)
             hits += flags.sum(axis=(1, 2))
             steps += flags[0].size
         for n, n_hits in zip(config.n_values, hits.tolist()):

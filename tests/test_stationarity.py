@@ -349,22 +349,29 @@ def _per_pair_local_scan(panels, pairs, configs, n_values, sigma_convention):
 
 @pytest.mark.parametrize("sigma_convention",
                          [stationarity.SIGMA_WINDOW, stationarity.SIGMA_PAPER])
-@pytest.mark.parametrize("control", ["constant-row", "mc"])
-def test_local_scan_matches_per_pair_reference(sigma_convention, control):
+@pytest.mark.parametrize("control", ["constant-row", "mc", "all-pairs", "all-pairs-chunked"])
+def test_local_scan_matches_per_pair_reference(sigma_convention, control, monkeypatch):
+    all_pairs = control.startswith("all-pairs")
+    if control == "all-pairs-chunked":  # one first-index row per Gram chunk
+        monkeypatch.setattr(stationarity, "_CHUNK_CELLS", 1)
     rng = np.random.default_rng(21)
-    returns = rng.standard_t(3, size=(6, 400))
+    returns = rng.standard_t(3, size=(13 if all_pairs else 6, 400))
     returns[1, 200:] = returns[0, 200:]  # a correlation jump mid-sample
-    if control == "constant-row":
+    if control == "mc":
+        mc_family, mc_seed = synthgen.FAMILY_GAUSSIAN, 8
+    else:
         returns[2, :] = 4.2
         mc_family, mc_seed = None, 0
-    else:
-        mc_family, mc_seed = synthgen.FAMILY_GAUSSIAN, 8
     panel = make_panel(returns)
-    pairs = [(1, 0), (0, 2), (2, 5), (4, 1), (1, 9), (3, 3), (3, 5), (0, 5), (5, 3)]
+    if all_pairs:
+        pairs = stationarity.all_pairs(13)
+    else:
+        pairs = [(1, 0), (0, 2), (2, 5), (4, 1), (1, 9), (3, 3), (3, 5), (0, 5), (5, 3)]
     n_values = (1, 2)
-    configs = [LocalTestConfig(10, 5, n_values), LocalTestConfig(40, 30, n_values)]
+    configs = [LocalTestConfig(10, 1 if all_pairs else 5, n_values),
+               LocalTestConfig(40, 30, n_values)]
     report = stationarity.local_scan(
-        panel, configs, pairs=pairs,
+        panel, configs, pairs=None if all_pairs else pairs,
         sigma_convention=sigma_convention, mc_family=mc_family, mc_seed=mc_seed)
     panels = {"": panel}
     if mc_family is not None:
@@ -373,9 +380,10 @@ def test_local_scan_matches_per_pair_reference(sigma_convention, control):
     counts, skipped = _per_pair_local_scan(
         panels, pairs, configs, n_values, sigma_convention)
     assert report.skipped == skipped
-    assert {s["error"] for s in skipped} == (
-        {"ZeroVariance", "InvalidParameter"} if control == "constant-row"
-        else {"InvalidParameter"})
+    assert {s["error"] for s in skipped} == {
+        "constant-row": {"ZeroVariance", "InvalidParameter"},
+        "mc": {"InvalidParameter"},
+    }.get(control, {"ZeroVariance"})
     expected = []
     for config in configs:
         for n in n_values:
@@ -386,35 +394,6 @@ def test_local_scan_matches_per_pair_reference(sigma_convention, control):
                 controls["mc"] = chits / csteps
             expected.append(stationarity.ScanCell(
                 "tau", config.tau, "n", n, hits / steps, steps, controls))
-    assert report.cells == expected
-    assert any(cell.fraction > 0 for cell in report.cells)
-
-
-@pytest.mark.parametrize("sigma_convention",
-                         [stationarity.SIGMA_WINDOW, stationarity.SIGMA_PAPER])
-@pytest.mark.parametrize("chunk_cells", [None, 1])
-def test_local_scan_all_pairs_matches_per_pair_reference(
-        sigma_convention, chunk_cells, monkeypatch):
-    if chunk_cells is not None:  # one first-index row per Gram chunk
-        monkeypatch.setattr(stationarity, "_CHUNK_CELLS", chunk_cells)
-    rng = np.random.default_rng(23)
-    returns = rng.standard_t(4, size=(13, 360))
-    returns[3, 180:] = returns[8, 180:]  # a correlation jump mid-sample
-    returns[5, :] = -1.5
-    panel = make_panel(returns)
-    n_values = (1, 2, 3)
-    configs = [LocalTestConfig(10, 4, n_values), LocalTestConfig(60, 45, n_values)]
-    report = stationarity.local_scan(panel, configs, sigma_convention=sigma_convention)
-    counts, skipped = _per_pair_local_scan(
-        {"": panel}, stationarity.all_pairs(13), configs, n_values, sigma_convention)
-    assert report.skipped == skipped
-    assert [s["error"] for s in skipped] == ["ZeroVariance"] * 24
-    expected = []
-    for config in configs:
-        for n in n_values:
-            hits, steps = counts[("", config.tau, n)]
-            expected.append(stationarity.ScanCell(
-                "tau", config.tau, "n", n, hits / steps, steps, {}))
     assert report.cells == expected
     assert any(cell.fraction > 0 for cell in report.cells)
 
