@@ -50,7 +50,6 @@ def main():
     parser.add_argument("--rho-before", type=float, default=0.2)
     parser.add_argument("--rho-after", type=float, default=0.8)
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--threads", type=int, default=4)
     args = parser.parse_args()
 
     truth = synthgen.equicorr_correlation(args.n_series, args.rho_before)
@@ -66,7 +65,7 @@ def main():
         report = stationarity.global_scan(
             panel, windows, (0.01, 0.05, 0.10),
             reshuffle_seed=7, mc_family=synthgen.FAMILY_GAUSSIAN, mc_seed=11,
-            threads=args.threads, dataset=name,
+            dataset=name,
         )
         print_scan(f"global scan, {name} panel "
                    f"(rho {args.rho_before} -> {args.rho_after})", report)

@@ -534,8 +534,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--threads", default=None,
-                        help="worker threads for global-scan and reproduce table1 "
-                             "(default: CORRSTAT_THREADS or 1)")
+                        help="thread count, validated as an integer >= 1 and "
+                             "otherwise unused (default: CORRSTAT_THREADS or 1)")
     common.add_argument("--timestamp", default=None,
                         help="timestamp string for reports (default: "
                              "CORRSTAT_TIMESTAMP or 'unset')")

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataio import freeze, standardized_rows
+from .dataio import MIN_T, freeze, standardized_rows
 from .errors import (
     InsufficientData,
     InvalidParameter,
@@ -47,7 +47,6 @@ from .errors import (
 )
 
 RHO_BAR_LIMIT = 1.0 - 1e-12
-MIN_T = 10
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,9 @@ from .errors import (
 )
 from .rngutil import rng_for
 
+# Fewest observations a correlation window may hold: the sampling law's domain.
+MIN_T = 10
+
 
 def freeze(obj, *fields):
     """Store each named array field of a frozen dataclass as a read-only float64 copy.
@@ -249,9 +252,9 @@ def synchronous_reshuffle(panel: ReturnPanel, seed: int) -> ReturnPanel:
 
 def window_slices(t_total: int, window_len: int) -> WindowPlan:
     """K = floor(t_total / window_len) contiguous disjoint ranges from index 0."""
-    if window_len < 10:
+    if window_len < MIN_T:
         raise InvalidParameter(
-            f"window_len must be >= 10 (sampling-distribution domain), got {window_len}"
+            f"window_len must be >= {MIN_T} (sampling-distribution domain), got {window_len}"
         )
     if window_len > t_total:
         raise InsufficientData(

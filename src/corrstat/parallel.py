@@ -1,12 +1,11 @@
-"""Order-preserving thread map.
+"""The map over a scan's pairs, run in order on the calling thread.
 
-Determinism never depends on scheduling: every randomized task derives
-its own substream (rngutil) and results are collected in input order,
-so any worker count produces identical output.
+`threads` is validated and otherwise changes nothing: a thread pool made
+the pair loop slower under the GIL, so every item runs in input order on
+the caller's thread.  The map stays a named function so a tracer can wrap
+it and its items.
 """
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import InvalidParameter
 
@@ -23,10 +22,6 @@ def resolve_threads(threads) -> int:
 
 
 def parallel_map(fn, items, threads=1):
-    """[fn(x) for x in items], fanned out over threads, order preserved."""
-    items = list(items)
-    threads = resolve_threads(threads)
-    if threads == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    """[fn(x) for x in items] once threads is validated."""
+    resolve_threads(threads)
+    return [fn(item) for item in items]

@@ -7,7 +7,7 @@ union of the windows.  The local test tracks expanding-window estimates
 rho_1, rho_2, ... and flags consecutive steps whose change exceeds n
 standard errors of the earlier estimate.
 
-The global scan is a parallel map over pairs.  The local scan is one
+The global scan runs the test pair by pair.  The local scan is one
 array computation per panel: the rows are standardized once, one
 batched Gram product of the first-index rows with the second-index rows
 gives every pair's sum of z_i z_j over each block of tau steps, and a
@@ -15,7 +15,9 @@ cumulative sum over the blocks gives the prefix sums at the expanding
 lengths.  The plug-in makes the global test conservative (rejection
 rates on stationary controls land well below nominal alpha), which the
 scans quantify with reshuffle and Monte Carlo control columns instead
-of correcting.
+of correcting.  Both scans count (hits, total) per (dimension,
+threshold) cell on the panel and on each control, and build their report
+cells from those counts the same way.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import synthgen
 from .corrdist import CorrParams, pearson, rho_cdf
-from .dataio import ReturnPanel, standardized_rows, synchronous_reshuffle, window_slices
+from .dataio import MIN_T, ReturnPanel, standardized_rows, synchronous_reshuffle, window_slices
 from .errors import (
     CorrstatError,
     InsufficientData,
@@ -59,17 +61,10 @@ class GlobalTestResult:
     rho_bar_hat: float
     d_stat: float
     p_value: float
-    reject_at: tuple[tuple[float, bool], ...]
 
     @property
     def n_windows(self) -> int:
         return len(self.samples)
-
-    def rejects(self, alpha: float) -> bool:
-        for a, flag in self.reject_at:
-            if a == alpha:
-                return flag
-        raise InvalidParameter(f"alpha {alpha!r} was not part of the test")
 
 
 @dataclass(frozen=True)
@@ -81,8 +76,8 @@ class LocalTestConfig:
     n_values: tuple[int, ...] = DEFAULT_N_VALUES
 
     def __post_init__(self):
-        if self.t1 < 10:
-            raise InvalidParameter(f"t1 must be >= 10, got {self.t1}")
+        if self.t1 < MIN_T:
+            raise InvalidParameter(f"t1 must be >= {MIN_T}, got {self.t1}")
         if self.tau < 1:
             raise InvalidParameter(f"tau must be >= 1, got {self.tau}")
         if not self.n_values or any(n < 1 for n in self.n_values):
@@ -163,8 +158,7 @@ def _pair_rows(panel: ReturnPanel, pair):
     return panel.returns[i], panel.returns[j]
 
 
-def global_test(panel: ReturnPanel, pair, window_len: int,
-                alphas=DEFAULT_ALPHAS) -> GlobalTestResult:
+def global_test(panel: ReturnPanel, pair, window_len: int) -> GlobalTestResult:
     """KS test of the window estimates against the stationary law."""
     x, y = _pair_rows(panel, pair)
     plan = window_slices(panel.n_steps, window_len)
@@ -187,7 +181,6 @@ def global_test(panel: ReturnPanel, pair, window_len: int,
         rho_bar_hat=rho_bar_hat,
         d_stat=d_stat,
         p_value=p_value,
-        reject_at=tuple((float(a), p_value < a) for a in alphas),
     )
 
 
@@ -239,33 +232,57 @@ def _control_panels(panel, reshuffle_seed, mc_family, mc_nu, mc_seed):
     return controls
 
 
-def _global_fractions(panel, pairs, window_lens, alphas, threads):
-    """p-values per (window, pair); returns cell fractions and skip list."""
-    fractions = {}
+def _global_counts(panel, pairs, window_lens, alphas, threads):
+    """(rejections, tested pairs) per (window, alpha), and the skip list."""
+    counts = {}
     skipped = []
     for window_len in window_lens:
         def one_pair(pair, _w=window_len):
             try:
-                return global_test(panel, pair, _w, alphas)
+                return global_test(panel, pair, _w)
             except CorrstatError as exc:
-                return (pair, exc)
+                return exc
 
-        results = parallel_map(one_pair, pairs, threads)
-        good = [r for r in results if isinstance(r, GlobalTestResult)]
-        for pair, exc in (r for r in results if not isinstance(r, GlobalTestResult)):
-            skipped.append({
-                "pair": list(pair),
-                "window_len": window_len,
-                "error": type(exc).__name__,
-                "detail": str(exc),
-            })
+        p_values = []
+        for pair, result in zip(pairs, parallel_map(one_pair, pairs, threads)):
+            if isinstance(result, CorrstatError):
+                skipped.append({
+                    "pair": list(pair),
+                    "window_len": window_len,
+                    "error": type(result).__name__,
+                    "detail": str(result),
+                })
+            else:
+                p_values.append(result.p_value)
         for alpha in alphas:
-            rejecting = sum(1 for r in good if r.rejects(alpha))
-            fractions[(window_len, alpha)] = (
-                rejecting / len(good) if good else math.nan,
-                len(good),
-            )
-    return fractions, skipped
+            counts[(window_len, alpha)] = (sum(p < alpha for p in p_values), len(p_values))
+    return counts, skipped
+
+
+def _cells(dim_name, threshold_name, grid, counts):
+    """One ScanCell per (key, dim_value, threshold) of grid.
+
+    counts[panel][(key, threshold)] is (hits, total) on that panel, absent
+    when nothing was counted; panel "" is the scanned one and every other
+    panel is a control column.
+    """
+    cells = []
+    for key, dim_value, threshold in grid:
+        fractions = {}
+        for name, panel_counts in counts.items():
+            hits, total = panel_counts.get((key, threshold), (0, 0))
+            fractions[name] = (hits / total if total else math.nan, total)
+        fraction, denominator = fractions.pop("")
+        cells.append(ScanCell(
+            dim_name=dim_name,
+            dim_value=dim_value,
+            threshold_name=threshold_name,
+            threshold_value=threshold,
+            fraction=fraction,
+            denominator=denominator,
+            controls={name: f for name, (f, _) in fractions.items()},
+        ))
+    return cells
 
 
 def global_scan(panel: ReturnPanel, window_lens, alphas=DEFAULT_ALPHAS,
@@ -275,38 +292,21 @@ def global_scan(panel: ReturnPanel, window_lens, alphas=DEFAULT_ALPHAS,
 
     Optional controls rerun the identical scan on a synchronously
     reshuffled copy and on a synthetic stationary panel whose truth is
-    the full-sample correlation estimate.
+    the full-sample correlation estimate.  threads is validated and
+    changes nothing: the pairs run in order on the calling thread.
     """
     if pairs is None:
         pairs = all_pairs(panel.n_series)
     pairs = sorted((min(p), max(p)) for p in pairs)
-    base, skipped = _global_fractions(panel, pairs, window_lens, alphas, threads)
-    control_fracs = {}
-    for name, cpanel in _control_panels(
-        panel, reshuffle_seed, mc_family, mc_nu, mc_seed
-    ).items():
-        control_fracs[name], control_skips = _global_fractions(
-            cpanel, pairs, window_lens, alphas, threads
-        )
-        for entry in control_skips:
-            skipped.append(dict(entry, control=name))
-    cells = []
-    for window_len in window_lens:
-        for alpha in alphas:
-            fraction, denom = base[(window_len, alpha)]
-            controls = {
-                name: fracs[(window_len, alpha)][0]
-                for name, fracs in control_fracs.items()
-            }
-            cells.append(ScanCell(
-                dim_name="T_w",
-                dim_value=window_len,
-                threshold_name="alpha",
-                threshold_value=alpha,
-                fraction=fraction,
-                denominator=denom,
-                controls=controls,
-            ))
+    panels = {"": panel}
+    panels.update(_control_panels(panel, reshuffle_seed, mc_family, mc_nu, mc_seed))
+    counts = {}
+    skipped = []
+    for name, scan_panel in panels.items():
+        counts[name], skips = _global_counts(scan_panel, pairs, window_lens, alphas, threads)
+        skipped.extend(dict(entry, control=name) if name else entry for entry in skips)
+    grid = [(w, w, alpha) for w in window_lens for alpha in alphas]
+    cells = _cells("T_w", "alpha", grid, counts)
     params = {
         "window_lens": list(window_lens),
         "alphas": [float(a) for a in alphas],
@@ -327,8 +327,8 @@ def cumulative_corr(panel: ReturnPanel, pair, t1: int, tau: int):
     (1/L) sum x_t y_t over its prefix; values can leave [-1, 1] slightly
     because the prefix is not re-standardized, by construction.
     """
-    if t1 < 10:
-        raise InvalidParameter(f"t1 must be >= 10, got {t1}")
+    if t1 < MIN_T:
+        raise InvalidParameter(f"t1 must be >= {MIN_T}, got {t1}")
     if tau < 1:
         raise InvalidParameter(f"tau must be >= 1, got {tau}")
     short = _short_panel(panel, t1, tau)
@@ -409,12 +409,13 @@ _CHUNK_CELLS = 1 << 18
 
 
 def _local_counts(panel, pairs, configs, sigma_convention):
-    """(violations, steps) per (config, n) over pairs, and each failing pair's error.
+    """(violations, steps) per (config, n) over pairs, and the failing (pair, error)s.
 
     The rows are standardized once, and only the failing pairs build an
-    error.  Per config, chunks of the distinct first-index rows take one
-    Gram product with the distinct second-index rows over the first t1
-    columns and one batched product over each later block of tau columns;
+    error; they are listed in pairs' order, duplicates included.  Per
+    config, chunks of the distinct first-index rows take one Gram product
+    with the distinct second-index rows over the first t1 columns and one
+    batched product over each later block of tau columns;
     each pair reads its (first, second) cell of every block, and a
     cumulative sum over the blocks gives its prefix sums at the lengths.
     """
@@ -423,12 +424,12 @@ def _local_counts(panel, pairs, configs, sigma_convention):
     invalid = ((ij < 0) | (ij >= panel.n_series)).any(axis=1) | (ij[:, 0] == ij[:, 1])
     ij = np.where(invalid[:, None], 0, ij).astype(np.int64)
     failed = invalid | bad[ij].any(axis=1)
-    errors = {pairs[p]: _pair_error(panel, pairs[p], bad)
-              for p in np.flatnonzero(failed).tolist()}
+    failures = [(pairs[p], _pair_error(panel, pairs[p], bad))
+                for p in np.flatnonzero(failed).tolist()]
     good = ij[~failed]
     counts = {}
     if not good.size:
-        return counts, errors
+        return counts, failures
     firsts, at_i = np.unique(good[:, 0], return_inverse=True)  # at_i sorted, as pairs are
     seconds, at_j = np.unique(good[:, 1], return_inverse=True)
     zj = z[seconds]
@@ -462,7 +463,7 @@ def _local_counts(panel, pairs, configs, sigma_convention):
         for n, n_hits in zip(config.n_values, hits.tolist()):
             old_hits, old_steps = counts.get((config, n), (0, 0))
             counts[(config, n)] = (old_hits + n_hits, old_steps + steps)
-    return counts, errors
+    return counts, failures
 
 
 def local_scan(panel: ReturnPanel, configs, pairs=None,
@@ -479,44 +480,25 @@ def local_scan(panel: ReturnPanel, configs, pairs=None,
     panels = {"": panel}
     panels.update(_control_panels(panel, None, mc_family, mc_nu, mc_seed))
     counts = {}
-    errors = {}
+    failures = {}
     for name, scan_panel in panels.items():
-        counts[name], errors[name] = _local_counts(
+        counts[name], failures[name] = _local_counts(
             scan_panel, pairs, configs, sigma_convention
         )
     skipped = []
     for config in configs:
         for name, scan_panel in panels.items():
             short = _short_panel(scan_panel, config.t1, config.tau)
-            for pair in pairs:
-                exc = short if short is not None else errors[name].get(pair)
-                if exc is not None:
-                    skipped.append({
-                        "pair": list(pair),
-                        "tau": config.tau,
-                        "control": name or None,
-                        "error": type(exc).__name__,
-                        "detail": str(exc),
-                    })
-    cells = []
-    for config in configs:
-        for n in config.n_values:
-            hits, steps = counts[""].get((config, n), (0, 0))
-            controls = {}
-            for name in panels:
-                if not name:
-                    continue
-                chits, csteps = counts[name].get((config, n), (0, 0))
-                controls[name] = chits / csteps if csteps else math.nan
-            cells.append(ScanCell(
-                dim_name="tau",
-                dim_value=config.tau,
-                threshold_name="n",
-                threshold_value=n,
-                fraction=hits / steps if steps else math.nan,
-                denominator=steps,
-                controls=controls,
-            ))
+            skips = failures[name] if short is None else [(pair, short) for pair in pairs]
+            skipped.extend({
+                "pair": list(pair),
+                "tau": config.tau,
+                "control": name or None,
+                "error": type(exc).__name__,
+                "detail": str(exc),
+            } for pair, exc in skips)
+    grid = [(c, c.tau, n) for c in configs for n in c.n_values]
+    cells = _cells("tau", "n", grid, counts)
     params = {
         "configs": [
             {"t1": c.t1, "tau": c.tau} for c in configs

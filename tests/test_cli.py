@@ -27,6 +27,17 @@ def simulate_panel(tmp_path, n=5, t=150, name="panel.csv", seed=4):
     return path
 
 
+def run_captured(argv):
+    """(exit code, stderr) of one run, argparse's own exits included."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            rc = run(argv)
+        except SystemExit as exc:  # argparse's own errors exit this way
+            rc = exc.code
+    return rc, err.getvalue()
+
+
 def read_json(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
@@ -286,15 +297,84 @@ def test_qscan_exits_0_1_or_2_with_one_error_line(qscan_panel, t1, t2, replicas,
     argv = ["qscan", "--input", str(qscan_panel), "--input-kind", "returns",
             "--t1", str(t1), "--t2", str(t2), "--replicas", str(replicas),
             f"--band-sigmas={k!r}", "--out", str(qscan_panel.with_suffix(".json"))]
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        try:
-            rc = run(argv)
-        except SystemExit as exc:  # argparse's own errors exit this way
-            rc = exc.code
+    rc, err = run_captured(argv)
     assert rc in (0, 1, 2)
     if rc != 0:
-        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+        assert len(err.splitlines()) == 1, err
+
+
+_MALFORMED = ("well-formed", "ragged-short", "ragged-long", "empty", "dates-only",
+              "one-ticker", "duplicate-tickers", "non-numeric", "constant-ticker")
+
+
+def _panel_text(malformation, n_series, n_steps, row, seed):
+    """A CSV price panel with at most one defect; row picks the defective row."""
+    rng = np.random.default_rng(seed)
+    steps = rng.normal(0.0, 0.01, size=(n_steps, n_series))
+    prices = 100.0 * np.exp(np.cumsum(steps, axis=0))
+    header = ["date", *(f"T{k}" for k in range(n_series))]
+    rows = [[f"d{t}", *(f"{v:.17g}" for v in day)] for t, day in enumerate(prices)]
+    row %= n_steps
+    if malformation == "empty":
+        return ""
+    if malformation == "ragged-short":
+        rows[row].pop()
+    elif malformation == "ragged-long":
+        rows[row].append("1.0")
+    elif malformation == "dates-only":
+        header, rows = header[:1], [r[:1] for r in rows]
+    elif malformation == "one-ticker":
+        header, rows = header[1:2], [r[1:2] for r in rows]
+    elif malformation == "duplicate-tickers":
+        header[-1] = header[1]
+    elif malformation == "non-numeric":
+        rows[row][-1] = "n/a"
+    elif malformation == "constant-ticker":
+        for r in rows:
+            r[1] = "4.2"
+    return "".join(",".join(r) + "\n" for r in [header, *rows])
+
+
+_SUBCOMMANDS = {
+    "global-scan": ["--window", "10,20", "--max-pairs", "3", "--reshuffle-seed", "1",
+                    "--mc", "gaussian"],
+    "local-scan": ["--t1", "20", "--tau", "5,30", "--mc", "student-t:5"],
+    "qscan": ["--t1", "15", "--t2", "15", "--replicas", "30"],
+    "spectral": ["--window", "15", "--sectors", "1"],
+    "simulate": ["--family", "gaussian", "--corr", "from:{input}", "--T", "40"],
+    "density": ["--rho-bar", "{rho}", "--T", "{n_steps}", "--grid", "11"],
+    "reproduce": ["{recipe}"],
+}
+
+
+@pytest.fixture(scope="module")
+def malformed_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("malformed")
+
+
+@settings(max_examples=80)
+@given(command=st.sampled_from(sorted(_SUBCOMMANDS)),
+       malformation=st.sampled_from(_MALFORMED),
+       n_series=st.integers(2, 4), n_steps=st.integers(3, 130), row=st.integers(0, 200),
+       seed=st.integers(0, 3), input_kind=st.sampled_from(["prices", "returns"]),
+       rho=st.one_of(st.floats(-0.99, 0.99), st.sampled_from([1.0, math.nan, math.inf])),
+       recipe=st.sampled_from(["fig1", "table2", "no-such-recipe"]))
+def test_every_subcommand_exits_0_1_or_2_with_one_error_line(
+        malformed_dir, command, malformation, n_series, n_steps, row, seed, input_kind,
+        rho, recipe):
+    panel = malformed_dir / "panel.csv"
+    panel.write_text(_panel_text(malformation, n_series, n_steps, row, seed))
+    fields = {"input": panel, "n_steps": n_steps, "rho": repr(rho), "recipe": recipe}
+    argv = [command, *(a.format(**fields) for a in _SUBCOMMANDS[command]),
+            "--out", str(malformed_dir / "out.json")]
+    if command not in ("density", "reproduce"):
+        argv += ["--input-kind", input_kind]
+    if command not in ("density", "reproduce", "simulate"):
+        argv += ["--input", str(panel)]
+    rc, err = run_captured(argv)
+    assert rc in (0, 1, 2), (argv, rc)
+    assert sum("error:" in line for line in err.splitlines()) <= (rc != 0), err
+    assert "Traceback" not in err
 
 
 def test_spectral_schema(tmp_path, capsys):

@@ -4,7 +4,8 @@ The local scan, the q ratio with its Monte Carlo band, the spectrum and
 the simulator never evaluate the law, so their processes must start and
 finish without any scipy module; corrdist imports scipy lazily inside the
 function that needs it.  Where the law is evaluated, scipy.special is the
-only scipy module loaded.
+only scipy module loaded.  Nothing starts a thread pool either: the
+scans run their pairs on the calling thread.
 """
 import ast
 import os
@@ -55,6 +56,14 @@ def test_importing_the_cli_loads_no_scipy():
 
 def test_law_free_subcommands_load_no_scipy():
     _run_python(NO_SCIPY.format(body=RUN_CLI))
+
+
+def test_law_free_subcommands_load_no_thread_pool():
+    # global-scan is left out: scipy.special imports concurrent.futures itself
+    _run_python(RUN_CLI + """
+import sys
+assert "concurrent.futures" not in sys.modules
+""")
 
 
 def test_density_loads_scipy():

@@ -87,8 +87,7 @@ def test_global_test_stationary_pair():
     assert result.n_windows == 35
     assert abs(result.rho_bar_hat - 0.4) < 0.1
     assert result.p_value > 0.001
-    assert result.rejects(0.01) == (result.p_value < 0.01)
-    assert dict(result.reject_at)[0.05] == (result.p_value < 0.05)
+    assert not result.p_value < 0.10  # kept at every default alpha
 
 
 def test_global_test_detects_switch():
@@ -101,7 +100,7 @@ def test_global_test_detects_switch():
     panel = make_panel(np.vstack([x, y]))
     result = stationarity.global_test(panel, (0, 1), 50)
     assert result.p_value < 1e-4
-    assert all(flag for _, flag in result.reject_at)
+    assert all(result.p_value < alpha for alpha in stationarity.DEFAULT_ALPHAS)
 
 
 def test_global_test_degenerate_pair():
@@ -110,7 +109,7 @@ def test_global_test_degenerate_pair():
     panel = make_panel(np.vstack([x, x]))
     result = stationarity.global_test(panel, (0, 1), 50)
     assert result.d_stat == 1.0
-    assert result.rejects(0.01)
+    assert result.p_value < 0.01
 
 
 def test_global_test_near_identical_pair_short_window():
@@ -122,7 +121,7 @@ def test_global_test_near_identical_pair_short_window():
     panel = make_panel(np.vstack([x, y]))
     result = stationarity.global_test(panel, (0, 1), 25)
     assert result.rho_bar_hat > 0.99995
-    assert result.rejects(0.01)
+    assert result.p_value < 0.01
 
 
 def test_global_test_needs_five_windows():
@@ -264,6 +263,75 @@ def test_mc_control_skips_constant_ticker(scan):
     for cell in report.cells:
         assert cell.denominator > 0
         assert 0.0 <= cell.controls["mc"] <= 1.0
+
+
+def _per_pair_global_scan(panels, pairs, window_lens, alphas):
+    """(rejections, tested pairs) per (control, window, alpha) and the skip list."""
+    counts, skipped = {}, []
+    for name, panel in panels.items():
+        for window_len in window_lens:
+            p_values = []
+            for pair in sorted((min(p), max(p)) for p in pairs):
+                try:
+                    p_values.append(stationarity.global_test(panel, pair, window_len).p_value)
+                except CorrstatError as exc:
+                    entry = {"pair": list(pair), "window_len": window_len,
+                             "error": type(exc).__name__, "detail": str(exc)}
+                    skipped.append(dict(entry, control=name) if name else entry)
+            for alpha in alphas:
+                counts[(name, window_len, alpha)] = (
+                    sum(1 for p in p_values if p < alpha), len(p_values))
+    return counts, skipped
+
+
+def _cell_fields(cell):
+    """A cell's fields with NaN fractions as None, so cells compare by value."""
+    def value(x):
+        return None if isinstance(x, float) and math.isnan(x) else x
+    return (cell.dim_name, cell.dim_value, cell.threshold_name, cell.threshold_value,
+            value(cell.fraction), cell.denominator,
+            {name: value(f) for name, f in cell.controls.items()})
+
+
+def test_global_scan_matches_per_pair_reference():
+    rng = np.random.default_rng(25)
+    returns = rng.standard_t(3, size=(6, 300))
+    returns[1, 150:] = returns[0, 150:]  # a correlation jump mid-sample
+    returns[2, :] = 4.2  # constant row
+    returns[4, 50:75] = -1.5  # flat in window (50, 75) at T_w = 25 only
+    panel = make_panel(returns)
+    pairs = [(1, 0), (0, 2), (3, 4), (4, 0), (1, 5), (3, 5), (3, 5), (2, 9), (0, 5)]
+    window_lens, alphas = (25, 50, 70), (0.01, 0.05, 0.5)  # 70: four windows, too few
+    report = stationarity.global_scan(
+        panel, window_lens, alphas, pairs=pairs, reshuffle_seed=4,
+        mc_family=synthgen.FAMILY_GAUSSIAN, mc_seed=6, threads=2)
+    panels = {"": panel}
+    panels.update(stationarity._control_panels(
+        panel, 4, synthgen.FAMILY_GAUSSIAN, None, 6))
+    assert list(panels) == ["", "reshuffle", "mc"]
+    counts, skipped = _per_pair_global_scan(panels, pairs, window_lens, alphas)
+    assert report.skipped == skipped
+    assert {(s.get("control"), s["error"]) for s in skipped} == {
+        (control, error) for control in (None, "reshuffle", "mc")
+        for error in ("ZeroVariance", "InvalidParameter", "InsufficientSamples")}
+    flat = [s for s in skipped if s["window_len"] == 25 and s["pair"] == [3, 4]]
+    assert [s.get("control") for s in flat] == [None]
+    assert flat[0]["detail"] == "zero variance for 'S4' in window (50, 75)"
+    expected = []
+    for window_len in window_lens:
+        for alpha in alphas:
+            fractions = {}
+            for name in panels:
+                hits, total = counts[(name, window_len, alpha)]
+                fractions[name] = (hits / total if total else math.nan, total)
+            fraction, denominator = fractions.pop("")
+            expected.append(stationarity.ScanCell(
+                "T_w", window_len, "alpha", alpha, fraction, denominator,
+                {name: f for name, (f, _) in fractions.items()}))
+    assert [_cell_fields(c) for c in report.cells] == [_cell_fields(c) for c in expected]
+    assert [c.denominator for c in report.cells] == [5] * 3 + [7] * 3 + [0] * 3
+    assert any(cell.fraction > 0 for cell in report.cells[:6])
+    assert report.params["n_pairs"] == len(pairs)
 
 
 def test_global_scan_thread_determinism():
