@@ -8,26 +8,11 @@ deltas so violations can be compared against the co-occurrence flag.
 import argparse
 import sys
 
-import numpy as np
-
 sys.path.insert(0, "src")
 
 from corrstat import corrdist, dataio, portfolio, spectral, synthgen
-
-
-def switching_panel(n_series, n_steps, rho_before, rho_after, seed):
-    half = n_steps // 2
-    first = synthgen.sample_panel(synthgen.GeneratorSpec(
-        family=synthgen.FAMILY_GAUSSIAN, n_series=n_series, n_steps=half,
-        seed=seed, correlation=synthgen.equicorr_correlation(n_series, rho_before),
-    ))
-    second = synthgen.sample_panel(synthgen.GeneratorSpec(
-        family=synthgen.FAMILY_GAUSSIAN, n_series=n_series, n_steps=n_steps - half,
-        seed=seed, correlation=synthgen.equicorr_correlation(n_series, rho_after),
-    ), replica=1)
-    returns = np.concatenate([first.returns, second.returns], axis=1)
-    times = tuple(str(t) for t in range(n_steps))
-    return dataio.ReturnPanel(first.tickers, times, returns)
+# scripts/ is sys.path[0] when this file runs as a script
+from stationarity_experiment import switching_panel
 
 
 def run_case(name, panel, t1, t2, replicas, mc_seed, band_sigmas):

@@ -1,18 +1,20 @@
 """Command-line front door: one subcommand per workflow, JSON/CSV reports.
 
-Every report embeds the toolkit version, the timestamp, the seeds, and
-the full experiment config (thread count excluded, it never affects
-results), so a run can be reproduced from its own output.  Timestamps
-default to the literal string "unset" unless --timestamp or the
-CORRSTAT_TIMESTAMP variable supplies one; wall-clock values would break
-byte-level reproducibility.
+Every report embeds the toolkit version, the timestamp and the config:
+every parsed flag but --threads (validated, it changes no work) and
+--timestamp, plus a reproduce recipe's parameter dict, so a run can be
+reproduced from its own output.  Timestamps default to the literal
+string "unset" unless --timestamp or the CORRSTAT_TIMESTAMP variable
+supplies one; wall-clock values would break byte-level reproducibility.
 
 Exit codes: 0 success, 2 flag validation failure (message names the
-flag), 1 runtime failure inside a computation.
+flag; bounds restating a library rule read the library's constant),
+1 runtime failure inside a computation.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -28,11 +30,11 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
-THREADS_ENV = "CORRSTAT_THREADS"
 TIMESTAMP_ENV = "CORRSTAT_TIMESTAMP"
 TIMESTAMP_UNSET = "unset"
 
 _F = "%.17g"
+_NOT_ECHOED = ("subcommand", "handler", "threads", "timestamp")
 
 
 class UsageError(Exception):
@@ -55,12 +57,13 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
-def _report(command: str, args, config: dict, payload: dict) -> dict:
+def _report(command: str, args, payload: dict) -> dict:
+    """The report of one run; its config is every parsed flag but --threads and --timestamp."""
     return {
         "command": command,
         "version": __version__,
         "generated_at": _timestamp(args),
-        "config": config,
+        "config": {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED},
         **payload,
     }
 
@@ -110,8 +113,7 @@ def _parse_mc(text: str, flag: str):
             nu = float(tail)
         except ValueError:
             raise UsageError(f"{flag}: student-t needs a numeric nu, got {text!r}") from None
-        _require(math.isfinite(nu), f"{flag}: nu must be finite, got {nu}")
-        _require(nu > 2, f"{flag}: nu must exceed 2 for finite correlations, got {nu}")
+        _require_nu(nu, f"{flag}: nu")
         return head, nu
     raise UsageError(f"{flag} must be 'gaussian' or 'student-t:NU', got {text!r}")
 
@@ -127,12 +129,16 @@ def _load_returns(path: str, input_kind: str, returns_kind: str, flag: str = "--
 
 
 def _parse_corr_spec(text: str, flag: str, input_kind: str, returns_kind: str):
-    """'from:PATH' | 'identity:N' | 'equicorr:N:RHO' | 'onefactor:N:SEED'."""
+    """'from:PATH' | 'identity:N' | 'equicorr:N:RHO' | 'onefactor:N:SEED'.
+
+    A from:PATH panel that cannot be read is a usage error; one that reads
+    but holds bad data fails at runtime, as --input does elsewhere.
+    """
     head, _, tail = text.partition(":")
+    if head == "from" and tail:
+        panel = _load_returns(tail, input_kind, returns_kind, flag=flag)
+        return synthgen.sample_estimate_as_truth(panel)
     try:
-        if head == "from" and tail:
-            panel = _load_returns(tail, input_kind, returns_kind, flag=flag)
-            return synthgen.sample_estimate_as_truth(panel)
         if head == "identity":
             return synthgen.identity_correlation(int(tail))
         if head == "equicorr":
@@ -141,8 +147,6 @@ def _parse_corr_spec(text: str, flag: str, input_kind: str, returns_kind: str):
         if head == "onefactor":
             n, seed = tail.split(":")
             return synthgen.one_factor_correlation(int(n), int(seed))
-    except UsageError:
-        raise
     except (ValueError, CorrstatError) as exc:
         raise UsageError(f"{flag}: invalid correlation spec {text!r}: {exc}") from None
     raise UsageError(
@@ -156,15 +160,22 @@ def _require(condition: bool, message: str):
         raise UsageError(message)
 
 
-def _threads(flag_value) -> int:
-    """--threads, else CORRSTAT_THREADS, else 1; a bad value names its source."""
-    source, text = "--threads", flag_value
-    if text is None:
-        source, text = THREADS_ENV, os.environ.get(THREADS_ENV, "1")
+def _require_nu(nu: float, name: str):
+    """A Student-t nu the generator accepts: finite and at least synthgen.MIN_NU."""
+    _require(math.isfinite(nu), f"{name} must be finite, got {nu}")
+    _require(nu >= synthgen.MIN_NU, f"{name} must be at least {synthgen.MIN_NU:g}, got {nu}")
+
+
+def _threads(text: str) -> int:
     try:
         return resolve_threads(text)
     except InvalidParameter:
-        raise UsageError(f"{source} must be an integer >= 1, got {text!r}") from None
+        raise UsageError(f"--threads must be an integer >= 1, got {text!r}") from None
+
+
+def _fraction(value: float):
+    """A scan fraction for JSON: NaN, a cell with no tested pair, becomes null."""
+    return None if math.isnan(value) else value
 
 
 def _scan_json(scan: stationarity.ScanReport) -> dict:
@@ -174,9 +185,9 @@ def _scan_json(scan: stationarity.ScanReport) -> dict:
         "cells": [{
             cell.dim_name: cell.dim_value,
             cell.threshold_name: cell.threshold_value,
-            "fraction": cell.fraction,
+            "fraction": _fraction(cell.fraction),
             "denominator": cell.denominator,
-            "control_fractions": dict(sorted(cell.controls.items())),
+            "control_fractions": {k: _fraction(v) for k, v in sorted(cell.controls.items())},
         } for cell in scan.cells],
         "skipped": scan.skipped,
     }
@@ -193,12 +204,6 @@ def _scan_input(args):
         "mc_family": mc_family, "mc_nu": mc_nu, "mc_seed": args.mc_seed,
         "dataset": os.path.basename(args.input),
     }
-
-
-def _panel_config(args, **rest) -> dict:
-    """A panel command's config: its input flags, rest, and --out."""
-    return {"input": args.input, "input_kind": args.input_kind,
-            "returns_kind": args.returns_kind, **rest, "out": args.out}
 
 
 def _q_samples_json(qs, flags, **extra) -> list:
@@ -220,8 +225,9 @@ def cmd_density(args) -> int:
     _require(args.T >= corrdist.MIN_T,
              f"--T must be at least {corrdist.MIN_T} (minimum observations for the "
              f"sampling density), got {args.T}")
-    _require(abs(args.rho_bar) < 1.0,
-             f"--rho-bar must lie strictly inside (-1, 1), got {args.rho_bar}")
+    limit = corrdist.RHO_BAR_LIMIT
+    _require(abs(args.rho_bar) <= limit,
+             f"--rho-bar must lie in [-{limit!r}, {limit!r}], got {args.rho_bar}")
     _require(args.grid >= 2, f"--grid must be at least 2, got {args.grid}")
     params = corrdist.CorrParams(args.rho_bar, args.T)
     grid = np.linspace(-1.0, 1.0, args.grid)
@@ -229,34 +235,29 @@ def cmd_density(args) -> int:
     gauss = corrdist.gaussian_approx_density(grid, params)
     columns = ["rho", "density", "gaussian_approx"]
     rows = [[float(r), float(d), float(g)] for r, d, g in zip(grid, dens, gauss)]
-    config = {"rho_bar": args.rho_bar, "T": args.T, "grid": args.grid,
-              "format": args.format, "out": args.out}
     if args.format == "json":
-        return _emit_json(_report("density", args, config,
-                                  {"columns": columns, "rows": rows}), args.out)
+        return _emit_json(_report("density", args, {"columns": columns, "rows": rows}),
+                          args.out)
     lines = [",".join(columns)] + [",".join(_F % v for v in row) for row in rows]
-    _emit("\n".join(lines) + "\n", args.out, _report("density", args, config, {}))
+    _emit("\n".join(lines) + "\n", args.out, _report("density", args, {}))
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- global-scan
 
 def cmd_global_scan(args) -> int:
-    windows = _parse_list(args.window, "--window", int)
-    for w in windows:
+    args.window = _parse_list(args.window, "--window", int)
+    for w in args.window:
         _require(w >= corrdist.MIN_T,
                  f"--window entries must be at least {corrdist.MIN_T}, got {w}")
-    alphas = _parse_list(args.alpha, "--alpha", float)
-    for a in alphas:
+    args.alpha = _parse_list(args.alpha, "--alpha", float)
+    for a in args.alpha:
         _require(0.0 < a < 1.0, f"--alpha entries must lie in (0, 1), got {a}")
     panel, scan_kw = _scan_input(args)
-    scan = stationarity.global_scan(panel, windows, alphas,
+    scan = stationarity.global_scan(panel, args.window, args.alpha,
                                     reshuffle_seed=args.reshuffle_seed,
                                     threads=args.threads, **scan_kw)
-    config = _panel_config(args, window=windows, alpha=alphas, max_pairs=args.max_pairs,
-                           reshuffle_seed=args.reshuffle_seed, mc=args.mc,
-                           mc_seed=args.mc_seed)
-    return _emit_json(_report("global-scan", args, config, _scan_json(scan)), args.out)
+    return _emit_json(_report("global-scan", args, _scan_json(scan)), args.out)
 
 
 # ---------------------------------------------------------------- local-scan
@@ -264,20 +265,17 @@ def cmd_global_scan(args) -> int:
 def cmd_local_scan(args) -> int:
     _require(args.t1 >= corrdist.MIN_T,
              f"--t1 must be at least {corrdist.MIN_T}, got {args.t1}")
-    taus = _parse_list(args.tau, "--tau", int)
-    for tau in taus:
+    args.tau = _parse_list(args.tau, "--tau", int)
+    for tau in args.tau:
         _require(tau >= 1, f"--tau entries must be at least 1, got {tau}")
-    n_values = _parse_list(args.n, "--n", int)
-    for n in n_values:
+    args.n = _parse_list(args.n, "--n", int)
+    for n in args.n:
         _require(n >= 1, f"--n entries must be at least 1, got {n}")
     panel, scan_kw = _scan_input(args)
-    configs = [stationarity.LocalTestConfig(args.t1, tau, tuple(n_values)) for tau in taus]
+    configs = [stationarity.LocalTestConfig(args.t1, tau, tuple(args.n)) for tau in args.tau]
     scan = stationarity.local_scan(panel, configs,
                                    sigma_convention=args.sigma_convention, **scan_kw)
-    config = _panel_config(args, t1=args.t1, tau=taus, n=n_values,
-                           sigma_convention=args.sigma_convention,
-                           max_pairs=args.max_pairs, mc=args.mc, mc_seed=args.mc_seed)
-    return _emit_json(_report("local-scan", args, config, _scan_json(scan)), args.out)
+    return _emit_json(_report("local-scan", args, _scan_json(scan)), args.out)
 
 
 # ---------------------------------------------------------------- simulate
@@ -288,8 +286,7 @@ def cmd_simulate(args) -> int:
              f"--family must be 'gaussian' or 'student-t', got {args.family!r}")
     if args.family == synthgen.FAMILY_STUDENT_T:
         _require(args.nu is not None, "--nu is required for --family student-t")
-        _require(math.isfinite(args.nu), f"--nu must be finite, got {args.nu}")
-        _require(args.nu > 2, f"--nu must exceed 2, got {args.nu}")
+        _require_nu(args.nu, "--nu")
     _require(args.T >= 1, f"--T must be at least 1, got {args.T}")
     _require(args.replica >= 0, f"--replica must be >= 0, got {args.replica}")
     truth = _parse_corr_spec(args.corr, "--corr", args.input_kind, args.returns_kind)
@@ -300,12 +297,7 @@ def cmd_simulate(args) -> int:
     )
     panel = synthgen.sample_panel(spec, replica=args.replica)
     dataio.save_panel_csv(panel, args.out)
-    config = {
-        "family": args.family, "nu": args.nu, "corr": args.corr, "T": args.T,
-        "seed": args.seed, "replica": args.replica, "input_kind": args.input_kind,
-        "returns_kind": args.returns_kind, "out": args.out,
-    }
-    _echo_config(_report("simulate", args, config, {}))
+    _echo_config(_report("simulate", args, {}))
     return EXIT_OK
 
 
@@ -314,7 +306,8 @@ def cmd_simulate(args) -> int:
 def cmd_qscan(args) -> int:
     _require(args.t1 >= 2, f"--t1 must be at least 2, got {args.t1}")
     _require(args.t2 >= 2, f"--t2 must be at least 2, got {args.t2}")
-    _require(args.replicas >= 30, f"--replicas must be at least 30, got {args.replicas}")
+    _require(args.replicas >= portfolio.MIN_REPLICAS,
+             f"--replicas must be at least {portfolio.MIN_REPLICAS}, got {args.replicas}")
     _require(0.0 < args.band_sigmas < math.inf,
              f"--band-sigmas must be finite and positive, got {args.band_sigmas}")
     panel = _load_returns(args.input, args.input_kind, args.returns_kind)
@@ -338,13 +331,7 @@ def cmd_qscan(args) -> int:
                              truth, args.mc_seed, volatilities=volatilities)
     flags = portfolio.flag_band_violations(qs, band, n_sigma=args.band_sigmas)
     band_json = {"mean": band.mean, "sd": band.sd, "k": args.band_sigmas}
-    config = _panel_config(
-        args, n_stocks=args.n_stocks, select_seed=args.select_seed, t1=args.t1,
-        t2=args.t2, replicas=args.replicas, mc_seed=args.mc_seed,
-        band_sigmas=args.band_sigmas, truth=args.truth,
-        independent_windows=args.independent_windows, volatilities=args.volatilities,
-    )
-    return _emit_json(_report("qscan", args, config, {
+    return _emit_json(_report("qscan", args, {
         "dataset": os.path.basename(args.input),
         "tickers": list(panel.tickers),
         "band": band_json,
@@ -382,7 +369,7 @@ def cmd_spectral(args) -> int:
     _require(args.window >= corrdist.MIN_T,
              f"--window must be at least {corrdist.MIN_T}, got {args.window}")
     _require(args.sectors >= 1, f"--sectors must be at least 1, got {args.sectors}")
-    thresholds = tuple(_parse_list(args.thresholds, "--thresholds", float))
+    args.thresholds = thresholds = _parse_list(args.thresholds, "--thresholds", float)
     _require(len(thresholds) == 3,
              f"--thresholds needs exactly 3 values (market,sector,ipr), got {len(thresholds)}")
     _require(thresholds[0] >= 0, "--thresholds: market threshold must be >= 0")
@@ -403,99 +390,83 @@ def cmd_spectral(args) -> int:
         deltas.append({
             "from": list(first.window),
             "to": list(second.window),
-            "d_market": delta.d_market,
-            "d_sector": delta.d_sector,
-            "d_ipr": delta.d_ipr,
+            **dataclasses.asdict(delta),
             "flag": spectral.co_occurrence_flag(delta, thresholds),
         })
-    config = _panel_config(args, window=args.window, sectors=args.sectors,
-                           thresholds=list(thresholds))
-    return _emit_json(_report("spectral", args, config, {
+    return _emit_json(_report("spectral", args, {
         "dataset": os.path.basename(args.input),
-        "snapshots": [{
-            "window": list(s.window),
-            "lambda_market": s.lambda_market,
-            "lambda_sector": s.lambda_sector,
-            "ipr_market": s.ipr_market,
-            "ipr_unstable": s.ipr_unstable,
-        } for s in snapshots],
+        "snapshots": [dataclasses.asdict(s) for s in snapshots],
         "deltas": deltas,
     }), args.out)
 
 
 # ---------------------------------------------------------------- reproduce
 
-def _fixture(family: str, n: int, t: int, truth_seed: int, nu=None):
-    """The recipes' stationary panel: one-factor truth, drawn with seed 42."""
-    truth = synthgen.one_factor_correlation(n, seed=truth_seed)
+def _fixture(args, family: str, nu=None):
+    """The recipes' stationary panel: a one-factor truth at the recipe's sizes and seeds."""
+    truth = synthgen.one_factor_correlation(args.n_series, seed=args.truth_seed)
     return synthgen.sample_panel(synthgen.GeneratorSpec(
-        family=family, n_series=n, n_steps=t, seed=42, correlation=truth, nu=nu,
+        family=family, n_series=args.n_series, n_steps=args.n_steps,
+        seed=args.panel_seed, correlation=truth, nu=nu,
     ))
-
-
-def _recipe_fig1(args) -> int:
-    args.rho_bar, args.T, args.grid, args.format = 0.2, 50, 2001, "csv"
-    return cmd_density(args)
 
 
 def _recipe_table1(args) -> int:
     """Stationary heavy-tailed panel: the global test's MC control rows."""
-    panel = _fixture(synthgen.FAMILY_STUDENT_T, 50, 1750, truth_seed=7, nu=3.0)
+    panel = _fixture(args, synthgen.FAMILY_STUDENT_T, nu=args.nu)
     scan = stationarity.global_scan(
-        panel, (25, 50, 100), (0.01, 0.05, 0.10), pairs=stationarity.all_pairs(50)[:100],
-        threads=args.threads, dataset="synthetic-student-t-nu3",
+        panel, (25, 50, 100), (0.01, 0.05, 0.10),
+        pairs=stationarity.all_pairs(args.n_series)[:args.n_pairs],
+        threads=args.threads, dataset=f"synthetic-student-t-nu{args.nu:g}",
     )
+    target = [0.0, 0.03]
     payload = _scan_json(scan)
     payload["comparison"] = [{
         "T_w": cell["T_w"],
         "fraction": cell["fraction"],
-        "stationary_target": [0.0, 0.03],
-        "within_target": cell["fraction"] <= 0.03,
+        "stationary_target": target,
+        "within_target": cell["fraction"] <= target[1],
     } for cell in payload["cells"] if cell["alpha"] == 0.05]
-    config = {"recipe": "table1", "truth_seed": 7, "panel_seed": 42,
-              "n_series": 50, "n_steps": 1750, "nu": 3.0, "n_pairs": 100,
-              "out": args.out}
-    return _emit_json(_report("reproduce", args, config, payload), args.out)
+    return _emit_json(_report("reproduce", args, payload), args.out)
 
 
 def _recipe_table2(args) -> int:
     """Stationary Gaussian panel: the local test's MC control rows."""
-    panel = _fixture(synthgen.FAMILY_GAUSSIAN, 20, 1758, truth_seed=11)
+    panel = _fixture(args, synthgen.FAMILY_GAUSSIAN)
     configs = [stationarity.LocalTestConfig(t1, tau)
                for t1, tau in ((200, 50), (200, 100), (250, 250))]
     scan = stationarity.local_scan(panel, configs, dataset="synthetic-gaussian")
     estimates = {c.tau: (panel.n_steps - c.t1) // c.tau + 1 for c in configs}
+    target = 0.002
     payload = _scan_json(scan)
     payload["comparison"] = [{
         "tau": cell["tau"],
         "n": cell["n"],
         "fraction": cell["fraction"],
         "estimates_per_pair": estimates[cell["tau"]],
-        "stationary_target_at_n5": 0.002,
-        "within_target": cell["fraction"] <= 0.002 if cell["n"] == 5 else None,
+        "stationary_target_at_n5": target,
+        "within_target": cell["fraction"] <= target if cell["n"] == 5 else None,
     } for cell in payload["cells"]]
-    config = {"recipe": "table2", "truth_seed": 11, "panel_seed": 42,
-              "n_series": 20, "n_steps": 1758, "out": args.out}
-    return _emit_json(_report("reproduce", args, config, payload), args.out)
+    return _emit_json(_report("reproduce", args, payload), args.out)
 
 
 def _recipe_fig3_bands(args) -> int:
     """Non-optimality bands under identity vs estimated truth."""
-    panel = _fixture(synthgen.FAMILY_GAUSSIAN, 80, 1758, truth_seed=3)
-    qs = portfolio.q_series(panel, 150, 150)
-    estimated = synthgen.sample_estimate_as_truth(panel)
-    band_est = portfolio.mc_band(80, 150, 150, 100, estimated, seed=42)
-    band_id = portfolio.mc_band(80, 150, 150, 100,
-                                synthgen.identity_correlation(80), seed=42)
+    panel = _fixture(args, synthgen.FAMILY_GAUSSIAN)
+    qs = portfolio.q_series(panel, args.t1, args.t2)
+    band_est, band_id = (
+        portfolio.mc_band(args.n_series, args.t1, args.t2, args.replicas, truth,
+                          seed=args.mc_seed)
+        for truth in (synthgen.sample_estimate_as_truth(panel),
+                      synthgen.identity_correlation(args.n_series))
+    )
     flags = portfolio.flag_band_violations(qs, band_est)
+    k = portfolio.DEFAULT_BAND_SIGMAS
     pooled_sd = float(np.sqrt(0.5 * (band_est.sd ** 2 + band_id.sd ** 2)))
-    config = {"recipe": "fig3-bands", "truth_seed": 3, "panel_seed": 42,
-              "n_series": 80, "n_steps": 1758, "t1": 150, "t2": 150,
-              "replicas": 100, "mc_seed": 42, "out": args.out}
-    return _emit_json(_report("reproduce", args, config, {
+    return _emit_json(_report("reproduce", args, {
         "dataset": "synthetic-gaussian",
-        "band_estimated_truth": {"mean": band_est.mean, "sd": band_est.sd, "k": 5.0},
-        "band_identity_truth": {"mean": band_id.mean, "sd": band_id.sd, "k": 5.0},
+        "band_estimated_truth": {"mean": band_est.mean, "sd": band_est.sd, "k": k},
+        "band_identity_truth": {"mean": band_id.mean, "sd": band_id.sd, "k": k},
         "band_center_gap": abs(band_est.mean - band_id.mean),
         "pooled_sd": pooled_sd,
         "bands_consistent": abs(band_est.mean - band_id.mean) < 2.0 * pooled_sd,
@@ -503,16 +474,23 @@ def _recipe_fig3_bands(args) -> int:
     }), args.out)
 
 
+# Each recipe's one parameter dict: it drives the recipe and is echoed in its config.
 _RECIPES = {
-    "fig1": _recipe_fig1,
-    "table1": _recipe_table1,
-    "table2": _recipe_table2,
-    "fig3-bands": _recipe_fig3_bands,
+    "fig1": (cmd_density, {"rho_bar": 0.2, "T": 50, "grid": 2001, "format": "csv"}),
+    "table1": (_recipe_table1, {"n_series": 50, "n_steps": 1750, "truth_seed": 7,
+                                "panel_seed": 42, "nu": 3.0, "n_pairs": 100}),
+    "table2": (_recipe_table2, {"n_series": 20, "n_steps": 1758, "truth_seed": 11,
+                                "panel_seed": 42}),
+    "fig3-bands": (_recipe_fig3_bands, {"n_series": 80, "n_steps": 1758, "truth_seed": 3,
+                                        "panel_seed": 42, "t1": 150, "t2": 150,
+                                        "replicas": 100, "mc_seed": 42}),
 }
 
 
 def cmd_reproduce(args) -> int:
-    return _RECIPES[args.recipe](args)
+    recipe, params = _RECIPES[args.recipe]
+    vars(args).update(params)
+    return recipe(args)
 
 
 # ---------------------------------------------------------------- parser
@@ -533,21 +511,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", default=None,
+    common.add_argument("--threads", default="1",
                         help="thread count, validated as an integer >= 1 and "
-                             "otherwise unused (default: CORRSTAT_THREADS or 1)")
+                             "otherwise unused (default: 1)")
     common.add_argument("--timestamp", default=None,
                         help="timestamp string for reports (default: "
                              "CORRSTAT_TIMESTAMP or 'unset')")
     common.add_argument("--out", default=None, help="output path (default: stdout)")
 
-    panel_in = argparse.ArgumentParser(add_help=False)
+    kinds = argparse.ArgumentParser(add_help=False)
+    kinds.add_argument("--input-kind", choices=("prices", "returns"), default="prices",
+                       help="whether the panel rows are prices or returns")
+    kinds.add_argument("--returns-kind", choices=("log", "simple"), default="log",
+                       help="return definition when the panel holds prices")
+
+    panel_in = argparse.ArgumentParser(add_help=False, parents=[kinds])
     panel_in.add_argument("--input", required=True, help="CSV panel path")
-    panel_in.add_argument("--input-kind", choices=("prices", "returns"),
-                          default="prices",
-                          help="whether the input rows are prices or returns")
-    panel_in.add_argument("--returns-kind", choices=("log", "simple"), default="log",
-                          help="return definition when the input holds prices")
 
     scan_in = argparse.ArgumentParser(add_help=False)
     scan_in.add_argument("--max-pairs", type=int, default=None)
@@ -579,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-convention", choices=("window", "paper"), default="window")
     p.set_defaults(handler=cmd_local_scan)
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[common, kinds],
                        help="draw a stationary synthetic return panel")
     p.add_argument("--family", required=True, help="gaussian or student-t")
     p.add_argument("--nu", type=float, default=None)
@@ -588,9 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=int, required=True)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--replica", type=int, default=0)
-    p.add_argument("--input-kind", choices=("prices", "returns"), default="prices",
-                   help="how to read the from:PATH panel")
-    p.add_argument("--returns-kind", choices=("log", "simple"), default="log")
     p.set_defaults(handler=cmd_simulate)
 
     p = sub.add_parser("qscan", parents=[common, panel_in],

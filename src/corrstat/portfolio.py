@@ -33,6 +33,7 @@ from .rngutil import rng_for
 _CONDITION_LIMIT = 1e12
 _CERTIFICATE_SHIFT = 1e-11  # of trace(C); see _certified
 DEFAULT_BAND_SIGMAS = 5.0
+MIN_REPLICAS = 30
 
 
 @dataclass(frozen=True)
@@ -260,8 +261,8 @@ def mc_band(n_series: int, t1: int, t2: int, replicas: int,
     Replica k draws an N x (t1 + t2) panel on substream k of the seed and
     contributes the q of its one independent-windows sample (q_series).
     """
-    if replicas < 30:
-        raise InvalidParameter(f"need >= 30 replicas for a band, got {replicas}")
+    if replicas < MIN_REPLICAS:
+        raise InvalidParameter(f"need >= {MIN_REPLICAS} replicas for a band, got {replicas}")
     if truth.n_series != n_series:
         raise InvalidParameter("truth dimension does not match n_series")
     scale = np.ones(n_series) if volatilities is None else np.asarray(volatilities, float)

@@ -6,7 +6,8 @@ panels from the Gaussian scale mixture
     x_t = z_t * sqrt(nu / s_t),   z_t ~ N(0, C),  s_t ~ chi^2_nu,
 
 one scale draw per time step, which keeps the linear correlation matrix
-exactly C for nu > 2 while giving each margin a density tail ~ |x|^-(nu+1).
+exactly C for nu > 2 while giving each margin a density tail ~ |x|^-(nu+1);
+the generator takes nu >= MIN_NU.
 All draws run on counter-based substreams (see rngutil), so replicas are
 independent and reproducible regardless of execution order.
 """
@@ -28,6 +29,7 @@ _LOADING_RANGE = (0.3, 0.9)  # one-factor loadings; below 1, so C is positive de
 
 FAMILY_GAUSSIAN = "gaussian"
 FAMILY_STUDENT_T = "student-t"
+MIN_NU = 3.0  # the chi^2 scale mixture is sampled only from here up
 
 
 @dataclass(frozen=True)
@@ -75,9 +77,9 @@ class GeneratorSpec:
         if self.family not in (FAMILY_GAUSSIAN, FAMILY_STUDENT_T):
             raise InvalidParameter(f"unknown family {self.family!r}")
         if self.family == FAMILY_STUDENT_T:
-            if self.nu is None or not 2.0 < self.nu < math.inf:
+            if self.nu is None or not MIN_NU <= self.nu < math.inf:
                 raise InvalidParameter(
-                    "student-t family needs a finite nu > 2 for a finite-variance target"
+                    f"student-t family needs a finite nu >= {MIN_NU:g}, got {self.nu!r}"
                 )
         if self.n_steps < 1:
             raise InvalidParameter("n_steps must be >= 1")
@@ -159,8 +161,6 @@ def sample_student_t_panel(spec: GeneratorSpec, replica: int = 0) -> ReturnPanel
     """Panel with i.i.d. multivariate-t columns sharing correlation C."""
     if spec.family != FAMILY_STUDENT_T:
         raise InvalidParameter(f"spec family is {spec.family!r}, not student-t")
-    if spec.nu < 3.0:
-        raise InvalidParameter(f"sampling needs nu >= 3, got {spec.nu!r}")
     lower = cholesky(spec.correlation)
     rng = rng_for(spec.seed, "student-t-panel", replica)
     z = lower @ rng.standard_normal((spec.n_series, spec.n_steps))

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -41,6 +42,15 @@ def run_captured(argv):
 def read_json(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def read_strict_json(path):
+    """The report at path, refusing NaN and Infinity as strict JSON parsers do."""
+    return json.loads(Path(path).read_text(), parse_constant=_reject_constant)
 
 
 def test_density_csv_file(tmp_path, capsys):
@@ -375,6 +385,9 @@ def test_every_subcommand_exits_0_1_or_2_with_one_error_line(
     assert rc in (0, 1, 2), (argv, rc)
     assert sum("error:" in line for line in err.splitlines()) <= (rc != 0), err
     assert "Traceback" not in err
+    out = malformed_dir / "out.json"
+    if rc == 0 and out.read_text().startswith("{"):
+        read_strict_json(out)
 
 
 def test_spectral_schema(tmp_path, capsys):
@@ -431,7 +444,7 @@ def test_non_finite_cell_is_a_one_line_error(tmp_path, capsys):
         assert err.startswith("error: ParseError: ") and "row 41, col 3" in err
 
 
-def test_bad_thread_count_is_a_usage_error(tmp_path, capsys, monkeypatch):
+def test_bad_thread_count_is_a_usage_error(tmp_path, capsys):
     panel = simulate_panel(tmp_path, n=4, t=100)
     base = ["--input", str(panel), "--input-kind", "returns"]
     commands = (["local-scan", "--t1", "30", "--tau", "10"],
@@ -443,15 +456,6 @@ def test_bad_thread_count_is_a_usage_error(tmp_path, capsys, monkeypatch):
             assert run(argv + base * (argv[0] != "density") + ["--threads", bad]) == 2
             err = capsys.readouterr().err
             assert err == f"error: --threads must be an integer >= 1, got {bad!r}\n", argv
-        monkeypatch.setenv(cli.THREADS_ENV, bad)
-        for argv in commands:
-            assert run(argv + base * (argv[0] != "density")) == 2
-            err = capsys.readouterr().err
-            assert err == f"error: CORRSTAT_THREADS must be an integer >= 1, got {bad!r}\n"
-        # the flag wins over the variable
-        assert run(commands[0] + base + ["--threads", "2"]) == 0
-        capsys.readouterr()
-        monkeypatch.delenv(cli.THREADS_ENV)
 
 
 def test_mc_parse_errors(tmp_path, capsys):
@@ -540,3 +544,91 @@ def test_reproduce_recipe_golden(recipe, capsys):
     got = json.loads(capsys.readouterr().out)
     ref = json.loads((GOLDEN / f"reproduce_{recipe}.json").read_text())
     assert_matches(got, ref)
+
+
+def _option_dests(command):
+    """The dest of every option and positional of one subcommand's parser."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions if a.dest != "help"}
+
+
+def test_config_echoes_every_parsed_flag(tmp_path, capsys):
+    panel = simulate_panel(tmp_path, n=4, t=120)
+    capsys.readouterr()
+    base = ["--input", str(panel), "--input-kind", "returns"]
+    runs = [
+        ["density", "--rho-bar", "0.2", "--T", "50", "--grid", "11"],
+        ["global-scan", *base, "--window", "20,30", "--alpha", "0.05"],
+        ["local-scan", *base, "--t1", "30", "--tau", "10,20", "--n", "1,3"],
+        ["simulate", "--family", "gaussian", "--corr", "identity:3", "--T", "40"],
+        ["qscan", *base, "--t1", "20", "--t2", "20", "--replicas", "30"],
+        ["spectral", *base, "--window", "20", "--sectors", "1",
+         "--thresholds", "0.1,-0.1,0"],
+        *(["reproduce", recipe] for recipe in sorted(cli._RECIPES)),
+    ]
+    as_parsed = {"global-scan": {"window": [20, 30], "alpha": [0.05]},
+                 "local-scan": {"tau": [10, 20], "n": [1, 3]},
+                 "spectral": {"thresholds": [0.1, -0.1, 0.0]}}
+    for argv in runs:
+        out = tmp_path / f"{argv[0]}.out"
+        assert run([*argv, "--out", str(out), "--threads", "2", "--timestamp", "t"]) == 0
+        echo = json.loads(capsys.readouterr().out)
+        expected = _option_dests(argv[0]) - {"threads", "timestamp"}
+        if argv[0] == "reproduce":
+            expected |= set(cli._RECIPES[argv[1]][1])
+        assert set(echo["config"]) == expected, argv
+        assert echo["generated_at"] == "t"
+        for flag, value in as_parsed.get(argv[0], {}).items():
+            assert echo["config"][flag] == value, (argv, flag)
+
+
+@pytest.mark.parametrize("malformation", ["duplicate-tickers", "ragged-short"])
+def test_simulate_reads_its_corr_panel_like_the_panel_commands(tmp_path, malformation):
+    panel = tmp_path / "bad.csv"
+    panel.write_text(_panel_text(malformation, 3, 60, 10, 0))
+    out = str(tmp_path / "out")
+    simulate = run_captured(["simulate", "--family", "gaussian", "--corr", f"from:{panel}",
+                             "--T", "40", "--out", out])
+    spectral = run_captured(["spectral", "--input", str(panel), "--window", "20",
+                             "--sectors", "1", "--out", out])
+    assert simulate == spectral
+    rc, err = simulate
+    assert rc == 1 and err.count("\n") == 1, err
+    assert err.startswith(("error: DuplicateTicker: ", "error: ParseError: ")), err
+
+
+def test_unreadable_corr_panel_is_a_usage_error(tmp_path):
+    rc, err = run_captured(["simulate", "--family", "gaussian", "--corr",
+                            f"from:{tmp_path / 'absent.csv'}", "--T", "40",
+                            "--out", str(tmp_path / "out")])
+    assert rc == 2 and err.startswith("error: --corr: cannot read "), err
+
+
+def test_scan_cell_without_a_tested_pair_reports_null(tmp_path):
+    panel = simulate_panel(tmp_path, n=3, t=60)
+    base = ["--input", str(panel), "--input-kind", "returns", "--mc", "gaussian"]
+    out = tmp_path / "scan.json"
+    # three windows of 20 are fewer than the KS test's 5; 60 steps end before t1 + tau
+    for argv in (["global-scan", "--window", "20"],
+                 ["local-scan", "--t1", "40", "--tau", "30"]):
+        assert run([*argv, *base, "--out", str(out)]) == 0
+        cells = read_strict_json(out)["cells"]
+        assert cells
+        for cell in cells:
+            assert cell["fraction"] is None and cell["denominator"] == 0
+            assert cell["control_fractions"] == {"mc": None}
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["density", "--rho-bar", "0.9999999999999", "--T", "50"], "--rho-bar"),
+    (["simulate", "--family", "student-t", "--nu", "2.5", "--corr", "identity:3",
+      "--T", "50"], "--nu"),
+    (["global-scan", "--mc", "student-t:2.5"], "--mc"),
+])
+def test_library_bounds_are_flag_errors(tmp_path, argv, flag):
+    panel = simulate_panel(tmp_path, n=3, t=60)
+    if argv[0] == "global-scan":
+        argv = [*argv, "--input", str(panel), "--input-kind", "returns"]
+    rc, err = run_captured([*argv, "--out", str(tmp_path / "out")])
+    assert rc == 2 and err.startswith(f"error: {flag}") and err.count("\n") == 1, err

@@ -122,3 +122,24 @@ def test_no_module_imports_scipy_at_import_time():
             if any(name == "scipy" or name.startswith("scipy.") for name in names):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, offenders
+
+
+def _imported_names(tree):
+    """(name, line) of every binding an import statement makes, __future__ aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for path in sorted((SRC / "corrstat").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in _imported_names(tree) if name not in used]
+    assert not unused, unused

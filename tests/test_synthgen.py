@@ -52,11 +52,12 @@ def test_generator_spec_validation():
 
 
 def test_student_t_sampling_nu_floor():
-    # nu in (2, 3) is a legal variance target but the sampler refuses it
+    # nu in (2, 3) is a legal variance target but the generator refuses it
     truth = synthgen.identity_correlation(2)
-    spec = spec_for(truth, family=synthgen.FAMILY_STUDENT_T, nu=2.5)
     with pytest.raises(InvalidParameter):
-        synthgen.sample_student_t_panel(spec)
+        spec_for(truth, family=synthgen.FAMILY_STUDENT_T, nu=2.5)
+    spec = spec_for(truth, family=synthgen.FAMILY_STUDENT_T, nu=synthgen.MIN_NU)
+    assert synthgen.sample_student_t_panel(spec).n_series == 2
 
 
 def test_cholesky_matches_numpy():
