@@ -25,11 +25,10 @@ def run_case(name, panel, t1, t2, replicas, mc_seed, band_sigmas):
     print(f"\n{name}: band mean={band.mean:.4f} sd={band.sd:.4f} "
           f"limit(mean+{band_sigmas:g}sd)={limit:.4f}")
 
-    plan = dataio.window_slices(panel.n_steps, t2)
     snapshots = {}
-    for lo, hi in plan.windows:
-        corr = corrdist.corr_matrix(panel, window=(lo, hi))
-        snapshots[(lo, hi)] = spectral.spectral_snapshot(corr)
+    for window in dataio.window_slices(panel.n_steps, t2):
+        corr = corrdist.corr_matrix(panel, window=window)
+        snapshots[window] = spectral.spectral_snapshot(corr)
 
     print(f"{'sample':>6} {'windows':>20} {'q':>8} {'violation':>9} "
           f"{'d_market':>9} {'d_sector':>9} {'d_ipr':>9} {'co-occur':>8}")

@@ -166,6 +166,17 @@ def _require_nu(nu: float, name: str):
     _require(nu >= synthgen.MIN_NU, f"{name} must be at least {synthgen.MIN_NU:g}, got {nu}")
 
 
+def _seed(text: str) -> int:
+    """argparse type of every seed flag: a non-negative integer."""
+    try:
+        seed = int(text)
+        if seed >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+
+
 def _threads(text: str) -> int:
     try:
         return resolve_threads(text)
@@ -379,10 +390,9 @@ def cmd_spectral(args) -> int:
     _require(panel.n_series > args.sectors + 1,
              f"--sectors: need more than sectors + 1 = {args.sectors + 1} series, "
              f"panel has {panel.n_series}")
-    plan = dataio.window_slices(panel.n_steps, args.window)
     snapshots = []
-    for lo, hi in plan.windows:
-        corr = corrdist.corr_matrix(panel, window=(lo, hi))
+    for window in dataio.window_slices(panel.n_steps, args.window):
+        corr = corrdist.corr_matrix(panel, window=window)
         snapshots.append(spectral.spectral_snapshot(corr, sectors=args.sectors))
     deltas = []
     for first, second in zip(snapshots, snapshots[1:]):
@@ -532,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan_in.add_argument("--max-pairs", type=int, default=None)
     scan_in.add_argument("--mc", default=None,
                          help="stationary MC control family: gaussian or student-t:NU")
-    scan_in.add_argument("--mc-seed", type=int, default=0)
+    scan_in.add_argument("--mc-seed", type=_seed, default=0)
 
     p = sub.add_parser("density", parents=[common],
                        help="exact sampling density of the Pearson estimator")
@@ -546,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="windowed KS test of correlation stationarity, all pairs")
     p.add_argument("--window", default="25,50,100", help="comma-separated window lengths")
     p.add_argument("--alpha", default="0.01,0.05,0.10", help="comma-separated levels")
-    p.add_argument("--reshuffle-seed", type=int, default=None,
+    p.add_argument("--reshuffle-seed", type=_seed, default=None,
                    help="run a synchronous-reshuffle control with this seed")
     p.set_defaults(handler=cmd_global_scan)
 
@@ -565,18 +575,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corr", required=True,
                    help="from:PATH | identity:N | equicorr:N:RHO | onefactor:N:SEED")
     p.add_argument("--T", type=int, required=True)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_seed, default=42)
     p.add_argument("--replica", type=int, default=0)
     p.set_defaults(handler=cmd_simulate)
 
     p = sub.add_parser("qscan", parents=[common, panel_in],
                        help="realized/in-sample risk ratio with MC non-optimality band")
     p.add_argument("--n-stocks", type=int, default=None)
-    p.add_argument("--select-seed", type=int, default=1)
+    p.add_argument("--select-seed", type=_seed, default=1)
     p.add_argument("--t1", type=int, required=True)
     p.add_argument("--t2", type=int, required=True)
     p.add_argument("--replicas", type=int, default=100)
-    p.add_argument("--mc-seed", type=int, default=42)
+    p.add_argument("--mc-seed", type=_seed, default=42)
     p.add_argument("--band-sigmas", type=float, default=portfolio.DEFAULT_BAND_SIGMAS)
     p.add_argument("--truth", choices=("estimated", "identity"), default="estimated",
                    help="correlation truth for the MC band")

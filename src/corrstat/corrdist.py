@@ -26,8 +26,9 @@ The CDF is integrated at the points asked for, in Fisher's z = atanh(rho)
 (Fisher 1921), where the law is close to N(atanh(rho_bar), 1/(T-3)) for
 any rho_bar; there is no table and no state.
 
-scipy.special is the only scipy module used, and it is imported inside
-the function that evaluates the law, so a process that only builds
+scipy.special is the only scipy module the package uses.  hyp2f1 is
+imported inside the function that evaluates the law, as the global
+test's ks_pvalue imports kolmogorov, so a process that only builds
 correlation matrices never loads scipy.
 """
 from __future__ import annotations
@@ -89,28 +90,6 @@ class CorrMoments(NamedTuple):
     variance: float
     m_p: float
     sigma_p: float
-
-
-def pearson(x, y) -> float:
-    """Pearson coefficient (1/T) sum x_t y_t on standardized series.
-
-    Standardizes both inputs (population sd); the result is clamped into
-    [-1, 1] against roundoff.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 1 or x.shape != y.shape:
-        raise InvalidParameter("pearson needs two 1-d series of equal length")
-    t = x.size
-    if t < 2:
-        raise InsufficientData("pearson needs at least 2 observations")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise InvalidParameter("pearson needs finite series")
-    (x, y), bad = standardized_rows(np.stack([x, y]))
-    if bad.any():
-        raise ZeroVariance("x" if bad[0] else "y")
-    r = float(x @ y) / t
-    return min(1.0, max(-1.0, r))
 
 
 def corr_matrix(panel, window: tuple[int, int] | None = None) -> CorrelationMatrix:
@@ -271,19 +250,3 @@ def rho_cdf(rho, params: CorrParams):
         lo = edges[k]
         out[inside] = (cum[k] + _panel_masses(lo, 0.5 * (zi - lo), params)) / total
     return float(out[0]) if rho_arr.ndim == 0 else out.reshape(rho_arr.shape)
-
-
-def rho_quantile(p, params: CorrParams) -> float:
-    """Smallest rho with rho_cdf(rho) >= p, by bisection to 1e-12."""
-    if not (0.0 <= p <= 1.0):
-        raise InvalidParameter(f"quantile level must lie in [0, 1], got {p!r}")
-    if p in (0.0, 1.0):
-        return 2.0 * p - 1.0
-    lo, hi = -1.0, 1.0
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if rho_cdf(mid, params) >= p:
-            hi = mid
-        else:
-            lo = mid
-    return hi

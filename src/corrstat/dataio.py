@@ -96,19 +96,6 @@ class ReturnPanel:
         )
 
 
-@dataclass(frozen=True)
-class WindowPlan:
-    """K contiguous, disjoint, equal-length index ranges; remainder discarded."""
-
-    t_total: int
-    window_len: int
-    windows: tuple[tuple[int, int], ...]  # half-open [lo, hi) column ranges
-
-    @property
-    def n_windows(self) -> int:
-        return len(self.windows)
-
-
 def _raise_first_bad_row(path, rows, width, lead):
     """ParseError for the first data row, in file order, that is short, long or non-numeric."""
     for irow, row in enumerate(rows[1:], start=2):
@@ -250,8 +237,8 @@ def synchronous_reshuffle(panel: ReturnPanel, seed: int) -> ReturnPanel:
     )
 
 
-def window_slices(t_total: int, window_len: int) -> WindowPlan:
-    """K = floor(t_total / window_len) contiguous disjoint ranges from index 0."""
+def window_slices(t_total: int, window_len: int) -> tuple[tuple[int, int], ...]:
+    """K = floor(t_total / window_len) consecutive [lo, hi) ranges from 0; the rest is dropped."""
     if window_len < MIN_T:
         raise InvalidParameter(
             f"window_len must be >= {MIN_T} (sampling-distribution domain), got {window_len}"
@@ -261,5 +248,4 @@ def window_slices(t_total: int, window_len: int) -> WindowPlan:
             f"window_len {window_len} exceeds available length {t_total}"
         )
     k = t_total // window_len
-    windows = tuple((i * window_len, (i + 1) * window_len) for i in range(k))
-    return WindowPlan(t_total, window_len, windows)
+    return tuple((i * window_len, (i + 1) * window_len) for i in range(k))

@@ -259,7 +259,8 @@ def mc_band(n_series: int, t1: int, t2: int, replicas: int,
     """MC mean and sd of q on stationary Gaussian panels from the truth.
 
     Replica k draws an N x (t1 + t2) panel on substream k of the seed and
-    contributes the q of its one independent-windows sample (q_series).
+    contributes q = sigma_R / sigma_E of weights fitted on its first t1
+    steps and held over the next t2 (_sample_risks, as in q_series).
     """
     if replicas < MIN_REPLICAS:
         raise InvalidParameter(f"need >= {MIN_REPLICAS} replicas for a band, got {replicas}")

@@ -10,6 +10,8 @@ import hashlib
 
 import numpy as np
 
+from .errors import InvalidParameter
+
 
 def _label_to_int(label) -> int:
     if isinstance(label, (int, np.integer)):
@@ -19,6 +21,9 @@ def _label_to_int(label) -> int:
 
 
 def rng_for(seed: int, *stream) -> np.random.Generator:
-    """Generator on an independent substream keyed by (seed, *stream)."""
-    entropy = (int(seed),) + tuple(_label_to_int(s) for s in stream)
+    """Generator on an independent substream keyed by (seed, *stream); seed >= 0."""
+    seed = int(seed)
+    if seed < 0:
+        raise InvalidParameter(f"seed must be a non-negative integer, got {seed}")
+    entropy = (seed,) + tuple(_label_to_int(s) for s in stream)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))

@@ -2,10 +2,12 @@
 
 The global test splits the sample into disjoint windows, measures one
 coefficient per window, and KS-compares the empirical sample against the
-exact stationary law (corrdist) at a plug-in rho_bar taken from the
-union of the windows.  The local test tracks expanding-window estimates
-rho_1, rho_2, ... and flags consecutive steps whose change exceeds n
-standard errors of the earlier estimate.
+exact stationary law (corrdist) at a plug-in rho_bar: the same estimator
+on one window spanning the union of the windows.  The p-value is
+scipy.special's Kolmogorov tail at Stephens' finite-sample argument,
+imported where it is evaluated.  The local test tracks expanding-window
+estimates rho_1, rho_2, ... and flags consecutive steps whose change
+exceeds n standard errors of the earlier estimate.
 
 The global scan runs the test pair by pair.  The local scan is one
 array computation per panel: the rows are standardized once, one
@@ -28,7 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import synthgen
-from .corrdist import CorrParams, pearson, rho_cdf
+from .corrdist import CorrParams, rho_cdf
 from .dataio import MIN_T, ReturnPanel, standardized_rows, synchronous_reshuffle, window_slices
 from .errors import (
     CorrstatError,
@@ -43,9 +45,6 @@ from .parallel import parallel_map
 # to noise); clamp inside the density domain and let KS reject them.
 _PLUGIN_CLAMP = 1.0 - 1e-9
 
-_SERIES_TOL = 1e-12
-_MAX_SERIES_TERMS = 100_000
-
 DEFAULT_ALPHAS = (0.01, 0.05, 0.10)
 DEFAULT_N_VALUES = (1, 2, 3, 4, 5)
 
@@ -55,8 +54,6 @@ SIGMA_PAPER = "paper"
 
 @dataclass(frozen=True)
 class GlobalTestResult:
-    pair: tuple[int, int]
-    window_len: int
     samples: tuple[float, ...]
     rho_bar_hat: float
     d_stat: float
@@ -125,29 +122,19 @@ def ks_statistic(samples, cdf: Callable) -> float:
 
 
 def ks_pvalue(d_stat: float, k: int) -> float:
-    """Kolmogorov series at the finite-sample argument d*.
+    """Kolmogorov tail probability at the finite-sample argument d*.
 
-    d* = D (sqrt(K) + 0.12 + 0.11/sqrt(K)), p = 2 sum_j (-1)^(j-1)
-    exp(-2 j^2 d*^2), truncated once terms drop below 1e-12; the
-    alternating partial sums make the truncation error one term wide.
+    d* = D (sqrt(K) + 0.12 + 0.11/sqrt(K)) (Stephens 1970), and
+    p = scipy.special.kolmogorov(d*) = 2 sum_j (-1)^(j-1) exp(-2 j^2 d*^2).
     """
+    from scipy.special import kolmogorov
+
     if not (0.0 <= d_stat <= 1.0):
         raise InvalidParameter(f"D must lie in [0, 1], got {d_stat!r}")
     if k < 5:
         raise InsufficientSamples(f"KS p-value needs K >= 5, got {k}")
-    if d_stat == 0.0:
-        return 1.0
     root = math.sqrt(k)
-    dstar = d_stat * (root + 0.12 + 0.11 / root)
-    total = 0.0
-    sign = 1.0
-    for j in range(1, _MAX_SERIES_TERMS + 1):
-        term = math.exp(-2.0 * j * j * dstar * dstar)
-        total += sign * term
-        if term < _SERIES_TOL:
-            break
-        sign = -sign
-    return min(1.0, max(0.0, 2.0 * total))
+    return float(kolmogorov(d_stat * (root + 0.12 + 0.11 / root)))
 
 
 def _pair_rows(panel: ReturnPanel, pair):
@@ -161,22 +148,18 @@ def _pair_rows(panel: ReturnPanel, pair):
 def global_test(panel: ReturnPanel, pair, window_len: int) -> GlobalTestResult:
     """KS test of the window estimates against the stationary law."""
     x, y = _pair_rows(panel, pair)
-    plan = window_slices(panel.n_steps, window_len)
-    if plan.n_windows < 5:
-        raise InsufficientSamples(
-            f"global test needs >= 5 windows, got {plan.n_windows}"
-        )
-    union = plan.n_windows * window_len
+    n_windows = len(window_slices(panel.n_steps, window_len))
+    if n_windows < 5:
+        raise InsufficientSamples(f"global test needs >= 5 windows, got {n_windows}")
+    x, y = x[:n_windows * window_len], y[:n_windows * window_len]
     names = (panel.tickers[pair[0]], panel.tickers[pair[1]])
-    samples = _window_estimates(x[:union], y[:union], plan.n_windows, names)
-    rho_bar_hat = pearson(x[:union], y[:union])
+    samples = _window_estimates(x, y, n_windows, names)
+    (rho_bar_hat,) = _window_estimates(x, y, 1, names)
     clamped = min(max(rho_bar_hat, -_PLUGIN_CLAMP), _PLUGIN_CLAMP)
     params = CorrParams(clamped, window_len)
     d_stat = ks_statistic(samples, lambda s: rho_cdf(s, params))
     p_value = ks_pvalue(d_stat, len(samples))
     return GlobalTestResult(
-        pair=(int(pair[0]), int(pair[1])),
-        window_len=window_len,
         samples=samples,
         rho_bar_hat=rho_bar_hat,
         d_stat=d_stat,
@@ -185,11 +168,11 @@ def global_test(panel: ReturnPanel, pair, window_len: int) -> GlobalTestResult:
 
 
 def _window_estimates(x, y, n_windows, names):
-    """pearson() on each of n_windows equal slices, standardized as blocks.
+    """Pearson coefficient, clamped into [-1, 1], on each of n_windows equal slices.
 
-    Same numbers as the per-window calls: row reductions and per-row dots
-    match the 1-d ones bit for bit.  The first zero-variance window raises
-    ZeroVariance with its ticker (x's name before y's) and column range.
+    Each slice is standardized on its own, as one row of a block.  The
+    first zero-variance window raises ZeroVariance with its ticker (x's
+    name before y's) and column range.
     """
     zx, bad_x = standardized_rows(x.reshape(n_windows, -1))
     zy, bad_y = standardized_rows(y.reshape(n_windows, -1))
@@ -461,8 +444,7 @@ def _local_counts(panel, pairs, configs, sigma_convention):
             hits += flags.sum(axis=(1, 2))
             steps += flags[0].size
         for n, n_hits in zip(config.n_values, hits.tolist()):
-            old_hits, old_steps = counts.get((config, n), (0, 0))
-            counts[(config, n)] = (old_hits + n_hits, old_steps + steps)
+            counts[(config, n)] = (n_hits, steps)
     return counts, failures
 
 

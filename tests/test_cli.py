@@ -122,6 +122,21 @@ def test_unknown_recipe():
      "error: argument --sigma-convention: invalid choice: 'bogus'"),
     (["qscan", "--input", "x.csv", "--t1", "30", "--t2", "30", "--truth", "bogus"],
      "error: argument --truth: invalid choice: 'bogus'"),
+    # every seed flag: a negative seed is a usage error, not a numpy traceback
+    (["global-scan", "--input", "x.csv", "--mc", "gaussian", "--mc-seed", "-1"],
+     "error: argument --mc-seed: must be a non-negative integer, got '-1'"),
+    (["global-scan", "--input", "x.csv", "--reshuffle-seed", "-1"],
+     "error: argument --reshuffle-seed: must be a non-negative integer, got '-1'"),
+    (["local-scan", "--input", "x.csv", "--t1", "30", "--mc", "gaussian", "--mc-seed", "-1"],
+     "error: argument --mc-seed: must be a non-negative integer, got '-1'"),
+    (["simulate", "--family", "gaussian", "--corr", "identity:3", "--T", "50",
+      "--seed", "-1", "--out", "x.csv"],
+     "error: argument --seed: must be a non-negative integer, got '-1'"),
+    (["qscan", "--input", "x.csv", "--t1", "30", "--t2", "30", "--mc-seed", "-1"],
+     "error: argument --mc-seed: must be a non-negative integer, got '-1'"),
+    (["qscan", "--input", "x.csv", "--t1", "30", "--t2", "30", "--n-stocks", "5",
+      "--select-seed", "-1"],
+     "error: argument --select-seed: must be a non-negative integer, got '-1'"),
 ])
 def test_bad_flag_value_is_one_line(argv, message, capsys):
     with pytest.raises(SystemExit) as err:

@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from corrstat import corrdist
 from corrstat.corrdist import CorrParams
-from corrstat.errors import InvalidParameter, ZeroVariance
+from corrstat.errors import InvalidParameter
 
 from _oracles import (
     cdf_quad,
     covariance_loops,
     density_quad,
     numeric_moments,
-    pearson_loops,
 )
 from conftest import make_panel
 
@@ -28,35 +27,6 @@ def test_corr_params_validation():
         CorrParams(0.2, 9)
     with pytest.raises(InvalidParameter):
         CorrParams(0.2, 50.5)
-
-
-def test_pearson_perfect_and_inverse():
-    x = [1.0, 0.0, -1.0, 2.0]
-    y = [2.0, 0.0, -2.0, 4.0]
-    assert corrdist.pearson(x, y) == 1.0
-    assert corrdist.pearson(x, [-v for v in y]) == -1.0
-
-
-def test_pearson_matches_loops():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        x = rng.normal(size=30)
-        y = rng.normal(size=30)
-        assert abs(corrdist.pearson(x, y) - pearson_loops(x, y)) < 1e-12
-
-
-def test_pearson_zero_variance():
-    with pytest.raises(ZeroVariance):
-        corrdist.pearson([1.0, 1.0, 1.0], [0.0, 1.0, 2.0])
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_pearson_rejects_non_finite(bad):
-    x = np.linspace(-1.0, 1.0, 20)
-    y = x ** 3
-    for args in ((np.where(x == x[4], bad, x), y), (x, np.where(y == y[7], bad, y))):
-        with pytest.raises(InvalidParameter, match="finite"):
-            corrdist.pearson(*args)
 
 
 def test_corr_matrix_matches_loops():
@@ -174,15 +144,6 @@ def test_cdf_matches_adaptive_quadrature(rho_bar, t, rho):
     assert abs(mine - cdf_quad(rho, rho_bar, t)) <= 1e-10
 
 
-def test_quantile_round_trip():
-    params = CorrParams(0.35, 80)
-    for p in (0.01, 0.1, 0.5, 0.9, 0.99):
-        rho = corrdist.rho_quantile(p, params)
-        assert abs(corrdist.rho_cdf(rho, params) - p) < 1e-7
-    assert corrdist.rho_quantile(0.0, params) == -1.0
-    assert corrdist.rho_quantile(1.0, params) == 1.0
-
-
 def test_extreme_plugin_rho_bar():
     # a plug-in clamped at 1 - 1e-9 puts its mass hard against rho = 1
     for t in (150, 25):
@@ -242,12 +203,3 @@ def test_density_nonnegative(rho_bar, t, rho):
     value = float(corrdist.rho_density(rho, CorrParams(rho_bar, t)))
     assert value >= 0.0
     assert np.isfinite(value)
-
-
-@given(st.integers(0, 10 ** 6))
-def test_pearson_range(seed):
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=12)
-    y = rng.normal(size=12)
-    r = corrdist.pearson(x, y)
-    assert -1.0 <= r <= 1.0

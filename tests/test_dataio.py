@@ -183,12 +183,12 @@ def test_standardize_zero_variance():
 
 
 def test_window_slices_counts():
-    plan = dataio.window_slices(1758, 25)
-    assert plan.n_windows == 70
-    assert plan.windows[0] == (0, 25)
-    assert plan.windows[-1] == (1725, 1750)  # trailing 8 days discarded
-    assert dataio.window_slices(1758, 50).n_windows == 35
-    assert dataio.window_slices(1758, 100).n_windows == 17
+    windows = dataio.window_slices(1758, 25)
+    assert len(windows) == 70
+    assert windows[0] == (0, 25)
+    assert windows[-1] == (1725, 1750)  # trailing 8 days discarded
+    assert len(dataio.window_slices(1758, 50)) == 35
+    assert len(dataio.window_slices(1758, 100)) == 17
 
 
 def test_window_slices_errors():
@@ -245,9 +245,9 @@ def test_window_slices_partition(t_total, window_len):
         with pytest.raises(InsufficientData):
             dataio.window_slices(t_total, window_len)
         return
-    plan = dataio.window_slices(t_total, window_len)
-    assert plan.n_windows == t_total // window_len
-    for k, (lo, hi) in enumerate(plan.windows):
+    windows = dataio.window_slices(t_total, window_len)
+    assert len(windows) == t_total // window_len
+    for k, (lo, hi) in enumerate(windows):
         assert hi - lo == window_len
         assert lo == k * window_len
 

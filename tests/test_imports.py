@@ -5,7 +5,8 @@ the simulator never evaluate the law, so their processes must start and
 finish without any scipy module; corrdist imports scipy lazily inside the
 function that needs it.  Where the law is evaluated, scipy.special is the
 only scipy module loaded.  Nothing starts a thread pool either: the
-scans run their pairs on the calling thread.
+scans run their pairs on the calling thread.  The AST checks at the end
+keep every import in use and every public name read by the program.
 """
 import ast
 import os
@@ -143,3 +144,41 @@ def test_every_imported_name_is_used():
         unused += [f"{path.name}:{line} {name}"
                    for name, line in _imported_names(tree) if name not in used]
     assert not unused, unused
+
+
+# Public names whose only readers are tests: the per-pair references the
+# scan tests compare the batched scans against, and the estimators the
+# acceptance criteria call.
+TEST_ONLY_READERS = {
+    "cumulative_corr", "local_test",
+    "standardize", "covariance_matrix", "pca_decompose", "market_mode_residual",
+}
+
+
+def _referenced_names(node):
+    """Every name a node reads, bare or as an attribute."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_every_public_name_has_a_reader_outside_the_tests():
+    scripts = SRC.parent / "scripts"
+    paths = sorted((SRC / "corrstat").glob("*.py")) + sorted(scripts.glob("*.py"))
+    defined = []  # (module file, name) of each public module-level function and class
+    readers = {}  # name -> files whose statements outside that name's own definition read it
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            own = None
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                own = node.name
+                if path.parent.name == "corrstat" and not own.startswith("_"):
+                    defined.append((path.name, own))
+            for name in set(_referenced_names(node)) - {own}:
+                readers.setdefault(name, set()).add(path.name)
+    unread = [f"{module}:{name}" for module, name in defined
+              if name not in TEST_ONLY_READERS and not readers.get(name)]
+    assert not unread, unread

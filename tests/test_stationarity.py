@@ -14,7 +14,7 @@ from corrstat.errors import (
 )
 from corrstat.stationarity import LocalTestConfig
 
-from _oracles import ks_pvalue_scipy, ks_statistic_scipy
+from _oracles import ks_pvalue_series, ks_statistic_scipy, pearson_loops
 from conftest import gaussian_panel, make_panel
 
 
@@ -67,8 +67,8 @@ def test_ks_pvalue_matches_scipy_grid():
     for d in (0.02, 0.08, 0.15, 0.3, 0.6, 0.95):
         for k in (5, 17, 35, 70, 500):
             mine = stationarity.ks_pvalue(d, k)
-            ref = ks_pvalue_scipy(d, k)
-            assert abs(mine - ref) < 1e-6, (d, k)
+            ref = ks_pvalue_series(d, k)
+            assert abs(mine - ref) < 1e-12, (d, k)
 
 
 def test_ks_pvalue_limits():
@@ -122,6 +122,38 @@ def test_global_test_near_identical_pair_short_window():
     result = stationarity.global_test(panel, (0, 1), 25)
     assert result.rho_bar_hat > 0.99995
     assert result.p_value < 0.01
+
+
+def test_global_test_matches_loops_on_each_window_and_the_union():
+    rng = np.random.default_rng(33)
+    returns = rng.standard_t(4, size=(2, 263))
+    returns[1] += 0.6 * returns[0]
+    panel = make_panel(returns, tickers=("AAA", "BBB"))
+    result = stationarity.global_test(panel, (0, 1), 50)
+    x, y = returns
+    assert result.n_windows == 5
+    for k, sample in enumerate(result.samples):
+        lo, hi = 50 * k, 50 * (k + 1)
+        assert abs(sample - pearson_loops(x[lo:hi], y[lo:hi])) < 1e-12, k
+    # the plug-in is taken over the windows' union; the last 13 steps are dropped
+    assert abs(result.rho_bar_hat - pearson_loops(x[:250], y[:250])) < 1e-12
+    returns = returns.copy()
+    returns[1, 100:150] = 0.25  # BBB flat in the third window only
+    panel = make_panel(returns, tickers=("AAA", "BBB"))
+    with pytest.raises(ZeroVariance) as info:
+        stationarity.global_test(panel, (0, 1), 50)
+    assert (info.value.ticker, info.value.window) == ("BBB", (100, 150))
+    for sign in (1.0, -1.0):  # a perfect pair: every estimate at +-1, never past it
+        result = stationarity.global_test(make_panel([x, sign * 3.0 * x + 2.0]), (0, 1), 50)
+        for rho in (*result.samples, result.rho_bar_hat):
+            assert -1.0 <= rho <= 1.0 and abs(rho - sign) < 1e-14
+
+
+def test_global_scan_rejects_a_negative_mc_seed():
+    panel = gaussian_panel(3, 300, seed=4)
+    with pytest.raises(InvalidParameter, match="non-negative"):
+        stationarity.global_scan(panel, (25,), mc_family=synthgen.FAMILY_GAUSSIAN,
+                                 mc_seed=-1)
 
 
 def test_global_test_needs_five_windows():
@@ -357,6 +389,17 @@ def test_local_scan_cells():
         assert cell.dim_value == 40
         assert cell.denominator == 3 * steps_per_pair
         assert set(cell.controls) == {"mc"}
+
+
+def test_local_scan_duplicate_entries_keep_the_single_denominator():
+    panel = gaussian_panel(3, 420, seed=17)
+    single = stationarity.local_scan(panel, [LocalTestConfig(100, 40, (1,))])
+    (expected,) = [(c.fraction, c.denominator) for c in single.cells]
+    for configs in ([LocalTestConfig(100, 40, (1,))] * 2, [LocalTestConfig(100, 40, (1, 1))],
+                    [LocalTestConfig(100, 40, (1, 1))] * 2):
+        report = stationarity.local_scan(panel, configs)
+        assert len(report.cells) == sum(len(c.n_values) for c in configs)
+        assert {(c.fraction, c.denominator) for c in report.cells} == {expected}
 
 
 def test_local_scan_same_seed_repeats():

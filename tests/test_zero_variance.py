@@ -60,20 +60,12 @@ def test_every_caller_flags_the_same_rows(rows, seed):
     flagged = [r.std() <= 1e-12 * max(1.0, abs(r.mean())) for r in panel.returns]
     assert flagged == [kind in ("constant", "below", "at") for kind, _ in rows]
 
-    clean = rng.normal(size=T)
-    for i, row in enumerate(panel.returns):
+    for i in range(n):
         one = panel.select([i])
         expect = tickers[i] if flagged[i] else None
         assert _raised_ticker(lambda: corrdist.corr_matrix(one)) == expect
         assert _raised_ticker(lambda: dataio.standardize(one)) == expect
         assert _raised_ticker(lambda: portfolio.covariance_matrix(one)) == expect
-        assert _raised_ticker(lambda: corrdist.pearson(row, clean)) == (
-            "x" if flagged[i] else None)
-        assert _raised_ticker(lambda: corrdist.pearson(clean, row)) == (
-            "y" if flagged[i] else None)
-        if not flagged[i]:
-            zx, zc = _reference_rows(np.stack([row, clean]))
-            assert corrdist.pearson(row, clean) == min(1.0, max(-1.0, float(zx @ zc) / T))
 
     first = next((tickers[i] for i in range(n) if flagged[i]), None)
     assert _raised_ticker(lambda: corrdist.corr_matrix(panel)) == first
