@@ -351,16 +351,26 @@ def cmd_qscan(args) -> int:
 
 
 def _load_volatilities(path: str, tickers) -> np.ndarray:
-    """Two-column ticker,volatility CSV covering every panel ticker."""
+    """Two-column ticker,volatility CSV covering every panel ticker.
+
+    The first non-blank line is a header when its value is not a number.
+    """
     table = {}
     try:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.lower().startswith("ticker"):
+        with open(path, encoding="utf-8-sig") as fh:  # Excel prepends a BOM
+            lines = [line for line in map(str.strip, fh) if line]
+        for k, line in enumerate(lines):
+            name, _, value = line.partition(",")
+            try:
+                vol = float(value)
+            except ValueError:
+                if k == 0:
                     continue
-                name, _, value = line.partition(",")
-                table[name.strip()] = float(value)
+                raise
+            name = name.strip()
+            if name in table:
+                raise UsageError(f"--volatilities: duplicate ticker {name!r} in {path}")
+            table[name] = vol
     except OSError as exc:
         raise UsageError(f"--volatilities: cannot read {path}: {exc}") from None
     except ValueError:

@@ -39,13 +39,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataio import MIN_T, freeze, standardized_rows
-from .errors import (
-    InsufficientData,
-    InvalidParameter,
-    NumericsError,
-    ZeroVariance,
-)
+from .dataio import MIN_T, CovarianceMatrix, checked_window, gated_rows
+from .errors import InvalidParameter, NumericsError
 
 RHO_BAR_LIMIT = 1.0 - 1e-12
 
@@ -66,25 +61,6 @@ class CorrParams:
             raise InvalidParameter(f"n_obs must be an integer >= {MIN_T}, got {self.n_obs!r}")
 
 
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    """Pairwise Pearson matrix over one column range of a panel."""
-
-    tickers: tuple[str, ...]
-    entries: np.ndarray
-    window: tuple[int, int]
-
-    def __post_init__(self):
-        freeze(self, "entries")
-        n = len(self.tickers)
-        if self.entries.shape != (n, n):
-            raise InvalidParameter("entries must be N x N matching tickers")
-
-    @property
-    def n_series(self) -> int:
-        return self.entries.shape[0]
-
-
 class CorrMoments(NamedTuple):
     mean: float
     variance: float
@@ -92,24 +68,20 @@ class CorrMoments(NamedTuple):
     sigma_p: float
 
 
-def corr_matrix(panel, window: tuple[int, int] | None = None) -> CorrelationMatrix:
+def corr_matrix(panel, window: tuple[int, int] | None = None) -> CovarianceMatrix:
     """Pairwise Pearson matrix on a column range (default: full sample).
 
-    Rows are standardized over the range itself.
+    A correlation matrix is the covariance of the rows standardized over
+    the range itself, so the result is a CovarianceMatrix.
     """
-    lo, hi = (0, panel.n_steps) if window is None else (int(window[0]), int(window[1]))
-    if not (0 <= lo < hi <= panel.n_steps):
-        raise InvalidParameter(f"window {(lo, hi)} outside panel range")
-    if hi - lo < MIN_T:
-        raise InsufficientData(f"window length {hi - lo} below minimum {MIN_T}")
-    z, bad = standardized_rows(panel.returns[:, lo:hi])
-    if bad.any():
-        raise ZeroVariance(panel.tickers[np.argmax(bad)], window=(lo, hi))
+    lo, hi = checked_window(panel.n_steps, window, MIN_T)
+    centered, sd = gated_rows(panel.returns, panel.tickers, (lo, hi))
+    z = centered / sd
     c = (z @ z.T) / (hi - lo)
     c = 0.5 * (c + c.T)
     np.fill_diagonal(c, 1.0)
     np.clip(c, -1.0, 1.0, out=c)
-    return CorrelationMatrix(panel.tickers, c, (lo, hi))
+    return CovarianceMatrix(panel.tickers, c, (lo, hi))
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,33 @@ class ReturnPanel:
         )
 
 
+@dataclass(frozen=True)
+class CovarianceMatrix:
+    """Population covariance over one column range; window None = abstract.
+
+    A correlation matrix is the covariance of the window's standardized
+    rows, so corrdist.corr_matrix returns this type too.
+    """
+
+    tickers: tuple[str, ...]
+    entries: np.ndarray
+    window: tuple[int, int] | None = None
+
+    def __post_init__(self):
+        freeze(self, "entries")
+        n = len(self.tickers)
+        if self.entries.shape != (n, n):
+            raise InvalidParameter("entries must be N x N matching tickers")
+
+    @property
+    def n_series(self) -> int:
+        return self.entries.shape[0]
+
+    @property
+    def window_len(self) -> int | None:
+        return None if self.window is None else self.window[1] - self.window[0]
+
+
 def _raise_first_bad_row(path, rows, width, lead):
     """ParseError for the first data row, in file order, that is short, long or non-numeric."""
     for irow, row in enumerate(rows[1:], start=2):
@@ -123,7 +150,7 @@ def load_price_panel(path, format="prices"):
     """
     if format not in ("prices", "returns"):
         raise InvalidParameter(f"format must be 'prices' or 'returns', got {format!r}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # Excel prepends a BOM
         rows = list(csv.reader(fh))
     rows = [r for r in rows if r]  # ignore blank lines
     if not rows:
@@ -215,12 +242,32 @@ def standardized_rows(block: np.ndarray):
     return centered / np.where(bad[:, None], 1.0, sd), bad
 
 
+def checked_window(n_steps: int, window, min_len: int) -> tuple[int, int]:
+    """window as ints (default: all n_steps columns), inside the panel and min_len long."""
+    lo, hi = (0, n_steps) if window is None else (int(window[0]), int(window[1]))
+    if not (0 <= lo < hi <= n_steps):
+        raise InvalidParameter(f"window {(lo, hi)} outside panel range")
+    if hi - lo < min_len:
+        raise InsufficientData(f"window length {hi - lo} below minimum {min_len}")
+    return lo, hi
+
+
+def gated_rows(rows: np.ndarray, tickers, window=None):
+    """The window's rows (all columns by default) minus their means, and their sds.
+
+    The toolkit's zero-variance gate: the first flat row raises
+    ZeroVariance with its ticker, and with the window when one was given.
+    """
+    centered, sd, bad = centered_rows(rows if window is None else rows[:, window[0]:window[1]])
+    if bad.any():
+        raise ZeroVariance(tickers[np.argmax(bad)], window=window)
+    return centered, sd
+
+
 def standardize(panel: ReturnPanel) -> ReturnPanel:
     """Each row at zero mean and unit population sd over the full sample."""
-    z, bad = standardized_rows(panel.returns)
-    if bad.any():
-        raise ZeroVariance(panel.tickers[np.argmax(bad)])
-    return replace(panel, returns=z)
+    centered, sd = gated_rows(panel.returns, panel.tickers)
+    return replace(panel, returns=centered / sd)
 
 
 def synchronous_reshuffle(panel: ReturnPanel, seed: int) -> ReturnPanel:

@@ -20,43 +20,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import synthgen
-from .dataio import ReturnPanel, centered_rows, freeze
-from .errors import (
-    IllPosed,
-    InsufficientData,
-    InvalidParameter,
-    NumericsError,
-    ZeroVariance,
-)
+from .dataio import CovarianceMatrix, ReturnPanel, checked_window, freeze, gated_rows
+from .errors import IllPosed, InsufficientData, InvalidParameter, NumericsError
 from .rngutil import rng_for
 
 _CONDITION_LIMIT = 1e12
 _CERTIFICATE_SHIFT = 1e-11  # of trace(C); see _certified
 DEFAULT_BAND_SIGMAS = 5.0
 MIN_REPLICAS = 30
-
-
-@dataclass(frozen=True)
-class CovarianceMatrix:
-    """Population covariance over one column range; window None = abstract."""
-
-    tickers: tuple[str, ...]
-    entries: np.ndarray
-    window: tuple[int, int] | None = None
-
-    def __post_init__(self):
-        freeze(self, "entries")
-        n = len(self.tickers)
-        if self.entries.shape != (n, n):
-            raise InvalidParameter("entries must be N x N matching tickers")
-
-    @property
-    def n_series(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def window_len(self) -> int | None:
-        return None if self.window is None else self.window[1] - self.window[0]
 
 
 @dataclass(frozen=True)
@@ -95,25 +66,12 @@ class MCBand(NamedTuple):
 
 def covariance_matrix(panel: ReturnPanel, window: tuple[int, int] | None = None) -> CovarianceMatrix:
     """Population covariance of the rows over a column range."""
-    lo, hi = (0, panel.n_steps) if window is None else (int(window[0]), int(window[1]))
-    if not (0 <= lo < hi <= panel.n_steps):
-        raise InvalidParameter(f"window {(lo, hi)} outside panel range")
-    if hi - lo < 2:
-        raise InsufficientData("covariance needs at least 2 observations")
-    return _covariance(panel.returns, panel.tickers, (lo, hi))
-
-
-def _centered(returns, tickers, window):
-    """The window's rows minus their means; ZeroVariance names the first flat ticker."""
-    lo, hi = window
-    centered, _, bad = centered_rows(returns[:, lo:hi])
-    if bad.any():
-        raise ZeroVariance(tickers[np.argmax(bad)], window=window)
-    return centered
+    window = checked_window(panel.n_steps, window, 2)
+    return _covariance(panel.returns, panel.tickers, window)
 
 
 def _covariance(returns, tickers, window) -> CovarianceMatrix:
-    centered = _centered(returns, tickers, window)
+    centered, _ = gated_rows(returns, tickers, window)
     c = (centered @ centered.T) / centered.shape[1]
     c = 0.5 * (c + c.T)
     return CovarianceMatrix(tickers, c, window)
@@ -249,7 +207,7 @@ def _sample_risks(returns, tickers, est_range, real_range):
     cov_est = _covariance(returns, tickers, est_range)
     weights = min_variance_weights(cov_est)
     sigma_e = math.sqrt(portfolio_variance(cov_est, weights))
-    pnl = weights.w @ _centered(returns, tickers, real_range)
+    pnl = weights.w @ gated_rows(returns, tickers, real_range)[0]
     return sigma_e, math.sqrt(float(pnl @ pnl) / pnl.size)
 
 

@@ -15,6 +15,8 @@ from .errors import InvalidParameter
 
 def _label_to_int(label) -> int:
     if isinstance(label, (int, np.integer)):
+        if label < 0:
+            raise InvalidParameter(f"substream index must be a non-negative integer, got {label}")
         return int(label)
     digest = hashlib.sha256(str(label).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")

@@ -31,7 +31,8 @@ import numpy as np
 
 from . import synthgen
 from .corrdist import CorrParams, rho_cdf
-from .dataio import MIN_T, ReturnPanel, standardized_rows, synchronous_reshuffle, window_slices
+from .dataio import (MIN_T, ReturnPanel, gated_rows, standardized_rows,
+                     synchronous_reshuffle, window_slices)
 from .errors import (
     CorrstatError,
     InsufficientData,
@@ -317,9 +318,9 @@ def cumulative_corr(panel: ReturnPanel, pair, t1: int, tau: int):
     short = _short_panel(panel, t1, tau)
     if short is not None:
         raise short
-    z, bad = standardized_rows(np.stack(_pair_rows(panel, pair)))
-    if bad.any():
-        raise ZeroVariance(panel.tickers[pair[0] if bad[0] else pair[1]])
+    centered, sd = gated_rows(np.stack(_pair_rows(panel, pair)),
+                              [panel.tickers[k] for k in pair])
+    z = centered / sd
     lengths = np.arange(t1, panel.n_steps + 1, tau)
     estimates = np.cumsum(z[0] * z[1])[lengths - 1] / lengths
     return list(zip(lengths.tolist(), estimates.tolist()))

@@ -46,6 +46,8 @@ class TrueCorrelation:
         n = entries.shape[0]
         if entries.ndim != 2 or entries.shape != (n, n):
             raise InvalidParameter("correlation entries must be square")
+        if n < 1:
+            raise InvalidParameter("correlation entries must be at least 1 x 1")
         if np.abs(entries - entries.T).max() > 1e-12:
             raise InvalidParameter("correlation entries must be symmetric")
         if np.abs(np.diag(entries) - 1.0).max() > 1e-10:
@@ -183,9 +185,10 @@ def sample_estimate_as_truth(panel) -> TrueCorrelation:
     repair is recorded on the result.
     """
     estimate = corr_matrix(panel).entries
-    smallest = float(np.linalg.eigvalsh(estimate)[0])
-    if smallest > _MIN_EIGENVALUE:
+    try:
         return TrueCorrelation(estimate, source="sample-estimate")
+    except NotPositiveDefinite:
+        pass
     eigvals, eigvecs = np.linalg.eigh(estimate)
     clipped = (eigvecs * np.maximum(eigvals, _REPAIR_FLOOR)) @ eigvecs.T
     d = np.sqrt(np.diag(clipped))
@@ -199,6 +202,8 @@ def sample_estimate_as_truth(panel) -> TrueCorrelation:
 
 
 def identity_correlation(n: int) -> TrueCorrelation:
+    if n < 1:
+        raise InvalidParameter(f"identity correlation needs N >= 1, got {n}")
     return TrueCorrelation(np.eye(n), source="identity")
 
 
@@ -217,6 +222,8 @@ def equicorr_correlation(n: int, rho: float) -> TrueCorrelation:
 
 def one_factor_correlation(n: int, seed: int) -> TrueCorrelation:
     """C = beta beta^T + diag(1 - beta^2) with seeded uniform loadings."""
+    if n < 1:
+        raise InvalidParameter(f"one-factor correlation needs N >= 1, got {n}")
     beta = rng_for(seed, "one-factor-loadings").uniform(*_LOADING_RANGE, size=n)
     c = np.outer(beta, beta)
     np.fill_diagonal(c, 1.0)

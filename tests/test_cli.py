@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from corrstat import __version__, cli, dataio
 
-from conftest import gaussian_panel
+from conftest import gaussian_panel, make_panel
 
 
 def run(argv):
@@ -289,6 +289,68 @@ def test_qscan_volatilities(tmp_path, capsys):
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "--volatilities" in err[0], err
+
+
+VOLS = "S0,1.0\nS1,2.0\nS2,1.5\nS3,0.5\n"
+
+
+def _qscan_band(tmp_path, vols_text, tickers=("S0", "S1", "S2", "S3")):
+    """(exit code, stderr, band) of a qscan run reading vols_text as --volatilities."""
+    panel = make_panel(gaussian_panel(len(tickers), 100, seed=4).returns, tickers)
+    path = tmp_path / "panel.csv"
+    dataio.save_panel_csv(panel, path)
+    vols = tmp_path / "vols.csv"
+    vols.write_text(vols_text, encoding="utf-8")
+    out = tmp_path / "q.json"
+    out.unlink(missing_ok=True)
+    rc, err = run_captured(["qscan", "--input", str(path), "--input-kind", "returns",
+                            "--t1", "20", "--t2", "20", "--replicas", "30",
+                            "--volatilities", str(vols), "--out", str(out)])
+    return rc, err, read_json(out)["band"] if rc == 0 else None
+
+
+@pytest.mark.parametrize("bom", ["", "\ufeff"])
+@pytest.mark.parametrize("header", ["", "ticker,vol\n", "Symbol,Volatility\n"])
+def test_volatilities_header_and_bom(tmp_path, bom, header):
+    _, _, plain = _qscan_band(tmp_path, VOLS)
+    rc, err, band = _qscan_band(tmp_path, bom + header + VOLS)
+    assert rc == 0, err
+    assert band == plain
+
+
+@pytest.mark.parametrize("header", ["", "ticker,vol\n"])
+def test_volatilities_ticker_may_start_with_ticker(tmp_path, header):
+    _, _, plain = _qscan_band(tmp_path, VOLS)
+    rc, err, band = _qscan_band(tmp_path, header + VOLS.replace("S0", "TICKERA"),
+                                tickers=("TICKERA", "S1", "S2", "S3"))
+    assert rc == 0, err
+    assert band == plain
+
+
+def test_volatilities_header_only_on_the_first_line(tmp_path):
+    rc, err, _ = _qscan_band(tmp_path, "S0,1.0\nticker,vol\nS1,2.0\nS2,1.5\nS3,0.5\n")
+    assert rc == 2
+    vols = tmp_path / "vols.csv"
+    assert err.splitlines() == [f"error: --volatilities: malformed line in {vols}"]
+
+
+def test_volatilities_repeated_ticker_is_a_usage_error(tmp_path):
+    rc, err, _ = _qscan_band(tmp_path, VOLS + "S1,3.0\n")
+    assert rc == 2
+    (line,) = err.splitlines()
+    assert line.startswith("error: --volatilities: duplicate ticker 'S1'"), line
+
+
+@pytest.mark.parametrize("spec", ["identity:0", "onefactor:0:1", "identity:-1", "onefactor:-2:1"])
+def test_empty_or_negative_corr_size_is_a_flag_error(tmp_path, spec):
+    rc, err = run_captured(["simulate", "--family", "gaussian", "--corr", spec, "--T", "50",
+                            "--seed", "1", "--out", str(tmp_path / "p.csv")])
+    assert rc == 2
+    (line,) = err.splitlines()
+    assert line.startswith(f"error: --corr: invalid correlation spec {spec!r}: "), line
+    assert line.endswith(f"correlation needs N >= 1, got {spec.split(':')[1]}"), line
+    for numpy_text in ("zero-size", "negative dimensions", "array"):
+        assert numpy_text not in line
 
 
 def test_qscan_usage_errors(tmp_path, capsys):

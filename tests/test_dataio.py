@@ -45,6 +45,18 @@ def test_load_price_panel_without_dates(tmp_path):
     assert panel.times == ("1", "2")
 
 
+@pytest.mark.parametrize("text", [
+    "date,AAA,BBB\n2020-01-01,1.0,2.0\n2020-01-02,1.5,2.5\n",
+    "AAA,BBB\n1.0,2.0\n1.5,2.5\n",
+])
+def test_load_price_panel_accepts_a_utf8_bom(tmp_path, text):
+    plain = dataio.load_price_panel(write(tmp_path / "plain.csv", text))
+    marked = dataio.load_price_panel(write(tmp_path / "bom.csv", "\ufeff" + text))
+    assert marked.tickers == plain.tickers == ("AAA", "BBB")
+    assert marked.times == plain.times
+    assert np.array_equal(marked.prices, plain.prices)
+
+
 def test_load_returns_format(tmp_path):
     path = write(tmp_path / "r.csv", "AAA,BBB\n0.1,-0.2\n0.0,0.3\n")
     panel = dataio.load_price_panel(path, format="returns")

@@ -6,7 +6,9 @@ finish without any scipy module; corrdist imports scipy lazily inside the
 function that needs it.  Where the law is evaluated, scipy.special is the
 only scipy module loaded.  Nothing starts a thread pool either: the
 scans run their pairs on the calling thread.  The AST checks at the end
-keep every import in use and every public name read by the program.
+keep every import in use, every public name read by the program, and
+every ZeroVariance built at the one zero-variance gate or the scans'
+per-pair paths.
 """
 import ast
 import os
@@ -182,3 +184,27 @@ def test_every_public_name_has_a_reader_outside_the_tests():
     unread = [f"{module}:{name}" for module, name in defined
               if name not in TEST_ONLY_READERS and not readers.get(name)]
     assert not unread, unread
+
+
+# Where a ZeroVariance is built: the one gate every windowed matrix and
+# whole-sample standardization goes through, and the two per-pair paths
+# of the scans, which name a pair's flat ticker (and window) without
+# building the pair's rows.
+ZERO_VARIANCE_BUILDERS = {
+    ("dataio.py", "gated_rows"),
+    ("stationarity.py", "_window_estimates"),
+    ("stationarity.py", "_pair_error"),
+}
+
+
+def test_zero_variance_is_built_only_at_the_gate():
+    builders = set()
+    for path in sorted((SRC / "corrstat").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            for sub in ast.walk(node):
+                if (isinstance(sub, ast.Call)
+                        and "ZeroVariance" in (getattr(sub.func, "id", None),
+                                               getattr(sub.func, "attr", None))):
+                    builders.add((path.name, getattr(node, "name", None)))
+    assert builders == ZERO_VARIANCE_BUILDERS

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from corrstat import corrdist, synthgen
+from corrstat import corrdist, rngutil, synthgen
 from corrstat.errors import InvalidParameter, NotPositiveDefinite
 from corrstat.synthgen import GeneratorSpec, TrueCorrelation
 
-from conftest import make_panel
+from conftest import gaussian_panel, make_panel
 
 
 def spec_for(truth, family=synthgen.FAMILY_GAUSSIAN, n_steps=500, seed=42, nu=None):
@@ -26,6 +26,28 @@ def test_true_correlation_validation():
     singular = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(NotPositiveDefinite):
         TrueCorrelation(singular, source="bad")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: synthgen.identity_correlation(0),
+    lambda: synthgen.identity_correlation(-1),
+    lambda: synthgen.one_factor_correlation(0, 1),
+    lambda: synthgen.one_factor_correlation(-2, 1),
+    lambda: TrueCorrelation(np.zeros((0, 0)), source="empty"),
+], ids=["identity:0", "identity:-1", "onefactor:0", "onefactor:-2", "entries:0x0"])
+def test_empty_or_negative_size_correlation_is_invalid(build):
+    with pytest.raises(InvalidParameter):
+        build()
+
+
+def test_negative_substream_index_is_invalid():
+    with pytest.raises(InvalidParameter, match="substream index"):
+        rngutil.rng_for(1, "x", -1)
+    truth = synthgen.identity_correlation(2)
+    for spec in (spec_for(truth),
+                 spec_for(truth, family=synthgen.FAMILY_STUDENT_T, nu=4.0)):
+        with pytest.raises(InvalidParameter, match="substream index"):
+            synthgen.sample_panel(spec, replica=-2)
 
 
 def test_true_correlation_immutable():
@@ -140,6 +162,15 @@ def test_estimate_as_truth_clean():
     assert promoted.source == "sample-estimate"
     assert np.array_equal(promoted.entries,
                           corrdist.corr_matrix(panel).entries)
+
+
+def test_estimate_as_truth_runs_one_eigenvalue_gate(monkeypatch):
+    panel = gaussian_panel(4, 500, seed=2)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    assert synthgen.sample_estimate_as_truth(panel).repaired is False
+    assert len(calls) == 1
 
 
 def test_estimate_as_truth_repairs_rank_deficiency():

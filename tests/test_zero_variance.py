@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from corrstat import corrdist, dataio, portfolio, stationarity
+from corrstat import cli, corrdist, dataio, portfolio, stationarity
 from corrstat.errors import ZeroVariance
 from corrstat.stationarity import LocalTestConfig
 
@@ -101,3 +101,25 @@ def test_every_caller_flags_the_same_rows(rows, seed):
         str(ZeroVariance(name)) for name in names]
     assert global_report.cells[0].denominator == len(pairs) - len(skipped_pairs)
 
+
+
+def test_a_ticker_flat_in_one_window_fails_that_window_only(tmp_path, capsys):
+    returns = np.random.default_rng(7).normal(size=(4, 120))
+    returns[1, 40:80] = 0.25
+    panel = make_panel(returns, ("A", "B", "C", "D"))
+    for build in (corrdist.corr_matrix, portfolio.covariance_matrix):
+        whole = build(panel)
+        assert isinstance(whole, portfolio.CovarianceMatrix) and whole.window == (0, 120)
+        try:
+            build(panel, (40, 80))
+        except ZeroVariance as exc:
+            assert (exc.ticker, exc.window) == ("B", (40, 80))
+        else:
+            raise AssertionError(f"{build.__name__} passed a flat window")
+    path = tmp_path / "panel.csv"
+    dataio.save_panel_csv(panel, path)
+    rc = cli.main(["spectral", "--input", str(path), "--input-kind", "returns",
+                   "--window", "40", "--sectors", "1"])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: ZeroVariance: zero variance for 'B' in window (40, 80)"]
