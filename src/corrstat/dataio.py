@@ -123,76 +123,73 @@ class CovarianceMatrix:
         return None if self.window is None else self.window[1] - self.window[0]
 
 
-def _raise_first_bad_row(path, rows, width, lead):
-    """ParseError for the first data row, in file order, that is short, long or non-numeric."""
-    for irow, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise ParseError(
-                f"{path}: row {irow} has {len(row)} cells, expected {width}",
-                row=irow,
-            )
-        for col, cell in enumerate(row[lead:], start=lead + 1):
-            try:
-                float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"{path}: non-numeric cell at row {irow}, col {col}: {cell!r}",
-                    row=irow,
-                    col=col,
-                ) from None
-
-
 def load_price_panel(path, format="prices"):
     """Read a CSV panel (header of tickers, optional leading date column).
 
     ``format="prices"`` returns a PricePanel, ``format="returns"`` a raw
     ReturnPanel. Rows are days in the file, transposed into N x T storage.
+    Row numbers in errors count non-blank records, the header being row 1.
     """
     if format not in ("prices", "returns"):
         raise InvalidParameter(f"format must be 'prices' or 'returns', got {format!r}")
+    times, days = [], []
+    nonfinite = None  # the first non-finite cell's error, raised after every other check
+    irow = 0  # records read; a reader error is in the next one
     with open(path, newline="", encoding="utf-8-sig") as fh:  # Excel prepends a BOM
-        rows = list(csv.reader(fh))
-    rows = [r for r in rows if r]  # ignore blank lines
-    if not rows:
-        raise ParseError(f"{path}: empty file")
-    header = [c.strip() for c in rows[0]]
-    has_dates = bool(header) and header[0].lower() == "date"
-    tickers = header[1:] if has_dates else header
-    if not tickers:
-        raise ParseError(f"{path}: header contains no tickers")
-    seen = set()
-    for tick in tickers:
-        if tick in seen:
-            raise DuplicateTicker(tick)
-        seen.add(tick)
-
-    width = len(header)
-    lead = 1 if has_dates else 0
-    body = [row[lead:] for row in rows[1:]]
-    if not body:
+        records = enumerate(filter(None, csv.reader(fh)), start=1)  # blank lines are not rows
+        try:
+            irow, header = next(records, (0, None))
+            if header is None:
+                raise ParseError(f"{path}: empty file")
+            header = [c.strip() for c in header]
+            has_dates = header[0].lower() == "date"
+            tickers = header[1:] if has_dates else header
+            if not tickers:
+                raise ParseError(f"{path}: header contains no tickers")
+            seen = set()
+            for tick in tickers:
+                if tick in seen:
+                    raise DuplicateTicker(tick)
+                seen.add(tick)
+            width, lead = len(header), int(has_dates)
+            for irow, row in records:
+                if len(row) != width:
+                    raise ParseError(
+                        f"{path}: row {irow} has {len(row)} cells, expected {width}",
+                        row=irow,
+                    )
+                cells = row[lead:]
+                try:  # cells parse as float()
+                    day = np.fromiter(map(float, cells), np.float64, len(tickers))
+                except ValueError:
+                    for col, cell in enumerate(cells, start=lead + 1):
+                        try:
+                            float(cell)
+                        except ValueError:
+                            raise ParseError(
+                                f"{path}: non-numeric cell at row {irow}, col {col}: {cell!r}",
+                                row=irow,
+                                col=col,
+                            ) from None
+                if nonfinite is None and not np.isfinite(day).all():
+                    col = lead + 1 + int(np.argmin(np.isfinite(day)))
+                    nonfinite = ParseError(
+                        f"{path}: non-finite cell at row {irow}, col {col}: {row[col - 1]!r}",
+                        row=irow,
+                        col=col,
+                    )
+                days.append(day)
+                times.append(row[0].strip() if has_dates else str(irow - 1))
+        except UnicodeDecodeError as err:
+            raise ParseError(f"{path}: not UTF-8 text ({err.reason})") from None
+        except csv.Error as err:
+            raise ParseError(f"{path}: row {irow + 1}: {err}", row=irow + 1) from None
+    if not days:
         raise ParseError(f"{path}: no data rows")
-    try:
-        days = np.asarray(body, dtype=np.float64)  # T x N, file order; cells parse as float()
-        if days.shape[1] != width - lead:
-            raise ValueError
-    except ValueError:
-        _raise_first_bad_row(path, rows, width, lead)
-        raise
-    times = [row[0].strip() if has_dates else str(t) for t, row in enumerate(rows[1:], start=1)]
-    nonfinite = np.argwhere(~np.isfinite(days))
-    if nonfinite.size:
-        t, jcol = nonfinite[0].tolist()
-        irow, col = t + 2, jcol + (2 if has_dates else 1)
-        cell = rows[t + 1][col - 1]
-        raise ParseError(
-            f"{path}: non-finite cell at row {irow}, col {col}: {cell!r}",
-            row=irow,
-            col=col,
-        )
-    matrix = days.T  # N x T
-    if format == "prices":
-        return PricePanel(tuple(tickers), tuple(times), matrix)
-    return ReturnPanel(tuple(tickers), tuple(times), matrix)
+    if nonfinite is not None:
+        raise nonfinite
+    panel = PricePanel if format == "prices" else ReturnPanel
+    return panel(tuple(tickers), tuple(times), np.stack(days, axis=1))  # N x T
 
 
 def save_panel_csv(panel, path):

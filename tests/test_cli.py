@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -391,10 +392,11 @@ def test_qscan_exits_0_1_or_2_with_one_error_line(qscan_panel, t1, t2, replicas,
 
 
 _MALFORMED = ("well-formed", "ragged-short", "ragged-long", "empty", "dates-only",
-              "one-ticker", "duplicate-tickers", "non-numeric", "constant-ticker")
+              "one-ticker", "duplicate-tickers", "non-numeric", "constant-ticker",
+              "not-utf8", "oversized-cell")
 
 
-def _panel_text(malformation, n_series, n_steps, row, seed):
+def _panel_bytes(malformation, n_series, n_steps, row, seed):
     """A CSV price panel with at most one defect; row picks the defective row."""
     rng = np.random.default_rng(seed)
     steps = rng.normal(0.0, 0.01, size=(n_steps, n_series))
@@ -403,7 +405,7 @@ def _panel_text(malformation, n_series, n_steps, row, seed):
     rows = [[f"d{t}", *(f"{v:.17g}" for v in day)] for t, day in enumerate(prices)]
     row %= n_steps
     if malformation == "empty":
-        return ""
+        return b""
     if malformation == "ragged-short":
         rows[row].pop()
     elif malformation == "ragged-long":
@@ -419,7 +421,12 @@ def _panel_text(malformation, n_series, n_steps, row, seed):
     elif malformation == "constant-ticker":
         for r in rows:
             r[1] = "4.2"
-    return "".join(",".join(r) + "\n" for r in [header, *rows])
+    elif malformation == "not-utf8":  # as Excel's plain CSV export writes it on Windows
+        rows[row][0] += "\u00e9"
+    elif malformation == "oversized-cell":
+        rows[row][-1] = "1" + "0" * csv.field_size_limit()
+    text = "".join(",".join(r) + "\n" for r in [header, *rows])
+    return text.encode("cp1252" if malformation == "not-utf8" else "utf-8")
 
 
 _SUBCOMMANDS = {
@@ -450,7 +457,7 @@ def test_every_subcommand_exits_0_1_or_2_with_one_error_line(
         malformed_dir, command, malformation, n_series, n_steps, row, seed, input_kind,
         rho, recipe):
     panel = malformed_dir / "panel.csv"
-    panel.write_text(_panel_text(malformation, n_series, n_steps, row, seed))
+    panel.write_bytes(_panel_bytes(malformation, n_series, n_steps, row, seed))
     fields = {"input": panel, "n_steps": n_steps, "rho": repr(rho), "recipe": recipe}
     argv = [command, *(a.format(**fields) for a in _SUBCOMMANDS[command]),
             "--out", str(malformed_dir / "out.json")]
@@ -660,10 +667,11 @@ def test_config_echoes_every_parsed_flag(tmp_path, capsys):
             assert echo["config"][flag] == value, (argv, flag)
 
 
-@pytest.mark.parametrize("malformation", ["duplicate-tickers", "ragged-short"])
+@pytest.mark.parametrize("malformation",
+                         ["duplicate-tickers", "ragged-short", "not-utf8", "oversized-cell"])
 def test_simulate_reads_its_corr_panel_like_the_panel_commands(tmp_path, malformation):
     panel = tmp_path / "bad.csv"
-    panel.write_text(_panel_text(malformation, 3, 60, 10, 0))
+    panel.write_bytes(_panel_bytes(malformation, 3, 60, 10, 0))
     out = str(tmp_path / "out")
     simulate = run_captured(["simulate", "--family", "gaussian", "--corr", f"from:{panel}",
                              "--T", "40", "--out", out])

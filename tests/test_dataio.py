@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -107,6 +109,20 @@ def test_first_bad_row_in_file_order(tmp_path):
     with pytest.raises(ParseError) as err:
         dataio.load_price_panel(path)
     assert (err.value.row, err.value.col) == (3, None)
+    # a non-finite cell is reported only when no row is short, long or non-numeric
+    path = write(tmp_path / "c.csv", "A,B\n1,nan\n1,2\n1,x\n")
+    with pytest.raises(ParseError, match="non-numeric") as err:
+        dataio.load_price_panel(path)
+    assert (err.value.row, err.value.col) == (4, 2)
+    path = write(tmp_path / "d.csv", "A,B\n1,inf\n1,2\n3,4\n5\n")
+    with pytest.raises(ParseError, match="has 1 cells") as err:
+        dataio.load_price_panel(path)
+    assert (err.value.row, err.value.col) == (5, None)
+    # blank lines are not rows
+    path = write(tmp_path / "e.csv", "A,B\n\n1,2\n\n\n1,x\n")
+    with pytest.raises(ParseError, match="row 3, col 2") as err:
+        dataio.load_price_panel(path)
+    assert (err.value.row, err.value.col) == (3, 2)
 
 
 def test_parse_error_ragged_row(tmp_path):
@@ -137,6 +153,27 @@ def test_save_load_round_trip(tmp_path):
     back = dataio.load_price_panel(str(path), format="returns")
     assert back.tickers == panel.tickers
     assert np.array_equal(back.returns, panel.returns)  # %.17g is lossless
+    extremes = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                -1.7976931348623157e308, -0.0, 1 / 3]
+    panel = make_panel([extremes, extremes[::-1]])
+    dataio.save_panel_csv(panel, str(path))
+    back = dataio.load_price_panel(str(path), format="returns")
+    assert back.returns.tobytes() == panel.returns.tobytes()  # -0.0 keeps its sign
+
+
+def test_load_peak_memory_per_cell(tmp_path):
+    # The loader keeps parsed floats, not every cell's text.
+    n_series, n_steps = 50, 2000
+    path = str(tmp_path / "wide.csv")
+    dataio.save_panel_csv(make_panel(np.random.default_rng(2).normal(size=(n_series, n_steps))),
+                          path)
+    tracemalloc.start()
+    try:
+        dataio.load_price_panel(path, format="returns")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (n_series * n_steps) <= 64
 
 
 def test_log_returns():

@@ -1,8 +1,10 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrstat import stationarity, synthgen
@@ -567,3 +569,53 @@ def test_ks_pvalue_monotone_in_d(seed):
     d1, d2 = sorted(rng.uniform(0.01, 0.99, size=2))
     k = int(rng.integers(5, 200))
     assert stationarity.ks_pvalue(d2, k) <= stationarity.ks_pvalue(d1, k) + 1e-12
+
+
+_REGIME_CONFIGS = (LocalTestConfig(t1=50, tau=5), LocalTestConfig(t1=50, tau=25))
+
+
+def _both_scans(panel):
+    """Cells and skip lists of the global scan (windows 25, 50) and the local scan."""
+    g = stationarity.global_scan(panel, (25, 50))
+    loc = stationarity.local_scan(panel, _REGIME_CONFIGS)
+    return g.cells + loc.cells, g.skipped + loc.skipped
+
+
+@pytest.fixture(scope="module")
+def regime_scans():
+    """An 8 x 400 Student-t panel whose correlation changes halfway, S5 constant, and its scans."""
+    spec = synthgen.GeneratorSpec(
+        family=synthgen.FAMILY_STUDENT_T, n_series=8, n_steps=400, seed=3,
+        correlation=synthgen.one_factor_correlation(8, seed=3), nu=5.0,
+    )
+    after = dataclasses.replace(spec, seed=4,
+                                correlation=synthgen.equicorr_correlation(8, -0.1))
+    returns = np.concatenate([synthgen.sample_panel(spec).returns[:, :200],
+                              synthgen.sample_panel(after).returns[:, 200:]], axis=1)
+    returns[5] = 0.25
+    panel = make_panel(returns)
+    return panel, _both_scans(panel)
+
+
+@settings(max_examples=10)
+@given(perm=st.permutations(range(8)))
+def test_scans_ignore_ticker_order(regime_scans, perm):
+    panel, (cells, skipped) = regime_scans
+    moved_cells, moved_skipped = _both_scans(panel.select(perm))
+    assert moved_cells == cells
+
+    def in_original_indices(entry):
+        pair = sorted(perm[k] for k in entry["pair"])
+        return json.dumps(dict(entry, pair=pair), sort_keys=True)
+
+    assert (sorted(map(in_original_indices, moved_skipped))
+            == sorted(json.dumps(entry, sort_keys=True) for entry in skipped))
+
+
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_scans_ignore_row_scale(regime_scans, seed):
+    panel, scans = regime_scans
+    rng = np.random.default_rng(seed)
+    scale, shift = np.exp(rng.normal(size=(8, 1))), rng.normal(size=(8, 1))
+    assert _both_scans(make_panel(scale * panel.returns + shift)) == scans
