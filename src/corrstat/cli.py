@@ -7,9 +7,13 @@ reproduced from its own output.  Timestamps default to the literal
 string "unset" unless --timestamp or the CORRSTAT_TIMESTAMP variable
 supplies one; wall-clock values would break byte-level reproducibility.
 
+Each flag's own rules are checked where argparse parses it, by its type:
+bounds restating a library rule read the library's constant, and counts
+and sizes stop at 2**53.  Handlers check only what needs another flag or
+the panel.
+
 Exit codes: 0 success, 2 flag validation failure (message names the
-flag; bounds restating a library rule read the library's constant),
-1 runtime failure inside a computation.
+flag), 1 runtime failure, running out of memory included.
 """
 from __future__ import annotations
 
@@ -23,8 +27,7 @@ import sys
 import numpy as np
 
 from . import __version__, corrdist, dataio, portfolio, spectral, stationarity, synthgen
-from .errors import CorrstatError, InvalidParameter
-from .parallel import resolve_threads
+from .errors import CorrstatError
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -89,33 +92,54 @@ def _echo_config(report: dict):
     print(json.dumps(slim, sort_keys=True, default=_json_default))
 
 
-def _parse_list(text: str, flag: str, cast):
-    """Comma-separated ints or floats; at least one."""
+# The largest integer a float64 holds exactly: every count or size flag is
+# used as a float or as an array size, so none may exceed it.
+_INT_CAP = 2 ** 53
+
+
+def _bounded(cast, ok, bound: str, many: bool = False):
+    """argparse type: the text cast by int or float, accepted when ok(value).
+
+    With many, the text is a comma-separated list of at least one value,
+    blanks skipped, and ok sees the whole list.  Text the cast refuses
+    reads "invalid int (or float) value", a value ok refuses "must be <bound>".
+    """
+    def parse(text: str):
+        value = [cast(tok) for tok in text.split(",") if tok.strip()] if many else cast(text)
+        if (value or not many) and ok(value):
+            return value
+        raise argparse.ArgumentTypeError(f"must be {bound}, got {text!r}")
+
+    parse.__name__ = cast.__name__
+    return parse
+
+
+def _count(low: int, many: bool = False):
+    """Integers in [low, 2**53]; with many, a comma-separated list of them."""
+    if many:
+        return _bounded(int, lambda vs: all(low <= v <= _INT_CAP for v in vs),
+                        f"comma-separated integers in [{low}, 2**53]", many=True)
+    return _bounded(int, lambda v: low <= v <= _INT_CAP, f"an integer in [{low}, 2**53]")
+
+
+# Seeds and replica indices label substreams, so any size is fine.
+_LABEL = _bounded(int, lambda v: v >= 0, "a non-negative integer")
+# A Student-t nu the generator accepts: finite and at least synthgen.MIN_NU.
+_NU = _bounded(float, lambda nu: synthgen.MIN_NU <= nu < math.inf,
+               f"a finite number >= {synthgen.MIN_NU:g}")
+
+
+def _mc(text: str) -> str:
+    """argparse type of --mc: 'gaussian' or 'student-t:NU' with an NU --nu takes; kept as text."""
+    family, _, nu = text.partition(":")
     try:
-        values = [cast(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        kind = "integers" if cast is int else "numbers"
-        raise UsageError(f"{flag} expects comma-separated {kind}, got {text!r}") from None
-    if not values:
-        raise UsageError(f"{flag} must list at least one value")
-    return values
-
-
-def _parse_mc(text: str, flag: str):
-    """'gaussian' or 'student-t:NU' -> (family, nu)."""
-    if text is None:
-        return None, None
-    head, _, tail = text.partition(":")
-    if head == synthgen.FAMILY_GAUSSIAN and not tail:
-        return head, None
-    if head == synthgen.FAMILY_STUDENT_T:
-        try:
-            nu = float(tail)
-        except ValueError:
-            raise UsageError(f"{flag}: student-t needs a numeric nu, got {text!r}") from None
-        _require_nu(nu, f"{flag}: nu")
-        return head, nu
-    raise UsageError(f"{flag} must be 'gaussian' or 'student-t:NU', got {text!r}")
+        if (family == synthgen.FAMILY_GAUSSIAN and not nu
+                or family == synthgen.FAMILY_STUDENT_T and _NU(nu)):
+            return text
+    except (ValueError, argparse.ArgumentTypeError):
+        pass
+    raise argparse.ArgumentTypeError(f"must be 'gaussian' or 'student-t:NU' with a finite "
+                                     f"NU >= {synthgen.MIN_NU:g}, got {text!r}")
 
 
 def _load_returns(path: str, input_kind: str, returns_kind: str, flag: str = "--input"):
@@ -160,30 +184,6 @@ def _require(condition: bool, message: str):
         raise UsageError(message)
 
 
-def _require_nu(nu: float, name: str):
-    """A Student-t nu the generator accepts: finite and at least synthgen.MIN_NU."""
-    _require(math.isfinite(nu), f"{name} must be finite, got {nu}")
-    _require(nu >= synthgen.MIN_NU, f"{name} must be at least {synthgen.MIN_NU:g}, got {nu}")
-
-
-def _seed(text: str) -> int:
-    """argparse type of every seed flag: a non-negative integer."""
-    try:
-        seed = int(text)
-        if seed >= 0:
-            return seed
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-
-
-def _threads(text: str) -> int:
-    try:
-        return resolve_threads(text)
-    except InvalidParameter:
-        raise UsageError(f"--threads must be an integer >= 1, got {text!r}") from None
-
-
 def _fraction(value: float):
     """A scan fraction for JSON: NaN, a cell with no tested pair, becomes null."""
     return None if math.isnan(value) else value
@@ -206,14 +206,12 @@ def _scan_json(scan: stationarity.ScanReport) -> dict:
 
 def _scan_input(args):
     """--input's panel, and the pairs, MC control and dataset keywords of both scans."""
-    mc_family, mc_nu = _parse_mc(args.mc, "--mc")
-    _require(args.max_pairs is None or args.max_pairs >= 1,
-             f"--max-pairs must be at least 1, got {args.max_pairs}")
+    mc_family, _, mc_nu = (args.mc or "").partition(":")
     panel = _load_returns(args.input, args.input_kind, args.returns_kind)
     return panel, {
         "pairs": stationarity.all_pairs(panel.n_series)[:args.max_pairs],
-        "mc_family": mc_family, "mc_nu": mc_nu, "mc_seed": args.mc_seed,
-        "dataset": os.path.basename(args.input),
+        "mc_family": mc_family or None, "mc_nu": float(mc_nu) if mc_nu else None,
+        "mc_seed": args.mc_seed, "dataset": os.path.basename(args.input),
     }
 
 
@@ -233,13 +231,6 @@ def _q_samples_json(qs, flags, **extra) -> list:
 # ---------------------------------------------------------------- density
 
 def cmd_density(args) -> int:
-    _require(args.T >= corrdist.MIN_T,
-             f"--T must be at least {corrdist.MIN_T} (minimum observations for the "
-             f"sampling density), got {args.T}")
-    limit = corrdist.RHO_BAR_LIMIT
-    _require(abs(args.rho_bar) <= limit,
-             f"--rho-bar must lie in [-{limit!r}, {limit!r}], got {args.rho_bar}")
-    _require(args.grid >= 2, f"--grid must be at least 2, got {args.grid}")
     params = corrdist.CorrParams(args.rho_bar, args.T)
     grid = np.linspace(-1.0, 1.0, args.grid)
     dens = corrdist.rho_density(grid, params)
@@ -257,13 +248,6 @@ def cmd_density(args) -> int:
 # ---------------------------------------------------------------- global-scan
 
 def cmd_global_scan(args) -> int:
-    args.window = _parse_list(args.window, "--window", int)
-    for w in args.window:
-        _require(w >= corrdist.MIN_T,
-                 f"--window entries must be at least {corrdist.MIN_T}, got {w}")
-    args.alpha = _parse_list(args.alpha, "--alpha", float)
-    for a in args.alpha:
-        _require(0.0 < a < 1.0, f"--alpha entries must lie in (0, 1), got {a}")
     panel, scan_kw = _scan_input(args)
     scan = stationarity.global_scan(panel, args.window, args.alpha,
                                     reshuffle_seed=args.reshuffle_seed,
@@ -274,14 +258,6 @@ def cmd_global_scan(args) -> int:
 # ---------------------------------------------------------------- local-scan
 
 def cmd_local_scan(args) -> int:
-    _require(args.t1 >= corrdist.MIN_T,
-             f"--t1 must be at least {corrdist.MIN_T}, got {args.t1}")
-    args.tau = _parse_list(args.tau, "--tau", int)
-    for tau in args.tau:
-        _require(tau >= 1, f"--tau entries must be at least 1, got {tau}")
-    args.n = _parse_list(args.n, "--n", int)
-    for n in args.n:
-        _require(n >= 1, f"--n entries must be at least 1, got {n}")
     panel, scan_kw = _scan_input(args)
     configs = [stationarity.LocalTestConfig(args.t1, tau, tuple(args.n)) for tau in args.tau]
     scan = stationarity.local_scan(panel, configs,
@@ -293,13 +269,8 @@ def cmd_local_scan(args) -> int:
 
 def cmd_simulate(args) -> int:
     _require(args.out is not None, "--out is required for simulate")
-    _require(args.family in (synthgen.FAMILY_GAUSSIAN, synthgen.FAMILY_STUDENT_T),
-             f"--family must be 'gaussian' or 'student-t', got {args.family!r}")
     if args.family == synthgen.FAMILY_STUDENT_T:
         _require(args.nu is not None, "--nu is required for --family student-t")
-        _require_nu(args.nu, "--nu")
-    _require(args.T >= 1, f"--T must be at least 1, got {args.T}")
-    _require(args.replica >= 0, f"--replica must be >= 0, got {args.replica}")
     truth = _parse_corr_spec(args.corr, "--corr", args.input_kind, args.returns_kind)
     spec = synthgen.GeneratorSpec(
         family=args.family, n_series=truth.n_series, n_steps=args.T,
@@ -315,15 +286,9 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------- qscan
 
 def cmd_qscan(args) -> int:
-    _require(args.t1 >= 2, f"--t1 must be at least 2, got {args.t1}")
-    _require(args.t2 >= 2, f"--t2 must be at least 2, got {args.t2}")
-    _require(args.replicas >= portfolio.MIN_REPLICAS,
-             f"--replicas must be at least {portfolio.MIN_REPLICAS}, got {args.replicas}")
-    _require(0.0 < args.band_sigmas < math.inf,
-             f"--band-sigmas must be finite and positive, got {args.band_sigmas}")
     panel = _load_returns(args.input, args.input_kind, args.returns_kind)
     if args.n_stocks is not None:
-        _require(1 <= args.n_stocks <= panel.n_series,
+        _require(args.n_stocks <= panel.n_series,
                  f"--n-stocks must lie in [1, {panel.n_series}], got {args.n_stocks}")
         panel = portfolio.select_stocks(panel, args.n_stocks, args.select_seed)
     _require(args.t1 > panel.n_series,
@@ -387,15 +352,6 @@ def _load_volatilities(path: str, tickers) -> np.ndarray:
 # ---------------------------------------------------------------- spectral
 
 def cmd_spectral(args) -> int:
-    _require(args.window >= corrdist.MIN_T,
-             f"--window must be at least {corrdist.MIN_T}, got {args.window}")
-    _require(args.sectors >= 1, f"--sectors must be at least 1, got {args.sectors}")
-    args.thresholds = thresholds = _parse_list(args.thresholds, "--thresholds", float)
-    _require(len(thresholds) == 3,
-             f"--thresholds needs exactly 3 values (market,sector,ipr), got {len(thresholds)}")
-    _require(thresholds[0] >= 0, "--thresholds: market threshold must be >= 0")
-    _require(thresholds[1] <= 0 and thresholds[2] <= 0,
-             "--thresholds: sector and ipr thresholds must be <= 0")
     panel = _load_returns(args.input, args.input_kind, args.returns_kind)
     _require(panel.n_series > args.sectors + 1,
              f"--sectors: need more than sectors + 1 = {args.sectors + 1} series, "
@@ -411,7 +367,7 @@ def cmd_spectral(args) -> int:
             "from": list(first.window),
             "to": list(second.window),
             **dataclasses.asdict(delta),
-            "flag": spectral.co_occurrence_flag(delta, thresholds),
+            "flag": spectral.co_occurrence_flag(delta, args.thresholds),
         })
     return _emit_json(_report("spectral", args, {
         "dataset": os.path.basename(args.input),
@@ -516,10 +472,10 @@ def cmd_reproduce(args) -> int:
 # ---------------------------------------------------------------- parser
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports a bad command line in one line, without the usage block."""
+    """argparse whose errors raise UsageError: main reports them in one line, no usage block."""
 
     def error(self, message):
-        self.exit(EXIT_USAGE, f"error: {message}\n")
+        raise UsageError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -531,9 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", default="1",
-                        help="thread count, validated as an integer >= 1 and "
-                             "otherwise unused (default: 1)")
+    common.add_argument("--threads", type=_count(1), default=1,
+                        help="thread count, validated and otherwise unused (default: 1)")
     common.add_argument("--timestamp", default=None,
                         help="timestamp string for reports (default: "
                              "CORRSTAT_TIMESTAMP or 'unset')")
@@ -549,55 +504,65 @@ def build_parser() -> argparse.ArgumentParser:
     panel_in.add_argument("--input", required=True, help="CSV panel path")
 
     scan_in = argparse.ArgumentParser(add_help=False)
-    scan_in.add_argument("--max-pairs", type=int, default=None)
-    scan_in.add_argument("--mc", default=None,
+    scan_in.add_argument("--max-pairs", type=_count(1), default=None)
+    scan_in.add_argument("--mc", type=_mc, default=None,
                          help="stationary MC control family: gaussian or student-t:NU")
-    scan_in.add_argument("--mc-seed", type=_seed, default=0)
+    scan_in.add_argument("--mc-seed", type=_LABEL, default=0)
 
     p = sub.add_parser("density", parents=[common],
                        help="exact sampling density of the Pearson estimator")
-    p.add_argument("--rho-bar", type=float, required=True)
-    p.add_argument("--T", type=int, required=True)
-    p.add_argument("--grid", type=int, default=2001)
+    limit = corrdist.RHO_BAR_LIMIT
+    p.add_argument("--rho-bar", required=True, type=_bounded(
+        float, lambda r: abs(r) <= limit, f"a number in [-{limit!r}, {limit!r}]"))
+    p.add_argument("--T", type=_count(corrdist.MIN_T), required=True)
+    p.add_argument("--grid", type=_count(2), default=2001)
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.set_defaults(handler=cmd_density)
 
     p = sub.add_parser("global-scan", parents=[common, panel_in, scan_in],
                        help="windowed KS test of correlation stationarity, all pairs")
-    p.add_argument("--window", default="25,50,100", help="comma-separated window lengths")
-    p.add_argument("--alpha", default="0.01,0.05,0.10", help="comma-separated levels")
-    p.add_argument("--reshuffle-seed", type=_seed, default=None,
+    p.add_argument("--window", type=_count(corrdist.MIN_T, many=True), default="25,50,100",
+                   help="comma-separated window lengths")
+    p.add_argument("--alpha", default="0.01,0.05,0.10", help="comma-separated levels",
+                   type=_bounded(float, lambda alphas: all(0.0 < a < 1.0 for a in alphas),
+                                 "comma-separated numbers in (0, 1)", many=True))
+    p.add_argument("--reshuffle-seed", type=_LABEL, default=None,
                    help="run a synchronous-reshuffle control with this seed")
     p.set_defaults(handler=cmd_global_scan)
 
     p = sub.add_parser("local-scan", parents=[common, panel_in, scan_in],
                        help="expanding-window increment test of correlation stationarity")
-    p.add_argument("--t1", type=int, required=True)
-    p.add_argument("--tau", default="50", help="comma-separated step sizes")
-    p.add_argument("--n", default="1,2,3,4,5", help="comma-separated sigma multiples")
+    p.add_argument("--t1", type=_count(corrdist.MIN_T), required=True)
+    p.add_argument("--tau", type=_count(1, many=True), default="50",
+                   help="comma-separated step sizes")
+    p.add_argument("--n", type=_count(1, many=True), default="1,2,3,4,5",
+                   help="comma-separated sigma multiples")
     p.add_argument("--sigma-convention", choices=("window", "paper"), default="window")
     p.set_defaults(handler=cmd_local_scan)
 
     p = sub.add_parser("simulate", parents=[common, kinds],
                        help="draw a stationary synthetic return panel")
-    p.add_argument("--family", required=True, help="gaussian or student-t")
-    p.add_argument("--nu", type=float, default=None)
+    p.add_argument("--family", required=True,
+                   choices=(synthgen.FAMILY_GAUSSIAN, synthgen.FAMILY_STUDENT_T))
+    p.add_argument("--nu", type=_NU, default=None)
     p.add_argument("--corr", required=True,
                    help="from:PATH | identity:N | equicorr:N:RHO | onefactor:N:SEED")
-    p.add_argument("--T", type=int, required=True)
-    p.add_argument("--seed", type=_seed, default=42)
-    p.add_argument("--replica", type=int, default=0)
+    p.add_argument("--T", type=_count(1), required=True)
+    p.add_argument("--seed", type=_LABEL, default=42)
+    p.add_argument("--replica", type=_LABEL, default=0)
     p.set_defaults(handler=cmd_simulate)
 
     p = sub.add_parser("qscan", parents=[common, panel_in],
                        help="realized/in-sample risk ratio with MC non-optimality band")
-    p.add_argument("--n-stocks", type=int, default=None)
-    p.add_argument("--select-seed", type=_seed, default=1)
-    p.add_argument("--t1", type=int, required=True)
-    p.add_argument("--t2", type=int, required=True)
-    p.add_argument("--replicas", type=int, default=100)
-    p.add_argument("--mc-seed", type=_seed, default=42)
-    p.add_argument("--band-sigmas", type=float, default=portfolio.DEFAULT_BAND_SIGMAS)
+    p.add_argument("--n-stocks", type=_count(1), default=None)
+    p.add_argument("--select-seed", type=_LABEL, default=1)
+    p.add_argument("--t1", type=_count(2), required=True)
+    p.add_argument("--t2", type=_count(2), required=True)
+    p.add_argument("--replicas", type=_count(portfolio.MIN_REPLICAS), default=100)
+    p.add_argument("--mc-seed", type=_LABEL, default=42)
+    p.add_argument("--band-sigmas", default=portfolio.DEFAULT_BAND_SIGMAS,
+                   type=_bounded(float, lambda k: 0.0 < k < math.inf,
+                                 "a finite positive number"))
     p.add_argument("--truth", choices=("estimated", "identity"), default="estimated",
                    help="correlation truth for the MC band")
     p.add_argument("--independent-windows", action="store_true",
@@ -608,10 +573,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectral", parents=[common, panel_in],
                        help="per-window eigenvalue/IPR snapshots and deltas")
-    p.add_argument("--window", type=int, required=True)
-    p.add_argument("--sectors", type=int, default=spectral.DEFAULT_SECTOR_COUNT)
+    p.add_argument("--window", type=_count(corrdist.MIN_T), required=True)
+    p.add_argument("--sectors", type=_count(1), default=spectral.DEFAULT_SECTOR_COUNT)
     p.add_argument("--thresholds", default="0,0,0",
-                   help="market,sector,ipr co-occurrence thresholds")
+                   help="market,sector,ipr co-occurrence thresholds",
+                   type=_bounded(float, lambda t: len(t) == 3 and t[0] >= 0 and t[1] <= 0 and t[2] <= 0,
+                                 "market,sector,ipr with market >= 0 and sector, ipr <= 0",
+                                 many=True))
     p.set_defaults(handler=cmd_spectral)
 
     p = sub.add_parser("reproduce", parents=[common],
@@ -624,12 +592,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "handler", None) is None:
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
     try:
-        args.threads = _threads(args.threads)
+        args = parser.parse_args(argv)
+        if getattr(args, "handler", None) is None:
+            parser.print_usage(sys.stderr)
+            return EXIT_USAGE
         return args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -639,6 +606,9 @@ def main(argv=None) -> int:
         return EXIT_RUNTIME
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -277,8 +277,17 @@ def global_scan(panel: ReturnPanel, window_lens, alphas=DEFAULT_ALPHAS,
     Optional controls rerun the identical scan on a synchronously
     reshuffled copy and on a synthetic stationary panel whose truth is
     the full-sample correlation estimate.  threads is validated and
-    changes nothing: the pairs run in order on the calling thread.
+    changes nothing: the pairs run in order on the calling thread.  A
+    window length below MIN_T or an alpha outside (0, 1) raises
+    InvalidParameter before any pair is tested; a window longer than the
+    panel skips every pair.
     """
+    short = [w for w in window_lens if not w >= MIN_T]
+    if short:
+        raise InvalidParameter(f"window lengths must be >= {MIN_T}, got {short[0]!r}")
+    outside = [a for a in alphas if not 0.0 < a < 1.0]
+    if outside:
+        raise InvalidParameter(f"alphas must lie in (0, 1), got {outside[0]!r}")
     if pairs is None:
         pairs = all_pairs(panel.n_series)
     pairs = sorted((min(p), max(p)) for p in pairs)
@@ -457,6 +466,8 @@ def local_scan(panel: ReturnPanel, configs, pairs=None,
     Each config carries its own n values.  Each panel (and its optional
     MC control) is scanned as one array computation.
     """
+    if sigma_convention not in (SIGMA_WINDOW, SIGMA_PAPER):
+        raise InvalidParameter(f"unknown sigma convention {sigma_convention!r}")
     if pairs is None:
         pairs = all_pairs(panel.n_series)
     pairs = sorted((min(p), max(p)) for p in pairs)

@@ -104,10 +104,10 @@ def test_no_subcommand(capsys):
     assert run([]) == 2
 
 
-def test_unknown_recipe():
-    with pytest.raises(SystemExit) as err:
-        run(["reproduce", "nope"])
-    assert err.value.code == 2
+def test_unknown_recipe(capsys):
+    assert run(["reproduce", "nope"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: argument recipe: invalid choice: 'nope'"), line
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -140,9 +140,7 @@ def test_unknown_recipe():
      "error: argument --select-seed: must be a non-negative integer, got '-1'"),
 ])
 def test_bad_flag_value_is_one_line(argv, message, capsys):
-    with pytest.raises(SystemExit) as err:
-        run(argv)
-    assert err.value.code == 2
+    assert run(argv) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(message), lines
 
@@ -535,11 +533,13 @@ def test_bad_thread_count_is_a_usage_error(tmp_path, capsys):
                 ["qscan", "--t1", "20", "--t2", "20", "--replicas", "30"],
                 ["spectral", "--window", "20", "--sectors", "1"],
                 ["density", "--rho-bar", "0.2", "--T", "50", "--grid", "11"])
-    for bad in ("0", "-3", "two", "1.5"):
+    for bad, why in (("0", "must be an integer in [1, 2**53], got '0'"),
+                     ("-3", "must be an integer in [1, 2**53], got '-3'"),
+                     ("two", "invalid int value: 'two'"), ("1.5", "invalid int value: '1.5'")):
         for argv in commands:
             assert run(argv + base * (argv[0] != "density") + ["--threads", bad]) == 2
             err = capsys.readouterr().err
-            assert err == f"error: --threads must be an integer >= 1, got {bad!r}\n", argv
+            assert err == f"error: argument --threads: {why}\n", argv
 
 
 def test_mc_parse_errors(tmp_path, capsys):
@@ -558,7 +558,8 @@ def test_mc_parse_errors(tmp_path, capsys):
                       "--mc", f"student-t:{nu}"])
             assert rc == 2
             err = capsys.readouterr().err.splitlines()
-            assert err == [f"error: --mc: nu must be finite, got {nu}"], err
+            assert err == ["error: argument --mc: must be 'gaussian' or 'student-t:NU' with a "
+                           f"finite NU >= 3, got 'student-t:{nu}'"], err
 
 
 def test_simulate_echoes_the_flags_that_read_its_panel(tmp_path, capsys):
@@ -587,7 +588,8 @@ def test_simulate_rejects_non_finite_nu(tmp_path, capsys, nu):
     rc = run(["simulate", "--family", "student-t", "--nu", nu, "--corr", "identity:3",
               "--T", "50", "--out", str(out)])
     assert rc == 2
-    assert capsys.readouterr().err.splitlines() == [f"error: --nu must be finite, got {nu}"]
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: argument --nu: must be a finite number >= 3, got {nu!r}"]
     assert not out.exists()
 
 
@@ -716,4 +718,62 @@ def test_library_bounds_are_flag_errors(tmp_path, argv, flag):
     if argv[0] == "global-scan":
         argv = [*argv, "--input", str(panel), "--input-kind", "returns"]
     rc, err = run_captured([*argv, "--out", str(tmp_path / "out")])
-    assert rc == 2 and err.startswith(f"error: {flag}") and err.count("\n") == 1, err
+    assert rc == 2 and err.startswith(f"error: argument {flag}: ") and err.count("\n") == 1, err
+
+
+_BIG = "1" + "0" * 400  # too large for a float64 or an array dimension
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["density", "--rho-bar", "0.3", "--T", _BIG], "--T"),
+    (["density", "--rho-bar", "0.3", "--T", "50", "--grid", _BIG], "--grid"),
+    (["local-scan", "--input", "x.csv", "--t1", "30", "--n", _BIG], "--n"),
+    (["simulate", "--family", "gaussian", "--corr", "identity:3", "--T", _BIG,
+      "--out", "x.csv"], "--T"),
+    (["qscan", "--input", "x.csv", "--t1", "30", "--t2", "30", "--replicas", _BIG],
+     "--replicas"),
+])
+def test_huge_counts_are_flag_errors(argv, flag):
+    rc, err = run_captured(argv)
+    assert rc == 2
+    (line,) = err.splitlines()
+    assert line.startswith(f"error: argument {flag}: must be "), line
+    assert f", 2**53], got '{_BIG}'" in line, line
+
+
+def test_running_out_of_memory_is_one_line(monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 64.0 PiB for an array")
+
+    monkeypatch.setattr(cli, "cmd_density", exhausted)
+    assert run(["density", "--rho-bar", "0.3", "--T", "50"]) == 1
+    assert capsys.readouterr().err == (
+        "error: MemoryError: Unable to allocate 64.0 PiB for an array\n")
+
+
+# Substream labels: any non-negative integer is a valid seed or replica index.
+_LABELS = {"--seed", "--mc-seed", "--reshuffle-seed", "--select-seed", "--replica"}
+
+
+def _typed_options():
+    """(subcommand, flag, type) of every option whose value argparse converts."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [(command, action.option_strings[0], action.type)
+            for command, parser in sub.choices.items()
+            for action in parser._actions if action.type is not None]
+
+
+def test_every_typed_option_is_bounded_where_it_is_parsed(capsys):
+    options = _typed_options()
+    assert {flag for _, flag, _ in options} >= {"--threads", "--T", "--window", "--mc"}
+    for command, flag, convert in options:
+        if flag in _LABELS:
+            assert convert(_BIG) == int(_BIG), flag
+            bad_values = ("nan", "-1")
+        else:
+            bad_values = (_BIG, "nan")
+        for value in bad_values:
+            assert run([command, flag, value]) == 2, (command, flag, value)
+            (line,) = capsys.readouterr().err.splitlines()
+            assert line.startswith(f"error: argument {flag}: "), (command, flag, line)

@@ -388,8 +388,19 @@ def test_q_invariant_under_return_scaling(c):
     scaled = make_panel(panel.returns * c, tickers=list(panel.tickers))
     base = portfolio.q_series(panel, 40, 40)
     other = portfolio.q_series(scaled, 40, 40)
+    assert len(base) == len(other)
     for a, b in zip(base, other):
-        assert abs(a.q - b.q) < 1e-9
+        assert abs(a.q - b.q) <= 1e-12 * abs(a.q)
+
+
+@given(st.permutations(range(8)))
+def test_weights_permute_with_the_tickers(perm):
+    panel = gaussian_panel(8, 300, seed=5)
+    base = portfolio.min_variance_weights(portfolio.covariance_matrix(panel, (0, 100)))
+    moved = portfolio.min_variance_weights(
+        portfolio.covariance_matrix(panel.select(perm), (0, 100)))
+    assert moved.tickers == tuple(panel.tickers[k] for k in perm)
+    assert np.abs(moved.w - base.w[list(perm)]).max() <= 1e-12 * np.abs(base.w).max()
 
 
 @given(st.integers(0, 10 ** 6), st.integers(2, 6))

@@ -105,6 +105,21 @@ def test_snapshot_window_passthrough():
     assert snap.window == (10, 60)
 
 
+@given(st.integers(0, 2 ** 32 - 1))
+def test_snapshot_ignores_ticker_order_and_row_scale(seed):
+    panel = gaussian_panel(8, 300, seed=5)
+    rng = np.random.default_rng(seed)
+    scale, shift = np.exp(rng.normal(size=(8, 1))), rng.normal(size=(8, 1))
+    base = spectral.spectral_snapshot(corrdist.corr_matrix(panel, (0, 100)), sectors=2)
+    for moved in (panel.select(rng.permutation(8)),
+                  make_panel(scale * panel.returns + shift)):
+        snap = spectral.spectral_snapshot(corrdist.corr_matrix(moved, (0, 100)), sectors=2)
+        assert (snap.window, snap.ipr_unstable) == (base.window, base.ipr_unstable)
+        for name in ("lambda_market", "lambda_sector", "ipr_market"):
+            ref = getattr(base, name)
+            assert abs(getattr(snap, name) - ref) <= 1e-12 * abs(ref), name
+
+
 def test_snapshot_guards():
     with pytest.raises(InvalidParameter):
         spectral.spectral_snapshot(synthgen.identity_correlation(4), sectors=3)

@@ -158,6 +158,35 @@ def test_global_scan_rejects_a_negative_mc_seed():
                                  mc_seed=-1)
 
 
+@pytest.mark.parametrize("window_lens, alphas", [
+    ((5,), (0.05,)), ((25, 9), (0.05,)), ((25,), (1.5,)), ((25,), (math.nan,)),
+    ((25,), (0.0,)), ((25,), (0.05, 1.0)), ((25,), (-0.1,)),
+])
+def test_global_scan_rejects_bad_windows_and_alphas_before_any_pair(
+        window_lens, alphas, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a pair was tested")
+
+    monkeypatch.setattr(stationarity, "global_test", refuse)
+    with pytest.raises(InvalidParameter):
+        stationarity.global_scan(gaussian_panel(3, 300, seed=4), window_lens, alphas,
+                                 reshuffle_seed=1)
+
+
+def test_global_scan_skips_windows_longer_than_the_panel():
+    report = stationarity.global_scan(gaussian_panel(3, 60, seed=4), (100,))
+    assert [s["error"] for s in report.skipped] == ["InsufficientData"] * 3
+    assert all(cell.denominator == 0 for cell in report.cells)
+
+
+@pytest.mark.parametrize("n_steps, flat", [(60, False), (300, True)])
+def test_local_scan_rejects_an_unknown_sigma_convention(n_steps, flat):
+    returns = gaussian_panel(3, n_steps, seed=4).returns
+    panel = make_panel(np.ones_like(returns) if flat else returns)
+    with pytest.raises(InvalidParameter, match="bogus"):
+        stationarity.local_scan(panel, [LocalTestConfig(50, 50)], sigma_convention="bogus")
+
+
 def test_global_test_needs_five_windows():
     panel = gaussian_panel(2, 400, seed=3)
     with pytest.raises(InsufficientSamples):
@@ -619,3 +648,12 @@ def test_scans_ignore_row_scale(regime_scans, seed):
     rng = np.random.default_rng(seed)
     scale, shift = np.exp(rng.normal(size=(8, 1))), rng.normal(size=(8, 1))
     assert _both_scans(make_panel(scale * panel.returns + shift)) == scans
+
+
+@pytest.mark.parametrize("row", range(8))
+def test_scans_ignore_a_negated_row(regime_scans, row):
+    """|jumps| keep their size and the law is symmetric: P(rho; rb) = P(-rho; -rb)."""
+    panel, scans = regime_scans
+    returns = panel.returns.copy()
+    returns[row] *= -1.0
+    assert _both_scans(make_panel(returns)) == scans
