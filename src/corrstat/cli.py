@@ -50,16 +50,6 @@ def _timestamp(args) -> str:
     return os.environ.get(TIMESTAMP_ENV, TIMESTAMP_UNSET)
 
 
-def _json_default(obj):
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def _report(command: str, args, payload: dict) -> dict:
     """The report of one run; its config is every parsed flag but --threads and --timestamp."""
     return {
@@ -82,14 +72,13 @@ def _emit(text: str, out, report: dict):
 
 
 def _emit_json(report: dict, out) -> int:
-    _emit(json.dumps(report, sort_keys=True, indent=2, default=_json_default) + "\n",
-          out, report)
+    _emit(json.dumps(report, sort_keys=True, indent=2) + "\n", out, report)
     return EXIT_OK
 
 
 def _echo_config(report: dict):
     slim = {k: report[k] for k in ("command", "version", "generated_at", "config")}
-    print(json.dumps(slim, sort_keys=True, default=_json_default))
+    print(json.dumps(slim, sort_keys=True))
 
 
 # The largest integer a float64 holds exactly: every count or size flag is
@@ -143,11 +132,9 @@ def _mc(text: str) -> str:
 
 
 def _load_returns(path: str, input_kind: str, returns_kind: str, flag: str = "--input"):
+    kind = "returns" if input_kind == "returns" else returns_kind
     try:
-        if input_kind == "returns":
-            return dataio.load_price_panel(path, format="returns")
-        prices = dataio.load_price_panel(path, format="prices")
-        return dataio.to_returns(prices, kind=returns_kind)
+        return dataio.load_price_panel(path, kind)
     except OSError as exc:
         raise UsageError(f"{flag}: cannot read {path}: {exc}") from None
 
@@ -272,6 +259,8 @@ def cmd_simulate(args) -> int:
     if args.family == synthgen.FAMILY_STUDENT_T:
         _require(args.nu is not None, "--nu is required for --family student-t")
     truth = _parse_corr_spec(args.corr, "--corr", args.input_kind, args.returns_kind)
+    _require(truth.n_series * args.T <= _INT_CAP,
+             f"--T: a panel of {truth.n_series} series x {args.T} steps exceeds 2**53 cells")
     spec = synthgen.GeneratorSpec(
         family=args.family, n_series=truth.n_series, n_steps=args.T,
         seed=args.seed, correlation=truth,

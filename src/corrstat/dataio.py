@@ -6,7 +6,8 @@ Conventions used throughout the toolkit:
   per time step), the transpose of the CSV layout (one row per day);
 * standard deviations use the population convention (divide by T, not T-1),
   matching the 1/T normalization of the Pearson estimator;
-* price changes default to log-returns, simple returns are available by flag.
+* a CSV panel loads straight to returns: its cells are prices whose log
+  (default) or simple changes become the returns, or returns already.
 """
 from __future__ import annotations
 
@@ -39,25 +40,6 @@ def freeze(obj, *fields):
         a = np.array(getattr(obj, name), dtype=np.float64, order="C")
         a.setflags(write=False)
         object.__setattr__(obj, name, a)
-
-
-@dataclass(frozen=True)
-class PricePanel:
-    """N tickers, T+1 price observations each; prices expected positive."""
-
-    tickers: tuple[str, ...]
-    times: tuple[str, ...]
-    prices: np.ndarray  # N x (T+1)
-
-    def __post_init__(self):
-        freeze(self, "prices")
-        n, t1 = self.prices.shape
-        if len(self.tickers) != n or len(self.times) != t1:
-            raise InvalidParameter("panel labels do not match matrix shape")
-
-    @property
-    def n_series(self) -> int:
-        return self.prices.shape[0]
 
 
 @dataclass(frozen=True)
@@ -123,15 +105,17 @@ class CovarianceMatrix:
         return None if self.window is None else self.window[1] - self.window[0]
 
 
-def load_price_panel(path, format="prices"):
-    """Read a CSV panel (header of tickers, optional leading date column).
+def load_price_panel(path, kind="log"):
+    """Read a CSV panel (header of tickers, optional leading date column) as a ReturnPanel.
 
-    ``format="prices"`` returns a PricePanel, ``format="returns"`` a raw
-    ReturnPanel. Rows are days in the file, transposed into N x T storage.
-    Row numbers in errors count non-blank records, the header being row 1.
+    ``kind="returns"`` keeps the cells as they are.  With ``"log"`` or
+    ``"simple"`` the cells are prices, and their changes become the returns,
+    the first time label dropped.  Rows are days in the file, transposed into
+    N x T storage.  Row numbers in errors count non-blank records, the header
+    being row 1.
     """
-    if format not in ("prices", "returns"):
-        raise InvalidParameter(f"format must be 'prices' or 'returns', got {format!r}")
+    if kind not in ("log", "simple", "returns"):
+        raise InvalidParameter(f"kind must be 'log', 'simple' or 'returns', got {kind!r}")
     times, days = [], []
     nonfinite = None  # the first non-finite cell's error, raised after every other check
     irow = 0  # records read; a reader error is in the next one
@@ -188,37 +172,33 @@ def load_price_panel(path, format="prices"):
         raise ParseError(f"{path}: no data rows")
     if nonfinite is not None:
         raise nonfinite
-    panel = PricePanel if format == "prices" else ReturnPanel
-    return panel(tuple(tickers), tuple(times), np.stack(days, axis=1))  # N x T
+    cells = np.stack(days, axis=1)  # N x T
+    if kind != "returns":
+        cells, times = _price_changes(cells, kind), times[1:]
+    return ReturnPanel(tuple(tickers), tuple(times), cells)
 
 
-def save_panel_csv(panel, path):
-    """Write a panel back to CSV (days as rows, date column first)."""
-    matrix = panel.prices if isinstance(panel, PricePanel) else panel.returns
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", *panel.tickers])
-        for t, label in enumerate(panel.times):
-            writer.writerow([label] + [f"{v:.17g}" for v in matrix[:, t]])
-
-
-def to_returns(panel: PricePanel, kind: str = "log") -> ReturnPanel:
-    """Price changes per ticker; T = (input length - 1)."""
-    if kind not in ("log", "simple"):
-        raise InvalidParameter(f"kind must be 'log' or 'simple', got {kind!r}")
-    prices = panel.prices
+def _price_changes(prices: np.ndarray, kind: str) -> np.ndarray:
+    """Log or simple returns of N x (T+1) prices: N x T."""
     if prices.shape[1] < 2:
         raise InsufficientData("need at least 2 price rows to form returns")
     if kind == "log":
         if np.any(prices <= 0):
             raise DomainError("log-returns require strictly positive prices")
-        rets = np.diff(np.log(prices), axis=1)
-    else:
-        if np.any(prices[:, :-1] == 0):
-            raise DomainError("simple returns undefined at a zero price")
-        with np.errstate(over="ignore"):  # ReturnPanel rejects the inf
-            rets = prices[:, 1:] / prices[:, :-1] - 1.0
-    return ReturnPanel(panel.tickers, panel.times[1:], rets)
+        return np.diff(np.log(prices), axis=1)
+    if np.any(prices[:, :-1] == 0):
+        raise DomainError("simple returns undefined at a zero price")
+    with np.errstate(over="ignore"):  # ReturnPanel rejects the inf
+        return prices[:, 1:] / prices[:, :-1] - 1.0
+
+
+def save_panel_csv(panel: ReturnPanel, path):
+    """Write a panel back to CSV (days as rows, date column first)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["date", *panel.tickers])
+        for t, label in enumerate(panel.times):
+            writer.writerow([label] + [f"{v:.17g}" for v in panel.returns[:, t]])
 
 
 def centered_rows(block: np.ndarray):

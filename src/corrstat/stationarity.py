@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -74,11 +75,12 @@ class LocalTestConfig:
     n_values: tuple[int, ...] = DEFAULT_N_VALUES
 
     def __post_init__(self):
-        if self.t1 < MIN_T:
-            raise InvalidParameter(f"t1 must be >= {MIN_T}, got {self.t1}")
-        if self.tau < 1:
-            raise InvalidParameter(f"tau must be >= 1, got {self.tau}")
-        if not self.n_values or any(n < 1 for n in self.n_values):
+        if not (isinstance(self.t1, Integral) and self.t1 >= MIN_T):
+            raise InvalidParameter(f"t1 must be an integer >= {MIN_T}, got {self.t1!r}")
+        if not (isinstance(self.tau, Integral) and self.tau >= 1):
+            raise InvalidParameter(f"tau must be an integer >= 1, got {self.tau!r}")
+        if not self.n_values or not all(isinstance(n, Integral) and n >= 1
+                                        for n in self.n_values):
             raise InvalidParameter("n_values must be integers >= 1")
 
 
@@ -141,7 +143,8 @@ def ks_pvalue(d_stat: float, k: int) -> float:
 def _pair_rows(panel: ReturnPanel, pair):
     i, j = pair
     n = panel.n_series
-    if not (0 <= i < n and 0 <= j < n and i != j):
+    if not (isinstance(i, Integral) and isinstance(j, Integral)
+            and 0 <= i < n and 0 <= j < n and i != j):
         raise InvalidParameter(f"pair {pair!r} invalid for N={n}")
     return panel.returns[i], panel.returns[j]
 
@@ -279,12 +282,13 @@ def global_scan(panel: ReturnPanel, window_lens, alphas=DEFAULT_ALPHAS,
     the full-sample correlation estimate.  threads is validated and
     changes nothing: the pairs run in order on the calling thread.  A
     window length below MIN_T or an alpha outside (0, 1) raises
-    InvalidParameter before any pair is tested; a window longer than the
-    panel skips every pair.
+    InvalidParameter before any pair is tested, as does a window length
+    that is not an integer; a window longer than the panel skips every
+    pair, and a pair of non-integer or out-of-range indices is skipped.
     """
-    short = [w for w in window_lens if not w >= MIN_T]
+    short = [w for w in window_lens if not (isinstance(w, Integral) and w >= MIN_T)]
     if short:
-        raise InvalidParameter(f"window lengths must be >= {MIN_T}, got {short[0]!r}")
+        raise InvalidParameter(f"window lengths must be integers >= {MIN_T}, got {short[0]!r}")
     outside = [a for a in alphas if not 0.0 < a < 1.0]
     if outside:
         raise InvalidParameter(f"alphas must lie in (0, 1), got {outside[0]!r}")
@@ -320,10 +324,7 @@ def cumulative_corr(panel: ReturnPanel, pair, t1: int, tau: int):
     (1/L) sum x_t y_t over its prefix; values can leave [-1, 1] slightly
     because the prefix is not re-standardized, by construction.
     """
-    if t1 < MIN_T:
-        raise InvalidParameter(f"t1 must be >= {MIN_T}, got {t1}")
-    if tau < 1:
-        raise InvalidParameter(f"tau must be >= 1, got {tau}")
+    LocalTestConfig(t1, tau)  # the scans' checks of t1 and tau
     short = _short_panel(panel, t1, tau)
     if short is not None:
         raise short
@@ -415,6 +416,9 @@ def _local_counts(panel, pairs, configs, sigma_convention):
     z, bad = standardized_rows(panel.returns)
     ij = np.asarray(pairs).reshape(-1, 2)  # object dtype if an index overflows int64
     invalid = ((ij < 0) | (ij >= panel.n_series)).any(axis=1) | (ij[:, 0] == ij[:, 1])
+    if ij.dtype.kind not in "iu":  # some index is not an int64: _pair_rows refuses non-integers
+        invalid |= np.array([not (isinstance(i, Integral) and isinstance(j, Integral))
+                             for i, j in pairs], dtype=bool)
     ij = np.where(invalid[:, None], 0, ij).astype(np.int64)
     failed = invalid | bad[ij].any(axis=1)
     failures = [(pairs[p], _pair_error(panel, pairs[p], bad))
@@ -464,7 +468,8 @@ def local_scan(panel: ReturnPanel, configs, pairs=None,
     """Pooled violating fraction over all (pair, step), per (tau, n).
 
     Each config carries its own n values.  Each panel (and its optional
-    MC control) is scanned as one array computation.
+    MC control) is scanned as one array computation.  A pair of
+    non-integer or out-of-range indices is skipped.
     """
     if sigma_convention not in (SIGMA_WINDOW, SIGMA_PAPER):
         raise InvalidParameter(f"unknown sigma convention {sigma_convention!r}")

@@ -566,7 +566,7 @@ def test_simulate_echoes_the_flags_that_read_its_panel(tmp_path, capsys):
     rng = np.random.default_rng(3)
     prices = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.01, size=(4, 121)), axis=1))
     source = tmp_path / "prices.csv"
-    dataio.save_panel_csv(dataio.PricePanel(
+    dataio.save_panel_csv(dataio.ReturnPanel(  # the cells are prices
         ("A", "B", "C", "D"), tuple(str(t) for t in range(121)), prices), source)
     configs, panels = {}, {}
     for kind in ("log", "simple"):
@@ -590,6 +590,21 @@ def test_simulate_rejects_non_finite_nu(tmp_path, capsys, nu):
     assert rc == 2
     assert capsys.readouterr().err.splitlines() == [
         f"error: argument --nu: must be a finite number >= 3, got {nu!r}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [1025, 2])
+def test_simulate_rejects_more_than_2_53_cells(tmp_path, capsys, monkeypatch, n):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the panel was drawn")
+
+    monkeypatch.setattr(cli.synthgen, "sample_panel", refuse)
+    out = tmp_path / "panel.csv"
+    rc = run(["simulate", "--family", "gaussian", "--corr", f"identity:{n}",
+              "--T", str(2 ** 53), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --T: a panel of {n} series x {2 ** 53} steps exceeds 2**53 cells"]
     assert not out.exists()
 
 

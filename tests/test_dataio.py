@@ -32,18 +32,18 @@ def test_load_price_panel_with_dates(tmp_path):
                  "2020-01-03,1.2,2.2,3.2\n"
                  "2020-01-04,1.3,2.3,3.3\n"
                  "2020-01-05,1.4,2.4,3.4\n")
-    panel = dataio.load_price_panel(path)
+    panel = dataio.load_price_panel(path, kind="returns")
     assert panel.n_series == 3
-    assert panel.prices.shape == (3, 5)
+    assert panel.returns.shape == (3, 5)
     assert panel.tickers == ("AAA", "BBB", "CCC")
     assert panel.times[0] == "2020-01-01"
-    assert panel.prices[1, 2] == 2.2
+    assert panel.returns[1, 2] == 2.2
 
 
 def test_load_price_panel_without_dates(tmp_path):
     path = write(tmp_path / "p.csv", "AAA,BBB\n1,2\n3,4\n")
-    panel = dataio.load_price_panel(path)
-    assert panel.prices.shape == (2, 2)
+    panel = dataio.load_price_panel(path, kind="returns")
+    assert panel.returns.shape == (2, 2)
     assert panel.times == ("1", "2")
 
 
@@ -52,16 +52,17 @@ def test_load_price_panel_without_dates(tmp_path):
     "AAA,BBB\n1.0,2.0\n1.5,2.5\n",
 ])
 def test_load_price_panel_accepts_a_utf8_bom(tmp_path, text):
-    plain = dataio.load_price_panel(write(tmp_path / "plain.csv", text))
-    marked = dataio.load_price_panel(write(tmp_path / "bom.csv", "\ufeff" + text))
+    plain = dataio.load_price_panel(write(tmp_path / "plain.csv", text), kind="returns")
+    marked = dataio.load_price_panel(write(tmp_path / "bom.csv", "\ufeff" + text),
+                                     kind="returns")
     assert marked.tickers == plain.tickers == ("AAA", "BBB")
     assert marked.times == plain.times
-    assert np.array_equal(marked.prices, plain.prices)
+    assert np.array_equal(marked.returns, plain.returns)
 
 
 def test_load_returns_format(tmp_path):
     path = write(tmp_path / "r.csv", "AAA,BBB\n0.1,-0.2\n0.0,0.3\n")
-    panel = dataio.load_price_panel(path, format="returns")
+    panel = dataio.load_price_panel(path, kind="returns")
     assert isinstance(panel, dataio.ReturnPanel)
     assert panel.returns.shape == (2, 2)
 
@@ -79,25 +80,25 @@ def test_parse_error_cites_position(tmp_path):
 def test_non_finite_cell_cites_position(tmp_path, cell):
     path = write(tmp_path / "bad.csv",
                  f"date,AAA,BBB\n2020-01-01,1.0,2.0\n2020-01-02,1.1,{cell}\n")
-    for fmt in ("prices", "returns"):
+    for kind in ("log", "simple", "returns"):
         with pytest.raises(ParseError) as err:
-            dataio.load_price_panel(path, format=fmt)
+            dataio.load_price_panel(path, kind=kind)
         assert (err.value.row, err.value.col) == (3, 3)
         assert "non-finite" in str(err.value) and repr(cell) in str(err.value)
     path = write(tmp_path / "nodates.csv", f"AAA,BBB\n{cell},2.0\n1.0,nan\n")
     with pytest.raises(ParseError) as err:
-        dataio.load_price_panel(path, format="returns")
+        dataio.load_price_panel(path, kind="returns")
     assert (err.value.row, err.value.col) == (2, 1)  # the first in file order
 
 
 def test_cells_parse_as_float(tmp_path):
     cells = [" 1.5 ", "1_000", "+.5e-3"]
     path = write(tmp_path / "p.csv", "A,B,C\n" + ",".join(cells) + "\n0,0,0\n")
-    panel = dataio.load_price_panel(path, format="returns")
+    panel = dataio.load_price_panel(path, kind="returns")
     assert panel.returns[:, 0].tolist() == [float(c) for c in cells]
     path = write(tmp_path / "inf.csv", "A,B\n1,-iNF\n2,3\n")
     with pytest.raises(ParseError, match="non-finite cell at row 2, col 2: '-iNF'"):
-        dataio.load_price_panel(path, format="returns")
+        dataio.load_price_panel(path, kind="returns")
 
 
 def test_first_bad_row_in_file_order(tmp_path):
@@ -150,14 +151,14 @@ def test_save_load_round_trip(tmp_path):
     panel = make_panel(rng.normal(size=(3, 7)))
     path = tmp_path / "panel.csv"
     dataio.save_panel_csv(panel, str(path))
-    back = dataio.load_price_panel(str(path), format="returns")
+    back = dataio.load_price_panel(str(path), kind="returns")
     assert back.tickers == panel.tickers
     assert np.array_equal(back.returns, panel.returns)  # %.17g is lossless
     extremes = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
                 -1.7976931348623157e308, -0.0, 1 / 3]
     panel = make_panel([extremes, extremes[::-1]])
     dataio.save_panel_csv(panel, str(path))
-    back = dataio.load_price_panel(str(path), format="returns")
+    back = dataio.load_price_panel(str(path), kind="returns")
     assert back.returns.tobytes() == panel.returns.tobytes()  # -0.0 keeps its sign
 
 
@@ -169,30 +170,38 @@ def test_load_peak_memory_per_cell(tmp_path):
                           path)
     tracemalloc.start()
     try:
-        dataio.load_price_panel(path, format="returns")
+        dataio.load_price_panel(path, kind="returns")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak / (n_series * n_steps) <= 64
 
 
-def test_log_returns():
-    prices = dataio.PricePanel(("A",), ("0", "1", "2"), np.array([[1.0, 2.0, 4.0]]))
-    rets = dataio.to_returns(prices)
+def test_log_returns(tmp_path):
+    path = write(tmp_path / "p.csv", "date,A\n0,1.0\n1,2.0\n2,4.0\n")
+    rets = dataio.load_price_panel(path)
     assert np.allclose(rets.returns, np.log(2.0))
     assert rets.times == ("1", "2")
 
 
-def test_simple_returns():
-    prices = dataio.PricePanel(("A",), ("0", "1", "2"), np.array([[1.0, 2.0, 1.0]]))
-    rets = dataio.to_returns(prices, kind="simple")
+def test_simple_returns(tmp_path):
+    path = write(tmp_path / "p.csv", "date,A\n0,1.0\n1,2.0\n2,1.0\n")
+    rets = dataio.load_price_panel(path, kind="simple")
     assert np.allclose(rets.returns, [[1.0, -0.5]])
 
 
-def test_log_returns_reject_nonpositive():
-    prices = dataio.PricePanel(("A",), ("0", "1"), np.array([[1.0, 0.0]]))
+def test_one_price_row_forms_no_returns(tmp_path):
+    path = write(tmp_path / "p.csv", "date,A\n0,1.0\n")
+    for kind in ("log", "simple"):
+        with pytest.raises(InsufficientData, match="need at least 2 price rows"):
+            dataio.load_price_panel(path, kind=kind)
+    assert dataio.load_price_panel(path, kind="returns").times == ("0",)
+
+
+def test_log_returns_reject_nonpositive(tmp_path):
+    path = write(tmp_path / "p.csv", "date,A\n0,1.0\n1,0.0\n")
     with pytest.raises(DomainError):
-        dataio.to_returns(prices)
+        dataio.load_price_panel(path)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -204,17 +213,16 @@ def test_return_panel_rejects_non_finite(bad):
     assert str(err.value) == f"non-finite return {bad!r} for 'S2' at column 17"
 
 
-def test_simple_return_overflow_rejected():
-    prices = dataio.PricePanel(("A", "B"), ("0", "1", "2"),
-                               np.array([[1.0, 2.0, 3.0], [1.0, 1e-300, 1e300]]))
+def test_simple_return_overflow_rejected(tmp_path):
+    path = write(tmp_path / "p.csv", "date,A,B\n0,1.0,1.0\n1,2.0,1e-300\n2,3.0,1e300\n")
     with pytest.raises(DomainError, match="non-finite return inf for 'B' at column 1"):
-        dataio.to_returns(prices, kind="simple")
+        dataio.load_price_panel(path, kind="simple")
 
 
-def test_returns_kind_validated():
-    prices = dataio.PricePanel(("A",), ("0", "1"), np.array([[1.0, 2.0]]))
+def test_returns_kind_validated(tmp_path):
+    path = write(tmp_path / "p.csv", "date,A\n0,1.0\n1,2.0\n")
     with pytest.raises(InvalidParameter):
-        dataio.to_returns(prices, kind="arith")
+        dataio.load_price_panel(path, kind="arith")
 
 
 def test_standardize_population_convention():

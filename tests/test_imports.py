@@ -6,9 +6,9 @@ finish without any scipy module; corrdist imports scipy lazily inside the
 function that needs it.  Where the law is evaluated, scipy.special is the
 only scipy module loaded.  Nothing starts a thread pool either: the
 scans run their pairs on the calling thread.  The AST checks at the end
-keep every import in use, every public name read by the program, and
-every ZeroVariance built at the one zero-variance gate or the scans'
-per-pair paths.
+keep every import of the package, the scripts and the tests in use,
+every public name read by the program, and every ZeroVariance built at
+the one zero-variance gate or the scans' per-pair paths.
 """
 import ast
 import os
@@ -139,12 +139,14 @@ def _imported_names(tree):
 
 
 def test_every_imported_name_is_used():
+    root = SRC.parent
     unused = []
-    for path in sorted((SRC / "corrstat").glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        unused += [f"{path.name}:{line} {name}"
-                   for name, line in _imported_names(tree) if name not in used]
+    for folder in (SRC / "corrstat", root / "scripts", root / "tests"):
+        for path in sorted(folder.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            unused += [f"{path.relative_to(root)}:{line} {name}"
+                       for name, line in _imported_names(tree) if name not in used]
     assert not unused, unused
 
 

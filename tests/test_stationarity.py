@@ -160,7 +160,8 @@ def test_global_scan_rejects_a_negative_mc_seed():
 
 @pytest.mark.parametrize("window_lens, alphas", [
     ((5,), (0.05,)), ((25, 9), (0.05,)), ((25,), (1.5,)), ((25,), (math.nan,)),
-    ((25,), (0.0,)), ((25,), (0.05, 1.0)), ((25,), (-0.1,)),
+    ((25,), (0.0,)), ((25,), (0.05, 1.0)), ((25,), (-0.1,)), ((25.5,), (0.05,)),
+    ((25.0,), (0.05,)),
 ])
 def test_global_scan_rejects_bad_windows_and_alphas_before_any_pair(
         window_lens, alphas, monkeypatch):
@@ -559,6 +560,33 @@ def test_local_scan_every_pair_skipped():
     assert [cell.denominator for cell in report.cells] == [0, 0]
     for cell in report.cells:
         assert math.isnan(cell.fraction) and math.isnan(cell.controls["mc"])
+
+
+@pytest.mark.parametrize("t1, tau, n_values", [
+    (50.5, 50, (1,)), (50, 50.5, (1,)), (50, 50, (1, 1.5)), (50.0, 50, (1,)),
+])
+def test_local_scan_rejects_non_integer_geometry_before_any_pair(t1, tau, n_values,
+                                                                 monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a pair was tested")
+
+    monkeypatch.setattr(stationarity, "_local_counts", refuse)
+    with pytest.raises(InvalidParameter, match="integer"):
+        stationarity.local_scan(gaussian_panel(4, 300, seed=4),
+                                [LocalTestConfig(t1, tau, n_values)])
+
+
+@pytest.mark.parametrize("bad", [(0, 1.5), (1.0, 2), (2 ** 70, 0.5)])
+def test_scans_skip_a_non_integer_pair(bad):
+    panel = gaussian_panel(4, 300, seed=4)
+    pair = (min(bad), max(bad))
+    for scan, grid in ((stationarity.global_scan, (25,)),
+                       (stationarity.local_scan, [LocalTestConfig(50, 50)])):
+        alone = scan(panel, grid, pairs=[(0, 1)])
+        report = scan(panel, grid, pairs=[(0, 1), bad])
+        assert report.cells == alone.cells
+        assert [(s["pair"], s["error"], s["detail"]) for s in report.skipped] == [
+            (list(pair), "InvalidParameter", f"pair {pair!r} invalid for N=4")]
 
 
 def test_local_scan_short_panel():
