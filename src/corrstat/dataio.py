@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -221,6 +222,8 @@ def standardized_rows(block: np.ndarray):
 
 def checked_window(n_steps: int, window, min_len: int) -> tuple[int, int]:
     """window as ints (default: all n_steps columns), inside the panel and min_len long."""
+    if window is not None and not all(isinstance(b, Integral) for b in window):
+        raise InvalidParameter(f"window bounds must be integers, got {tuple(window)!r}")
     lo, hi = (0, n_steps) if window is None else (int(window[0]), int(window[1]))
     if not (0 <= lo < hi <= n_steps):
         raise InvalidParameter(f"window {(lo, hi)} outside panel range")
@@ -263,10 +266,9 @@ def synchronous_reshuffle(panel: ReturnPanel, seed: int) -> ReturnPanel:
 
 def window_slices(t_total: int, window_len: int) -> tuple[tuple[int, int], ...]:
     """K = floor(t_total / window_len) consecutive [lo, hi) ranges from 0; the rest is dropped."""
-    if window_len < MIN_T:
-        raise InvalidParameter(
-            f"window_len must be >= {MIN_T} (sampling-distribution domain), got {window_len}"
-        )
+    if not (isinstance(window_len, Integral) and window_len >= MIN_T):
+        raise InvalidParameter(f"window_len must be an integer >= {MIN_T} "
+                               f"(sampling-distribution domain), got {window_len!r}")
     if window_len > t_total:
         raise InsufficientData(
             f"window_len {window_len} exceeds available length {t_total}"

@@ -9,12 +9,13 @@ imported where it is evaluated.  The local test tracks expanding-window
 estimates rho_1, rho_2, ... and flags consecutive steps whose change
 exceeds n standard errors of the earlier estimate.
 
-The global scan runs the test pair by pair.  The local scan is one
-array computation per panel: the rows are standardized once, one
-batched Gram product of the first-index rows with the second-index rows
-gives every pair's sum of z_i z_j over each block of tau steps, and a
-cumulative sum over the blocks gives the prefix sums at the expanding
-lengths.  The plug-in makes the global test conservative (rejection
+Both scans batch their pairs: the rows are standardized once, and
+_pair_sums gives every pair's sums of z_i z_j over blocks of columns
+(the global test's K windows and their union; the local test's first t1
+steps and each later block of tau) from chunked Gram products.  A pair
+the batch cannot take is skipped with the error its per-pair reference,
+global_test or cumulative_corr, raises.
+The plug-in makes the global test conservative (rejection
 rates on stationary controls land well below nominal alpha), which the
 scans quantify with reshuffle and Monte Carlo control columns instead
 of correcting.  Both scans count (hits, total) per (dimension,
@@ -41,7 +42,7 @@ from .errors import (
     InvalidParameter,
     ZeroVariance,
 )
-from .parallel import parallel_map
+from .parallel import parallel_map, resolve_threads
 
 # Plug-in estimates this close to +-1 are degenerate (identical rows up
 # to noise); clamp inside the density domain and let KS reject them.
@@ -134,6 +135,8 @@ def ks_pvalue(d_stat: float, k: int) -> float:
 
     if not (0.0 <= d_stat <= 1.0):
         raise InvalidParameter(f"D must lie in [0, 1], got {d_stat!r}")
+    if not isinstance(k, Integral):
+        raise InvalidParameter(f"K must be an integer, got {k!r}")
     if k < 5:
         raise InsufficientSamples(f"KS p-value needs K >= 5, got {k}")
     root = math.sqrt(k)
@@ -159,16 +162,21 @@ def global_test(panel: ReturnPanel, pair, window_len: int) -> GlobalTestResult:
     names = (panel.tickers[pair[0]], panel.tickers[pair[1]])
     samples = _window_estimates(x, y, n_windows, names)
     (rho_bar_hat,) = _window_estimates(x, y, 1, names)
-    clamped = min(max(rho_bar_hat, -_PLUGIN_CLAMP), _PLUGIN_CLAMP)
-    params = CorrParams(clamped, window_len)
-    d_stat = ks_statistic(samples, lambda s: rho_cdf(s, params))
-    p_value = ks_pvalue(d_stat, len(samples))
+    d_stat, p_value = _ks_test(samples, rho_bar_hat, window_len)
     return GlobalTestResult(
         samples=samples,
         rho_bar_hat=rho_bar_hat,
         d_stat=d_stat,
         p_value=p_value,
     )
+
+
+def _ks_test(samples, rho_bar_hat, window_len):
+    """(D, p) of the window estimates against the law at the clamped plug-in."""
+    clamped = min(max(rho_bar_hat, -_PLUGIN_CLAMP), _PLUGIN_CLAMP)
+    params = CorrParams(clamped, window_len)
+    d_stat = ks_statistic(samples, lambda s: rho_cdf(s, params))
+    return d_stat, ks_pvalue(d_stat, len(samples))
 
 
 def _window_estimates(x, y, n_windows, names):
@@ -193,12 +201,12 @@ def all_pairs(n: int):
 
 
 def _control_panels(panel, reshuffle_seed, mc_family, mc_nu, mc_seed):
-    """Control panels by name.
+    """The scanned panel under "", then the control panels by name.
 
     The MC copy carries zero-variance rows over unchanged, so its scan
     skips the same pairs as the panel's.
     """
-    controls = {}
+    controls = {"": panel}
     if reshuffle_seed is not None:
         controls["reshuffle"] = synchronous_reshuffle(panel, reshuffle_seed)
     if mc_family is not None:
@@ -219,28 +227,35 @@ def _control_panels(panel, reshuffle_seed, mc_family, mc_nu, mc_seed):
     return controls
 
 
+def _window_batch(panel, rows, pairs, window_len):
+    """The K window estimates and plug-in, (P, K + 1), of each pair the batch takes; the others."""
+    n, k = panel.n_series, panel.n_steps // window_len
+    bad = np.ones(n, dtype=bool)  # fewer than 5 windows: global_test refuses every pair
+    if k >= 5:
+        x = panel.returns[rows, :k * window_len]
+        windows, flat = standardized_rows(x.reshape(-1, window_len))
+        union, flat_union = standardized_rows(x)
+        bad[rows] = flat.reshape(-1, k).any(axis=1) | flat_union
+    good, others = _split_pairs(pairs, n, bad)
+    if not good.size:
+        return np.empty((0, k + 1)), others
+    blocks = (windows.reshape(rows.size, k, window_len), union[:, None])
+    sums = np.concatenate(list(_pair_sums(np.searchsorted(rows, good), *blocks)))
+    sums /= [window_len] * k + [k * window_len]
+    return np.clip(sums, -1.0, 1.0, out=sums), others
+
+
 def _global_counts(panel, pairs, window_lens, alphas, threads):
     """(rejections, tested pairs) per (window, alpha), and the skip list."""
-    counts = {}
-    skipped = []
+    n = panel.n_series
+    rows = np.unique(_split_pairs(pairs, n, np.zeros(n, dtype=bool))[0])  # the pairs' rows
+    counts, skipped = {}, []
     for window_len in window_lens:
-        def one_pair(pair, _w=window_len):
-            try:
-                return global_test(panel, pair, _w)
-            except CorrstatError as exc:
-                return exc
-
-        p_values = []
-        for pair, result in zip(pairs, parallel_map(one_pair, pairs, threads)):
-            if isinstance(result, CorrstatError):
-                skipped.append({
-                    "pair": list(pair),
-                    "window_len": window_len,
-                    "error": type(result).__name__,
-                    "detail": str(result),
-                })
-            else:
-                p_values.append(result.p_value)
+        # the rows' standardized blocks are freed on return, before any KS test
+        estimates, others = _window_batch(panel, rows, pairs, window_len)
+        skipped += _skips(global_test, panel, others, window_len, window_len=window_len)
+        p_values = parallel_map(lambda e: _ks_test(e[:-1], float(e[-1]), window_len)[1],
+                                estimates, threads)
         for alpha in alphas:
             counts[(window_len, alpha)] = (sum(p < alpha for p in p_values), len(p_values))
     return counts, skipped
@@ -282,9 +297,10 @@ def global_scan(panel: ReturnPanel, window_lens, alphas=DEFAULT_ALPHAS,
     the full-sample correlation estimate.  threads is validated and
     changes nothing: the pairs run in order on the calling thread.  A
     window length below MIN_T or an alpha outside (0, 1) raises
-    InvalidParameter before any pair is tested, as does a window length
-    that is not an integer; a window longer than the panel skips every
-    pair, and a pair of non-integer or out-of-range indices is skipped.
+    InvalidParameter before any pair is tested, as do a window length
+    that is not an integer and a bad threads; a window longer than the
+    panel skips every pair, and a pair of non-integer or out-of-range
+    indices is skipped.
     """
     short = [w for w in window_lens if not (isinstance(w, Integral) and w >= MIN_T)]
     if short:
@@ -292,11 +308,10 @@ def global_scan(panel: ReturnPanel, window_lens, alphas=DEFAULT_ALPHAS,
     outside = [a for a in alphas if not 0.0 < a < 1.0]
     if outside:
         raise InvalidParameter(f"alphas must lie in (0, 1), got {outside[0]!r}")
-    if pairs is None:
-        pairs = all_pairs(panel.n_series)
-    pairs = sorted((min(p), max(p)) for p in pairs)
-    panels = {"": panel}
-    panels.update(_control_panels(panel, reshuffle_seed, mc_family, mc_nu, mc_seed))
+    resolve_threads(threads)
+    pairs = sorted((min(p), max(p))
+                   for p in (all_pairs(panel.n_series) if pairs is None else pairs))
+    panels = _control_panels(panel, reshuffle_seed, mc_family, mc_nu, mc_seed)
     counts = {}
     skipped = []
     for name, scan_panel in panels.items():
@@ -325,24 +340,14 @@ def cumulative_corr(panel: ReturnPanel, pair, t1: int, tau: int):
     because the prefix is not re-standardized, by construction.
     """
     LocalTestConfig(t1, tau)  # the scans' checks of t1 and tau
-    short = _short_panel(panel, t1, tau)
-    if short is not None:
-        raise short
+    if panel.n_steps < t1 + tau:
+        raise InsufficientData(f"need at least t1 + tau = {t1 + tau} steps, got {panel.n_steps}")
     centered, sd = gated_rows(np.stack(_pair_rows(panel, pair)),
                               [panel.tickers[k] for k in pair])
     z = centered / sd
     lengths = np.arange(t1, panel.n_steps + 1, tau)
     estimates = np.cumsum(z[0] * z[1])[lengths - 1] / lengths
     return list(zip(lengths.tolist(), estimates.tolist()))
-
-
-def _short_panel(panel, t1, tau):
-    """The InsufficientData a panel too short for two estimates raises, else None."""
-    if panel.n_steps < t1 + tau:
-        return InsufficientData(
-            f"need at least t1 + tau = {t1 + tau} steps, got {panel.n_steps}"
-        )
-    return None
 
 
 def _step_flags(estimates, lengths, ns, sigma_convention, tau):
@@ -352,8 +357,6 @@ def _step_flags(estimates, lengths, ns, sigma_convention, tau):
     jumps are the differences along that last axis.
     """
     ns = np.asarray(ns)
-    if (ns < 1).any():
-        raise InvalidParameter(f"n must be >= 1, got {ns[ns < 1][0]}")
     if sigma_convention == SIGMA_WINDOW:
         sigma = 1.0 / np.sqrt(np.asarray(lengths[:-1], dtype=np.float64))
     elif sigma_convention == SIGMA_PAPER:
@@ -375,6 +378,8 @@ def local_test(estimates, n: int, sigma_convention: str = SIGMA_WINDOW,
     "window" convention (L_k = actual window length), 1/sqrt(k tau)
     under the "paper" convention (k = 1-based estimate ordinal).
     """
+    if not (isinstance(n, Integral) and n >= 1):
+        raise InvalidParameter(f"n must be an integer >= 1, got {n!r}")
     estimates = list(estimates)
     if len(estimates) < 2:
         raise InsufficientData("local test needs >= 2 estimates")
@@ -384,73 +389,84 @@ def local_test(estimates, n: int, sigma_convention: str = SIGMA_WINDOW,
     return LocalTestOutcome(int(flags.sum()), tuple(flags.tolist()))
 
 
-def _pair_error(panel, pair, bad):
-    """The error cumulative_corr raises for pair when the panel is long enough."""
-    try:
-        _pair_rows(panel, pair)
-    except InvalidParameter as exc:
-        return exc
-    for k in pair:
-        if bad[k]:
-            return ZeroVariance(panel.tickers[k])
-    return None
+def _split_pairs(pairs, n_series, bad):
+    """The pairs the batch takes, as a (P, 2) index array, and the others in pairs' order.
+
+    A pair is left out when an index is not an integer, is out of range or
+    repeats, or when bad flags one of its rows.
+    """
+    ij = np.asarray(pairs).reshape(-1, 2)  # object dtype if an index overflows int64
+    failed = ((ij < 0) | (ij >= n_series)).any(axis=1) | (ij[:, 0] == ij[:, 1])
+    if ij.dtype.kind not in "iu":  # some index is not an int64: _pair_rows refuses non-integers
+        failed |= np.array([not (isinstance(i, Integral) and isinstance(j, Integral))
+                            for i, j in pairs], dtype=bool)
+    ij = np.where(failed[:, None], 0, ij).astype(np.int64)
+    failed |= bad[ij].any(axis=1)
+    return ij[~failed], [pairs[p] for p in np.flatnonzero(failed).tolist()]
 
 
-# Block-Gram cells (lengths x rows x seconds) per chunk of first-index
+def _skips(reference, panel, pairs, *args, **where):
+    """Skip-list entries, in pairs' order, of the errors reference(panel, pair, *args) raises."""
+    skips = []
+    for pair in pairs:
+        try:
+            reference(panel, pair, *args)
+        except CorrstatError as exc:
+            skips.append({"pair": list(pair), **where,
+                          "error": type(exc).__name__, "detail": str(exc)})
+    return skips
+
+
+# Block-Gram cells (blocks x rows x seconds) per chunk of first-index
 # rows: keeps a chunk's block products, estimates and flags a few MB
 # unless a single row needs more.
 _CHUNK_CELLS = 1 << 18
 
 
-def _local_counts(panel, pairs, configs, sigma_convention):
-    """(violations, steps) per (config, n) over pairs, and the failing (pair, error)s.
+def _pair_sums(pairs, *blocks):
+    """Per chunk of pairs, in order, each pair's sums z_i . z_j over every block.
 
-    The rows are standardized once, and only the failing pairs build an
-    error; they are listed in pairs' order, duplicates included.  Per
-    config, chunks of the distinct first-index rows take one Gram product
-    with the distinct second-index rows over the first t1 columns and one
-    batched product over each later block of tau columns;
-    each pair reads its (first, second) cell of every block, and a
-    cumulative sum over the blocks gives its prefix sums at the lengths.
+    pairs indexes the rows of blocks, sorted by first index; each block
+    array is (N, B, W), B blocks of W columns.  Chunks of the distinct
+    first-index rows take one batched product with the distinct
+    second-index rows, and each pair reads its cell of every block.
+    """
+    firsts, at_i = np.unique(pairs[:, 0], return_inverse=True)  # at_i sorted, as pairs are
+    seconds, at_j = np.unique(pairs[:, 1], return_inverse=True)
+    rights = [b[seconds].transpose(1, 2, 0) for b in blocks]  # (B, W, seconds)
+    rows = max(1, _CHUNK_CELLS // (seconds.size * sum(b.shape[1] for b in blocks)))
+    for r0 in range(0, firsts.size, rows):
+        lo, hi = np.searchsorted(at_i, (r0, r0 + rows))
+        ai, aj = at_i[lo:hi] - r0, at_j[lo:hi]
+        lefts = (b[firsts[r0:r0 + rows]].transpose(1, 0, 2) for b in blocks)  # (B, rows, W)
+        # one-column blocks: the products are plain products; skip a BLAS call per block
+        grams = (x * y if x.shape[2] == 1 else np.matmul(x, y) for x, y in zip(lefts, rights))
+        yield np.concatenate([g.transpose(1, 2, 0)[ai, aj] for g in grams], axis=1)
+
+
+def _local_counts(panel, pairs, configs, sigma_convention, control):
+    """(violations, steps) per (config, n) over pairs, and per config the skip list.
+
+    The rows are standardized once.  Per config, _pair_sums gives each
+    pair's sum over the first t1 columns and over each later block of tau
+    columns, and a cumulative sum over the blocks gives its prefix sums at
+    the lengths.  On a panel too short for a config, every pair is skipped.
     """
     z, bad = standardized_rows(panel.returns)
-    ij = np.asarray(pairs).reshape(-1, 2)  # object dtype if an index overflows int64
-    invalid = ((ij < 0) | (ij >= panel.n_series)).any(axis=1) | (ij[:, 0] == ij[:, 1])
-    if ij.dtype.kind not in "iu":  # some index is not an int64: _pair_rows refuses non-integers
-        invalid |= np.array([not (isinstance(i, Integral) and isinstance(j, Integral))
-                             for i, j in pairs], dtype=bool)
-    ij = np.where(invalid[:, None], 0, ij).astype(np.int64)
-    failed = invalid | bad[ij].any(axis=1)
-    failures = [(pairs[p], _pair_error(panel, pairs[p], bad))
-                for p in np.flatnonzero(failed).tolist()]
-    good = ij[~failed]
-    counts = {}
-    if not good.size:
-        return counts, failures
-    firsts, at_i = np.unique(good[:, 0], return_inverse=True)  # at_i sorted, as pairs are
-    seconds, at_j = np.unique(good[:, 1], return_inverse=True)
-    zj = z[seconds]
+    good, others = _split_pairs(pairs, panel.n_series, bad)
+    counts, skipped = {}, []
     for config in configs:
-        if _short_panel(panel, config.t1, config.tau) is not None:
-            continue
         t1, tau = config.t1, config.tau
         lengths = np.arange(t1, panel.n_steps + 1, tau)
-        blocks = lengths.size - 1
-        # (blocks, tau, seconds): the columns each step after t1 adds
-        tail_j = zj[:, t1:lengths[-1]].reshape(-1, blocks, tau).transpose(1, 2, 0)
-        rows = max(1, _CHUNK_CELLS // (seconds.size * lengths.size))
+        skipped.append(_skips(cumulative_corr, panel, others if lengths.size > 1 else pairs,
+                              t1, tau, tau=tau, control=control))
+        if lengths.size < 2 or not good.size:
+            continue
+        # (N, blocks, tau): the columns each step after t1 adds
+        tail = z[:, t1:lengths[-1]].reshape(panel.n_series, -1, tau)
         hits = np.zeros(len(config.n_values), dtype=np.int64)
         steps = 0
-        for r0 in range(0, firsts.size, rows):
-            lo, hi = np.searchsorted(at_i, (r0, r0 + rows))
-            ai, aj = at_i[lo:hi] - r0, at_j[lo:hi]
-            zi = z[firsts[r0:r0 + rows]]
-            tail_i = zi[:, t1:lengths[-1]].reshape(-1, blocks, tau).transpose(1, 0, 2)
-            sums = np.empty((ai.size, lengths.size))
-            sums[:, 0] = (zi[:, :t1] @ zj[:, :t1].T)[ai, aj]
-            # tau == 1: the block products are plain products; skip a BLAS call per block
-            grams = tail_i * tail_j if tau == 1 else np.matmul(tail_i, tail_j)
-            sums[:, 1:] = grams.transpose(1, 2, 0)[ai, aj]
+        for sums in _pair_sums(good, z[:, None, :t1], tail):
             estimates = np.cumsum(sums, axis=1, out=sums)
             estimates /= lengths
             flags = _step_flags(estimates, lengths, config.n_values,
@@ -459,7 +475,7 @@ def _local_counts(panel, pairs, configs, sigma_convention):
             steps += flags[0].size
         for n, n_hits in zip(config.n_values, hits.tolist()):
             counts[(config, n)] = (n_hits, steps)
-    return counts, failures
+    return counts, skipped
 
 
 def local_scan(panel: ReturnPanel, configs, pairs=None,
@@ -473,29 +489,17 @@ def local_scan(panel: ReturnPanel, configs, pairs=None,
     """
     if sigma_convention not in (SIGMA_WINDOW, SIGMA_PAPER):
         raise InvalidParameter(f"unknown sigma convention {sigma_convention!r}")
-    if pairs is None:
-        pairs = all_pairs(panel.n_series)
-    pairs = sorted((min(p), max(p)) for p in pairs)
-    panels = {"": panel}
-    panels.update(_control_panels(panel, None, mc_family, mc_nu, mc_seed))
-    counts = {}
-    failures = {}
+    pairs = sorted((min(p), max(p))
+                   for p in (all_pairs(panel.n_series) if pairs is None else pairs))
+    panels = _control_panels(panel, None, mc_family, mc_nu, mc_seed)
+    counts, skips = {}, {}
     for name, scan_panel in panels.items():
-        counts[name], failures[name] = _local_counts(
-            scan_panel, pairs, configs, sigma_convention
+        counts[name], skips[name] = _local_counts(
+            scan_panel, pairs, configs, sigma_convention, name or None
         )
-    skipped = []
-    for config in configs:
-        for name, scan_panel in panels.items():
-            short = _short_panel(scan_panel, config.t1, config.tau)
-            skips = failures[name] if short is None else [(pair, short) for pair in pairs]
-            skipped.extend({
-                "pair": list(pair),
-                "tau": config.tau,
-                "control": name or None,
-                "error": type(exc).__name__,
-                "detail": str(exc),
-            } for pair, exc in skips)
+    # config by config, and within a config panel by panel
+    skipped = [s for per_config in zip(*skips.values()) for panel_skips in per_config
+               for s in panel_skips]
     grid = [(c, c.tau, n) for c in configs for n in c.n_values]
     cells = _cells("tau", "n", grid, counts)
     params = {

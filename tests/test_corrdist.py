@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from corrstat import corrdist
+from corrstat import corrdist, portfolio
 from corrstat.corrdist import CorrParams
 from corrstat.errors import InvalidParameter
 
@@ -48,6 +48,15 @@ def test_corr_matrix_windowed():
     d = np.sqrt(np.diag(ref))
     assert np.abs(corr.entries - ref / np.outer(d, d)).max() < 1e-12
     assert corr.window == (20, 50)
+
+
+@pytest.mark.parametrize("window", [(0.5, 30.7), (0, 30.0), (np.float64(5), 30)])
+def test_windowed_matrices_refuse_non_integer_bounds(window):
+    panel = make_panel(np.random.default_rng(3).normal(size=(4, 300)))
+    for build in (corrdist.corr_matrix, portfolio.covariance_matrix):
+        with pytest.raises(InvalidParameter, match="integers"):
+            build(panel, window)
+        assert build(panel, (np.int64(0), np.int32(30))).window == (0, 30)
 
 
 def test_density_matches_adaptive_quadrature():

@@ -253,6 +253,10 @@ def test_window_slices_errors():
         dataio.window_slices(100, 9)  # below the minimum window length
     with pytest.raises(InsufficientData):
         dataio.window_slices(30, 50)
+    for window_len in (25.5, 25.0):
+        with pytest.raises(InvalidParameter, match="integer"):
+            dataio.window_slices(300, window_len)
+    assert dataio.window_slices(300, np.int64(100)) == ((0, 100), (100, 200), (200, 300))
 
 
 def test_reshuffle_is_synchronous_and_seeded():

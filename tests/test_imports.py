@@ -195,7 +195,6 @@ def test_every_public_name_has_a_reader_outside_the_tests():
 ZERO_VARIANCE_BUILDERS = {
     ("dataio.py", "gated_rows"),
     ("stationarity.py", "_window_estimates"),
-    ("stationarity.py", "_pair_error"),
 }
 
 

@@ -80,6 +80,9 @@ def test_ks_pvalue_limits():
         stationarity.ks_pvalue(1.2, 10)
     with pytest.raises(InsufficientSamples):
         stationarity.ks_pvalue(0.5, 4)
+    with pytest.raises(InvalidParameter, match="integer"):
+        stationarity.ks_pvalue(0.1, 5.5)
+    assert stationarity.ks_pvalue(0.1, np.int64(70)) == stationarity.ks_pvalue(0.1, 70)
 
 
 def test_global_test_stationary_pair():
@@ -169,9 +172,22 @@ def test_global_scan_rejects_bad_windows_and_alphas_before_any_pair(
         raise AssertionError("a pair was tested")
 
     monkeypatch.setattr(stationarity, "global_test", refuse)
+    monkeypatch.setattr(stationarity, "_pair_sums", refuse)
     with pytest.raises(InvalidParameter):
         stationarity.global_scan(gaussian_panel(3, 300, seed=4), window_lens, alphas,
                                  reshuffle_seed=1)
+
+
+@pytest.mark.parametrize("threads", [0, "x", None])
+def test_global_scan_checks_threads_when_every_pair_is_skipped(threads):
+    with pytest.raises(InvalidParameter, match="threads"):
+        stationarity.global_scan(gaussian_panel(3, 60, seed=4), (100,), threads=threads)
+
+
+@pytest.mark.parametrize("window_len", [25.5, 25.0])
+def test_global_test_rejects_a_non_integer_window_length(window_len):
+    with pytest.raises(InvalidParameter, match="integer"):
+        stationarity.global_test(gaussian_panel(2, 300, seed=4), (0, 1), window_len)
 
 
 def test_global_scan_skips_windows_longer_than_the_panel():
@@ -244,6 +260,12 @@ def test_local_test_paper_convention_needs_tau():
     with pytest.raises(InvalidParameter):
         stationarity.local_test([(10, 0.0), (20, 0.1)], 1,
                                 sigma_convention=stationarity.SIGMA_PAPER)
+
+
+@pytest.mark.parametrize("n", [1.5, 1.0, 0, -1])
+def test_local_test_rejects_an_n_that_is_not_an_integer_above_zero(n):
+    with pytest.raises(InvalidParameter, match="n must be an integer"):
+        stationarity.local_test([(10, 0.0), (20, 0.5), (30, 0.55)], n)
 
 
 def test_local_test_monotone_in_n():
@@ -357,17 +379,24 @@ def _cell_fields(cell):
             {name: value(f) for name, f in cell.controls.items()})
 
 
-def test_global_scan_matches_per_pair_reference():
+@pytest.mark.parametrize("control", ["mixed", "all-pairs", "all-pairs-chunked"])
+def test_global_scan_matches_per_pair_reference(control, monkeypatch):
+    all_pairs = control.startswith("all-pairs")
+    if control == "all-pairs-chunked":  # one first-index row per Gram chunk
+        monkeypatch.setattr(stationarity, "_CHUNK_CELLS", 1)
     rng = np.random.default_rng(25)
-    returns = rng.standard_t(3, size=(6, 300))
+    returns = rng.standard_t(3, size=(13 if all_pairs else 6, 300))
     returns[1, 150:] = returns[0, 150:]  # a correlation jump mid-sample
     returns[2, :] = 4.2  # constant row
     returns[4, 50:75] = -1.5  # flat in window (50, 75) at T_w = 25 only
     panel = make_panel(returns)
-    pairs = [(1, 0), (0, 2), (3, 4), (4, 0), (1, 5), (3, 5), (3, 5), (2, 9), (0, 5)]
+    if all_pairs:
+        pairs = stationarity.all_pairs(13)
+    else:
+        pairs = [(1, 0), (0, 2), (3, 4), (4, 0), (1, 5), (3, 5), (3, 5), (2, 9), (0, 5)]
     window_lens, alphas = (25, 50, 70), (0.01, 0.05, 0.5)  # 70: four windows, too few
     report = stationarity.global_scan(
-        panel, window_lens, alphas, pairs=pairs, reshuffle_seed=4,
+        panel, window_lens, alphas, pairs=None if all_pairs else pairs, reshuffle_seed=4,
         mc_family=synthgen.FAMILY_GAUSSIAN, mc_seed=6, threads=2)
     panels = {"": panel}
     panels.update(stationarity._control_panels(
@@ -375,9 +404,6 @@ def test_global_scan_matches_per_pair_reference():
     assert list(panels) == ["", "reshuffle", "mc"]
     counts, skipped = _per_pair_global_scan(panels, pairs, window_lens, alphas)
     assert report.skipped == skipped
-    assert {(s.get("control"), s["error"]) for s in skipped} == {
-        (control, error) for control in (None, "reshuffle", "mc")
-        for error in ("ZeroVariance", "InvalidParameter", "InsufficientSamples")}
     flat = [s for s in skipped if s["window_len"] == 25 and s["pair"] == [3, 4]]
     assert [s.get("control") for s in flat] == [None]
     assert flat[0]["detail"] == "zero variance for 'S4' in window (50, 75)"
@@ -393,9 +419,32 @@ def test_global_scan_matches_per_pair_reference():
                 "T_w", window_len, "alpha", alpha, fraction, denominator,
                 {name: f for name, (f, _) in fractions.items()}))
     assert [_cell_fields(c) for c in report.cells] == [_cell_fields(c) for c in expected]
-    assert [c.denominator for c in report.cells] == [5] * 3 + [7] * 3 + [0] * 3
     assert any(cell.fraction > 0 for cell in report.cells[:6])
     assert report.params["n_pairs"] == len(pairs)
+    if all_pairs:  # of 78 pairs, 12 use the constant row and 11 more the flat window at T_w = 25
+        assert [c.denominator for c in report.cells] == [55] * 3 + [66] * 3 + [0] * 3
+    else:
+        assert {(s.get("control"), s["error"]) for s in skipped} == {
+            (control, error) for control in (None, "reshuffle", "mc")
+            for error in ("ZeroVariance", "InvalidParameter", "InsufficientSamples")}
+        assert [c.denominator for c in report.cells] == [5] * 3 + [7] * 3 + [0] * 3
+
+
+@pytest.mark.parametrize("chunk_cells", [None, 1])
+def test_window_batch_matches_global_test_to_rounding(chunk_cells, monkeypatch):
+    # the batch sums each window's products in another order: equal to rounding, not bits
+    if chunk_cells is not None:
+        monkeypatch.setattr(stationarity, "_CHUNK_CELLS", chunk_cells)
+    panel = make_panel(np.random.default_rng(26).standard_t(3, size=(7, 300)))
+    pairs = stationarity.all_pairs(7)
+    for window_len in (25, 50):
+        estimates, others = stationarity._window_batch(panel, np.arange(7), pairs, window_len)
+        assert others == [] and estimates.shape == (len(pairs), 300 // window_len + 1)
+        for pair, row in zip(pairs, estimates):
+            ref = stationarity.global_test(panel, pair, window_len)
+            assert np.abs(row - [*ref.samples, ref.rho_bar_hat]).max() <= 1e-12
+            d_stat, p_value = stationarity._ks_test(row[:-1], float(row[-1]), window_len)
+            assert abs(d_stat - ref.d_stat) <= 1e-12 and abs(p_value - ref.p_value) <= 1e-12
 
 
 def test_global_scan_thread_determinism():
