@@ -327,6 +327,8 @@ def _load_volatilities(path: str, tickers) -> np.ndarray:
             table[name] = vol
     except OSError as exc:
         raise UsageError(f"--volatilities: cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:  # a ValueError, so before the clause below
+        raise UsageError(f"--volatilities: {path}: not UTF-8 text ({exc.reason})") from None
     except ValueError:
         raise UsageError(f"--volatilities: malformed line in {path}") from None
     missing = [t for t in tickers if t not in table]

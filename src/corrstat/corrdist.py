@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataio import MIN_T, CovarianceMatrix, checked_window, gated_rows
-from .errors import InvalidParameter, NumericsError
+from .errors import InvalidParameter, NumericsError, checked_int
 
 RHO_BAR_LIMIT = 1.0 - 1e-12
 
@@ -57,8 +57,7 @@ class CorrParams:
             raise InvalidParameter(
                 f"rho_bar must satisfy |rho_bar| <= {RHO_BAR_LIMIT!r}, got {self.rho_bar!r}"
             )
-        if int(self.n_obs) != self.n_obs or self.n_obs < MIN_T:
-            raise InvalidParameter(f"n_obs must be an integer >= {MIN_T}, got {self.n_obs!r}")
+        checked_int("n_obs", self.n_obs, MIN_T)
 
 
 class CorrMoments(NamedTuple):

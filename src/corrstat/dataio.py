@@ -24,6 +24,7 @@ from .errors import (
     InvalidParameter,
     ParseError,
     ZeroVariance,
+    checked_int,
 )
 from .rngutil import rng_for
 
@@ -266,10 +267,8 @@ def synchronous_reshuffle(panel: ReturnPanel, seed: int) -> ReturnPanel:
 
 def window_slices(t_total: int, window_len: int) -> tuple[tuple[int, int], ...]:
     """K = floor(t_total / window_len) consecutive [lo, hi) ranges from 0; the rest is dropped."""
-    if not (isinstance(window_len, Integral) and window_len >= MIN_T):
-        raise InvalidParameter(f"window_len must be an integer >= {MIN_T} "
-                               f"(sampling-distribution domain), got {window_len!r}")
-    if window_len > t_total:
+    checked_int("t_total", t_total, 0)
+    if checked_int("window_len", window_len, MIN_T) > t_total:
         raise InsufficientData(
             f"window_len {window_len} exceeds available length {t_total}"
         )

@@ -1,4 +1,10 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and its one integer rule.
+
+checked_int takes every count, size, index and seed: a Python or numpy
+integer at its bound passes unchanged; anything else, an integral float
+included, raises InvalidParameter.  Nothing is truncated or hashed.
+"""
+from numbers import Integral
 
 
 class CorrstatError(Exception):
@@ -70,3 +76,11 @@ class IllPosed(CorrstatError):
 
 class InvalidParameter(CorrstatError):
     pass
+
+
+def checked_int(what, value, low):
+    """value when it is an integer >= low, else InvalidParameter naming what."""
+    if isinstance(value, Integral) and value >= low:
+        return value
+    bound = "a non-negative integer" if low == 0 else f"an integer >= {low}"
+    raise InvalidParameter(f"{what} must be {bound}, got {value!r}")

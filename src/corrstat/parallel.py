@@ -7,18 +7,12 @@ it and its items.
 """
 from __future__ import annotations
 
-from .errors import InvalidParameter
+from .errors import checked_int
 
 
 def resolve_threads(threads) -> int:
     """threads as an int >= 1."""
-    try:
-        threads = int(threads)
-    except (TypeError, ValueError):
-        raise InvalidParameter(f"threads must be an integer, got {threads!r}") from None
-    if threads < 1:
-        raise InvalidParameter(f"threads must be >= 1, got {threads}")
-    return threads
+    return checked_int("threads", threads, 1)
 
 
 def parallel_map(fn, items, threads=1):

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import synthgen
 from .dataio import CovarianceMatrix, ReturnPanel, checked_window, freeze, gated_rows
-from .errors import IllPosed, InsufficientData, InvalidParameter, NumericsError
+from .errors import IllPosed, InsufficientData, InvalidParameter, NumericsError, checked_int
 from .rngutil import rng_for
 
 _CONDITION_LIMIT = 1e12
@@ -140,7 +140,7 @@ def portfolio_variance(cov: CovarianceMatrix, weights: WeightVector) -> float:
 def select_stocks(panel: ReturnPanel, n_stocks: int, select_seed: int) -> ReturnPanel:
     """Seeded random subset of n_stocks rows, original order kept."""
     n = panel.n_series
-    if not (1 <= n_stocks <= n):
+    if checked_int("n_stocks", n_stocks, 1) > n:
         raise InvalidParameter(f"n_stocks must lie in [1, {n}], got {n_stocks}")
     if n_stocks == n:
         return panel
@@ -174,8 +174,8 @@ def _independent_ranges(t_total: int, t1: int, t2: int):
 
 def q_series(panel: ReturnPanel, t1: int, t2: int, chained: bool = True) -> list[QExperiment]:
     """q = sigma_R / sigma_E over successive estimation/realized windows."""
-    if t1 < 2 or t2 < 2:
-        raise InvalidParameter("t1 and t2 must be >= 2")
+    checked_int("t1", t1, 2)
+    checked_int("t2", t2, 2)
     ranges = (_chained_ranges if chained else _independent_ranges)(
         panel.n_steps, t1, t2
     )
@@ -220,15 +220,15 @@ def mc_band(n_series: int, t1: int, t2: int, replicas: int,
     contributes q = sigma_R / sigma_E of weights fitted on its first t1
     steps and held over the next t2 (_sample_risks, as in q_series).
     """
-    if replicas < MIN_REPLICAS:
-        raise InvalidParameter(f"need >= {MIN_REPLICAS} replicas for a band, got {replicas}")
+    checked_int("n_series", n_series, 1)
+    checked_int("t1", t1, 2)
+    checked_int("t2", t2, 2)
+    checked_int("replicas", replicas, MIN_REPLICAS)
     if truth.n_series != n_series:
         raise InvalidParameter("truth dimension does not match n_series")
     scale = np.ones(n_series) if volatilities is None else np.asarray(volatilities, float)
     if scale.shape != (n_series,) or not np.all(np.isfinite(scale) & (scale > 0)):
         raise InvalidParameter("volatilities must be N finite positive reals")
-    if t1 < 2 or t2 < 2:
-        raise InvalidParameter("t1 and t2 must be >= 2")
     lower = synthgen.cholesky(truth)
     tickers = synthgen.synthetic_tickers(n_series)
     qs = np.empty(replicas)

@@ -19,6 +19,7 @@ from .errors import (
     NotNormalized,
     NotSymmetric,
     NumericsError,
+    checked_int,
 )
 
 _SYMMETRY_TOL = 1e-12
@@ -131,9 +132,7 @@ def spectral_snapshot(corr, sectors: int = DEFAULT_SECTOR_COUNT) -> SpectralSnap
     """
     eig = eig_sym(corr)
     n = eig.n_series
-    if sectors < 1:
-        raise InvalidParameter(f"sectors must be >= 1, got {sectors}")
-    if n <= sectors + 1:
+    if n <= checked_int("sectors", sectors, 1) + 1:
         raise InvalidParameter(
             f"need more than sectors + 1 = {sectors + 1} series, got {n}"
         )

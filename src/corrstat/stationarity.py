@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -41,6 +41,7 @@ from .errors import (
     InsufficientSamples,
     InvalidParameter,
     ZeroVariance,
+    checked_int,
 )
 from .parallel import parallel_map, resolve_threads
 
@@ -76,13 +77,12 @@ class LocalTestConfig:
     n_values: tuple[int, ...] = DEFAULT_N_VALUES
 
     def __post_init__(self):
-        if not (isinstance(self.t1, Integral) and self.t1 >= MIN_T):
-            raise InvalidParameter(f"t1 must be an integer >= {MIN_T}, got {self.t1!r}")
-        if not (isinstance(self.tau, Integral) and self.tau >= 1):
-            raise InvalidParameter(f"tau must be an integer >= 1, got {self.tau!r}")
-        if not self.n_values or not all(isinstance(n, Integral) and n >= 1
-                                        for n in self.n_values):
-            raise InvalidParameter("n_values must be integers >= 1")
+        checked_int("t1", self.t1, MIN_T)
+        checked_int("tau", self.tau, 1)
+        if not self.n_values:
+            raise InvalidParameter("n_values must not be empty")
+        for n in self.n_values:
+            checked_int("n", n, 1)
 
 
 class LocalTestOutcome(NamedTuple):
@@ -135,9 +135,7 @@ def ks_pvalue(d_stat: float, k: int) -> float:
 
     if not (0.0 <= d_stat <= 1.0):
         raise InvalidParameter(f"D must lie in [0, 1], got {d_stat!r}")
-    if not isinstance(k, Integral):
-        raise InvalidParameter(f"K must be an integer, got {k!r}")
-    if k < 5:
+    if checked_int("K", k, 0) < 5:
         raise InsufficientSamples(f"KS p-value needs K >= 5, got {k}")
     root = math.sqrt(k)
     return float(kolmogorov(d_stat * (root + 0.12 + 0.11 / root)))
@@ -197,7 +195,23 @@ def _window_estimates(x, y, n_windows, names):
 
 
 def all_pairs(n: int):
+    checked_int("n", n, 0)
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def _sorted_pairs(pairs, n_series):
+    """pairs (default: all) as sorted (low, high); InvalidParameter if one is not two numbers."""
+    if pairs is None:
+        return all_pairs(n_series)
+    pairs = list(pairs)
+    for pair in pairs:
+        try:
+            two_numbers = len(pair) == 2 and all(isinstance(i, Real) for i in pair)
+        except TypeError:  # no len()
+            two_numbers = False
+        if not two_numbers:
+            raise InvalidParameter(f"a pair must be two numbers, got {pair!r}")
+    return sorted((min(p), max(p)) for p in pairs)
 
 
 def _control_panels(panel, reshuffle_seed, mc_family, mc_nu, mc_seed):
@@ -298,19 +312,17 @@ def global_scan(panel: ReturnPanel, window_lens, alphas=DEFAULT_ALPHAS,
     changes nothing: the pairs run in order on the calling thread.  A
     window length below MIN_T or an alpha outside (0, 1) raises
     InvalidParameter before any pair is tested, as do a window length
-    that is not an integer and a bad threads; a window longer than the
-    panel skips every pair, and a pair of non-integer or out-of-range
-    indices is skipped.
+    that is not an integer, a bad threads and a pair that is not two
+    numbers; a window longer than the panel skips every pair, and a pair
+    of non-integer or out-of-range indices is skipped.
     """
-    short = [w for w in window_lens if not (isinstance(w, Integral) and w >= MIN_T)]
-    if short:
-        raise InvalidParameter(f"window lengths must be integers >= {MIN_T}, got {short[0]!r}")
+    for window_len in window_lens:
+        checked_int("window_len", window_len, MIN_T)
     outside = [a for a in alphas if not 0.0 < a < 1.0]
     if outside:
         raise InvalidParameter(f"alphas must lie in (0, 1), got {outside[0]!r}")
     resolve_threads(threads)
-    pairs = sorted((min(p), max(p))
-                   for p in (all_pairs(panel.n_series) if pairs is None else pairs))
+    pairs = _sorted_pairs(pairs, panel.n_series)
     panels = _control_panels(panel, reshuffle_seed, mc_family, mc_nu, mc_seed)
     counts = {}
     skipped = []
@@ -360,8 +372,6 @@ def _step_flags(estimates, lengths, ns, sigma_convention, tau):
     if sigma_convention == SIGMA_WINDOW:
         sigma = 1.0 / np.sqrt(np.asarray(lengths[:-1], dtype=np.float64))
     elif sigma_convention == SIGMA_PAPER:
-        if tau is None:
-            raise InvalidParameter("paper sigma convention needs tau")
         sigma = 1.0 / np.sqrt(np.arange(1, len(lengths)) * tau)
     else:
         raise InvalidParameter(f"unknown sigma convention {sigma_convention!r}")
@@ -378,8 +388,9 @@ def local_test(estimates, n: int, sigma_convention: str = SIGMA_WINDOW,
     "window" convention (L_k = actual window length), 1/sqrt(k tau)
     under the "paper" convention (k = 1-based estimate ordinal).
     """
-    if not (isinstance(n, Integral) and n >= 1):
-        raise InvalidParameter(f"n must be an integer >= 1, got {n!r}")
+    checked_int("n", n, 1)
+    if sigma_convention == SIGMA_PAPER:
+        checked_int("tau", tau, 1)
     estimates = list(estimates)
     if len(estimates) < 2:
         raise InsufficientData("local test needs >= 2 estimates")
@@ -484,13 +495,13 @@ def local_scan(panel: ReturnPanel, configs, pairs=None,
     """Pooled violating fraction over all (pair, step), per (tau, n).
 
     Each config carries its own n values.  Each panel (and its optional
-    MC control) is scanned as one array computation.  A pair of
-    non-integer or out-of-range indices is skipped.
+    MC control) is scanned as one array computation.  A pair that is not
+    two numbers raises InvalidParameter before any pair is tested; a pair
+    of non-integer or out-of-range indices is skipped.
     """
     if sigma_convention not in (SIGMA_WINDOW, SIGMA_PAPER):
         raise InvalidParameter(f"unknown sigma convention {sigma_convention!r}")
-    pairs = sorted((min(p), max(p))
-                   for p in (all_pairs(panel.n_series) if pairs is None else pairs))
+    pairs = _sorted_pairs(pairs, panel.n_series)
     panels = _control_panels(panel, None, mc_family, mc_nu, mc_seed)
     counts, skips = {}, {}
     for name, scan_panel in panels.items():

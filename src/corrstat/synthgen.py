@@ -20,7 +20,7 @@ import numpy as np
 
 from .corrdist import corr_matrix
 from .dataio import ReturnPanel, freeze
-from .errors import InvalidParameter, NotPositiveDefinite
+from .errors import InvalidParameter, NotPositiveDefinite, checked_int
 from .rngutil import rng_for
 
 _MIN_EIGENVALUE = 1e-10
@@ -83,8 +83,8 @@ class GeneratorSpec:
                 raise InvalidParameter(
                     f"student-t family needs a finite nu >= {MIN_NU:g}, got {self.nu!r}"
                 )
-        if self.n_steps < 1:
-            raise InvalidParameter("n_steps must be >= 1")
+        checked_int("n_series", self.n_series, 1)
+        checked_int("n_steps", self.n_steps, 1)
         if self.correlation.n_series != self.n_series:
             raise InvalidParameter(
                 f"correlation is {self.correlation.n_series}x"
@@ -134,6 +134,7 @@ def cholesky(c) -> np.ndarray:
 
 def synthetic_tickers(n: int) -> tuple[str, ...]:
     """Ticker names S0, S1, ... (zero-padded) of an N-row synthetic panel."""
+    checked_int("N", n, 1)
     width = len(str(n - 1))
     return tuple(f"S{i:0{width}d}" for i in range(n))
 
@@ -147,6 +148,7 @@ def _synthetic_panel(returns: np.ndarray) -> ReturnPanel:
 def gaussian_returns(lower: np.ndarray, n_steps: int, seed: int,
                      replica: int = 0) -> np.ndarray:
     """N x n_steps i.i.d. N(0, L L^T) columns, deterministic per (seed, replica)."""
+    checked_int("n_steps", n_steps, 1)
     rng = rng_for(seed, "gaussian-panel", replica)
     return lower @ rng.standard_normal((lower.shape[0], n_steps))
 
@@ -202,15 +204,13 @@ def sample_estimate_as_truth(panel) -> TrueCorrelation:
 
 
 def identity_correlation(n: int) -> TrueCorrelation:
-    if n < 1:
-        raise InvalidParameter(f"identity correlation needs N >= 1, got {n}")
+    checked_int("N", n, 1)
     return TrueCorrelation(np.eye(n), source="identity")
 
 
 def equicorr_correlation(n: int, rho: float) -> TrueCorrelation:
     """All off-diagonals equal to rho; PD for rho in (-1/(N-1), 1)."""
-    if n < 2:
-        raise InvalidParameter("equicorrelation needs N >= 2")
+    checked_int("N", n, 2)
     if not (-1.0 / (n - 1) < rho < 1.0):
         raise InvalidParameter(
             f"equicorrelation with N={n} needs rho in (-1/(N-1), 1), got {rho!r}"
@@ -222,8 +222,7 @@ def equicorr_correlation(n: int, rho: float) -> TrueCorrelation:
 
 def one_factor_correlation(n: int, seed: int) -> TrueCorrelation:
     """C = beta beta^T + diag(1 - beta^2) with seeded uniform loadings."""
-    if n < 1:
-        raise InvalidParameter(f"one-factor correlation needs N >= 1, got {n}")
+    checked_int("N", n, 1)
     beta = rng_for(seed, "one-factor-loadings").uniform(*_LOADING_RANGE, size=n)
     c = np.outer(beta, beta)
     np.fill_diagonal(c, 1.0)

@@ -293,13 +293,13 @@ def test_qscan_volatilities(tmp_path, capsys):
 VOLS = "S0,1.0\nS1,2.0\nS2,1.5\nS3,0.5\n"
 
 
-def _qscan_band(tmp_path, vols_text, tickers=("S0", "S1", "S2", "S3")):
+def _qscan_band(tmp_path, vols_text, tickers=("S0", "S1", "S2", "S3"), encoding="utf-8"):
     """(exit code, stderr, band) of a qscan run reading vols_text as --volatilities."""
     panel = make_panel(gaussian_panel(len(tickers), 100, seed=4).returns, tickers)
     path = tmp_path / "panel.csv"
     dataio.save_panel_csv(panel, path)
     vols = tmp_path / "vols.csv"
-    vols.write_text(vols_text, encoding="utf-8")
+    vols.write_text(vols_text, encoding=encoding)
     out = tmp_path / "q.json"
     out.unlink(missing_ok=True)
     rc, err = run_captured(["qscan", "--input", str(path), "--input-kind", "returns",
@@ -333,6 +333,17 @@ def test_volatilities_header_only_on_the_first_line(tmp_path):
     assert err.splitlines() == [f"error: --volatilities: malformed line in {vols}"]
 
 
+def test_volatilities_that_are_not_utf8_are_a_usage_error(tmp_path):
+    text = "ticker,volatilit\u00e9\n" + VOLS
+    rc, err, _ = _qscan_band(tmp_path, text, encoding="cp1252")
+    assert rc == 2
+    with pytest.raises(UnicodeDecodeError) as info:
+        text.encode("cp1252").decode("utf-8")
+    vols = tmp_path / "vols.csv"
+    assert err.splitlines() == [
+        f"error: --volatilities: {vols}: not UTF-8 text ({info.value.reason})"]
+
+
 def test_volatilities_repeated_ticker_is_a_usage_error(tmp_path):
     rc, err, _ = _qscan_band(tmp_path, VOLS + "S1,3.0\n")
     assert rc == 2
@@ -347,7 +358,7 @@ def test_empty_or_negative_corr_size_is_a_flag_error(tmp_path, spec):
     assert rc == 2
     (line,) = err.splitlines()
     assert line.startswith(f"error: --corr: invalid correlation spec {spec!r}: "), line
-    assert line.endswith(f"correlation needs N >= 1, got {spec.split(':')[1]}"), line
+    assert line.endswith(f"N must be an integer >= 1, got {spec.split(':')[1]}"), line
     for numpy_text in ("zero-size", "negative dimensions", "array"):
         assert numpy_text not in line
 

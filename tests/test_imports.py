@@ -7,8 +7,10 @@ function that needs it.  Where the law is evaluated, scipy.special is the
 only scipy module loaded.  Nothing starts a thread pool either: the
 scans run their pairs on the calling thread.  The AST checks at the end
 keep every import of the package, the scripts and the tests in use,
-every public name read by the program, and every ZeroVariance built at
-the one zero-variance gate or the scans' per-pair paths.
+every public name read by the program, every ZeroVariance built at
+the one zero-variance gate or the scans' per-pair paths, and every
+integer argument checked by errors.checked_int or the three checks that
+name a whole window or pair.
 """
 import ast
 import os
@@ -209,3 +211,28 @@ def test_zero_variance_is_built_only_at_the_gate():
                                                getattr(sub.func, "attr", None))):
                     builders.add((path.name, getattr(node, "name", None)))
     assert builders == ZERO_VARIANCE_BUILDERS
+
+
+# Where an integer type is tested: the one rule for every count, size,
+# index and seed, and the three checks that name a whole window or pair
+# in their messages.  Any other function naming Integral (or np.integer)
+# is a hand-rolled integer check that should call checked_int.
+INTEGER_CHECKS = {
+    ("errors.py", "checked_int"),
+    ("dataio.py", "checked_window"),
+    ("stationarity.py", "_pair_rows"),
+    ("stationarity.py", "_split_pairs"),
+}
+
+
+def test_integers_are_checked_only_by_the_integer_rule():
+    checks = set()
+    for path in sorted((SRC / "corrstat").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and any(
+                    "Integral" in (getattr(sub, "id", None), getattr(sub, "attr", None))
+                    or getattr(sub, "attr", None) == "integer"
+                    for sub in ast.walk(node)):
+                checks.add((path.name, node.name))
+    assert checks == INTEGER_CHECKS

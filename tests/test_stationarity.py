@@ -268,6 +268,16 @@ def test_local_test_rejects_an_n_that_is_not_an_integer_above_zero(n):
         stationarity.local_test([(10, 0.0), (20, 0.5), (30, 0.55)], n)
 
 
+@pytest.mark.parametrize("tau", [0, -1, 2.5, 10.0, None, "10"])
+def test_local_test_under_the_paper_convention_rejects_a_bad_tau(tau):
+    estimates = [(10, 0.0), (20, 0.5), (30, 0.55)]
+    with pytest.raises(InvalidParameter, match="tau must be an integer >= 1"):
+        stationarity.local_test(estimates, 1, stationarity.SIGMA_PAPER, tau)
+    # sigma_1 = 1/sqrt(10) ~ 0.32: the first step violates, the second does not
+    assert stationarity.local_test(estimates, 1, stationarity.SIGMA_PAPER, 10) == (
+        1, (True, False))
+
+
 def test_local_test_monotone_in_n():
     rng = np.random.default_rng(7)
     walk = np.cumsum(rng.normal(scale=0.2, size=30))
@@ -636,6 +646,21 @@ def test_scans_skip_a_non_integer_pair(bad):
         assert report.cells == alone.cells
         assert [(s["pair"], s["error"], s["detail"]) for s in report.skipped] == [
             (list(pair), "InvalidParameter", f"pair {pair!r} invalid for N=4")]
+
+
+@pytest.mark.parametrize("bad", [(0, 1, 2), (3,), ("a", 1), (None, 1), 5, "01", ()])
+def test_scans_refuse_a_pair_that_is_not_two_numbers_before_any_pair(bad, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a pair was tested")
+
+    for name in ("global_test", "cumulative_corr", "_pair_sums"):
+        monkeypatch.setattr(stationarity, name, refuse)
+    panel = gaussian_panel(4, 300, seed=4)
+    for scan, grid in ((stationarity.global_scan, (25,)),
+                       (stationarity.local_scan, [LocalTestConfig(50, 50)])):
+        with pytest.raises(InvalidParameter) as info:
+            scan(panel, grid, pairs=[(0, 1), bad])
+        assert str(info.value) == f"a pair must be two numbers, got {bad!r}"
 
 
 def test_local_scan_short_panel():
