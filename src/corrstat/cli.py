@@ -18,6 +18,7 @@ flag), 1 runtime failure, running out of memory included.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -27,7 +28,7 @@ import sys
 import numpy as np
 
 from . import __version__, corrdist, dataio, portfolio, spectral, stationarity, synthgen
-from .errors import CorrstatError
+from .errors import CorrstatError, ParseError
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -307,30 +308,27 @@ def cmd_qscan(args) -> int:
 def _load_volatilities(path: str, tickers) -> np.ndarray:
     """Two-column ticker,volatility CSV covering every panel ticker.
 
-    The first non-blank line is a header when its value is not a number.
+    The first record is a header when its value cell is not a number.
     """
     table = {}
     try:
-        with open(path, encoding="utf-8-sig") as fh:  # Excel prepends a BOM
-            lines = [line for line in map(str.strip, fh) if line]
-        for k, line in enumerate(lines):
-            name, _, value = line.partition(",")
-            try:
-                vol = float(value)
-            except ValueError:
-                if k == 0:
-                    continue
-                raise
-            name = name.strip()
-            if name in table:
-                raise UsageError(f"--volatilities: duplicate ticker {name!r} in {path}")
-            table[name] = vol
+        with contextlib.closing(dataio._records(path)) as records:
+            for irow, cells in records:
+                try:
+                    name, value = cells
+                    vol = float(value)
+                except ValueError:
+                    if irow == 1:
+                        continue
+                    raise UsageError(f"--volatilities: malformed line in {path}") from None
+                name = name.strip()
+                if name in table:
+                    raise UsageError(f"--volatilities: duplicate ticker {name!r} in {path}")
+                table[name] = vol
     except OSError as exc:
         raise UsageError(f"--volatilities: cannot read {path}: {exc}") from None
-    except UnicodeDecodeError as exc:  # a ValueError, so before the clause below
-        raise UsageError(f"--volatilities: {path}: not UTF-8 text ({exc.reason})") from None
-    except ValueError:
-        raise UsageError(f"--volatilities: malformed line in {path}") from None
+    except ParseError as exc:  # not UTF-8, or a cell over the field limit
+        raise UsageError(f"--volatilities: {exc}") from None
     missing = [t for t in tickers if t not in table]
     if missing:
         raise UsageError(f"--volatilities: no entry for ticker {missing[0]!r}")

@@ -12,6 +12,7 @@ Conventions used throughout the toolkit:
 from __future__ import annotations
 
 import csv
+from contextlib import closing
 from dataclasses import dataclass, replace
 from numbers import Integral
 
@@ -113,71 +114,148 @@ def load_price_panel(path, kind="log"):
     ``kind="returns"`` keeps the cells as they are.  With ``"log"`` or
     ``"simple"`` the cells are prices, and their changes become the returns,
     the first time label dropped.  Rows are days in the file, transposed into
-    N x T storage.  Row numbers in errors count non-blank records, the header
-    being row 1.
+    N x T storage.  Dateless rows are labelled by their row number less one.
+    Row numbers in errors count non-blank records, the header being row 1.
+
+    The body streams line by line through np.loadtxt.  A file that parser
+    might read otherwise, or that it refuses, is read again record by
+    record with float(), which names the first fault.
     """
     if kind not in ("log", "simple", "returns"):
         raise InvalidParameter(f"kind must be 'log', 'simple' or 'returns', got {kind!r}")
+    try:
+        tickers, times, cells = _numpy_panel(path)
+    except (ValueError, csv.Error):
+        tickers, times, cells = _exact_panel(path)
+    if kind != "returns":
+        cells, times = _price_changes(cells, kind), times[1:]
+    return ReturnPanel(tuple(tickers), tuple(times), cells)
+
+
+def _records(path):
+    """(row number, cells) of each non-blank record of a UTF-8 CSV file; the first is row 1.
+
+    A leading BOM is dropped.  Text that is not UTF-8 and a cell over
+    csv's field limit raise ParseError.
+    """
+    irow = 0  # records read; a reader error is in the next one
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # Excel prepends a BOM
+            for irow, cells in enumerate(filter(None, csv.reader(fh)), start=1):  # blank lines are not rows
+                yield irow, cells
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: not UTF-8 text ({err.reason})") from None
+    except csv.Error as err:
+        raise ParseError(f"{path}: row {irow + 1}: {err}", row=irow + 1) from None
+
+
+def _header(path, header):
+    """The tickers of a header record, and whether it leads with a date column."""
+    if header is None:
+        raise ParseError(f"{path}: empty file")
+    header = [c.strip() for c in header]
+    has_dates = header[0].lower() == "date"
+    tickers = header[1:] if has_dates else header
+    if not tickers:
+        raise ParseError(f"{path}: header contains no tickers")
+    seen = set()
+    for tick in tickers:
+        if tick in seen:
+            raise DuplicateTicker(tick)
+        seen.add(tick)
+    return tickers, has_dates
+
+
+def _exact_panel(path):
+    """Tickers, time labels and N x T cells, each record checked and parsed with float()."""
     times, days = [], []
     nonfinite = None  # the first non-finite cell's error, raised after every other check
-    irow = 0  # records read; a reader error is in the next one
-    with open(path, newline="", encoding="utf-8-sig") as fh:  # Excel prepends a BOM
-        records = enumerate(filter(None, csv.reader(fh)), start=1)  # blank lines are not rows
-        try:
-            irow, header = next(records, (0, None))
-            if header is None:
-                raise ParseError(f"{path}: empty file")
-            header = [c.strip() for c in header]
-            has_dates = header[0].lower() == "date"
-            tickers = header[1:] if has_dates else header
-            if not tickers:
-                raise ParseError(f"{path}: header contains no tickers")
-            seen = set()
-            for tick in tickers:
-                if tick in seen:
-                    raise DuplicateTicker(tick)
-                seen.add(tick)
-            width, lead = len(header), int(has_dates)
-            for irow, row in records:
-                if len(row) != width:
-                    raise ParseError(
-                        f"{path}: row {irow} has {len(row)} cells, expected {width}",
-                        row=irow,
-                    )
-                cells = row[lead:]
-                try:  # cells parse as float()
-                    day = np.fromiter(map(float, cells), np.float64, len(tickers))
-                except ValueError:
-                    for col, cell in enumerate(cells, start=lead + 1):
-                        try:
-                            float(cell)
-                        except ValueError:
-                            raise ParseError(
-                                f"{path}: non-numeric cell at row {irow}, col {col}: {cell!r}",
-                                row=irow,
-                                col=col,
-                            ) from None
-                if nonfinite is None and not np.isfinite(day).all():
-                    col = lead + 1 + int(np.argmin(np.isfinite(day)))
-                    nonfinite = ParseError(
-                        f"{path}: non-finite cell at row {irow}, col {col}: {row[col - 1]!r}",
-                        row=irow,
-                        col=col,
-                    )
-                days.append(day)
-                times.append(row[0].strip() if has_dates else str(irow - 1))
-        except UnicodeDecodeError as err:
-            raise ParseError(f"{path}: not UTF-8 text ({err.reason})") from None
-        except csv.Error as err:
-            raise ParseError(f"{path}: row {irow + 1}: {err}", row=irow + 1) from None
+    with closing(_records(path)) as records:
+        tickers, has_dates = _header(path, next(records, (0, None))[1])
+        width, lead = len(tickers) + has_dates, int(has_dates)
+        for irow, row in records:
+            if len(row) != width:
+                raise ParseError(
+                    f"{path}: row {irow} has {len(row)} cells, expected {width}",
+                    row=irow,
+                )
+            cells = row[lead:]
+            try:  # cells parse as float()
+                day = np.fromiter(map(float, cells), np.float64, len(tickers))
+            except ValueError:
+                for col, cell in enumerate(cells, start=lead + 1):
+                    try:
+                        float(cell)
+                    except ValueError:
+                        raise ParseError(
+                            f"{path}: non-numeric cell at row {irow}, col {col}: {cell!r}",
+                            row=irow,
+                            col=col,
+                        ) from None
+            if nonfinite is None and not np.isfinite(day).all():
+                col = lead + 1 + int(np.argmin(np.isfinite(day)))
+                nonfinite = ParseError(
+                    f"{path}: non-finite cell at row {irow}, col {col}: {row[col - 1]!r}",
+                    row=irow,
+                    col=col,
+                )
+            days.append(day)
+            times.append(row[0].strip() if has_dates else str(irow - 1))
     if not days:
         raise ParseError(f"{path}: no data rows")
     if nonfinite is not None:
         raise nonfinite
-    cells = np.stack(days, axis=1)  # N x T
-    if kind != "returns":
-        cells, times = _price_changes(cells, kind), times[1:]
-    return ReturnPanel(tuple(tickers), tuple(times), cells)
+    return tickers, times, np.stack(days, axis=1)
+
+
+# A csv quote, and the separators \x1c-\x1f, which np.loadtxt strips from a
+# number as whitespace where float() refuses the cell.
+_EXACT_ONLY = ('"', "\x1c", "\x1d", "\x1e", "\x1f")
+_BLANK = ("", "\n", "\r\n", "\r")
+
+
+def _numpy_panel(path):
+    """_exact_panel's result for a clean file, the body parsed by np.loadtxt.
+
+    Raises ValueError (or csv.Error) where the file may not be clean:
+    np.loadtxt refuses a cell or a row, a cell is not finite, or
+    _clean_lines finds a line it must not pass on.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        tickers, has_dates = _header(path, next(filter(None, csv.reader(fh)), None))
+        times = []
+        body = np.loadtxt(_clean_lines(fh, len(tickers), has_dates, times),
+                          delimiter=",", comments=None, ndmin=2)
+    if not np.isfinite(body).all():
+        raise ValueError("a non-finite cell")
+    return tickers, times, np.ascontiguousarray(body.T)
+
+
+def _clean_lines(fh, n_tickers, has_dates, times):
+    """fh's non-blank lines less their date field, each appending its label to times.
+
+    Raises ValueError at a line that is not one record of n_tickers plain
+    cells (a quote, another cell count, a line over csv's field limit or a
+    character in _EXACT_ONLY), and at the end when there was none.
+    """
+    limit, irow = csv.field_size_limit(), 1
+    for line in fh:
+        if line in _BLANK:  # csv reads no record here
+            continue
+        irow += 1
+        if (line.count(",") != n_tickers - 1 + has_dates or len(line) > limit
+                or any(c in line for c in _EXACT_ONLY)):
+            raise ValueError(f"row {irow} is not plain")
+        if has_dates:
+            date, _, line = line.partition(",")
+            if line in _BLANK:  # one empty cell, which np.loadtxt would skip as a blank line
+                raise ValueError(f"row {irow} is not plain")
+            times.append(date.strip())
+        else:
+            times.append(str(irow - 1))
+        yield line
+    if irow == 1:
+        raise ValueError("no data rows")
 
 
 def _price_changes(prices: np.ndarray, kind: str) -> np.ndarray:

@@ -79,10 +79,19 @@ class LocalTestConfig:
     def __post_init__(self):
         checked_int("t1", self.t1, MIN_T)
         checked_int("tau", self.tau, 1)
+        object.__setattr__(self, "n_values", _items("n_values", self.n_values))
         if not self.n_values:
             raise InvalidParameter("n_values must not be empty")
         for n in self.n_values:
             checked_int("n", n, 1)
+
+
+def _items(what, value) -> tuple:
+    """value's items; InvalidParameter naming what when value is not a collection."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise InvalidParameter(f"{what} must be a collection, got {value!r}") from None
 
 
 class LocalTestOutcome(NamedTuple):
@@ -194,24 +203,27 @@ def _window_estimates(x, y, n_windows, names):
     return tuple(min(1.0, max(-1.0, float(a @ b) / t)) for a, b in zip(zx, zy))
 
 
-def all_pairs(n: int):
+def all_pairs(n: int) -> np.ndarray:
     checked_int("n", n, 0)
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return np.stack(np.triu_indices(n, 1), axis=1)
 
 
 def _sorted_pairs(pairs, n_series):
-    """pairs (default: all) as sorted (low, high); InvalidParameter if one is not two numbers."""
-    if pairs is None:
-        return all_pairs(n_series)
-    pairs = list(pairs)
-    for pair in pairs:
-        try:
-            two_numbers = len(pair) == 2 and all(isinstance(i, Real) for i in pair)
-        except TypeError:  # no len()
-            two_numbers = False
-        if not two_numbers:
-            raise InvalidParameter(f"a pair must be two numbers, got {pair!r}")
-    return sorted((min(p), max(p)) for p in pairs)
+    """pairs (default: all) as sorted (P, 2) rows (low, high): an integer array's as
+    integers, any other's as objects; InvalidParameter if a pair is not two numbers."""
+    pairs = all_pairs(n_series) if pairs is None else pairs
+    if not (isinstance(pairs, np.ndarray) and pairs.dtype.kind == "i" and pairs.shape[1:] == (2,)):
+        pairs = _items("pairs", pairs)
+        for pair in pairs:
+            try:
+                two_numbers = len(pair) == 2 and all(isinstance(i, Real) for i in pair)
+            except TypeError:  # no len()
+                two_numbers = False
+            if not two_numbers:
+                raise InvalidParameter(f"a pair must be two numbers, got {pair!r}")
+        pairs = np.array([(min(p), max(p)) for p in pairs], dtype=object).reshape(-1, 2)
+    ij = np.sort(pairs, axis=1)
+    return ij[np.lexsort((ij[:, 1], ij[:, 0]))]  # stable: the order of sorted((min, max))
 
 
 def _control_panels(panel, reshuffle_seed, mc_family, mc_nu, mc_seed):
@@ -312,10 +324,12 @@ def global_scan(panel: ReturnPanel, window_lens, alphas=DEFAULT_ALPHAS,
     changes nothing: the pairs run in order on the calling thread.  A
     window length below MIN_T or an alpha outside (0, 1) raises
     InvalidParameter before any pair is tested, as do a window length
-    that is not an integer, a bad threads and a pair that is not two
-    numbers; a window longer than the panel skips every pair, and a pair
-    of non-integer or out-of-range indices is skipped.
+    that is not an integer, a bad threads, a pair that is not two numbers
+    and a container argument that is not iterable; a window longer than
+    the panel skips every pair, and a pair of non-integer or out-of-range
+    indices is skipped.  pairs is taken as local_scan takes it.
     """
+    window_lens, alphas = _items("window_lens", window_lens), _items("alphas", alphas)
     for window_len in window_lens:
         checked_int("window_len", window_len, MIN_T)
     outside = [a for a in alphas if not 0.0 < a < 1.0]
@@ -401,19 +415,18 @@ def local_test(estimates, n: int, sigma_convention: str = SIGMA_WINDOW,
 
 
 def _split_pairs(pairs, n_series, bad):
-    """The pairs the batch takes, as a (P, 2) index array, and the others in pairs' order.
+    """The pairs the batch takes, as an int64 (P, 2) array, and the others as tuples in order.
 
     A pair is left out when an index is not an integer, is out of range or
     repeats, or when bad flags one of its rows.
     """
-    ij = np.asarray(pairs).reshape(-1, 2)  # object dtype if an index overflows int64
-    failed = ((ij < 0) | (ij >= n_series)).any(axis=1) | (ij[:, 0] == ij[:, 1])
-    if ij.dtype.kind not in "iu":  # some index is not an int64: _pair_rows refuses non-integers
+    failed = ((pairs < 0) | (pairs >= n_series)).any(axis=1) | (pairs[:, 0] == pairs[:, 1])
+    if pairs.dtype == object:  # _pair_rows refuses non-integers
         failed |= np.array([not (isinstance(i, Integral) and isinstance(j, Integral))
                             for i, j in pairs], dtype=bool)
-    ij = np.where(failed[:, None], 0, ij).astype(np.int64)
+    ij = np.where(failed[:, None], 0, pairs).astype(np.int64)
     failed |= bad[ij].any(axis=1)
-    return ij[~failed], [pairs[p] for p in np.flatnonzero(failed).tolist()]
+    return ij[~failed], [tuple(pair) for pair in pairs[failed].tolist()]
 
 
 def _skips(reference, panel, pairs, *args, **where):
@@ -464,14 +477,13 @@ def _local_counts(panel, pairs, configs, sigma_convention, control):
     the lengths.  On a panel too short for a config, every pair is skipped.
     """
     z, bad = standardized_rows(panel.returns)
-    good, others = _split_pairs(pairs, panel.n_series, bad)
     counts, skipped = {}, []
     for config in configs:
         t1, tau = config.t1, config.tau
         lengths = np.arange(t1, panel.n_steps + 1, tau)
-        skipped.append(_skips(cumulative_corr, panel, others if lengths.size > 1 else pairs,
-                              t1, tau, tau=tau, control=control))
-        if lengths.size < 2 or not good.size:
+        good, others = _split_pairs(pairs, panel.n_series, bad | (lengths.size < 2))
+        skipped.append(_skips(cumulative_corr, panel, others, t1, tau, tau=tau, control=control))
+        if not good.size:
             continue
         # (N, blocks, tau): the columns each step after t1 adds
         tail = z[:, t1:lengths[-1]].reshape(panel.n_series, -1, tau)
@@ -495,12 +507,14 @@ def local_scan(panel: ReturnPanel, configs, pairs=None,
     """Pooled violating fraction over all (pair, step), per (tau, n).
 
     Each config carries its own n values.  Each panel (and its optional
-    MC control) is scanned as one array computation.  A pair that is not
-    two numbers raises InvalidParameter before any pair is tested; a pair
-    of non-integer or out-of-range indices is skipped.
+    MC control) is scanned as one array computation.  pairs (default:
+    all) is an integer (P, 2) array or any collection of pairs; a pair
+    that is not two numbers raises InvalidParameter before any pair is
+    tested, and one of non-integer or out-of-range indices is skipped.
     """
     if sigma_convention not in (SIGMA_WINDOW, SIGMA_PAPER):
         raise InvalidParameter(f"unknown sigma convention {sigma_convention!r}")
+    configs = _items("configs", configs)
     pairs = _sorted_pairs(pairs, panel.n_series)
     panels = _control_panels(panel, None, mc_family, mc_nu, mc_seed)
     counts, skips = {}, {}

@@ -13,6 +13,11 @@ settings.register_profile(
 settings.load_profile("suite")
 
 
+def pytest_addoption(parser):
+    parser.addoption("--regen-reports", action="store_true",
+                     help="rewrite tests/data/reports/ from this tree instead of comparing")
+
+
 @pytest.fixture(autouse=True)
 def _timestamp_unset(monkeypatch):
     # The expected reports assume no pinned timestamp; importing the
@@ -42,3 +47,19 @@ def gaussian_panel(n_series, n_steps, seed, truth=None, replica=0):
 def small_panel():
     rng = np.random.default_rng(123)
     return make_panel(rng.normal(size=(4, 60)))
+
+
+def assert_matches(got, ref, where="report"):
+    """Floats agree to 1e-9 relative; every other value and every key exactly."""
+    if isinstance(ref, float) and isinstance(got, float):
+        assert abs(got - ref) <= 1e-9 * max(abs(got), abs(ref)), (where, got, ref)
+    elif isinstance(ref, dict) and isinstance(got, dict):
+        assert sorted(got) == sorted(ref), where
+        for key in ref:
+            assert_matches(got[key], ref[key], f"{where}.{key}")
+    elif isinstance(ref, list) and isinstance(got, list):
+        assert len(got) == len(ref), where
+        for k, (a, b) in enumerate(zip(got, ref)):
+            assert_matches(a, b, f"{where}[{k}]")
+    else:
+        assert type(got) is type(ref) and got == ref, (where, got, ref)

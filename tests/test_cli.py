@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from corrstat import __version__, cli, dataio
 
-from conftest import gaussian_panel, make_panel
+from conftest import assert_matches, gaussian_panel, make_panel
 
 
 def run(argv):
@@ -326,6 +326,18 @@ def test_volatilities_ticker_may_start_with_ticker(tmp_path, header):
     assert band == plain
 
 
+@pytest.mark.parametrize("text", [
+    '"S0",1.0\n"S1",2.0\n"S2",1.5\n"S3",0.5\n',  # quoted tickers
+    'S0,"1.0"\nS1,2.0\nS2,1.5\nS3,0.5\n',  # a quoted value on the first line is not a header
+    '"ticker","vol"\n' + VOLS,  # a quoted header
+])
+def test_volatilities_are_read_as_csv_records(tmp_path, text):
+    _, _, plain = _qscan_band(tmp_path, VOLS)
+    rc, err, band = _qscan_band(tmp_path, text)
+    assert rc == 0, err
+    assert band == plain
+
+
 def test_volatilities_header_only_on_the_first_line(tmp_path):
     rc, err, _ = _qscan_band(tmp_path, "S0,1.0\nticker,vol\nS1,2.0\nS2,1.5\nS3,0.5\n")
     assert rc == 2
@@ -632,22 +644,6 @@ def test_reproduce_fig1(tmp_path, capsys):
 
 
 GOLDEN = Path(__file__).parent / "data"
-
-
-def assert_matches(got, ref, where="report"):
-    """Floats agree to 1e-9 relative; every other value and every key exactly."""
-    if isinstance(ref, float) and isinstance(got, float):
-        assert abs(got - ref) <= 1e-9 * max(abs(got), abs(ref)), (where, got, ref)
-    elif isinstance(ref, dict) and isinstance(got, dict):
-        assert sorted(got) == sorted(ref), where
-        for key in ref:
-            assert_matches(got[key], ref[key], f"{where}.{key}")
-    elif isinstance(ref, list) and isinstance(got, list):
-        assert len(got) == len(ref), where
-        for k, (a, b) in enumerate(zip(got, ref)):
-            assert_matches(a, b, f"{where}[{k}]")
-    else:
-        assert type(got) is type(ref) and got == ref, (where, got, ref)
 
 
 @pytest.mark.parametrize("recipe", ["table1", "table2", "fig3-bands"])

@@ -1,4 +1,7 @@
+import csv
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from corrstat import dataio
 from corrstat.errors import (
+    CorrstatError,
     DomainError,
     DuplicateTicker,
     InsufficientData,
@@ -175,6 +179,112 @@ def test_load_peak_memory_per_cell(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak / (n_series * n_steps) <= 64
+
+
+def _outcome(path, kind="returns"):
+    """The loaded panel's labels and cell bytes, or the error's type, message and position."""
+    try:
+        panel = dataio.load_price_panel(path, kind=kind)
+    except CorrstatError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "row", None), getattr(exc, "col", None)
+    return panel.tickers, panel.times, panel.returns.tobytes()
+
+
+def _takes_numpy_path(path):
+    try:
+        dataio._numpy_panel(path)
+    except (ValueError, csv.Error):
+        return False
+    return True
+
+
+# (text, whether np.loadtxt reads the body): every case must load, or fail,
+# exactly as the record-by-record reader does.
+LOADER_GOLDEN = {
+    "bom": ("\ufeffdate,A,B\nd1,1,2\nd2,3,4\n", True),
+    "blank lines": ("\nA,B\n\n1,2\n\r\n\r3,4\n\n", True),
+    "crlf": ("date,A,B\r\nd1,1,2\r\nd2,3,4\r\n", True),
+    "cr": ("A,B\r1,2\r3,4", True),
+    "padded cells": ("date,A,B\n d1 , 1.5 ,\t2\x0b\n\x0cd2,+.5e-3,-0\n", True),
+    "one price row": ("date,A\nd1,2\n", True),
+    "whitespace-only line": ("A,B\n1,2\n  \n3,4\n", False),
+    "whitespace-only line, one column": ("A\n1\n \t\n3\n", False),
+    "quoted cells": ('A,B\n"1",2\n3,"4"\n', False),
+    "quoted date": ('date,A\n"2020-01-01",1\nd2,2\n', False),
+    "quoted comma": ('date,A\n"d,1",1\nd2,2\n', False),
+    "short row with dates": ("date,A,B\nd1,1,2\nd2,3\n", False),
+    "long row with dates": ("date,A,B\nd1,1,2,5\nd2,3,4\n", False),
+    "short row": ("A,B\n1,2\n3\n", False),
+    "long row": ("A,B\n1,2\n3,4,5\n", False),
+    "empty cell after the date": ("date,A\nd1,1\nd2,\n", False),
+    "empty cell": ("A,B\n1,\n", False),
+    "nan": ("A,B\n1,nan\n2,3\n", False),
+    "inf with dates": ("date,A,B\nd1,1,2\nd2,-inf,3\n", False),
+    "overflow": ("A\n1e400\n", False),
+    "underscore": ("A,B\n1_0,2\n3,4\n", False),
+    "full-width digit": ("A,B\n\uff11,2\n3,4\n", False),
+    "arabic-indic digits": ("A\n\u0661\u0662\n", False),
+    "information separator": ("A,B\n1\x1c,2\n3,4\n", False),
+    "non-numeric": ("date,A\nd1,1\nd2,x\n", False),
+    "no data rows": ("A,B\n\n\n", False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOADER_GOLDEN))
+def test_numpy_path_matches_the_exact_reader(name, tmp_path, monkeypatch):
+    text, numpy_path = LOADER_GOLDEN[name]
+    path = tmp_path / "p.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _takes_numpy_path(path) == numpy_path
+    got = {kind: _outcome(path, kind) for kind in ("returns", "log")}
+
+    def refuse(path):
+        raise ValueError("the exact reader only")
+
+    monkeypatch.setattr(dataio, "_numpy_panel", refuse)
+    assert got == {kind: _outcome(path, kind) for kind in ("returns", "log")}
+
+
+@pytest.mark.parametrize("dates", [True, False])
+def test_a_clean_panel_takes_the_numpy_path(tmp_path, monkeypatch, dates):
+    def refuse(path):
+        raise AssertionError("the exact reader ran")
+
+    monkeypatch.setattr(dataio, "_exact_panel", refuse)
+    panel = make_panel(np.random.default_rng(7).normal(size=(50, 300)))
+    path = tmp_path / "p.csv"
+    if dates:
+        dataio.save_panel_csv(panel, path)
+    else:
+        np.savetxt(path, panel.returns.T, fmt="%.17g", delimiter=",",
+                   header=",".join(panel.tickers), comments="")
+    back = dataio.load_price_panel(path, kind="returns")
+    times = panel.times if dates else tuple(str(row) for row in range(1, 301))  # row less one
+    assert back.tickers == panel.tickers and back.times == times
+    assert back.returns.tobytes() == panel.returns.tobytes()
+
+
+CELL_TEXT = st.one_of(
+    st.text(alphabet=st.sampled_from("0123456789.eE+-_ \t\x0b\x0c\x1c\x1d\x1e\x1f\x00xnaifNIF,\""
+                                     "\xa0\u2028\u3000\uff11\u0661"), max_size=12),
+    st.builds("{}{!r}{}".format, st.sampled_from(["", " ", "+", "0", "\x1f", "_"]),
+              st.floats(allow_nan=False, allow_infinity=False),
+              st.sampled_from(["", " ", "\t", "0", "\x1c", "_", "e1"])),
+    st.text(st.characters(exclude_characters="\r\n"), max_size=6),
+)
+
+
+@given(CELL_TEXT)
+def test_a_cell_the_numpy_path_reads_is_float_of_its_text(cell):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.csv"
+        path.write_bytes(f"A\n{cell}\n".encode("utf-8", "surrogatepass"))
+        try:
+            _, times, cells = dataio._numpy_panel(path)
+        except (ValueError, csv.Error):
+            return
+    assert times == ["1"] and cells.shape == (1, 1)
+    assert cells.tobytes() == np.float64(float(cell)).tobytes()
 
 
 def test_log_returns(tmp_path):

@@ -8,9 +8,9 @@ only scipy module loaded.  Nothing starts a thread pool either: the
 scans run their pairs on the calling thread.  The AST checks at the end
 keep every import of the package, the scripts and the tests in use,
 every public name read by the program, every ZeroVariance built at
-the one zero-variance gate or the scans' per-pair paths, and every
+the one zero-variance gate or the scans' per-pair paths, every
 integer argument checked by errors.checked_int or the three checks that
-name a whole window or pair.
+name a whole window or pair, and every input file read in dataio.
 """
 import ast
 import os
@@ -236,3 +236,33 @@ def test_integers_are_checked_only_by_the_integer_rule():
                     for sub in ast.walk(node)):
                 checks.add((path.name, node.name))
     assert checks == INTEGER_CHECKS
+
+
+# Where input text is read: dataio's record reader and its np.loadtxt
+# path.  Any other function that opens a file for reading or hands one to
+# a text parser is a second hand-written input parser.
+INPUT_READERS = {
+    ("dataio.py", "_records"),
+    ("dataio.py", "_numpy_panel"),
+}
+_READ_CALLS = {"open", "read_text", "read_bytes", "loadtxt", "genfromtxt", "reader"}
+
+
+def _writes(call):
+    """Whether an open() call names a write, append or create mode."""
+    modes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+    return any(isinstance(m, ast.Constant) and set(str(m.value)) & set("wax") for m in modes)
+
+
+def test_input_text_is_read_only_in_dataio():
+    readers = set()
+    paths = sorted((SRC / "corrstat").glob("*.py")) + sorted((SRC.parent / "scripts").glob("*.py"))
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            for sub in ast.walk(node):
+                if (isinstance(sub, ast.Call)
+                        and {getattr(sub.func, "id", None), getattr(sub.func, "attr", None)}
+                        & _READ_CALLS and not _writes(sub)):
+                    readers.add((path.name, getattr(node, "name", None)))
+    assert readers == INPUT_READERS

@@ -101,7 +101,7 @@ def test_numpy_integers_give_the_python_int_results():
     assert np.array_equal(
         synthgen.sample_panel(_spec(n_series=i64(3), n_steps=i32(50), seed=i64(2))).returns,
         synthgen.sample_panel(_spec(seed=2)).returns)
-    assert stationarity.all_pairs(i64(4)) == stationarity.all_pairs(4)
+    assert np.array_equal(stationarity.all_pairs(i64(4)), stationarity.all_pairs(4))
     assert stationarity.ks_pvalue(0.1, i32(70)) == stationarity.ks_pvalue(0.1, 70)
     assert (corrdist.rho_cdf(0.2, corrdist.CorrParams(0.3, i64(50)))
             == corrdist.rho_cdf(0.2, corrdist.CorrParams(0.3, 50)))

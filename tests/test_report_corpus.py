@@ -1,0 +1,76 @@
+"""Scan reports compared byte for byte with a committed corpus.
+
+Each case writes a small panel with plain numpy from a fixed seed, runs
+one scan on it through the CLI and compares stdout with the bytes in
+tests/data/reports/.  Floats are written as %.17g, so another numpy or
+scipy build may move last bits: when the versions recorded with the
+corpus differ from the running ones, the reports are compared to 1e-9
+relative instead, with a warning that says so.  `pytest --regen-reports`
+rewrites the corpus and the versions from the running tree.
+"""
+import json
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy
+
+from corrstat import cli
+
+from conftest import assert_matches
+
+CORPUS = Path(__file__).resolve().parent / "data" / "reports"
+VERSIONS = CORPUS / "VERSIONS.json"
+
+SCANS = {
+    "local-scan": ["--t1", "40", "--tau", "20,60", "--n", "1,2,3", "--mc", "gaussian",
+                   "--max-pairs", "12"],
+    "global-scan": ["--window", "20,40", "--reshuffle-seed", "3", "--mc", "gaussian"],
+}
+PANELS = ("dated", "dateless", "constant-row")
+KINDS = ("prices", "returns")
+
+
+def _write_panel(name):
+    """A 6-series, 321-day price panel as name.csv in the working directory."""
+    rng = np.random.default_rng(PANELS.index(name) + 11)
+    prices = 100.0 * np.exp(np.cumsum(0.01 * rng.standard_normal((321, 6)), axis=0))
+    if name == "constant-row":
+        prices[:, 2] = 42.0  # every pair with S2 is skipped
+    header = ",".join(f"S{i}" for i in range(6))
+    if name == "dated":
+        days = np.datetime64("2001-01-01") + np.arange(321)
+        body = [f"{day},{','.join(f'{p:.17g}' for p in row)}" for day, row in zip(days, prices)]
+        text = "\n".join(["date," + header, *body]) + "\n"
+    else:
+        text = "\n".join([header, *(",".join(f"{p:.17g}" for p in row) for row in prices)]) + "\n"
+    Path(f"{name}.csv").write_text(text, encoding="utf-8")
+
+
+def _versions():
+    return {"numpy": np.__version__, "scipy": scipy.__version__}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("panel", PANELS)
+@pytest.mark.parametrize("scan", sorted(SCANS))
+def test_scan_report_bytes(scan, panel, kind, tmp_path, monkeypatch, capsys, request):
+    monkeypatch.chdir(tmp_path)  # the report echoes the relative --input path
+    _write_panel(panel)
+    assert cli.main([scan, "--input", f"{panel}.csv", "--input-kind", kind,
+                     *SCANS[scan]]) == 0
+    got = capsys.readouterr().out.encode("utf-8")
+    expected = CORPUS / f"{scan}_{panel}_{kind}.json"
+    if request.config.getoption("--regen-reports"):
+        CORPUS.mkdir(parents=True, exist_ok=True)
+        expected.write_bytes(got)
+        VERSIONS.write_text(json.dumps(_versions(), indent=2) + "\n", encoding="utf-8")
+        return
+    recorded = json.loads(VERSIONS.read_text(encoding="utf-8"))
+    if recorded == _versions():
+        assert got == expected.read_bytes()
+    else:
+        warnings.warn(f"report corpus recorded under {recorded}, running {_versions()}: "
+                      f"{expected.name} compared to 1e-9 relative, not byte for byte")
+        assert_matches(json.loads(got), json.loads(expected.read_bytes()))

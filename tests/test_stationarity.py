@@ -663,6 +663,64 @@ def test_scans_refuse_a_pair_that_is_not_two_numbers_before_any_pair(bad, monkey
         assert str(info.value) == f"a pair must be two numbers, got {bad!r}"
 
 
+def _pair_scan_panel():
+    returns = np.random.default_rng(27).standard_t(3, size=(5, 120))
+    returns[3, :] = 2.5  # every pair with row 3 is skipped
+    return make_panel(returns)
+
+
+PAIR_SCAN_PANEL = _pair_scan_panel()
+INDEX = st.integers(-1, 6)  # N = 5: out-of-range on both sides
+
+
+@settings(max_examples=25)
+@given(st.lists(st.tuples(INDEX, INDEX), max_size=12),
+       st.lists(st.tuples(INDEX, st.sampled_from([1.5, 2.0, 2 ** 70])), max_size=2))
+def test_pair_containers_give_identical_reports(pairs, odd):
+    # repr shows a numpy scalar where a Python int belongs, and NaN equal to itself
+    for scan, grid in ((stationarity.global_scan, (20,)),
+                       (stationarity.local_scan, [LocalTestConfig(20, 20, (1, 2))])):
+        forms = [np.array(pairs, dtype=np.int64).reshape(-1, 2), pairs,
+                 [list(p) for p in pairs]]
+        reports = [scan(PAIR_SCAN_PANEL, grid, pairs=form) for form in forms]
+        assert len({repr(report) for report in reports}) == 1
+        skipped = [tuple(s["pair"]) for s in reports[0].skipped]
+        assert skipped == sorted(skipped)  # in the order of sorted((min, max))
+        if odd:  # a float or an index past int64 takes the per-pair path in any container
+            forms = [pairs + odd, [list(p) for p in pairs + odd]]
+            assert len({repr(scan(PAIR_SCAN_PANEL, grid, pairs=form)) for form in forms}) == 1
+
+
+def test_skipped_array_pairs_are_python_ints():
+    pairs = np.array([[4, 0], [3, 1], [0, 9], [2, 2], [1, 0]], dtype=np.int32)
+    for scan, grid in ((stationarity.global_scan, (20,)),
+                       (stationarity.local_scan, [LocalTestConfig(20, 20)])):
+        report = scan(PAIR_SCAN_PANEL, grid, pairs=pairs)
+        assert report.params["n_pairs"] == 5
+        assert [s["pair"] for s in report.skipped] == [[0, 9], [1, 3], [2, 2]]
+        assert all(type(i) is int for s in report.skipped for i in s["pair"])
+        assert report.skipped[0]["detail"] == "pair (0, 9) invalid for N=5"
+
+
+@pytest.mark.parametrize("what, call", [
+    ("n_values", lambda: LocalTestConfig(50, 5, n_values=3)),
+    ("window_lens", lambda: stationarity.global_scan(PAIR_SCAN_PANEL, 25)),
+    ("alphas", lambda: stationarity.global_scan(PAIR_SCAN_PANEL, (25,), 0.05)),
+    ("configs", lambda: stationarity.local_scan(PAIR_SCAN_PANEL, None)),
+    ("pairs", lambda: stationarity.local_scan(PAIR_SCAN_PANEL, [LocalTestConfig(50, 5)],
+                                              pairs=7)),
+])
+def test_a_container_argument_that_is_not_iterable_is_named(what, call):
+    with pytest.raises(InvalidParameter, match=f"^{what} must be a collection, got "):
+        call()
+
+
+def test_n_values_given_as_a_list_are_stored_as_a_tuple():
+    config = LocalTestConfig(20, 20, [1, 2])
+    assert config == LocalTestConfig(20, 20, (1, 2)) and config.n_values == (1, 2)
+    assert stationarity.local_scan(PAIR_SCAN_PANEL, [config]).cells[0].denominator > 0
+
+
 def test_local_scan_short_panel():
     panel = gaussian_panel(4, 120, seed=22)
     configs = [LocalTestConfig(100, 20), LocalTestConfig(100, 21)]
@@ -677,9 +735,12 @@ def test_local_scan_short_panel():
 
 
 def test_all_pairs():
-    assert stationarity.all_pairs(3) == [(0, 1), (0, 2), (1, 2)]
-    assert len(stationarity.all_pairs(412)) == 84666
-    assert len(stationarity.all_pairs(137)) == 9316
+    pairs = stationarity.all_pairs(3)
+    assert pairs.dtype == np.int64
+    assert np.array_equal(pairs, [(0, 1), (0, 2), (1, 2)])
+    assert stationarity.all_pairs(412).shape == (84666, 2)
+    assert stationarity.all_pairs(137).shape == (9316, 2)
+    assert stationarity.all_pairs(0).shape == (0, 2)
 
 
 @given(st.lists(st.floats(0.01, 0.99), min_size=5, max_size=30))
