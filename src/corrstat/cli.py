@@ -8,9 +8,9 @@ string "unset" unless --timestamp or the CORRSTAT_TIMESTAMP variable
 supplies one; wall-clock values would break byte-level reproducibility.
 
 Each flag's own rules are checked where argparse parses it, by its type:
-bounds restating a library rule read the library's constant, and counts
-and sizes stop at 2**53.  Handlers check only what needs another flag or
-the panel.
+a real flag reads the (ok, bound) rule the library checks it with, and
+counts and sizes stop at 2**53.  Handlers check only what needs another
+flag or the panel.
 
 Exit codes: 0 success, 2 flag validation failure (message names the
 flag), 1 runtime failure, running out of memory included.
@@ -114,9 +114,7 @@ def _count(low: int, many: bool = False):
 
 # Seeds and replica indices label substreams, so any size is fine.
 _LABEL = _bounded(int, lambda v: v >= 0, "a non-negative integer")
-# A Student-t nu the generator accepts: finite and at least synthgen.MIN_NU.
-_NU = _bounded(float, lambda nu: synthgen.MIN_NU <= nu < math.inf,
-               f"a finite number >= {synthgen.MIN_NU:g}")
+_NU = _bounded(float, *synthgen.NU_RULE)
 
 
 def _mc(text: str) -> str:
@@ -500,9 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", parents=[common],
                        help="exact sampling density of the Pearson estimator")
-    limit = corrdist.RHO_BAR_LIMIT
-    p.add_argument("--rho-bar", required=True, type=_bounded(
-        float, lambda r: abs(r) <= limit, f"a number in [-{limit!r}, {limit!r}]"))
+    p.add_argument("--rho-bar", required=True, type=_bounded(float, *corrdist.RHO_BAR_RULE))
     p.add_argument("--T", type=_count(corrdist.MIN_T), required=True)
     p.add_argument("--grid", type=_count(2), default=2001)
     p.add_argument("--format", choices=("json", "csv"), default="csv")
@@ -513,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=_count(corrdist.MIN_T, many=True), default="25,50,100",
                    help="comma-separated window lengths")
     p.add_argument("--alpha", default="0.01,0.05,0.10", help="comma-separated levels",
-                   type=_bounded(float, lambda alphas: all(0.0 < a < 1.0 for a in alphas),
+                   type=_bounded(float, lambda a: all(map(stationarity.ALPHA_RULE[0], a)),
                                  "comma-separated numbers in (0, 1)", many=True))
     p.add_argument("--reshuffle-seed", type=_LABEL, default=None,
                    help="run a synchronous-reshuffle control with this seed")
@@ -550,8 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicas", type=_count(portfolio.MIN_REPLICAS), default=100)
     p.add_argument("--mc-seed", type=_LABEL, default=42)
     p.add_argument("--band-sigmas", default=portfolio.DEFAULT_BAND_SIGMAS,
-                   type=_bounded(float, lambda k: 0.0 < k < math.inf,
-                                 "a finite positive number"))
+                   type=_bounded(float, *portfolio.BAND_SIGMAS_RULE))
     p.add_argument("--truth", choices=("estimated", "identity"), default="estimated",
                    help="correlation truth for the MC band")
     p.add_argument("--independent-windows", action="store_true",
@@ -566,9 +561,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sectors", type=_count(1), default=spectral.DEFAULT_SECTOR_COUNT)
     p.add_argument("--thresholds", default="0,0,0",
                    help="market,sector,ipr co-occurrence thresholds",
-                   type=_bounded(float, lambda t: len(t) == 3 and t[0] >= 0 and t[1] <= 0 and t[2] <= 0,
-                                 "market,sector,ipr with market >= 0 and sector, ipr <= 0",
-                                 many=True))
+                   type=_bounded(float, lambda t: len(t) == 3 and all(
+                       ok(theta) for (_, ok, _), theta in zip(spectral.THRESHOLD_RULES, t)),
+                       "market,sector,ipr with market >= 0 and sector, ipr <= 0", many=True))
     p.set_defaults(handler=cmd_spectral)
 
     p = sub.add_parser("reproduce", parents=[common],

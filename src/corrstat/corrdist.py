@@ -40,9 +40,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataio import MIN_T, CovarianceMatrix, checked_window, gated_rows
-from .errors import InvalidParameter, NumericsError, checked_int
+from .errors import InvalidParameter, NumericsError, checked_int, checked_real
 
 RHO_BAR_LIMIT = 1.0 - 1e-12
+RHO_BAR_RULE = (lambda r: abs(r) <= RHO_BAR_LIMIT,
+                f"a number in [-{RHO_BAR_LIMIT!r}, {RHO_BAR_LIMIT!r}]")
 
 
 @dataclass(frozen=True)
@@ -53,10 +55,7 @@ class CorrParams:
     n_obs: int
 
     def __post_init__(self):
-        if not (abs(self.rho_bar) <= RHO_BAR_LIMIT):
-            raise InvalidParameter(
-                f"rho_bar must satisfy |rho_bar| <= {RHO_BAR_LIMIT!r}, got {self.rho_bar!r}"
-            )
+        checked_real("rho_bar", self.rho_bar, *RHO_BAR_RULE)
         checked_int("n_obs", self.n_obs, MIN_T)
 
 

@@ -1,10 +1,16 @@
-"""Exception types shared across the toolkit, and its one integer rule.
+"""Exception types shared across the toolkit, and its integer and real rules.
 
 checked_int takes every count, size, index and seed: a Python or numpy
 integer at its bound passes unchanged; anything else, an integral float
 included, raises InvalidParameter.  Nothing is truncated or hashed.
+checked_real takes every level, threshold and shape parameter: a Python
+or numpy real that its rule accepts passes unchanged; anything else, a
+numeric string included, raises InvalidParameter, and NaN fails every
+comparison, so every bounded rule refuses it.  A rule is an (ok, bound)
+pair, named *_RULE in the module that owns it; the CLI builds the flag
+type from the same pair.
 """
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class CorrstatError(Exception):
@@ -83,4 +89,11 @@ def checked_int(what, value, low):
     if isinstance(value, Integral) and value >= low:
         return value
     bound = "a non-negative integer" if low == 0 else f"an integer >= {low}"
+    raise InvalidParameter(f"{what} must be {bound}, got {value!r}")
+
+
+def checked_real(what, value, ok, bound):
+    """value when it is a real number ok accepts, else InvalidParameter naming what and bound."""
+    if isinstance(value, Real) and ok(value):
+        return value
     raise InvalidParameter(f"{what} must be {bound}, got {value!r}")

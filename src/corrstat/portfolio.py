@@ -21,12 +21,14 @@ import numpy as np
 
 from . import synthgen
 from .dataio import CovarianceMatrix, ReturnPanel, checked_window, freeze, gated_rows
-from .errors import IllPosed, InsufficientData, InvalidParameter, NumericsError, checked_int
+from .errors import (IllPosed, InsufficientData, InvalidParameter, NumericsError, checked_int,
+                     checked_real)
 from .rngutil import rng_for
 
 _CONDITION_LIMIT = 1e12
 _CERTIFICATE_SHIFT = 1e-11  # of trace(C); see _certified
 DEFAULT_BAND_SIGMAS = 5.0
+BAND_SIGMAS_RULE = (lambda k: 0.0 < k < math.inf, "a finite positive number")
 MIN_REPLICAS = 30
 
 
@@ -226,8 +228,12 @@ def mc_band(n_series: int, t1: int, t2: int, replicas: int,
     checked_int("replicas", replicas, MIN_REPLICAS)
     if truth.n_series != n_series:
         raise InvalidParameter("truth dimension does not match n_series")
-    scale = np.ones(n_series) if volatilities is None else np.asarray(volatilities, float)
-    if scale.shape != (n_series,) or not np.all(np.isfinite(scale) & (scale > 0)):
+    try:
+        scale = np.ones(n_series) if volatilities is None else np.asarray(volatilities)
+    except ValueError:  # a ragged sequence
+        scale = np.array(None)
+    if not (scale.dtype.kind in "iuf" and scale.shape == (n_series,)
+            and np.all(np.isfinite(scale) & (scale > 0))):
         raise InvalidParameter("volatilities must be N finite positive reals")
     lower = synthgen.cholesky(truth)
     tickers = synthgen.synthetic_tickers(n_series)
@@ -242,7 +248,5 @@ def mc_band(n_series: int, t1: int, t2: int, replicas: int,
 def flag_band_violations(experiments, band: MCBand,
                          n_sigma: float = DEFAULT_BAND_SIGMAS) -> list[bool]:
     """True where q exceeds band mean + n_sigma * band sd."""
-    if not 0.0 < n_sigma < math.inf:
-        raise InvalidParameter(f"n_sigma must be finite and > 0, got {n_sigma!r}")
-    limit = band.mean + n_sigma * band.sd
+    limit = band.mean + checked_real("n_sigma", n_sigma, *BAND_SIGMAS_RULE) * band.sd
     return [exp.q > limit for exp in experiments]

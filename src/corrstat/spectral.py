@@ -20,6 +20,7 @@ from .errors import (
     NotSymmetric,
     NumericsError,
     checked_int,
+    checked_real,
 )
 
 _SYMMETRY_TOL = 1e-12
@@ -28,6 +29,10 @@ _RECON_TOL = 1e-8
 _GAP_SCALE = 1e-8
 _COMPONENT_FLOOR = 1e-12
 DEFAULT_SECTOR_COUNT = 3
+# (name, ok, bound) of the market, sector and IPR co-occurrence thresholds
+THRESHOLD_RULES = (("market", lambda t: t >= 0, "a number >= 0"),
+                   ("sector", lambda t: t <= 0, "a number <= 0"),
+                   ("ipr", lambda t: t <= 0, "a number <= 0"))
 
 
 @dataclass(frozen=True)
@@ -100,10 +105,8 @@ def eig_sym(matrix) -> EigenSystem:
     if gap > _SYMMETRY_TOL:
         raise NotSymmetric(f"asymmetry {gap:.3e} exceeds {_SYMMETRY_TOL:.0e}")
     lam, vec = np.linalg.eigh(0.5 * (c + c.T))
-    for k in range(lam.size):
-        lead = np.argmax(np.abs(vec[:, k]))
-        if vec[lead, k] < 0:
-            vec[:, k] = -vec[:, k]
+    flip = vec[np.argmax(np.abs(vec), axis=0), np.arange(lam.size)] < 0
+    vec[:, flip] = -vec[:, flip]
     recon_gap = float(np.abs((vec * lam) @ vec.T - c).max())
     if recon_gap > _RECON_TOL * max(1.0, float(np.abs(c).max())):
         raise NumericsError(
@@ -178,11 +181,14 @@ def co_occurrence_flag(delta: SpectralDelta,
     A suppressed IPR delta can never certify co-occurrence, so it yields
     False.
     """
-    theta_m, theta_s, theta_i = thresholds
-    if theta_m < 0:
-        raise InvalidParameter("market threshold must be >= 0")
-    if theta_s > 0 or theta_i > 0:
-        raise InvalidParameter("sector and ipr thresholds must be <= 0")
+    try:
+        theta_m, theta_s, theta_i = (
+            checked_real(f"{name} threshold", theta, ok, bound)
+            for (name, ok, bound), theta in zip(THRESHOLD_RULES, thresholds, strict=True))
+    except (TypeError, ValueError):  # not iterable, or not three long
+        raise InvalidParameter(
+            f"thresholds must be three numbers (market, sector, ipr), got {thresholds!r}"
+        ) from None
     if delta.d_ipr is None:
         return False
     return (delta.d_market > theta_m

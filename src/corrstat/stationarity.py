@@ -42,6 +42,7 @@ from .errors import (
     InvalidParameter,
     ZeroVariance,
     checked_int,
+    checked_real,
 )
 from .parallel import parallel_map, resolve_threads
 
@@ -50,6 +51,7 @@ from .parallel import parallel_map, resolve_threads
 _PLUGIN_CLAMP = 1.0 - 1e-9
 
 DEFAULT_ALPHAS = (0.01, 0.05, 0.10)
+ALPHA_RULE = (lambda a: 0.0 < a < 1.0, "a number in (0, 1)")
 DEFAULT_N_VALUES = (1, 2, 3, 4, 5)
 
 SIGMA_WINDOW = "window"
@@ -142,8 +144,7 @@ def ks_pvalue(d_stat: float, k: int) -> float:
     """
     from scipy.special import kolmogorov
 
-    if not (0.0 <= d_stat <= 1.0):
-        raise InvalidParameter(f"D must lie in [0, 1], got {d_stat!r}")
+    checked_real("D", d_stat, lambda d: 0.0 <= d <= 1.0, "a number in [0, 1]")
     if checked_int("K", k, 0) < 5:
         raise InsufficientSamples(f"KS p-value needs K >= 5, got {k}")
     root = math.sqrt(k)
@@ -322,8 +323,8 @@ def global_scan(panel: ReturnPanel, window_lens, alphas=DEFAULT_ALPHAS,
     reshuffled copy and on a synthetic stationary panel whose truth is
     the full-sample correlation estimate.  threads is validated and
     changes nothing: the pairs run in order on the calling thread.  A
-    window length below MIN_T or an alpha outside (0, 1) raises
-    InvalidParameter before any pair is tested, as do a window length
+    window length below MIN_T or an alpha that is not a number in (0, 1)
+    raises InvalidParameter before any pair is tested, as do a window length
     that is not an integer, a bad threads, a pair that is not two numbers
     and a container argument that is not iterable; a window longer than
     the panel skips every pair, and a pair of non-integer or out-of-range
@@ -332,9 +333,8 @@ def global_scan(panel: ReturnPanel, window_lens, alphas=DEFAULT_ALPHAS,
     window_lens, alphas = _items("window_lens", window_lens), _items("alphas", alphas)
     for window_len in window_lens:
         checked_int("window_len", window_len, MIN_T)
-    outside = [a for a in alphas if not 0.0 < a < 1.0]
-    if outside:
-        raise InvalidParameter(f"alphas must lie in (0, 1), got {outside[0]!r}")
+    for alpha in alphas:
+        checked_real("alpha", alpha, *ALPHA_RULE)
     resolve_threads(threads)
     pairs = _sorted_pairs(pairs, panel.n_series)
     panels = _control_panels(panel, reshuffle_seed, mc_family, mc_nu, mc_seed)
@@ -508,13 +508,17 @@ def local_scan(panel: ReturnPanel, configs, pairs=None,
 
     Each config carries its own n values.  Each panel (and its optional
     MC control) is scanned as one array computation.  pairs (default:
-    all) is an integer (P, 2) array or any collection of pairs; a pair
-    that is not two numbers raises InvalidParameter before any pair is
-    tested, and one of non-integer or out-of-range indices is skipped.
+    all) is an integer (P, 2) array or any collection of pairs; a config
+    that is not a LocalTestConfig or a pair that is not two numbers raises
+    InvalidParameter before any pair is tested, and a pair of non-integer
+    or out-of-range indices is skipped.
     """
     if sigma_convention not in (SIGMA_WINDOW, SIGMA_PAPER):
         raise InvalidParameter(f"unknown sigma convention {sigma_convention!r}")
     configs = _items("configs", configs)
+    for config in configs:
+        if not isinstance(config, LocalTestConfig):
+            raise InvalidParameter(f"configs must hold LocalTestConfigs, got {config!r}")
     pairs = _sorted_pairs(pairs, panel.n_series)
     panels = _control_panels(panel, None, mc_family, mc_nu, mc_seed)
     counts, skips = {}, {}

@@ -20,7 +20,7 @@ import numpy as np
 
 from .corrdist import corr_matrix
 from .dataio import ReturnPanel, freeze
-from .errors import InvalidParameter, NotPositiveDefinite, checked_int
+from .errors import InvalidParameter, NotPositiveDefinite, checked_int, checked_real
 from .rngutil import rng_for
 
 _MIN_EIGENVALUE = 1e-10
@@ -30,6 +30,7 @@ _LOADING_RANGE = (0.3, 0.9)  # one-factor loadings; below 1, so C is positive de
 FAMILY_GAUSSIAN = "gaussian"
 FAMILY_STUDENT_T = "student-t"
 MIN_NU = 3.0  # the chi^2 scale mixture is sampled only from here up
+NU_RULE = (lambda nu: MIN_NU <= nu < math.inf, f"a finite number >= {MIN_NU:g}")
 
 
 @dataclass(frozen=True)
@@ -79,10 +80,7 @@ class GeneratorSpec:
         if self.family not in (FAMILY_GAUSSIAN, FAMILY_STUDENT_T):
             raise InvalidParameter(f"unknown family {self.family!r}")
         if self.family == FAMILY_STUDENT_T:
-            if self.nu is None or not MIN_NU <= self.nu < math.inf:
-                raise InvalidParameter(
-                    f"student-t family needs a finite nu >= {MIN_NU:g}, got {self.nu!r}"
-                )
+            checked_real("nu", self.nu, *NU_RULE)
         checked_int("n_series", self.n_series, 1)
         checked_int("n_steps", self.n_steps, 1)
         if self.correlation.n_series != self.n_series:
@@ -211,10 +209,7 @@ def identity_correlation(n: int) -> TrueCorrelation:
 def equicorr_correlation(n: int, rho: float) -> TrueCorrelation:
     """All off-diagonals equal to rho; PD for rho in (-1/(N-1), 1)."""
     checked_int("N", n, 2)
-    if not (-1.0 / (n - 1) < rho < 1.0):
-        raise InvalidParameter(
-            f"equicorrelation with N={n} needs rho in (-1/(N-1), 1), got {rho!r}"
-        )
+    checked_real("rho", rho, lambda r: -1.0 / (n - 1) < r < 1.0, f"a number in (-1/{n - 1}, 1)")
     c = np.full((n, n), float(rho))
     np.fill_diagonal(c, 1.0)
     return TrueCorrelation(c, source=f"model:equicorr({n},{rho})")

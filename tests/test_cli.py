@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrstat import __version__, cli, dataio
+from corrstat import (__version__, cli, corrdist, dataio, portfolio, spectral, stationarity,
+                      synthgen)
+from corrstat.errors import InvalidParameter
 
 from conftest import assert_matches, gaussian_panel, make_panel
 
@@ -799,3 +801,49 @@ def test_every_typed_option_is_bounded_where_it_is_parsed(capsys):
             assert run([command, flag, value]) == 2, (command, flag, value)
             (line,) = capsys.readouterr().err.splitlines()
             assert line.startswith(f"error: argument {flag}: "), (command, flag, line)
+
+
+_REAL_TEXTS = ["nan", "inf", "-inf", "1e400", "0", "-0.0", "1", "-1", "0.5", "1.5", "2.999999",
+               "3", "1e-300", "0.999999999999", "-0.999999999999", "1.0000000000001"]
+_TINY = make_panel(np.random.default_rng(1).standard_normal((2, 30)))
+_BAND = portfolio.MCBand(1.0, 0.1)
+_DELTA = spectral.SpectralDelta(0.5, -0.2, -0.2)
+
+
+def _student_t(nu):
+    return synthgen.GeneratorSpec(family=synthgen.FAMILY_STUDENT_T, n_series=1, n_steps=1,
+                                  seed=0, correlation=synthgen.identity_correlation(1), nu=nu)
+
+
+# Each real-valued flag: (its text for one value, the library entry point
+# taking that value) for every position a value can take in the flag.
+_REAL_FLAGS = {
+    "--rho-bar": [("{}", lambda v: corrdist.CorrParams(v, 50))],
+    "--alpha": [("{}", lambda v: stationarity.global_scan(_TINY, (10,), (v,)))],
+    "--nu": [("{}", _student_t)],
+    "--mc": [("student-t:{}", _student_t)],
+    "--band-sigmas": [("{}", lambda v: portfolio.flag_band_violations([], _BAND, v))],
+    "--thresholds": [("{},0,0", lambda v: spectral.co_occurrence_flag(_DELTA, (v, 0, 0))),
+                     ("0,{},0", lambda v: spectral.co_occurrence_flag(_DELTA, (0, v, 0))),
+                     ("0,0,{}", lambda v: spectral.co_occurrence_flag(_DELTA, (0, 0, v)))],
+}
+
+
+def _accepts(call, value):
+    try:
+        call(value)
+    except (argparse.ArgumentTypeError, ValueError, InvalidParameter):
+        return False
+    return True
+
+
+def test_every_real_flag_accepts_exactly_what_its_library_rule_accepts():
+    options = [(flag, convert) for _, flag, convert in _typed_options()
+               if convert.__name__ == "float" or convert is cli._mc]
+    assert {flag for flag, _ in options} == set(_REAL_FLAGS)
+    for flag, convert in options:
+        for template, call in _REAL_FLAGS[flag]:
+            verdicts = {text: _accepts(call, float(text)) for text in _REAL_TEXTS}
+            assert set(verdicts.values()) == {True, False}, (flag, template)
+            for text, accepted in verdicts.items():
+                assert _accepts(convert, template.format(text)) == accepted, (flag, template, text)

@@ -10,7 +10,9 @@ keep every import of the package, the scripts and the tests in use,
 every public name read by the program, every ZeroVariance built at
 the one zero-variance gate or the scans' per-pair paths, every
 integer argument checked by errors.checked_int or the three checks that
-name a whole window or pair, and every input file read in dataio.
+name a whole window or pair, every real argument checked by
+errors.checked_real or the pair check, and every input file read in
+dataio.
 """
 import ast
 import os
@@ -225,17 +227,37 @@ INTEGER_CHECKS = {
 }
 
 
-def test_integers_are_checked_only_by_the_integer_rule():
+def _definitions_naming(abc, numpy_type):
+    """(module file, name) of each top-level function or class that names the
+    numbers ABC abc, bare or as an attribute, or np.<numpy_type>."""
     checks = set()
     for path in sorted((SRC / "corrstat").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and any(
-                    "Integral" in (getattr(sub, "id", None), getattr(sub, "attr", None))
-                    or getattr(sub, "attr", None) == "integer"
+                    abc in (getattr(sub, "id", None), getattr(sub, "attr", None))
+                    or getattr(sub, "attr", None) == numpy_type
                     for sub in ast.walk(node)):
                 checks.add((path.name, node.name))
-    assert checks == INTEGER_CHECKS
+    return checks
+
+
+def test_integers_are_checked_only_by_the_integer_rule():
+    assert _definitions_naming("Integral", "integer") == INTEGER_CHECKS
+
+
+# Where a real type is tested: the one rule for every level, threshold
+# and shape parameter, and the pair check, which names a whole pair in
+# its message.  Any other function naming Real (or np.floating) is a
+# hand-rolled real check that should call checked_real.
+REAL_CHECKS = {
+    ("errors.py", "checked_real"),
+    ("stationarity.py", "_sorted_pairs"),
+}
+
+
+def test_reals_are_checked_only_by_the_real_rule():
+    assert _definitions_naming("Real", "floating") == REAL_CHECKS
 
 
 # Where input text is read: dataio's record reader and its np.loadtxt

@@ -361,6 +361,14 @@ def test_mc_band_guards():
             portfolio.mc_band(3, 30, 30, 30, truth, seed=0, volatilities=[1.0, bad, 2.0])
 
 
+@pytest.mark.parametrize("volatilities", [["a", "b", "c"], ["1", "2", "3"], [1.0, None, 2.0],
+                                          [[1.0], [1.0, 2.0], [3.0]]])
+def test_mc_band_names_volatilities_that_are_not_numbers(volatilities):
+    truth = synthgen.identity_correlation(3)
+    with pytest.raises(InvalidParameter, match="^volatilities must be N finite positive reals$"):
+        portfolio.mc_band(3, 10, 10, 30, truth, 0, volatilities=volatilities)
+
+
 def test_mc_band_volatility_scaling():
     truth = synthgen.one_factor_correlation(4, seed=5)
     base = portfolio.mc_band(4, 30, 30, 30, truth, seed=6)

@@ -1,8 +1,8 @@
-"""Scan reports compared byte for byte with a committed corpus.
+"""Reports compared byte for byte with a committed corpus.
 
 Each case writes a small panel with plain numpy from a fixed seed, runs
-one scan on it through the CLI and compares stdout with the bytes in
-tests/data/reports/.  Floats are written as %.17g, so another numpy or
+one subcommand on it through the CLI and compares stdout with the bytes
+in tests/data/reports/.  Floats are written as %.17g, so another numpy or
 scipy build may move last bits: when the versions recorded with the
 corpus differ from the running ones, the reports are compared to 1e-9
 relative instead, with a warning that says so.  `pytest --regen-reports`
@@ -30,14 +30,35 @@ SCANS = {
 }
 PANELS = ("dated", "dateless", "constant-row")
 KINDS = ("prices", "returns")
+SEEDS = {"dated": 11, "dateless": 12, "constant-row": 13, "window-flat": 14}
+
+# Every other subcommand, once each: (file name, panel read or None, argv).
+REPORTS = [
+    ("qscan_volatilities.json", "dated",
+     ["qscan", "--input", "dated.csv", "--t1", "40", "--t2", "40", "--replicas", "30",
+      "--volatilities", "vols.csv", "--independent-windows", "--truth", "identity"]),
+    ("spectral.json", "dated", ["spectral", "--input", "dated.csv", "--window", "40"]),
+    ("density.csv", None, ["density", "--rho-bar", "0.3", "--T", "30", "--grid", "41"]),
+    ("density.json", None, ["density", "--rho-bar", "-0.6", "--T", "12", "--grid", "41",
+                            "--format", "json"]),
+    ("local-scan_tau-1.json", "dateless",
+     ["local-scan", "--input", "dateless.csv", "--input-kind", "returns", "--t1", "40",
+      "--tau", "1", "--n", "1,2,3"]),
+    # all pairs; T_w = 70 leaves 4 windows, and S4 is flat in the window [100, 120) only
+    ("global-scan_window-flat.json", "window-flat",
+     ["global-scan", "--input", "window-flat.csv", "--window", "20,40,70"]),
+    ("reproduce_fig1.csv", None, ["reproduce", "fig1"]),
+]
 
 
 def _write_panel(name):
     """A 6-series, 321-day price panel as name.csv in the working directory."""
-    rng = np.random.default_rng(PANELS.index(name) + 11)
+    rng = np.random.default_rng(SEEDS[name])
     prices = 100.0 * np.exp(np.cumsum(0.01 * rng.standard_normal((321, 6)), axis=0))
     if name == "constant-row":
         prices[:, 2] = 42.0  # every pair with S2 is skipped
+    if name == "window-flat":
+        prices[98:124, 4] = prices[98, 4]  # log returns 98..122 of S4 are zero
     header = ",".join(f"S{i}" for i in range(6))
     if name == "dated":
         days = np.datetime64("2001-01-01") + np.arange(321)
@@ -52,16 +73,8 @@ def _versions():
     return {"numpy": np.__version__, "scipy": scipy.__version__}
 
 
-@pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("panel", PANELS)
-@pytest.mark.parametrize("scan", sorted(SCANS))
-def test_scan_report_bytes(scan, panel, kind, tmp_path, monkeypatch, capsys, request):
-    monkeypatch.chdir(tmp_path)  # the report echoes the relative --input path
-    _write_panel(panel)
-    assert cli.main([scan, "--input", f"{panel}.csv", "--input-kind", kind,
-                     *SCANS[scan]]) == 0
-    got = capsys.readouterr().out.encode("utf-8")
-    expected = CORPUS / f"{scan}_{panel}_{kind}.json"
+def _compare(got, expected, request):
+    """got against the committed expected file, or, with --regen-reports, written there."""
     if request.config.getoption("--regen-reports"):
         CORPUS.mkdir(parents=True, exist_ok=True)
         expected.write_bytes(got)
@@ -73,4 +86,34 @@ def test_scan_report_bytes(scan, panel, kind, tmp_path, monkeypatch, capsys, req
     else:
         warnings.warn(f"report corpus recorded under {recorded}, running {_versions()}: "
                       f"{expected.name} compared to 1e-9 relative, not byte for byte")
-        assert_matches(json.loads(got), json.loads(expected.read_bytes()))
+        parse = json.loads if expected.suffix == ".json" else _csv_numbers
+        assert_matches(parse(got), parse(expected.read_bytes()))
+
+
+def _csv_numbers(data):
+    """A CSV report as its header and rows of floats."""
+    header, *rows = data.decode("utf-8").splitlines()
+    return [header, *([float(v) for v in row.split(",")] for row in rows)]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("panel", PANELS)
+@pytest.mark.parametrize("scan", sorted(SCANS))
+def test_scan_report_bytes(scan, panel, kind, tmp_path, monkeypatch, capsys, request):
+    monkeypatch.chdir(tmp_path)  # the report echoes the relative --input path
+    _write_panel(panel)
+    assert cli.main([scan, "--input", f"{panel}.csv", "--input-kind", kind,
+                     *SCANS[scan]]) == 0
+    got = capsys.readouterr().out.encode("utf-8")
+    _compare(got, CORPUS / f"{scan}_{panel}_{kind}.json", request)
+
+
+@pytest.mark.parametrize("name, panel, argv", REPORTS, ids=[r[0] for r in REPORTS])
+def test_report_bytes(name, panel, argv, tmp_path, monkeypatch, capsys, request):
+    monkeypatch.chdir(tmp_path)
+    if panel is not None:
+        _write_panel(panel)
+    vols = "".join(f"S{i},{0.5 + 0.25 * i}\n" for i in range(6))
+    Path("vols.csv").write_text("ticker,vol\n" + vols, encoding="utf-8")  # qscan's --volatilities
+    assert cli.main(argv) == 0
+    _compare(capsys.readouterr().out.encode("utf-8"), CORPUS / name, request)

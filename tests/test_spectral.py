@@ -49,6 +49,18 @@ def test_eig_matches_jacobi_oracle():
         assert abs(float(v @ v) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("n, seed", [(2, 0), (6, 1), (40, 2)])
+def test_eig_sym_flips_each_vector_to_a_positive_largest_component(n, seed):
+    c = corrdist.corr_matrix(gaussian_panel(n, 120, seed=seed)).entries
+    eig = spectral.eig_sym(c)
+    _, vec = np.linalg.eigh(0.5 * (c + c.T))
+    for k in range(n):  # the column-by-column convention, compared bit for bit
+        lead = np.argmax(np.abs(vec[:, k]))
+        expected = -vec[:, k] if vec[lead, k] < 0 else vec[:, k]
+        assert expected[lead] > 0
+        assert np.array_equal(eig.eigenvectors[:, k], expected)
+
+
 def test_eig_rejects_asymmetry():
     with pytest.raises(NotSymmetric):
         spectral.eig_sym(np.array([[1.0, 0.2], [0.3, 1.0]]))
@@ -168,6 +180,13 @@ def test_co_occurrence_threshold_validation():
         spectral.co_occurrence_flag(delta, (0.0, 0.1, 0.0))
     with pytest.raises(InvalidParameter):
         spectral.co_occurrence_flag(delta, (0.0, 0.0, 0.1))
+
+
+@pytest.mark.parametrize("thresholds", [(0, 0), (0, 0, 0, 0), 0.0, None])
+def test_thresholds_that_are_not_three_numbers_are_named(thresholds):
+    delta = spectral.SpectralDelta(0.5, -0.2, -0.2)
+    with pytest.raises(InvalidParameter, match="^thresholds must be three numbers "):
+        spectral.co_occurrence_flag(delta, thresholds)
 
 
 def test_pca_guarantees():

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -713,6 +714,14 @@ def test_skipped_array_pairs_are_python_ints():
 def test_a_container_argument_that_is_not_iterable_is_named(what, call):
     with pytest.raises(InvalidParameter, match=f"^{what} must be a collection, got "):
         call()
+
+
+@pytest.mark.parametrize("entry", [None, (50, 5), "config"])
+def test_a_config_that_is_not_a_local_test_config_is_named(entry, monkeypatch):
+    monkeypatch.setattr(stationarity, "_local_counts", None)  # no pair may be tested
+    message = f"configs must hold LocalTestConfigs, got {entry!r}"
+    with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$"):
+        stationarity.local_scan(PAIR_SCAN_PANEL, [LocalTestConfig(50, 5), entry])
 
 
 def test_n_values_given_as_a_list_are_stored_as_a_tuple():
