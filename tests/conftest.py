@@ -1,5 +1,10 @@
+import json
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy
 from hypothesis import HealthCheck, settings
 
 from corrstat import cli, dataio, synthgen
@@ -63,3 +68,50 @@ def assert_matches(got, ref, where="report"):
             assert_matches(a, b, f"{where}[{k}]")
     else:
         assert type(got) is type(ref) and got == ref, (where, got, ref)
+
+
+CORPUS = Path(__file__).resolve().parent / "data" / "reports"
+VERSIONS = CORPUS / "VERSIONS.json"
+
+
+def _versions():
+    return {"numpy": np.__version__, "scipy": scipy.__version__}
+
+
+def compare_report(got, name, request):
+    """got, a report's bytes, against the corpus file name, or, with --regen-reports, written there.
+
+    Under the numpy and scipy versions the corpus records the bytes must
+    be equal; under others the numbers are compared to 1e-9 relative,
+    with a warning that says so.
+    """
+    expected = CORPUS / name
+    if request.config.getoption("--regen-reports"):
+        CORPUS.mkdir(parents=True, exist_ok=True)
+        expected.write_bytes(got)
+        VERSIONS.write_text(json.dumps(_versions(), indent=2) + "\n", encoding="utf-8")
+        return
+    recorded = json.loads(VERSIONS.read_text(encoding="utf-8"))
+    if recorded == _versions():
+        assert got == expected.read_bytes()
+    else:
+        warnings.warn(f"report corpus recorded under {recorded}, running {_versions()}: "
+                      f"{name} compared to 1e-9 relative, not byte for byte")
+        parse = {".json": json.loads, ".csv": _csv_numbers}.get(expected.suffix, _text_tokens)
+        assert_matches(parse(got), parse(expected.read_bytes()))
+
+
+def _csv_numbers(data):
+    """A CSV report as its header and rows of floats."""
+    header, *rows = data.decode("utf-8").splitlines()
+    return [header, *([float(v) for v in row.split(",")] for row in rows)]
+
+
+def _text_tokens(data):
+    """A printed report as its whitespace-separated words, each number as a float."""
+    def word(text):
+        try:
+            return float(text)
+        except ValueError:
+            return text
+    return [word(w) for w in data.decode("utf-8").split()]

@@ -16,7 +16,7 @@ from corrstat import (__version__, cli, corrdist, dataio, portfolio, spectral, s
                       synthgen)
 from corrstat.errors import InvalidParameter
 
-from conftest import assert_matches, gaussian_panel, make_panel
+from conftest import compare_report, gaussian_panel, make_panel
 
 
 def run(argv):
@@ -645,15 +645,10 @@ def test_reproduce_fig1(tmp_path, capsys):
     assert echo["config"]["T"] == 50
 
 
-GOLDEN = Path(__file__).parent / "data"
-
-
 @pytest.mark.parametrize("recipe", ["table1", "table2", "fig3-bands"])
-def test_reproduce_recipe_golden(recipe, capsys):
+def test_reproduce_recipe_golden(recipe, capsys, request):
     assert run(["reproduce", recipe]) == 0
-    got = json.loads(capsys.readouterr().out)
-    ref = json.loads((GOLDEN / f"reproduce_{recipe}.json").read_text())
-    assert_matches(got, ref)
+    compare_report(capsys.readouterr().out.encode("utf-8"), f"reproduce_{recipe}.json", request)
 
 
 def _option_dests(command):

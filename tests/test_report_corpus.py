@@ -6,22 +6,18 @@ in tests/data/reports/.  Floats are written as %.17g, so another numpy or
 scipy build may move last bits: when the versions recorded with the
 corpus differ from the running ones, the reports are compared to 1e-9
 relative instead, with a warning that says so.  `pytest --regen-reports`
-rewrites the corpus and the versions from the running tree.
+rewrites the corpus and the versions from the running tree.  The
+reproduce recipes (test_cli.py) and the scripts (test_scripts.py) compare
+their stdout with the same corpus through conftest.compare_report.
 """
-import json
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 from corrstat import cli
 
-from conftest import assert_matches
-
-CORPUS = Path(__file__).resolve().parent / "data" / "reports"
-VERSIONS = CORPUS / "VERSIONS.json"
+from conftest import compare_report
 
 SCANS = {
     "local-scan": ["--t1", "40", "--tau", "20,60", "--n", "1,2,3", "--mc", "gaussian",
@@ -69,33 +65,6 @@ def _write_panel(name):
     Path(f"{name}.csv").write_text(text, encoding="utf-8")
 
 
-def _versions():
-    return {"numpy": np.__version__, "scipy": scipy.__version__}
-
-
-def _compare(got, expected, request):
-    """got against the committed expected file, or, with --regen-reports, written there."""
-    if request.config.getoption("--regen-reports"):
-        CORPUS.mkdir(parents=True, exist_ok=True)
-        expected.write_bytes(got)
-        VERSIONS.write_text(json.dumps(_versions(), indent=2) + "\n", encoding="utf-8")
-        return
-    recorded = json.loads(VERSIONS.read_text(encoding="utf-8"))
-    if recorded == _versions():
-        assert got == expected.read_bytes()
-    else:
-        warnings.warn(f"report corpus recorded under {recorded}, running {_versions()}: "
-                      f"{expected.name} compared to 1e-9 relative, not byte for byte")
-        parse = json.loads if expected.suffix == ".json" else _csv_numbers
-        assert_matches(parse(got), parse(expected.read_bytes()))
-
-
-def _csv_numbers(data):
-    """A CSV report as its header and rows of floats."""
-    header, *rows = data.decode("utf-8").splitlines()
-    return [header, *([float(v) for v in row.split(",")] for row in rows)]
-
-
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("panel", PANELS)
 @pytest.mark.parametrize("scan", sorted(SCANS))
@@ -105,7 +74,7 @@ def test_scan_report_bytes(scan, panel, kind, tmp_path, monkeypatch, capsys, req
     assert cli.main([scan, "--input", f"{panel}.csv", "--input-kind", kind,
                      *SCANS[scan]]) == 0
     got = capsys.readouterr().out.encode("utf-8")
-    _compare(got, CORPUS / f"{scan}_{panel}_{kind}.json", request)
+    compare_report(got, f"{scan}_{panel}_{kind}.json", request)
 
 
 @pytest.mark.parametrize("name, panel, argv", REPORTS, ids=[r[0] for r in REPORTS])
@@ -116,4 +85,4 @@ def test_report_bytes(name, panel, argv, tmp_path, monkeypatch, capsys, request)
     vols = "".join(f"S{i},{0.5 + 0.25 * i}\n" for i in range(6))
     Path("vols.csv").write_text("ticker,vol\n" + vols, encoding="utf-8")  # qscan's --volatilities
     assert cli.main(argv) == 0
-    _compare(capsys.readouterr().out.encode("utf-8"), CORPUS / name, request)
+    compare_report(capsys.readouterr().out.encode("utf-8"), name, request)
