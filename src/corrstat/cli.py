@@ -330,7 +330,7 @@ def _load_volatilities(path: str, tickers) -> np.ndarray:
     missing = [t for t in tickers if t not in table]
     if missing:
         raise UsageError(f"--volatilities: no entry for ticker {missing[0]!r}")
-    vols = np.array([table[t] for t in tickers], dtype=np.float64)
+    vols = np.array([table[t] for t in tickers])
     _require(np.isfinite(vols).all(), "--volatilities: volatilities must be finite")
     _require((vols > 0).all(), "--volatilities: volatilities must be positive")
     return vols

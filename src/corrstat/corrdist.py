@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataio import MIN_T, CovarianceMatrix, checked_window, gated_rows
-from .errors import InvalidParameter, NumericsError, checked_int, checked_real
+from .errors import InvalidParameter, NumericsError, checked_array, checked_int, checked_real
 
 RHO_BAR_LIMIT = 1.0 - 1e-12
 RHO_BAR_RULE = (lambda r: abs(r) <= RHO_BAR_LIMIT,
@@ -87,11 +87,11 @@ def corr_matrix(panel, window: tuple[int, int] | None = None) -> CovarianceMatri
 
 
 def _checked_rho(rho):
-    """rho as a float array; NaN and |rho| > 1 are rejected."""
-    rho_arr = np.asarray(rho, dtype=np.float64)
+    """rho's values as a flat float array, and its shape; NaN and |rho| > 1 are rejected."""
+    rho_arr = checked_array("rho", rho)
     if not np.all(np.abs(rho_arr) <= 1.0):
         raise InvalidParameter("rho must lie in [-1, 1]")
-    return rho_arr
+    return rho_arr.ravel(), rho_arr.shape
 
 
 def _log_law(log_1m_rho2, a, log_1m_a, params: CorrParams):
@@ -121,23 +121,19 @@ def _log_law(log_1m_rho2, a, log_1m_a, params: CorrParams):
 
 def rho_logdensity(rho, params: CorrParams):
     """log rho_density; -inf at the endpoints rho = +-1 (where T > 4)."""
-    rho_arr = _checked_rho(rho)
-    flat = np.atleast_1d(rho_arr).ravel()
+    flat, shape = _checked_rho(rho)
     out = np.full(flat.shape, -np.inf)
     interior = np.abs(flat) < 1.0
     ri = flat[interior]
     if ri.size:
         a = ri * params.rho_bar
         out[interior] = _log_law(np.log1p(-ri) + np.log1p(ri), a, np.log1p(-a), params)
-    if rho_arr.ndim == 0:
-        return float(out[0])
-    return out.reshape(rho_arr.shape)
+    return out.reshape(shape)[()]
 
 
 def rho_density(rho, params: CorrParams):
     """Exact sampling density of the measured coefficient at rho."""
-    out = rho_logdensity(rho, params)
-    return math.exp(out) if np.ndim(out) == 0 else np.exp(out)
+    return np.exp(rho_logdensity(rho, params))
 
 
 def rho_moments(params: CorrParams) -> CorrMoments:
@@ -153,10 +149,8 @@ def rho_moments(params: CorrParams) -> CorrMoments:
 def gaussian_approx_density(rho, params: CorrParams):
     """N(m_P, sigma_P) density; support is all reals by construction."""
     m = rho_moments(params)
-    rho_arr = np.asarray(rho, dtype=np.float64)
-    z = (rho_arr - m.m_p) / m.sigma_p
-    out = np.exp(-0.5 * z * z) / (m.sigma_p * math.sqrt(2.0 * math.pi))
-    return float(out) if rho_arr.ndim == 0 else out
+    z = (checked_array("rho", rho) - m.m_p) / m.sigma_p
+    return np.exp(-0.5 * z * z) / (m.sigma_p * math.sqrt(2.0 * math.pi))
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +191,7 @@ def rho_cdf(rho, params: CorrParams):
     partial panel up to it, over the total mass.  Below the range F is 0,
     above it 1, so rho = -1 and rho = 1 are exact.
     """
-    rho_arr = _checked_rho(rho)
-    flat = np.atleast_1d(rho_arr).ravel()
+    flat, shape = _checked_rho(rho)
     z0 = math.atanh(params.rho_bar)
     reach = _Z_HALF_WIDTH / math.sqrt(params.n_obs - 3.0)
     edges = np.linspace(z0 - reach, z0 + reach, _PANELS + 1)
@@ -212,11 +205,11 @@ def rho_cdf(rho, params: CorrParams):
         )
     with np.errstate(divide="ignore"):
         z = np.arctanh(flat)
-    out = (z >= edges[-1]).astype(np.float64)
+    out = np.where(z >= edges[-1], 1.0, 0.0)
     inside = (z >= edges[0]) & (z < edges[-1])
     if inside.any():
         zi = z[inside]
         k = np.searchsorted(edges, zi, side="right") - 1
         lo = edges[k]
         out[inside] = (cum[k] + _panel_masses(lo, 0.5 * (zi - lo), params)) / total
-    return float(out[0]) if rho_arr.ndim == 0 else out.reshape(rho_arr.shape)
+    return out.reshape(shape)[()]

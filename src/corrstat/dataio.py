@@ -25,6 +25,7 @@ from .errors import (
     InvalidParameter,
     ParseError,
     ZeroVariance,
+    checked_array,
     checked_int,
 )
 from .rngutil import rng_for
@@ -33,16 +34,14 @@ from .rngutil import rng_for
 MIN_T = 10
 
 
-def freeze(obj, *fields):
-    """Store each named array field of a frozen dataclass as a read-only float64 copy.
-
-    The copy never shares memory with the caller's array, so a later write
-    to that array cannot get past the checks in __post_init__.
-    """
-    for name in fields:
-        a = np.array(getattr(obj, name), dtype=np.float64, order="C")
+def freeze(obj, **ndims):
+    """Store each array field name=ndim of a frozen dataclass as a read-only float64 copy, and
+    return the copies; a later write to the caller's array cannot get past __post_init__."""
+    for name, ndim in ndims.items():
+        a = checked_array(name, getattr(obj, name), ndim)
         a.setflags(write=False)
         object.__setattr__(obj, name, a)
+    return tuple(getattr(obj, name) for name in ndims)
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,7 @@ class ReturnPanel:
     returns: np.ndarray  # N x T
 
     def __post_init__(self):
-        freeze(self, "returns")
+        freeze(self, returns=2)
         n, t = self.returns.shape
         if len(self.tickers) != n or len(self.times) != t:
             raise InvalidParameter("panel labels do not match matrix shape")
@@ -94,7 +93,7 @@ class CovarianceMatrix:
     window: tuple[int, int] | None = None
 
     def __post_init__(self):
-        freeze(self, "entries")
+        freeze(self, entries=2)
         n = len(self.tickers)
         if self.entries.shape != (n, n):
             raise InvalidParameter("entries must be N x N matching tickers")
@@ -300,10 +299,14 @@ def standardized_rows(block: np.ndarray):
 
 
 def checked_window(n_steps: int, window, min_len: int) -> tuple[int, int]:
-    """window as ints (default: all n_steps columns), inside the panel and min_len long."""
-    if window is not None and not all(isinstance(b, Integral) for b in window):
-        raise InvalidParameter(f"window bounds must be integers, got {tuple(window)!r}")
-    lo, hi = (0, n_steps) if window is None else (int(window[0]), int(window[1]))
+    """window as two ints (default: all n_steps columns), inside the panel and min_len long."""
+    try:
+        lo, hi = (0, n_steps) if window is None else window
+    except (TypeError, ValueError):  # not iterable, or not two long
+        raise InvalidParameter(f"window must be two integers (lo, hi), got {window!r}") from None
+    if not (isinstance(lo, Integral) and isinstance(hi, Integral)):
+        raise InvalidParameter(f"window bounds must be integers, got {(lo, hi)!r}")
+    lo, hi = int(lo), int(hi)
     if not (0 <= lo < hi <= n_steps):
         raise InvalidParameter(f"window {(lo, hi)} outside panel range")
     if hi - lo < min_len:

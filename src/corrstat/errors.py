@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit, and its integer and real rules.
+"""Exception types shared across the toolkit, and its integer, real and array rules.
 
 checked_int takes every count, size, index and seed: a Python or numpy
 integer at its bound passes unchanged; anything else, an integral float
@@ -9,8 +9,15 @@ numeric string included, raises InvalidParameter, and NaN fails every
 comparison, so every bounded rule refuses it.  A rule is an (ok, bound)
 pair, named *_RULE in the module that owns it; the CLI builds the flag
 type from the same pair.
+checked_array takes every array: one of booleans, integers or floats,
+with the dimensions asked for, comes back as a new float64 array;
+anything else, numeric strings, None, objects, complex numbers and
+ragged sequences included, raises InvalidParameter giving its type,
+dtype and shape.  Bounds on the values stay with each caller.
 """
 from numbers import Integral, Real
+
+import numpy as np
 
 
 class CorrstatError(Exception):
@@ -97,3 +104,18 @@ def checked_real(what, value, ok, bound):
     if isinstance(value, Real) and ok(value):
         return value
     raise InvalidParameter(f"{what} must be {bound}, got {value!r}")
+
+
+def checked_array(what, value, ndim=None):
+    """value as a new C-order float64 array when it holds only real numbers and
+    has ndim dimensions (any, when None), else InvalidParameter naming what."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged sequence
+        got = f"a ragged {type(value).__name__}"
+    else:
+        if arr.dtype.kind in "biuf" and ndim in (None, arr.ndim):
+            return arr.astype(np.float64, order="C")
+        got = f"{type(value).__name__} of dtype {arr.dtype} and shape {arr.shape}"
+    dims = "an array" if ndim is None else f"a {ndim}-d array"
+    raise InvalidParameter(f"{what} must be {dims} of real numbers, got {got}")

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import synthgen
 from .dataio import CovarianceMatrix, ReturnPanel, checked_window, freeze, gated_rows
-from .errors import (IllPosed, InsufficientData, InvalidParameter, NumericsError, checked_int,
-                     checked_real)
+from .errors import (IllPosed, InsufficientData, InvalidParameter, NumericsError, checked_array,
+                     checked_int, checked_real)
 from .rngutil import rng_for
 
 _CONDITION_LIMIT = 1e12
@@ -40,9 +40,8 @@ class WeightVector:
     w: np.ndarray
 
     def __post_init__(self):
-        freeze(self, "w")
-        w = self.w
-        if w.ndim != 1 or w.size != len(self.tickers):
+        (w,) = freeze(self, w=1)
+        if w.size != len(self.tickers):
             raise InvalidParameter("weights must be one per ticker")
         budget = float(w.sum())
         if abs(budget - 1.0) > 1e-12 * max(1.0, float(np.abs(w).sum())):
@@ -131,12 +130,11 @@ def _certified(c: np.ndarray) -> bool:
 
 def portfolio_variance(cov: CovarianceMatrix, weights: WeightVector) -> float:
     """w' C w, clamped against negative roundoff."""
-    c = getattr(cov, "entries", cov)
-    w = getattr(weights, "w", weights)
-    w = np.asarray(w, dtype=np.float64)
-    if w.size != np.asarray(c).shape[0]:
+    if not (isinstance(cov, CovarianceMatrix) and isinstance(weights, WeightVector)):
+        raise InvalidParameter("portfolio_variance takes a CovarianceMatrix and a WeightVector")
+    if weights.w.size != cov.n_series:
         raise InvalidParameter("weights and covariance dimensions differ")
-    return max(0.0, float(w @ c @ w))
+    return max(0.0, float(weights.w @ cov.entries @ weights.w))
 
 
 def select_stocks(panel: ReturnPanel, n_stocks: int, select_seed: int) -> ReturnPanel:
@@ -228,14 +226,11 @@ def mc_band(n_series: int, t1: int, t2: int, replicas: int,
     checked_int("replicas", replicas, MIN_REPLICAS)
     if truth.n_series != n_series:
         raise InvalidParameter("truth dimension does not match n_series")
-    try:
-        scale = np.ones(n_series) if volatilities is None else np.asarray(volatilities)
-    except ValueError:  # a ragged sequence
-        scale = np.array(None)
-    if not (scale.dtype.kind in "iuf" and scale.shape == (n_series,)
-            and np.all(np.isfinite(scale) & (scale > 0))):
+    scale = (np.ones(n_series) if volatilities is None
+             else checked_array("volatilities", volatilities, 1))
+    if not (scale.shape == (n_series,) and np.all(np.isfinite(scale) & (scale > 0))):
         raise InvalidParameter("volatilities must be N finite positive reals")
-    lower = synthgen.cholesky(truth)
+    lower = synthgen.cholesky(truth.entries)
     tickers = synthgen.synthetic_tickers(n_series)
     qs = np.empty(replicas)
     for replica in range(replicas):

@@ -19,6 +19,7 @@ from .errors import (
     NotNormalized,
     NotSymmetric,
     NumericsError,
+    checked_array,
     checked_int,
     checked_real,
 )
@@ -43,8 +44,7 @@ class EigenSystem:
     eigenvectors: np.ndarray
 
     def __post_init__(self):
-        freeze(self, "eigenvalues", "eigenvectors")
-        lam, vec = self.eigenvalues, self.eigenvectors
+        lam, vec = freeze(self, eigenvalues=1, eigenvectors=2)
         n = lam.size
         if vec.shape != (n, n):
             raise InvalidParameter("eigenvector matrix must be N x N")
@@ -98,8 +98,8 @@ def eig_sym(matrix) -> EigenSystem:
     Each eigenvector is flipped so its largest-magnitude component is
     positive, removing the sign ambiguity across platforms.
     """
-    c = np.asarray(getattr(matrix, "entries", matrix), dtype=np.float64)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+    c = checked_array("matrix", getattr(matrix, "entries", matrix), 2)
+    if c.shape[0] != c.shape[1]:
         raise InvalidParameter("matrix must be square")
     gap = float(np.abs(c - c.T).max())
     if gap > _SYMMETRY_TOL:
@@ -118,7 +118,7 @@ def eig_sym(matrix) -> EigenSystem:
 
 def ipr(vector) -> float:
     """Inverse participation ratio sum_i v_i^4 of a unit vector."""
-    v = np.asarray(vector, dtype=np.float64)
+    v = checked_array("vector", vector, 1)
     norm_gap = abs(float(v @ v) - 1.0)
     if norm_gap > _ORTHO_TOL:
         raise NotNormalized(f"vector norm off by {norm_gap:.3e}")

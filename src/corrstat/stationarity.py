@@ -41,6 +41,7 @@ from .errors import (
     InsufficientSamples,
     InvalidParameter,
     ZeroVariance,
+    checked_array,
     checked_int,
     checked_real,
 )
@@ -53,6 +54,7 @@ _PLUGIN_CLAMP = 1.0 - 1e-9
 DEFAULT_ALPHAS = (0.01, 0.05, 0.10)
 ALPHA_RULE = (lambda a: 0.0 < a < 1.0, "a number in (0, 1)")
 DEFAULT_N_VALUES = (1, 2, 3, 4, 5)
+MIN_WINDOWS = 5  # fewest window estimates a KS test takes
 
 SIGMA_WINDOW = "window"
 SIGMA_PAPER = "paper"
@@ -123,14 +125,14 @@ class ScanReport:
 
 def ks_statistic(samples, cdf: Callable) -> float:
     """Two-sided KS distance between sorted samples and a model CDF."""
-    s = np.sort(np.asarray(samples, dtype=np.float64))
+    s = np.sort(checked_array("samples", samples, 1))
     k = s.size
-    if k < 5:
-        raise InsufficientSamples(f"KS test needs >= 5 samples, got {k}")
-    f = np.asarray(cdf(s), dtype=np.float64)
+    if k < MIN_WINDOWS:
+        raise InsufficientSamples(f"KS test needs >= {MIN_WINDOWS} samples, got {k}")
+    f = checked_array("cdf values", cdf(s))
     if f.shape != s.shape:
         raise InvalidParameter(f"cdf returned shape {f.shape} for {k} samples")
-    steps = np.arange(1, k + 1, dtype=np.float64)
+    steps = np.arange(1.0, k + 1.0)
     d_plus = float((steps / k - f).max())
     d_minus = float((f - (steps - 1.0) / k).max())
     return max(d_plus, d_minus, 0.0)
@@ -145,8 +147,8 @@ def ks_pvalue(d_stat: float, k: int) -> float:
     from scipy.special import kolmogorov
 
     checked_real("D", d_stat, lambda d: 0.0 <= d <= 1.0, "a number in [0, 1]")
-    if checked_int("K", k, 0) < 5:
-        raise InsufficientSamples(f"KS p-value needs K >= 5, got {k}")
+    if checked_int("K", k, 0) < MIN_WINDOWS:
+        raise InsufficientSamples(f"KS p-value needs K >= {MIN_WINDOWS}, got {k}")
     root = math.sqrt(k)
     return float(kolmogorov(d_stat * (root + 0.12 + 0.11 / root)))
 
@@ -164,8 +166,8 @@ def global_test(panel: ReturnPanel, pair, window_len: int) -> GlobalTestResult:
     """KS test of the window estimates against the stationary law."""
     x, y = _pair_rows(panel, pair)
     n_windows = len(window_slices(panel.n_steps, window_len))
-    if n_windows < 5:
-        raise InsufficientSamples(f"global test needs >= 5 windows, got {n_windows}")
+    if n_windows < MIN_WINDOWS:
+        raise InsufficientSamples(f"global test needs >= {MIN_WINDOWS} windows, got {n_windows}")
     x, y = x[:n_windows * window_len], y[:n_windows * window_len]
     names = (panel.tickers[pair[0]], panel.tickers[pair[1]])
     samples = _window_estimates(x, y, n_windows, names)
@@ -227,6 +229,18 @@ def _sorted_pairs(pairs, n_series):
     return ij[np.lexsort((ij[:, 1], ij[:, 0]))]  # stable: the order of sorted((min, max))
 
 
+def _checked_mc(mc_family, mc_nu):
+    """InvalidParameter unless mc_family is None or a generator family, and mc_nu
+    is None or, for student-t, a nu that synthgen.NU_RULE accepts."""
+    if mc_family not in (None, synthgen.FAMILY_GAUSSIAN, synthgen.FAMILY_STUDENT_T):
+        raise InvalidParameter(f"unknown mc_family {mc_family!r}")
+    if mc_family == synthgen.FAMILY_STUDENT_T:
+        checked_real("nu", mc_nu, *synthgen.NU_RULE)
+    elif mc_nu is not None:
+        raise InvalidParameter(f"mc_nu must be None unless mc_family is "
+                               f"{synthgen.FAMILY_STUDENT_T!r}, got {mc_nu!r}")
+
+
 def _control_panels(panel, reshuffle_seed, mc_family, mc_nu, mc_seed):
     """The scanned panel under "", then the control panels by name.
 
@@ -257,8 +271,8 @@ def _control_panels(panel, reshuffle_seed, mc_family, mc_nu, mc_seed):
 def _window_batch(panel, rows, pairs, window_len):
     """The K window estimates and plug-in, (P, K + 1), of each pair the batch takes; the others."""
     n, k = panel.n_series, panel.n_steps // window_len
-    bad = np.ones(n, dtype=bool)  # fewer than 5 windows: global_test refuses every pair
-    if k >= 5:
+    bad = np.ones(n, dtype=bool)  # too few windows: global_test refuses every pair
+    if k >= MIN_WINDOWS:
         x = panel.returns[rows, :k * window_len]
         windows, flat = standardized_rows(x.reshape(-1, window_len))
         union, flat_union = standardized_rows(x)
@@ -325,10 +339,11 @@ def global_scan(panel: ReturnPanel, window_lens, alphas=DEFAULT_ALPHAS,
     changes nothing: the pairs run in order on the calling thread.  A
     window length below MIN_T or an alpha that is not a number in (0, 1)
     raises InvalidParameter before any pair is tested, as do a window length
-    that is not an integer, a bad threads, a pair that is not two numbers
-    and a container argument that is not iterable; a window longer than
-    the panel skips every pair, and a pair of non-integer or out-of-range
-    indices is skipped.  pairs is taken as local_scan takes it.
+    that is not an integer, a bad threads, mc keywords _checked_mc refuses,
+    a pair that is not two numbers and a container argument that is not
+    iterable; a window longer than the panel skips every pair, and a pair
+    of non-integer or out-of-range indices is skipped.  pairs is taken as
+    local_scan takes it.
     """
     window_lens, alphas = _items("window_lens", window_lens), _items("alphas", alphas)
     for window_len in window_lens:
@@ -336,6 +351,7 @@ def global_scan(panel: ReturnPanel, window_lens, alphas=DEFAULT_ALPHAS,
     for alpha in alphas:
         checked_real("alpha", alpha, *ALPHA_RULE)
     resolve_threads(threads)
+    _checked_mc(mc_family, mc_nu)
     pairs = _sorted_pairs(pairs, panel.n_series)
     panels = _control_panels(panel, reshuffle_seed, mc_family, mc_nu, mc_seed)
     counts = {}
@@ -384,7 +400,7 @@ def _step_flags(estimates, lengths, ns, sigma_convention, tau):
     """
     ns = np.asarray(ns)
     if sigma_convention == SIGMA_WINDOW:
-        sigma = 1.0 / np.sqrt(np.asarray(lengths[:-1], dtype=np.float64))
+        sigma = 1.0 / np.sqrt(lengths[:-1])
     elif sigma_convention == SIGMA_PAPER:
         sigma = 1.0 / np.sqrt(np.arange(1, len(lengths)) * tau)
     else:
@@ -396,7 +412,7 @@ def _step_flags(estimates, lengths, ns, sigma_convention, tau):
 
 def local_test(estimates, n: int, sigma_convention: str = SIGMA_WINDOW,
                tau: int | None = None) -> LocalTestOutcome:
-    """Flag steps where |rho_(k+1) - rho_k| exceeds n sigma_k.
+    """Flag steps where |rho_(k+1) - rho_k| exceeds n sigma_k; estimates are (K, 2) (L_k, rho_k).
 
     sigma_k belongs to the earlier estimate: 1/sqrt(L_k) under the
     "window" convention (L_k = actual window length), 1/sqrt(k tau)
@@ -405,12 +421,12 @@ def local_test(estimates, n: int, sigma_convention: str = SIGMA_WINDOW,
     checked_int("n", n, 1)
     if sigma_convention == SIGMA_PAPER:
         checked_int("tau", tau, 1)
-    estimates = list(estimates)
-    if len(estimates) < 2:
+    est = checked_array("estimates", estimates, 2)
+    if est.shape[1] != 2:
+        raise InvalidParameter(f"estimates must be (length, rho) pairs, got shape {est.shape}")
+    if len(est) < 2:
         raise InsufficientData("local test needs >= 2 estimates")
-    lengths, rhos = zip(*estimates)
-    (flags,) = _step_flags(np.asarray(rhos, dtype=np.float64), lengths, [n],
-                           sigma_convention, tau)
+    (flags,) = _step_flags(est[:, 1], est[:, 0], [n], sigma_convention, tau)
     return LocalTestOutcome(int(flags.sum()), tuple(flags.tolist()))
 
 
@@ -509,9 +525,10 @@ def local_scan(panel: ReturnPanel, configs, pairs=None,
     Each config carries its own n values.  Each panel (and its optional
     MC control) is scanned as one array computation.  pairs (default:
     all) is an integer (P, 2) array or any collection of pairs; a config
-    that is not a LocalTestConfig or a pair that is not two numbers raises
-    InvalidParameter before any pair is tested, and a pair of non-integer
-    or out-of-range indices is skipped.
+    that is not a LocalTestConfig, mc keywords _checked_mc refuses or a
+    pair that is not two numbers raises InvalidParameter before any pair
+    is tested, and a pair of non-integer or out-of-range indices is
+    skipped.
     """
     if sigma_convention not in (SIGMA_WINDOW, SIGMA_PAPER):
         raise InvalidParameter(f"unknown sigma convention {sigma_convention!r}")
@@ -519,6 +536,7 @@ def local_scan(panel: ReturnPanel, configs, pairs=None,
     for config in configs:
         if not isinstance(config, LocalTestConfig):
             raise InvalidParameter(f"configs must hold LocalTestConfigs, got {config!r}")
+    _checked_mc(mc_family, mc_nu)
     pairs = _sorted_pairs(pairs, panel.n_series)
     panels = _control_panels(panel, None, mc_family, mc_nu, mc_seed)
     counts, skips = {}, {}

@@ -20,7 +20,7 @@ import numpy as np
 
 from .corrdist import corr_matrix
 from .dataio import ReturnPanel, freeze
-from .errors import InvalidParameter, NotPositiveDefinite, checked_int, checked_real
+from .errors import InvalidParameter, NotPositiveDefinite, checked_array, checked_int, checked_real
 from .rngutil import rng_for
 
 _MIN_EIGENVALUE = 1e-10
@@ -42,10 +42,9 @@ class TrueCorrelation:
     repaired: bool = False
 
     def __post_init__(self):
-        freeze(self, "entries")
-        entries = self.entries
+        (entries,) = freeze(self, entries=2)
         n = entries.shape[0]
-        if entries.ndim != 2 or entries.shape != (n, n):
+        if entries.shape != (n, n):
             raise InvalidParameter("correlation entries must be square")
         if n < 1:
             raise InvalidParameter("correlation entries must be at least 1 x 1")
@@ -90,11 +89,6 @@ class GeneratorSpec:
             )
 
 
-def _as_matrix(c) -> np.ndarray:
-    entries = getattr(c, "entries", c)
-    return np.asarray(entries, dtype=np.float64)
-
-
 def _failing_pivot(c: np.ndarray) -> int:
     """Order of the smallest non-PD leading minor, found by bisection."""
     n = c.shape[0]
@@ -115,10 +109,10 @@ def asymmetric(mat: np.ndarray) -> bool:
     return bool(np.abs(mat - mat.T).max() > 1e-12 * scale)
 
 
-def cholesky(c) -> np.ndarray:
-    """Lower-triangular L with L @ L.T equal to the input matrix."""
-    mat = _as_matrix(c)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+def cholesky(matrix) -> np.ndarray:
+    """Lower-triangular L with L @ L.T equal to the matrix."""
+    mat = checked_array("matrix", matrix, 2)
+    if mat.shape[0] != mat.shape[1]:
         raise InvalidParameter("cholesky needs a square matrix")
     if asymmetric(mat):
         raise NotPositiveDefinite("matrix is not symmetric", pivot=None)
@@ -155,7 +149,7 @@ def sample_gaussian_panel(spec: GeneratorSpec, replica: int = 0) -> ReturnPanel:
     """Panel with i.i.d. N(0, C) columns, deterministic per (seed, replica)."""
     if spec.family != FAMILY_GAUSSIAN:
         raise InvalidParameter(f"spec family is {spec.family!r}, not gaussian")
-    lower = cholesky(spec.correlation)
+    lower = cholesky(spec.correlation.entries)
     return _synthetic_panel(gaussian_returns(lower, spec.n_steps, spec.seed, replica))
 
 
@@ -163,7 +157,7 @@ def sample_student_t_panel(spec: GeneratorSpec, replica: int = 0) -> ReturnPanel
     """Panel with i.i.d. multivariate-t columns sharing correlation C."""
     if spec.family != FAMILY_STUDENT_T:
         raise InvalidParameter(f"spec family is {spec.family!r}, not student-t")
-    lower = cholesky(spec.correlation)
+    lower = cholesky(spec.correlation.entries)
     rng = rng_for(spec.seed, "student-t-panel", replica)
     z = lower @ rng.standard_normal((spec.n_series, spec.n_steps))
     s = rng.chisquare(spec.nu, size=spec.n_steps)

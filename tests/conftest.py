@@ -79,7 +79,7 @@ def _versions():
 
 
 def compare_report(got, name, request):
-    """got, a report's bytes, against the corpus file name, or, with --regen-reports, written there.
+    """got, a report's bytes, against the corpus file name, or written there by --regen-reports.
 
     Under the numpy and scipy versions the corpus records the bytes must
     be equal; under others the numbers are compared to 1e-9 relative,

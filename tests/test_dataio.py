@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from corrstat import dataio
+from corrstat import corrdist, dataio, portfolio
 from corrstat.errors import (
     CorrstatError,
     DomainError,
@@ -347,6 +347,20 @@ def test_standardize_zero_variance():
     with pytest.raises(ZeroVariance) as err:
         dataio.standardize(panel)
     assert "FLAT" in str(err.value)
+
+
+@pytest.mark.parametrize("window, message", [
+    ((5,), "window must be two integers (lo, hi), got (5,)"),
+    (5, "window must be two integers (lo, hi), got 5"),
+    ((0, 50, 9), "window must be two integers (lo, hi), got (0, 50, 9)"),
+    ("ab", "window bounds must be integers, got ('a', 'b')"),
+])
+@pytest.mark.parametrize("entry", [corrdist.corr_matrix, portfolio.covariance_matrix])
+def test_a_window_is_exactly_two_integers(entry, window, message):
+    panel = make_panel(np.random.default_rng(0).normal(size=(3, 100)))
+    with pytest.raises(InvalidParameter) as info:
+        entry(panel, window)
+    assert str(info.value) == message
 
 
 def test_window_slices_counts():

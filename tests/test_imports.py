@@ -11,8 +11,8 @@ every public name read by the program, every ZeroVariance built at
 the one zero-variance gate or the scans' per-pair paths, every
 integer argument checked by errors.checked_int or the three checks that
 name a whole window or pair, every real argument checked by
-errors.checked_real or the pair check, and every input file read in
-dataio.
+errors.checked_real or the pair check, every array cast to float64 by
+errors.checked_array, and every input file read in dataio.
 """
 import ast
 import os
@@ -258,6 +258,34 @@ REAL_CHECKS = {
 
 def test_reals_are_checked_only_by_the_real_rule():
     assert _definitions_naming("Real", "floating") == REAL_CHECKS
+
+
+# Where an array is cast to float64: the one rule for every array the
+# library takes.  Any other function that casts with dtype=np.float64 (or
+# float) or .astype(np.float64) is a hand-written array check that should
+# call checked_array.
+ARRAY_CASTS = {
+    ("errors.py", "checked_array"),
+}
+_FLOAT64 = {"np.float64", "numpy.float64", "float", "'float64'", "'f8'"}
+
+
+def _casts_to_float64(call):
+    """Whether a call names float64 as its dtype keyword or as .astype's dtype."""
+    dtypes = [k.value for k in call.keywords if k.arg == "dtype"]
+    if getattr(call.func, "attr", None) == "astype":
+        dtypes += call.args[:1]
+    return any(ast.unparse(d) in _FLOAT64 for d in dtypes)
+
+
+def test_arrays_are_cast_only_by_the_array_rule():
+    casts = set()
+    for path in sorted((SRC / "corrstat").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if any(isinstance(sub, ast.Call) and _casts_to_float64(sub) for sub in ast.walk(node)):
+                casts.add((path.name, getattr(node, "name", None)))
+    assert casts == ARRAY_CASTS
 
 
 # Where input text is read: dataio's record reader and its np.loadtxt

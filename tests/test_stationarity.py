@@ -162,6 +162,29 @@ def test_global_scan_rejects_a_negative_mc_seed():
                                  mc_seed=-1)
 
 
+STUDENT_T_ONLY = "mc_nu must be None unless mc_family is 'student-t', got "
+
+
+@pytest.mark.parametrize("scan", ["global", "local"])
+@pytest.mark.parametrize("mc_family, mc_nu, message", [
+    ("bogus", None, "unknown mc_family 'bogus'"),
+    (synthgen.FAMILY_GAUSSIAN, math.nan, STUDENT_T_ONLY + "nan"),
+    (synthgen.FAMILY_GAUSSIAN, "4", STUDENT_T_ONLY + "'4'"),
+    (None, 4.0, STUDENT_T_ONLY + "4.0"),
+    (synthgen.FAMILY_STUDENT_T, None, "nu must be a finite number >= 3, got None"),
+])
+def test_the_mc_keywords_are_checked_before_any_work(scan, mc_family, mc_nu, message):
+    # every row is flat, so the MC control builds no generator that could check them
+    panel = make_panel(np.ones((3, 300)))
+    with pytest.raises(InvalidParameter) as info:
+        if scan == "global":
+            stationarity.global_scan(panel, (25,), mc_family=mc_family, mc_nu=mc_nu)
+        else:
+            stationarity.local_scan(panel, [LocalTestConfig(50, 50)], mc_family=mc_family,
+                                    mc_nu=mc_nu)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("window_lens, alphas", [
     ((5,), (0.05,)), ((25, 9), (0.05,)), ((25,), (1.5,)), ((25,), (math.nan,)),
     ((25,), (0.0,)), ((25,), (0.05, 1.0)), ((25,), (-0.1,)), ((25.5,), (0.05,)),

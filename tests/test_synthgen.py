@@ -182,7 +182,7 @@ def test_estimate_as_truth_repairs_rank_deficiency():
     assert np.abs(np.diag(entries) - 1.0).max() < 1e-12
     assert np.abs(entries - entries.T).max() == 0.0
     assert float(np.linalg.eigvalsh(entries)[0]) > 0.0
-    synthgen.cholesky(promoted)  # usable as a generator target
+    synthgen.cholesky(promoted.entries)  # usable as a generator target
 
 
 def test_equicorr_domain():
