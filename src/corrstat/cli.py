@@ -9,7 +9,8 @@ supplies one; wall-clock values would break byte-level reproducibility.
 
 Each flag's own rules are checked where argparse parses it, by its type:
 a real flag reads the (ok, bound) rule the library checks it with, and
-counts and sizes stop at 2**53.  Handlers check only what needs another
+counts and sizes stop at 2**53, or at a lower library bound (density's
+--T at corrdist.MAX_T).  Handlers check only what needs another
 flag or the panel.
 
 Exit codes: 0 success, 2 flag validation failure (message names the
@@ -18,7 +19,6 @@ flag), 1 runtime failure, running out of memory included.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import math
@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from . import __version__, corrdist, dataio, portfolio, spectral, stationarity, synthgen
-from .errors import CorrstatError, ParseError
+from .errors import CorrstatError
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -104,12 +104,13 @@ def _bounded(cast, ok, bound: str, many: bool = False):
     return parse
 
 
-def _count(low: int, many: bool = False):
-    """Integers in [low, 2**53]; with many, a comma-separated list of them."""
+def _count(low: int, many: bool = False, high: int = _INT_CAP):
+    """Integers in [low, high], high 2**53 by default; with many, a comma-separated list."""
+    top = "2**53" if high == _INT_CAP else high
     if many:
-        return _bounded(int, lambda vs: all(low <= v <= _INT_CAP for v in vs),
-                        f"comma-separated integers in [{low}, 2**53]", many=True)
-    return _bounded(int, lambda v: low <= v <= _INT_CAP, f"an integer in [{low}, 2**53]")
+        return _bounded(int, lambda vs: all(low <= v <= high for v in vs),
+                        f"comma-separated integers in [{low}, {top}]", many=True)
+    return _bounded(int, lambda v: low <= v <= high, f"an integer in [{low}, {top}]")
 
 
 # Seeds and replica indices label substreams, so any size is fine.
@@ -304,28 +305,12 @@ def cmd_qscan(args) -> int:
 
 
 def _load_volatilities(path: str, tickers) -> np.ndarray:
-    """Two-column ticker,volatility CSV covering every panel ticker.
-
-    The first record is a header when its value cell is not a number.
-    """
-    table = {}
+    """The finite, positive volatility of every panel ticker, from dataio.load_volatilities."""
     try:
-        with contextlib.closing(dataio._records(path)) as records:
-            for irow, cells in records:
-                try:
-                    name, value = cells
-                    vol = float(value)
-                except ValueError:
-                    if irow == 1:
-                        continue
-                    raise UsageError(f"--volatilities: malformed line in {path}") from None
-                name = name.strip()
-                if name in table:
-                    raise UsageError(f"--volatilities: duplicate ticker {name!r} in {path}")
-                table[name] = vol
+        table = dataio.load_volatilities(path)
     except OSError as exc:
         raise UsageError(f"--volatilities: cannot read {path}: {exc}") from None
-    except ParseError as exc:  # not UTF-8, or a cell over the field limit
+    except CorrstatError as exc:  # a malformed record or repeated ticker; not UTF-8
         raise UsageError(f"--volatilities: {exc}") from None
     missing = [t for t in tickers if t not in table]
     if missing:
@@ -499,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("density", parents=[common],
                        help="exact sampling density of the Pearson estimator")
     p.add_argument("--rho-bar", required=True, type=_bounded(float, *corrdist.RHO_BAR_RULE))
-    p.add_argument("--T", type=_count(corrdist.MIN_T), required=True)
+    p.add_argument("--T", type=_count(corrdist.MIN_T, high=corrdist.MAX_T), required=True)
     p.add_argument("--grid", type=_count(2), default=2001)
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.set_defaults(handler=cmd_density)

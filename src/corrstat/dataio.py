@@ -1,4 +1,4 @@
-"""Panel ingestion, return computation, standardization, windowing, reshuffle control.
+"""Panel and volatility-file reading, returns, standardization, windowing, reshuffle control.
 
 Conventions used throughout the toolkit:
 
@@ -146,6 +146,30 @@ def _records(path):
         raise ParseError(f"{path}: not UTF-8 text ({err.reason})") from None
     except csv.Error as err:
         raise ParseError(f"{path}: row {irow + 1}: {err}", row=irow + 1) from None
+
+
+def load_volatilities(path) -> dict:
+    """{ticker: volatility} of a two-column ticker,volatility CSV, as float() reads each value.
+
+    The first record is a header when its value cell is not a number.  Any
+    later record that is not a ticker and a number, and a repeated ticker,
+    raise ParseError, as do the faults _records names.
+    """
+    table = {}
+    with closing(_records(path)) as records:
+        for irow, cells in records:
+            try:
+                name, value = cells
+                vol = float(value)
+            except ValueError:
+                if irow == 1:
+                    continue
+                raise ParseError(f"malformed line in {path}", row=irow) from None
+            name = name.strip()
+            if name in table:
+                raise ParseError(f"duplicate ticker {name!r} in {path}", row=irow)
+            table[name] = vol
+    return table
 
 
 def _header(path, header):

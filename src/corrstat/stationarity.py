@@ -18,9 +18,11 @@ global_test or cumulative_corr, raises.
 The plug-in makes the global test conservative (rejection
 rates on stationary controls land well below nominal alpha), which the
 scans quantify with reshuffle and Monte Carlo control columns instead
-of correcting.  Both scans count (hits, total) per (dimension,
-threshold) cell on the panel and on each control, and build their report
-cells from those counts the same way.
+of correcting.  Each scan checks its own grid arguments, then hands one
+driver, _scan, its counter of (hits, total) per (dimension, threshold)
+cell; _scan runs it on the panel and on each control and builds the
+report, whose skip entries read {pair, window_len | tau, control, error,
+detail} (control None on the scanned panel), listed panel by panel.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ import numpy as np
 
 from . import synthgen
 from .corrdist import CorrParams, rho_cdf
-from .dataio import (MIN_T, ReturnPanel, gated_rows, standardized_rows,
+from .dataio import (MIN_T, ReturnPanel, centered_rows, gated_rows, standardized_rows,
                      synchronous_reshuffle, window_slices)
 from .errors import (
     CorrstatError,
@@ -241,7 +243,7 @@ def _checked_mc(mc_family, mc_nu):
                                f"{synthgen.FAMILY_STUDENT_T!r}, got {mc_nu!r}")
 
 
-def _control_panels(panel, reshuffle_seed, mc_family, mc_nu, mc_seed):
+def _control_panels(panel, reshuffle_seed=None, mc_family=None, mc_nu=None, mc_seed=0):
     """The scanned panel under "", then the control panels by name.
 
     The MC copy carries zero-variance rows over unchanged, so its scan
@@ -251,8 +253,7 @@ def _control_panels(panel, reshuffle_seed, mc_family, mc_nu, mc_seed):
     if reshuffle_seed is not None:
         controls["reshuffle"] = synchronous_reshuffle(panel, reshuffle_seed)
     if mc_family is not None:
-        _, bad = standardized_rows(panel.returns)
-        keep = np.flatnonzero(~bad)
+        keep = np.flatnonzero(~centered_rows(panel.returns)[2])
         returns = panel.returns.copy()
         if keep.size:
             spec = synthgen.GeneratorSpec(
@@ -316,16 +317,32 @@ def _cells(dim_name, threshold_name, grid, counts):
             hits, total = panel_counts.get((key, threshold), (0, 0))
             fractions[name] = (hits / total if total else math.nan, total)
         fraction, denominator = fractions.pop("")
-        cells.append(ScanCell(
-            dim_name=dim_name,
-            dim_value=dim_value,
-            threshold_name=threshold_name,
-            threshold_value=threshold,
-            fraction=fraction,
-            denominator=denominator,
-            controls={name: f for name, (f, _) in fractions.items()},
-        ))
+        cells.append(ScanCell(dim_name, dim_value, threshold_name, threshold, fraction,
+                              denominator, {name: f for name, (f, _) in fractions.items()}))
     return cells
+
+
+_CELL_NAMES = {"global": ("T_w", "alpha"), "local": ("tau", "n")}
+
+
+def _scan(kind, panel, pairs, counter, grid, params, controls, dataset) -> ScanReport:
+    """One scan's report: counter(p, pairs) gives panel p's counts and skips, on panel
+    and then on each control that _control_panels(panel, **controls) builds.
+
+    Each skip entry is tagged with its control, None on the scanned panel.
+    The params are params, n_pairs and controls, mc_seed None without MC.
+    """
+    _checked_mc(controls["mc_family"], controls["mc_nu"])
+    pairs = _sorted_pairs(pairs, panel.n_series)
+    counts, skipped = {}, []
+    for name, scanned in _control_panels(panel, **controls).items():
+        counts[name], skips = counter(scanned, pairs)
+        skipped += [dict(entry, control=name or None) for entry in skips]
+    if controls["mc_family"] is None:
+        controls = dict(controls, mc_seed=None)
+    return ScanReport(dataset=dataset, kind=kind,
+                      params={**params, "n_pairs": len(pairs), **controls},
+                      cells=_cells(*_CELL_NAMES[kind], grid, counts), skipped=skipped)
 
 
 def global_scan(panel: ReturnPanel, window_lens, alphas=DEFAULT_ALPHAS,
@@ -351,27 +368,12 @@ def global_scan(panel: ReturnPanel, window_lens, alphas=DEFAULT_ALPHAS,
     for alpha in alphas:
         checked_real("alpha", alpha, *ALPHA_RULE)
     resolve_threads(threads)
-    _checked_mc(mc_family, mc_nu)
-    pairs = _sorted_pairs(pairs, panel.n_series)
-    panels = _control_panels(panel, reshuffle_seed, mc_family, mc_nu, mc_seed)
-    counts = {}
-    skipped = []
-    for name, scan_panel in panels.items():
-        counts[name], skips = _global_counts(scan_panel, pairs, window_lens, alphas, threads)
-        skipped.extend(dict(entry, control=name) if name else entry for entry in skips)
-    grid = [(w, w, alpha) for w in window_lens for alpha in alphas]
-    cells = _cells("T_w", "alpha", grid, counts)
-    params = {
-        "window_lens": list(window_lens),
-        "alphas": [float(a) for a in alphas],
-        "n_pairs": len(pairs),
-        "reshuffle_seed": reshuffle_seed,
-        "mc_family": mc_family,
-        "mc_nu": mc_nu,
-        "mc_seed": mc_seed if mc_family is not None else None,
-    }
-    return ScanReport(dataset=dataset, kind="global", params=params,
-                      cells=cells, skipped=skipped)
+    return _scan("global", panel, pairs,
+                 lambda p, ps: _global_counts(p, ps, window_lens, alphas, threads),
+                 [(w, w, alpha) for w in window_lens for alpha in alphas],
+                 {"window_lens": list(window_lens), "alphas": [float(a) for a in alphas]},
+                 dict(reshuffle_seed=reshuffle_seed, mc_family=mc_family, mc_nu=mc_nu,
+                      mc_seed=mc_seed), dataset)
 
 
 def cumulative_corr(panel: ReturnPanel, pair, t1: int, tau: int):
@@ -446,13 +448,13 @@ def _split_pairs(pairs, n_series, bad):
 
 
 def _skips(reference, panel, pairs, *args, **where):
-    """Skip-list entries, in pairs' order, of the errors reference(panel, pair, *args) raises."""
+    """Skip entries, in pairs' order, of the errors reference(panel, pair, *args) raises."""
     skips = []
     for pair in pairs:
         try:
             reference(panel, pair, *args)
         except CorrstatError as exc:
-            skips.append({"pair": list(pair), **where,
+            skips.append({"pair": list(pair), **where, "control": None,
                           "error": type(exc).__name__, "detail": str(exc)})
     return skips
 
@@ -484,8 +486,8 @@ def _pair_sums(pairs, *blocks):
         yield np.concatenate([g.transpose(1, 2, 0)[ai, aj] for g in grams], axis=1)
 
 
-def _local_counts(panel, pairs, configs, sigma_convention, control):
-    """(violations, steps) per (config, n) over pairs, and per config the skip list.
+def _local_counts(panel, pairs, configs, sigma_convention):
+    """(violations, steps) per (config, n) over pairs, and the skip list.
 
     The rows are standardized once.  Per config, _pair_sums gives each
     pair's sum over the first t1 columns and over each later block of tau
@@ -498,7 +500,7 @@ def _local_counts(panel, pairs, configs, sigma_convention, control):
         t1, tau = config.t1, config.tau
         lengths = np.arange(t1, panel.n_steps + 1, tau)
         good, others = _split_pairs(pairs, panel.n_series, bad | (lengths.size < 2))
-        skipped.append(_skips(cumulative_corr, panel, others, t1, tau, tau=tau, control=control))
+        skipped += _skips(cumulative_corr, panel, others, t1, tau, tau=tau)
         if not good.size:
             continue
         # (N, blocks, tau): the columns each step after t1 adds
@@ -536,29 +538,10 @@ def local_scan(panel: ReturnPanel, configs, pairs=None,
     for config in configs:
         if not isinstance(config, LocalTestConfig):
             raise InvalidParameter(f"configs must hold LocalTestConfigs, got {config!r}")
-    _checked_mc(mc_family, mc_nu)
-    pairs = _sorted_pairs(pairs, panel.n_series)
-    panels = _control_panels(panel, None, mc_family, mc_nu, mc_seed)
-    counts, skips = {}, {}
-    for name, scan_panel in panels.items():
-        counts[name], skips[name] = _local_counts(
-            scan_panel, pairs, configs, sigma_convention, name or None
-        )
-    # config by config, and within a config panel by panel
-    skipped = [s for per_config in zip(*skips.values()) for panel_skips in per_config
-               for s in panel_skips]
-    grid = [(c, c.tau, n) for c in configs for n in c.n_values]
-    cells = _cells("tau", "n", grid, counts)
-    params = {
-        "configs": [
-            {"t1": c.t1, "tau": c.tau} for c in configs
-        ],
-        "n_values": sorted({int(n) for c in configs for n in c.n_values}),
-        "sigma_convention": sigma_convention,
-        "n_pairs": len(pairs),
-        "mc_family": mc_family,
-        "mc_nu": mc_nu,
-        "mc_seed": mc_seed if mc_family is not None else None,
-    }
-    return ScanReport(dataset=dataset, kind="local", params=params,
-                      cells=cells, skipped=skipped)
+    return _scan("local", panel, pairs,
+                 lambda p, ps: _local_counts(p, ps, configs, sigma_convention),
+                 [(c, c.tau, n) for c in configs for n in c.n_values],
+                 {"configs": [{"t1": c.t1, "tau": c.tau} for c in configs],
+                  "n_values": sorted({int(n) for c in configs for n in c.n_values}),
+                  "sigma_convention": sigma_convention},
+                 dict(mc_family=mc_family, mc_nu=mc_nu, mc_seed=mc_seed), dataset)

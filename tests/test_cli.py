@@ -731,6 +731,7 @@ def test_scan_cell_without_a_tested_pair_reports_null(tmp_path):
     (["simulate", "--family", "student-t", "--nu", "2.5", "--corr", "identity:3",
       "--T", "50"], "--nu"),
     (["global-scan", "--mc", "student-t:2.5"], "--mc"),
+    (["density", "--rho-bar", "0.3", "--T", str(corrdist.MAX_T + 1)], "--T"),
 ])
 def test_library_bounds_are_flag_errors(tmp_path, argv, flag):
     panel = simulate_panel(tmp_path, n=3, t=60)
@@ -757,7 +758,9 @@ def test_huge_counts_are_flag_errors(argv, flag):
     assert rc == 2
     (line,) = err.splitlines()
     assert line.startswith(f"error: argument {flag}: must be "), line
-    assert f", 2**53], got '{_BIG}'" in line, line
+    # density's --T stops at the law's MAX_T, every other count at 2**53
+    top = corrdist.MAX_T if (argv[0], flag) == ("density", "--T") else "2**53"
+    assert f", {top}], got '{_BIG}'" in line, line
 
 
 def test_running_out_of_memory_is_one_line(monkeypatch, capsys):

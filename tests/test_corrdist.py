@@ -90,6 +90,20 @@ def test_density_normalization():
         assert abs(total - 1.0) < 1e-9
 
 
+def test_density_mass_holds_up_to_max_t():
+    # at T = 1e8 the law is 1e-4 wide: integrate it in Fisher z, +-12 sd around atanh(rho_bar)
+    x, w = np.polynomial.legendre.leggauss(200)
+    for rb in (0.0, 0.3, -0.7, 0.95):
+        params = CorrParams(rb, corrdist.MAX_T)
+        reach = 12.0 / np.sqrt(corrdist.MAX_T - 3.0)
+        z = np.arctanh(rb) + reach * x
+        total = reach * float(w @ (corrdist.rho_density(np.tanh(z), params) / np.cosh(z) ** 2))
+        assert abs(total - 1.0) < 1e-6, (rb, total)
+    message = f"^n_obs must be an integer <= {corrdist.MAX_T}, got {corrdist.MAX_T + 1}$"
+    with pytest.raises(InvalidParameter, match=message):
+        CorrParams(0.3, corrdist.MAX_T + 1)
+
+
 def test_numeric_moments_frozen():
     # frozen from a 30-digit mpmath quadrature, cross-checked by a
     # 4M-replica Monte Carlo of the estimator on bivariate Gaussians

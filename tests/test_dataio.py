@@ -444,3 +444,15 @@ def test_reshuffle_preserves_values(seed):
     shuffled = dataio.synchronous_reshuffle(panel, seed=seed)
     assert sorted(shuffled.returns[0]) == sorted(panel.returns[0])
     assert sorted(shuffled.times) == sorted(panel.times)
+
+
+def test_load_volatilities_reads_one_header_then_ticker_value_records(tmp_path):
+    path = write(tmp_path / "vols.csv", '\ufeffticker,vol\n"S0",1.0\n\n S1 ,nan\n')
+    assert str(dataio.load_volatilities(path)) == "{'S0': 1.0, 'S1': nan}"
+    for text, row, message in (("S0,1.0\nticker,vol\n", 2, "malformed line in"),
+                               ("S0,1.0\nS1\n", 2, "malformed line in"),
+                               ("S0,1.0\nS1,2.0\nS0,3.0\n", 3, "duplicate ticker 'S0' in")):
+        path = write(tmp_path / "vols.csv", text)
+        with pytest.raises(ParseError) as info:
+            dataio.load_volatilities(path)
+        assert (str(info.value), info.value.row) == (f"{message} {path}", row)

@@ -9,10 +9,11 @@ scans run their pairs on the calling thread.  The AST checks at the end
 keep every import of the package, the scripts and the tests in use,
 every public name read by the program, every ZeroVariance built at
 the one zero-variance gate or the scans' per-pair paths, every
-integer argument checked by errors.checked_int or the three checks that
-name a whole window or pair, every real argument checked by
-errors.checked_real or the pair check, every array cast to float64 by
-errors.checked_array, and every input file read in dataio.
+ScanReport built by the scans' one driver, every integer argument
+checked by errors.checked_int or the three checks that name a whole
+window or pair, every real argument checked by errors.checked_real or
+the pair check, every array cast to float64 by errors.checked_array,
+and every input file read in dataio.
 """
 import ast
 import os
@@ -202,17 +203,28 @@ ZERO_VARIANCE_BUILDERS = {
 }
 
 
-def test_zero_variance_is_built_only_at_the_gate():
+def _builders_of(name):
+    """(module file, top-level definition) of each call to name, bare or as an attribute."""
     builders = set()
     for path in sorted((SRC / "corrstat").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in tree.body:
             for sub in ast.walk(node):
                 if (isinstance(sub, ast.Call)
-                        and "ZeroVariance" in (getattr(sub.func, "id", None),
-                                               getattr(sub.func, "attr", None))):
+                        and name in (getattr(sub.func, "id", None),
+                                     getattr(sub.func, "attr", None))):
                     builders.add((path.name, getattr(node, "name", None)))
-    assert builders == ZERO_VARIANCE_BUILDERS
+    return builders
+
+
+def test_zero_variance_is_built_only_at_the_gate():
+    assert _builders_of("ZeroVariance") == ZERO_VARIANCE_BUILDERS
+
+
+# Both scans' reports come from their one driver, so the two report the
+# same params, controls and skip entries the same way.
+def test_scan_reports_are_built_only_by_the_scan_driver():
+    assert _builders_of("ScanReport") == {("stationarity.py", "_scan")}
 
 
 # Where an integer type is tested: the one rule for every count, size,

@@ -375,14 +375,31 @@ def test_mc_control_skips_constant_ticker(scan):
     else:
         report = stationarity.local_scan(panel, [LocalTestConfig(100, 50)],
                                          mc_family=synthgen.FAMILY_GAUSSIAN, mc_seed=5)
-    base = [s for s in report.skipped if s.get("control") is None]
-    mc = [s for s in report.skipped if s.get("control") == "mc"]
+    base = [s for s in report.skipped if s["control"] is None]
+    mc = [s for s in report.skipped if s["control"] == "mc"]
     assert [s["pair"] for s in base] == [[0, 2], [1, 2], [2, 3]]
     assert {s["error"] for s in base} == {"ZeroVariance"}
     assert [dict(s, control=None) for s in mc] == [dict(s, control=None) for s in base]
     for cell in report.cells:
         assert cell.denominator > 0
         assert 0.0 <= cell.controls["mc"] <= 1.0
+
+
+def test_both_scans_list_one_skip_schema_panel_by_panel():
+    returns = np.random.default_rng(28).normal(size=(4, 300))
+    returns[2, :] = 4.2
+    panel = make_panel(returns)
+    for scan, grid, where, values in (
+            (stationarity.global_scan, (25, 50), "window_len", (25, 50)),
+            (stationarity.local_scan, [LocalTestConfig(100, 50), LocalTestConfig(100, 100)],
+             "tau", (50, 100))):
+        report = scan(panel, grid, mc_family=synthgen.FAMILY_GAUSSIAN, mc_seed=5)
+        keys = [list(entry) for entry in report.skipped]
+        assert keys == [["pair", where, "control", "error", "detail"]] * 12
+        # the scanned panel's skips, grid entry by grid entry, then the MC control's
+        assert [(s["control"], s[where], s["pair"]) for s in report.skipped] == [
+            (control, value, pair) for control in (None, "mc") for value in values
+            for pair in ([0, 2], [1, 2], [2, 3])]
 
 
 def _per_pair_global_scan(panels, pairs, window_lens, alphas):
@@ -395,9 +412,9 @@ def _per_pair_global_scan(panels, pairs, window_lens, alphas):
                 try:
                     p_values.append(stationarity.global_test(panel, pair, window_len).p_value)
                 except CorrstatError as exc:
-                    entry = {"pair": list(pair), "window_len": window_len,
-                             "error": type(exc).__name__, "detail": str(exc)}
-                    skipped.append(dict(entry, control=name) if name else entry)
+                    skipped.append({"pair": list(pair), "window_len": window_len,
+                                    "control": name or None,
+                                    "error": type(exc).__name__, "detail": str(exc)})
             for alpha in alphas:
                 counts[(name, window_len, alpha)] = (
                     sum(1 for p in p_values if p < alpha), len(p_values))
@@ -439,7 +456,7 @@ def test_global_scan_matches_per_pair_reference(control, monkeypatch):
     counts, skipped = _per_pair_global_scan(panels, pairs, window_lens, alphas)
     assert report.skipped == skipped
     flat = [s for s in skipped if s["window_len"] == 25 and s["pair"] == [3, 4]]
-    assert [s.get("control") for s in flat] == [None]
+    assert [s["control"] for s in flat] == [None]
     assert flat[0]["detail"] == "zero variance for 'S4' in window (50, 75)"
     expected = []
     for window_len in window_lens:
@@ -458,7 +475,7 @@ def test_global_scan_matches_per_pair_reference(control, monkeypatch):
     if all_pairs:  # of 78 pairs, 12 use the constant row and 11 more the flat window at T_w = 25
         assert [c.denominator for c in report.cells] == [55] * 3 + [66] * 3 + [0] * 3
     else:
-        assert {(s.get("control"), s["error"]) for s in skipped} == {
+        assert {(s["control"], s["error"]) for s in skipped} == {
             (control, error) for control in (None, "reshuffle", "mc")
             for error in ("ZeroVariance", "InvalidParameter", "InsufficientSamples")}
         assert [c.denominator for c in report.cells] == [5] * 3 + [7] * 3 + [0] * 3
@@ -549,8 +566,8 @@ def _scalar_flags(estimates, n, sigma_convention, tau):
 def _per_pair_local_scan(panels, pairs, configs, n_values, sigma_convention):
     """(violations, steps) per (control, tau, n) and the skip list, pair by pair."""
     counts, skipped = {}, []
-    for config in configs:
-        for name, panel in panels.items():
+    for name, panel in panels.items():
+        for config in configs:
             for pair in sorted((min(p), max(p)) for p in pairs):
                 try:
                     estimates = stationarity.cumulative_corr(
