@@ -151,9 +151,10 @@ def _records(path):
 def load_volatilities(path) -> dict:
     """{ticker: volatility} of a two-column ticker,volatility CSV, as float() reads each value.
 
-    The first record is a header when its value cell is not a number.  Any
-    later record that is not a ticker and a number, and a repeated ticker,
-    raise ParseError, as do the faults _records names.
+    The first record is a header when it is one line of two cells whose
+    value cell is not a number.  Any other record that is not a ticker and
+    a number, and a repeated ticker, raise ParseError, as do the faults
+    _records names.
     """
     table = {}
     with closing(_records(path)) as records:
@@ -162,7 +163,7 @@ def load_volatilities(path) -> dict:
                 name, value = cells
                 vol = float(value)
             except ValueError:
-                if irow == 1:
+                if irow == 1 and len(cells) == 2 and not any("\n" in c or "\r" in c for c in cells):
                     continue
                 raise ParseError(f"malformed line in {path}", row=irow) from None
             name = name.strip()
@@ -316,10 +317,25 @@ def centered_rows(block: np.ndarray):
     return centered, sd, (sd <= 1e-12 * np.maximum(1.0, np.abs(mean)))[:, 0]
 
 
+# Cells per row block that standardized_rows takes at a time: its temporaries
+# stay about 0.5 MB past the output unless a single row needs more.
+_ROW_CELLS = 1 << 16
+
+
 def standardized_rows(block: np.ndarray):
-    """Rows at zero mean and unit population sd (flagged rows only centred), and the mask."""
-    centered, sd, bad = centered_rows(block)
-    return centered / np.where(bad[:, None], 1.0, sd), bad
+    """Rows at zero mean and unit population sd (flagged rows only centred), and the mask.
+
+    The rows go through centered_rows a block of about _ROW_CELLS cells at a
+    time, straight into one output array, so each row's numbers are those of
+    the row alone and the working set does not grow with the block.
+    """
+    z, bad = np.empty(block.shape), np.empty(block.shape[0], dtype=bool)
+    step = max(1, _ROW_CELLS // max(1, block.shape[1]))
+    for lo in range(0, block.shape[0], step):
+        rows = slice(lo, lo + step)
+        centered, sd, bad[rows] = centered_rows(block[rows])
+        np.divide(centered, np.where(bad[rows, None], 1.0, sd), out=z[rows])
+    return z, bad
 
 
 def checked_window(n_steps: int, window, min_len: int) -> tuple[int, int]:

@@ -12,7 +12,11 @@ exceeds n standard errors of the earlier estimate.
 Both scans batch their pairs: the rows are standardized once, and
 _pair_sums gives every pair's sums of z_i z_j over blocks of columns
 (the global test's K windows and their union; the local test's first t1
-steps and each later block of tau) from chunked Gram products.  A pair
+steps and each later block of tau) from chunked Gram products.  A chunk's
+Gram product, sums and flags each stay within a fixed budget
+(_CHUNK_CELLS) unless one first-index row alone needs more, as at
+tau = 1, so past the standardized rows (and the global test's estimates)
+a scan's working set does not grow with the number of pairs.  A pair
 the batch cannot take is skipped with the error its per-pair reference,
 global_test or cumulative_corr, raises.
 The plug-in makes the global test conservative (rejection
@@ -282,7 +286,9 @@ def _window_batch(panel, rows, pairs, window_len):
     if not good.size:
         return np.empty((0, k + 1)), others
     blocks = (windows.reshape(rows.size, k, window_len), union[:, None])
-    sums = np.concatenate(list(_pair_sums(np.searchsorted(rows, good), *blocks)))
+    sums = np.empty((len(good), k + 1))
+    for lo, chunk in _pair_sums(np.searchsorted(rows, good), *blocks):
+        sums[lo:lo + len(chunk)] = chunk
     sums /= [window_len] * k + [k * window_len]
     return np.clip(sums, -1.0, 1.0, out=sums), others
 
@@ -407,7 +413,8 @@ def _step_flags(estimates, lengths, ns, sigma_convention, tau):
         sigma = 1.0 / np.sqrt(np.arange(1, len(lengths)) * tau)
     else:
         raise InvalidParameter(f"unknown sigma convention {sigma_convention!r}")
-    jumps = np.abs(np.diff(estimates, axis=-1))
+    jumps = np.diff(estimates, axis=-1)
+    np.abs(jumps, out=jumps)
     bounds = ns.reshape(ns.shape + (1,) * jumps.ndim) * sigma
     return jumps > bounds
 
@@ -459,31 +466,37 @@ def _skips(reference, panel, pairs, *args, **where):
     return skips
 
 
-# Block-Gram cells (blocks x rows x seconds) per chunk of first-index
-# rows: keeps a chunk's block products, estimates and flags a few MB
-# unless a single row needs more.
-_CHUNK_CELLS = 1 << 18
+# Gram cells (blocks x first-index rows x N) per chunk: keeps a chunk's
+# Gram product, its pairs' sums and their flags about 0.5 MB (64 Ki
+# float64 cells each) unless a single first-index row needs more.
+_CHUNK_CELLS = 1 << 16
 
 
 def _pair_sums(pairs, *blocks):
-    """Per chunk of pairs, in order, each pair's sums z_i . z_j over every block.
+    """Per chunk of pairs, in order, its first pair's index and its pairs' sums z_i . z_j
+    over every block, as the rows of one (pairs, blocks) array that every chunk reuses.
 
     pairs indexes the rows of blocks, sorted by first index; each block
     array is (N, B, W), B blocks of W columns.  Chunks of the distinct
-    first-index rows take one batched product with the distinct
-    second-index rows, and each pair reads its cell of every block.
+    first-index rows take one batched product with a strided view of all
+    N rows, and each pair's cell of every block is written into the array.
     """
     firsts, at_i = np.unique(pairs[:, 0], return_inverse=True)  # at_i sorted, as pairs are
-    seconds, at_j = np.unique(pairs[:, 1], return_inverse=True)
-    rights = [b[seconds].transpose(1, 2, 0) for b in blocks]  # (B, W, seconds)
-    rows = max(1, _CHUNK_CELLS // (seconds.size * sum(b.shape[1] for b in blocks)))
-    for r0 in range(0, firsts.size, rows):
-        lo, hi = np.searchsorted(at_i, (r0, r0 + rows))
-        ai, aj = at_i[lo:hi] - r0, at_j[lo:hi]
-        lefts = (b[firsts[r0:r0 + rows]].transpose(1, 0, 2) for b in blocks)  # (B, rows, W)
-        # one-column blocks: the products are plain products; skip a BLAS call per block
-        grams = (x * y if x.shape[2] == 1 else np.matmul(x, y) for x, y in zip(lefts, rights))
-        yield np.concatenate([g.transpose(1, 2, 0)[ai, aj] for g in grams], axis=1)
+    width = sum(b.shape[1] for b in blocks)
+    rows = max(1, _CHUNK_CELLS // (blocks[0].shape[0] * width))
+    starts = np.arange(0, firsts.size + rows, rows)  # each chunk's first row, then the end
+    bounds = np.searchsorted(at_i, starts)
+    sums = np.empty((np.diff(bounds).max(initial=0), width))
+    for r0, lo, hi in zip(starts.tolist(), bounds.tolist(), bounds[1:].tolist()):
+        ai, aj, col = at_i[lo:hi] - r0, pairs[lo:hi, 1], 0
+        for b in blocks:
+            left = b[firsts[r0:r0 + rows]].transpose(1, 0, 2)  # (B, rows, W)
+            right = b.transpose(1, 2, 0)  # (B, W, N), a view
+            # one-column blocks: the products are plain products; skip a BLAS call per block
+            gram = left * right if b.shape[2] == 1 else np.matmul(left, right)
+            sums[:hi - lo, col:col + b.shape[1]] = gram.transpose(1, 2, 0)[ai, aj]
+            col += b.shape[1]
+        yield lo, sums[:hi - lo]
 
 
 def _local_counts(panel, pairs, configs, sigma_convention):
@@ -507,7 +520,7 @@ def _local_counts(panel, pairs, configs, sigma_convention):
         tail = z[:, t1:lengths[-1]].reshape(panel.n_series, -1, tau)
         hits = np.zeros(len(config.n_values), dtype=np.int64)
         steps = 0
-        for sums in _pair_sums(good, z[:, None, :t1], tail):
+        for _, sums in _pair_sums(good, z[:, None, :t1], tail):
             estimates = np.cumsum(sums, axis=1, out=sums)
             estimates /= lengths
             flags = _step_flags(estimates, lengths, config.n_values,

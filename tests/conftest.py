@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -46,6 +47,16 @@ def gaussian_panel(n_series, n_steps, seed, truth=None, replica=0):
         seed=seed, correlation=truth,
     )
     return synthgen.sample_panel(spec, replica=replica)
+
+
+def traced_peak(fn):
+    """The most bytes tracemalloc saw allocated at once while fn() ran."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

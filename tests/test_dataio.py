@@ -1,6 +1,5 @@
 import csv
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +19,7 @@ from corrstat.errors import (
 )
 from corrstat.portfolio import CovarianceMatrix
 
-from conftest import make_panel
+from conftest import make_panel, traced_peak
 
 
 def write(path, text):
@@ -166,18 +165,26 @@ def test_save_load_round_trip(tmp_path):
     assert back.returns.tobytes() == panel.returns.tobytes()  # -0.0 keeps its sign
 
 
+def test_standardized_rows_across_row_blocks(monkeypatch):
+    # three rows per row block, and a constant row on each side of the first boundary
+    monkeypatch.setattr(dataio, "_ROW_CELLS", 3 * 40)
+    block = np.random.default_rng(8).normal(size=(8, 40)) * np.arange(1.0, 9.0)[:, None]
+    block[2:4] = 4.2
+    z, bad = dataio.standardized_rows(block)
+    assert bad.tolist() == [False, False, True, True, False, False, False, False]
+    for row, z_row, flat_row in zip(block, z, bad):
+        centered, sd, flat = dataio.centered_rows(row[None])
+        assert flat_row == flat[0]
+        assert z_row.tobytes() == (centered[0] / (1.0 if flat[0] else sd[0, 0])).tobytes()
+
+
 def test_load_peak_memory_per_cell(tmp_path):
     # The loader keeps parsed floats, not every cell's text.
     n_series, n_steps = 50, 2000
     path = str(tmp_path / "wide.csv")
     dataio.save_panel_csv(make_panel(np.random.default_rng(2).normal(size=(n_series, n_steps))),
                           path)
-    tracemalloc.start()
-    try:
-        dataio.load_price_panel(path, kind="returns")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: dataio.load_price_panel(path, kind="returns"))
     assert peak / (n_series * n_steps) <= 64
 
 
@@ -451,8 +458,13 @@ def test_load_volatilities_reads_one_header_then_ticker_value_records(tmp_path):
     assert str(dataio.load_volatilities(path)) == "{'S0': 1.0, 'S1': nan}"
     for text, row, message in (("S0,1.0\nticker,vol\n", 2, "malformed line in"),
                                ("S0,1.0\nS1\n", 2, "malformed line in"),
-                               ("S0,1.0\nS1,2.0\nS0,3.0\n", 3, "duplicate ticker 'S0' in")):
+                               ("S0,1.0\nS1,2.0\nS0,3.0\n", 3, "duplicate ticker 'S0' in"),
+                               # a header is one line of two cells: not three cells, nor
+                               # a quote left open that swallows the rest of the file
+                               ("S0,1.0,2\nS1,2.0\n", 1, "malformed line in"),
+                               ('S0,"1.0\nS1,2.0\n', 1, "malformed line in")):
         path = write(tmp_path / "vols.csv", text)
         with pytest.raises(ParseError) as info:
             dataio.load_volatilities(path)
         assert (str(info.value), info.value.row) == (f"{message} {path}", row)
+

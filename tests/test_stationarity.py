@@ -18,7 +18,7 @@ from corrstat.errors import (
 from corrstat.stationarity import LocalTestConfig
 
 from _oracles import ks_pvalue_series, ks_statistic_scipy, pearson_loops
-from conftest import gaussian_panel, make_panel
+from conftest import gaussian_panel, make_panel, traced_peak
 
 
 def test_ks_statistic_hand_case():
@@ -588,6 +588,14 @@ def _per_pair_local_scan(panels, pairs, configs, n_values, sigma_convention):
                     counts[(name, config.tau, n)] = (hits + outcome.violations,
                                                      steps + len(outcome.flags))
     return counts, skipped
+
+
+def test_local_scan_peak_memory_per_cell():
+    # the standardized panel plus fixed-size chunks, not copies of the panel
+    panel = gaussian_panel(200, 1758, seed=9)
+    configs = [LocalTestConfig(200, tau, (1, 2, 3, 4, 5)) for tau in (50, 100)]
+    peak = traced_peak(lambda: stationarity.local_scan(panel, configs))
+    assert peak <= 3 * panel.returns.nbytes
 
 
 @pytest.mark.parametrize("sigma_convention",
