@@ -57,6 +57,8 @@ class ReturnPanel:
         n, t = self.returns.shape
         if len(self.tickers) != n or len(self.times) != t:
             raise InvalidParameter("panel labels do not match matrix shape")
+        if t < 1:
+            raise InvalidParameter("a panel needs at least one step")
         if not np.isfinite(self.returns).all():
             i, col = np.argwhere(~np.isfinite(self.returns))[0]
             raise DomainError(f"non-finite return {self.returns[i, col]} for "

@@ -90,6 +90,8 @@ def min_variance_weights(cov: CovarianceMatrix) -> WeightVector:
     condition number.
     """
     n = cov.n_series
+    if n < 1:
+        raise InvalidParameter("minimum-variance weights need at least one series")
     t_len = cov.window_len
     if t_len is not None and t_len <= n:
         raise IllPosed(n, t_len)

@@ -48,6 +48,8 @@ class EigenSystem:
         n = lam.size
         if vec.shape != (n, n):
             raise InvalidParameter("eigenvector matrix must be N x N")
+        if n < 1:
+            raise InvalidParameter("an eigensystem needs at least one eigenvalue")
         if np.any(np.diff(lam) < 0):
             raise InvalidParameter("eigenvalues must be ascending")
         gram_gap = float(np.abs(vec.T @ vec - np.eye(n)).max())
@@ -101,6 +103,8 @@ def eig_sym(matrix) -> EigenSystem:
     c = checked_array("matrix", getattr(matrix, "entries", matrix), 2)
     if c.shape[0] != c.shape[1]:
         raise InvalidParameter("matrix must be square")
+    if not c.size:
+        raise InvalidParameter("matrix must be at least 1 x 1")
     gap = float(np.abs(c - c.T).max())
     if gap > _SYMMETRY_TOL:
         raise NotSymmetric(f"asymmetry {gap:.3e} exceeds {_SYMMETRY_TOL:.0e}")

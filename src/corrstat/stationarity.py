@@ -15,10 +15,10 @@ _pair_sums gives every pair's sums of z_i z_j over blocks of columns
 steps and each later block of tau) from chunked Gram products.  A chunk's
 Gram product, sums and flags each stay within a fixed budget
 (_CHUNK_CELLS) unless one first-index row alone needs more, as at
-tau = 1, so past the standardized rows (and the global test's estimates)
-a scan's working set does not grow with the number of pairs.  A pair
-the batch cannot take is skipped with the error its per-pair reference,
-global_test or cumulative_corr, raises.
+tau = 1, so past the standardized rows a scan's working set does not
+grow with the number of pairs.  A pair the batch cannot take is skipped
+with the error its per-pair reference, global_test or cumulative_corr,
+raises.
 The plug-in makes the global test conservative (rejection
 rates on stationary controls land well below nominal alpha), which the
 scans quantify with reshuffle and Monte Carlo control columns instead
@@ -273,39 +273,38 @@ def _control_panels(panel, reshuffle_seed=None, mc_family=None, mc_nu=None, mc_s
     return controls
 
 
-def _window_batch(panel, rows, pairs, window_len):
-    """The K window estimates and plug-in, (P, K + 1), of each pair the batch takes; the others."""
-    n, k = panel.n_series, panel.n_steps // window_len
-    bad = np.ones(n, dtype=bool)  # too few windows: global_test refuses every pair
-    if k >= MIN_WINDOWS:
-        x = panel.returns[rows, :k * window_len]
-        windows, flat = standardized_rows(x.reshape(-1, window_len))
-        union, flat_union = standardized_rows(x)
-        bad[rows] = flat.reshape(-1, k).any(axis=1) | flat_union
-    good, others = _split_pairs(pairs, n, bad)
-    if not good.size:
-        return np.empty((0, k + 1)), others
-    blocks = (windows.reshape(rows.size, k, window_len), union[:, None])
-    sums = np.empty((len(good), k + 1))
-    for lo, chunk in _pair_sums(np.searchsorted(rows, good), *blocks):
-        sums[lo:lo + len(chunk)] = chunk
-    sums /= [window_len] * k + [k * window_len]
-    return np.clip(sums, -1.0, 1.0, out=sums), others
-
-
 def _global_counts(panel, pairs, window_lens, alphas, threads):
-    """(rejections, tested pairs) per (window, alpha), and the skip list."""
+    """(rejections, tested pairs) per (window, alpha), and the skip list.
+
+    Per window length, the pairs' rows are standardized as K windows and their
+    union, and each _pair_sums chunk is KS-tested before the next is formed.
+    """
     n = panel.n_series
     rows = np.unique(_split_pairs(pairs, n, np.zeros(n, dtype=bool))[0])  # the pairs' rows
     counts, skipped = {}, []
     for window_len in window_lens:
-        # the rows' standardized blocks are freed on return, before any KS test
-        estimates, others = _window_batch(panel, rows, pairs, window_len)
+        k, blocks = panel.n_steps // window_len, None  # frees the last window's blocks
+        bad = np.ones(n, dtype=bool)  # too few windows: global_test refuses every pair
+        if k >= MIN_WINDOWS:
+            x = panel.returns[rows, :k * window_len]
+            windows, flat = standardized_rows(x.reshape(-1, window_len))
+            union, flat_union = standardized_rows(x)
+            bad[rows] = flat.reshape(-1, k).any(axis=1) | flat_union
+            blocks = (windows.reshape(rows.size, k, window_len), union[:, None])
+            del x, windows, union  # the row copy goes before any KS test
+        good, others = _split_pairs(pairs, n, bad)
         skipped += _skips(global_test, panel, others, window_len, window_len=window_len)
-        p_values = parallel_map(lambda e: _ks_test(e[:-1], float(e[-1]), window_len)[1],
-                                estimates, threads)
-        for alpha in alphas:
-            counts[(window_len, alpha)] = (sum(p < alpha for p in p_values), len(p_values))
+        if not good.size:
+            continue
+        hits = [0] * len(alphas)
+        for sums in _pair_sums(np.searchsorted(rows, good), *blocks):
+            sums /= [window_len] * k + [k * window_len]
+            np.clip(sums, -1.0, 1.0, out=sums)
+            p_values = parallel_map(lambda e: _ks_test(e[:-1], float(e[-1]), window_len)[1],
+                                    sums, threads)
+            hits = [h + sum(p < alpha for p in p_values) for h, alpha in zip(hits, alphas)]
+        for alpha, n_hits in zip(alphas, hits):
+            counts[(window_len, alpha)] = (n_hits, len(good))
     return counts, skipped
 
 
@@ -473,8 +472,9 @@ _CHUNK_CELLS = 1 << 16
 
 
 def _pair_sums(pairs, *blocks):
-    """Per chunk of pairs, in order, its first pair's index and its pairs' sums z_i . z_j
-    over every block, as the rows of one (pairs, blocks) array that every chunk reuses.
+    """Per chunk of pairs, in order, its pairs' sums z_i . z_j over every block, as the
+    rows of one (pairs, blocks) array that every chunk reuses, so each chunk's rows
+    must be used up before the next is asked for.
 
     pairs indexes the rows of blocks, sorted by first index; each block
     array is (N, B, W), B blocks of W columns.  Chunks of the distinct
@@ -496,7 +496,7 @@ def _pair_sums(pairs, *blocks):
             gram = left * right if b.shape[2] == 1 else np.matmul(left, right)
             sums[:hi - lo, col:col + b.shape[1]] = gram.transpose(1, 2, 0)[ai, aj]
             col += b.shape[1]
-        yield lo, sums[:hi - lo]
+        yield sums[:hi - lo]
 
 
 def _local_counts(panel, pairs, configs, sigma_convention):
@@ -520,7 +520,7 @@ def _local_counts(panel, pairs, configs, sigma_convention):
         tail = z[:, t1:lengths[-1]].reshape(panel.n_series, -1, tau)
         hits = np.zeros(len(config.n_values), dtype=np.int64)
         steps = 0
-        for _, sums in _pair_sums(good, z[:, None, :t1], tail):
+        for sums in _pair_sums(good, z[:, None, :t1], tail):
             estimates = np.cumsum(sums, axis=1, out=sums)
             estimates /= lengths
             flags = _step_flags(estimates, lengths, config.n_values,

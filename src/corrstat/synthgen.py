@@ -114,6 +114,8 @@ def cholesky(matrix) -> np.ndarray:
     mat = checked_array("matrix", matrix, 2)
     if mat.shape[0] != mat.shape[1]:
         raise InvalidParameter("cholesky needs a square matrix")
+    if not mat.size:
+        raise InvalidParameter("cholesky needs a matrix of at least 1 x 1")
     if asymmetric(mat):
         raise NotPositiveDefinite("matrix is not symmetric", pivot=None)
     try:

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import math
 import re
@@ -482,20 +483,41 @@ def test_global_scan_matches_per_pair_reference(control, monkeypatch):
 
 
 @pytest.mark.parametrize("chunk_cells", [None, 1])
-def test_window_batch_matches_global_test_to_rounding(chunk_cells, monkeypatch):
+def test_global_scan_ks_tests_match_global_test_to_rounding(chunk_cells, monkeypatch):
     # the batch sums each window's products in another order: equal to rounding, not bits
     if chunk_cells is not None:
         monkeypatch.setattr(stationarity, "_CHUNK_CELLS", chunk_cells)
+    ks_test, calls = stationarity._ks_test, []
+
+    def recording(samples, rho_bar_hat, window_len):
+        d_and_p = ks_test(samples, rho_bar_hat, window_len)
+        # samples is a view of the chunk's reused sums: copy it before the next chunk
+        calls.append((samples.copy(), rho_bar_hat, window_len, d_and_p))
+        return d_and_p
+
+    monkeypatch.setattr(stationarity, "_ks_test", recording)
     panel = make_panel(np.random.default_rng(26).standard_t(3, size=(7, 300)))
     pairs = stationarity.all_pairs(7)
-    for window_len in (25, 50):
-        estimates, others = stationarity._window_batch(panel, np.arange(7), pairs, window_len)
-        assert others == [] and estimates.shape == (len(pairs), 300 // window_len + 1)
-        for pair, row in zip(pairs, estimates):
-            ref = stationarity.global_test(panel, pair, window_len)
-            assert np.abs(row - [*ref.samples, ref.rho_bar_hat]).max() <= 1e-12
-            d_stat, p_value = stationarity._ks_test(row[:-1], float(row[-1]), window_len)
-            assert abs(d_stat - ref.d_stat) <= 1e-12 and abs(p_value - ref.p_value) <= 1e-12
+    stationarity.global_scan(panel, (25, 50))
+    monkeypatch.setattr(stationarity, "_ks_test", ks_test)  # global_test calls it too
+    assert [c[2] for c in calls] == [25] * len(pairs) + [50] * len(pairs)
+    for pair, (samples, rho_bar_hat, window_len, (d_stat, p_value)) in zip(
+            [*pairs, *pairs], calls):
+        ref = stationarity.global_test(panel, pair, window_len)
+        assert samples.shape == (300 // window_len,)
+        assert np.abs(samples - ref.samples).max() <= 1e-12
+        assert abs(rho_bar_hat - ref.rho_bar_hat) <= 1e-12
+        assert abs(d_stat - ref.d_stat) <= 1e-12 and abs(p_value - ref.p_value) <= 1e-12
+
+
+def test_global_scan_peak_memory_per_cell():
+    # the pairs' standardized rows plus fixed-size chunks, not an estimate per pair.
+    # The scan's first KS test imports scipy.special, and tracemalloc would count
+    # that import alone as about 8.7 MB, so it is imported first.
+    importlib.import_module("scipy.special")
+    panel = gaussian_panel(200, 1758, seed=9)
+    peak = traced_peak(lambda: stationarity.global_scan(panel, (25,)))
+    assert peak <= 4.5 * panel.returns.nbytes
 
 
 def test_global_scan_thread_determinism():
