@@ -115,31 +115,33 @@ def _count(low: int, many: bool = False, high: int = _INT_CAP):
 
 # Seeds and replica indices label substreams, so any size is fine.
 _LABEL = _bounded(int, lambda v: v >= 0, "a non-negative integer")
-_NU = _bounded(float, *synthgen.NU_RULE)
 
 
-def _mc(text: str) -> str:
-    """argparse type of --mc: 'gaussian' or 'student-t:NU' with an NU --nu takes; kept as text."""
-    family, _, nu = text.partition(":")
+def _split_family(text: str):
+    """(family, nu) of 'gaussian' or 'student-t:NU', nu None without a ':'."""
+    family, colon, nu = text.partition(":")
+    return family, float(nu) if colon else None
+
+
+def _family(text: str) -> str:
+    """argparse type of --family and --mc: text _split_family splits into a
+    (family, nu) that synthgen.checked_family accepts; kept as text."""
     try:
-        if (family == synthgen.FAMILY_GAUSSIAN and not nu
-                or family == synthgen.FAMILY_STUDENT_T and _NU(nu)):
-            return text
-    except (ValueError, argparse.ArgumentTypeError):
-        pass
-    raise argparse.ArgumentTypeError(f"must be 'gaussian' or 'student-t:NU' with a finite "
-                                     f"NU >= {synthgen.MIN_NU:g}, got {text!r}")
+        synthgen.checked_family(*_split_family(text))
+        return text
+    except (ValueError, CorrstatError):
+        raise argparse.ArgumentTypeError(f"must be 'gaussian' or 'student-t:NU' with a finite "
+                                         f"NU >= {synthgen.MIN_NU:g}, got {text!r}") from None
 
 
-def _load_returns(path: str, input_kind: str, returns_kind: str, flag: str = "--input"):
-    kind = "returns" if input_kind == "returns" else returns_kind
+def _load_returns(path: str, kind: str, flag: str = "--input"):
     try:
         return dataio.load_price_panel(path, kind)
     except OSError as exc:
         raise UsageError(f"{flag}: cannot read {path}: {exc}") from None
 
 
-def _parse_corr_spec(text: str, flag: str, input_kind: str, returns_kind: str):
+def _parse_corr_spec(text: str, flag: str, input_kind: str):
     """'from:PATH' | 'identity:N' | 'equicorr:N:RHO' | 'onefactor:N:SEED'.
 
     A from:PATH panel that cannot be read is a usage error; one that reads
@@ -147,7 +149,7 @@ def _parse_corr_spec(text: str, flag: str, input_kind: str, returns_kind: str):
     """
     head, _, tail = text.partition(":")
     if head == "from" and tail:
-        panel = _load_returns(tail, input_kind, returns_kind, flag=flag)
+        panel = _load_returns(tail, input_kind, flag=flag)
         return synthgen.sample_estimate_as_truth(panel)
     try:
         if head == "identity":
@@ -193,11 +195,11 @@ def _scan_json(scan: stationarity.ScanReport) -> dict:
 
 def _scan_input(args):
     """--input's panel, and the pairs, MC control and dataset keywords of both scans."""
-    mc_family, _, mc_nu = (args.mc or "").partition(":")
-    panel = _load_returns(args.input, args.input_kind, args.returns_kind)
+    mc_family, mc_nu = _split_family(args.mc) if args.mc else (None, None)
+    panel = _load_returns(args.input, args.input_kind)
     return panel, {
         "pairs": stationarity.all_pairs(panel.n_series)[:args.max_pairs],
-        "mc_family": mc_family or None, "mc_nu": float(mc_nu) if mc_nu else None,
+        "mc_family": mc_family, "mc_nu": mc_nu,
         "mc_seed": args.mc_seed, "dataset": os.path.basename(args.input),
     }
 
@@ -256,16 +258,12 @@ def cmd_local_scan(args) -> int:
 
 def cmd_simulate(args) -> int:
     _require(args.out is not None, "--out is required for simulate")
-    if args.family == synthgen.FAMILY_STUDENT_T:
-        _require(args.nu is not None, "--nu is required for --family student-t")
-    truth = _parse_corr_spec(args.corr, "--corr", args.input_kind, args.returns_kind)
+    truth = _parse_corr_spec(args.corr, "--corr", args.input_kind)
     _require(truth.n_series * args.T <= _INT_CAP,
              f"--T: a panel of {truth.n_series} series x {args.T} steps exceeds 2**53 cells")
-    spec = synthgen.GeneratorSpec(
-        family=args.family, n_series=truth.n_series, n_steps=args.T,
-        seed=args.seed, correlation=truth,
-        nu=args.nu if args.family == synthgen.FAMILY_STUDENT_T else None,
-    )
+    family, nu = _split_family(args.family)
+    spec = synthgen.GeneratorSpec(family=family, n_series=truth.n_series, n_steps=args.T,
+                                  seed=args.seed, correlation=truth, nu=nu)
     panel = synthgen.sample_panel(spec, replica=args.replica)
     dataio.save_panel_csv(panel, args.out)
     _echo_config(_report("simulate", args, {}))
@@ -275,7 +273,7 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------- qscan
 
 def cmd_qscan(args) -> int:
-    panel = _load_returns(args.input, args.input_kind, args.returns_kind)
+    panel = _load_returns(args.input, args.input_kind)
     if args.n_stocks is not None:
         _require(args.n_stocks <= panel.n_series,
                  f"--n-stocks must lie in [1, {panel.n_series}], got {args.n_stocks}")
@@ -324,7 +322,7 @@ def _load_volatilities(path: str, tickers) -> np.ndarray:
 # ---------------------------------------------------------------- spectral
 
 def cmd_spectral(args) -> int:
-    panel = _load_returns(args.input, args.input_kind, args.returns_kind)
+    panel = _load_returns(args.input, args.input_kind)
     _require(panel.n_series > args.sectors + 1,
              f"--sectors: need more than sectors + 1 = {args.sectors + 1} series, "
              f"panel has {panel.n_series}")
@@ -467,17 +465,15 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="output path (default: stdout)")
 
     kinds = argparse.ArgumentParser(add_help=False)
-    kinds.add_argument("--input-kind", choices=("prices", "returns"), default="prices",
-                       help="whether the panel rows are prices or returns")
-    kinds.add_argument("--returns-kind", choices=("log", "simple"), default="log",
-                       help="return definition when the panel holds prices")
+    kinds.add_argument("--input-kind", choices=dataio.RETURN_KINDS, default="log",
+                       help="log or simple changes of price cells, or return cells as they are")
 
     panel_in = argparse.ArgumentParser(add_help=False, parents=[kinds])
     panel_in.add_argument("--input", required=True, help="CSV panel path")
 
     scan_in = argparse.ArgumentParser(add_help=False)
     scan_in.add_argument("--max-pairs", type=_count(1), default=None)
-    scan_in.add_argument("--mc", type=_mc, default=None,
+    scan_in.add_argument("--mc", type=_family, default=None,
                          help="stationary MC control family: gaussian or student-t:NU")
     scan_in.add_argument("--mc-seed", type=_LABEL, default=0)
 
@@ -512,9 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", parents=[common, kinds],
                        help="draw a stationary synthetic return panel")
-    p.add_argument("--family", required=True,
-                   choices=(synthgen.FAMILY_GAUSSIAN, synthgen.FAMILY_STUDENT_T))
-    p.add_argument("--nu", type=_NU, default=None)
+    p.add_argument("--family", type=_family, required=True, help="gaussian or student-t:NU")
     p.add_argument("--corr", required=True,
                    help="from:PATH | identity:N | equicorr:N:RHO | onefactor:N:SEED")
     p.add_argument("--T", type=_count(1), required=True)

@@ -109,6 +109,10 @@ class CovarianceMatrix:
         return None if self.window is None else self.window[1] - self.window[0]
 
 
+# load_price_panel's kinds: log or simple price changes, or the cells as returns
+RETURN_KINDS = ("log", "simple", "returns")
+
+
 def load_price_panel(path, kind="log"):
     """Read a CSV panel (header of tickers, optional leading date column) as a ReturnPanel.
 
@@ -122,7 +126,7 @@ def load_price_panel(path, kind="log"):
     might read otherwise, or that it refuses, is read again record by
     record with float(), which names the first fault.
     """
-    if kind not in ("log", "simple", "returns"):
+    if kind not in RETURN_KINDS:
         raise InvalidParameter(f"kind must be 'log', 'simple' or 'returns', got {kind!r}")
     try:
         tickers, times, cells = _numpy_panel(path)

@@ -221,11 +221,14 @@ def mc_band(n_series: int, t1: int, t2: int, replicas: int,
     Replica k draws an N x (t1 + t2) panel on substream k of the seed and
     contributes q = sigma_R / sigma_E of weights fitted on its first t1
     steps and held over the next t2 (_sample_risks, as in q_series).
+    t1 <= n_series raises IllPosed before any replica is drawn.
     """
     checked_int("n_series", n_series, 1)
     checked_int("t1", t1, 2)
     checked_int("t2", t2, 2)
     checked_int("replicas", replicas, MIN_REPLICAS)
+    if t1 <= n_series:
+        raise IllPosed(n_series, t1)
     if truth.n_series != n_series:
         raise InvalidParameter("truth dimension does not match n_series")
     scale = (np.ones(n_series) if volatilities is None

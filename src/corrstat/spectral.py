@@ -23,8 +23,8 @@ from .errors import (
     checked_int,
     checked_real,
 )
+from .synthgen import asymmetric
 
-_SYMMETRY_TOL = 1e-12
 _ORTHO_TOL = 1e-10
 _RECON_TOL = 1e-8
 _GAP_SCALE = 1e-8
@@ -105,9 +105,9 @@ def eig_sym(matrix) -> EigenSystem:
         raise InvalidParameter("matrix must be square")
     if not c.size:
         raise InvalidParameter("matrix must be at least 1 x 1")
-    gap = float(np.abs(c - c.T).max())
-    if gap > _SYMMETRY_TOL:
-        raise NotSymmetric(f"asymmetry {gap:.3e} exceeds {_SYMMETRY_TOL:.0e}")
+    if asymmetric(c):
+        gap = float(np.abs(c - c.T).max())
+        raise NotSymmetric(f"asymmetry {gap:.3e} exceeds 1e-12")
     lam, vec = np.linalg.eigh(0.5 * (c + c.T))
     flip = vec[np.argmax(np.abs(vec), axis=0), np.arange(lam.size)] < 0
     vec[:, flip] = -vec[:, flip]

@@ -235,18 +235,6 @@ def _sorted_pairs(pairs, n_series):
     return ij[np.lexsort((ij[:, 1], ij[:, 0]))]  # stable: the order of sorted((min, max))
 
 
-def _checked_mc(mc_family, mc_nu):
-    """InvalidParameter unless mc_family is None or a generator family, and mc_nu
-    is None or, for student-t, a nu that synthgen.NU_RULE accepts."""
-    if mc_family not in (None, synthgen.FAMILY_GAUSSIAN, synthgen.FAMILY_STUDENT_T):
-        raise InvalidParameter(f"unknown mc_family {mc_family!r}")
-    if mc_family == synthgen.FAMILY_STUDENT_T:
-        checked_real("nu", mc_nu, *synthgen.NU_RULE)
-    elif mc_nu is not None:
-        raise InvalidParameter(f"mc_nu must be None unless mc_family is "
-                               f"{synthgen.FAMILY_STUDENT_T!r}, got {mc_nu!r}")
-
-
 def _control_panels(panel, reshuffle_seed=None, mc_family=None, mc_nu=None, mc_seed=0):
     """The scanned panel under "", then the control panels by name.
 
@@ -337,7 +325,8 @@ def _scan(kind, panel, pairs, counter, grid, params, controls, dataset) -> ScanR
     Each skip entry is tagged with its control, None on the scanned panel.
     The params are params, n_pairs and controls, mc_seed None without MC.
     """
-    _checked_mc(controls["mc_family"], controls["mc_nu"])
+    if controls["mc_family"] is not None or controls["mc_nu"] is not None:
+        synthgen.checked_family(controls["mc_family"], controls["mc_nu"], prefix="mc_")
     pairs = _sorted_pairs(pairs, panel.n_series)
     counts, skipped = {}, []
     for name, scanned in _control_panels(panel, **controls).items():
@@ -361,11 +350,11 @@ def global_scan(panel: ReturnPanel, window_lens, alphas=DEFAULT_ALPHAS,
     changes nothing: the pairs run in order on the calling thread.  A
     window length below MIN_T or an alpha that is not a number in (0, 1)
     raises InvalidParameter before any pair is tested, as do a window length
-    that is not an integer, a bad threads, mc keywords _checked_mc refuses,
-    a pair that is not two numbers and a container argument that is not
-    iterable; a window longer than the panel skips every pair, and a pair
-    of non-integer or out-of-range indices is skipped.  pairs is taken as
-    local_scan takes it.
+    that is not an integer, a bad threads, mc keywords that
+    synthgen.checked_family refuses, a pair that is not two numbers and a
+    container argument that is not iterable; a window longer than the panel
+    skips every pair, and a pair of non-integer or out-of-range indices is
+    skipped.  pairs is taken as local_scan takes it.
     """
     window_lens, alphas = _items("window_lens", window_lens), _items("alphas", alphas)
     for window_len in window_lens:
@@ -540,10 +529,10 @@ def local_scan(panel: ReturnPanel, configs, pairs=None,
     Each config carries its own n values.  Each panel (and its optional
     MC control) is scanned as one array computation.  pairs (default:
     all) is an integer (P, 2) array or any collection of pairs; a config
-    that is not a LocalTestConfig, mc keywords _checked_mc refuses or a
-    pair that is not two numbers raises InvalidParameter before any pair
-    is tested, and a pair of non-integer or out-of-range indices is
-    skipped.
+    that is not a LocalTestConfig, mc keywords that synthgen.checked_family
+    refuses or a pair that is not two numbers raises InvalidParameter
+    before any pair is tested, and a pair of non-integer or out-of-range
+    indices is skipped.
     """
     if sigma_convention not in (SIGMA_WINDOW, SIGMA_PAPER):
         raise InvalidParameter(f"unknown sigma convention {sigma_convention!r}")

@@ -33,6 +33,18 @@ MIN_NU = 3.0  # the chi^2 scale mixture is sampled only from here up
 NU_RULE = (lambda nu: MIN_NU <= nu < math.inf, f"a finite number >= {MIN_NU:g}")
 
 
+def checked_family(family, nu, prefix: str = ""):
+    """InvalidParameter unless family is a generator family and nu is, for
+    student-t, a nu NU_RULE accepts, and None otherwise; prefix names both."""
+    if family == FAMILY_STUDENT_T:
+        checked_real("nu", nu, *NU_RULE)
+    elif nu is not None:
+        raise InvalidParameter(f"{prefix}nu must be None unless {prefix}family is "
+                               f"{FAMILY_STUDENT_T!r}, got {nu!r}")
+    elif family != FAMILY_GAUSSIAN:
+        raise InvalidParameter(f"unknown {prefix}family {family!r}")
+
+
 @dataclass(frozen=True)
 class TrueCorrelation:
     """Population correlation matrix a generator treats as exact truth."""
@@ -48,7 +60,7 @@ class TrueCorrelation:
             raise InvalidParameter("correlation entries must be square")
         if n < 1:
             raise InvalidParameter("correlation entries must be at least 1 x 1")
-        if np.abs(entries - entries.T).max() > 1e-12:
+        if asymmetric(entries):
             raise InvalidParameter("correlation entries must be symmetric")
         if np.abs(np.diag(entries) - 1.0).max() > 1e-10:
             raise InvalidParameter("correlation entries need a unit diagonal")
@@ -76,10 +88,7 @@ class GeneratorSpec:
     nu: float | None = None
 
     def __post_init__(self):
-        if self.family not in (FAMILY_GAUSSIAN, FAMILY_STUDENT_T):
-            raise InvalidParameter(f"unknown family {self.family!r}")
-        if self.family == FAMILY_STUDENT_T:
-            checked_real("nu", self.nu, *NU_RULE)
+        checked_family(self.family, self.nu)
         checked_int("n_series", self.n_series, 1)
         checked_int("n_steps", self.n_steps, 1)
         if self.correlation.n_series != self.n_series:

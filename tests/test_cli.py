@@ -125,6 +125,10 @@ def test_unknown_recipe(capsys):
      "error: argument --sigma-convention: invalid choice: 'bogus'"),
     (["qscan", "--input", "x.csv", "--t1", "30", "--t2", "30", "--truth", "bogus"],
      "error: argument --truth: invalid choice: 'bogus'"),
+    # a ':' always carries a nu, so 'gaussian:' is not 'gaussian'
+    (["global-scan", "--input", "x.csv", "--mc", "gaussian:"],
+     "error: argument --mc: must be 'gaussian' or 'student-t:NU' with a finite NU >= 3, "
+     "got 'gaussian:'"),
     # every seed flag: a negative seed is a usage error, not a numpy traceback
     (["global-scan", "--input", "x.csv", "--mc", "gaussian", "--mc-seed", "-1"],
      "error: argument --mc-seed: must be a non-negative integer, got '-1'"),
@@ -473,7 +477,7 @@ def malformed_dir(tmp_path_factory):
 @given(command=st.sampled_from(sorted(_SUBCOMMANDS)),
        malformation=st.sampled_from(_MALFORMED),
        n_series=st.integers(2, 4), n_steps=st.integers(3, 130), row=st.integers(0, 200),
-       seed=st.integers(0, 3), input_kind=st.sampled_from(["prices", "returns"]),
+       seed=st.integers(0, 3), input_kind=st.sampled_from(dataio.RETURN_KINDS),
        rho=st.one_of(st.floats(-0.99, 0.99), st.sampled_from([1.0, math.nan, math.inf])),
        recipe=st.sampled_from(["fig1", "table2", "no-such-recipe"]))
 def test_every_subcommand_exits_0_1_or_2_with_one_error_line(
@@ -597,24 +601,46 @@ def test_simulate_echoes_the_flags_that_read_its_panel(tmp_path, capsys):
     for kind in ("log", "simple"):
         out = tmp_path / f"{kind}.csv"
         rc = run(["simulate", "--family", "gaussian", "--corr", f"from:{source}",
-                  "--T", "50", "--returns-kind", kind, "--out", str(out)])
+                  "--T", "50", "--input-kind", kind, "--out", str(out)])
         assert rc == 0
         configs[kind] = json.loads(capsys.readouterr().out)["config"]
         panels[kind] = out.read_text()
     assert panels["log"] != panels["simple"]
     for kind, config in configs.items():
-        assert config["input_kind"] == "prices"
-        assert config["returns_kind"] == kind
+        assert config["input_kind"] == kind
+        assert config["family"] == "gaussian" and "nu" not in config
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
+@pytest.mark.parametrize("old", [["--returns-kind", "simple"], ["--nu", "5"]])
+def test_no_subcommand_takes_the_old_flag_pairs(command, old):
+    argv = [command, *(a.format(input="x.csv", n_steps=50, rho="0.3", recipe="fig1")
+                       for a in _SUBCOMMANDS[command])]
+    if command not in ("density", "reproduce", "simulate"):
+        argv += ["--input", "x.csv"]
+    rc, err = run_captured([*argv, *old, "--out", "x.json"])
+    assert rc == 2
+    assert err.splitlines() == [f"error: unrecognized arguments: {' '.join(old)}"], err
+
+
+def test_input_kind_choices_are_the_loader_kinds():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    kinds = {command: action.choices for command, parser in sub.choices.items()
+             for action in parser._actions if "--input-kind" in action.option_strings}
+    assert set(kinds) == {"global-scan", "local-scan", "simulate", "qscan", "spectral"}
+    assert all(choices is dataio.RETURN_KINDS for choices in kinds.values())
 
 
 @pytest.mark.parametrize("nu", ["inf", "nan"])
 def test_simulate_rejects_non_finite_nu(tmp_path, capsys, nu):
     out = tmp_path / "panel.csv"
-    rc = run(["simulate", "--family", "student-t", "--nu", nu, "--corr", "identity:3",
+    rc = run(["simulate", "--family", f"student-t:{nu}", "--corr", "identity:3",
               "--T", "50", "--out", str(out)])
     assert rc == 2
     assert capsys.readouterr().err.splitlines() == [
-        f"error: argument --nu: must be a finite number >= 3, got {nu!r}"]
+        "error: argument --family: must be 'gaussian' or 'student-t:NU' with a finite "
+        f"NU >= 3, got 'student-t:{nu}'"]
     assert not out.exists()
 
 
@@ -728,8 +754,8 @@ def test_scan_cell_without_a_tested_pair_reports_null(tmp_path):
 
 @pytest.mark.parametrize("argv, flag", [
     (["density", "--rho-bar", "0.9999999999999", "--T", "50"], "--rho-bar"),
-    (["simulate", "--family", "student-t", "--nu", "2.5", "--corr", "identity:3",
-      "--T", "50"], "--nu"),
+    (["simulate", "--family", "student-t:2.5", "--corr", "identity:3", "--T", "50"],
+     "--family"),
     (["global-scan", "--mc", "student-t:2.5"], "--mc"),
     (["density", "--rho-bar", "0.3", "--T", str(corrdist.MAX_T + 1)], "--T"),
 ])
@@ -818,7 +844,7 @@ def _student_t(nu):
 _REAL_FLAGS = {
     "--rho-bar": [("{}", lambda v: corrdist.CorrParams(v, 50))],
     "--alpha": [("{}", lambda v: stationarity.global_scan(_TINY, (10,), (v,)))],
-    "--nu": [("{}", _student_t)],
+    "--family": [("student-t:{}", _student_t)],
     "--mc": [("student-t:{}", _student_t)],
     "--band-sigmas": [("{}", lambda v: portfolio.flag_band_violations([], _BAND, v))],
     "--thresholds": [("{},0,0", lambda v: spectral.co_occurrence_flag(_DELTA, (v, 0, 0))),
@@ -837,7 +863,7 @@ def _accepts(call, value):
 
 def test_every_real_flag_accepts_exactly_what_its_library_rule_accepts():
     options = [(flag, convert) for _, flag, convert in _typed_options()
-               if convert.__name__ == "float" or convert is cli._mc]
+               if convert.__name__ == "float" or convert is cli._family]
     assert {flag for flag, _ in options} == set(_REAL_FLAGS)
     for flag, convert in options:
         for template, call in _REAL_FLAGS[flag]:

@@ -362,6 +362,17 @@ def test_mc_band_guards():
             portfolio.mc_band(3, 30, 30, 30, truth, seed=0, volatilities=[1.0, bad, 2.0])
 
 
+@pytest.mark.parametrize("n, t1", [(3, 3), (3, 2), (40, 30)])
+def test_mc_band_refuses_t1_up_to_n_before_drawing(monkeypatch, n, t1):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a replica was drawn")
+
+    monkeypatch.setattr(synthgen, "gaussian_returns", refuse)
+    with pytest.raises(IllPosed) as info:
+        portfolio.mc_band(n, t1, 30, 30, synthgen.identity_correlation(n), seed=0)
+    assert (info.value.n_assets, info.value.n_obs) == (n, t1)
+
+
 @pytest.mark.parametrize("volatilities, got", [
     (["a", "b", "c"], "list of dtype <U1 and shape (3,)"),
     (["1", "2", "3"], "list of dtype <U1 and shape (3,)"),

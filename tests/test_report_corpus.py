@@ -25,7 +25,8 @@ SCANS = {
     "global-scan": ["--window", "20,40", "--reshuffle-seed", "3", "--mc", "gaussian"],
 }
 PANELS = ("dated", "dateless", "constant-row")
-KINDS = ("prices", "returns")
+# --input-kind per corpus file suffix: the "prices" panels are read as log returns
+KINDS = {"prices": "log", "returns": "returns"}
 SEEDS = {"dated": 11, "dateless": 12, "constant-row": 13, "window-flat": 14}
 
 # Every other subcommand, once each: (file name, panel read or None, argv).
@@ -71,7 +72,7 @@ def _write_panel(name):
 def test_scan_report_bytes(scan, panel, kind, tmp_path, monkeypatch, capsys, request):
     monkeypatch.chdir(tmp_path)  # the report echoes the relative --input path
     _write_panel(panel)
-    assert cli.main([scan, "--input", f"{panel}.csv", "--input-kind", kind,
+    assert cli.main([scan, "--input", f"{panel}.csv", "--input-kind", KINDS[kind],
                      *SCANS[scan]]) == 0
     got = capsys.readouterr().out.encode("utf-8")
     compare_report(got, f"{scan}_{panel}_{kind}.json", request)

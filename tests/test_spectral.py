@@ -66,6 +66,17 @@ def test_eig_rejects_asymmetry():
         spectral.eig_sym(np.array([[1.0, 0.2], [0.3, 1.0]]))
 
 
+def test_eig_symmetry_bound_scales_with_the_entries():
+    # 1e-12 max(1, max |entry|) is 1e-8 for this 1e4-scale matrix
+    c = 1e4 * np.array([[2.0, 0.5], [0.5, 1.0]])
+    c[1, 0] += 1e-9
+    assert np.array_equal(spectral.eig_sym(c).eigenvalues,
+                          np.linalg.eigh(0.5 * (c + c.T))[0])
+    c[1, 0] += 1e-7
+    with pytest.raises(NotSymmetric, match=r"^asymmetry 1\.0[0-9]{2}e-07 exceeds 1e-12$"):
+        spectral.eig_sym(c)
+
+
 def test_eigensystem_validation():
     with pytest.raises(InvalidParameter):
         EigenSystem(np.array([2.0, 1.0]), np.eye(2))

@@ -28,6 +28,17 @@ def test_true_correlation_validation():
         TrueCorrelation(singular, source="bad")
 
 
+@pytest.mark.parametrize("gap, symmetric", [(1e-9, True), (1e-7, False)])
+def test_true_correlation_symmetry_bound_scales_with_the_entries(gap, symmetric):
+    # 1e-12 max(1, max |entry|) is 1e-8 here; past the symmetry gate the
+    # 1e4 off-diagonal leaves the matrix indefinite
+    entries = np.array([[1.0, 1e4], [1e4 + gap, 1.0]])
+    assert synthgen.asymmetric(entries) is not symmetric
+    with pytest.raises(NotPositiveDefinite if symmetric else InvalidParameter) as info:
+        TrueCorrelation(entries, source="scaled")
+    assert ("symmetric" in str(info.value)) is not symmetric
+
+
 @pytest.mark.parametrize("build", [
     lambda: synthgen.identity_correlation(0),
     lambda: synthgen.identity_correlation(-1),
@@ -67,6 +78,10 @@ def test_generator_spec_validation():
     for nu in (float("inf"), float("nan")):
         with pytest.raises(InvalidParameter):
             GeneratorSpec(synthgen.FAMILY_STUDENT_T, 3, 100, 0, truth, nu=nu)
+    for nu in (5.0, float("nan")):  # a nu the Gaussian family would never use
+        with pytest.raises(InvalidParameter, match="nu must be None unless family is "
+                                                   "'student-t', got"):
+            GeneratorSpec(synthgen.FAMILY_GAUSSIAN, 3, 100, 0, truth, nu=nu)
     with pytest.raises(InvalidParameter):
         GeneratorSpec(synthgen.FAMILY_GAUSSIAN, 3, 0, 0, truth)
     with pytest.raises(InvalidParameter):
