@@ -204,10 +204,7 @@ def rho_cdf(rho, params: CorrParams):
     cum = np.concatenate([[0.0], np.cumsum(masses)])
     total = float(cum[-1])
     if abs(total - 1.0) > _MASS_TOL:
-        raise NumericsError(
-            f"density mass {total!r} deviates from 1 beyond {_MASS_TOL:g}",
-            error_estimate=abs(total - 1.0),
-        )
+        raise NumericsError(f"density mass {total!r} deviates from 1 beyond {_MASS_TOL:g}")
     with np.errstate(divide="ignore"):
         z = np.arctanh(flat)
     out = np.where(z >= edges[-1], 1.0, 0.0)

@@ -151,7 +151,7 @@ def _records(path):
     except UnicodeDecodeError as err:
         raise ParseError(f"{path}: not UTF-8 text ({err.reason})") from None
     except csv.Error as err:
-        raise ParseError(f"{path}: row {irow + 1}: {err}", row=irow + 1) from None
+        raise ParseError(f"{path}: row {irow + 1}: {err}") from None
 
 
 def load_volatilities(path) -> dict:
@@ -159,8 +159,8 @@ def load_volatilities(path) -> dict:
 
     The first record is a header when it is one line of two cells whose
     value cell is not a number.  Any other record that is not a ticker and
-    a number, and a repeated ticker, raise ParseError, as do the faults
-    _records names.
+    a number, and a repeated ticker, raise ParseError naming its row, as
+    do the faults _records names.
     """
     table = {}
     with closing(_records(path)) as records:
@@ -171,10 +171,10 @@ def load_volatilities(path) -> dict:
             except ValueError:
                 if irow == 1 and len(cells) == 2 and not any("\n" in c or "\r" in c for c in cells):
                     continue
-                raise ParseError(f"malformed line in {path}", row=irow) from None
+                raise ParseError(f"{path}: row {irow}: malformed line") from None
             name = name.strip()
             if name in table:
-                raise ParseError(f"duplicate ticker {name!r} in {path}", row=irow)
+                raise ParseError(f"{path}: row {irow}: duplicate ticker {name!r}")
             table[name] = vol
     return table
 
@@ -205,10 +205,7 @@ def _exact_panel(path):
         width, lead = len(tickers) + has_dates, int(has_dates)
         for irow, row in records:
             if len(row) != width:
-                raise ParseError(
-                    f"{path}: row {irow} has {len(row)} cells, expected {width}",
-                    row=irow,
-                )
+                raise ParseError(f"{path}: row {irow} has {len(row)} cells, expected {width}")
             cells = row[lead:]
             try:  # cells parse as float()
                 day = np.fromiter(map(float, cells), np.float64, len(tickers))
@@ -218,17 +215,12 @@ def _exact_panel(path):
                         float(cell)
                     except ValueError:
                         raise ParseError(
-                            f"{path}: non-numeric cell at row {irow}, col {col}: {cell!r}",
-                            row=irow,
-                            col=col,
+                            f"{path}: non-numeric cell at row {irow}, col {col}: {cell!r}"
                         ) from None
             if nonfinite is None and not np.isfinite(day).all():
                 col = lead + 1 + int(np.argmin(np.isfinite(day)))
                 nonfinite = ParseError(
-                    f"{path}: non-finite cell at row {irow}, col {col}: {row[col - 1]!r}",
-                    row=irow,
-                    col=col,
-                )
+                    f"{path}: non-finite cell at row {irow}, col {col}: {row[col - 1]!r}")
             days.append(day)
             times.append(row[0].strip() if has_dates else str(irow - 1))
     if not days:

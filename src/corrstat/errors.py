@@ -1,5 +1,7 @@
 """Exception types shared across the toolkit, and its integer, real and array rules.
 
+An error is its type and one message line; it carries no other fields.
+
 checked_int takes every count, size, index and seed: a Python or numpy
 integer at its bound passes unchanged; anything else, an integral float
 included, raises InvalidParameter.  Nothing is truncated or hashed.
@@ -25,16 +27,12 @@ class CorrstatError(Exception):
 
 
 class ParseError(CorrstatError):
-    def __init__(self, message, row=None, col=None):
-        super().__init__(message)
-        self.row = row
-        self.col = col
+    pass
 
 
 class DuplicateTicker(CorrstatError):
     def __init__(self, ticker):
         super().__init__(f"duplicate ticker {ticker!r}")
-        self.ticker = ticker
 
 
 class DomainError(CorrstatError):
@@ -45,8 +43,6 @@ class ZeroVariance(CorrstatError):
     def __init__(self, ticker, window=None):
         loc = f" in window {window}" if window is not None else ""
         super().__init__(f"zero variance for {ticker!r}{loc}")
-        self.ticker = ticker
-        self.window = window
 
 
 class InsufficientData(CorrstatError):
@@ -58,15 +54,11 @@ class InsufficientSamples(CorrstatError):
 
 
 class NumericsError(CorrstatError):
-    def __init__(self, message, error_estimate=None):
-        super().__init__(message)
-        self.error_estimate = error_estimate
+    pass
 
 
 class NotPositiveDefinite(CorrstatError):
-    def __init__(self, message, pivot=None):
-        super().__init__(message)
-        self.pivot = pivot
+    pass
 
 
 class NotSymmetric(CorrstatError):
@@ -83,8 +75,6 @@ class IllPosed(CorrstatError):
             f"minimum-variance problem needs more observations than assets, "
             f"got N={n_assets}, T={n_obs}"
         )
-        self.n_assets = n_assets
-        self.n_obs = n_obs
 
 
 class InvalidParameter(CorrstatError):

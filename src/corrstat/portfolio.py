@@ -86,8 +86,8 @@ def min_variance_weights(cov: CovarianceMatrix) -> WeightVector:
 
     Gates, in order: symmetry, the shifted-Cholesky certificate
     (_certified), and only where it fails the exact gates, which raise
-    NotPositiveDefinite with the pivot or NumericsError with the 2-norm
-    condition number.
+    NotPositiveDefinite or NumericsError naming the 2-norm condition
+    number.
     """
     n = cov.n_series
     if n < 1:
@@ -98,16 +98,14 @@ def min_variance_weights(cov: CovarianceMatrix) -> WeightVector:
     c = cov.entries
     # np.linalg.cholesky reads only the lower triangle, so symmetry comes first
     if synthgen.asymmetric(c) or not _certified(c):
-        synthgen.cholesky(c)  # PD gate with pivot report
+        synthgen.cholesky(c)  # the positive-definiteness gate
         # C is SPD here, so its 2-norm condition number is lambda_max / lambda_min;
         # a rounded lambda_min <= 0 means C is numerically singular.
         eig = np.linalg.eigvalsh(c)
         cond = float(eig[-1] / eig[0]) if eig[0] > 0.0 else math.inf
         if cond > _CONDITION_LIMIT:
             raise NumericsError(
-                f"covariance condition number {cond:.3e} exceeds {_CONDITION_LIMIT:.0e}",
-                error_estimate=cond,
-            )
+                f"covariance condition number {cond:.3e} exceeds {_CONDITION_LIMIT:.0e}")
     x = np.linalg.solve(c, np.ones(n))
     return WeightVector(cov.tickers, x / x.sum())
 

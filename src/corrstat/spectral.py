@@ -23,7 +23,7 @@ from .errors import (
     checked_int,
     checked_real,
 )
-from .synthgen import asymmetric
+from .synthgen import asymmetry
 
 _ORTHO_TOL = 1e-10
 _RECON_TOL = 1e-8
@@ -54,10 +54,7 @@ class EigenSystem:
             raise InvalidParameter("eigenvalues must be ascending")
         gram_gap = float(np.abs(vec.T @ vec - np.eye(n)).max())
         if gram_gap > _ORTHO_TOL:
-            raise NumericsError(
-                f"eigenvectors not orthonormal, gram gap {gram_gap:.3e}",
-                error_estimate=gram_gap,
-            )
+            raise NumericsError(f"eigenvectors not orthonormal, gram gap {gram_gap:.3e}")
 
     @property
     def n_series(self) -> int:
@@ -105,18 +102,15 @@ def eig_sym(matrix) -> EigenSystem:
         raise InvalidParameter("matrix must be square")
     if not c.size:
         raise InvalidParameter("matrix must be at least 1 x 1")
-    if asymmetric(c):
-        gap = float(np.abs(c - c.T).max())
-        raise NotSymmetric(f"asymmetry {gap:.3e} exceeds 1e-12")
+    gap, bound = asymmetry(c)
+    if gap > bound:
+        raise NotSymmetric(f"asymmetry {gap:.3e} exceeds {bound:.3e}")
     lam, vec = np.linalg.eigh(0.5 * (c + c.T))
     flip = vec[np.argmax(np.abs(vec), axis=0), np.arange(lam.size)] < 0
     vec[:, flip] = -vec[:, flip]
     recon_gap = float(np.abs((vec * lam) @ vec.T - c).max())
     if recon_gap > _RECON_TOL * max(1.0, float(np.abs(c).max())):
-        raise NumericsError(
-            f"eigendecomposition reconstruction gap {recon_gap:.3e}",
-            error_estimate=recon_gap,
-        )
+        raise NumericsError(f"eigendecomposition reconstruction gap {recon_gap:.3e}")
     return EigenSystem(lam, vec)
 
 
@@ -146,9 +140,7 @@ def spectral_snapshot(corr, sectors: int = DEFAULT_SECTOR_COUNT) -> SpectralSnap
     trace_gap = abs(float(eig.eigenvalues.sum()) - n)
     if trace_gap > 1e-10 * n:
         raise NumericsError(
-            f"trace deviates from N by {trace_gap:.3e}; not a correlation matrix",
-            error_estimate=trace_gap,
-        )
+            f"trace deviates from N by {trace_gap:.3e}; not a correlation matrix")
     lam = eig.eigenvalues
     gap = float(lam[-1] - lam[-2])
     return SpectralSnapshot(
@@ -211,11 +203,9 @@ def pca_decompose(panel: ReturnPanel, eig: EigenSystem) -> PCAComponents:
     if panel.n_series != eig.n_series:
         raise InvalidParameter("panel and eigensystem dimensions differ")
     lam = eig.eigenvalues
-    retained = [k for k in range(lam.size) if lam[k] > _COMPONENT_FLOOR]
-    series = np.empty((len(retained), panel.n_steps))
-    for row, k in enumerate(retained):
-        series[row] = (eig.eigenvectors[:, k] @ panel.returns) / np.sqrt(lam[k])
-    return PCAComponents(tuple(retained), series)
+    retained = np.flatnonzero(lam > _COMPONENT_FLOOR)
+    series = (eig.eigenvectors[:, retained].T @ panel.returns) / np.sqrt(lam[retained])[:, None]
+    return PCAComponents(tuple(retained.tolist()), series)
 
 
 def market_mode_residual(eig: EigenSystem) -> MarketResidual:

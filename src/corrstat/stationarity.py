@@ -73,10 +73,6 @@ class GlobalTestResult:
     d_stat: float
     p_value: float
 
-    @property
-    def n_windows(self) -> int:
-        return len(self.samples)
-
 
 @dataclass(frozen=True)
 class LocalTestConfig:
@@ -123,7 +119,6 @@ class ScanCell:
 @dataclass
 class ScanReport:
     dataset: str
-    kind: str
     params: dict
     cells: list
     skipped: list = field(default_factory=list)
@@ -315,12 +310,10 @@ def _cells(dim_name, threshold_name, grid, counts):
     return cells
 
 
-_CELL_NAMES = {"global": ("T_w", "alpha"), "local": ("tau", "n")}
-
-
-def _scan(kind, panel, pairs, counter, grid, params, controls, dataset) -> ScanReport:
+def _scan(names, panel, pairs, counter, grid, params, controls, dataset) -> ScanReport:
     """One scan's report: counter(p, pairs) gives panel p's counts and skips, on panel
     and then on each control that _control_panels(panel, **controls) builds.
+    names are the cells' dimension and threshold names.
 
     Each skip entry is tagged with its control, None on the scanned panel.
     The params are params, n_pairs and controls, mc_seed None without MC.
@@ -334,9 +327,8 @@ def _scan(kind, panel, pairs, counter, grid, params, controls, dataset) -> ScanR
         skipped += [dict(entry, control=name or None) for entry in skips]
     if controls["mc_family"] is None:
         controls = dict(controls, mc_seed=None)
-    return ScanReport(dataset=dataset, kind=kind,
-                      params={**params, "n_pairs": len(pairs), **controls},
-                      cells=_cells(*_CELL_NAMES[kind], grid, counts), skipped=skipped)
+    return ScanReport(dataset=dataset, params={**params, "n_pairs": len(pairs), **controls},
+                      cells=_cells(*names, grid, counts), skipped=skipped)
 
 
 def global_scan(panel: ReturnPanel, window_lens, alphas=DEFAULT_ALPHAS,
@@ -362,7 +354,7 @@ def global_scan(panel: ReturnPanel, window_lens, alphas=DEFAULT_ALPHAS,
     for alpha in alphas:
         checked_real("alpha", alpha, *ALPHA_RULE)
     resolve_threads(threads)
-    return _scan("global", panel, pairs,
+    return _scan(("T_w", "alpha"), panel, pairs,
                  lambda p, ps: _global_counts(p, ps, window_lens, alphas, threads),
                  [(w, w, alpha) for w in window_lens for alpha in alphas],
                  {"window_lens": list(window_lens), "alphas": [float(a) for a in alphas]},
@@ -540,7 +532,7 @@ def local_scan(panel: ReturnPanel, configs, pairs=None,
     for config in configs:
         if not isinstance(config, LocalTestConfig):
             raise InvalidParameter(f"configs must hold LocalTestConfigs, got {config!r}")
-    return _scan("local", panel, pairs,
+    return _scan(("tau", "n"), panel, pairs,
                  lambda p, ps: _local_counts(p, ps, configs, sigma_convention),
                  [(c, c.tau, n) for c in configs for n in c.n_values],
                  {"configs": [{"t1": c.t1, "tau": c.tau} for c in configs],

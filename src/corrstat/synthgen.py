@@ -50,7 +50,6 @@ class TrueCorrelation:
     """Population correlation matrix a generator treats as exact truth."""
 
     entries: np.ndarray
-    source: str
     repaired: bool = False
 
     def __post_init__(self):
@@ -98,24 +97,15 @@ class GeneratorSpec:
             )
 
 
-def _failing_pivot(c: np.ndarray) -> int:
-    """Order of the smallest non-PD leading minor, found by bisection."""
-    n = c.shape[0]
-    lo, hi = 1, n  # invariant: leading minor of order hi fails
-    while lo < hi:
-        mid = (lo + hi) // 2
-        try:
-            np.linalg.cholesky(c[:mid, :mid])
-            lo = mid + 1
-        except np.linalg.LinAlgError:
-            hi = mid
-    return lo - 1  # zero-based pivot index
+def asymmetry(mat: np.ndarray) -> tuple[float, float]:
+    """max |mat - mat.T|, and the bound 1e-12 max(1, max |entry|) it may not exceed."""
+    return float(np.abs(mat - mat.T).max()), 1e-12 * max(1.0, float(np.abs(mat).max()))
 
 
 def asymmetric(mat: np.ndarray) -> bool:
-    """True where mat and mat.T differ by more than 1e-12 max(1, max |entry|)."""
-    scale = max(1.0, float(np.abs(mat).max()))
-    return bool(np.abs(mat - mat.T).max() > 1e-12 * scale)
+    """True where asymmetry(mat) exceeds its bound."""
+    gap, bound = asymmetry(mat)
+    return gap > bound
 
 
 def cholesky(matrix) -> np.ndarray:
@@ -126,13 +116,11 @@ def cholesky(matrix) -> np.ndarray:
     if not mat.size:
         raise InvalidParameter("cholesky needs a matrix of at least 1 x 1")
     if asymmetric(mat):
-        raise NotPositiveDefinite("matrix is not symmetric", pivot=None)
+        raise NotPositiveDefinite("matrix is not symmetric")
     try:
         return np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
-        raise NotPositiveDefinite(
-            "matrix is not positive definite", pivot=_failing_pivot(mat)
-        ) from None
+        raise NotPositiveDefinite("matrix is not positive definite") from None
 
 
 def synthetic_tickers(n: int) -> tuple[str, ...]:
@@ -191,7 +179,7 @@ def sample_estimate_as_truth(panel) -> TrueCorrelation:
     """
     estimate = corr_matrix(panel).entries
     try:
-        return TrueCorrelation(estimate, source="sample-estimate")
+        return TrueCorrelation(estimate)
     except NotPositiveDefinite:
         pass
     eigvals, eigvecs = np.linalg.eigh(estimate)
@@ -200,7 +188,7 @@ def sample_estimate_as_truth(panel) -> TrueCorrelation:
     repaired = clipped / np.outer(d, d)
     repaired = 0.5 * (repaired + repaired.T)
     np.fill_diagonal(repaired, 1.0)
-    return TrueCorrelation(repaired, source="sample-estimate", repaired=True)
+    return TrueCorrelation(repaired, repaired=True)
 
 
 # --- correlation model builders used by fixtures and the command line ---
@@ -208,7 +196,7 @@ def sample_estimate_as_truth(panel) -> TrueCorrelation:
 
 def identity_correlation(n: int) -> TrueCorrelation:
     checked_int("N", n, 1)
-    return TrueCorrelation(np.eye(n), source="identity")
+    return TrueCorrelation(np.eye(n))
 
 
 def equicorr_correlation(n: int, rho: float) -> TrueCorrelation:
@@ -217,7 +205,7 @@ def equicorr_correlation(n: int, rho: float) -> TrueCorrelation:
     checked_real("rho", rho, lambda r: -1.0 / (n - 1) < r < 1.0, f"a number in (-1/{n - 1}, 1)")
     c = np.full((n, n), float(rho))
     np.fill_diagonal(c, 1.0)
-    return TrueCorrelation(c, source=f"model:equicorr({n},{rho})")
+    return TrueCorrelation(c)
 
 
 def one_factor_correlation(n: int, seed: int) -> TrueCorrelation:
@@ -226,4 +214,4 @@ def one_factor_correlation(n: int, seed: int) -> TrueCorrelation:
     beta = rng_for(seed, "one-factor-loadings").uniform(*_LOADING_RANGE, size=n)
     c = np.outer(beta, beta)
     np.fill_diagonal(c, 1.0)
-    return TrueCorrelation(c, source=f"model:one-factor({n},seed={seed})")
+    return TrueCorrelation(c)

@@ -32,7 +32,7 @@ ENTRY_POINTS = [
     ("returns", 2, [[1.0, 2.0, 4.0], [3.0, 1.0, 2.0]],
      lambda v: dataio.ReturnPanel(("A", "B"), ("0", "1", "2"), v)),
     ("entries", 2, SQUARE, lambda v: dataio.CovarianceMatrix(("A", "B"), v)),
-    ("entries", 2, [[1.0, 0.0], [0.0, 1.0]], lambda v: synthgen.TrueCorrelation(v, "test")),
+    ("entries", 2, [[1.0, 0.0], [0.0, 1.0]], lambda v: synthgen.TrueCorrelation(v)),
     ("w", 1, [2.0, -1.0], lambda v: portfolio.WeightVector(("A", "B"), v)),
     ("eigenvalues", 1, [1.0, 2.0], lambda v: spectral.EigenSystem(v, np.eye(2))),
     ("eigenvectors", 2, [[1.0, 0.0], [0.0, 1.0]],

@@ -348,7 +348,7 @@ def test_volatilities_header_only_on_the_first_line(tmp_path):
     rc, err, _ = _qscan_band(tmp_path, "S0,1.0\nticker,vol\nS1,2.0\nS2,1.5\nS3,0.5\n")
     assert rc == 2
     vols = tmp_path / "vols.csv"
-    assert err.splitlines() == [f"error: --volatilities: malformed line in {vols}"]
+    assert err.splitlines() == [f"error: --volatilities: {vols}: row 2: malformed line"]
 
 
 def test_volatilities_that_are_not_utf8_are_a_usage_error(tmp_path):
@@ -365,8 +365,8 @@ def test_volatilities_that_are_not_utf8_are_a_usage_error(tmp_path):
 def test_volatilities_repeated_ticker_is_a_usage_error(tmp_path):
     rc, err, _ = _qscan_band(tmp_path, VOLS + "S1,3.0\n")
     assert rc == 2
-    (line,) = err.splitlines()
-    assert line.startswith("error: --volatilities: duplicate ticker 'S1'"), line
+    vols = tmp_path / "vols.csv"
+    assert err.splitlines() == [f"error: --volatilities: {vols}: row 5: duplicate ticker 'S1'"]
 
 
 @pytest.mark.parametrize("spec", ["identity:0", "onefactor:0:1", "identity:-1", "onefactor:-2:1"])

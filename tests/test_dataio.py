@@ -74,9 +74,7 @@ def test_parse_error_cites_position(tmp_path):
     path = write(tmp_path / "bad.csv", "date,AAA\n2020-01-01,1.0\n2020-01-02,oops\n")
     with pytest.raises(ParseError) as err:
         dataio.load_price_panel(path)
-    assert err.value.row == 3
-    assert err.value.col == 2
-    assert "oops" in str(err.value)
+    assert str(err.value) == f"{path}: non-numeric cell at row 3, col 2: 'oops'"
 
 
 @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "1e400"])
@@ -86,12 +84,12 @@ def test_non_finite_cell_cites_position(tmp_path, cell):
     for kind in ("log", "simple", "returns"):
         with pytest.raises(ParseError) as err:
             dataio.load_price_panel(path, kind=kind)
-        assert (err.value.row, err.value.col) == (3, 3)
-        assert "non-finite" in str(err.value) and repr(cell) in str(err.value)
+        assert str(err.value) == f"{path}: non-finite cell at row 3, col 3: {cell!r}"
     path = write(tmp_path / "nodates.csv", f"AAA,BBB\n{cell},2.0\n1.0,nan\n")
     with pytest.raises(ParseError) as err:
         dataio.load_price_panel(path, kind="returns")
-    assert (err.value.row, err.value.col) == (2, 1)  # the first in file order
+    # the first in file order
+    assert str(err.value) == f"{path}: non-finite cell at row 2, col 1: {cell!r}"
 
 
 def test_cells_parse_as_float(tmp_path):
@@ -105,35 +103,25 @@ def test_cells_parse_as_float(tmp_path):
 
 
 def test_first_bad_row_in_file_order(tmp_path):
-    path = write(tmp_path / "a.csv", "A,B\n1,2\n1,x\n3\n")
-    with pytest.raises(ParseError) as err:
-        dataio.load_price_panel(path)
-    assert (err.value.row, err.value.col) == (3, 2)
-    path = write(tmp_path / "b.csv", "A,B\n1,2\n3\n1,x\n")
-    with pytest.raises(ParseError) as err:
-        dataio.load_price_panel(path)
-    assert (err.value.row, err.value.col) == (3, None)
-    # a non-finite cell is reported only when no row is short, long or non-numeric
-    path = write(tmp_path / "c.csv", "A,B\n1,nan\n1,2\n1,x\n")
-    with pytest.raises(ParseError, match="non-numeric") as err:
-        dataio.load_price_panel(path)
-    assert (err.value.row, err.value.col) == (4, 2)
-    path = write(tmp_path / "d.csv", "A,B\n1,inf\n1,2\n3,4\n5\n")
-    with pytest.raises(ParseError, match="has 1 cells") as err:
-        dataio.load_price_panel(path)
-    assert (err.value.row, err.value.col) == (5, None)
-    # blank lines are not rows
-    path = write(tmp_path / "e.csv", "A,B\n\n1,2\n\n\n1,x\n")
-    with pytest.raises(ParseError, match="row 3, col 2") as err:
-        dataio.load_price_panel(path)
-    assert (err.value.row, err.value.col) == (3, 2)
+    for name, text, message in (
+            ("a", "A,B\n1,2\n1,x\n3\n", "non-numeric cell at row 3, col 2: 'x'"),
+            ("b", "A,B\n1,2\n3\n1,x\n", "row 3 has 1 cells, expected 2"),
+            # a non-finite cell is reported only when no row is short, long or non-numeric
+            ("c", "A,B\n1,nan\n1,2\n1,x\n", "non-numeric cell at row 4, col 2: 'x'"),
+            ("d", "A,B\n1,inf\n1,2\n3,4\n5\n", "row 5 has 1 cells, expected 2"),
+            # blank lines are not rows
+            ("e", "A,B\n\n1,2\n\n\n1,x\n", "non-numeric cell at row 3, col 2: 'x'")):
+        path = write(tmp_path / f"{name}.csv", text)
+        with pytest.raises(ParseError) as err:
+            dataio.load_price_panel(path)
+        assert str(err.value) == f"{path}: {message}", name
 
 
 def test_parse_error_ragged_row(tmp_path):
     path = write(tmp_path / "bad.csv", "AAA,BBB\n1.0\n")
     with pytest.raises(ParseError) as err:
         dataio.load_price_panel(path)
-    assert err.value.row == 2
+    assert str(err.value) == f"{path}: row 2 has 1 cells, expected 2"
 
 
 def test_duplicate_ticker(tmp_path):
@@ -456,15 +444,15 @@ def test_reshuffle_preserves_values(seed):
 def test_load_volatilities_reads_one_header_then_ticker_value_records(tmp_path):
     path = write(tmp_path / "vols.csv", '\ufeffticker,vol\n"S0",1.0\n\n S1 ,nan\n')
     assert str(dataio.load_volatilities(path)) == "{'S0': 1.0, 'S1': nan}"
-    for text, row, message in (("S0,1.0\nticker,vol\n", 2, "malformed line in"),
-                               ("S0,1.0\nS1\n", 2, "malformed line in"),
-                               ("S0,1.0\nS1,2.0\nS0,3.0\n", 3, "duplicate ticker 'S0' in"),
+    for text, row, message in (("S0,1.0\nticker,vol\n", 2, "malformed line"),
+                               ("S0,1.0\nS1\n", 2, "malformed line"),
+                               ("S0,1.0\nS1,2.0\nS0,3.0\n", 3, "duplicate ticker 'S0'"),
                                # a header is one line of two cells: not three cells, nor
                                # a quote left open that swallows the rest of the file
-                               ("S0,1.0,2\nS1,2.0\n", 1, "malformed line in"),
-                               ('S0,"1.0\nS1,2.0\n', 1, "malformed line in")):
+                               ("S0,1.0,2\nS1,2.0\n", 1, "malformed line"),
+                               ('S0,"1.0\nS1,2.0\n', 1, "malformed line")):
         path = write(tmp_path / "vols.csv", text)
         with pytest.raises(ParseError) as info:
             dataio.load_volatilities(path)
-        assert (str(info.value), info.value.row) == (f"{message} {path}", row)
+        assert str(info.value) == f"{path}: row {row}: {message}"
 

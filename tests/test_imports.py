@@ -13,7 +13,7 @@ ScanReport built by the scans' one driver, every integer argument
 checked by errors.checked_int or the three checks that name a whole
 window or pair, every real argument checked by errors.checked_real or
 the pair check, every array cast to float64 by errors.checked_array,
-and every input file read in dataio.
+every input file read in dataio, and every error class free of fields.
 """
 import ast
 import os
@@ -225,6 +225,18 @@ def test_zero_variance_is_built_only_at_the_gate():
 # same params, controls and skip entries the same way.
 def test_scan_reports_are_built_only_by_the_scan_driver():
     assert _builders_of("ScanReport") == {("stationarity.py", "_scan")}
+
+
+# An error is its type and one message line: no error class stores a
+# field on self, so nothing can come to read one.
+def test_error_classes_set_no_attributes():
+    tree = ast.parse((SRC / "corrstat" / "errors.py").read_text(encoding="utf-8"))
+    setters = [f"{cls.name}:{node.lineno}"
+               for cls in tree.body if isinstance(cls, ast.ClassDef)
+               for node in ast.walk(cls)
+               if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+               and getattr(node.value, "id", None) == "self"]
+    assert not setters, setters
 
 
 # Where an integer type is tested: the one rule for every count, size,

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -128,7 +129,10 @@ def test_condition_gate_is_the_two_norm_condition():
     c = 0.5 * (c + c.T)
     with pytest.raises(NumericsError) as info:
         portfolio.min_variance_weights(abstract_cov(c))
-    assert abs(info.value.error_estimate / np.linalg.cond(c) - 1.0) < 1e-2
+    # the message prints the condition number to 4 digits
+    printed = re.fullmatch(r"covariance condition number (\S+) exceeds 1e\+12", str(info.value))
+    cond = float(printed[1])
+    assert abs(cond / np.linalg.cond(c) - 1.0) < 1e-2
     c = (q * np.logspace(0, -11, 6)) @ q.T
     portfolio.min_variance_weights(abstract_cov(0.5 * (c + c.T)))
 
@@ -144,12 +148,12 @@ def test_rank_deficient_covariance_never_gives_weights():
 
 
 def exact_gate_weights(c):
-    """The gates without the certificate: pivot report, eigvalsh condition, LU solve."""
+    """The gates without the certificate: Cholesky, eigvalsh condition, LU solve."""
     synthgen.cholesky(c)
     eig = np.linalg.eigvalsh(c)
     cond = float(eig[-1] / eig[0]) if eig[0] > 0.0 else math.inf
     if cond > 1e12:
-        raise NumericsError("ill-conditioned", error_estimate=cond)
+        raise NumericsError(f"covariance condition number {cond:.3e} exceeds 1e+12")
     x = np.linalg.solve(c, np.ones(c.shape[0]))
     return x / x.sum()
 
@@ -158,7 +162,7 @@ def gate_outcome(solve, c):
     try:
         return solve(c).tobytes()
     except (NotPositiveDefinite, NumericsError) as exc:
-        return type(exc), getattr(exc, "error_estimate", None), getattr(exc, "pivot", None)
+        return type(exc), str(exc)
 
 
 def test_certificate_agrees_with_the_exact_gates():
@@ -294,9 +298,8 @@ def test_q_series_names_a_ticker_constant_in_a_realized_window():
     returns = rng.normal(size=(3, 300))
     returns[1, 200:] = 0.5  # realized window of sample 2, no estimation window
     panel = make_panel(returns, tickers=["AA", "BB", "CC"])
-    with pytest.raises(ZeroVariance) as err:
+    with pytest.raises(ZeroVariance, match=r"^zero variance for 'BB' in window \(200, 300\)$"):
         portfolio.q_series(panel, 100, 100)
-    assert (err.value.ticker, err.value.window) == ("BB", (200, 300))
 
 
 def test_q_series_guards():
@@ -368,9 +371,8 @@ def test_mc_band_refuses_t1_up_to_n_before_drawing(monkeypatch, n, t1):
         raise AssertionError("a replica was drawn")
 
     monkeypatch.setattr(synthgen, "gaussian_returns", refuse)
-    with pytest.raises(IllPosed) as info:
+    with pytest.raises(IllPosed, match=rf", got N={n}, T={t1}$"):
         portfolio.mc_band(n, t1, 30, 30, synthgen.identity_correlation(n), seed=0)
-    assert (info.value.n_assets, info.value.n_obs) == (n, t1)
 
 
 @pytest.mark.parametrize("volatilities, got", [

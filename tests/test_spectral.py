@@ -72,8 +72,8 @@ def test_eig_symmetry_bound_scales_with_the_entries():
     c[1, 0] += 1e-9
     assert np.array_equal(spectral.eig_sym(c).eigenvalues,
                           np.linalg.eigh(0.5 * (c + c.T))[0])
-    c[1, 0] += 1e-7
-    with pytest.raises(NotSymmetric, match=r"^asymmetry 1\.0[0-9]{2}e-07 exceeds 1e-12$"):
+    c[1, 0] += 1e-7  # the message names the bound applied, 1e-12 max |entry| = 2e-8
+    with pytest.raises(NotSymmetric, match=r"^asymmetry 1\.0[0-9]{2}e-07 exceeds 2\.000e-08$"):
         spectral.eig_sym(c)
 
 
@@ -206,6 +206,9 @@ def test_pca_guarantees():
     comps = spectral.pca_decompose(panel, eig)
     assert comps.indices == (0, 1, 2, 3, 4)
     e = comps.series
+    for row, k in zip(e, comps.indices):  # the one-component formula
+        direct = (eig.eigenvectors[:, k] @ panel.returns) / np.sqrt(eig.eigenvalues[k])
+        assert np.abs(row - direct).max() < 1e-12
     cov = (e @ e.T) / e.shape[1] - np.outer(e.mean(axis=1), e.mean(axis=1))
     assert np.abs(cov - np.eye(5)).max() < 1e-8
     recon = (eig.eigenvectors * np.sqrt(eig.eigenvalues)) @ e
