@@ -62,11 +62,8 @@ def main():
     parser.add_argument("--band-sigmas", type=float, default=5.0)
     args = parser.parse_args()
 
-    stationary = synthgen.sample_panel(synthgen.GeneratorSpec(
-        family=synthgen.FAMILY_GAUSSIAN, n_series=args.n_series,
-        n_steps=args.n_steps, seed=args.seed,
-        correlation=synthgen.equicorr_correlation(args.n_series, args.rho_before),
-    ))
+    truth = synthgen.equicorr_correlation(args.n_series, args.rho_before)
+    stationary = synthgen.sample_panel(truth, args.n_steps, args.seed, synthgen.FAMILY_GAUSSIAN)
     switching = switching_panel(args.n_series, args.n_steps,
                                 args.rho_before, args.rho_after, args.seed)
 

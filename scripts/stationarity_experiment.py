@@ -17,14 +17,10 @@ from corrstat import dataio, stationarity, synthgen
 def switching_panel(n_series, n_steps, rho_before, rho_after, seed):
     """Equicorrelated Gaussian panel whose correlation jumps at T/2."""
     half = n_steps // 2
-    first = synthgen.sample_panel(synthgen.GeneratorSpec(
-        family=synthgen.FAMILY_GAUSSIAN, n_series=n_series, n_steps=half,
-        seed=seed, correlation=synthgen.equicorr_correlation(n_series, rho_before),
-    ))
-    second = synthgen.sample_panel(synthgen.GeneratorSpec(
-        family=synthgen.FAMILY_GAUSSIAN, n_series=n_series, n_steps=n_steps - half,
-        seed=seed, correlation=synthgen.equicorr_correlation(n_series, rho_after),
-    ), replica=1)
+    first = synthgen.sample_panel(synthgen.equicorr_correlation(n_series, rho_before),
+                                  half, seed, synthgen.FAMILY_GAUSSIAN)
+    second = synthgen.sample_panel(synthgen.equicorr_correlation(n_series, rho_after),
+                                   n_steps - half, seed, synthgen.FAMILY_GAUSSIAN, replica=1)
     returns = np.concatenate([first.returns, second.returns], axis=1)
     times = tuple(str(t) for t in range(n_steps))
     return dataio.ReturnPanel(first.tickers, times, returns)
@@ -53,10 +49,7 @@ def main():
     args = parser.parse_args()
 
     truth = synthgen.equicorr_correlation(args.n_series, args.rho_before)
-    stationary = synthgen.sample_panel(synthgen.GeneratorSpec(
-        family=synthgen.FAMILY_GAUSSIAN, n_series=args.n_series,
-        n_steps=args.n_steps, seed=args.seed, correlation=truth,
-    ))
+    stationary = synthgen.sample_panel(truth, args.n_steps, args.seed, synthgen.FAMILY_GAUSSIAN)
     switching = switching_panel(args.n_series, args.n_steps,
                                 args.rho_before, args.rho_after, args.seed)
 

@@ -262,9 +262,7 @@ def cmd_simulate(args) -> int:
     _require(truth.n_series * args.T <= _INT_CAP,
              f"--T: a panel of {truth.n_series} series x {args.T} steps exceeds 2**53 cells")
     family, nu = _split_family(args.family)
-    spec = synthgen.GeneratorSpec(family=family, n_series=truth.n_series, n_steps=args.T,
-                                  seed=args.seed, correlation=truth, nu=nu)
-    panel = synthgen.sample_panel(spec, replica=args.replica)
+    panel = synthgen.sample_panel(truth, args.T, args.seed, family, nu, replica=args.replica)
     dataio.save_panel_csv(panel, args.out)
     _echo_config(_report("simulate", args, {}))
     return EXIT_OK
@@ -351,10 +349,7 @@ def cmd_spectral(args) -> int:
 def _fixture(args, family: str, nu=None):
     """The recipes' stationary panel: a one-factor truth at the recipe's sizes and seeds."""
     truth = synthgen.one_factor_correlation(args.n_series, seed=args.truth_seed)
-    return synthgen.sample_panel(synthgen.GeneratorSpec(
-        family=family, n_series=args.n_series, n_steps=args.n_steps,
-        seed=args.panel_seed, correlation=truth, nu=nu,
-    ))
+    return synthgen.sample_panel(truth, args.n_steps, args.panel_seed, family, nu)
 
 
 def _recipe_table1(args) -> int:

@@ -216,7 +216,8 @@ def mc_band(n_series: int, t1: int, t2: int, replicas: int,
             volatilities=None) -> MCBand:
     """MC mean and sd of q on stationary Gaussian panels from the truth.
 
-    Replica k draws an N x (t1 + t2) panel on substream k of the seed and
+    Replica k draws the panel of synthgen.sample_panel(truth, t1 + t2, seed,
+    "gaussian", replica=k), from one Cholesky factor for all replicas, and
     contributes q = sigma_R / sigma_E of weights fitted on its first t1
     steps and held over the next t2 (_sample_risks, as in q_series).
     t1 <= n_series raises IllPosed before any replica is drawn.
@@ -237,7 +238,8 @@ def mc_band(n_series: int, t1: int, t2: int, replicas: int,
     tickers = synthgen.synthetic_tickers(n_series)
     qs = np.empty(replicas)
     for replica in range(replicas):
-        returns = synthgen.gaussian_returns(lower, t1 + t2, seed, replica) * scale[:, None]
+        returns = synthgen.draw_returns(lower, t1 + t2, seed, synthgen.FAMILY_GAUSSIAN,
+                                        replica=replica) * scale[:, None]
         sigma_e, sigma_r = _sample_risks(returns, tickers, (0, t1), (t1, t1 + t2))
         qs[replica] = sigma_r / sigma_e
     return MCBand(float(qs.mean()), float(qs.std(ddof=1)))

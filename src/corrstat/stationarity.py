@@ -243,15 +243,9 @@ def _control_panels(panel, reshuffle_seed=None, mc_family=None, mc_nu=None, mc_s
         keep = np.flatnonzero(~centered_rows(panel.returns)[2])
         returns = panel.returns.copy()
         if keep.size:
-            spec = synthgen.GeneratorSpec(
-                family=mc_family,
-                n_series=keep.size,
-                n_steps=panel.n_steps,
-                seed=mc_seed,
-                correlation=synthgen.sample_estimate_as_truth(panel.select(keep)),
-                nu=mc_nu,
-            )
-            returns[keep] = synthgen.sample_panel(spec).returns
+            truth = synthgen.sample_estimate_as_truth(panel.select(keep))
+            returns[keep] = synthgen.sample_panel(truth, panel.n_steps, mc_seed,
+                                                  mc_family, mc_nu).returns
         controls["mc"] = ReturnPanel(panel.tickers, panel.times, returns)
     return controls
 

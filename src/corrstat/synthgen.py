@@ -75,28 +75,6 @@ class TrueCorrelation:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Family, size, seed and target correlation of one synthetic panel."""
-
-    family: str
-    n_series: int
-    n_steps: int
-    seed: int
-    correlation: TrueCorrelation
-    nu: float | None = None
-
-    def __post_init__(self):
-        checked_family(self.family, self.nu)
-        checked_int("n_series", self.n_series, 1)
-        checked_int("n_steps", self.n_steps, 1)
-        if self.correlation.n_series != self.n_series:
-            raise InvalidParameter(
-                f"correlation is {self.correlation.n_series}x"
-                f"{self.correlation.n_series}, spec says N={self.n_series}"
-            )
-
-
 def asymmetry(mat: np.ndarray) -> tuple[float, float]:
     """max |mat - mat.T|, and the bound 1e-12 max(1, max |entry|) it may not exceed."""
     return float(np.abs(mat - mat.T).max()), 1e-12 * max(1.0, float(np.abs(mat).max()))
@@ -130,44 +108,29 @@ def synthetic_tickers(n: int) -> tuple[str, ...]:
     return tuple(f"S{i:0{width}d}" for i in range(n))
 
 
-def _synthetic_panel(returns: np.ndarray) -> ReturnPanel:
-    n, t = returns.shape
-    times = tuple(str(k) for k in range(t))
-    return ReturnPanel(synthetic_tickers(n), times, returns)
+def draw_returns(lower: np.ndarray, n_steps: int, seed: int, family: str,
+                 nu: float | None = None, replica: int = 0) -> np.ndarray:
+    """N x n_steps i.i.d. columns lower @ z_t on substream (seed, "<family>-panel", replica).
+
+    Student-t scales step t by sqrt(nu / s_t), one chi^2_nu draw s_t per step.
+    sample_panel and mc_band both draw here, so their replica k is one stream.
+    """
+    rng = rng_for(seed, f"{family}-panel", replica)
+    returns = lower @ rng.standard_normal((lower.shape[0], n_steps))
+    if family == FAMILY_STUDENT_T:
+        returns *= np.sqrt(nu / rng.chisquare(nu, size=n_steps))[None, :]
+    return returns
 
 
-def gaussian_returns(lower: np.ndarray, n_steps: int, seed: int,
-                     replica: int = 0) -> np.ndarray:
-    """N x n_steps i.i.d. N(0, L L^T) columns, deterministic per (seed, replica)."""
+def sample_panel(truth: TrueCorrelation, n_steps: int, seed: int, family: str,
+                 nu: float | None = None, replica: int = 0) -> ReturnPanel:
+    """Panel of n_steps i.i.d. family columns with correlation truth, one
+    series per row of truth, deterministic per (seed, replica)."""
+    checked_family(family, nu)
     checked_int("n_steps", n_steps, 1)
-    rng = rng_for(seed, "gaussian-panel", replica)
-    return lower @ rng.standard_normal((lower.shape[0], n_steps))
-
-
-def sample_gaussian_panel(spec: GeneratorSpec, replica: int = 0) -> ReturnPanel:
-    """Panel with i.i.d. N(0, C) columns, deterministic per (seed, replica)."""
-    if spec.family != FAMILY_GAUSSIAN:
-        raise InvalidParameter(f"spec family is {spec.family!r}, not gaussian")
-    lower = cholesky(spec.correlation.entries)
-    return _synthetic_panel(gaussian_returns(lower, spec.n_steps, spec.seed, replica))
-
-
-def sample_student_t_panel(spec: GeneratorSpec, replica: int = 0) -> ReturnPanel:
-    """Panel with i.i.d. multivariate-t columns sharing correlation C."""
-    if spec.family != FAMILY_STUDENT_T:
-        raise InvalidParameter(f"spec family is {spec.family!r}, not student-t")
-    lower = cholesky(spec.correlation.entries)
-    rng = rng_for(spec.seed, "student-t-panel", replica)
-    z = lower @ rng.standard_normal((spec.n_series, spec.n_steps))
-    s = rng.chisquare(spec.nu, size=spec.n_steps)
-    return _synthetic_panel(z * np.sqrt(spec.nu / s)[None, :])
-
-
-def sample_panel(spec: GeneratorSpec, replica: int = 0) -> ReturnPanel:
-    """Dispatch on spec.family."""
-    if spec.family == FAMILY_GAUSSIAN:
-        return sample_gaussian_panel(spec, replica)
-    return sample_student_t_panel(spec, replica)
+    returns = draw_returns(cholesky(truth.entries), n_steps, seed, family, nu, replica)
+    times = tuple(str(k) for k in range(n_steps))
+    return ReturnPanel(synthetic_tickers(truth.n_series), times, returns)
 
 
 def sample_estimate_as_truth(panel) -> TrueCorrelation:

@@ -42,11 +42,7 @@ def make_panel(returns, tickers=None):
 def gaussian_panel(n_series, n_steps, seed, truth=None, replica=0):
     if truth is None:
         truth = synthgen.one_factor_correlation(n_series, seed=seed)
-    spec = synthgen.GeneratorSpec(
-        family=synthgen.FAMILY_GAUSSIAN, n_series=n_series, n_steps=n_steps,
-        seed=seed, correlation=truth,
-    )
-    return synthgen.sample_panel(spec, replica=replica)
+    return synthgen.sample_panel(truth, n_steps, seed, synthgen.FAMILY_GAUSSIAN, replica=replica)
 
 
 def traced_peak(fn):

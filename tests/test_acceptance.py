@@ -28,12 +28,10 @@ T_GRID = (25, 50, 150)
 def switch_panel(n, t, rho_lo, rho_hi, seed):
     """First half drawn at rho_lo, second half at rho_hi, same seed."""
     half = t // 2
-    lo = synthgen.GeneratorSpec(synthgen.FAMILY_GAUSSIAN, n, half, seed,
-                                synthgen.equicorr_correlation(n, rho_lo))
-    hi = synthgen.GeneratorSpec(synthgen.FAMILY_GAUSSIAN, n, t - half, seed,
-                                synthgen.equicorr_correlation(n, rho_hi))
-    first = synthgen.sample_gaussian_panel(lo, replica=0)
-    second = synthgen.sample_gaussian_panel(hi, replica=1)
+    first = synthgen.sample_panel(synthgen.equicorr_correlation(n, rho_lo), half, seed,
+                                  synthgen.FAMILY_GAUSSIAN, replica=0)
+    second = synthgen.sample_panel(synthgen.equicorr_correlation(n, rho_hi), t - half, seed,
+                                   synthgen.FAMILY_GAUSSIAN, replica=1)
     return make_panel(np.hstack([first.returns, second.returns]))
 
 
@@ -89,9 +87,7 @@ def test_criterion_2_gaussian_approximation_gap():
 def test_criterion_3_global_scan_calibration_and_power():
     start = time.time()
     truth = synthgen.one_factor_correlation(50, seed=7)
-    spec = synthgen.GeneratorSpec(synthgen.FAMILY_STUDENT_T, 50, 1750, 42,
-                                  truth, nu=3.0)
-    panel = synthgen.sample_student_t_panel(spec)
+    panel = synthgen.sample_panel(truth, 1750, 42, synthgen.FAMILY_STUDENT_T, nu=3.0)
     pairs = stationarity.all_pairs(50)[:100]
     report = stationarity.global_scan(panel, (25, 50, 100), (0.05,),
                                       pairs=pairs, threads=4)
@@ -118,8 +114,7 @@ def test_criterion_3_global_scan_calibration_and_power():
 
 def test_criterion_4_local_scan_calibration():
     truth = synthgen.one_factor_correlation(20, seed=11)
-    spec = synthgen.GeneratorSpec(synthgen.FAMILY_GAUSSIAN, 20, 1758, 42, truth)
-    panel = synthgen.sample_gaussian_panel(spec)
+    panel = synthgen.sample_panel(truth, 1758, 42, synthgen.FAMILY_GAUSSIAN)
     for t1, tau, count in ((200, 50, 32), (200, 100, 16), (250, 250, 7)):
         estimates = stationarity.cumulative_corr(panel, (0, 1), t1, tau)
         assert len(estimates) == count, (t1, tau)
@@ -162,8 +157,7 @@ def test_criterion_5_optimizer_against_brute_force():
 def test_criterion_6_q_ratio_and_mc_bands():
     start = time.time()
     truth = synthgen.one_factor_correlation(80, seed=3)
-    spec = synthgen.GeneratorSpec(synthgen.FAMILY_GAUSSIAN, 80, 1758, 42, truth)
-    panel = synthgen.sample_gaussian_panel(spec)
+    panel = synthgen.sample_panel(truth, 1758, 42, synthgen.FAMILY_GAUSSIAN)
 
     cov = portfolio.covariance_matrix(panel, (0, 150))
     w = portfolio.min_variance_weights(cov)

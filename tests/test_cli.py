@@ -835,8 +835,8 @@ _DELTA = spectral.SpectralDelta(0.5, -0.2, -0.2)
 
 
 def _student_t(nu):
-    return synthgen.GeneratorSpec(family=synthgen.FAMILY_STUDENT_T, n_series=1, n_steps=1,
-                                  seed=0, correlation=synthgen.identity_correlation(1), nu=nu)
+    return synthgen.sample_panel(synthgen.identity_correlation(1), 1, 0,
+                                 synthgen.FAMILY_STUDENT_T, nu)
 
 
 # Each real-valued flag: (its text for one value, the library entry point

@@ -221,6 +221,14 @@ def test_zero_variance_is_built_only_at_the_gate():
     assert _builders_of("ZeroVariance") == ZERO_VARIANCE_BUILDERS
 
 
+# Where panel variates are drawn: the one function that owns the substream
+# label, the L @ Z product and the Student-t scale, so a synthetic panel's
+# replica k and the MC band's replica k are one stream.
+def test_panel_variates_are_drawn_only_by_the_draw_function():
+    draws = _builders_of("standard_normal") | _builders_of("chisquare")
+    assert draws == {("synthgen.py", "draw_returns")}
+
+
 # Both scans' reports come from their one driver, so the two report the
 # same params, controls and skip entries the same way.
 def test_scan_reports_are_built_only_by_the_scan_driver():

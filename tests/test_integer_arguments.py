@@ -23,12 +23,6 @@ CORR = corrdist.corr_matrix(gaussian_panel(6, 100, seed=1))
 ESTIMATES = [(10, 0.0), (20, 0.5), (30, 0.55)]
 
 
-def _spec(**changes):
-    spec = dict(family=synthgen.FAMILY_GAUSSIAN, n_series=3, n_steps=50, seed=0,
-                correlation=TRUTH)
-    return synthgen.GeneratorSpec(**{**spec, **changes})
-
-
 # (argument name the message starts with, least valid value, the entry
 # point called with the value in that argument's place)
 ENTRY_POINTS = [
@@ -61,9 +55,9 @@ ENTRY_POINTS = [
     ("N", 1, synthgen.identity_correlation),
     ("N", 2, lambda v: synthgen.equicorr_correlation(v, 0.3)),
     ("N", 1, lambda v: synthgen.one_factor_correlation(v, 0)),
-    ("n_series", 1, lambda v: _spec(n_series=v)),
-    ("n_steps", 1, lambda v: _spec(n_steps=v)),
-    ("n_steps", 1, lambda v: synthgen.gaussian_returns(np.eye(2), v, 0)),
+    ("n_steps", 1, lambda v: synthgen.sample_panel(TRUTH, v, 0, synthgen.FAMILY_GAUSSIAN)),
+    ("n_steps", 1, lambda v: synthgen.sample_panel(TRUTH, v, 0, synthgen.FAMILY_STUDENT_T, 4.0)),
+    ("seed", 0, lambda v: synthgen.sample_panel(TRUTH, 50, v, synthgen.FAMILY_GAUSSIAN)),
     ("N", 1, synthgen.synthetic_tickers),
 ]
 
@@ -98,17 +92,17 @@ def test_numpy_integers_give_the_python_int_results():
                         (synthgen.equicorr_correlation, (0.3,)),
                         (synthgen.one_factor_correlation, (5,))):
         assert np.array_equal(build(i32(3), *args).entries, build(3, *args).entries)
-    assert np.array_equal(
-        synthgen.sample_panel(_spec(n_series=i64(3), n_steps=i32(50), seed=i64(2))).returns,
-        synthgen.sample_panel(_spec(seed=2)).returns)
+    numpy_ints = synthgen.sample_panel(TRUTH, i32(50), i64(2), synthgen.FAMILY_GAUSSIAN,
+                                       replica=i32(1))
+    ints = synthgen.sample_panel(TRUTH, 50, 2, synthgen.FAMILY_GAUSSIAN, replica=1)
+    assert numpy_ints.times == ints.times
+    assert np.array_equal(numpy_ints.returns, ints.returns)
     assert np.array_equal(stationarity.all_pairs(i64(4)), stationarity.all_pairs(4))
     assert stationarity.ks_pvalue(0.1, i32(70)) == stationarity.ks_pvalue(0.1, 70)
     assert (corrdist.rho_cdf(0.2, corrdist.CorrParams(0.3, i64(50)))
             == corrdist.rho_cdf(0.2, corrdist.CorrParams(0.3, 50)))
     assert dataio.window_slices(i64(300), i32(100)) == dataio.window_slices(300, 100)
     assert synthgen.synthetic_tickers(i32(12)) == synthgen.synthetic_tickers(12)
-    assert np.array_equal(synthgen.gaussian_returns(np.eye(2), i64(5), i32(1), i64(2)),
-                          synthgen.gaussian_returns(np.eye(2), 5, 1, 2))
     assert parallel.resolve_threads(i64(2)) == 2
     assert (stationarity.global_scan(PANEL, (i64(25),), reshuffle_seed=i32(1),
                                      threads=i64(2)).cells

@@ -322,10 +322,9 @@ def test_mc_band_same_seed_repeats():
 def test_mc_band_matches_per_replica_panels(volatilities):
     # reference: each replica as a sampled panel through q_series
     truth = synthgen.one_factor_correlation(4, seed=5)
-    spec = synthgen.GeneratorSpec(synthgen.FAMILY_GAUSSIAN, 4, 50, 6, truth)
     qs = []
     for replica in range(30):
-        panel = synthgen.sample_gaussian_panel(spec, replica=replica)
+        panel = synthgen.sample_panel(truth, 50, 6, synthgen.FAMILY_GAUSSIAN, replica=replica)
         if volatilities is not None:
             panel = make_panel(panel.returns * np.asarray(volatilities)[:, None])
         (sample,) = portfolio.q_series(panel, 20, 30, chained=False)
@@ -370,7 +369,7 @@ def test_mc_band_refuses_t1_up_to_n_before_drawing(monkeypatch, n, t1):
     def refuse(*args, **kwargs):
         raise AssertionError("a replica was drawn")
 
-    monkeypatch.setattr(synthgen, "gaussian_returns", refuse)
+    monkeypatch.setattr(synthgen, "draw_returns", refuse)
     with pytest.raises(IllPosed, match=rf", got N={n}, T={t1}$"):
         portfolio.mc_band(n, t1, 30, 30, synthgen.identity_correlation(n), seed=0)
 

@@ -22,9 +22,8 @@ DELTA = spectral.SpectralDelta(0.5, -0.2, -0.2)
 STUDENT_T = synthgen.FAMILY_STUDENT_T
 
 
-def _spec(nu):
-    return synthgen.GeneratorSpec(family=STUDENT_T, n_series=3, n_steps=50, seed=0,
-                                  correlation=TRUTH, nu=nu)
+def _student_t(nu):
+    return synthgen.sample_panel(TRUTH, 50, 0, STUDENT_T, nu)
 
 
 # (argument name the message starts with, its bound, a value outside the
@@ -33,7 +32,7 @@ ENTRY_POINTS = [
     ("rho_bar", corrdist.RHO_BAR_RULE[1], 1.0, lambda v: corrdist.CorrParams(v, 50)),
     ("alpha", "a number in (0, 1)", 1.5,
      lambda v: stationarity.global_scan(PANEL, (25,), (0.05, v))),
-    ("nu", synthgen.NU_RULE[1], 2.5, _spec),
+    ("nu", synthgen.NU_RULE[1], 2.5, _student_t),
     ("nu", synthgen.NU_RULE[1], math.inf,
      lambda v: stationarity.global_scan(PANEL, (25,), mc_family=STUDENT_T, mc_nu=v)),
     ("n_sigma", "a finite positive number", 0.0,
@@ -74,8 +73,7 @@ def test_numpy_floats_give_the_python_float_results():
             == corrdist.rho_cdf(0.2, corrdist.CorrParams(0.3, 50)))
     assert (stationarity.global_scan(PANEL, (25,), (f64(0.05), np.float32(0.5))).cells
             == stationarity.global_scan(PANEL, (25,), (0.05, 0.5)).cells)
-    assert np.array_equal(synthgen.sample_panel(_spec(f64(4.0))).returns,
-                          synthgen.sample_panel(_spec(4.0)).returns)
+    assert np.array_equal(_student_t(f64(4.0)).returns, _student_t(4.0).returns)
     assert np.array_equal(synthgen.equicorr_correlation(3, f64(0.2)).entries,
                           synthgen.equicorr_correlation(3, 0.2).entries)
     assert stationarity.ks_pvalue(f64(0.3), 10) == stationarity.ks_pvalue(0.3, 10)

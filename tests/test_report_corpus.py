@@ -1,14 +1,15 @@
 """Reports compared byte for byte with a committed corpus.
 
 Each case writes a small panel with plain numpy from a fixed seed, runs
-one subcommand on it through the CLI and compares stdout with the bytes
-in tests/data/reports/.  Floats are written as %.17g, so another numpy or
-scipy build may move last bits: when the versions recorded with the
-corpus differ from the running ones, the reports are compared to 1e-9
-relative instead, with a warning that says so.  `pytest --regen-reports`
-rewrites the corpus and the versions from the running tree.  The
-reproduce recipes (test_cli.py) and the scripts (test_scripts.py) compare
-their stdout with the same corpus through conftest.compare_report.
+one subcommand on it through the CLI and compares stdout, or the --out
+file where one is named, with the bytes in tests/data/reports/.  Floats
+are written as %.17g, so another numpy or scipy build may move last
+bits: when the versions recorded with the corpus differ from the running
+ones, the reports are compared to 1e-9 relative instead, with a warning
+that says so.  `pytest --regen-reports` rewrites the corpus and the
+versions from the running tree.  The reproduce recipes (test_cli.py) and
+the scripts (test_scripts.py) compare their stdout with the same corpus
+through conftest.compare_report.
 """
 from pathlib import Path
 
@@ -45,6 +46,13 @@ REPORTS = [
     ("global-scan_window-flat.json", "window-flat",
      ["global-scan", "--input", "window-flat.csv", "--window", "20,40,70"]),
     ("reproduce_fig1.csv", None, ["reproduce", "fig1"]),
+    # simulate's report is the --out panel; N = 20 keeps the bytes off the BLAS thread count
+    ("simulate_gaussian.csv", None,
+     ["simulate", "--family", "gaussian", "--corr", "onefactor:20:5", "--T", "40",
+      "--out", "panel.csv"]),
+    ("simulate_student-t.csv", None,
+     ["simulate", "--family", "student-t:4", "--corr", "equicorr:20:0.3", "--T", "40",
+      "--replica", "2", "--out", "panel.csv"]),
 ]
 
 
@@ -86,4 +94,7 @@ def test_report_bytes(name, panel, argv, tmp_path, monkeypatch, capsys, request)
     vols = "".join(f"S{i},{0.5 + 0.25 * i}\n" for i in range(6))
     Path("vols.csv").write_text("ticker,vol\n" + vols, encoding="utf-8")  # qscan's --volatilities
     assert cli.main(argv) == 0
-    compare_report(capsys.readouterr().out.encode("utf-8"), name, request)
+    got = capsys.readouterr().out.encode("utf-8")
+    if "--out" in argv:
+        got = Path(argv[argv.index("--out") + 1]).read_bytes()
+    compare_report(got, name, request)

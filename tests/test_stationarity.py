@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import json
 import math
@@ -852,14 +851,11 @@ def _both_scans(panel):
 @pytest.fixture(scope="module")
 def regime_scans():
     """An 8 x 400 Student-t panel whose correlation changes halfway, S5 constant, and its scans."""
-    spec = synthgen.GeneratorSpec(
-        family=synthgen.FAMILY_STUDENT_T, n_series=8, n_steps=400, seed=3,
-        correlation=synthgen.one_factor_correlation(8, seed=3), nu=5.0,
-    )
-    after = dataclasses.replace(spec, seed=4,
-                                correlation=synthgen.equicorr_correlation(8, -0.1))
-    returns = np.concatenate([synthgen.sample_panel(spec).returns[:, :200],
-                              synthgen.sample_panel(after).returns[:, 200:]], axis=1)
+    before = synthgen.sample_panel(synthgen.one_factor_correlation(8, seed=3), 400, 3,
+                                   synthgen.FAMILY_STUDENT_T, nu=5.0)
+    after = synthgen.sample_panel(synthgen.equicorr_correlation(8, -0.1), 400, 4,
+                                  synthgen.FAMILY_STUDENT_T, nu=5.0)
+    returns = np.concatenate([before.returns[:, :200], after.returns[:, 200:]], axis=1)
     returns[5] = 0.25
     panel = make_panel(returns)
     return panel, _both_scans(panel)

@@ -5,13 +5,9 @@ from hypothesis import strategies as st
 
 from corrstat import corrdist, rngutil, synthgen
 from corrstat.errors import InvalidParameter, NotPositiveDefinite
-from corrstat.synthgen import GeneratorSpec, TrueCorrelation
+from corrstat.synthgen import FAMILY_GAUSSIAN, FAMILY_STUDENT_T, TrueCorrelation, sample_panel
 
 from conftest import gaussian_panel, make_panel
-
-
-def spec_for(truth, family=synthgen.FAMILY_GAUSSIAN, n_steps=500, seed=42, nu=None):
-    return GeneratorSpec(family, truth.n_series, n_steps, seed, truth, nu=nu)
 
 
 def test_true_correlation_validation():
@@ -55,10 +51,9 @@ def test_negative_substream_index_is_invalid():
     with pytest.raises(InvalidParameter, match="substream index"):
         rngutil.rng_for(1, "x", -1)
     truth = synthgen.identity_correlation(2)
-    for spec in (spec_for(truth),
-                 spec_for(truth, family=synthgen.FAMILY_STUDENT_T, nu=4.0)):
+    for family, nu in ((FAMILY_GAUSSIAN, None), (FAMILY_STUDENT_T, 4.0)):
         with pytest.raises(InvalidParameter, match="substream index"):
-            synthgen.sample_panel(spec, replica=-2)
+            sample_panel(truth, 500, 42, family, nu, replica=-2)
 
 
 def test_true_correlation_immutable():
@@ -67,34 +62,32 @@ def test_true_correlation_immutable():
         truth.entries[0, 1] = 0.5
 
 
-def test_generator_spec_validation():
+def test_sample_panel_validation():
     truth = synthgen.identity_correlation(3)
+    with pytest.raises(InvalidParameter, match="^unknown family 'cauchy'$"):
+        sample_panel(truth, 100, 0, "cauchy")
     with pytest.raises(InvalidParameter):
-        GeneratorSpec("cauchy", 3, 100, 0, truth)
+        sample_panel(truth, 100, 0, FAMILY_STUDENT_T)
     with pytest.raises(InvalidParameter):
-        GeneratorSpec(synthgen.FAMILY_STUDENT_T, 3, 100, 0, truth)
-    with pytest.raises(InvalidParameter):
-        GeneratorSpec(synthgen.FAMILY_STUDENT_T, 3, 100, 0, truth, nu=2.0)
+        sample_panel(truth, 100, 0, FAMILY_STUDENT_T, nu=2.0)
     for nu in (float("inf"), float("nan")):
         with pytest.raises(InvalidParameter):
-            GeneratorSpec(synthgen.FAMILY_STUDENT_T, 3, 100, 0, truth, nu=nu)
+            sample_panel(truth, 100, 0, FAMILY_STUDENT_T, nu=nu)
     for nu in (5.0, float("nan")):  # a nu the Gaussian family would never use
         with pytest.raises(InvalidParameter, match="nu must be None unless family is "
                                                    "'student-t', got"):
-            GeneratorSpec(synthgen.FAMILY_GAUSSIAN, 3, 100, 0, truth, nu=nu)
-    with pytest.raises(InvalidParameter):
-        GeneratorSpec(synthgen.FAMILY_GAUSSIAN, 3, 0, 0, truth)
-    with pytest.raises(InvalidParameter):
-        GeneratorSpec(synthgen.FAMILY_GAUSSIAN, 4, 100, 0, truth)
+            sample_panel(truth, 100, 0, FAMILY_GAUSSIAN, nu=nu)
+    for family, nu in ((FAMILY_GAUSSIAN, None), (FAMILY_STUDENT_T, 4.0)):
+        with pytest.raises(InvalidParameter, match="^n_steps must be"):
+            sample_panel(truth, 0, 0, family, nu)
 
 
 def test_student_t_sampling_nu_floor():
     # nu in (2, 3) is a legal variance target but the generator refuses it
     truth = synthgen.identity_correlation(2)
     with pytest.raises(InvalidParameter):
-        spec_for(truth, family=synthgen.FAMILY_STUDENT_T, nu=2.5)
-    spec = spec_for(truth, family=synthgen.FAMILY_STUDENT_T, nu=synthgen.MIN_NU)
-    assert synthgen.sample_student_t_panel(spec).n_series == 2
+        sample_panel(truth, 500, 42, FAMILY_STUDENT_T, nu=2.5)
+    assert sample_panel(truth, 500, 42, FAMILY_STUDENT_T, nu=synthgen.MIN_NU).n_series == 2
 
 
 def test_cholesky_matches_numpy():
@@ -125,20 +118,18 @@ def test_cholesky_failure_names_the_fault():
 
 def test_gaussian_panel_deterministic():
     truth = synthgen.equicorr_correlation(4, 0.3)
-    spec = spec_for(truth, seed=7)
-    first = synthgen.sample_gaussian_panel(spec)
-    again = synthgen.sample_gaussian_panel(spec, replica=0)
+    first = sample_panel(truth, 500, 7, FAMILY_GAUSSIAN)
+    again = sample_panel(truth, 500, 7, FAMILY_GAUSSIAN, replica=0)
     assert np.array_equal(first.returns, again.returns)
-    other_replica = synthgen.sample_gaussian_panel(spec, replica=1)
+    other_replica = sample_panel(truth, 500, 7, FAMILY_GAUSSIAN, replica=1)
     assert not np.array_equal(first.returns, other_replica.returns)
-    other_seed = synthgen.sample_gaussian_panel(spec_for(truth, seed=8))
+    other_seed = sample_panel(truth, 500, 8, FAMILY_GAUSSIAN)
     assert not np.array_equal(first.returns, other_seed.returns)
 
 
 def test_gaussian_panel_hits_target_correlation():
     truth = synthgen.equicorr_correlation(3, 0.5)
-    spec = spec_for(truth, n_steps=200000, seed=1)
-    panel = synthgen.sample_gaussian_panel(spec)
+    panel = sample_panel(truth, 200000, 1, FAMILY_GAUSSIAN)
     estimate = corrdist.corr_matrix(panel).entries
     assert np.abs(estimate - truth.entries).max() < 0.01
 
@@ -147,9 +138,7 @@ def test_student_t_panel_common_scale():
     # one chi-square scale per time step couples magnitudes across
     # series even under an identity correlation target
     truth = synthgen.identity_correlation(2)
-    spec = spec_for(truth, family=synthgen.FAMILY_STUDENT_T,
-                    n_steps=20000, seed=5, nu=3.0)
-    panel = synthgen.sample_student_t_panel(spec)
+    panel = sample_panel(truth, 20000, 5, FAMILY_STUDENT_T, nu=3.0)
     x, y = panel.returns
     mag_corr = np.corrcoef(np.abs(x), np.abs(y))[0, 1]
     assert mag_corr > 0.1
@@ -158,17 +147,25 @@ def test_student_t_panel_common_scale():
     assert 1.5 < float(np.var(x)) < 6.0  # nu/(nu-2) = 3 up to heavy tails
 
 
-def test_sample_panel_dispatch():
+def test_sample_panel_families():
+    # N comes from the truth; each family draws on its own named substream,
+    # so under the identity truth the panel is the substream's z (times the
+    # Student-t scale)
     truth = synthgen.identity_correlation(2)
-    g = synthgen.sample_panel(spec_for(truth, n_steps=50))
-    t = synthgen.sample_panel(spec_for(truth, family=synthgen.FAMILY_STUDENT_T,
-                                       n_steps=50, nu=3.0))
-    assert g.returns.shape == t.returns.shape == (2, 50)
+    g = sample_panel(truth, 50, 42, FAMILY_GAUSSIAN)
+    t = sample_panel(truth, 50, 42, FAMILY_STUDENT_T, nu=3.0)
+    assert g.tickers == t.tickers == ("S0", "S1")
+    assert g.times == t.times == tuple(str(k) for k in range(50))
+    z = rngutil.rng_for(42, "gaussian-panel", 0).standard_normal((2, 50))
+    assert np.array_equal(g.returns, z)
+    rng = rngutil.rng_for(42, "student-t-panel", 0)
+    z = rng.standard_normal((2, 50))
+    assert np.array_equal(t.returns, z * np.sqrt(3.0 / rng.chisquare(3.0, size=50)))
 
 
 def test_estimate_as_truth_clean():
     truth = synthgen.equicorr_correlation(4, 0.4)
-    panel = synthgen.sample_gaussian_panel(spec_for(truth, n_steps=2000, seed=2))
+    panel = sample_panel(truth, 2000, 2, FAMILY_GAUSSIAN)
     promoted = synthgen.sample_estimate_as_truth(panel)
     assert promoted.repaired is False
     assert np.array_equal(promoted.entries,
@@ -219,9 +216,8 @@ def test_one_factor_structure():
 @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 5))
 def test_panel_reproducible(seed, replica):
     truth = synthgen.equicorr_correlation(3, 0.2)
-    spec = spec_for(truth, n_steps=20, seed=seed)
-    a = synthgen.sample_panel(spec, replica)
-    b = synthgen.sample_panel(spec, replica)
+    a = sample_panel(truth, 20, seed, FAMILY_GAUSSIAN, replica=replica)
+    b = sample_panel(truth, 20, seed, FAMILY_GAUSSIAN, replica=replica)
     assert np.array_equal(a.returns, b.returns)
     assert a.returns.shape == (3, 20)
 
@@ -229,7 +225,6 @@ def test_panel_reproducible(seed, replica):
 @given(st.integers(0, 2 ** 32 - 1))
 def test_replicas_distinct(seed):
     truth = synthgen.identity_correlation(2)
-    spec = spec_for(truth, n_steps=30, seed=seed)
-    a = synthgen.sample_panel(spec, replica=0)
-    b = synthgen.sample_panel(spec, replica=1)
+    a = sample_panel(truth, 30, seed, FAMILY_GAUSSIAN, replica=0)
+    b = sample_panel(truth, 30, seed, FAMILY_GAUSSIAN, replica=1)
     assert not np.array_equal(a.returns, b.returns)
