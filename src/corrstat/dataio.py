@@ -27,6 +27,7 @@ from .errors import (
     ZeroVariance,
     checked_array,
     checked_int,
+    checked_symmetric,
 )
 from .rngutil import rng_for
 
@@ -87,7 +88,8 @@ class CovarianceMatrix:
     """Population covariance over one column range; window None = abstract.
 
     A correlation matrix is the covariance of the window's standardized
-    rows, so corrdist.corr_matrix returns this type too.
+    rows, so corrdist.corr_matrix returns this type too.  The entries pass
+    errors.checked_symmetric: square, finite and symmetric by construction.
     """
 
     tickers: tuple[str, ...]
@@ -95,10 +97,11 @@ class CovarianceMatrix:
     window: tuple[int, int] | None = None
 
     def __post_init__(self):
-        freeze(self, entries=2)
+        (entries,) = freeze(self, entries=2)
         n = len(self.tickers)
-        if self.entries.shape != (n, n):
+        if entries.shape != (n, n):
             raise InvalidParameter("entries must be N x N matching tickers")
+        checked_symmetric("entries", entries)
 
     @property
     def n_series(self) -> int:
@@ -191,7 +194,7 @@ def _header(path, header):
     seen = set()
     for tick in tickers:
         if tick in seen:
-            raise DuplicateTicker(tick)
+            raise DuplicateTicker(f"duplicate ticker {tick!r}")
         seen.add(tick)
     return tickers, has_dates
 
@@ -360,7 +363,8 @@ def gated_rows(rows: np.ndarray, tickers, window=None):
     """
     centered, sd, bad = centered_rows(rows if window is None else rows[:, window[0]:window[1]])
     if bad.any():
-        raise ZeroVariance(tickers[np.argmax(bad)], window=window)
+        loc = "" if window is None else f" in window {window}"
+        raise ZeroVariance(f"zero variance for {tickers[np.argmax(bad)]!r}{loc}")
     return centered, sd
 
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit, and its integer, real and array rules.
+"""Exception types shared across the toolkit, and its integer, real, array and matrix rules.
 
 An error is its type and one message line; it carries no other fields.
 
@@ -16,6 +16,12 @@ with the dimensions asked for, comes back as a new float64 array;
 anything else, numeric strings, None, objects, complex numbers and
 ragged sequences included, raises InvalidParameter giving its type,
 dtype and shape.  Bounds on the values stay with each caller.
+checked_symmetric takes every covariance, correlation and other
+symmetric matrix: checked_array's 2-d array, refused with
+InvalidParameter unless square and at least 1 x 1, with DomainError at
+its first non-finite entry, and with NotSymmetric, the one error for an
+asymmetric matrix, where max |m - m.T| exceeds 1e-12 max(1, max |entry|).
+Finiteness is checked first, so the subtraction never meets an inf.
 """
 from numbers import Integral, Real
 
@@ -31,8 +37,7 @@ class ParseError(CorrstatError):
 
 
 class DuplicateTicker(CorrstatError):
-    def __init__(self, ticker):
-        super().__init__(f"duplicate ticker {ticker!r}")
+    pass
 
 
 class DomainError(CorrstatError):
@@ -40,9 +45,7 @@ class DomainError(CorrstatError):
 
 
 class ZeroVariance(CorrstatError):
-    def __init__(self, ticker, window=None):
-        loc = f" in window {window}" if window is not None else ""
-        super().__init__(f"zero variance for {ticker!r}{loc}")
+    pass
 
 
 class InsufficientData(CorrstatError):
@@ -70,11 +73,7 @@ class NotNormalized(CorrstatError):
 
 
 class IllPosed(CorrstatError):
-    def __init__(self, n_assets, n_obs):
-        super().__init__(
-            f"minimum-variance problem needs more observations than assets, "
-            f"got N={n_assets}, T={n_obs}"
-        )
+    pass
 
 
 class InvalidParameter(CorrstatError):
@@ -109,3 +108,20 @@ def checked_array(what, value, ndim=None):
         got = f"{type(value).__name__} of dtype {arr.dtype} and shape {arr.shape}"
     dims = "an array" if ndim is None else f"a {ndim}-d array"
     raise InvalidParameter(f"{what} must be {dims} of real numbers, got {got}")
+
+
+def checked_symmetric(what, value):
+    """checked_array(what, value, 2) when it is square, at least 1 x 1, finite and
+    symmetric within 1e-12 max(1, max |entry|), else the error naming what and the fault."""
+    mat = checked_array(what, value, 2)
+    if mat.shape[0] != mat.shape[1] or not mat.size:
+        raise InvalidParameter(f"{what} must be square and at least 1 x 1, got shape {mat.shape}")
+    scale = float(np.abs(mat).max())  # NaN or inf where an entry is
+    if not np.isfinite(scale):
+        i, j = np.argwhere(~np.isfinite(mat))[0]
+        raise DomainError(f"{what} has non-finite entry {mat[i, j]} at ({i}, {j})")
+    # mat - mat.T is exactly antisymmetric, so its max is its largest |entry|
+    gap, bound = float((mat - mat.T).max()), 1e-12 * max(1.0, scale)
+    if gap > bound:
+        raise NotSymmetric(f"{what} asymmetry {gap:.3e} exceeds {bound:.3e}")
+    return mat

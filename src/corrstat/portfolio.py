@@ -1,10 +1,11 @@
 """Minimum-variance portfolio machinery and the q-ratio experiment.
 
 Weights minimize w' C w under sum(w) = 1 (shorts allowed), solved from
-C x = 1 and normalized, never through an explicit inverse.  C is gated
-in this order: symmetry, a one-Cholesky certificate that it is positive
-definite and well conditioned, and only where that fails the exact
-Cholesky and eigvalsh gates, which raise the named errors.  The q ratio
+C x = 1 and normalized, never through an explicit inverse.  Symmetry
+and finiteness come with C, a CovarianceMatrix; the solve first tries a
+one-Cholesky certificate that it is positive definite and well
+conditioned, and only where that fails runs the exact Cholesky and
+eigvalsh gates, which raise the named errors.  The q ratio
 sigma_R / sigma_E compares realized risk (previous window's weights held
 over the next window) against the in-sample optimum; Monte Carlo bands
 of q under a stationary truth mark the non-optimality region, and
@@ -44,7 +45,7 @@ class WeightVector:
         if w.size != len(self.tickers):
             raise InvalidParameter("weights must be one per ticker")
         budget = float(w.sum())
-        if abs(budget - 1.0) > 1e-12 * max(1.0, float(np.abs(w).sum())):
+        if not abs(budget - 1.0) <= 1e-12 * max(1.0, float(np.abs(w).sum())) < math.inf:
             raise InvalidParameter(f"weights sum to {budget!r}, not 1")
 
 
@@ -84,20 +85,18 @@ def min_variance_weights(cov: CovarianceMatrix) -> WeightVector:
     Solves C x = 1 and normalizes, which is the closed form
     w_i = sum_j inv(C)_ij / sum_jk inv(C)_jk without forming the inverse.
 
-    Gates, in order: symmetry, the shifted-Cholesky certificate
-    (_certified), and only where it fails the exact gates, which raise
-    NotPositiveDefinite or NumericsError naming the 2-norm condition
-    number.
+    CovarianceMatrix makes C symmetric, finite and at least 1 x 1.  Gates,
+    in order: the shifted-Cholesky certificate (_certified), and only where
+    it fails the exact gates, which raise NotPositiveDefinite or
+    NumericsError naming the 2-norm condition number.
     """
     n = cov.n_series
-    if n < 1:
-        raise InvalidParameter("minimum-variance weights need at least one series")
     t_len = cov.window_len
     if t_len is not None and t_len <= n:
-        raise IllPosed(n, t_len)
+        raise IllPosed(f"minimum-variance problem needs more observations than assets, "
+                       f"got N={n}, T={t_len}")
     c = cov.entries
-    # np.linalg.cholesky reads only the lower triangle, so symmetry comes first
-    if synthgen.asymmetric(c) or not _certified(c):
+    if not _certified(c):
         synthgen.cholesky(c)  # the positive-definiteness gate
         # C is SPD here, so its 2-norm condition number is lambda_max / lambda_min;
         # a rounded lambda_min <= 0 means C is numerically singular.
@@ -227,7 +226,8 @@ def mc_band(n_series: int, t1: int, t2: int, replicas: int,
     checked_int("t2", t2, 2)
     checked_int("replicas", replicas, MIN_REPLICAS)
     if t1 <= n_series:
-        raise IllPosed(n_series, t1)
+        raise IllPosed(f"minimum-variance problem needs more observations than assets, "
+                       f"got N={n_series}, T={t1}")
     if truth.n_series != n_series:
         raise InvalidParameter("truth dimension does not match n_series")
     scale = (np.ones(n_series) if volatilities is None

@@ -2,8 +2,10 @@
 
 Philox is counter-based, so per-(seed, label, index) substreams are
 independent and reproducible regardless of execution order or thread count.
-String labels are hashed into stable integers so call sites read clearly;
-a seed or any other label must be a non-negative integer (checked_int).
+Each substream is named by one string label, hashed into a stable
+integer so call sites read clearly, and numbered by its integer indices;
+a seed or an index must be a non-negative integer (checked_int), so a
+string replica is refused rather than hashed into another stream.
 """
 from __future__ import annotations
 
@@ -14,14 +16,12 @@ import numpy as np
 from .errors import checked_int
 
 
-def _label_to_int(label) -> int:
-    if isinstance(label, str):
-        digest = hashlib.sha256(label.encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "big")
-    return int(checked_int("substream index", label, 0))
+def rng_for(seed: int, label: str, *indices) -> np.random.Generator:
+    """Generator on an independent substream keyed by (seed, label, *indices).
 
-
-def rng_for(seed: int, *stream) -> np.random.Generator:
-    """Generator on an independent substream keyed by (seed, *stream); seed >= 0."""
-    entropy = (int(checked_int("seed", seed, 0)),) + tuple(map(_label_to_int, stream))
+    The label is hashed; seed and each index must be integers >= 0.
+    """
+    digest = hashlib.sha256(label.encode("utf-8")).digest()
+    entropy = ((int(checked_int("seed", seed, 0)), int.from_bytes(digest[:8], "big"))
+               + tuple(int(checked_int("substream index", i, 0)) for i in indices))
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))

@@ -203,7 +203,8 @@ def _window_estimates(x, y, n_windows, names):
     bad = np.flatnonzero(bad_x | bad_y)
     if bad.size:
         k = int(bad[0])
-        raise ZeroVariance(names[0] if bad_x[k] else names[1], window=(k * t, (k + 1) * t))
+        raise ZeroVariance(f"zero variance for {names[0] if bad_x[k] else names[1]!r} "
+                           f"in window {(k * t, (k + 1) * t)}")
     return tuple(min(1.0, max(-1.0, float(a @ b) / t)) for a, b in zip(zx, zy))
 
 

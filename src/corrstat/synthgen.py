@@ -20,7 +20,8 @@ import numpy as np
 
 from .corrdist import corr_matrix
 from .dataio import ReturnPanel, freeze
-from .errors import InvalidParameter, NotPositiveDefinite, checked_array, checked_int, checked_real
+from .errors import (InvalidParameter, NotPositiveDefinite, checked_int, checked_real,
+                     checked_symmetric)
 from .rngutil import rng_for
 
 _MIN_EIGENVALUE = 1e-10
@@ -54,13 +55,7 @@ class TrueCorrelation:
 
     def __post_init__(self):
         (entries,) = freeze(self, entries=2)
-        n = entries.shape[0]
-        if entries.shape != (n, n):
-            raise InvalidParameter("correlation entries must be square")
-        if n < 1:
-            raise InvalidParameter("correlation entries must be at least 1 x 1")
-        if asymmetric(entries):
-            raise InvalidParameter("correlation entries must be symmetric")
+        checked_symmetric("correlation entries", entries)
         if np.abs(np.diag(entries) - 1.0).max() > 1e-10:
             raise InvalidParameter("correlation entries need a unit diagonal")
         smallest = float(np.linalg.eigvalsh(entries)[0])
@@ -75,26 +70,10 @@ class TrueCorrelation:
         return self.entries.shape[0]
 
 
-def asymmetry(mat: np.ndarray) -> tuple[float, float]:
-    """max |mat - mat.T|, and the bound 1e-12 max(1, max |entry|) it may not exceed."""
-    return float(np.abs(mat - mat.T).max()), 1e-12 * max(1.0, float(np.abs(mat).max()))
-
-
-def asymmetric(mat: np.ndarray) -> bool:
-    """True where asymmetry(mat) exceeds its bound."""
-    gap, bound = asymmetry(mat)
-    return gap > bound
-
-
 def cholesky(matrix) -> np.ndarray:
-    """Lower-triangular L with L @ L.T equal to the matrix."""
-    mat = checked_array("matrix", matrix, 2)
-    if mat.shape[0] != mat.shape[1]:
-        raise InvalidParameter("cholesky needs a square matrix")
-    if not mat.size:
-        raise InvalidParameter("cholesky needs a matrix of at least 1 x 1")
-    if asymmetric(mat):
-        raise NotPositiveDefinite("matrix is not symmetric")
+    """Lower-triangular L with L @ L.T equal to the matrix (checked_symmetric first,
+    as np.linalg.cholesky reads only the lower triangle)."""
+    mat = checked_symmetric("matrix", matrix)
     try:
         return np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:

@@ -132,11 +132,14 @@ NAMED = [
     (lambda: stationarity.ks_statistic([0.1, 0.2, 0.3, 0.4, 0.5], lambda s: s.astype(str)),
      "cdf values must be an array of real numbers, got ndarray of dtype <U32 and shape (5,)"),
     # empty arrays, which ended in numpy's errors and warnings
-    (lambda: spectral.eig_sym(np.zeros((0, 0))), "matrix must be at least 1 x 1"),
-    (lambda: spectral.spectral_snapshot(np.zeros((0, 0))), "matrix must be at least 1 x 1"),
-    (lambda: synthgen.cholesky(np.zeros((0, 0))), "cholesky needs a matrix of at least 1 x 1"),
-    (lambda: portfolio.min_variance_weights(dataio.CovarianceMatrix((), np.zeros((0, 0)))),
-     "minimum-variance weights need at least one series"),
+    (lambda: spectral.eig_sym(np.zeros((0, 0))),
+     "matrix must be square and at least 1 x 1, got shape (0, 0)"),
+    (lambda: spectral.spectral_snapshot(np.zeros((0, 0))),
+     "matrix must be square and at least 1 x 1, got shape (0, 0)"),
+    (lambda: synthgen.cholesky(np.zeros((0, 0))),
+     "matrix must be square and at least 1 x 1, got shape (0, 0)"),
+    (lambda: dataio.CovarianceMatrix((), np.zeros((0, 0))),
+     "entries must be square and at least 1 x 1, got shape (0, 0)"),
     (lambda: spectral.EigenSystem(np.zeros(0), np.zeros((0, 0))),
      "an eigensystem needs at least one eigenvalue"),
     (lambda: dataio.ReturnPanel(("A", "B"), (), np.zeros((2, 0))),

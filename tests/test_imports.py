@@ -9,17 +9,22 @@ scans run their pairs on the calling thread.  The AST checks at the end
 keep every import of the package, the scripts and the tests in use,
 every public name read by the program, every ZeroVariance built at
 the one zero-variance gate or the scans' per-pair paths, every
+NotSymmetric built by errors.checked_symmetric, every
 ScanReport built by the scans' one driver, every integer argument
 checked by errors.checked_int or the three checks that name a whole
 window or pair, every real argument checked by errors.checked_real or
 the pair check, every array cast to float64 by errors.checked_array,
-every input file read in dataio, and every error class free of fields.
+every input file read in dataio, and every error class free of fields,
+so that each survives pickling with its type and message.
 """
 import ast
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
+
+from corrstat import errors
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -221,6 +226,17 @@ def test_zero_variance_is_built_only_at_the_gate():
     assert _builders_of("ZeroVariance") == ZERO_VARIANCE_BUILDERS
 
 
+# Where a NotSymmetric is built: the one symmetric-matrix rule, so every
+# asymmetric matrix raises one error type with one bound, wherever it arrives.
+NOT_SYMMETRIC_BUILDERS = {
+    ("errors.py", "checked_symmetric"),
+}
+
+
+def test_not_symmetric_is_built_only_by_the_symmetric_rule():
+    assert _builders_of("NotSymmetric") == NOT_SYMMETRIC_BUILDERS
+
+
 # Where panel variates are drawn: the one function that owns the substream
 # label, the L @ Z product and the Student-t scale, so a synthetic panel's
 # replica k and the MC band's replica k are one stream.
@@ -245,6 +261,18 @@ def test_error_classes_set_no_attributes():
                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
                and getattr(node.value, "id", None) == "self"]
     assert not setters, setters
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_error_survives_pickling_with_its_type_and_message():
+    for cls in (errors.CorrstatError, *_subclasses(errors.CorrstatError)):
+        again = pickle.loads(pickle.dumps(cls("m")))
+        assert (type(again), str(again)) == (cls, "m")
 
 
 # Where an integer type is tested: the one rule for every count, size,

@@ -6,6 +6,8 @@ naming the argument; none of them truncates, hashes or passes such a
 value on to numpy.  Numpy integers are integers: they give exactly the
 results of the equal Python ints.
 """
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -39,11 +41,13 @@ ENTRY_POINTS = [
     ("n_obs", MIN_T, lambda v: corrdist.CorrParams(0.3, v)),
     ("threads", 1, parallel.resolve_threads),
     ("threads", 1, lambda v: stationarity.global_scan(PANEL, (25,), threads=v)),
-    ("seed", 0, rngutil.rng_for),
+    ("seed", 0, lambda v: rngutil.rng_for(v, "x")),
     ("seed", 0, lambda v: stationarity.local_scan(PANEL, [LocalTestConfig(50, 25)],
                                                   mc_family=synthgen.FAMILY_GAUSSIAN,
                                                   mc_seed=v)),
     ("substream index", 0, lambda v: rngutil.rng_for(1, "x", v)),
+    ("substream index", 0,
+     lambda v: synthgen.sample_panel(TRUTH, 50, 0, synthgen.FAMILY_GAUSSIAN, replica=v)),
     ("t1", 2, lambda v: portfolio.q_series(QPANEL, v, 20)),
     ("t2", 2, lambda v: portfolio.q_series(QPANEL, 20, v)),
     ("n_series", 1, lambda v: portfolio.mc_band(v, 20, 20, 30, TRUTH, 0)),
@@ -62,10 +66,8 @@ ENTRY_POINTS = [
 ]
 
 
-# a string substream label is hashed by design, so "3" is a valid label
 CASES = [(name, low, call, value) for name, low, call in ENTRY_POINTS
-         for value in (2.5, np.float64(50.0), "3", None, low - 1)
-         if not (name == "substream index" and value == "3")]
+         for value in (2.5, np.float64(50.0), "3", None, low - 1)]
 
 
 @pytest.mark.parametrize("name, low, call, value", CASES,
@@ -115,8 +117,9 @@ def test_numpy_integers_give_the_python_int_results():
             == stationarity.local_test(ESTIMATES, 1, SIGMA_PAPER, 10))
 
 
-@pytest.mark.parametrize("seed, stream", [(1.9, ()), (1, ("x", 1.5)), (np.float64(2.0), ()),
-                                          (1, ("x", None)), (1, ("x", 2.0))])
+@pytest.mark.parametrize("seed, stream", [(1.9, ("x",)), (1, ("x", 1.5)),
+                                          (np.float64(2.0), ("x",)), (1, ("x", None)),
+                                          (1, ("x", 2.0))])
 def test_rng_for_refuses_a_float_seed_or_index_instead_of_aliasing_it(seed, stream):
     with pytest.raises(InvalidParameter):
         rngutil.rng_for(seed, *stream)
@@ -127,5 +130,10 @@ def test_a_float_reshuffle_seed_is_refused_not_run_as_its_floor():
         stationarity.global_scan(PANEL, (25,), reshuffle_seed=2.7)
 
 
-def test_a_string_label_is_hashed_not_read_as_the_integer_it_spells():
-    assert rngutil.rng_for(1, "x", "3").random() != rngutil.rng_for(1, "x", 3).random()
+def test_the_label_is_hashed_and_each_index_kept_as_the_integer_it_is():
+    # one (seed, sha256(label)[:8], *indices) entropy tuple per substream, so a
+    # string index such as replica="3" is refused above rather than hashed
+    label = int.from_bytes(hashlib.sha256(b"gaussian-panel").digest()[:8], "big")
+    philox = np.random.Philox(np.random.SeedSequence((42, label, 3)))
+    assert (rngutil.rng_for(42, "gaussian-panel", 3).random(4).tolist()
+            == np.random.Generator(philox).random(4).tolist())

@@ -12,6 +12,7 @@ from corrstat.errors import (
     InsufficientData,
     InvalidParameter,
     NotPositiveDefinite,
+    NotSymmetric,
     NumericsError,
     ZeroVariance,
 )
@@ -177,7 +178,11 @@ def test_certificate_agrees_with_the_exact_gates():
         c = (q * lam) @ q.T
         cases.append(0.5 * (c + c.T))
     asymmetric = np.eye(5)
-    asymmetric[0, 3] = 1e-6
+    asymmetric[0, 3] = 1e-6  # refused by both, before any gate
+    with pytest.raises(NotSymmetric):
+        abstract_cov(asymmetric)
+    with pytest.raises(NotSymmetric):
+        exact_gate_weights(asymmetric)
     barely = np.eye(5)
     barely[3, 0] = 1e-14  # asymmetric within the tolerance: factored, then solved
     q, _ = np.linalg.qr(rng.normal(size=(100, 100)))
@@ -186,12 +191,12 @@ def test_certificate_agrees_with_the_exact_gates():
     uncertified = (q * lam) @ q.T
     uncertified = 0.5 * (uncertified + uncertified.T)
     assert not portfolio._certified(uncertified)
-    cases += [asymmetric, barely, -np.eye(4), uncertified]
+    cases += [barely, -np.eye(4), uncertified]
     certified = 0
     for c in cases:
         mine = gate_outcome(lambda m: portfolio.min_variance_weights(abstract_cov(m)).w, c)
         assert mine == gate_outcome(exact_gate_weights, c)
-        certified += not synthgen.asymmetric(c) and portfolio._certified(c)
+        certified += portfolio._certified(c)
     assert isinstance(gate_outcome(exact_gate_weights, uncertified), bytes)
     assert 50 < certified < len(cases) - 50  # both paths are exercised
 
@@ -212,6 +217,9 @@ def test_no_eigendecomposition_on_the_hot_path(monkeypatch):
 def test_weight_vector_budget():
     with pytest.raises(InvalidParameter):
         WeightVector(("A", "B"), np.array([0.6, 0.6]))
+    for w in ([np.nan, np.nan], [np.nan, 1.0], [np.inf, 1.0]):  # a non-finite sum fails too
+        with pytest.raises(InvalidParameter, match=r"^weights sum to (nan|inf), not 1$"):
+            WeightVector(("A", "B"), w)
     vec = WeightVector(("A", "B"), np.array([1.5, -0.5]))
     with pytest.raises(ValueError):
         vec.w[0] = 2.0

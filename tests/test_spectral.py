@@ -73,15 +73,21 @@ def test_eig_symmetry_bound_scales_with_the_entries():
     assert np.array_equal(spectral.eig_sym(c).eigenvalues,
                           np.linalg.eigh(0.5 * (c + c.T))[0])
     c[1, 0] += 1e-7  # the message names the bound applied, 1e-12 max |entry| = 2e-8
-    with pytest.raises(NotSymmetric, match=r"^asymmetry 1\.0[0-9]{2}e-07 exceeds 2\.000e-08$"):
+    with pytest.raises(NotSymmetric,
+                       match=r"^matrix asymmetry 1\.0[0-9]{2}e-07 exceeds 2\.000e-08$"):
         spectral.eig_sym(c)
 
 
 def test_eigensystem_validation():
     with pytest.raises(InvalidParameter):
         EigenSystem(np.array([2.0, 1.0]), np.eye(2))
+    for lam in ([np.nan, 1.0], [1.0, np.nan], [np.nan], [0.0, np.inf]):
+        with pytest.raises(InvalidParameter, match="^eigenvalues must be finite and ascending$"):
+            EigenSystem(lam, np.eye(len(lam)))
     with pytest.raises(NumericsError):
         EigenSystem(np.array([1.0, 2.0]), np.array([[1.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(NumericsError, match="^eigenvectors not orthonormal, gram gap nan$"):
+        EigenSystem([0.0, 1.0], [[1.0, np.nan], [0.0, 1.0]])
 
 
 def test_ipr_values():

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from corrstat import corrdist, rngutil, synthgen
-from corrstat.errors import InvalidParameter, NotPositiveDefinite
+from corrstat.errors import InvalidParameter, NotPositiveDefinite, NotSymmetric
 from corrstat.synthgen import FAMILY_GAUSSIAN, FAMILY_STUDENT_T, TrueCorrelation, sample_panel
 
 from conftest import gaussian_panel, make_panel
@@ -14,7 +14,7 @@ def test_true_correlation_validation():
     with pytest.raises(InvalidParameter):
         TrueCorrelation(np.ones((2, 3)))
     asym = np.array([[1.0, 0.2], [0.3, 1.0]])
-    with pytest.raises(InvalidParameter):
+    with pytest.raises(NotSymmetric):
         TrueCorrelation(asym)
     scaled = np.array([[2.0, 0.2], [0.2, 2.0]])
     with pytest.raises(InvalidParameter):
@@ -24,15 +24,14 @@ def test_true_correlation_validation():
         TrueCorrelation(singular)
 
 
-@pytest.mark.parametrize("gap, symmetric", [(1e-9, True), (1e-7, False)])
-def test_true_correlation_symmetry_bound_scales_with_the_entries(gap, symmetric):
+@pytest.mark.parametrize("gap, error", [(1e-9, NotPositiveDefinite), (1e-7, NotSymmetric)])
+def test_true_correlation_symmetry_bound_scales_with_the_entries(gap, error):
     # 1e-12 max(1, max |entry|) is 1e-8 here; past the symmetry gate the
     # 1e4 off-diagonal leaves the matrix indefinite
     entries = np.array([[1.0, 1e4], [1e4 + gap, 1.0]])
-    assert synthgen.asymmetric(entries) is not symmetric
-    with pytest.raises(NotPositiveDefinite if symmetric else InvalidParameter) as info:
+    with pytest.raises(error) as info:
         TrueCorrelation(entries)
-    assert ("symmetric" in str(info.value)) is not symmetric
+    assert ("asymmetry" in str(info.value)) is (error is NotSymmetric)
 
 
 @pytest.mark.parametrize("build", [
@@ -112,7 +111,7 @@ def test_cholesky_failure_names_the_fault():
     with pytest.raises(NotPositiveDefinite, match="^matrix is not positive definite$"):
         synthgen.cholesky(tail)
 
-    with pytest.raises(NotPositiveDefinite, match="^matrix is not symmetric$"):
+    with pytest.raises(NotSymmetric, match=r"^matrix asymmetry 1\.000e-01 exceeds 1\.000e-12$"):
         synthgen.cholesky(np.array([[1.0, 0.2], [0.3, 1.0]]))
 
 

@@ -98,11 +98,11 @@ def test_every_caller_flags_the_same_rows(rows, seed):
     global_report = stationarity.global_scan(panel, (WINDOW,), (0.05,))
     assert [s["pair"] for s in global_report.skipped] == skipped_pairs
     assert [s["detail"] for s in global_report.skipped] == [
-        str(ZeroVariance(name, window=(0, WINDOW))) for name in names]
+        f"zero variance for {name!r} in window (0, {WINDOW})" for name in names]
     local_report = stationarity.local_scan(panel, [LocalTestConfig(WINDOW, WINDOW)])
     assert [s["pair"] for s in local_report.skipped] == skipped_pairs
     assert [s["detail"] for s in local_report.skipped] == [
-        str(ZeroVariance(name)) for name in names]
+        f"zero variance for {name!r}" for name in names]
     assert global_report.cells[0].denominator == len(pairs) - len(skipped_pairs)
 
 
