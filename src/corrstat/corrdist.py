@@ -92,7 +92,7 @@ def corr_matrix(panel, window: tuple[int, int] | None = None) -> CovarianceMatri
 
 
 def _checked_rho(rho):
-    """rho's values as a flat float array, and its shape; NaN and |rho| > 1 are rejected."""
+    """rho's values as a flat float array, and its shape; a finite |rho| > 1 is rejected."""
     rho_arr = checked_array("rho", rho)
     if not np.all(np.abs(rho_arr) <= 1.0):
         raise InvalidParameter("rho must lie in [-1, 1]")
@@ -152,7 +152,7 @@ def rho_moments(params: CorrParams) -> CorrMoments:
 
 
 def gaussian_approx_density(rho, params: CorrParams):
-    """N(m_P, sigma_P) density; support is all reals by construction."""
+    """N(m_P, sigma_P) density at any finite real rho; NaN and +-inf raise DomainError."""
     m = rho_moments(params)
     z = (checked_array("rho", rho) - m.m_p) / m.sigma_p
     return np.exp(-0.5 * z * z) / (m.sigma_p * math.sqrt(2.0 * math.pi))

@@ -35,14 +35,15 @@ from .rngutil import rng_for
 MIN_T = 10
 
 
-def freeze(obj, **ndims):
-    """Store each array field name=ndim of a frozen dataclass as a read-only float64 copy, and
-    return the copies; a later write to the caller's array cannot get past __post_init__."""
-    for name, ndim in ndims.items():
-        a = checked_array(name, getattr(obj, name), ndim)
+def freeze(obj, **rules):
+    """Store each array field name=rule (an ndim for checked_array, or checked_symmetric) of a
+    frozen dataclass as its rule's read-only copy, and return the copies."""
+    for name, rule in rules.items():
+        value = getattr(obj, name)
+        a = rule(name, value) if callable(rule) else checked_array(name, value, rule)
         a.setflags(write=False)
         object.__setattr__(obj, name, a)
-    return tuple(getattr(obj, name) for name in ndims)
+    return tuple(getattr(obj, name) for name in rules)
 
 
 @dataclass(frozen=True)
@@ -54,16 +55,18 @@ class ReturnPanel:
     returns: np.ndarray  # N x T
 
     def __post_init__(self):
-        freeze(self, returns=2)
-        n, t = self.returns.shape
-        if len(self.tickers) != n or len(self.times) != t:
+        try:
+            freeze(self, returns=2)
+        except DomainError:  # name the ticker and column; labels that do not fit raise below
+            returns = np.asarray(self.returns, np.float64)  # as the rule saw it
+            i, col = np.argwhere(~np.isfinite(returns))[0]
+            if returns.shape == (len(self.tickers), len(self.times)):
+                raise DomainError(f"non-finite return {returns[i, col]} for "
+                                  f"{self.tickers[i]!r} at column {col}") from None
+        if np.shape(self.returns) != (len(self.tickers), len(self.times)):
             raise InvalidParameter("panel labels do not match matrix shape")
-        if t < 1:
+        if len(self.times) < 1:
             raise InvalidParameter("a panel needs at least one step")
-        if not np.isfinite(self.returns).all():
-            i, col = np.argwhere(~np.isfinite(self.returns))[0]
-            raise DomainError(f"non-finite return {self.returns[i, col]} for "
-                              f"{self.tickers[i]!r} at column {col}")
 
     @property
     def n_series(self) -> int:
@@ -97,11 +100,9 @@ class CovarianceMatrix:
     window: tuple[int, int] | None = None
 
     def __post_init__(self):
-        (entries,) = freeze(self, entries=2)
-        n = len(self.tickers)
-        if entries.shape != (n, n):
+        (entries,) = freeze(self, entries=checked_symmetric)
+        if len(entries) != len(self.tickers):
             raise InvalidParameter("entries must be N x N matching tickers")
-        checked_symmetric("entries", entries)
 
     @property
     def n_series(self) -> int:

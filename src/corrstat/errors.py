@@ -15,13 +15,13 @@ checked_array takes every array: one of booleans, integers or floats,
 with the dimensions asked for, comes back as a new float64 array;
 anything else, numeric strings, None, objects, complex numbers and
 ragged sequences included, raises InvalidParameter giving its type,
-dtype and shape.  Bounds on the values stay with each caller.
-checked_symmetric takes every covariance, correlation and other
-symmetric matrix: checked_array's 2-d array, refused with
-InvalidParameter unless square and at least 1 x 1, with DomainError at
-its first non-finite entry, and with NotSymmetric, the one error for an
-asymmetric matrix, where max |m - m.T| exceeds 1e-12 max(1, max |entry|).
-Finiteness is checked first, so the subtraction never meets an inf.
+dtype and shape.  Finiteness is the rule's, not each caller's: the
+first NaN or infinite entry raises DomainError naming it and its index,
+before any arithmetic.  Other bounds on the values stay with each caller.
+checked_symmetric takes every symmetric matrix, covariance and
+correlation included: checked_array's finite 2-d array, refused with
+InvalidParameter unless square and at least 1 x 1, and with NotSymmetric
+(the one asymmetry error) where max |m - m.T| > 1e-12 max(1, max |entry|).
 """
 from numbers import Integral, Real
 
@@ -96,32 +96,32 @@ def checked_real(what, value, ok, bound):
 
 
 def checked_array(what, value, ndim=None):
-    """value as a new C-order float64 array when it holds only real numbers and
-    has ndim dimensions (any, when None), else InvalidParameter naming what."""
+    """value as a new C-order float64 array when it holds only finite real numbers and has
+    ndim dimensions (any, when None), else InvalidParameter, or DomainError at a NaN or inf."""
     try:
         arr = np.asarray(value)
     except ValueError:  # a ragged sequence
         got = f"a ragged {type(value).__name__}"
     else:
         if arr.dtype.kind in "biuf" and ndim in (None, arr.ndim):
-            return arr.astype(np.float64, order="C")
+            arr = arr.astype(np.float64, order="C")
+            if np.isfinite(arr).all():
+                return arr
+            at = tuple(int(k) for k in np.argwhere(~np.isfinite(arr))[0])
+            raise DomainError(f"{what} has non-finite entry {arr[at]} at {at}")
         got = f"{type(value).__name__} of dtype {arr.dtype} and shape {arr.shape}"
     dims = "an array" if ndim is None else f"a {ndim}-d array"
     raise InvalidParameter(f"{what} must be {dims} of real numbers, got {got}")
 
 
 def checked_symmetric(what, value):
-    """checked_array(what, value, 2) when it is square, at least 1 x 1, finite and
-    symmetric within 1e-12 max(1, max |entry|), else the error naming what and the fault."""
+    """checked_array(what, value, 2) when it is square, at least 1 x 1 and symmetric
+    within 1e-12 max(1, max |entry|), else the error naming what and the fault."""
     mat = checked_array(what, value, 2)
     if mat.shape[0] != mat.shape[1] or not mat.size:
         raise InvalidParameter(f"{what} must be square and at least 1 x 1, got shape {mat.shape}")
-    scale = float(np.abs(mat).max())  # NaN or inf where an entry is
-    if not np.isfinite(scale):
-        i, j = np.argwhere(~np.isfinite(mat))[0]
-        raise DomainError(f"{what} has non-finite entry {mat[i, j]} at ({i}, {j})")
     # mat - mat.T is exactly antisymmetric, so its max is its largest |entry|
-    gap, bound = float((mat - mat.T).max()), 1e-12 * max(1.0, scale)
+    gap, bound = float((mat - mat.T).max()), 1e-12 * max(1.0, float(np.abs(mat).max()))
     if gap > bound:
         raise NotSymmetric(f"{what} asymmetry {gap:.3e} exceeds {bound:.3e}")
     return mat

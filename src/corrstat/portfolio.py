@@ -232,8 +232,8 @@ def mc_band(n_series: int, t1: int, t2: int, replicas: int,
         raise InvalidParameter("truth dimension does not match n_series")
     scale = (np.ones(n_series) if volatilities is None
              else checked_array("volatilities", volatilities, 1))
-    if not (scale.shape == (n_series,) and np.all(np.isfinite(scale) & (scale > 0))):
-        raise InvalidParameter("volatilities must be N finite positive reals")
+    if not (scale.shape == (n_series,) and np.all(scale > 0)):
+        raise InvalidParameter("volatilities must be N positive reals")
     lower = synthgen.cholesky(truth.entries)
     tickers = synthgen.synthetic_tickers(n_series)
     qs = np.empty(replicas)

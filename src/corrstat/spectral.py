@@ -49,8 +49,8 @@ class EigenSystem:
             raise InvalidParameter("eigenvector matrix must be N x N")
         if n < 1:
             raise InvalidParameter("an eigensystem needs at least one eigenvalue")
-        if not (np.isfinite(lam).all() and np.all(np.diff(lam) >= 0)):
-            raise InvalidParameter("eigenvalues must be finite and ascending")
+        if not np.all(np.diff(lam) >= 0):
+            raise InvalidParameter("eigenvalues must be ascending")
         gram_gap = float(np.abs(vec.T @ vec - np.eye(n)).max())
         if not gram_gap <= _ORTHO_TOL:
             raise NumericsError(f"eigenvectors not orthonormal, gram gap {gram_gap:.3e}")

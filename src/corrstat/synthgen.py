@@ -54,8 +54,7 @@ class TrueCorrelation:
     repaired: bool = False
 
     def __post_init__(self):
-        (entries,) = freeze(self, entries=2)
-        checked_symmetric("correlation entries", entries)
+        (entries,) = freeze(self, entries=checked_symmetric)
         if np.abs(np.diag(entries) - 1.0).max() > 1e-10:
             raise InvalidParameter("correlation entries need a unit diagonal")
         smallest = float(np.linalg.eigvalsh(entries)[0])

@@ -4,17 +4,20 @@ Each entry point below refuses numeric strings, None, a ragged
 sequence, complex numbers and an array of the wrong number of
 dimensions with InvalidParameter naming the argument and giving the
 value's type, dtype and shape, never its repr; none of them reads a
-string as a number or ends in a ValueError or TypeError.  Boolean,
-integer and float32 arrays are real: they give exactly the results of
-the same values as float64.
+string as a number or ends in a ValueError or TypeError.  A NaN or an
+infinite entry raises DomainError naming the argument, the value and
+its index, before any arithmetic, so no warning is raised and no NaN
+passes as a result.  Boolean, integer and float32 arrays are real: they
+give exactly the results of the same values as float64.
 """
 import pickle
+import warnings
 
 import numpy as np
 import pytest
 
 from corrstat import corrdist, dataio, portfolio, spectral, stationarity, synthgen
-from corrstat.errors import InvalidParameter, checked_array
+from corrstat.errors import DomainError, InvalidParameter, checked_array
 
 PARAMS = corrdist.CorrParams(0.3, 50)
 TRUTH = synthgen.identity_correlation(3)
@@ -76,6 +79,48 @@ def test_every_array_argument_refuses_what_is_not_an_array_of_reals(name, ndim, 
         call(value)
     dims = "an array" if ndim is None else f"a {ndim}-d array"
     assert str(info.value) == f"{name} must be {dims} of real numbers, got {got}"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name, ndim, good, call", ENTRY_POINTS,
+                         ids=[f"{k}-{e[0]}" for k, e in enumerate(ENTRY_POINTS)])
+def test_every_array_argument_names_its_first_non_finite_entry(name, ndim, good, call, bad):
+    value = np.array(good, dtype=np.float64)
+    at = tuple(int(k) for k in np.unravel_index(value.size - 1, value.shape))  # the last entry
+    value[at] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as info:
+            call(value.tolist())
+    if name == "returns":  # a panel names the ticker and the column
+        assert str(info.value) == f"non-finite return {bad} for 'B' at column {at[1]}"
+    else:
+        assert str(info.value) == f"{name} has non-finite entry {bad} at {at}"
+
+
+# Calls whose NaN or inf would otherwise pass as a number or a "no violation"
+# flag, or warn before a refusal
+NON_FINITE = [
+    (lambda: stationarity.local_test([(10, 0.1), (20, 0.9), (30, np.nan), (40, 0.95)], 1),
+     "estimates has non-finite entry nan at (2, 1)"),
+    (lambda: spectral.ipr([np.nan, 1.0, 0.0]), "vector has non-finite entry nan at (0,)"),
+    (lambda: corrdist.gaussian_approx_density([0.1, np.nan], PARAMS),
+     "rho has non-finite entry nan at (1,)"),
+    (lambda: corrdist.gaussian_approx_density(np.inf, PARAMS),
+     "rho has non-finite entry inf at ()"),
+    (lambda: corrdist.rho_density(np.nan, PARAMS), "rho has non-finite entry nan at ()"),
+    (lambda: portfolio.WeightVector(("A", "B"), [np.inf, -np.inf]),
+     "w has non-finite entry inf at (0,)"),
+]
+
+
+@pytest.mark.parametrize("call, message", NON_FINITE, ids=[m for _, m in NON_FINITE])
+def test_non_finite_values_that_passed_are_named(call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as info:
+            call()
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("dtype", [np.bool_, np.int32, np.int64, np.float32])

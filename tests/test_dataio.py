@@ -316,6 +316,9 @@ def test_return_panel_rejects_non_finite(bad):
     with pytest.raises(DomainError) as err:
         make_panel(returns)
     assert str(err.value) == f"non-finite return {bad!r} for 'S2' at column 17"
+    # labels that do not fit are named first, so no ticker is looked up out of range
+    with pytest.raises(InvalidParameter, match="^panel labels do not match matrix shape$"):
+        make_panel(returns, tickers=("S0", "S1"))
 
 
 def test_simple_return_overflow_rejected(tmp_path):

@@ -237,6 +237,22 @@ def test_not_symmetric_is_built_only_by_the_symmetric_rule():
     assert _builders_of("NotSymmetric") == NOT_SYMMETRIC_BUILDERS
 
 
+# Where finiteness is tested: the one array rule, and the readers that name a
+# non-finite value in their own terms (a file's row and column, a ticker and
+# column, a --volatilities entry), so no hand-written copy of the rule returns.
+ISFINITE_CALLERS = {
+    ("errors.py", "checked_array"),
+    ("dataio.py", "_exact_panel"),
+    ("dataio.py", "_numpy_panel"),
+    ("dataio.py", "ReturnPanel"),
+    ("cli.py", "_load_volatilities"),
+}
+
+
+def test_finiteness_is_tested_only_by_the_array_rule_and_the_readers():
+    assert _builders_of("isfinite") == ISFINITE_CALLERS
+
+
 # Where panel variates are drawn: the one function that owns the substream
 # label, the L @ Z product and the Student-t scale, so a synthetic panel's
 # replica k and the MC band's replica k are one stream.

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from corrstat import portfolio, synthgen
 from corrstat.errors import (
+    DomainError,
     IllPosed,
     InsufficientData,
     InvalidParameter,
@@ -217,9 +218,13 @@ def test_no_eigendecomposition_on_the_hot_path(monkeypatch):
 def test_weight_vector_budget():
     with pytest.raises(InvalidParameter):
         WeightVector(("A", "B"), np.array([0.6, 0.6]))
-    for w in ([np.nan, np.nan], [np.nan, 1.0], [np.inf, 1.0]):  # a non-finite sum fails too
-        with pytest.raises(InvalidParameter, match=r"^weights sum to (nan|inf), not 1$"):
+    # a non-finite weight is named before anything is summed, so no RuntimeWarning
+    for w, bad in (([np.nan, np.nan], "nan at (0,)"), ([np.nan, 1.0], "nan at (0,)"),
+                   ([np.inf, 1.0], "inf at (0,)"), ([np.inf, -np.inf], "inf at (0,)"),
+                   ([0.5, -np.inf], "-inf at (1,)")):
+        with pytest.raises(DomainError) as info:
             WeightVector(("A", "B"), w)
+        assert str(info.value) == f"w has non-finite entry {bad}"
     vec = WeightVector(("A", "B"), np.array([1.5, -0.5]))
     with pytest.raises(ValueError):
         vec.w[0] = 2.0
@@ -367,8 +372,9 @@ def test_mc_band_guards():
         portfolio.mc_band(4, 30, 30, 30, truth, seed=0)
     with pytest.raises(InvalidParameter):
         portfolio.mc_band(3, 30, 30, 30, truth, seed=0, volatilities=[1.0, -1.0, 2.0])
-    for bad in (float("nan"), float("inf")):
-        with pytest.raises(InvalidParameter):
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(DomainError,
+                           match=rf"^volatilities has non-finite entry {bad} at \(1,\)$"):
             portfolio.mc_band(3, 30, 30, 30, truth, seed=0, volatilities=[1.0, bad, 2.0])
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from corrstat import stationarity, synthgen
 from corrstat.errors import (
     CorrstatError,
+    DomainError,
     InsufficientSamples,
     InvalidParameter,
     ZeroVariance,
@@ -56,6 +57,15 @@ def test_ks_statistic_rejects_misshapen_cdf():
         stationarity.ks_statistic(samples, lambda x: np.asarray(x)[:-1])
     with pytest.raises(InvalidParameter):
         stationarity.ks_statistic(samples, lambda x: 0.5)
+
+
+def test_ks_statistic_names_a_nan_sample_or_cdf_value():
+    # the NaN is named where it lies, not left to ks_pvalue as a bad "D"
+    samples = [0.1, 0.3, 0.5, 0.7, 0.9]
+    with pytest.raises(DomainError, match=r"^cdf values has non-finite entry nan at \(3,\)$"):
+        stationarity.ks_statistic(samples, lambda x: np.where(x == 0.7, np.nan, x))
+    with pytest.raises(DomainError, match=r"^samples has non-finite entry nan at \(2,\)$"):
+        stationarity.ks_statistic([0.1, 0.3, np.nan, 0.7, 0.9], lambda x: np.asarray(x))
 
 
 def test_ks_pvalue_frozen():
