@@ -81,7 +81,6 @@ def corr_matrix(panel, window: tuple[int, int] | None = None) -> CovarianceMatri
     centered, sd = gated_rows(panel.returns, panel.tickers, (lo, hi))
     z = centered / sd
     c = (z @ z.T) / (hi - lo)
-    c = 0.5 * (c + c.T)
     np.fill_diagonal(c, 1.0)
     np.clip(c, -1.0, 1.0, out=c)
     return CovarianceMatrix(panel.tickers, c, (lo, hi))
@@ -130,9 +129,8 @@ def rho_logdensity(rho, params: CorrParams):
     out = np.full(flat.shape, -np.inf)
     interior = np.abs(flat) < 1.0
     ri = flat[interior]
-    if ri.size:
-        a = ri * params.rho_bar
-        out[interior] = _log_law(np.log1p(-ri) + np.log1p(ri), a, np.log1p(-a), params)
+    a = ri * params.rho_bar
+    out[interior] = _log_law(np.log1p(-ri) + np.log1p(ri), a, np.log1p(-a), params)
     return out.reshape(shape)[()]
 
 
@@ -209,9 +207,8 @@ def rho_cdf(rho, params: CorrParams):
         z = np.arctanh(flat)
     out = np.where(z >= edges[-1], 1.0, 0.0)
     inside = (z >= edges[0]) & (z < edges[-1])
-    if inside.any():
-        zi = z[inside]
-        k = np.searchsorted(edges, zi, side="right") - 1
-        lo = edges[k]
-        out[inside] = (cum[k] + _panel_masses(lo, 0.5 * (zi - lo), params)) / total
+    zi = z[inside]
+    k = np.searchsorted(edges, zi, side="right") - 1
+    lo = edges[k]
+    out[inside] = (cum[k] + _panel_masses(lo, 0.5 * (zi - lo), params)) / total
     return out.reshape(shape)[()]

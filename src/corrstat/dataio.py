@@ -58,7 +58,8 @@ class ReturnPanel:
         try:
             freeze(self, returns=2)
         except DomainError:  # name the ticker and column; labels that do not fit raise below
-            returns = np.asarray(self.returns, np.float64)  # as the rule saw it
+            with np.errstate(over="ignore"):
+                returns = np.asarray(self.returns, np.float64)  # as the rule saw it
             i, col = np.argwhere(~np.isfinite(returns))[0]
             if returns.shape == (len(self.tickers), len(self.times)):
                 raise DomainError(f"non-finite return {returns[i, col]} for "
@@ -312,10 +313,18 @@ def centered_rows(block: np.ndarray):
 
     The toolkit's one zero-variance rule: sd at most 1e-12 max(1, |mean|).
     Each row's numbers are bit-identical to the same reductions on it alone.
+    A row whose squares overflow gets its sd at a power-of-two scale, so a
+    row times 2**k keeps its standardized values exactly.
     """
     mean = block.mean(axis=1, keepdims=True)
     centered = block - mean
-    sd = np.sqrt((centered * centered).mean(axis=1, keepdims=True))
+    with np.errstate(over="ignore"):
+        sd = np.sqrt((centered * centered).mean(axis=1, keepdims=True))
+    big = np.isinf(sd[:, 0])
+    if big.any():  # the same reductions on the rows scaled by 2**-exp, which is exact
+        exp = np.frexp(np.abs(centered[big]).max(axis=1, keepdims=True))[1]
+        scaled = np.ldexp(centered[big], -exp)
+        sd[big] = np.ldexp(np.sqrt((scaled * scaled).mean(axis=1, keepdims=True)), exp)
     return centered, sd, (sd <= 1e-12 * np.maximum(1.0, np.abs(mean)))[:, 0]
 
 

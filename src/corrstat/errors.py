@@ -22,6 +22,9 @@ checked_symmetric takes every symmetric matrix, covariance and
 correlation included: checked_array's finite 2-d array, refused with
 InvalidParameter unless square and at least 1 x 1, and with NotSymmetric
 (the one asymmetry error) where max |m - m.T| > 1e-12 max(1, max |entry|).
+It returns the matrix's exact symmetric part, so a Cholesky factor or an
+eigh, which read one triangle, and a solve or w'Cw, which read both, see
+one matrix; no caller symmetrizes by hand.
 """
 from numbers import Integral, Real
 
@@ -104,7 +107,8 @@ def checked_array(what, value, ndim=None):
         got = f"a ragged {type(value).__name__}"
     else:
         if arr.dtype.kind in "biuf" and ndim in (None, arr.ndim):
-            arr = arr.astype(np.float64, order="C")
+            with np.errstate(over="ignore"):  # a longdouble beyond float64 is refused as inf
+                arr = arr.astype(np.float64, order="C")
             if np.isfinite(arr).all():
                 return arr
             at = tuple(int(k) for k in np.argwhere(~np.isfinite(arr))[0])
@@ -115,8 +119,8 @@ def checked_array(what, value, ndim=None):
 
 
 def checked_symmetric(what, value):
-    """checked_array(what, value, 2) when it is square, at least 1 x 1 and symmetric
-    within 1e-12 max(1, max |entry|), else the error naming what and the fault."""
+    """The symmetric part of checked_array(what, value, 2) when it is square, at least 1 x 1
+    and symmetric within 1e-12 max(1, max |entry|), else the error naming what and the fault."""
     mat = checked_array(what, value, 2)
     if mat.shape[0] != mat.shape[1] or not mat.size:
         raise InvalidParameter(f"{what} must be square and at least 1 x 1, got shape {mat.shape}")
@@ -124,4 +128,4 @@ def checked_symmetric(what, value):
     gap, bound = float((mat - mat.T).max()), 1e-12 * max(1.0, float(np.abs(mat).max()))
     if gap > bound:
         raise NotSymmetric(f"{what} asymmetry {gap:.3e} exceeds {bound:.3e}")
-    return mat
+    return 0.5 * mat + 0.5 * mat.T if gap else mat  # halved first, so it cannot overflow

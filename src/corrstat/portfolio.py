@@ -74,8 +74,8 @@ def covariance_matrix(panel: ReturnPanel, window: tuple[int, int] | None = None)
 
 def _covariance(returns, tickers, window) -> CovarianceMatrix:
     centered, _ = gated_rows(returns, tickers, window)
-    c = (centered @ centered.T) / centered.shape[1]
-    c = 0.5 * (c + c.T)
+    with np.errstate(over="ignore"):  # CovarianceMatrix refuses an inf entry
+        c = (centered @ centered.T) / centered.shape[1]
     return CovarianceMatrix(tickers, c, window)
 
 
@@ -141,8 +141,6 @@ def select_stocks(panel: ReturnPanel, n_stocks: int, select_seed: int) -> Return
     n = panel.n_series
     if checked_int("n_stocks", n_stocks, 1) > n:
         raise InvalidParameter(f"n_stocks must lie in [1, {n}], got {n_stocks}")
-    if n_stocks == n:
-        return panel
     idx = rng_for(select_seed, "stock-subset").choice(n, size=n_stocks, replace=False)
     return panel.select(sorted(int(i) for i in idx))
 

@@ -97,7 +97,7 @@ def eig_sym(matrix) -> EigenSystem:
     positive, removing the sign ambiguity across platforms.
     """
     c = checked_symmetric("matrix", getattr(matrix, "entries", matrix))
-    lam, vec = np.linalg.eigh(0.5 * (c + c.T))
+    lam, vec = np.linalg.eigh(c)
     flip = vec[np.argmax(np.abs(vec), axis=0), np.arange(lam.size)] < 0
     vec[:, flip] = -vec[:, flip]
     recon_gap = float(np.abs((vec * lam) @ vec.T - c).max())

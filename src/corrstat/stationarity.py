@@ -46,7 +46,6 @@ from .errors import (
     InsufficientData,
     InsufficientSamples,
     InvalidParameter,
-    ZeroVariance,
     checked_array,
     checked_int,
     checked_real,
@@ -194,17 +193,15 @@ def _window_estimates(x, y, n_windows, names):
     """Pearson coefficient, clamped into [-1, 1], on each of n_windows equal slices.
 
     Each slice is standardized on its own, as one row of a block.  The
-    first zero-variance window raises ZeroVariance with its ticker (x's
-    name before y's) and column range.
+    first zero-variance window goes to gated_rows, which raises with its
+    ticker (x's name before y's) and column range.
     """
     zx, bad_x = standardized_rows(x.reshape(n_windows, -1))
     zy, bad_y = standardized_rows(y.reshape(n_windows, -1))
     t = zx.shape[1]
-    bad = np.flatnonzero(bad_x | bad_y)
-    if bad.size:
-        k = int(bad[0])
-        raise ZeroVariance(f"zero variance for {names[0] if bad_x[k] else names[1]!r} "
-                           f"in window {(k * t, (k + 1) * t)}")
+    if (bad_x | bad_y).any():
+        k = int(np.argmax(bad_x | bad_y))
+        gated_rows(np.stack([x, y]), names, (k * t, (k + 1) * t))
     return tuple(min(1.0, max(-1.0, float(a @ b) / t)) for a, b in zip(zx, zy))
 
 
@@ -400,7 +397,9 @@ def local_test(estimates, n: int, sigma_convention: str = SIGMA_WINDOW,
 
     sigma_k belongs to the earlier estimate: 1/sqrt(L_k) under the
     "window" convention (L_k = actual window length), 1/sqrt(k tau)
-    under the "paper" convention (k = 1-based estimate ordinal).
+    under the "paper" convention (k = 1-based estimate ordinal).  A length
+    below 1 raises InvalidParameter; a rho outside [-1, 1] is taken, as
+    cumulative_corr's prefix estimates may leave it.
     """
     checked_int("n", n, 1)
     if sigma_convention == SIGMA_PAPER:
@@ -408,6 +407,9 @@ def local_test(estimates, n: int, sigma_convention: str = SIGMA_WINDOW,
     est = checked_array("estimates", estimates, 2)
     if est.shape[1] != 2:
         raise InvalidParameter(f"estimates must be (length, rho) pairs, got shape {est.shape}")
+    if (est[:, 0] < 1.0).any():
+        k = int(np.argmax(est[:, 0] < 1.0))
+        raise InvalidParameter(f"estimates row {k} has length {float(est[k, 0])!r}, below 1")
     if len(est) < 2:
         raise InsufficientData("local test needs >= 2 estimates")
     (flags,) = _step_flags(est[:, 1], est[:, 0], [n], sigma_convention, tau)

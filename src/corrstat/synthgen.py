@@ -127,7 +127,6 @@ def sample_estimate_as_truth(panel) -> TrueCorrelation:
     clipped = (eigvecs * np.maximum(eigvals, _REPAIR_FLOOR)) @ eigvecs.T
     d = np.sqrt(np.diag(clipped))
     repaired = clipped / np.outer(d, d)
-    repaired = 0.5 * (repaired + repaired.T)
     np.fill_diagonal(repaired, 1.0)
     return TrueCorrelation(repaired, repaired=True)
 

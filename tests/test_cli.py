@@ -244,6 +244,19 @@ def test_timestamp_pinning(tmp_path, capsys, monkeypatch):
     assert read_json(out)["generated_at"] == "flag-wins"
 
 
+@pytest.mark.filterwarnings("error")
+def test_qscan_on_a_panel_whose_covariance_overflows_is_one_error_line(tmp_path):
+    # one series near 1e298: its sd is exact, its variance is not a float64
+    returns = np.random.default_rng(0).normal(size=(3, 300)) * 0.01
+    returns[1] *= 1e300
+    path = tmp_path / "big.csv"
+    dataio.save_panel_csv(make_panel(returns, ("A", "B", "C")), path)
+    rc, err = run_captured(["qscan", "--input", str(path), "--input-kind", "returns",
+                            "--t1", "20", "--t2", "20", "--replicas", "30",
+                            "--out", str(tmp_path / "q.json")])
+    assert (rc, err) == (1, "error: DomainError: entries has non-finite entry inf at (1, 1)\n")
+
+
 def test_qscan_schema(tmp_path, capsys):
     panel = simulate_panel(tmp_path)
     out = tmp_path / "q.json"

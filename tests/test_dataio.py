@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from corrstat import corrdist, dataio, portfolio
+from corrstat import corrdist, dataio, portfolio, spectral, stationarity
 from corrstat.errors import (
     CorrstatError,
     DomainError,
@@ -16,10 +16,11 @@ from corrstat.errors import (
     InvalidParameter,
     ParseError,
     ZeroVariance,
+    checked_array,
 )
 from corrstat.portfolio import CovarianceMatrix
 
-from conftest import make_panel, traced_peak
+from conftest import gaussian_panel, make_panel, traced_peak
 
 
 def write(path, text):
@@ -321,6 +322,16 @@ def test_return_panel_rejects_non_finite(bad):
         make_panel(returns, tickers=("S0", "S1"))
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).max == np.finfo(np.float64).max,
+                    reason="longdouble is float64 on this platform")
+def test_a_longdouble_beyond_float64_is_refused_without_a_warning():
+    beyond = np.array([[1.0, np.longdouble("1e400")]])
+    with pytest.raises(DomainError, match=r"^x has non-finite entry inf at \(0, 1\)$"):
+        checked_array("x", beyond)
+    with pytest.raises(DomainError, match=r"^non-finite return inf for 'A' at column 1$"):
+        dataio.ReturnPanel(("A",), ("0", "1"), beyond)
+
+
 def test_simple_return_overflow_rejected(tmp_path):
     path = write(tmp_path / "p.csv", "date,A,B\n0,1.0,1.0\n1,2.0,1e-300\n2,3.0,1e300\n")
     with pytest.raises(DomainError, match="non-finite return inf for 'B' at column 1"):
@@ -338,6 +349,22 @@ def test_standardize_population_convention():
     std = dataio.standardize(panel)
     assert abs(std.returns.mean()) < 1e-15
     assert abs((std.returns ** 2).mean() - 1.0) < 1e-12  # divide by T, not T-1
+
+
+@pytest.mark.parametrize("power", [600, 1000])
+def test_a_row_times_a_power_of_two_is_standardized_exactly(power):
+    # the row's squares overflow from |x| ~ 1.3e154; its sd is still exact
+    panel = gaussian_panel(4, 300, seed=5)
+    returns = panel.returns.copy()
+    returns[1] *= 2.0 ** power
+    scaled = make_panel(returns, panel.tickers)
+    assert np.array_equal(dataio.standardize(scaled).returns, dataio.standardize(panel).returns)
+    assert (stationarity.global_scan(scaled, (25, 50), reshuffle_seed=1, mc_family="gaussian")
+            == stationarity.global_scan(panel, (25, 50), reshuffle_seed=1, mc_family="gaussian"))
+    configs = [stationarity.LocalTestConfig(30, 10)]
+    assert stationarity.local_scan(scaled, configs) == stationarity.local_scan(panel, configs)
+    assert (spectral.spectral_snapshot(corrdist.corr_matrix(scaled, (100, 200)), 1)
+            == spectral.spectral_snapshot(corrdist.corr_matrix(panel, (100, 200)), 1))
 
 
 def test_standardize_zero_variance():

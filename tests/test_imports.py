@@ -8,8 +8,8 @@ only scipy module loaded.  Nothing starts a thread pool either: the
 scans run their pairs on the calling thread.  The AST checks at the end
 keep every import of the package, the scripts and the tests in use,
 every public name read by the program, every ZeroVariance built at
-the one zero-variance gate or the scans' per-pair paths, every
-NotSymmetric built by errors.checked_symmetric, every
+the one zero-variance gate, every NotSymmetric built and every matrix
+symmetrized by errors.checked_symmetric, every
 ScanReport built by the scans' one driver, every integer argument
 checked by errors.checked_int or the three checks that name a whole
 window or pair, every real argument checked by errors.checked_real or
@@ -198,13 +198,11 @@ def test_every_public_name_has_a_reader_outside_the_tests():
     assert not unread, unread
 
 
-# Where a ZeroVariance is built: the one gate every windowed matrix and
-# whole-sample standardization goes through, and the two per-pair paths
-# of the scans, which name a pair's flat ticker (and window) without
-# building the pair's rows.
+# Where a ZeroVariance is built: the one gate every windowed matrix,
+# whole-sample standardization and per-pair window estimate goes through,
+# so every flat row is named in one message format.
 ZERO_VARIANCE_BUILDERS = {
     ("dataio.py", "gated_rows"),
-    ("stationarity.py", "_window_estimates"),
 }
 
 
@@ -235,6 +233,39 @@ NOT_SYMMETRIC_BUILDERS = {
 
 def test_not_symmetric_is_built_only_by_the_symmetric_rule():
     assert _builders_of("NotSymmetric") == NOT_SYMMETRIC_BUILDERS
+
+
+def _unscaled(node):
+    """node less a constant factor: 0.5 * m and m * 0.5 are m."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        if isinstance(node.left, ast.Constant):
+            return node.right
+        if isinstance(node.right, ast.Constant):
+            return node.left
+    return node
+
+
+def _pairs_with_transpose(node):
+    """Whether node is m + m.T or m - m.T (in either order, either side scaled)."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))):
+        return False
+    sides = (_unscaled(node.left), _unscaled(node.right))
+    return any(isinstance(t, ast.Attribute) and t.attr == "T"
+               and ast.unparse(t.value) == ast.unparse(m)
+               for m, t in (sides, sides[::-1]))
+
+
+# Where a matrix meets its own transpose: the symmetric rule, which
+# measures the asymmetry and forms the symmetric part, so every stored
+# matrix is exactly symmetric and no caller symmetrizes by hand.
+def test_matrices_are_symmetrized_only_by_the_symmetric_rule():
+    sites = set()
+    for path in sorted((SRC / "corrstat").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if any(_pairs_with_transpose(sub) for sub in ast.walk(node)):
+                sites.add((path.name, getattr(node, "name", None)))
+    assert sites == {("errors.py", "checked_symmetric")}
 
 
 # Where finiteness is tested: the one array rule, and the readers that name a

@@ -5,7 +5,10 @@ diagonalizes or solves against.  Each entry point below refuses a matrix
 with a NaN or an infinite entry with DomainError naming the entry, before
 any arithmetic on it, so no RuntimeWarning is raised and no NaN comes
 back as a factor, an eigenvalue or a weight; an asymmetric matrix raises
-NotSymmetric naming its gap and bound wherever it arrives.
+NotSymmetric naming its gap and bound wherever it arrives.  A matrix the
+rule accepts is stored as its exact symmetric part, so a Cholesky factor
+or an eigh, which read one triangle, and a solve, which reads both, see
+one matrix.
 """
 import numpy as np
 import pytest
@@ -67,6 +70,27 @@ def test_the_rule_checks_finiteness_then_shape_then_symmetry():
     square = [[2, 1], [1, 2]]
     got = checked_symmetric("m", square)
     assert got.dtype == np.float64 and np.array_equal(got, square)
+
+
+def test_the_rule_returns_the_exact_symmetric_part():
+    symmetric = np.array([[2.0, 0.1, 0.0], [0.1, 3.0, 0.2], [0.0, 0.2, 1.0]])
+    assert np.array_equal(checked_symmetric("m", symmetric), symmetric)
+    barely = symmetric.copy()
+    barely[2, 1] += 1e-14  # asymmetric within the bound
+    got = checked_symmetric("m", barely)
+    assert np.array_equal(got, got.T) and np.array_equal(got, 0.5 * (barely + barely.T))
+    top = np.finfo(np.float64).max  # the halves are summed, so the part cannot overflow
+    huge = np.array([[top, top], [np.nextafter(top, 0.0), top]])
+    got = checked_symmetric("m", huge)
+    assert got[0, 1] == got[1, 0] == 0.5 * top + 0.5 * np.nextafter(top, 0.0)
+
+
+@pytest.mark.parametrize("build", [TrueCorrelation, _covariance],
+                         ids=["TrueCorrelation", "CovarianceMatrix"])
+def test_a_stored_matrix_is_exactly_symmetric(build):
+    barely = np.array([[1.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2 + 1e-14, 1.0]])
+    entries = build(barely).entries
+    assert np.array_equal(entries, entries.T)
 
 
 @pytest.mark.parametrize("build", [TrueCorrelation, _covariance],

@@ -16,6 +16,7 @@ from corrstat.errors import (
     NotSymmetric,
     NumericsError,
     ZeroVariance,
+    checked_symmetric,
 )
 from corrstat.portfolio import CovarianceMatrix, MCBand, WeightVector
 
@@ -150,7 +151,9 @@ def test_rank_deficient_covariance_never_gives_weights():
 
 
 def exact_gate_weights(c):
-    """The gates without the certificate: Cholesky, eigvalsh condition, LU solve."""
+    """The gates without the certificate, on the symmetric part every CovarianceMatrix
+    stores: Cholesky, eigvalsh condition, LU solve."""
+    c = checked_symmetric("matrix", c)
     synthgen.cholesky(c)
     eig = np.linalg.eigvalsh(c)
     cond = float(eig[-1] / eig[0]) if eig[0] > 0.0 else math.inf
@@ -253,6 +256,13 @@ def test_select_stocks():
     assert portfolio.select_stocks(panel, 10, select_seed=0).tickers == panel.tickers
     with pytest.raises(InvalidParameter):
         portfolio.select_stocks(panel, 11, select_seed=0)
+
+
+def test_select_stocks_checks_the_seed_at_every_size():
+    panel = gaussian_panel(10, 50, seed=8)
+    for n_stocks in (9, 10):  # all 10 are drawn too, not returned as given
+        with pytest.raises(InvalidParameter, match=r"^seed must be a non-negative integer, got -1$"):
+            portfolio.select_stocks(panel, n_stocks, select_seed=-1)
 
 
 def test_chained_sample_geometry():

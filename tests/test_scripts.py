@@ -1,6 +1,7 @@
 """Runs of the demonstration scripts, from the repo root as documented.
 
-Each stdout is compared with its file in the report corpus
+Each runs with RuntimeWarnings as errors, as the in-process tests do, and
+its stdout is compared with its file in the report corpus
 (conftest.compare_report).
 """
 import subprocess
@@ -20,6 +21,7 @@ ROOT = Path(__file__).resolve().parents[1]
      "--t1", "50", "--t2", "50", "--replicas", "30"],
 ])
 def test_script_runs(argv, request):
-    proc = subprocess.run([sys.executable, *argv], cwd=ROOT, capture_output=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", *argv], cwd=ROOT,
+                          capture_output=True, timeout=300)
     assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
     compare_report(proc.stdout, f"script_{Path(argv[0]).stem}.txt", request)

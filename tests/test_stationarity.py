@@ -301,6 +301,20 @@ def test_local_test_rejects_an_n_that_is_not_an_integer_above_zero(n):
         stationarity.local_test([(10, 0.0), (20, 0.5), (30, 0.55)], n)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("estimates, message", [
+    ([(0, 0.1), (20, 0.5)], "estimates row 0 has length 0.0, below 1"),
+    ([(-5, 0.1), (20, 0.5)], "estimates row 0 has length -5.0, below 1"),
+    ([(10, 0.1), (0.5, 0.5)], "estimates row 1 has length 0.5, below 1"),
+])
+def test_local_test_refuses_a_length_below_one(estimates, message):
+    for convention, tau in ((stationarity.SIGMA_WINDOW, None), (stationarity.SIGMA_PAPER, 10)):
+        with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$"):
+            stationarity.local_test(estimates, 1, convention, tau)
+    # prefix estimates leave [-1, 1] by construction, so |rho| > 1 is taken
+    assert stationarity.local_test([(1, 1.2), (2, -1.1)], 3).flags == (False,)
+
+
 @pytest.mark.parametrize("tau", [0, -1, 2.5, 10.0, None, "10"])
 def test_local_test_under_the_paper_convention_rejects_a_bad_tau(tau):
     estimates = [(10, 0.0), (20, 0.5), (30, 0.55)]
