@@ -313,12 +313,16 @@ def centered_rows(block: np.ndarray):
 
     The toolkit's one zero-variance rule: sd at most 1e-12 max(1, |mean|).
     Each row's numbers are bit-identical to the same reductions on it alone.
-    A row whose squares overflow gets its sd at a power-of-two scale, so a
-    row times 2**k keeps its standardized values exactly.
+    A row whose sum or squares overflow gets its mean or sd at a power-of-two
+    scale, so a row times 2**k keeps its standardized values exactly.
     """
-    mean = block.mean(axis=1, keepdims=True)
-    centered = block - mean
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = block.mean(axis=1, keepdims=True)
+        huge = ~(np.abs(mean[:, 0]) < np.inf)  # an inf sum, or +inf and -inf partial sums
+        if huge.any():  # the same mean of the rows scaled by 2**-exp, which is exact
+            exp = np.frexp(np.abs(block[huge]).max(axis=1, keepdims=True))[1]
+            mean[huge] = np.ldexp(np.ldexp(block[huge], -exp).mean(axis=1, keepdims=True), exp)
+        centered = block - mean
         sd = np.sqrt((centered * centered).mean(axis=1, keepdims=True))
     big = np.isinf(sd[:, 0])
     if big.any():  # the same reductions on the rows scaled by 2**-exp, which is exact

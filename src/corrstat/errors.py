@@ -124,8 +124,10 @@ def checked_symmetric(what, value):
     mat = checked_array(what, value, 2)
     if mat.shape[0] != mat.shape[1] or not mat.size:
         raise InvalidParameter(f"{what} must be square and at least 1 x 1, got shape {mat.shape}")
-    # mat - mat.T is exactly antisymmetric, so its max is its largest |entry|
-    gap, bound = float((mat - mat.T).max()), 1e-12 * max(1.0, float(np.abs(mat).max()))
+    # halved first, so neither the gap nor the part can overflow; the half gap
+    # is exactly antisymmetric, so its max is its largest |entry|
+    half = 0.5 * mat
+    gap, bound = 2.0 * float((half - half.T).max()), 1e-12 * max(1.0, float(np.abs(mat).max()))
     if gap > bound:
         raise NotSymmetric(f"{what} asymmetry {gap:.3e} exceeds {bound:.3e}")
-    return 0.5 * mat + 0.5 * mat.T if gap else mat  # halved first, so it cannot overflow
+    return half + half.T if gap else mat

@@ -11,6 +11,11 @@ over the next window) against the in-sample optimum; Monte Carlo bands
 of q under a stationary truth mark the non-optimality region, and
 samples above mean + k sd of that band signal effects beyond weight
 staleness.
+
+A band replica X = D L Z (volatilities D, truth factor L, normals Z) has
+C_E = D L S L' D with S the covariance of Z, so mc_band solves against S
+in whitened coordinates and never forms X, C_E or the weights; its gates
+judge S, not C_E.
 """
 from __future__ import annotations
 
@@ -21,7 +26,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import synthgen
-from .dataio import CovarianceMatrix, ReturnPanel, checked_window, freeze, gated_rows
+from .dataio import (CovarianceMatrix, ReturnPanel, centered_rows, checked_window, freeze,
+                     gated_rows)
 from .errors import (IllPosed, InsufficientData, InvalidParameter, NumericsError, checked_array,
                      checked_int, checked_real)
 from .rngutil import rng_for
@@ -85,17 +91,25 @@ def min_variance_weights(cov: CovarianceMatrix) -> WeightVector:
     Solves C x = 1 and normalizes, which is the closed form
     w_i = sum_j inv(C)_ij / sum_jk inv(C)_jk without forming the inverse.
 
-    CovarianceMatrix makes C symmetric, finite and at least 1 x 1.  Gates,
-    in order: the shifted-Cholesky certificate (_certified), and only where
-    it fails the exact gates, which raise NotPositiveDefinite or
-    NumericsError naming the 2-norm condition number.
+    CovarianceMatrix makes C symmetric, finite and at least 1 x 1; T <= N
+    raises IllPosed, and _gated_solve gates C.
     """
     n = cov.n_series
     t_len = cov.window_len
     if t_len is not None and t_len <= n:
         raise IllPosed(f"minimum-variance problem needs more observations than assets, "
                        f"got N={n}, T={t_len}")
-    c = cov.entries
+    x = _gated_solve(cov.entries, np.ones(n))
+    return WeightVector(cov.tickers, x / x.sum())
+
+
+def _gated_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with C x = b for a symmetric C that passes the gates, by one LU solve.
+
+    Gates, in order: the shifted-Cholesky certificate (_certified), and only
+    where it fails the exact gates, which raise NotPositiveDefinite or
+    NumericsError naming the 2-norm condition number.
+    """
     if not _certified(c):
         synthgen.cholesky(c)  # the positive-definiteness gate
         # C is SPD here, so its 2-norm condition number is lambda_max / lambda_min;
@@ -105,8 +119,7 @@ def min_variance_weights(cov: CovarianceMatrix) -> WeightVector:
         if cond > _CONDITION_LIMIT:
             raise NumericsError(
                 f"covariance condition number {cond:.3e} exceeds {_CONDITION_LIMIT:.0e}")
-    x = np.linalg.solve(c, np.ones(n))
-    return WeightVector(cov.tickers, x / x.sum())
+    return np.linalg.solve(c, b)
 
 
 def _certified(c: np.ndarray) -> bool:
@@ -213,11 +226,20 @@ def mc_band(n_series: int, t1: int, t2: int, replicas: int,
             volatilities=None) -> MCBand:
     """MC mean and sd of q on stationary Gaussian panels from the truth.
 
-    Replica k draws the panel of synthgen.sample_panel(truth, t1 + t2, seed,
-    "gaussian", replica=k), from one Cholesky factor for all replicas, and
+    Replica k is X = D L Z, the panel L Z of synthgen.sample_panel(truth,
+    t1 + t2, seed, "gaussian", replica=k) times the volatilities D, and
     contributes q = sigma_R / sigma_E of weights fitted on its first t1
-    steps and held over the next t2 (_sample_risks, as in q_series).
-    t1 <= n_series raises IllPosed before any replica is drawn.
+    steps and held over the next t2, as in q_series.  With S the population
+    covariance of Z's first t1 columns, u = L^-1 D^-1 1 (solved once) and
+    y = S^-1 u: 1' C_E^-1 1 = u'y and the held P&L is y'Z_R / u'y, so
+    q^2 = mean((y'Z_R)^2) / u'y over the centred realized block Z_R.  q is
+    free of u's scale, so u solves against min(D) / D, which cannot overflow.
+
+    t1 <= n_series raises IllPosed before any replica is drawn.  The gates
+    of min_variance_weights judge S: a flat estimation row of X makes S
+    singular (NotPositiveDefinite or NumericsError, not ZeroVariance); a
+    flat realized row leaves q defined; and the truth and volatilities
+    enter no per-replica solve, so they fail no condition gate.
     """
     checked_int("n_series", n_series, 1)
     checked_int("t1", t1, 2)
@@ -232,14 +254,20 @@ def mc_band(n_series: int, t1: int, t2: int, replicas: int,
              else checked_array("volatilities", volatilities, 1))
     if not (scale.shape == (n_series,) and np.all(scale > 0)):
         raise InvalidParameter("volatilities must be N positive reals")
-    lower = synthgen.cholesky(truth.entries)
-    tickers = synthgen.synthetic_tickers(n_series)
+    u = np.linalg.solve(synthgen.cholesky(truth.entries), scale.min() / scale)
     qs = np.empty(replicas)
     for replica in range(replicas):
-        returns = synthgen.draw_returns(lower, t1 + t2, seed, synthgen.FAMILY_GAUSSIAN,
-                                        replica=replica) * scale[:, None]
-        sigma_e, sigma_r = _sample_risks(returns, tickers, (0, t1), (t1, t1 + t2))
-        qs[replica] = sigma_r / sigma_e
+        z, _ = synthgen.draw_variates(n_series, t1 + t2, seed, synthgen.FAMILY_GAUSSIAN,
+                                      replica=replica)
+        est = centered_rows(z[:, :t1])[0]
+        y = _gated_solve((est @ est.T) / t1, u)
+        budget = float(u @ y)  # 1' C_E^-1 1 = 1 / sigma_E^2, up to u's scale
+        if not 0.0 < budget < math.inf:
+            raise NumericsError(f"replica {replica}: whitened budget u'S^-1 u is {budget!r}, "
+                                f"not a finite positive number")
+        pnl = y @ z[:, t1:]
+        pnl -= pnl.mean()
+        qs[replica] = math.sqrt(float(pnl @ pnl) / (t2 * budget))
     return MCBand(float(qs.mean()), float(qs.std(ddof=1)))
 
 

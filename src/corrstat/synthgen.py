@@ -86,18 +86,20 @@ def synthetic_tickers(n: int) -> tuple[str, ...]:
     return tuple(f"S{i:0{width}d}" for i in range(n))
 
 
-def draw_returns(lower: np.ndarray, n_steps: int, seed: int, family: str,
-                 nu: float | None = None, replica: int = 0) -> np.ndarray:
-    """N x n_steps i.i.d. columns lower @ z_t on substream (seed, "<family>-panel", replica).
+def draw_variates(n_series: int, n_steps: int, seed: int, family: str,
+                  nu: float | None = None, replica: int = 0):
+    """(z, scale) on substream (seed, "<family>-panel", replica): z is n_series x n_steps
+    standard normals, scale the Student-t step factors sqrt(nu / s_t), one chi^2_nu draw
+    s_t per step, or None for a Gaussian.
 
-    Student-t scales step t by sqrt(nu / s_t), one chi^2_nu draw s_t per step.
-    sample_panel and mc_band both draw here, so their replica k is one stream.
+    sample_panel's columns are (lower @ z) * scale; mc_band works on z itself, so
+    their replica k is one stream.
     """
     rng = rng_for(seed, f"{family}-panel", replica)
-    returns = lower @ rng.standard_normal((lower.shape[0], n_steps))
+    z = rng.standard_normal((n_series, n_steps))
     if family == FAMILY_STUDENT_T:
-        returns *= np.sqrt(nu / rng.chisquare(nu, size=n_steps))[None, :]
-    return returns
+        return z, np.sqrt(nu / rng.chisquare(nu, size=n_steps))
+    return z, None
 
 
 def sample_panel(truth: TrueCorrelation, n_steps: int, seed: int, family: str,
@@ -106,7 +108,10 @@ def sample_panel(truth: TrueCorrelation, n_steps: int, seed: int, family: str,
     series per row of truth, deterministic per (seed, replica)."""
     checked_family(family, nu)
     checked_int("n_steps", n_steps, 1)
-    returns = draw_returns(cholesky(truth.entries), n_steps, seed, family, nu, replica)
+    z, scale = draw_variates(truth.n_series, n_steps, seed, family, nu, replica)
+    returns = cholesky(truth.entries) @ z
+    if scale is not None:
+        returns *= scale[None, :]
     times = tuple(str(k) for k in range(n_steps))
     return ReturnPanel(synthetic_tickers(truth.n_series), times, returns)
 

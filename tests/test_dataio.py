@@ -367,6 +367,20 @@ def test_a_row_times_a_power_of_two_is_standardized_exactly(power):
             == spectral.spectral_snapshot(corrdist.corr_matrix(panel, (100, 200)), 1))
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_row_whose_sum_overflows_is_centred_exactly():
+    # the row's mean overflows in the sum; at a power-of-two scale it does not
+    returns = np.abs(np.random.default_rng(3).normal(0.0, 0.01, size=(3, 300)))
+    returns[1] *= 1e308
+    assert not dataio.centered_rows(returns)[2].any()
+    shrunk = returns.copy()
+    shrunk[1] *= 2.0 ** -1000
+    big, small = make_panel(returns), make_panel(shrunk)
+    assert np.array_equal(dataio.standardize(big).returns, dataio.standardize(small).returns)
+    assert (stationarity.global_scan(big, (25, 50), reshuffle_seed=1)
+            == stationarity.global_scan(small, (25, 50), reshuffle_seed=1))
+
+
 def test_standardize_zero_variance():
     panel = make_panel([[1.0, 1.0, 1.0], [0.0, 1.0, 2.0]], tickers=("FLAT", "OK"))
     with pytest.raises(ZeroVariance) as err:

@@ -285,11 +285,11 @@ def test_finiteness_is_tested_only_by_the_array_rule_and_the_readers():
 
 
 # Where panel variates are drawn: the one function that owns the substream
-# label, the L @ Z product and the Student-t scale, so a synthetic panel's
-# replica k and the MC band's replica k are one stream.
+# label, the normals and the Student-t scale, so a synthetic panel's replica k
+# and the MC band's replica k are one stream.
 def test_panel_variates_are_drawn_only_by_the_draw_function():
     draws = _builders_of("standard_normal") | _builders_of("chisquare")
-    assert draws == {("synthgen.py", "draw_returns")}
+    assert draws == {("synthgen.py", "draw_variates")}
 
 
 # Both scans' reports come from their one driver, so the two report the

@@ -85,6 +85,16 @@ def test_the_rule_returns_the_exact_symmetric_part():
     assert got[0, 1] == got[1, 0] == 0.5 * top + 0.5 * np.nextafter(top, 0.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_the_asymmetry_of_opposite_huge_entries_is_measured_without_overflow():
+    # m - m.T would overflow; the halved gap does not, and the gap beyond
+    # float64's range reads as inf in the message
+    with pytest.raises(NotSymmetric, match=r"^m asymmetry inf exceeds 1\.000e\+296$"):
+        checked_symmetric("m", [[0.0, 1e308], [-1e308, 0.0]])
+    with pytest.raises(NotSymmetric, match=r"^m asymmetry 1\.600e\+308 exceeds 1\.000e\+296$"):
+        checked_symmetric("m", [[0.0, 1e308], [-6e307, 0.0]])
+
+
 @pytest.mark.parametrize("build", [TrueCorrelation, _covariance],
                          ids=["TrueCorrelation", "CovarianceMatrix"])
 def test_a_stored_matrix_is_exactly_symmetric(build):

@@ -341,20 +341,29 @@ def test_mc_band_same_seed_repeats():
     assert one.mean > 0 and one.sd > 0
 
 
-@pytest.mark.parametrize("volatilities", [None, [1.0, 2.0, 4.0, 8.0]])
-def test_mc_band_matches_per_replica_panels(volatilities):
-    # reference: each replica as a sampled panel through q_series
-    truth = synthgen.one_factor_correlation(4, seed=5)
+@pytest.mark.parametrize("truth, volatilities", [
+    pytest.param(synthgen.one_factor_correlation(4, seed=5), None, id="None"),
+    pytest.param(synthgen.one_factor_correlation(4, seed=5), [1.0, 2.0, 4.0, 8.0],
+                 id="volatilities1"),
+    pytest.param(synthgen.sample_estimate_as_truth(gaussian_panel(20, 60, seed=21)), None,
+                 id="dense-estimate-N20"),
+])
+def test_mc_band_matches_per_replica_panels(truth, volatilities):
+    # reference: each replica as a sampled panel through q_series; mc_band
+    # computes the same q in whitened coordinates, which rounds differently
+    n, t1, t2 = truth.n_series, 5 * truth.n_series, 30
     qs = []
     for replica in range(30):
-        panel = synthgen.sample_panel(truth, 50, 6, synthgen.FAMILY_GAUSSIAN, replica=replica)
+        panel = synthgen.sample_panel(truth, t1 + t2, 6, synthgen.FAMILY_GAUSSIAN,
+                                      replica=replica)
         if volatilities is not None:
             panel = make_panel(panel.returns * np.asarray(volatilities)[:, None])
-        (sample,) = portfolio.q_series(panel, 20, 30, chained=False)
+        (sample,) = portfolio.q_series(panel, t1, t2, chained=False)
         qs.append(sample.q)
     qs = np.asarray(qs)
-    band = portfolio.mc_band(4, 20, 30, 30, truth, seed=6, volatilities=volatilities)
-    assert band == MCBand(float(qs.mean()), float(qs.std(ddof=1)))
+    band = portfolio.mc_band(n, t1, t2, 30, truth, seed=6, volatilities=volatilities)
+    assert band.mean == pytest.approx(float(qs.mean()), rel=1e-12, abs=0)
+    assert band.sd == pytest.approx(float(qs.std(ddof=1)), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("n,t1,t2", [(20, 150, 150), (50, 150, 150), (50, 500, 100)])
@@ -393,9 +402,65 @@ def test_mc_band_refuses_t1_up_to_n_before_drawing(monkeypatch, n, t1):
     def refuse(*args, **kwargs):
         raise AssertionError("a replica was drawn")
 
-    monkeypatch.setattr(synthgen, "draw_returns", refuse)
+    monkeypatch.setattr(synthgen, "draw_variates", refuse)
     with pytest.raises(IllPosed, match=rf", got N={n}, T={t1}$"):
         portfolio.mc_band(n, t1, 30, 30, synthgen.identity_correlation(n), seed=0)
+    with pytest.raises(AssertionError, match="a replica was drawn"):  # the patch is reached
+        portfolio.mc_band(n, n + 1, 30, 30, synthgen.identity_correlation(n), seed=0)
+
+
+def test_mc_band_builds_no_frozen_matrix_or_weights(monkeypatch):
+    truth = synthgen.one_factor_correlation(6, seed=4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a frozen value type was built per replica")
+
+    monkeypatch.setattr(portfolio, "CovarianceMatrix", refuse)
+    monkeypatch.setattr(portfolio, "WeightVector", refuse)
+    band = portfolio.mc_band(6, 30, 30, 30, truth, seed=2, volatilities=[1.0, 2.0] * 3)
+    assert band.mean > 0 and band.sd > 0
+
+
+def _flattened(monkeypatch, columns):
+    """Make every replica's first normal row constant over the given columns."""
+    draw = synthgen.draw_variates
+
+    def flat(*args, **kwargs):
+        z, scale = draw(*args, **kwargs)
+        z[0, columns] = 0.5
+        return z, scale
+
+    monkeypatch.setattr(synthgen, "draw_variates", flat)
+
+
+def test_mc_band_gates_the_whitened_estimation_covariance(monkeypatch):
+    # under the identity truth X = Z, so a flat estimation row of X makes S singular
+    _flattened(monkeypatch, slice(0, 30))
+    with pytest.raises((NotPositiveDefinite, NumericsError)):
+        portfolio.mc_band(3, 30, 30, 30, synthgen.identity_correlation(3), seed=0)
+
+
+def test_mc_band_takes_a_flat_realized_row(monkeypatch):
+    _flattened(monkeypatch, slice(30, 60))
+    band = portfolio.mc_band(3, 30, 30, 30, synthgen.identity_correlation(3), seed=0)
+    assert band.mean > 0 and band.sd > 0
+
+
+def test_mc_band_names_a_replica_whose_budget_is_not_positive(monkeypatch):
+    monkeypatch.setattr(portfolio, "_gated_solve", lambda s, u: -u)
+    with pytest.raises(NumericsError, match=r"^replica 0: whitened budget u'S\^-1 u is -3\.0, "
+                                            r"not a finite positive number$"):
+        portfolio.mc_band(3, 30, 30, 30, synthgen.identity_correlation(3), seed=0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_mc_band_volatilities_enter_no_replica_solve():
+    # these would fail the condition gate of a panel's covariance (cond ~1e36),
+    # and the reciprocal of 5e-324 overflows; q stays defined on the normals
+    truth = synthgen.one_factor_correlation(4, seed=5)
+    for volatilities in ([1.0, 1e-9, 1e9, 1.0], [5e-324, 1.0, 1.0, 1e300]):
+        band = portfolio.mc_band(4, 30, 30, 30, truth, seed=6, volatilities=volatilities)
+        assert 0.0 < band.mean < math.inf and 0.0 < band.sd < math.inf
 
 
 @pytest.mark.parametrize("volatilities, got", [
