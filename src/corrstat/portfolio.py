@@ -1,21 +1,25 @@
 """Minimum-variance portfolio machinery and the q-ratio experiment.
 
-Weights minimize w' C w under sum(w) = 1 (shorts allowed), solved from
-C x = 1 and normalized, never through an explicit inverse.  Symmetry
-and finiteness come with C, a CovarianceMatrix; the solve first tries a
-one-Cholesky certificate that it is positive definite and well
-conditioned, and only where that fails runs the exact Cholesky and
-eigvalsh gates, which raise the named errors.  The q ratio
-sigma_R / sigma_E compares realized risk (previous window's weights held
-over the next window) against the in-sample optimum; Monte Carlo bands
-of q under a stationary truth mark the non-optimality region, and
-samples above mean + k sd of that band signal effects beyond weight
-staleness.
+Weights minimize w' C w under sum(w) = 1 (shorts allowed): w = C^-1 1 /
+1'C^-1 1, solved from C x = 1, never through an explicit inverse.
+_gated_solve gates C first: a one-Cholesky certificate that it is
+positive definite and well conditioned, and only where that fails the
+exact Cholesky and eigvalsh gates, which raise the named errors.
 
-A band replica X = D L Z (volatilities D, truth factor L, normals Z) has
-C_E = D L S L' D with S the covariance of Z, so mc_band solves against S
-in whitened coordinates and never forms X, C_E or the weights; its gates
-judge S, not C_E.
+The q ratio sigma_R / sigma_E compares the realized risk of weights
+fitted on an estimation window and held over the next, realized window
+with their in-sample risk.  The samples (q_series) and the Monte Carlo
+band of q under a stationary truth (mc_band) compute it through one
+function, _held_q, which solves against the Gram matrix of the centred
+estimation rows and returns the budget u'S^-1 u with q.  q_series takes
+u = 1, so the budget is 1'C_E^-1 1 = 1 / sigma_E^2; mc_band takes the
+whitened u of its truth and volatilities.  Samples above the band's
+mean + k sd signal effects beyond weight staleness.
+
+covariance_matrix, min_variance_weights and portfolio_variance form the
+same quantities as frozen value types, one step at a time.  Nothing in
+the q ratio calls them: they are the reference the tests check _held_q
+against.
 """
 from __future__ import annotations
 
@@ -57,7 +61,7 @@ class WeightVector:
 
 @dataclass
 class QExperiment:
-    """One chained sample: weights from window 1 held over window 2."""
+    """One sample: weights fitted on the t1_range columns, held over the t2_range columns."""
 
     sample: int
     t1_range: tuple[int, int]
@@ -72,17 +76,20 @@ class MCBand(NamedTuple):
     sd: float
 
 
+def _checked_type(what, value, cls):
+    """value when it is a cls, else InvalidParameter naming what and cls."""
+    if isinstance(value, cls):
+        return value
+    raise InvalidParameter(f"{what} must be of type {cls.__name__}, got {type(value).__name__}")
+
+
 def covariance_matrix(panel: ReturnPanel, window: tuple[int, int] | None = None) -> CovarianceMatrix:
     """Population covariance of the rows over a column range."""
-    window = checked_window(panel.n_steps, window, 2)
-    return _covariance(panel.returns, panel.tickers, window)
-
-
-def _covariance(returns, tickers, window) -> CovarianceMatrix:
-    centered, _ = gated_rows(returns, tickers, window)
+    window = checked_window(_checked_type("panel", panel, ReturnPanel).n_steps, window, 2)
+    centered, _ = gated_rows(panel.returns, panel.tickers, window)
     with np.errstate(over="ignore"):  # CovarianceMatrix refuses an inf entry
         c = (centered @ centered.T) / centered.shape[1]
-    return CovarianceMatrix(tickers, c, window)
+    return CovarianceMatrix(panel.tickers, c, window)
 
 
 def min_variance_weights(cov: CovarianceMatrix) -> WeightVector:
@@ -94,13 +101,16 @@ def min_variance_weights(cov: CovarianceMatrix) -> WeightVector:
     CovarianceMatrix makes C symmetric, finite and at least 1 x 1; T <= N
     raises IllPosed, and _gated_solve gates C.
     """
-    n = cov.n_series
-    t_len = cov.window_len
+    _check_posed(_checked_type("cov", cov, CovarianceMatrix).n_series, cov.window_len)
+    x = _gated_solve(cov.entries, np.ones(cov.n_series))
+    return WeightVector(cov.tickers, x / x.sum())
+
+
+def _check_posed(n: int, t_len: int | None):
+    """IllPosed unless T > N: with T <= N observations the sample covariance is singular."""
     if t_len is not None and t_len <= n:
         raise IllPosed(f"minimum-variance problem needs more observations than assets, "
                        f"got N={n}, T={t_len}")
-    x = _gated_solve(cov.entries, np.ones(n))
-    return WeightVector(cov.tickers, x / x.sum())
 
 
 def _gated_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -151,74 +161,75 @@ def portfolio_variance(cov: CovarianceMatrix, weights: WeightVector) -> float:
 
 def select_stocks(panel: ReturnPanel, n_stocks: int, select_seed: int) -> ReturnPanel:
     """Seeded random subset of n_stocks rows, original order kept."""
-    n = panel.n_series
+    n = _checked_type("panel", panel, ReturnPanel).n_series
     if checked_int("n_stocks", n_stocks, 1) > n:
         raise InvalidParameter(f"n_stocks must lie in [1, {n}], got {n_stocks}")
     idx = rng_for(select_seed, "stock-subset").choice(n, size=n_stocks, replace=False)
     return panel.select(sorted(int(i) for i in idx))
 
 
-def _chained_ranges(t_total: int, t1: int, t2: int):
-    """Realized blocks [k t2, (k+1) t2); estimation is the t1 days before.
+def _ranges(t_total: int, t1: int, t2: int, chained: bool):
+    """(estimation, realized) column ranges: realized blocks [s, s + t2) at
+    s = first, first + step, ... while they fit, each after its t1 estimation days.
 
-    The realized grid depends only on t2, so experiments with different
-    estimation lengths stay sample-aligned; with t1 = t2 this is exactly
-    the chained protocol (window 2 of sample n is window 1 of n+1).
+    Chained, first = ceil(t1 / t2) t2 and step = t2: the realized grid depends
+    only on t2, so experiments with different estimation lengths stay
+    sample-aligned, and with t1 = t2 window 2 of sample n is window 1 of n+1.
+    Independent, first = t1 and step = t1 + t2: no two samples share a day.
     """
-    first = max(1, -(-t1 // t2))  # ceil(t1 / t2)
-    ranges = []
-    k = first
-    while (k + 1) * t2 <= t_total:
-        ranges.append(((k * t2 - t1, k * t2), (k * t2, (k + 1) * t2)))
-        k += 1
-    return ranges
-
-
-def _independent_ranges(t_total: int, t1: int, t2: int):
-    span = t1 + t2
-    return [
-        ((m * span, m * span + t1), (m * span + t1, (m + 1) * span))
-        for m in range(t_total // span)
-    ]
+    first, step = (-(-t1 // t2) * t2, t2) if chained else (t1, t1 + t2)
+    return [((s - t1, s), (s, s + t2)) for s in range(first, t_total - t2 + 1, step)]
 
 
 def q_series(panel: ReturnPanel, t1: int, t2: int, chained: bool = True) -> list[QExperiment]:
-    """q = sigma_R / sigma_E over successive estimation/realized windows."""
+    """q = sigma_R / sigma_E over successive estimation/realized windows (see _ranges).
+
+    Each sample is one _held_q call on the gated windows with u = 1: its
+    budget b = 1'C_E^-1 1 gives sigma_E = 1 / sqrt(b), the in-sample risk of
+    the minimum-variance weights, and sigma_R = q sigma_E, the population sd
+    of their P&L over the realized window.  t1 <= N raises IllPosed before
+    any window is read; a flat row in either window raises ZeroVariance
+    naming the ticker and window; the estimation covariance then meets the
+    gates of _gated_solve.
+    """
+    _checked_type("panel", panel, ReturnPanel)
     checked_int("t1", t1, 2)
     checked_int("t2", t2, 2)
-    ranges = (_chained_ranges if chained else _independent_ranges)(
-        panel.n_steps, t1, t2
-    )
+    _checked_type("chained", chained, bool)
+    _check_posed(panel.n_series, t1)
+    ranges = _ranges(panel.n_steps, t1, t2, chained)
     if not ranges:
         raise InsufficientData(
             f"panel of {panel.n_steps} steps has no full (t1={t1}, t2={t2}) sample"
         )
+    ones = np.ones(panel.n_series)
     out = []
     for sample, (est_range, real_range) in enumerate(ranges, start=1):
-        sigma_e, sigma_r = _sample_risks(panel.returns, panel.tickers,
-                                         est_range, real_range)
-        out.append(QExperiment(
-            sample=sample,
-            t1_range=est_range,
-            t2_range=real_range,
-            sigma_e=sigma_e,
-            sigma_r=sigma_r,
-            q=sigma_r / sigma_e,
-        ))
+        budget, q = _held_q(gated_rows(panel.returns, panel.tickers, est_range)[0],
+                            gated_rows(panel.returns, panel.tickers, real_range)[0],
+                            ones, f"sample {sample}")
+        sigma_e = 1.0 / math.sqrt(budget)  # budget = 1' C_E^-1 1
+        out.append(QExperiment(sample, est_range, real_range, sigma_e, q * sigma_e, q))
     return out
 
 
-def _sample_risks(returns, tickers, est_range, real_range):
-    """sigma_E and sigma_R of weights fitted on est_range.
+def _held_q(est: np.ndarray, realized: np.ndarray, u: np.ndarray, where: str):
+    """(u'S^-1 u, q) of weights fitted on the centred rows est and held over realized.
 
-    sigma_R is the population sd of the held portfolio's P&L over
-    real_range, which equals sqrt(w' C_R w) without forming C_R.
+    With S = est est' / T1 and y = S^-1 u, the weights are y / u'y, the held
+    P&L is y'R / u'y over realized's columns R (centred), and q^2 =
+    mean((y'R)^2) / u'y.  A budget u'y that is not finite and positive
+    raises NumericsError naming where.
     """
-    cov_est = _covariance(returns, tickers, est_range)
-    weights = min_variance_weights(cov_est)
-    sigma_e = math.sqrt(portfolio_variance(cov_est, weights))
-    pnl = weights.w @ gated_rows(returns, tickers, real_range)[0]
-    return sigma_e, math.sqrt(float(pnl @ pnl) / pnl.size)
+    with np.errstate(over="ignore"):  # _gated_solve refuses an inf entry
+        y = _gated_solve((est @ est.T) / est.shape[1], u)
+    budget = float(u @ y)
+    if not 0.0 < budget < math.inf:
+        raise NumericsError(f"{where}: whitened budget u'S^-1 u is {budget!r}, "
+                            f"not a finite positive number")
+    pnl = y @ realized
+    pnl -= pnl.mean()
+    return budget, math.sqrt(float(pnl @ pnl) / (realized.shape[1] * budget))
 
 
 def mc_band(n_series: int, t1: int, t2: int, replicas: int,
@@ -228,27 +239,26 @@ def mc_band(n_series: int, t1: int, t2: int, replicas: int,
 
     Replica k is X = D L Z, the panel L Z of synthgen.sample_panel(truth,
     t1 + t2, seed, "gaussian", replica=k) times the volatilities D, and
-    contributes q = sigma_R / sigma_E of weights fitted on its first t1
-    steps and held over the next t2, as in q_series.  With S the population
-    covariance of Z's first t1 columns, u = L^-1 D^-1 1 (solved once) and
-    y = S^-1 u: 1' C_E^-1 1 = u'y and the held P&L is y'Z_R / u'y, so
-    q^2 = mean((y'Z_R)^2) / u'y over the centred realized block Z_R.  q is
+    contributes the q that q_series would measure on it, through the same
+    _held_q call in whitened coordinates.  With S the population covariance
+    of Z's first t1 columns and u = L^-1 D^-1 1 (solved once), 1'C_E^-1 1 =
+    u'S^-1 u and the held P&L is y'Z_R / u'y with y = S^-1 u, so _held_q on
+    Z's two blocks gives X's q without forming X, C_E or the weights.  q is
     free of u's scale, so u solves against min(D) / D, which cannot overflow.
 
     t1 <= n_series raises IllPosed before any replica is drawn.  The gates
-    of min_variance_weights judge S: a flat estimation row of X makes S
-    singular (NotPositiveDefinite or NumericsError, not ZeroVariance); a
-    flat realized row leaves q defined; and the truth and volatilities
-    enter no per-replica solve, so they fail no condition gate.
+    judge S, not C_E, so they differ from q_series': a flat estimation row
+    of X makes S singular (NotPositiveDefinite or NumericsError, not
+    ZeroVariance); a flat realized row is not gated and leaves q defined;
+    and the truth and volatilities enter no per-replica solve, so they fail
+    no condition gate.
     """
     checked_int("n_series", n_series, 1)
     checked_int("t1", t1, 2)
     checked_int("t2", t2, 2)
     checked_int("replicas", replicas, MIN_REPLICAS)
-    if t1 <= n_series:
-        raise IllPosed(f"minimum-variance problem needs more observations than assets, "
-                       f"got N={n_series}, T={t1}")
-    if truth.n_series != n_series:
+    _check_posed(n_series, t1)
+    if _checked_type("truth", truth, synthgen.TrueCorrelation).n_series != n_series:
         raise InvalidParameter("truth dimension does not match n_series")
     scale = (np.ones(n_series) if volatilities is None
              else checked_array("volatilities", volatilities, 1))
@@ -259,20 +269,19 @@ def mc_band(n_series: int, t1: int, t2: int, replicas: int,
     for replica in range(replicas):
         z, _ = synthgen.draw_variates(n_series, t1 + t2, seed, synthgen.FAMILY_GAUSSIAN,
                                       replica=replica)
-        est = centered_rows(z[:, :t1])[0]
-        y = _gated_solve((est @ est.T) / t1, u)
-        budget = float(u @ y)  # 1' C_E^-1 1 = 1 / sigma_E^2, up to u's scale
-        if not 0.0 < budget < math.inf:
-            raise NumericsError(f"replica {replica}: whitened budget u'S^-1 u is {budget!r}, "
-                                f"not a finite positive number")
-        pnl = y @ z[:, t1:]
-        pnl -= pnl.mean()
-        qs[replica] = math.sqrt(float(pnl @ pnl) / (t2 * budget))
+        qs[replica] = _held_q(centered_rows(z[:, :t1])[0], z[:, t1:], u, f"replica {replica}")[1]
     return MCBand(float(qs.mean()), float(qs.std(ddof=1)))
 
 
 def flag_band_violations(experiments, band: MCBand,
                          n_sigma: float = DEFAULT_BAND_SIGMAS) -> list[bool]:
-    """True where q exceeds band mean + n_sigma * band sd."""
+    """True where q exceeds band mean + n_sigma * band sd.
+
+    The band is refused, before any comparison, unless it is an MCBand with a
+    finite mean and a finite sd >= 0, so a NaN band cannot read as no violation.
+    """
+    _checked_type("band", band, MCBand)
+    checked_real("band mean", band.mean, math.isfinite, "a finite number")
+    checked_real("band sd", band.sd, lambda sd: 0.0 <= sd < math.inf, "a finite number >= 0")
     limit = band.mean + checked_real("n_sigma", n_sigma, *BAND_SIGMAS_RULE) * band.sd
     return [exp.q > limit for exp in experiments]

@@ -254,7 +254,7 @@ def test_qscan_on_a_panel_whose_covariance_overflows_is_one_error_line(tmp_path)
     rc, err = run_captured(["qscan", "--input", str(path), "--input-kind", "returns",
                             "--t1", "20", "--t2", "20", "--replicas", "30",
                             "--out", str(tmp_path / "q.json")])
-    assert (rc, err) == (1, "error: DomainError: entries has non-finite entry inf at (1, 1)\n")
+    assert (rc, err) == (1, "error: DomainError: matrix has non-finite entry inf at (1, 1)\n")
 
 
 def test_qscan_schema(tmp_path, capsys):

@@ -8,9 +8,11 @@ only scipy module loaded.  Nothing starts a thread pool either: the
 scans run their pairs on the calling thread.  The AST checks at the end
 keep every import of the package, the scripts and the tests in use,
 every public name read by the program, every ZeroVariance built at
-the one zero-variance gate, every NotSymmetric built and every matrix
-symmetrized by errors.checked_symmetric, every
-ScanReport built by the scans' one driver, every integer argument
+the one zero-variance gate, every IllPosed built by one helper, every
+gated solve run by the optimizer or the q ratio's one kernel, every
+NotSymmetric built and every matrix symmetrized by
+errors.checked_symmetric, every ScanReport built by the scans' one
+driver, every integer argument
 checked by errors.checked_int or the three checks that name a whole
 window or pair, every real argument checked by errors.checked_real or
 the pair check, every array cast to float64 by errors.checked_array,
@@ -161,11 +163,13 @@ def test_every_imported_name_is_used():
 
 
 # Public names whose only readers are tests: the per-pair references the
-# scan tests compare the batched scans against, and the estimators the
-# acceptance criteria call.
+# scan tests compare the batched scans against, the estimators the
+# acceptance criteria call, and the one-step-at-a-time optimizer the q
+# ratio's shared kernel (portfolio._held_q) is checked against.
 TEST_ONLY_READERS = {
     "cumulative_corr", "local_test",
     "standardize", "covariance_matrix", "pca_decompose", "market_mode_residual",
+    "min_variance_weights", "portfolio_variance",
 }
 
 
@@ -233,6 +237,20 @@ NOT_SYMMETRIC_BUILDERS = {
 
 def test_not_symmetric_is_built_only_by_the_symmetric_rule():
     assert _builders_of("NotSymmetric") == NOT_SYMMETRIC_BUILDERS
+
+
+# Where the gated solve runs: the public optimizer and the q ratio's one
+# kernel, which both the samples and the Monte Carlo band call, so q has
+# one formula and one set of gates.
+def test_the_gated_solve_has_only_the_optimizer_and_the_q_kernel_as_callers():
+    assert _builders_of("_gated_solve") == {("portfolio.py", "min_variance_weights"),
+                                            ("portfolio.py", "_held_q")}
+
+
+# Where an IllPosed is built: one helper, so the optimizer, the samples and
+# the band refuse T <= N in one message.
+def test_ill_posed_is_built_only_by_its_helper():
+    assert _builders_of("IllPosed") == {("portfolio.py", "_check_posed")}
 
 
 def _unscaled(node):

@@ -277,6 +277,29 @@ def test_chained_sample_geometry():
     assert exps[-1].t2_range == (1500, 1650)
 
 
+@pytest.mark.parametrize("t_total, t1, t2, chained, expected", [
+    # realized blocks from ceil(170 / 60) * 60 = 180 in steps of 60, while they fit
+    (1000, 170, 60, True, [((s - 170, s), (s, s + 60)) for s in
+                           (180, 240, 300, 360, 420, 480, 540, 600, 660, 720, 780, 840, 900)]),
+    (1000, 170, 60, False, [((0, 170), (170, 230)), ((230, 400), (400, 460)),
+                            ((460, 630), (630, 690)), ((690, 860), (860, 920))]),
+    (300, 150, 150, True, [((0, 150), (150, 300))]),
+    (299, 150, 150, True, []),
+    (299, 150, 149, False, [((0, 150), (150, 299))]),
+    (298, 150, 149, False, []),
+], ids=["chained-t1-not-a-multiple", "independent", "chained-exact-fit", "chained-none",
+        "independent-exact-fit", "independent-none"])
+def test_window_geometry(t_total, t1, t2, chained, expected):
+    assert portfolio._ranges(t_total, t1, t2, chained) == expected
+
+
+def test_q_series_reports_the_window_geometry():
+    panel = gaussian_panel(5, 1000, seed=10)
+    for chained in (True, False):
+        exps = portfolio.q_series(panel, 170, 60, chained=chained)
+        assert [(e.t1_range, e.t2_range) for e in exps] == portfolio._ranges(1000, 170, 60, chained)
+
+
 def test_chained_grid_depends_only_on_t2():
     panel = gaussian_panel(5, 1758, seed=10)
     short = portfolio.q_series(panel, 100, 150)
@@ -306,14 +329,23 @@ def test_realized_risk_dominates_realized_optimum():
         assert exp.sigma_r >= floor - 1e-12
 
 
-def test_sigma_r_equals_the_realized_covariance_form():
-    panel = gaussian_panel(6, 600, seed=15)
-    for exp in portfolio.q_series(panel, 100, 100)[:3]:
+@pytest.mark.parametrize("chained", [True, False], ids=["chained", "independent"])
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e3, np.logspace(-2, 2, 6)[:, None]],
+                         ids=["unit", "times-1e-3", "times-1e3", "rows-1e-2-to-1e2"])
+def test_sigma_r_equals_the_realized_covariance_form(chained, scale):
+    # reference: the public optimizer, one frozen value type at a time
+    panel = make_panel(gaussian_panel(6, 600, seed=15).returns * scale)
+    exps = portfolio.q_series(panel, 100, 100, chained=chained)
+    assert len(exps) == (5 if chained else 3)
+    for exp in exps:
         cov_est = portfolio.covariance_matrix(panel, exp.t1_range)
         weights = portfolio.min_variance_weights(cov_est)
+        sigma_e = math.sqrt(portfolio.portfolio_variance(cov_est, weights))
         cov_real = portfolio.covariance_matrix(panel, exp.t2_range)
-        ref = math.sqrt(portfolio.portfolio_variance(cov_real, weights))
-        assert abs(exp.sigma_r - ref) <= 1e-12 * ref
+        sigma_r = math.sqrt(portfolio.portfolio_variance(cov_real, weights))
+        assert exp.sigma_e == pytest.approx(sigma_e, rel=1e-12, abs=0)
+        assert exp.sigma_r == pytest.approx(sigma_r, rel=1e-12, abs=0)
+        assert exp.q == pytest.approx(sigma_r / sigma_e, rel=1e-12, abs=0)
 
 
 def test_q_series_names_a_ticker_constant_in_a_realized_window():
@@ -331,6 +363,44 @@ def test_q_series_guards():
         portfolio.q_series(panel, 60, 60)
     with pytest.raises(InvalidParameter):
         portfolio.q_series(panel, 1, 50)
+
+
+def test_q_series_refuses_t1_up_to_n_before_reading_a_window():
+    returns = np.random.default_rng(24).normal(size=(3, 300))
+    returns[1] = 0.5  # flat in every window, so reading one raises ZeroVariance
+    with pytest.raises(IllPosed, match=r", got N=3, T=3$"):
+        portfolio.q_series(make_panel(returns), 3, 100)
+
+
+def test_q_series_names_a_sample_whose_budget_is_not_positive(monkeypatch):
+    monkeypatch.setattr(portfolio, "_gated_solve", lambda s, u: -u)
+    with pytest.raises(NumericsError, match=r"^sample 1: whitened budget u'S\^-1 u is -3\.0, "
+                                            r"not a finite positive number$"):
+        portfolio.q_series(gaussian_panel(3, 100, seed=14), 20, 20)
+
+
+PANEL = gaussian_panel(5, 100, seed=22)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: portfolio.q_series(PANEL.returns, 10, 10),
+     "panel must be of type ReturnPanel, got ndarray"),
+    (lambda: portfolio.q_series(PANEL, 10, 10, chained="independent"),
+     "chained must be of type bool, got str"),
+    (lambda: portfolio.covariance_matrix(PANEL.returns),
+     "panel must be of type ReturnPanel, got ndarray"),
+    (lambda: portfolio.select_stocks(PANEL.returns, 2, 1),
+     "panel must be of type ReturnPanel, got ndarray"),
+    (lambda: portfolio.min_variance_weights(np.eye(3)),
+     "cov must be of type CovarianceMatrix, got ndarray"),
+    (lambda: portfolio.mc_band(5, 10, 10, 30, np.eye(5), 1),
+     "truth must be of type TrueCorrelation, got ndarray"),
+], ids=["q_series-panel", "q_series-chained", "covariance_matrix", "select_stocks",
+        "min_variance_weights", "mc_band"])
+def test_entry_points_name_a_value_of_the_wrong_type(call, message):
+    with pytest.raises(InvalidParameter) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_mc_band_same_seed_repeats():
@@ -492,9 +562,27 @@ def test_flag_band_violations():
             portfolio.QExperiment(2, (2, 4), (4, 6), 1.0, 2.0, 2.0)]
     flags = portfolio.flag_band_violations(exps, MCBand(1.0, 0.1), n_sigma=5.0)
     assert flags == [False, True]
+    assert portfolio.flag_band_violations(exps, MCBand(1.0, 0.0)) == [False, True]  # sd 0 is a band
     for k in (0.0, -1.0, math.inf, -math.inf, math.nan):
         with pytest.raises(InvalidParameter):
             portfolio.flag_band_violations(exps, MCBand(1.0, 0.1), n_sigma=k)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("band, message", [
+    (MCBand(1.0, math.nan), "band sd must be a finite number >= 0, got nan"),
+    (MCBand(1.0, math.inf), "band sd must be a finite number >= 0, got inf"),
+    (MCBand(1.0, -5.0), "band sd must be a finite number >= 0, got -5.0"),
+    (MCBand(math.inf, 0.1), "band mean must be a finite number, got inf"),
+    (MCBand(math.nan, 0.1), "band mean must be a finite number, got nan"),
+    ((1.0, 0.1), "band must be of type MCBand, got tuple"),
+], ids=["sd-nan", "sd-inf", "sd-negative", "mean-inf", "mean-nan", "plain-tuple"])
+def test_flag_band_violations_refuses_a_band_that_is_not_finite(band, message):
+    exps = portfolio.q_series(gaussian_panel(5, 100, seed=23), 10, 10)
+    assert len(exps) == 9
+    with pytest.raises(InvalidParameter) as info:
+        portfolio.flag_band_violations(exps, band)
+    assert str(info.value) == message
 
 
 @given(st.floats(0.1, 10.0))
