@@ -26,6 +26,11 @@ The CDF is integrated at the points asked for, in Fisher's z = atanh(rho)
 (Fisher 1921), where the law is close to N(atanh(rho_bar), 1/(T-3)) for
 any rho_bar; there is no table and no state.
 
+Both take rho of any shape and return its shape.  The log density is -inf
+at rho = +-1 (T > 4).  The CDF clips atanh(rho) to its panel range: a
+sample clipped from below has a zero-width partial panel, so F = 0
+exactly, and np.where sets F = 1 at or above the top edge.
+
 scipy.special is the only scipy module the package uses.  hyp2f1 is
 imported inside the function that evaluates the law, as the global
 test's ks_pvalue imports kolmogorov, so a process that only builds
@@ -91,11 +96,11 @@ def corr_matrix(panel, window: tuple[int, int] | None = None) -> CovarianceMatri
 
 
 def _checked_rho(rho):
-    """rho's values as a flat float array, and its shape; a finite |rho| > 1 is rejected."""
-    rho_arr = checked_array("rho", rho)
-    if not np.all(np.abs(rho_arr) <= 1.0):
+    """rho as a float array of its own shape; a finite |rho| > 1 is rejected."""
+    rho = checked_array("rho", rho)
+    if not np.all(np.abs(rho) <= 1.0):
         raise InvalidParameter("rho must lie in [-1, 1]")
-    return rho_arr.ravel(), rho_arr.shape
+    return rho
 
 
 def _log_law(log_1m_rho2, a, log_1m_a, params: CorrParams):
@@ -124,14 +129,11 @@ def _log_law(log_1m_rho2, a, log_1m_a, params: CorrParams):
 
 
 def rho_logdensity(rho, params: CorrParams):
-    """log rho_density; -inf at the endpoints rho = +-1 (where T > 4)."""
-    flat, shape = _checked_rho(rho)
-    out = np.full(flat.shape, -np.inf)
-    interior = np.abs(flat) < 1.0
-    ri = flat[interior]
-    a = ri * params.rho_bar
-    out[interior] = _log_law(np.log1p(-ri) + np.log1p(ri), a, np.log1p(-a), params)
-    return out.reshape(shape)[()]
+    """log rho_density, of rho's shape; -inf at rho = +-1, as T - 4 > 0."""
+    rho = _checked_rho(rho)
+    a = rho * params.rho_bar
+    with np.errstate(divide="ignore"):
+        return _log_law(np.log1p(-rho) + np.log1p(rho), a, np.log1p(-a), params)[()]
 
 
 def rho_density(rho, params: CorrParams):
@@ -182,7 +184,7 @@ def _z_logdensity(z, params: CorrParams):
 
 def _panel_masses(lo, half, params: CorrParams):
     """7-node Gauss-Legendre mass of the z density on each [lo, lo + 2 half]."""
-    nodes = (lo + half)[:, None] + half[:, None] * _GL_X
+    nodes = (lo + half)[..., None] + half[..., None] * _GL_X
     return half * (np.exp(_z_logdensity(nodes, params)) @ _GL_W)
 
 
@@ -191,10 +193,10 @@ def rho_cdf(rho, params: CorrParams):
 
     _PANELS equal panels cover atanh(rho_bar) +- _Z_HALF_WIDTH/sqrt(T-3);
     F(rho) is the mass of the whole panels below atanh(rho) plus one
-    partial panel up to it, over the total mass.  Below the range F is 0,
-    above it 1, so rho = -1 and rho = 1 are exact.
+    partial panel up to it, over the total mass.  atanh(rho) is clipped to the
+    range: below it the partial panel has zero width (F = 0), at its top np.where sets F = 1.
     """
-    flat, shape = _checked_rho(rho)
+    rho = _checked_rho(rho)
     z0 = math.atanh(params.rho_bar)
     reach = _Z_HALF_WIDTH / math.sqrt(params.n_obs - 3.0)
     edges = np.linspace(z0 - reach, z0 + reach, _PANELS + 1)
@@ -204,11 +206,8 @@ def rho_cdf(rho, params: CorrParams):
     if abs(total - 1.0) > _MASS_TOL:
         raise NumericsError(f"density mass {total!r} deviates from 1 beyond {_MASS_TOL:g}")
     with np.errstate(divide="ignore"):
-        z = np.arctanh(flat)
-    out = np.where(z >= edges[-1], 1.0, 0.0)
-    inside = (z >= edges[0]) & (z < edges[-1])
-    zi = z[inside]
-    k = np.searchsorted(edges, zi, side="right") - 1
+        z = np.clip(np.arctanh(rho), edges[0], edges[-1])
+    k = np.searchsorted(edges, z, side="right").clip(1, _PANELS) - 1
     lo = edges[k]
-    out[inside] = (cum[k] + _panel_masses(lo, 0.5 * (zi - lo), params)) / total
-    return out.reshape(shape)[()]
+    partial = (cum[k] + _panel_masses(lo, 0.5 * (z - lo), params)) / total
+    return np.where(z < edges[-1], partial, 1.0)[()]

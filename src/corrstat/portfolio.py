@@ -217,9 +217,9 @@ def _held_q(est: np.ndarray, realized: np.ndarray, u: np.ndarray, where: str):
     """(u'S^-1 u, q) of weights fitted on the centred rows est and held over realized.
 
     With S = est est' / T1 and y = S^-1 u, the weights are y / u'y, the held
-    P&L is y'R / u'y over realized's columns R (centred), and q^2 =
-    mean((y'R)^2) / u'y.  A budget u'y that is not finite and positive
-    raises NumericsError naming where.
+    P&L is y'R / u'y over realized's columns R, and q = sd(y'R) / sqrt(u'y)
+    with sd from centered_rows.  A budget u'y that is not finite and positive,
+    or a q that is not finite, raises NumericsError naming where.
     """
     with np.errstate(over="ignore"):  # _gated_solve refuses an inf entry
         y = _gated_solve((est @ est.T) / est.shape[1], u)
@@ -227,9 +227,12 @@ def _held_q(est: np.ndarray, realized: np.ndarray, u: np.ndarray, where: str):
     if not 0.0 < budget < math.inf:
         raise NumericsError(f"{where}: whitened budget u'S^-1 u is {budget!r}, "
                             f"not a finite positive number")
-    pnl = y @ realized
-    pnl -= pnl.mean()
-    return budget, math.sqrt(float(pnl @ pnl) / (realized.shape[1] * budget))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = float(centered_rows((y @ realized)[None])[1][0, 0])
+        q = sd / math.sqrt(budget)
+    if not q < math.inf:
+        raise NumericsError(f"{where}: held P&L sd is {sd!r}, q is {q!r}, not finite")
+    return budget, q
 
 
 def mc_band(n_series: int, t1: int, t2: int, replicas: int,

@@ -153,8 +153,19 @@ def ks_pvalue(d_stat: float, k: int) -> float:
     return float(kolmogorov(d_stat * (root + 0.12 + 0.11 / root)))
 
 
+def _checked_pair(pair):
+    """pair when it is two numbers; InvalidParameter otherwise."""
+    try:
+        two_numbers = len(pair) == 2 and all(isinstance(i, Real) for i in pair)
+    except TypeError:  # no len()
+        two_numbers = False
+    if not two_numbers:
+        raise InvalidParameter(f"a pair must be two numbers, got {pair!r}")
+    return pair
+
+
 def _pair_rows(panel: ReturnPanel, pair):
-    i, j = pair
+    i, j = _checked_pair(pair)
     n = panel.n_series
     if not (isinstance(i, Integral) and isinstance(j, Integral)
             and 0 <= i < n and 0 <= j < n and i != j):
@@ -215,14 +226,7 @@ def _sorted_pairs(pairs, n_series):
     integers, any other's as objects; InvalidParameter if a pair is not two numbers."""
     pairs = all_pairs(n_series) if pairs is None else pairs
     if not (isinstance(pairs, np.ndarray) and pairs.dtype.kind == "i" and pairs.shape[1:] == (2,)):
-        pairs = _items("pairs", pairs)
-        for pair in pairs:
-            try:
-                two_numbers = len(pair) == 2 and all(isinstance(i, Real) for i in pair)
-            except TypeError:  # no len()
-                two_numbers = False
-            if not two_numbers:
-                raise InvalidParameter(f"a pair must be two numbers, got {pair!r}")
+        pairs = [_checked_pair(pair) for pair in _items("pairs", pairs)]
         pairs = np.array([(min(p), max(p)) for p in pairs], dtype=object).reshape(-1, 2)
     ij = np.sort(pairs, axis=1)
     return ij[np.lexsort((ij[:, 1], ij[:, 0]))]  # stable: the order of sorted((min, max))

@@ -77,6 +77,13 @@ def assert_matches(got, ref, where="report"):
         assert type(got) is type(ref) and got == ref, (where, got, ref)
 
 
+def strict_json(text):
+    """text parsed as JSON; a NaN, Infinity or -Infinity token raises ValueError."""
+    def refuse(token):
+        raise ValueError(f"{token} is not a JSON value")
+    return json.loads(text, parse_constant=refuse)
+
+
 CORPUS = Path(__file__).resolve().parent / "data" / "reports"
 VERSIONS = CORPUS / "VERSIONS.json"
 

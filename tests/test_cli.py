@@ -16,7 +16,7 @@ from corrstat import (__version__, cli, corrdist, dataio, portfolio, spectral, s
                       synthgen)
 from corrstat.errors import InvalidParameter
 
-from conftest import compare_report, gaussian_panel, make_panel
+from conftest import compare_report, gaussian_panel, make_panel, strict_json
 
 
 def run(argv):
@@ -47,13 +47,9 @@ def read_json(path):
         return json.load(fh)
 
 
-def _reject_constant(name):
-    raise ValueError(f"{name} is not valid JSON")
-
-
 def read_strict_json(path):
     """The report at path, refusing NaN and Infinity as strict JSON parsers do."""
-    return json.loads(Path(path).read_text(), parse_constant=_reject_constant)
+    return strict_json(Path(path).read_text())
 
 
 def test_density_csv_file(tmp_path, capsys):
@@ -257,6 +253,20 @@ def test_qscan_on_a_panel_whose_covariance_overflows_is_one_error_line(tmp_path)
     assert (rc, err) == (1, "error: DomainError: matrix has non-finite entry inf at (1, 1)\n")
 
 
+@pytest.mark.filterwarnings("error")
+def test_qscan_report_on_a_held_pnl_whose_squares_overflow_is_strict_json(tmp_path):
+    # realized returns near 1e158: the held P&L's sd is a float64, its squares are not
+    returns = 0.01 * np.random.default_rng(0).standard_normal((3, 200))
+    returns[:, 100:] *= 1e160
+    path = tmp_path / "split.csv"
+    dataio.save_panel_csv(make_panel(returns, ("A", "B", "C")), path)
+    out = tmp_path / "q.json"
+    assert run(["qscan", "--input", str(path), "--input-kind", "returns", "--t1", "100",
+                "--t2", "100", "--replicas", "30", "--out", str(out)]) == 0
+    (sample,) = read_strict_json(out)["samples"]
+    assert 1e158 < sample["q"] < 1e161
+
+
 def test_qscan_schema(tmp_path, capsys):
     panel = simulate_panel(tmp_path)
     out = tmp_path / "q.json"
@@ -407,6 +417,43 @@ def test_qscan_usage_errors(tmp_path, capsys):
         assert run(base + ["--t1", "20", "--t2", "20", f"--band-sigmas={k}"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "--band-sigmas" in err[0], err
+
+
+# (argv, with PANEL for a returns panel and DIR for a directory; exit code;
+# the start of its one stderr line)
+CLI_ERRORS = [
+    (["simulate", "--family", "gaussian", "--corr", "bogus:3", "--T", "40", "--out", "x.csv"],
+     2, "error: --corr must be from:PATH, identity:N, equicorr:N:RHO or onefactor:N:SEED, "
+        "got 'bogus:3'"),
+    (["qscan", "--input", "PANEL", "--input-kind", "returns", "--t1", "20", "--t2", "20",
+      "--volatilities", "MISSING"],
+     2, "error: --volatilities: cannot read MISSING"),
+    (["spectral", "--input", "PANEL", "--input-kind", "returns", "--window", "40",
+      "--out", "DIR"],
+     1, "error: "),
+]
+
+
+@pytest.mark.parametrize("argv, code, start", CLI_ERRORS, ids=[a[0] for a, _, _ in CLI_ERRORS])
+def test_cli_errors_are_one_line(argv, code, start, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    panel = simulate_panel(tmp_path, n=5, t=100)
+    (tmp_path / "DIR").mkdir()
+    argv = [{"PANEL": str(panel), "DIR": str(tmp_path / "DIR")}.get(a, a) for a in argv]
+    rc, err = run_captured(argv)
+    assert rc == code
+    assert len(err.splitlines()) == 1 and err.startswith(start), err
+
+
+def test_qscan_n_stocks_reports_the_tickers_it_selects(tmp_path):
+    panel = simulate_panel(tmp_path, n=5, t=100)
+    out = tmp_path / "q.json"
+    assert run(["qscan", "--input", str(panel), "--input-kind", "returns", "--t1", "20",
+                "--t2", "20", "--replicas", "30", "--n-stocks", "3", "--out", str(out)]) == 0
+    picked = portfolio.select_stocks(dataio.load_price_panel(panel, "returns"), 3, 1)
+    report = read_json(out)
+    assert report["tickers"] == list(picked.tickers) and len(picked.tickers) == 3
+    assert report["config"]["n_stocks"] == 3
 
 
 @pytest.fixture(scope="module")

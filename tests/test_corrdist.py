@@ -1,3 +1,4 @@
+import math
 import threading
 
 import numpy as np
@@ -81,6 +82,7 @@ def test_density_mirror_symmetry():
 def test_density_vanishes_at_endpoints():
     params = CorrParams(0.2, 50)
     assert corrdist.rho_density(np.array([-1.0, 1.0]), params).tolist() == [0.0, 0.0]
+    assert corrdist.rho_logdensity(np.array([-1.0, 1.0]), params).tolist() == [-np.inf] * 2
 
 
 def test_density_normalization():
@@ -202,6 +204,38 @@ def test_cdf_endpoints_exact_at_every_t():
             assert corrdist.rho_cdf(-1.0, params) == 0.0, (t, rho_bar)
             ends = corrdist.rho_cdf(np.array([-1.0, 1.0]), params)
             assert ends.tolist() == [0.0, 1.0], (t, rho_bar)
+    # samples beyond the +-10 z-width range are exact too
+    z0, reach = math.atanh(0.6), 10.0 / math.sqrt(25 - 3)
+    beyond = np.tanh([z0 - 1.1 * reach, z0 + 1.1 * reach])
+    assert corrdist.rho_cdf(beyond, CorrParams(0.6, 25)).tolist() == [0.0, 1.0]
+
+
+LAWS = (corrdist.rho_logdensity, corrdist.rho_density, corrdist.rho_cdf)
+LAW_IDS = ("rho_logdensity", "rho_density", "rho_cdf")
+
+
+@pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
+def test_the_law_takes_any_shape_and_matches_its_scalar_calls_bit_for_bit(law):
+    params = CorrParams(0.6, 25)
+    empty = law(np.empty(0), params)
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+    # both ends, their neighbours, and one sample each side beyond the +-10 z-width range
+    reach = 10.0 / math.sqrt(25 - 3)
+    rho = np.array([[-1.0, np.nextafter(-1.0, 0.0), math.tanh(math.atanh(0.6) - 1.1 * reach)],
+                    [math.tanh(math.atanh(0.6) + 1.1 * reach), np.nextafter(1.0, 0.0), 1.0]])
+    got = law(rho, params)
+    assert got.shape == (2, 3)
+    scalars = np.array([law(float(r), params) for r in rho.ravel()]).reshape(2, 3)
+    assert got.tobytes() == scalars.tobytes()
+    with np.errstate(all="raise"):  # the ends raise no warning
+        law(np.array([-1.0, 1.0]), params)
+
+
+@pytest.mark.parametrize("rho", [1.5, -1.0000001, [0.2, np.nextafter(1.0, 2.0)]])
+@pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
+def test_the_law_refuses_a_rho_beyond_one(law, rho):
+    with pytest.raises(InvalidParameter, match=r"^rho must lie in \[-1, 1\]$"):
+        law(rho, CorrParams(0.3, 50))
 
 
 def test_cdf_concurrent_calls_deterministic():

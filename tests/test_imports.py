@@ -377,7 +377,7 @@ def test_integers_are_checked_only_by_the_integer_rule():
 # hand-rolled real check that should call checked_real.
 REAL_CHECKS = {
     ("errors.py", "checked_real"),
-    ("stationarity.py", "_sorted_pairs"),
+    ("stationarity.py", "_checked_pair"),
 }
 
 

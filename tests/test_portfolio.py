@@ -379,6 +379,30 @@ def test_q_series_names_a_sample_whose_budget_is_not_positive(monkeypatch):
         portfolio.q_series(gaussian_panel(3, 100, seed=14), 20, 20)
 
 
+def split_scale_panel(scale):
+    """A 3 x 200 returns panel whose columns 100-199 are multiplied by scale."""
+    returns = 0.01 * np.random.default_rng(0).standard_normal((3, 200))
+    returns[:, 100:] *= scale
+    return make_panel(returns)
+
+
+@pytest.mark.filterwarnings("error")
+def test_q_series_takes_a_held_pnl_whose_squares_overflow():
+    # the held P&L is near 1e162: its sd is a float64, the sum of its squares is not
+    (big,) = portfolio.q_series(split_scale_panel(1e160), 100, 100)
+    (plain,) = portfolio.q_series(split_scale_panel(1.0), 100, 100)
+    assert big.sigma_e == plain.sigma_e
+    assert big.q == pytest.approx(1e160 * plain.q, rel=1e-12)
+    assert big.sigma_r == pytest.approx(1e160 * plain.sigma_r, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_q_series_names_a_sample_whose_held_pnl_sd_is_not_finite():
+    with pytest.raises(NumericsError, match=r"^sample 1: held P&L sd is nan, q is nan, "
+                                            r"not finite$"):
+        portfolio.q_series(split_scale_panel(1e306), 100, 100)
+
+
 PANEL = gaussian_panel(5, 100, seed=22)
 
 

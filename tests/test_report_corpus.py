@@ -18,7 +18,7 @@ import pytest
 
 from corrstat import cli
 
-from conftest import compare_report
+from conftest import CORPUS, compare_report, strict_json
 
 SCANS = {
     "local-scan": ["--t1", "40", "--tau", "20,60", "--n", "1,2,3", "--mc", "gaussian",
@@ -98,3 +98,8 @@ def test_report_bytes(name, panel, argv, tmp_path, monkeypatch, capsys, request)
     if "--out" in argv:
         got = Path(argv[argv.index("--out") + 1]).read_bytes()
     compare_report(got, name, request)
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.json")), ids=lambda path: path.name)
+def test_every_json_report_is_strict_json(path):
+    strict_json(path.read_text(encoding="utf-8"))

@@ -754,6 +754,17 @@ def test_scans_refuse_a_pair_that_is_not_two_numbers_before_any_pair(bad, monkey
         assert str(info.value) == f"a pair must be two numbers, got {bad!r}"
 
 
+@pytest.mark.parametrize("bad", [(0, 1, 2), (0,), 5, None, "ab"])
+@pytest.mark.parametrize("reference", [
+    lambda panel, pair: stationarity.global_test(panel, pair, 20),
+    lambda panel, pair: stationarity.cumulative_corr(panel, pair, 20, 10),
+], ids=["global_test", "cumulative_corr"])
+def test_references_refuse_a_pair_that_is_not_two_numbers(reference, bad):
+    with pytest.raises(InvalidParameter) as info:
+        reference(gaussian_panel(3, 200, seed=4), bad)
+    assert str(info.value) == f"a pair must be two numbers, got {bad!r}"
+
+
 def _pair_scan_panel():
     returns = np.random.default_rng(27).standard_t(3, size=(5, 120))
     returns[3, :] = 2.5  # every pair with row 3 is skipped
