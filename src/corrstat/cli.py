@@ -279,17 +279,10 @@ def cmd_qscan(args) -> int:
     _require(args.t1 > panel.n_series,
              f"--t1 must exceed the number of stocks ({panel.n_series}), "
              f"minimum-variance weights need T > N")
-    volatilities = None
-    if args.volatilities is not None:
-        volatilities = _load_volatilities(args.volatilities, panel.tickers)
-    if args.truth == "identity":
-        truth = synthgen.identity_correlation(panel.n_series)
-    else:
-        truth = synthgen.sample_estimate_as_truth(panel)
     qs = portfolio.q_series(panel, args.t1, args.t2,
                             chained=not args.independent_windows)
     band = portfolio.mc_band(panel.n_series, args.t1, args.t2, args.replicas,
-                             truth, args.mc_seed, volatilities=volatilities)
+                             synthgen.sample_estimate_as_truth(panel), args.mc_seed)
     flags = portfolio.flag_band_violations(qs, band, n_sigma=args.band_sigmas)
     band_json = {"mean": band.mean, "sd": band.sd, "k": args.band_sigmas}
     return _emit_json(_report("qscan", args, {
@@ -298,23 +291,6 @@ def cmd_qscan(args) -> int:
         "band": band_json,
         "samples": _q_samples_json(qs, flags, band=band_json),
     }), args.out)
-
-
-def _load_volatilities(path: str, tickers) -> np.ndarray:
-    """The finite, positive volatility of every panel ticker, from dataio.load_volatilities."""
-    try:
-        table = dataio.load_volatilities(path)
-    except OSError as exc:
-        raise UsageError(f"--volatilities: cannot read {path}: {exc}") from None
-    except CorrstatError as exc:  # a malformed record or repeated ticker; not UTF-8
-        raise UsageError(f"--volatilities: {exc}") from None
-    missing = [t for t in tickers if t not in table]
-    if missing:
-        raise UsageError(f"--volatilities: no entry for ticker {missing[0]!r}")
-    vols = np.array([table[t] for t in tickers])
-    _require(np.isfinite(vols).all(), "--volatilities: volatilities must be finite")
-    _require((vols > 0).all(), "--volatilities: volatilities must be positive")
-    return vols
 
 
 # ---------------------------------------------------------------- spectral
@@ -521,12 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mc-seed", type=_LABEL, default=42)
     p.add_argument("--band-sigmas", default=portfolio.DEFAULT_BAND_SIGMAS,
                    type=_bounded(float, *portfolio.BAND_SIGMAS_RULE))
-    p.add_argument("--truth", choices=("estimated", "identity"), default="estimated",
-                   help="correlation truth for the MC band")
     p.add_argument("--independent-windows", action="store_true",
                    help="disable window chaining")
-    p.add_argument("--volatilities", default=None,
-                   help="ticker,volatility CSV for the MC truth (default: unit)")
     p.set_defaults(handler=cmd_qscan)
 
     p = sub.add_parser("spectral", parents=[common, panel_in],

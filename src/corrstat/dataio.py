@@ -1,4 +1,4 @@
-"""Panel and volatility-file reading, returns, standardization, windowing, reshuffle control.
+"""Panel reading, returns, standardization, windowing, reshuffle control.
 
 Conventions used throughout the toolkit:
 
@@ -159,33 +159,12 @@ def _records(path):
         raise ParseError(f"{path}: row {irow + 1}: {err}") from None
 
 
-def load_volatilities(path) -> dict:
-    """{ticker: volatility} of a two-column ticker,volatility CSV, as float() reads each value.
-
-    The first record is a header when it is one line of two cells whose
-    value cell is not a number.  Any other record that is not a ticker and
-    a number, and a repeated ticker, raise ParseError naming its row, as
-    do the faults _records names.
-    """
-    table = {}
-    with closing(_records(path)) as records:
-        for irow, cells in records:
-            try:
-                name, value = cells
-                vol = float(value)
-            except ValueError:
-                if irow == 1 and len(cells) == 2 and not any("\n" in c or "\r" in c for c in cells):
-                    continue
-                raise ParseError(f"{path}: row {irow}: malformed line") from None
-            name = name.strip()
-            if name in table:
-                raise ParseError(f"{path}: row {irow}: duplicate ticker {name!r}")
-            table[name] = vol
-    return table
-
-
 def _header(path, header):
-    """The tickers of a header record, and whether it leads with a date column."""
+    """The tickers of a header record, and whether it leads with a date column.
+
+    A ticker cell that is empty once stripped, such as the unnamed index
+    column a pandas to_csv writes, raises ParseError naming its column.
+    """
     if header is None:
         raise ParseError(f"{path}: empty file")
     header = [c.strip() for c in header]
@@ -193,6 +172,9 @@ def _header(path, header):
     tickers = header[1:] if has_dates else header
     if not tickers:
         raise ParseError(f"{path}: header contains no tickers")
+    if "" in tickers:
+        col = int(has_dates) + tickers.index("") + 1
+        raise ParseError(f"{path}: empty ticker cell at row 1, col {col}")
     seen = set()
     for tick in tickers:
         if tick in seen:

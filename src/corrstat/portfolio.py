@@ -13,8 +13,8 @@ band of q under a stationary truth (mc_band) compute it through one
 function, _held_q, which solves against the Gram matrix of the centred
 estimation rows and returns the budget u'S^-1 u with q.  q_series takes
 u = 1, so the budget is 1'C_E^-1 1 = 1 / sigma_E^2; mc_band takes the
-whitened u of its truth and volatilities.  Samples above the band's
-mean + k sd signal effects beyond weight staleness.
+whitened u = L^-1 1 of its truth's Cholesky factor L.  Samples above the
+band's mean + k sd signal effects beyond weight staleness.
 
 covariance_matrix, min_variance_weights and portfolio_variance form the
 same quantities as frozen value types, one step at a time.  Nothing in
@@ -32,8 +32,8 @@ import numpy as np
 from . import synthgen
 from .dataio import (CovarianceMatrix, ReturnPanel, centered_rows, checked_window, freeze,
                      gated_rows)
-from .errors import (IllPosed, InsufficientData, InvalidParameter, NumericsError, checked_array,
-                     checked_int, checked_real)
+from .errors import (IllPosed, InsufficientData, InvalidParameter, NumericsError, checked_int,
+                     checked_real)
 from .rngutil import rng_for
 
 _CONDITION_LIMIT = 1e12
@@ -236,25 +236,25 @@ def _held_q(est: np.ndarray, realized: np.ndarray, u: np.ndarray, where: str):
 
 
 def mc_band(n_series: int, t1: int, t2: int, replicas: int,
-            truth: synthgen.TrueCorrelation, seed: int,
-            volatilities=None) -> MCBand:
+            truth: synthgen.TrueCorrelation, seed: int) -> MCBand:
     """MC mean and sd of q on stationary Gaussian panels from the truth.
 
-    Replica k is X = D L Z, the panel L Z of synthgen.sample_panel(truth,
-    t1 + t2, seed, "gaussian", replica=k) times the volatilities D, and
-    contributes the q that q_series would measure on it, through the same
-    _held_q call in whitened coordinates.  With S the population covariance
-    of Z's first t1 columns and u = L^-1 D^-1 1 (solved once), 1'C_E^-1 1 =
-    u'S^-1 u and the held P&L is y'Z_R / u'y with y = S^-1 u, so _held_q on
-    Z's two blocks gives X's q without forming X, C_E or the weights.  q is
-    free of u's scale, so u solves against min(D) / D, which cannot overflow.
+    Replica k is X = L Z, the panel of synthgen.sample_panel(truth, t1 + t2,
+    seed, "gaussian", replica=k), and contributes the q that q_series would
+    measure on it, through the same _held_q call in whitened coordinates.
+    With S the population covariance of Z's first t1 columns and u = L^-1 1
+    (solved once), 1'C_E^-1 1 = u'S^-1 u and the held P&L is y'Z_R / u'y
+    with y = S^-1 u, so _held_q on Z's two blocks gives X's q without
+    forming X, C_E or the weights.  q is free of u's scale, and Z's law is
+    rotation-invariant, so the band has one law whatever the truth: the
+    truth changes only which draws it sees.
 
     t1 <= n_series raises IllPosed before any replica is drawn.  The gates
     judge S, not C_E, so they differ from q_series': a flat estimation row
     of X makes S singular (NotPositiveDefinite or NumericsError, not
     ZeroVariance); a flat realized row is not gated and leaves q defined;
-    and the truth and volatilities enter no per-replica solve, so they fail
-    no condition gate.
+    and the truth enters no per-replica solve, so it fails no condition
+    gate.
     """
     checked_int("n_series", n_series, 1)
     checked_int("t1", t1, 2)
@@ -263,11 +263,7 @@ def mc_band(n_series: int, t1: int, t2: int, replicas: int,
     _check_posed(n_series, t1)
     if _checked_type("truth", truth, synthgen.TrueCorrelation).n_series != n_series:
         raise InvalidParameter("truth dimension does not match n_series")
-    scale = (np.ones(n_series) if volatilities is None
-             else checked_array("volatilities", volatilities, 1))
-    if not (scale.shape == (n_series,) and np.all(scale > 0)):
-        raise InvalidParameter("volatilities must be N positive reals")
-    u = np.linalg.solve(synthgen.cholesky(truth.entries), scale.min() / scale)
+    u = np.linalg.solve(synthgen.cholesky(truth.entries), np.ones(n_series))
     qs = np.empty(replicas)
     for replica in range(replicas):
         z, _ = synthgen.draw_variates(n_series, t1 + t2, seed, synthgen.FAMILY_GAUSSIAN,

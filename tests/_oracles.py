@@ -141,6 +141,19 @@ def q_band_mean(n, t1):
     return 1.0 / (1.0 - n / t1)
 
 
+def q_band_second_moment(n, t1, t2):
+    """Exact E[q^2] under a stationary Gaussian truth, for t1 > n + 2.
+
+    Whiten the panel and rotate u = L^-1 1 onto the first axis; q is free of
+    u's scale and the normals are rotation-invariant, so the law is one for
+    every truth.  With W = T1 S ~ Wishart_N(T1 - 1, I) partitioned at its
+    first row (Muirhead 1982, Thm 3.2.10), q^2 = (T1/T2) a (1 + b/c) / d for
+    independent a ~ chi2(T2 - 1), b ~ chi2(N - 1), c ~ chi2(T1 - N + 1) and
+    d ~ chi2(T1 - N), and E[1/chi2(k)] = 1/(k - 2).
+    """
+    return (t1 / t2) * (t2 - 1) * (1.0 + (n - 1) / (t1 - n - 1)) / (t1 - n - 2)
+
+
 def jacobi_eig(matrix, sweeps=100, tol=1e-13):
     """Cyclic Jacobi eigensolver for small symmetric matrices.
 

@@ -85,7 +85,12 @@ def strict_json(text):
 
 
 CORPUS = Path(__file__).resolve().parent / "data" / "reports"
-VERSIONS = CORPUS / "VERSIONS.json"
+# the session's (file name, report_changes lines) of each corpus file --regen-reports changed
+REGENERATED = pytest.StashKey[list]()
+
+
+def pytest_configure(config):
+    config.stash[REGENERATED] = []
 
 
 def _versions():
@@ -96,23 +101,77 @@ def compare_report(got, name, request):
     """got, a report's bytes, against the corpus file name, or written there by --regen-reports.
 
     Under the numpy and scipy versions the corpus records the bytes must
-    be equal; under others the numbers are compared to 1e-9 relative,
-    with a warning that says so.
+    be equal, and a mismatch lists report_changes; under others the
+    numbers are compared to 1e-9 relative, with a warning that says so.
+    --regen-reports keeps the same list for each file it changes and
+    prints it at the end of the session.
     """
     expected = CORPUS / name
+    versions = CORPUS / "VERSIONS.json"
     if request.config.getoption("--regen-reports"):
+        old = expected.read_bytes() if expected.exists() else None
+        if old != got:
+            request.config.stash[REGENERATED].append(
+                (name, ["new file"] if old is None else report_changes(name, old, got)))
         CORPUS.mkdir(parents=True, exist_ok=True)
         expected.write_bytes(got)
-        VERSIONS.write_text(json.dumps(_versions(), indent=2) + "\n", encoding="utf-8")
+        versions.write_text(json.dumps(_versions(), indent=2) + "\n", encoding="utf-8")
         return
-    recorded = json.loads(VERSIONS.read_text(encoding="utf-8"))
+    recorded = json.loads(versions.read_text(encoding="utf-8"))
     if recorded == _versions():
-        assert got == expected.read_bytes()
+        old = expected.read_bytes()
+        if got != old:
+            raise AssertionError("\n  ".join([f"{name} differs from the corpus:",
+                                               *report_changes(name, old, got)]))
     else:
         warnings.warn(f"report corpus recorded under {recorded}, running {_versions()}: "
                       f"{name} compared to 1e-9 relative, not byte for byte")
-        parse = {".json": json.loads, ".csv": _csv_numbers}.get(expected.suffix, _text_tokens)
+        parse = _parser(name)
         assert_matches(parse(got), parse(expected.read_bytes()))
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    for name, lines in config.stash[REGENERATED]:
+        terminalreporter.write_line("\n  ".join([f"--regen-reports changed {name}:", *lines]))
+
+
+def report_changes(name, old, new):
+    """One line per value that differs between two versions of corpus file name.
+
+    Both are parsed as the 1e-9 comparison parses them, and each line gives
+    a value's path, its old and new value and, for a number, its relative
+    shift.
+    """
+    parse = _parser(name)
+    try:
+        lines = list(_changes(parse(old), parse(new), "report"))
+    except ValueError as exc:  # UnicodeDecodeError included
+        return [f"report: cannot compare value by value ({exc})"]
+    return lines or ["report: same values, different bytes"]
+
+
+def _changes(old, new, where):
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            if key in old and key in new:
+                yield from _changes(old[key], new[key], f"{where}.{key}")
+            else:
+                before, after = (repr(d[key]) if key in d else "(absent)" for d in (old, new))
+                yield f"{where}.{key}: {before} -> {after}"
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for k, (a, b) in enumerate(zip(old, new)):
+            yield from _changes(a, b, f"{where}[{k}]")
+    elif isinstance(old, list) and isinstance(new, list):
+        yield f"{where}: {len(old)} items -> {len(new)} items"
+    elif type(old) is not type(new) or old != new:
+        shift = ""
+        if type(old) in (int, float) and type(new) in (int, float) and old:
+            shift = f" ({(new - old) / abs(old):+.3e} relative)"
+        yield f"{where}: {old!r} -> {new!r}{shift}"
+
+
+def _parser(name):
+    return {".json": json.loads, ".csv": _csv_numbers}.get(Path(name).suffix, _text_tokens)
 
 
 def _csv_numbers(data):

@@ -20,7 +20,6 @@ from corrstat import corrdist, dataio, portfolio, spectral, stationarity, synthg
 from corrstat.errors import DomainError, InvalidParameter, checked_array
 
 PARAMS = corrdist.CorrParams(0.3, 50)
-TRUTH = synthgen.identity_correlation(3)
 SQUARE = [[2.0, 1.0], [1.0, 2.0]]
 RHOS = [[0.5, -0.25], [0.0, 1.0]]
 
@@ -47,8 +46,6 @@ ENTRY_POINTS = [
     ("matrix", 2, SQUARE, synthgen.cholesky),
     ("matrix", 2, SQUARE, spectral.eig_sym),
     ("vector", 1, [0.0, 1.0], spectral.ipr),
-    ("volatilities", 1, [1.0, 2.0, 4.0],
-     lambda v: portfolio.mc_band(3, 10, 10, 30, TRUTH, 0, volatilities=v)),
     ("samples", 1, [0.5, -0.25, 0.0, 0.75, 0.125],
      lambda v: stationarity.ks_statistic(v, _uniform_cdf)),
     ("estimates", 2, [[10.0, 0.0], [20.0, 0.5], [30.0, 0.5]],
@@ -68,8 +65,7 @@ def _refused(good, ndim):
 
 
 CASES = [(name, ndim, call, value, got) for name, ndim, good, call in ENTRY_POINTS
-         for value, got in _refused(good, ndim)
-         if not (name == "volatilities" and value is None)]  # mc_band's default
+         for value, got in _refused(good, ndim)]
 
 
 @pytest.mark.parametrize("name, ndim, call, value, got", CASES,

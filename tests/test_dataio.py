@@ -131,6 +131,17 @@ def test_duplicate_ticker(tmp_path):
         dataio.load_price_panel(path)
 
 
+@pytest.mark.parametrize("header, col", [(",A,B", 1), ("date,A,,B", 3), ("A, ,B", 2),
+                                         ("A,B,\t", 3)])
+def test_both_readers_refuse_an_empty_ticker_cell(tmp_path, header, col):
+    path = write(tmp_path / "p.csv", header + "\n" + ",".join(["1"] * (header.count(",") + 1))
+                 + "\n")
+    for reader in (dataio._numpy_panel, dataio._exact_panel):
+        with pytest.raises(ParseError) as info:
+            reader(path)
+        assert str(info.value) == f"{path}: empty ticker cell at row 1, col {col}"
+
+
 def test_empty_and_headeronly_files(tmp_path):
     with pytest.raises(ParseError):
         dataio.load_price_panel(write(tmp_path / "e.csv", ""))
@@ -483,20 +494,4 @@ def test_reshuffle_preserves_values(seed):
     shuffled = dataio.synchronous_reshuffle(panel, seed=seed)
     assert sorted(shuffled.returns[0]) == sorted(panel.returns[0])
     assert sorted(shuffled.times) == sorted(panel.times)
-
-
-def test_load_volatilities_reads_one_header_then_ticker_value_records(tmp_path):
-    path = write(tmp_path / "vols.csv", '\ufeffticker,vol\n"S0",1.0\n\n S1 ,nan\n')
-    assert str(dataio.load_volatilities(path)) == "{'S0': 1.0, 'S1': nan}"
-    for text, row, message in (("S0,1.0\nticker,vol\n", 2, "malformed line"),
-                               ("S0,1.0\nS1\n", 2, "malformed line"),
-                               ("S0,1.0\nS1,2.0\nS0,3.0\n", 3, "duplicate ticker 'S0'"),
-                               # a header is one line of two cells: not three cells, nor
-                               # a quote left open that swallows the rest of the file
-                               ("S0,1.0,2\nS1,2.0\n", 1, "malformed line"),
-                               ('S0,"1.0\nS1,2.0\n', 1, "malformed line")):
-        path = write(tmp_path / "vols.csv", text)
-        with pytest.raises(ParseError) as info:
-            dataio.load_volatilities(path)
-        assert str(info.value) == f"{path}: row {row}: {message}"
 

@@ -288,13 +288,12 @@ def test_matrices_are_symmetrized_only_by_the_symmetric_rule():
 
 # Where finiteness is tested: the one array rule, and the readers that name a
 # non-finite value in their own terms (a file's row and column, a ticker and
-# column, a --volatilities entry), so no hand-written copy of the rule returns.
+# column), so no hand-written copy of the rule returns.
 ISFINITE_CALLERS = {
     ("errors.py", "checked_array"),
     ("dataio.py", "_exact_panel"),
     ("dataio.py", "_numpy_panel"),
     ("dataio.py", "ReturnPanel"),
-    ("cli.py", "_load_volatilities"),
 }
 
 

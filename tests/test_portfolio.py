@@ -20,7 +20,7 @@ from corrstat.errors import (
 )
 from corrstat.portfolio import CovarianceMatrix, MCBand, WeightVector
 
-from _oracles import brute_min_variance, covariance_loops, q_band_mean
+from _oracles import brute_min_variance, covariance_loops, q_band_mean, q_band_second_moment
 from conftest import gaussian_panel, make_panel
 
 
@@ -435,14 +435,12 @@ def test_mc_band_same_seed_repeats():
     assert one.mean > 0 and one.sd > 0
 
 
-@pytest.mark.parametrize("truth, volatilities", [
-    pytest.param(synthgen.one_factor_correlation(4, seed=5), None, id="None"),
-    pytest.param(synthgen.one_factor_correlation(4, seed=5), [1.0, 2.0, 4.0, 8.0],
-                 id="volatilities1"),
-    pytest.param(synthgen.sample_estimate_as_truth(gaussian_panel(20, 60, seed=21)), None,
+@pytest.mark.parametrize("truth", [
+    pytest.param(synthgen.one_factor_correlation(4, seed=5), id="one-factor-N4"),
+    pytest.param(synthgen.sample_estimate_as_truth(gaussian_panel(20, 60, seed=21)),
                  id="dense-estimate-N20"),
 ])
-def test_mc_band_matches_per_replica_panels(truth, volatilities):
+def test_mc_band_matches_per_replica_panels(truth):
     # reference: each replica as a sampled panel through q_series; mc_band
     # computes the same q in whitened coordinates, which rounds differently
     n, t1, t2 = truth.n_series, 5 * truth.n_series, 30
@@ -450,12 +448,10 @@ def test_mc_band_matches_per_replica_panels(truth, volatilities):
     for replica in range(30):
         panel = synthgen.sample_panel(truth, t1 + t2, 6, synthgen.FAMILY_GAUSSIAN,
                                       replica=replica)
-        if volatilities is not None:
-            panel = make_panel(panel.returns * np.asarray(volatilities)[:, None])
         (sample,) = portfolio.q_series(panel, t1, t2, chained=False)
         qs.append(sample.q)
     qs = np.asarray(qs)
-    band = portfolio.mc_band(n, t1, t2, 30, truth, seed=6, volatilities=volatilities)
+    band = portfolio.mc_band(n, t1, t2, 30, truth, seed=6)
     assert band.mean == pytest.approx(float(qs.mean()), rel=1e-12, abs=0)
     assert band.sd == pytest.approx(float(qs.std(ddof=1)), rel=1e-12, abs=0)
 
@@ -473,6 +469,24 @@ def test_mc_band_mean_matches_the_analytic_oracle(n, t1, t2):
     assert abs(band.mean - oracle) <= tolerance, (band, oracle, tolerance)
 
 
+@pytest.mark.parametrize("n, t1, t2", [(20, 60, 30), (10, 40, 40)])
+@pytest.mark.parametrize("truth", [
+    synthgen.identity_correlation,
+    lambda n: synthgen.one_factor_correlation(n, 3),
+    lambda n: synthgen.equicorr_correlation(n, 0.95),
+], ids=["identity", "one-factor", "equicorr-0.95"])
+def test_mc_band_second_moment_is_the_same_exact_one_for_every_truth(truth, n, t1, t2):
+    # E[q^2] = mean^2 + population variance; 5 standard errors of that
+    # estimate under a normal approximation, with the seed fixed beforehand
+    replicas = 2000
+    band = portfolio.mc_band(n, t1, t2, replicas, truth(n), seed=0)
+    moment = band.mean ** 2 + band.sd ** 2 * (replicas - 1) / replicas
+    se = math.sqrt(4.0 * band.mean ** 2 * band.sd ** 2 / replicas
+                   + 2.0 * band.sd ** 4 / (replicas - 1))
+    oracle = q_band_second_moment(n, t1, t2)
+    assert abs(moment - oracle) <= 5.0 * se, (band, moment, oracle, se)
+
+
 def test_mc_band_guards():
     truth = synthgen.identity_correlation(3)
     with pytest.raises(InvalidParameter):
@@ -483,12 +497,6 @@ def test_mc_band_guards():
         portfolio.mc_band(3, 3, 30, 30, truth, seed=0)
     with pytest.raises(InvalidParameter):
         portfolio.mc_band(4, 30, 30, 30, truth, seed=0)
-    with pytest.raises(InvalidParameter):
-        portfolio.mc_band(3, 30, 30, 30, truth, seed=0, volatilities=[1.0, -1.0, 2.0])
-    for bad in (float("nan"), float("inf"), float("-inf")):
-        with pytest.raises(DomainError,
-                           match=rf"^volatilities has non-finite entry {bad} at \(1,\)$"):
-            portfolio.mc_band(3, 30, 30, 30, truth, seed=0, volatilities=[1.0, bad, 2.0])
 
 
 @pytest.mark.parametrize("n, t1", [(3, 3), (3, 2), (40, 30)])
@@ -511,7 +519,7 @@ def test_mc_band_builds_no_frozen_matrix_or_weights(monkeypatch):
 
     monkeypatch.setattr(portfolio, "CovarianceMatrix", refuse)
     monkeypatch.setattr(portfolio, "WeightVector", refuse)
-    band = portfolio.mc_band(6, 30, 30, 30, truth, seed=2, volatilities=[1.0, 2.0] * 3)
+    band = portfolio.mc_band(6, 30, 30, 30, truth, seed=2)
     assert band.mean > 0 and band.sd > 0
 
 
@@ -545,40 +553,6 @@ def test_mc_band_names_a_replica_whose_budget_is_not_positive(monkeypatch):
     with pytest.raises(NumericsError, match=r"^replica 0: whitened budget u'S\^-1 u is -3\.0, "
                                             r"not a finite positive number$"):
         portfolio.mc_band(3, 30, 30, 30, synthgen.identity_correlation(3), seed=0)
-
-
-@pytest.mark.filterwarnings("error")
-def test_mc_band_volatilities_enter_no_replica_solve():
-    # these would fail the condition gate of a panel's covariance (cond ~1e36),
-    # and the reciprocal of 5e-324 overflows; q stays defined on the normals
-    truth = synthgen.one_factor_correlation(4, seed=5)
-    for volatilities in ([1.0, 1e-9, 1e9, 1.0], [5e-324, 1.0, 1.0, 1e300]):
-        band = portfolio.mc_band(4, 30, 30, 30, truth, seed=6, volatilities=volatilities)
-        assert 0.0 < band.mean < math.inf and 0.0 < band.sd < math.inf
-
-
-@pytest.mark.parametrize("volatilities, got", [
-    (["a", "b", "c"], "list of dtype <U1 and shape (3,)"),
-    (["1", "2", "3"], "list of dtype <U1 and shape (3,)"),
-    ([1.0, None, 2.0], "list of dtype object and shape (3,)"),
-    ([[1.0], [1.0, 2.0], [3.0]], "a ragged list"),
-])
-def test_mc_band_names_volatilities_that_are_not_numbers(volatilities, got):
-    truth = synthgen.identity_correlation(3)
-    with pytest.raises(InvalidParameter) as info:
-        portfolio.mc_band(3, 10, 10, 30, truth, 0, volatilities=volatilities)
-    assert str(info.value) == f"volatilities must be a 1-d array of real numbers, got {got}"
-
-
-def test_mc_band_volatility_scaling():
-    truth = synthgen.one_factor_correlation(4, seed=5)
-    base = portfolio.mc_band(4, 30, 30, 30, truth, seed=6)
-    uniform = portfolio.mc_band(4, 30, 30, 30, truth, seed=6,
-                                volatilities=[2.0] * 4)
-    assert abs(base.mean - uniform.mean) < 1e-12  # q is scale free
-    skewed = portfolio.mc_band(4, 30, 30, 30, truth, seed=6,
-                               volatilities=[1.0, 2.0, 4.0, 8.0])
-    assert abs(skewed.mean - base.mean) > 1e-12
 
 
 def test_flag_band_violations():

@@ -6,18 +6,25 @@ file where one is named, with the bytes in tests/data/reports/.  Floats
 are written as %.17g, so another numpy or scipy build may move last
 bits: when the versions recorded with the corpus differ from the running
 ones, the reports are compared to 1e-9 relative instead, with a warning
-that says so.  `pytest --regen-reports` rewrites the corpus and the
-versions from the running tree.  The reproduce recipes (test_cli.py) and
-the scripts (test_scripts.py) compare their stdout with the same corpus
-through conftest.compare_report.
+that says so.  A byte mismatch fails with every value that differs, its
+old and new value and its relative shift.  `pytest --regen-reports`
+rewrites the corpus and the versions from the running tree, and prints
+the same list for each file it changes.  The reproduce recipes
+(test_cli.py) and the scripts (test_scripts.py) compare their stdout
+with the same corpus through conftest.compare_report.
 """
+import json
+import math
+import shutil
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from corrstat import cli
 
+import conftest
 from conftest import CORPUS, compare_report, strict_json
 
 SCANS = {
@@ -32,9 +39,9 @@ SEEDS = {"dated": 11, "dateless": 12, "constant-row": 13, "window-flat": 14}
 
 # Every other subcommand, once each: (file name, panel read or None, argv).
 REPORTS = [
-    ("qscan_volatilities.json", "dated",
+    ("qscan_independent-windows.json", "dated",
      ["qscan", "--input", "dated.csv", "--t1", "40", "--t2", "40", "--replicas", "30",
-      "--volatilities", "vols.csv", "--independent-windows", "--truth", "identity"]),
+      "--independent-windows"]),
     ("spectral.json", "dated", ["spectral", "--input", "dated.csv", "--window", "40"]),
     ("density.csv", None, ["density", "--rho-bar", "0.3", "--T", "30", "--grid", "41"]),
     ("density.json", None, ["density", "--rho-bar", "-0.6", "--T", "12", "--grid", "41",
@@ -91,8 +98,6 @@ def test_report_bytes(name, panel, argv, tmp_path, monkeypatch, capsys, request)
     monkeypatch.chdir(tmp_path)
     if panel is not None:
         _write_panel(panel)
-    vols = "".join(f"S{i},{0.5 + 0.25 * i}\n" for i in range(6))
-    Path("vols.csv").write_text("ticker,vol\n" + vols, encoding="utf-8")  # qscan's --volatilities
     assert cli.main(argv) == 0
     got = capsys.readouterr().out.encode("utf-8")
     if "--out" in argv:
@@ -103,3 +108,28 @@ def test_report_bytes(name, panel, argv, tmp_path, monkeypatch, capsys, request)
 @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.json")), ids=lambda path: path.name)
 def test_every_json_report_is_strict_json(path):
     strict_json(path.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("regen", [False, True], ids=["compare", "regen"])
+def test_a_mismatch_names_the_value_that_changed(regen, tmp_path, monkeypatch):
+    # a copy of the corpus whose density.json is one ulp off in one field
+    got = (CORPUS / "density.json").read_bytes()
+    report = json.loads(got)
+    assert json.dumps(report, sort_keys=True, indent=2).encode() + b"\n" == got
+    new = report["rows"][3][1]
+    old = report["rows"][3][1] = float(np.nextafter(new, math.inf))
+    (tmp_path / "density.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    shutil.copy(CORPUS / "VERSIONS.json", tmp_path)
+    monkeypatch.setattr(conftest, "CORPUS", tmp_path)
+    config = SimpleNamespace(getoption={"--regen-reports": regen}.get,
+                             stash={conftest.REGENERATED: []})
+    request = SimpleNamespace(config=config)
+    line = f"report.rows[3][1]: {old!r} -> {new!r} ({(new - old) / old:+.3e} relative)"
+    if regen:
+        compare_report(got, "density.json", request)
+        assert config.stash[conftest.REGENERATED] == [("density.json", [line])]
+        assert (tmp_path / "density.json").read_bytes() == got
+    else:
+        with pytest.raises(AssertionError) as info:
+            compare_report(got, "density.json", request)
+        assert str(info.value) == f"density.json differs from the corpus:\n  {line}"
