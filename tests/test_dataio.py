@@ -142,6 +142,100 @@ def test_both_readers_refuse_an_empty_ticker_cell(tmp_path, header, col):
         assert str(info.value) == f"{path}: empty ticker cell at row 1, col {col}"
 
 
+@pytest.mark.parametrize("header, ticker", [("A,A", "A"), ("date,A,B,A", "A"),
+                                            ("A, B,B ", "B"), ('"A",A', "A")])
+def test_both_readers_name_a_repeated_ticker(tmp_path, header, ticker):
+    # tickers are compared once stripped and unquoted
+    path = write(tmp_path / "p.csv", header + "\n" + ",".join(["1"] * (header.count(",") + 1))
+                 + "\n")
+    for reader in (dataio._numpy_panel, dataio._exact_panel):
+        with pytest.raises(DuplicateTicker) as info:
+            reader(path)
+        assert str(info.value) == f"duplicate ticker {ticker!r}"
+
+
+@pytest.mark.parametrize("first, has_dates", [("date", True), ("Date", True), (" DATE\t", True),
+                                              ("dated", False), ("DATEX", False),
+                                              ("date_", False)])
+def test_only_a_first_cell_named_date_leads_a_date_column(tmp_path, first, has_dates):
+    # a ticker may start with "date"
+    path = write(tmp_path / "p.csv", f"{first},A\n1,2\n3,4\n")
+    for reader in (dataio._numpy_panel, dataio._exact_panel):
+        tickers, times, cells = reader(path)
+        if has_dates:
+            assert (tickers, times, cells.tolist()) == (["A"], ["1", "3"], [[2.0, 4.0]])
+        else:
+            assert (tickers, times) == ([first, "A"], ["1", "2"])
+            assert cells.tolist() == [[1.0, 3.0], [2.0, 4.0]]
+
+
+PLAIN_PANEL = "date,A,B\nd1,1.0,2.0\nd2,1.5,2.5\n"
+
+
+@pytest.mark.parametrize("text", [
+    '"date","A","B"\nd1,1.0,2.0\nd2,1.5,2.5\n',  # a quoted header
+    'date,A,B\n"d1",1.0,2.0\nd2,1.5,2.5\n',  # a quoted date
+    'date,A,B\nd1,"1.0",2.0\nd2,1.5,2.5\n',  # a quoted cell below the header
+    '"date","A","B"\n"d1","1.0","2.0"\n"d2","1.5","2.5"\n',  # every cell quoted
+    '\ufeff"date",A,"B"\r\n\r\nd1,1.0,"2.0"\r\n"d2",1.5,2.5\r\n',  # BOM, CRLF, a blank line
+])
+def test_a_panel_is_read_as_csv_records(tmp_path, text):
+    plain = dataio.load_price_panel(write(tmp_path / "plain.csv", PLAIN_PANEL), kind="returns")
+    quoted = dataio.load_price_panel(write(tmp_path / "quoted.csv", text), kind="returns")
+    assert quoted.tickers == plain.tickers == ("A", "B")
+    assert quoted.times == plain.times == ("d1", "d2")
+    assert quoted.returns.tobytes() == plain.returns.tobytes()
+
+
+def test_a_quoted_ticker_may_hold_a_comma(tmp_path):
+    path = write(tmp_path / "p.csv", 'date,"A,1",B\nd1,1,2\nd2,3,4\n')
+    for reader in (dataio._numpy_panel, dataio._exact_panel):
+        tickers, times, cells = reader(path)
+        assert (tickers, times, cells.tolist()) == (["A,1", "B"], ["d1", "d2"],
+                                                    [[1.0, 3.0], [2.0, 4.0]])
+
+
+@pytest.mark.parametrize("text, col", [("date,A,B\nd1,1,2\ndate,A,B\nd2,3,4\n", 2),
+                                       ("A,B\n1,2\nA,B\n3,4\n", 1)])
+def test_a_header_below_the_first_line_is_a_data_row(tmp_path, text, col):
+    # as two CSV exports pasted one below the other
+    path = write(tmp_path / "p.csv", text)
+    for load in (dataio.load_price_panel, dataio._exact_panel):
+        with pytest.raises(ParseError) as info:
+            load(path)
+        assert str(info.value) == f"{path}: non-numeric cell at row 3, col {col}: 'A'"
+
+
+@pytest.mark.parametrize("where", ["header", "date", "cell"])
+def test_a_panel_that_is_not_utf8_is_a_parse_error(tmp_path, where):
+    # as Excel's plain CSV export writes it on Windows
+    rows = [["date", "A", "B"], ["d1", "1", "2"], ["d2", "3", "4"]]
+    row, col = {"header": (0, 1), "date": (2, 0), "cell": (1, 2)}[where]
+    rows[row][col] += "\u00e9"
+    data = "".join(",".join(r) + "\n" for r in rows).encode("cp1252")
+    with pytest.raises(UnicodeDecodeError) as decode:
+        data.decode("utf-8")
+    path = tmp_path / "p.csv"
+    path.write_bytes(data)
+    for load in (dataio.load_price_panel, dataio._exact_panel):
+        with pytest.raises(ParseError) as info:
+            load(path)
+        assert str(info.value) == f"{path}: not UTF-8 text ({decode.value.reason})"
+
+
+@pytest.mark.parametrize("row", [1, 2, 3])
+def test_a_cell_over_the_csv_field_limit_names_its_row(tmp_path, row):
+    limit = csv.field_size_limit()
+    rows = [["date", "A", "B"], ["d1", "1", "2"], ["d2", "3", "4"]]
+    rows[row - 1][-1] = "1" + "0" * limit
+    # blank lines are not rows
+    path = write(tmp_path / "p.csv", "\n".join(",".join(r) + "\n" for r in rows))
+    for load in (dataio.load_price_panel, dataio._exact_panel):
+        with pytest.raises(ParseError) as info:
+            load(path)
+        assert str(info.value) == f"{path}: row {row}: field larger than field limit ({limit})"
+
+
 def test_empty_and_headeronly_files(tmp_path):
     with pytest.raises(ParseError):
         dataio.load_price_panel(write(tmp_path / "e.csv", ""))
