@@ -3,9 +3,9 @@
 Every report embeds the toolkit version, the timestamp and the config:
 every parsed flag but --threads (validated, it changes no work) and
 --timestamp, plus a reproduce recipe's parameter dict, so a run can be
-reproduced from its own output.  Timestamps default to the literal
-string "unset" unless --timestamp or the CORRSTAT_TIMESTAMP variable
-supplies one; wall-clock values would break byte-level reproducibility.
+reproduced from its own output.  The timestamp is --timestamp, by
+default the literal string "unset": no shell variable sets it, and
+wall-clock values would break byte-level reproducibility.
 
 Each flag's own rules are checked where argparse parses it, by its type:
 a real flag reads the (ok, bound) rule the library checks it with, and
@@ -34,7 +34,6 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
-TIMESTAMP_ENV = "CORRSTAT_TIMESTAMP"
 TIMESTAMP_UNSET = "unset"
 
 _F = "%.17g"
@@ -45,18 +44,12 @@ class UsageError(Exception):
     """Flag validation failure; the message must name the flag."""
 
 
-def _timestamp(args) -> str:
-    if args.timestamp is not None:
-        return args.timestamp
-    return os.environ.get(TIMESTAMP_ENV, TIMESTAMP_UNSET)
-
-
 def _report(command: str, args, payload: dict) -> dict:
     """The report of one run; its config is every parsed flag but --threads and --timestamp."""
     return {
         "command": command,
         "version": __version__,
-        "generated_at": _timestamp(args),
+        "generated_at": args.timestamp,
         "config": {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED},
         **payload,
     }
@@ -430,9 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--threads", type=_count(1), default=1,
                         help="thread count, validated and otherwise unused (default: 1)")
-    common.add_argument("--timestamp", default=None,
-                        help="timestamp string for reports (default: "
-                             "CORRSTAT_TIMESTAMP or 'unset')")
+    common.add_argument("--timestamp", default=TIMESTAMP_UNSET,
+                        help="timestamp string for reports (default: %(default)r; "
+                             "no shell variable sets it)")
     common.add_argument("--out", default=None, help="output path (default: stdout)")
 
     kinds = argparse.ArgumentParser(add_help=False)

@@ -44,8 +44,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataio import MIN_T, CovarianceMatrix, checked_window, gated_rows
-from .errors import InvalidParameter, NumericsError, checked_array, checked_int, checked_real
+from .dataio import MIN_T, CovarianceMatrix, ReturnPanel, checked_window, gated_rows
+from .errors import (InvalidParameter, NumericsError, checked_array, checked_int, checked_real,
+                     checked_type)
 
 RHO_BAR_LIMIT = 1.0 - 1e-12
 RHO_BAR_RULE = (lambda r: abs(r) <= RHO_BAR_LIMIT,
@@ -82,7 +83,7 @@ def corr_matrix(panel, window: tuple[int, int] | None = None) -> CovarianceMatri
     A correlation matrix is the covariance of the rows standardized over
     the range itself, so the result is a CovarianceMatrix.
     """
-    lo, hi = checked_window(panel.n_steps, window, MIN_T)
+    lo, hi = checked_window(checked_type("panel", panel, ReturnPanel).n_steps, window, MIN_T)
     centered, sd = gated_rows(panel.returns, panel.tickers, (lo, hi))
     z = centered / sd
     c = (z @ z.T) / (hi - lo)
@@ -131,7 +132,7 @@ def _log_law(log_1m_rho2, a, log_1m_a, params: CorrParams):
 def rho_logdensity(rho, params: CorrParams):
     """log rho_density, of rho's shape; -inf at rho = +-1, as T - 4 > 0."""
     rho = _checked_rho(rho)
-    a = rho * params.rho_bar
+    a = rho * checked_type("params", params, CorrParams).rho_bar
     with np.errstate(divide="ignore"):
         return _log_law(np.log1p(-rho) + np.log1p(rho), a, np.log1p(-a), params)[()]
 
@@ -143,7 +144,7 @@ def rho_density(rho, params: CorrParams):
 
 def rho_moments(params: CorrParams) -> CorrMoments:
     """Truncated-series mean/variance plus the Gaussian (m_P, sigma_P)."""
-    rb = params.rho_bar
+    rb = checked_type("params", params, CorrParams).rho_bar
     t = float(params.n_obs)
     one = 1.0 - rb * rb
     mean = rb - rb * one / (2.0 * t)
@@ -197,7 +198,7 @@ def rho_cdf(rho, params: CorrParams):
     range: below it the partial panel has zero width (F = 0), at its top np.where sets F = 1.
     """
     rho = _checked_rho(rho)
-    z0 = math.atanh(params.rho_bar)
+    z0 = math.atanh(checked_type("params", params, CorrParams).rho_bar)
     reach = _Z_HALF_WIDTH / math.sqrt(params.n_obs - 3.0)
     edges = np.linspace(z0 - reach, z0 + reach, _PANELS + 1)
     masses = _panel_masses(edges[:-1], 0.5 * np.diff(edges), params)

@@ -28,6 +28,7 @@ from .errors import (
     checked_array,
     checked_int,
     checked_symmetric,
+    checked_type,
 )
 from .rngutil import rng_for
 
@@ -163,7 +164,8 @@ def _header(path, header):
     """The tickers of a header record, and whether it leads with a date column.
 
     A ticker cell that is empty once stripped, such as the unnamed index
-    column a pandas to_csv writes, raises ParseError naming its column.
+    column a pandas to_csv writes, raises ParseError naming its column; a
+    repeated ticker raises DuplicateTicker naming the repeat's column.
     """
     if header is None:
         raise ParseError(f"{path}: empty file")
@@ -176,9 +178,9 @@ def _header(path, header):
         col = int(has_dates) + tickers.index("") + 1
         raise ParseError(f"{path}: empty ticker cell at row 1, col {col}")
     seen = set()
-    for tick in tickers:
+    for col, tick in enumerate(tickers, int(has_dates) + 1):
         if tick in seen:
-            raise DuplicateTicker(f"duplicate ticker {tick!r}")
+            raise DuplicateTicker(f"{path}: duplicate ticker {tick!r} at row 1, col {col}")
         seen.add(tick)
     return tickers, has_dates
 
@@ -283,6 +285,7 @@ def _price_changes(prices: np.ndarray, kind: str) -> np.ndarray:
 
 def save_panel_csv(panel: ReturnPanel, path):
     """Write a panel back to CSV (days as rows, date column first)."""
+    checked_type("panel", panel, ReturnPanel)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["date", *panel.tickers])
@@ -366,7 +369,7 @@ def gated_rows(rows: np.ndarray, tickers, window=None):
 
 def standardize(panel: ReturnPanel) -> ReturnPanel:
     """Each row at zero mean and unit population sd over the full sample."""
-    centered, sd = gated_rows(panel.returns, panel.tickers)
+    centered, sd = gated_rows(checked_type("panel", panel, ReturnPanel).returns, panel.tickers)
     return replace(panel, returns=centered / sd)
 
 
@@ -376,6 +379,7 @@ def synchronous_reshuffle(panel: ReturnPanel, seed: int) -> ReturnPanel:
     Kills the correlation dynamics while leaving the full-sample
     cross-correlation structure intact.
     """
+    checked_type("panel", panel, ReturnPanel)
     perm = rng_for(seed, "reshuffle").permutation(panel.n_steps)
     return replace(
         panel,

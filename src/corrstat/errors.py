@@ -1,7 +1,11 @@
-"""Exception types shared across the toolkit, and its integer, real, array and matrix rules.
+"""Exception types shared across the toolkit, and its type, integer, real, array and matrix rules.
 
 An error is its type and one message line; it carries no other fields.
 
+checked_type takes every argument that must be one of the toolkit's own
+types (a panel, a law's parameters, a snapshot, a truth) or a callable:
+anything else, None included, raises InvalidParameter naming the argument,
+the type it must be and the type it is, before any attribute is read.
 checked_int takes every count, size, index and seed: a Python or numpy
 integer at its bound passes unchanged; anything else, an integral float
 included, raises InvalidParameter.  Nothing is truncated or hashed.
@@ -81,6 +85,13 @@ class IllPosed(CorrstatError):
 
 class InvalidParameter(CorrstatError):
     pass
+
+
+def checked_type(what, value, cls):
+    """value when it is a cls, else InvalidParameter naming what and cls."""
+    if isinstance(value, cls):
+        return value
+    raise InvalidParameter(f"{what} must be of type {cls.__name__}, got {type(value).__name__}")
 
 
 def checked_int(what, value, low):

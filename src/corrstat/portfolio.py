@@ -33,7 +33,7 @@ from . import synthgen
 from .dataio import (CovarianceMatrix, ReturnPanel, centered_rows, checked_window, freeze,
                      gated_rows)
 from .errors import (IllPosed, InsufficientData, InvalidParameter, NumericsError, checked_int,
-                     checked_real)
+                     checked_real, checked_type)
 from .rngutil import rng_for
 
 _CONDITION_LIMIT = 1e12
@@ -76,16 +76,9 @@ class MCBand(NamedTuple):
     sd: float
 
 
-def _checked_type(what, value, cls):
-    """value when it is a cls, else InvalidParameter naming what and cls."""
-    if isinstance(value, cls):
-        return value
-    raise InvalidParameter(f"{what} must be of type {cls.__name__}, got {type(value).__name__}")
-
-
 def covariance_matrix(panel: ReturnPanel, window: tuple[int, int] | None = None) -> CovarianceMatrix:
     """Population covariance of the rows over a column range."""
-    window = checked_window(_checked_type("panel", panel, ReturnPanel).n_steps, window, 2)
+    window = checked_window(checked_type("panel", panel, ReturnPanel).n_steps, window, 2)
     centered, _ = gated_rows(panel.returns, panel.tickers, window)
     with np.errstate(over="ignore"):  # CovarianceMatrix refuses an inf entry
         c = (centered @ centered.T) / centered.shape[1]
@@ -101,7 +94,7 @@ def min_variance_weights(cov: CovarianceMatrix) -> WeightVector:
     CovarianceMatrix makes C symmetric, finite and at least 1 x 1; T <= N
     raises IllPosed, and _gated_solve gates C.
     """
-    _check_posed(_checked_type("cov", cov, CovarianceMatrix).n_series, cov.window_len)
+    _check_posed(checked_type("cov", cov, CovarianceMatrix).n_series, cov.window_len)
     x = _gated_solve(cov.entries, np.ones(cov.n_series))
     return WeightVector(cov.tickers, x / x.sum())
 
@@ -161,7 +154,7 @@ def portfolio_variance(cov: CovarianceMatrix, weights: WeightVector) -> float:
 
 def select_stocks(panel: ReturnPanel, n_stocks: int, select_seed: int) -> ReturnPanel:
     """Seeded random subset of n_stocks rows, original order kept."""
-    n = _checked_type("panel", panel, ReturnPanel).n_series
+    n = checked_type("panel", panel, ReturnPanel).n_series
     if checked_int("n_stocks", n_stocks, 1) > n:
         raise InvalidParameter(f"n_stocks must lie in [1, {n}], got {n_stocks}")
     idx = rng_for(select_seed, "stock-subset").choice(n, size=n_stocks, replace=False)
@@ -192,10 +185,10 @@ def q_series(panel: ReturnPanel, t1: int, t2: int, chained: bool = True) -> list
     naming the ticker and window; the estimation covariance then meets the
     gates of _gated_solve.
     """
-    _checked_type("panel", panel, ReturnPanel)
+    checked_type("panel", panel, ReturnPanel)
     checked_int("t1", t1, 2)
     checked_int("t2", t2, 2)
-    _checked_type("chained", chained, bool)
+    checked_type("chained", chained, bool)
     _check_posed(panel.n_series, t1)
     ranges = _ranges(panel.n_steps, t1, t2, chained)
     if not ranges:
@@ -261,7 +254,7 @@ def mc_band(n_series: int, t1: int, t2: int, replicas: int,
     checked_int("t2", t2, 2)
     checked_int("replicas", replicas, MIN_REPLICAS)
     _check_posed(n_series, t1)
-    if _checked_type("truth", truth, synthgen.TrueCorrelation).n_series != n_series:
+    if checked_type("truth", truth, synthgen.TrueCorrelation).n_series != n_series:
         raise InvalidParameter("truth dimension does not match n_series")
     u = np.linalg.solve(synthgen.cholesky(truth.entries), np.ones(n_series))
     qs = np.empty(replicas)
@@ -279,7 +272,7 @@ def flag_band_violations(experiments, band: MCBand,
     The band is refused, before any comparison, unless it is an MCBand with a
     finite mean and a finite sd >= 0, so a NaN band cannot read as no violation.
     """
-    _checked_type("band", band, MCBand)
+    checked_type("band", band, MCBand)
     checked_real("band mean", band.mean, math.isfinite, "a finite number")
     checked_real("band sd", band.sd, lambda sd: 0.0 <= sd < math.inf, "a finite number >= 0")
     limit = band.mean + checked_real("n_sigma", n_sigma, *BAND_SIGMAS_RULE) * band.sd

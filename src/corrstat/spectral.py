@@ -22,6 +22,7 @@ from .errors import (
     checked_int,
     checked_real,
     checked_symmetric,
+    checked_type,
 )
 
 _ORTHO_TOL = 1e-10
@@ -152,6 +153,8 @@ def _relative(before: float, after: float) -> float:
 
 def spectral_delta(first: SpectralSnapshot, second: SpectralSnapshot) -> SpectralDelta:
     """Window-to-window relative changes; IPR delta suppressed if unstable."""
+    checked_type("first", first, SpectralSnapshot)
+    checked_type("second", second, SpectralSnapshot)
     d_ipr = None
     if not (first.ipr_unstable or second.ipr_unstable):
         d_ipr = _relative(first.ipr_market, second.ipr_market)
@@ -177,7 +180,7 @@ def co_occurrence_flag(delta: SpectralDelta,
         raise InvalidParameter(
             f"thresholds must be three numbers (market, sector, ipr), got {thresholds!r}"
         ) from None
-    if delta.d_ipr is None:
+    if checked_type("delta", delta, SpectralDelta).d_ipr is None:
         return False
     return (delta.d_market > theta_m
             and delta.d_sector < theta_s
@@ -192,7 +195,8 @@ def pca_decompose(panel: ReturnPanel, eig: EigenSystem) -> PCAComponents:
     variance.  Components at numerically zero eigenvalues carry no
     variance and are dropped.
     """
-    if panel.n_series != eig.n_series:
+    if (checked_type("panel", panel, ReturnPanel).n_series
+            != checked_type("eig", eig, EigenSystem).n_series):
         raise InvalidParameter("panel and eigensystem dimensions differ")
     lam = eig.eigenvalues
     retained = np.flatnonzero(lam > _COMPONENT_FLOOR)
@@ -206,7 +210,7 @@ def market_mode_residual(eig: EigenSystem) -> MarketResidual:
     Total is 1 - lambda_N / N; per stock it is 1 - lambda_N (v_N^i)^2,
     the unexplained share of that stock's unit variance.
     """
-    lam_market = float(eig.eigenvalues[-1])
+    lam_market = float(checked_type("eig", eig, EigenSystem).eigenvalues[-1])
     v_market = eig.eigenvectors[:, -1]
     n = eig.n_series
     per_stock = 1.0 - lam_market * v_market ** 2

@@ -31,9 +31,10 @@ detail} (control None on the scanned panel), listed panel by panel.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from numbers import Integral, Real
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,6 +50,7 @@ from .errors import (
     checked_array,
     checked_int,
     checked_real,
+    checked_type,
 )
 from .parallel import parallel_map, resolve_threads
 
@@ -129,7 +131,7 @@ def ks_statistic(samples, cdf: Callable) -> float:
     k = s.size
     if k < MIN_WINDOWS:
         raise InsufficientSamples(f"KS test needs >= {MIN_WINDOWS} samples, got {k}")
-    f = checked_array("cdf values", cdf(s))
+    f = checked_array("cdf values", checked_type("cdf", cdf, Callable)(s))
     if f.shape != s.shape:
         raise InvalidParameter(f"cdf returned shape {f.shape} for {k} samples")
     steps = np.arange(1.0, k + 1.0)
@@ -175,7 +177,7 @@ def _pair_rows(panel: ReturnPanel, pair):
 
 def global_test(panel: ReturnPanel, pair, window_len: int) -> GlobalTestResult:
     """KS test of the window estimates against the stationary law."""
-    x, y = _pair_rows(panel, pair)
+    x, y = _pair_rows(checked_type("panel", panel, ReturnPanel), pair)
     n_windows = len(window_slices(panel.n_steps, window_len))
     if n_windows < MIN_WINDOWS:
         raise InsufficientSamples(f"global test needs >= {MIN_WINDOWS} windows, got {n_windows}")
@@ -316,7 +318,7 @@ def _scan(names, panel, pairs, counter, grid, params, controls, dataset) -> Scan
     """
     if controls["mc_family"] is not None or controls["mc_nu"] is not None:
         synthgen.checked_family(controls["mc_family"], controls["mc_nu"], prefix="mc_")
-    pairs = _sorted_pairs(pairs, panel.n_series)
+    pairs = _sorted_pairs(pairs, checked_type("panel", panel, ReturnPanel).n_series)
     counts, skipped = {}, []
     for name, scanned in _control_panels(panel, **controls).items():
         counts[name], skips = counter(scanned, pairs)
@@ -366,7 +368,7 @@ def cumulative_corr(panel: ReturnPanel, pair, t1: int, tau: int):
     because the prefix is not re-standardized, by construction.
     """
     LocalTestConfig(t1, tau)  # the scans' checks of t1 and tau
-    if panel.n_steps < t1 + tau:
+    if checked_type("panel", panel, ReturnPanel).n_steps < t1 + tau:
         raise InsufficientData(f"need at least t1 + tau = {t1 + tau} steps, got {panel.n_steps}")
     centered, sd = gated_rows(np.stack(_pair_rows(panel, pair)),
                               [panel.tickers[k] for k in pair])

@@ -21,7 +21,7 @@ import numpy as np
 from .corrdist import corr_matrix
 from .dataio import ReturnPanel, freeze
 from .errors import (InvalidParameter, NotPositiveDefinite, checked_int, checked_real,
-                     checked_symmetric)
+                     checked_symmetric, checked_type)
 from .rngutil import rng_for
 
 _MIN_EIGENVALUE = 1e-10
@@ -108,6 +108,7 @@ def sample_panel(truth: TrueCorrelation, n_steps: int, seed: int, family: str,
     series per row of truth, deterministic per (seed, replica)."""
     checked_family(family, nu)
     checked_int("n_steps", n_steps, 1)
+    checked_type("truth", truth, TrueCorrelation)
     z, scale = draw_variates(truth.n_series, n_steps, seed, family, nu, replica)
     returns = cholesky(truth.entries) @ z
     if scale is not None:

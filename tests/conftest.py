@@ -8,7 +8,7 @@ import pytest
 import scipy
 from hypothesis import HealthCheck, settings
 
-from corrstat import cli, dataio, synthgen
+from corrstat import dataio, synthgen
 
 settings.register_profile(
     "suite",
@@ -22,13 +22,6 @@ settings.load_profile("suite")
 def pytest_addoption(parser):
     parser.addoption("--regen-reports", action="store_true",
                      help="rewrite tests/data/reports/ from this tree instead of comparing")
-
-
-@pytest.fixture(autouse=True)
-def _timestamp_unset(monkeypatch):
-    # The expected reports assume no pinned timestamp; importing the
-    # benchmark's run.py (collected with the suite) pins one process-wide.
-    monkeypatch.delenv(cli.TIMESTAMP_ENV, raising=False)
 
 
 def make_panel(returns, tickers=None):

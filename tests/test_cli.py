@@ -228,11 +228,20 @@ def test_timestamp_pinning(tmp_path, capsys, monkeypatch):
     assert rc == 0
     assert read_json(out)["generated_at"] == "2026-01-01T00:00:00Z"
 
-    monkeypatch.setenv(cli.TIMESTAMP_ENV, "2026-02-02T00:00:00Z")
-    rc = run(["density", "--rho-bar", "0.1", "--T", "30", "--grid", "5",
-              "--format", "json", "--out", str(out)])
-    assert rc == 0
-    assert read_json(out)["generated_at"] == "2026-02-02T00:00:00Z"
+    # no environment variable changes a report, those the benchmark harness sets included
+    unpinned = ["density", "--rho-bar", "0.1", "--T", "30", "--grid", "5",
+                "--format", "json", "--out", str(out)]
+    pins = {"CORRSTAT_" + name: value
+            for name, value in (("TIMESTAMP", "2026-02-02T00:00:00Z"), ("THREADS", "4"))}
+    for name in pins:
+        monkeypatch.delenv(name, raising=False)
+    assert run(unpinned) == 0
+    bare = out.read_bytes()
+    for name, value in pins.items():
+        monkeypatch.setenv(name, value)
+    assert run(unpinned) == 0
+    assert read_json(out)["generated_at"] == cli.TIMESTAMP_UNSET == "unset"
+    assert out.read_bytes() == bare
 
     rc = run(["density", "--rho-bar", "0.1", "--T", "30", "--grid", "5",
               "--format", "json", "--timestamp", "flag-wins", "--out", str(out)])

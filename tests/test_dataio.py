@@ -142,16 +142,16 @@ def test_both_readers_refuse_an_empty_ticker_cell(tmp_path, header, col):
         assert str(info.value) == f"{path}: empty ticker cell at row 1, col {col}"
 
 
-@pytest.mark.parametrize("header, ticker", [("A,A", "A"), ("date,A,B,A", "A"),
-                                            ("A, B,B ", "B"), ('"A",A', "A")])
-def test_both_readers_name_a_repeated_ticker(tmp_path, header, ticker):
-    # tickers are compared once stripped and unquoted
+@pytest.mark.parametrize("header, ticker, col", [("A,A", "A", 2), ("date,A,B,A", "A", 4),
+                                                 ("A, B,B ", "B", 3), ('"A",A', "A", 2)])
+def test_both_readers_name_a_repeated_ticker(tmp_path, header, ticker, col):
+    # tickers are compared once stripped and unquoted; col counts a date column
     path = write(tmp_path / "p.csv", header + "\n" + ",".join(["1"] * (header.count(",") + 1))
                  + "\n")
     for reader in (dataio._numpy_panel, dataio._exact_panel):
         with pytest.raises(DuplicateTicker) as info:
             reader(path)
-        assert str(info.value) == f"duplicate ticker {ticker!r}"
+        assert str(info.value) == f"{path}: duplicate ticker {ticker!r} at row 1, col {col}"
 
 
 @pytest.mark.parametrize("first, has_dates", [("date", True), ("Date", True), (" DATE\t", True),

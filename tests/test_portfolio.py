@@ -403,30 +403,6 @@ def test_q_series_names_a_sample_whose_held_pnl_sd_is_not_finite():
         portfolio.q_series(split_scale_panel(1e306), 100, 100)
 
 
-PANEL = gaussian_panel(5, 100, seed=22)
-
-
-@pytest.mark.parametrize("call, message", [
-    (lambda: portfolio.q_series(PANEL.returns, 10, 10),
-     "panel must be of type ReturnPanel, got ndarray"),
-    (lambda: portfolio.q_series(PANEL, 10, 10, chained="independent"),
-     "chained must be of type bool, got str"),
-    (lambda: portfolio.covariance_matrix(PANEL.returns),
-     "panel must be of type ReturnPanel, got ndarray"),
-    (lambda: portfolio.select_stocks(PANEL.returns, 2, 1),
-     "panel must be of type ReturnPanel, got ndarray"),
-    (lambda: portfolio.min_variance_weights(np.eye(3)),
-     "cov must be of type CovarianceMatrix, got ndarray"),
-    (lambda: portfolio.mc_band(5, 10, 10, 30, np.eye(5), 1),
-     "truth must be of type TrueCorrelation, got ndarray"),
-], ids=["q_series-panel", "q_series-chained", "covariance_matrix", "select_stocks",
-        "min_variance_weights", "mc_band"])
-def test_entry_points_name_a_value_of_the_wrong_type(call, message):
-    with pytest.raises(InvalidParameter) as info:
-        call()
-    assert str(info.value) == message
-
-
 def test_mc_band_same_seed_repeats():
     truth = synthgen.one_factor_correlation(5, seed=2)
     one = portfolio.mc_band(5, 30, 30, 30, truth, seed=3)
