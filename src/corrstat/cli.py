@@ -19,7 +19,6 @@ flag), 1 runtime failure, running out of memory included.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -269,9 +268,10 @@ def cmd_qscan(args) -> int:
         _require(args.n_stocks <= panel.n_series,
                  f"--n-stocks must lie in [1, {panel.n_series}], got {args.n_stocks}")
         panel = portfolio.select_stocks(panel, args.n_stocks, args.select_seed)
-    _require(args.t1 > panel.n_series,
-             f"--t1 must exceed the number of stocks ({panel.n_series}), "
-             f"minimum-variance weights need T > N")
+    margin = portfolio.BAND_T1_MARGIN
+    _require(args.t1 > panel.n_series + margin,
+             f"--t1 must exceed the number of stocks + {margin} ({panel.n_series + margin}): "
+             f"the band's q has a finite sd only for T1 > N + {margin}")
     qs = portfolio.q_series(panel, args.t1, args.t2,
                             chained=not args.independent_windows)
     band = portfolio.mc_band(panel.n_series, args.t1, args.t2, args.replicas,
@@ -303,12 +303,12 @@ def cmd_spectral(args) -> int:
         deltas.append({
             "from": list(first.window),
             "to": list(second.window),
-            **dataclasses.asdict(delta),
+            **delta._asdict(),
             "flag": spectral.co_occurrence_flag(delta, args.thresholds),
         })
     return _emit_json(_report("spectral", args, {
         "dataset": os.path.basename(args.input),
-        "snapshots": [dataclasses.asdict(s) for s in snapshots],
+        "snapshots": [s._asdict() for s in snapshots],
         "deltas": deltas,
     }), args.out)
 
@@ -484,7 +484,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="realized/in-sample risk ratio with MC non-optimality band")
     p.add_argument("--n-stocks", type=_count(1), default=None)
     p.add_argument("--select-seed", type=_LABEL, default=1)
-    p.add_argument("--t1", type=_count(2), required=True)
+    p.add_argument("--t1", type=_count(2), required=True,
+                   help=f"estimation window length, above N + {portfolio.BAND_T1_MARGIN}: "
+                        f"only there does the band's q have a finite sd")
     p.add_argument("--t2", type=_count(2), required=True)
     p.add_argument("--replicas", type=_count(portfolio.MIN_REPLICAS), default=100)
     p.add_argument("--mc-seed", type=_LABEL, default=42)

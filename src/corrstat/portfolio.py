@@ -14,7 +14,9 @@ function, _held_q, which solves against the Gram matrix of the centred
 estimation rows and returns the budget u'S^-1 u with q.  q_series takes
 u = 1, so the budget is 1'C_E^-1 1 = 1 / sigma_E^2; mc_band takes the
 whitened u = L^-1 1 of its truth's Cholesky factor L.  Samples above the
-band's mean + k sd signal effects beyond weight staleness.
+band's mean + k sd signal effects beyond weight staleness.  The samples
+need T1 > N, where the estimation covariance can be nonsingular; the band
+needs T1 > N + 2, where q has a finite sd (see mc_band).
 
 covariance_matrix, min_variance_weights and portfolio_variance form the
 same quantities as frozen value types, one step at a time.  Nothing in
@@ -41,6 +43,7 @@ _CERTIFICATE_SHIFT = 1e-11  # of trace(C); see _certified
 DEFAULT_BAND_SIGMAS = 5.0
 BAND_SIGMAS_RULE = (lambda k: 0.0 < k < math.inf, "a finite positive number")
 MIN_REPLICAS = 30
+BAND_T1_MARGIN = 2  # the band needs T1 > N + 2; see mc_band
 
 
 @dataclass(frozen=True)
@@ -59,8 +62,7 @@ class WeightVector:
             raise InvalidParameter(f"weights sum to {budget!r}, not 1")
 
 
-@dataclass
-class QExperiment:
+class QExperiment(NamedTuple):
     """One sample: weights fitted on the t1_range columns, held over the t2_range columns."""
 
     sample: int
@@ -99,11 +101,16 @@ def min_variance_weights(cov: CovarianceMatrix) -> WeightVector:
     return WeightVector(cov.tickers, x / x.sum())
 
 
-def _check_posed(n: int, t_len: int | None):
-    """IllPosed unless T > N: with T <= N observations the sample covariance is singular."""
-    if t_len is not None and t_len <= n:
-        raise IllPosed(f"minimum-variance problem needs more observations than assets, "
-                       f"got N={n}, T={t_len}")
+def _check_posed(n: int, t_len: int | None, margin: int = 0):
+    """IllPosed unless T > N + margin.
+
+    With T <= N observations the sample covariance is singular; the MC band
+    takes margin BAND_T1_MARGIN, below which q has no finite sd.
+    """
+    if t_len is not None and t_len <= n + margin:
+        rule = (f"Monte Carlo band needs T1 > N + {margin}, where q has a finite sd"
+                if margin else "minimum-variance problem needs more observations than assets")
+        raise IllPosed(f"{rule}, got N={n}, T={t_len}")
 
 
 def _gated_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -242,18 +249,22 @@ def mc_band(n_series: int, t1: int, t2: int, replicas: int,
     rotation-invariant, so the band has one law whatever the truth: the
     truth changes only which draws it sees.
 
-    t1 <= n_series raises IllPosed before any replica is drawn.  The gates
-    judge S, not C_E, so they differ from q_series': a flat estimation row
-    of X makes S singular (NotPositiveDefinite or NumericsError, not
-    ZeroVariance); a flat realized row is not gated and leaves q defined;
-    and the truth enters no per-replica solve, so it fails no condition
-    gate.
+    t1 <= n_series + 2 raises IllPosed before any replica is drawn: q^2 has
+    the law (T1/T2) a (1 + b/c) / d with independent chi-square a, b, c and
+    d ~ chi2(T1 - N) (W = T1 S partitioned at its first row; Muirhead 1982,
+    Thm 3.2.10), so q has a finite mean only for T1 > N + 1 and a finite sd
+    only for T1 > N + 2; below that the band's mean + k sd is noise.
+    The gates judge S, not C_E, so they differ from q_series': a flat
+    estimation row of X makes S singular (NotPositiveDefinite or
+    NumericsError, not ZeroVariance); a flat realized row is not gated and
+    leaves q defined; and the truth enters no per-replica solve, so it
+    fails no condition gate.
     """
     checked_int("n_series", n_series, 1)
     checked_int("t1", t1, 2)
     checked_int("t2", t2, 2)
     checked_int("replicas", replicas, MIN_REPLICAS)
-    _check_posed(n_series, t1)
+    _check_posed(n_series, t1, BAND_T1_MARGIN)
     if checked_type("truth", truth, synthgen.TrueCorrelation).n_series != n_series:
         raise InvalidParameter("truth dimension does not match n_series")
     u = np.linalg.solve(synthgen.cholesky(truth.entries), np.ones(n_series))

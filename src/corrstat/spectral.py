@@ -61,8 +61,7 @@ class EigenSystem:
         return self.eigenvalues.size
 
 
-@dataclass(frozen=True)
-class SpectralSnapshot:
+class SpectralSnapshot(NamedTuple):
     """Market eigenvalue, sector sum, and market-mode IPR for one window."""
 
     window: tuple[int, int] | None
@@ -72,8 +71,7 @@ class SpectralSnapshot:
     ipr_unstable: bool
 
 
-@dataclass(frozen=True)
-class SpectralDelta:
+class SpectralDelta(NamedTuple):
     """Relative changes (x2 - x1) / x1; d_ipr is None when unstable."""
 
     d_market: float

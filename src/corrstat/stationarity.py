@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import NamedTuple
 
@@ -67,8 +67,7 @@ SIGMA_WINDOW = "window"
 SIGMA_PAPER = "paper"
 
 
-@dataclass(frozen=True)
-class GlobalTestResult:
+class GlobalTestResult(NamedTuple):
     samples: tuple[float, ...]
     rho_bar_hat: float
     d_stat: float
@@ -106,23 +105,21 @@ class LocalTestOutcome(NamedTuple):
     flags: tuple[bool, ...]
 
 
-@dataclass
-class ScanCell:
+class ScanCell(NamedTuple):
     dim_name: str
     dim_value: float
     threshold_name: str
     threshold_value: float
     fraction: float
     denominator: int
-    controls: dict = field(default_factory=dict)
+    controls: dict
 
 
-@dataclass
-class ScanReport:
+class ScanReport(NamedTuple):
     dataset: str
     params: dict
     cells: list
-    skipped: list = field(default_factory=list)
+    skipped: list
 
 
 def ks_statistic(samples, cdf: Callable) -> float:
@@ -185,13 +182,7 @@ def global_test(panel: ReturnPanel, pair, window_len: int) -> GlobalTestResult:
     names = (panel.tickers[pair[0]], panel.tickers[pair[1]])
     samples = _window_estimates(x, y, n_windows, names)
     (rho_bar_hat,) = _window_estimates(x, y, 1, names)
-    d_stat, p_value = _ks_test(samples, rho_bar_hat, window_len)
-    return GlobalTestResult(
-        samples=samples,
-        rho_bar_hat=rho_bar_hat,
-        d_stat=d_stat,
-        p_value=p_value,
-    )
+    return GlobalTestResult(samples, rho_bar_hat, *_ks_test(samples, rho_bar_hat, window_len))
 
 
 def _ks_test(samples, rho_bar_hat, window_len):
@@ -254,7 +245,7 @@ def _control_panels(panel, reshuffle_seed=None, mc_family=None, mc_nu=None, mc_s
     return controls
 
 
-def _global_counts(panel, pairs, window_lens, alphas, threads):
+def _global_counts(panel, pairs, window_lens, alphas):
     """(rejections, tested pairs) per (window, alpha), and the skip list.
 
     Per window length, the pairs' rows are standardized as K windows and their
@@ -281,8 +272,7 @@ def _global_counts(panel, pairs, window_lens, alphas, threads):
         for sums in _pair_sums(np.searchsorted(rows, good), *blocks):
             sums /= [window_len] * k + [k * window_len]
             np.clip(sums, -1.0, 1.0, out=sums)
-            p_values = parallel_map(lambda e: _ks_test(e[:-1], float(e[-1]), window_len)[1],
-                                    sums, threads)
+            p_values = parallel_map(lambda e: _ks_test(e[:-1], float(e[-1]), window_len)[1], sums)
             hits = [h + sum(p < alpha for p in p_values) for h, alpha in zip(hits, alphas)]
         for alpha, n_hits in zip(alphas, hits):
             counts[(window_len, alpha)] = (n_hits, len(good))
@@ -353,7 +343,7 @@ def global_scan(panel: ReturnPanel, window_lens, alphas=DEFAULT_ALPHAS,
         checked_real("alpha", alpha, *ALPHA_RULE)
     resolve_threads(threads)
     return _scan(("T_w", "alpha"), panel, pairs,
-                 lambda p, ps: _global_counts(p, ps, window_lens, alphas, threads),
+                 lambda p, ps: _global_counts(p, ps, window_lens, alphas),
                  [(w, w, alpha) for w in window_lens for alpha in alphas],
                  {"window_lens": list(window_lens), "alphas": [float(a) for a in alphas]},
                  dict(reshuffle_seed=reshuffle_seed, mc_family=mc_family, mc_nu=mc_nu,

@@ -313,8 +313,10 @@ def test_empty_or_negative_corr_size_is_a_flag_error(tmp_path, spec):
 def test_qscan_usage_errors(tmp_path, capsys):
     panel = simulate_panel(tmp_path, n=5, t=100)
     base = ["qscan", "--input", str(panel), "--input-kind", "returns"]
-    assert run(base + ["--t1", "4", "--t2", "20"]) == 2
-    assert "--t1" in capsys.readouterr().err
+    for t1 in ("4", "6", "7"):  # N = 5: the band's q has a finite sd only for T1 > N + 2
+        assert run(base + ["--t1", t1, "--t2", "20"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "--t1" in err[0], err
     assert run(base + ["--t1", "20", "--t2", "20", "--replicas", "10"]) == 2
     assert "--replicas" in capsys.readouterr().err
     assert run(base + ["--t1", "20", "--t2", "20", "--n-stocks", "9"]) == 2

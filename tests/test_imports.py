@@ -16,8 +16,9 @@ driver, every integer argument
 checked by errors.checked_int or the three checks that name a whole
 window or pair, every real argument checked by errors.checked_real or
 the pair check, every array cast to float64 by errors.checked_array,
-every input file read in dataio, and every error class free of fields,
-so that each survives pickling with its type and message.
+every input file read in dataio, every error class free of fields,
+so that each survives pickling with its type and message, and every
+dataclass a value type whose __post_init__ enforces a rule.
 """
 import ast
 import os
@@ -440,3 +441,25 @@ def test_input_text_is_read_only_in_dataio():
                         & _READ_CALLS and not _writes(sub)):
                     readers.add((path.name, getattr(node, "name", None)))
     assert readers == INPUT_READERS
+
+
+def _is_dataclass_decorator(node):
+    """Whether a decorator is dataclass or dataclass(...), bare or as an attribute."""
+    target = node.func if isinstance(node, ast.Call) else node
+    return "dataclass" in (getattr(target, "id", None), getattr(target, "attr", None))
+
+
+# A dataclass is a value type whose __post_init__ enforces a rule; a record
+# with no rule to enforce is a NamedTuple, so each job has one record type.
+def test_every_dataclass_enforces_a_rule_in_post_init():
+    has_rule = {}  # "module:class" of each dataclass -> whether it defines __post_init__
+    for path in sorted((SRC / "corrstat").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ClassDef)
+                    and any(map(_is_dataclass_decorator, node.decorator_list))):
+                has_rule[f"{path.name}:{node.name}"] = any(
+                    isinstance(sub, ast.FunctionDef) and sub.name == "__post_init__"
+                    for sub in node.body)
+    assert has_rule  # guards the probe: the value types are dataclasses
+    assert all(has_rule.values()), [name for name, rule in has_rule.items() if not rule]

@@ -475,16 +475,19 @@ def test_mc_band_guards():
         portfolio.mc_band(4, 30, 30, 30, truth, seed=0)
 
 
-@pytest.mark.parametrize("n, t1", [(3, 3), (3, 2), (40, 30)])
+# q^2 = (T1/T2) a (1 + b/c) / d with d ~ chi2(T1 - N): E[q] is finite only for
+# T1 > N + 1 and E[q^2] only for T1 > N + 2, so the band's sd needs the latter
+@pytest.mark.parametrize("n, t1", [(3, 3), (3, 2), (40, 30), (3, 4), (3, 5), (40, 41), (40, 42)])
 def test_mc_band_refuses_t1_up_to_n_before_drawing(monkeypatch, n, t1):
     def refuse(*args, **kwargs):
         raise AssertionError("a replica was drawn")
 
     monkeypatch.setattr(synthgen, "draw_variates", refuse)
-    with pytest.raises(IllPosed, match=rf", got N={n}, T={t1}$"):
+    with pytest.raises(IllPosed, match=rf"^Monte Carlo band needs T1 > N \+ 2, where q has a "
+                                       rf"finite sd, got N={n}, T={t1}$"):
         portfolio.mc_band(n, t1, 30, 30, synthgen.identity_correlation(n), seed=0)
     with pytest.raises(AssertionError, match="a replica was drawn"):  # the patch is reached
-        portfolio.mc_band(n, n + 1, 30, 30, synthgen.identity_correlation(n), seed=0)
+        portfolio.mc_band(n, n + 3, 30, 30, synthgen.identity_correlation(n), seed=0)
 
 
 def test_mc_band_builds_no_frozen_matrix_or_weights(monkeypatch):
