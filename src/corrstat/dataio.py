@@ -12,6 +12,8 @@ Conventions used throughout the toolkit:
 from __future__ import annotations
 
 import csv
+import math
+import os
 from contextlib import closing
 from dataclasses import dataclass, replace
 from numbers import Integral
@@ -27,6 +29,7 @@ from .errors import (
     ZeroVariance,
     checked_array,
     checked_int,
+    checked_items,
     checked_symmetric,
     checked_type,
 )
@@ -47,15 +50,35 @@ def freeze(obj, **rules):
     return tuple(getattr(obj, name) for name in rules)
 
 
+def checked_labels(what, value, kind="ticker"):
+    """value's items as a tuple of str, else InvalidParameter naming the first other item;
+    as tickers, each once, else DuplicateTicker naming the first repeat."""
+    labels = checked_items(what, value)
+    for label in labels:
+        if not isinstance(label, str):
+            checked_type(f"{kind} {label!r}", label, str)
+    if kind == "ticker" and len(set(labels)) < len(labels):
+        first = next(label for k, label in enumerate(labels) if label in labels[:k])
+        raise DuplicateTicker(f"duplicate ticker {first!r}")
+    return labels
+
+
+# What open() takes as a path here: not an integer, which it would take as a file descriptor
+# to read or write and then close.
+_PATH_TYPES = (str, os.PathLike)
+
+
 @dataclass(frozen=True)
 class ReturnPanel:
-    """N tickers, T price changes each."""
+    """N distinct str tickers, T price changes each, one str time label per change."""
 
     tickers: tuple[str, ...]
     times: tuple[str, ...]
     returns: np.ndarray  # N x T
 
     def __post_init__(self):
+        object.__setattr__(self, "tickers", checked_labels("tickers", self.tickers))
+        object.__setattr__(self, "times", checked_labels("times", self.times, "time label"))
         try:
             freeze(self, returns=2)
         except DomainError:  # name the ticker and column; labels that do not fit raise below
@@ -79,8 +102,12 @@ class ReturnPanel:
         return self.returns.shape[1]
 
     def select(self, indices) -> "ReturnPanel":
-        """Sub-panel with the given ticker indices, order preserved."""
-        idx = list(indices)
+        """Sub-panel with the given ticker indices, integers in [0, N), order preserved."""
+        idx = []
+        for i in checked_items("indices", indices):
+            if checked_int("index", i, 0) >= self.n_series:
+                raise InvalidParameter(f"index must lie in [0, {self.n_series}), got {i!r}")
+            idx.append(int(i))
         return replace(
             self,
             tickers=tuple(self.tickers[i] for i in idx),
@@ -102,7 +129,10 @@ class CovarianceMatrix:
     window: tuple[int, int] | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "tickers", checked_labels("tickers", self.tickers))
         (entries,) = freeze(self, entries=checked_symmetric)
+        if self.window is not None:  # a column range of some panel, lo < hi
+            object.__setattr__(self, "window", checked_window(math.inf, self.window, 1))
         if len(entries) != len(self.tickers):
             raise InvalidParameter("entries must be N x N matching tickers")
 
@@ -132,6 +162,7 @@ def load_price_panel(path, kind="log"):
     might read otherwise, or that it refuses, is read again record by
     record with float(), which names the first fault.
     """
+    checked_type("path", path, _PATH_TYPES)
     if kind not in RETURN_KINDS:
         raise InvalidParameter(f"kind must be 'log', 'simple' or 'returns', got {kind!r}")
     try:
@@ -286,6 +317,7 @@ def _price_changes(prices: np.ndarray, kind: str) -> np.ndarray:
 def save_panel_csv(panel: ReturnPanel, path):
     """Write a panel back to CSV (days as rows, date column first)."""
     checked_type("panel", panel, ReturnPanel)
+    checked_type("path", path, _PATH_TYPES)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["date", *panel.tickers])
@@ -340,10 +372,8 @@ def standardized_rows(block: np.ndarray):
 
 def checked_window(n_steps: int, window, min_len: int) -> tuple[int, int]:
     """window as two ints (default: all n_steps columns), inside the panel and min_len long."""
-    try:
-        lo, hi = (0, n_steps) if window is None else window
-    except (TypeError, ValueError):  # not iterable, or not two long
-        raise InvalidParameter(f"window must be two integers (lo, hi), got {window!r}") from None
+    lo, hi = (0, n_steps) if window is None else checked_items("window", window, 2,
+                                                                "two integers (lo, hi)")
     if not (isinstance(lo, Integral) and isinstance(hi, Integral)):
         raise InvalidParameter(f"window bounds must be integers, got {(lo, hi)!r}")
     lo, hi = int(lo), int(hi)

@@ -1,11 +1,17 @@
-"""Exception types shared across the toolkit, and its type, integer, real, array and matrix rules.
+"""Exception types shared across the toolkit, and its type, collection, integer, real, array
+and matrix rules.
 
 An error is its type and one message line; it carries no other fields.
 
 checked_type takes every argument that must be one of the toolkit's own
 types (a panel, a law's parameters, a snapshot, a truth) or a callable:
 anything else, None included, raises InvalidParameter naming the argument,
-the type it must be and the type it is, before any attribute is read.
+the type it must be (each type, when it may be one of several) and the type
+it is, before any attribute is read.
+checked_items takes every collection argument: its items come back as a
+tuple (a string's characters); a value that is not iterable or, given a
+count, does not hold exactly that many items (at most count + 1 are read,
+so an endless iterator is refused) raises InvalidParameter naming it.
 checked_int takes every count, size, index and seed: a Python or numpy
 integer at its bound passes unchanged; anything else, an integral float
 included, raises InvalidParameter.  Nothing is truncated or hashed.
@@ -30,6 +36,7 @@ It returns the matrix's exact symmetric part, so a Cholesky factor or an
 eigh, which read one triangle, and a solve or w'Cw, which read both, see
 one matrix; no caller symmetrizes by hand.
 """
+from itertools import islice
 from numbers import Integral, Real
 
 import numpy as np
@@ -88,10 +95,24 @@ class InvalidParameter(CorrstatError):
 
 
 def checked_type(what, value, cls):
-    """value when it is a cls, else InvalidParameter naming what and cls."""
+    """value when it is a cls (or one of a tuple of them), else InvalidParameter naming what
+    and each type."""
     if isinstance(value, cls):
         return value
-    raise InvalidParameter(f"{what} must be of type {cls.__name__}, got {type(value).__name__}")
+    names = " or ".join(c.__name__ for c in (cls if isinstance(cls, tuple) else (cls,)))
+    raise InvalidParameter(f"{what} must be of type {names}, got {type(value).__name__}")
+
+
+def checked_items(what, value, count=None, bound="a collection"):
+    """value's items as a tuple, exactly count of them if given, else InvalidParameter."""
+    try:
+        items = iter(value)
+    except TypeError:  # not iterable
+        raise InvalidParameter(f"{what} must be {bound}, got {value!r}") from None
+    items = tuple(islice(items, None if count is None else count + 1))  # ends an endless one
+    if count not in (None, len(items)):
+        raise InvalidParameter(f"{what} must be {bound}, got {value!r}")
+    return items
 
 
 def checked_int(what, value, low):

@@ -32,10 +32,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import synthgen
-from .dataio import (CovarianceMatrix, ReturnPanel, centered_rows, checked_window, freeze,
-                     gated_rows)
+from .dataio import (CovarianceMatrix, ReturnPanel, centered_rows, checked_labels,
+                     checked_window, freeze, gated_rows)
 from .errors import (IllPosed, InsufficientData, InvalidParameter, NumericsError, checked_int,
-                     checked_real, checked_type)
+                     checked_items, checked_real, checked_type)
 from .rngutil import rng_for
 
 _CONDITION_LIMIT = 1e12
@@ -54,6 +54,7 @@ class WeightVector:
     w: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "tickers", checked_labels("tickers", self.tickers))
         (w,) = freeze(self, w=1)
         if w.size != len(self.tickers):
             raise InvalidParameter("weights must be one per ticker")
@@ -152,9 +153,8 @@ def _certified(c: np.ndarray) -> bool:
 
 def portfolio_variance(cov: CovarianceMatrix, weights: WeightVector) -> float:
     """w' C w, clamped against negative roundoff."""
-    if not (isinstance(cov, CovarianceMatrix) and isinstance(weights, WeightVector)):
-        raise InvalidParameter("portfolio_variance takes a CovarianceMatrix and a WeightVector")
-    if weights.w.size != cov.n_series:
+    checked_type("cov", cov, CovarianceMatrix)
+    if checked_type("weights", weights, WeightVector).w.size != cov.n_series:
         raise InvalidParameter("weights and covariance dimensions differ")
     return max(0.0, float(weights.w @ cov.entries @ weights.w))
 
@@ -281,10 +281,15 @@ def flag_band_violations(experiments, band: MCBand,
     """True where q exceeds band mean + n_sigma * band sd.
 
     The band is refused, before any comparison, unless it is an MCBand with a
-    finite mean and a finite sd >= 0, so a NaN band cannot read as no violation.
+    finite mean and a finite sd >= 0, and so is each experiment unless it is
+    a QExperiment with a finite q, so a NaN cannot read as no violation.
     """
     checked_type("band", band, MCBand)
     checked_real("band mean", band.mean, math.isfinite, "a finite number")
     checked_real("band sd", band.sd, lambda sd: 0.0 <= sd < math.inf, "a finite number >= 0")
     limit = band.mean + checked_real("n_sigma", n_sigma, *BAND_SIGMAS_RULE) * band.sd
+    experiments = checked_items("experiments", experiments)
+    for exp in experiments:
+        checked_type("experiment", exp, QExperiment)
+        checked_real(f"q of sample {exp.sample}", exp.q, math.isfinite, "a finite number")
     return [exp.q > limit for exp in experiments]

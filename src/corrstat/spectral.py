@@ -20,6 +20,7 @@ from .errors import (
     NumericsError,
     checked_array,
     checked_int,
+    checked_items,
     checked_real,
     checked_symmetric,
     checked_type,
@@ -170,14 +171,9 @@ def co_occurrence_flag(delta: SpectralDelta,
     A suppressed IPR delta can never certify co-occurrence, so it yields
     False.
     """
-    try:
-        theta_m, theta_s, theta_i = (
-            checked_real(f"{name} threshold", theta, ok, bound)
-            for (name, ok, bound), theta in zip(THRESHOLD_RULES, thresholds, strict=True))
-    except (TypeError, ValueError):  # not iterable, or not three long
-        raise InvalidParameter(
-            f"thresholds must be three numbers (market, sector, ipr), got {thresholds!r}"
-        ) from None
+    thresholds = checked_items("thresholds", thresholds, 3, "three numbers (market, sector, ipr)")
+    theta_m, theta_s, theta_i = (checked_real(f"{name} threshold", theta, ok, bound)
+                                 for (name, ok, bound), theta in zip(THRESHOLD_RULES, thresholds))
     if checked_type("delta", delta, SpectralDelta).d_ipr is None:
         return False
     return (delta.d_market > theta_m

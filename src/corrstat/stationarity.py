@@ -49,6 +49,7 @@ from .errors import (
     InvalidParameter,
     checked_array,
     checked_int,
+    checked_items,
     checked_real,
     checked_type,
 )
@@ -85,19 +86,11 @@ class LocalTestConfig:
     def __post_init__(self):
         checked_int("t1", self.t1, MIN_T)
         checked_int("tau", self.tau, 1)
-        object.__setattr__(self, "n_values", _items("n_values", self.n_values))
+        object.__setattr__(self, "n_values", checked_items("n_values", self.n_values))
         if not self.n_values:
             raise InvalidParameter("n_values must not be empty")
         for n in self.n_values:
             checked_int("n", n, 1)
-
-
-def _items(what, value) -> tuple:
-    """value's items; InvalidParameter naming what when value is not a collection."""
-    try:
-        return tuple(value)
-    except TypeError:
-        raise InvalidParameter(f"{what} must be a collection, got {value!r}") from None
 
 
 class LocalTestOutcome(NamedTuple):
@@ -153,33 +146,31 @@ def ks_pvalue(d_stat: float, k: int) -> float:
 
 
 def _checked_pair(pair):
-    """pair when it is two numbers; InvalidParameter otherwise."""
-    try:
-        two_numbers = len(pair) == 2 and all(isinstance(i, Real) for i in pair)
-    except TypeError:  # no len()
-        two_numbers = False
-    if not two_numbers:
+    """pair's two items when they are numbers; InvalidParameter otherwise."""
+    items = checked_items("a pair", pair, 2, "two numbers")
+    if not all(isinstance(i, Real) for i in items):
         raise InvalidParameter(f"a pair must be two numbers, got {pair!r}")
-    return pair
+    return items
 
 
 def _pair_rows(panel: ReturnPanel, pair):
+    """The pair's two row indices: distinct integers in [0, N), else InvalidParameter."""
     i, j = _checked_pair(pair)
     n = panel.n_series
     if not (isinstance(i, Integral) and isinstance(j, Integral)
             and 0 <= i < n and 0 <= j < n and i != j):
         raise InvalidParameter(f"pair {pair!r} invalid for N={n}")
-    return panel.returns[i], panel.returns[j]
+    return int(i), int(j)
 
 
 def global_test(panel: ReturnPanel, pair, window_len: int) -> GlobalTestResult:
     """KS test of the window estimates against the stationary law."""
-    x, y = _pair_rows(checked_type("panel", panel, ReturnPanel), pair)
+    i, j = _pair_rows(checked_type("panel", panel, ReturnPanel), pair)
     n_windows = len(window_slices(panel.n_steps, window_len))
     if n_windows < MIN_WINDOWS:
         raise InsufficientSamples(f"global test needs >= {MIN_WINDOWS} windows, got {n_windows}")
-    x, y = x[:n_windows * window_len], y[:n_windows * window_len]
-    names = (panel.tickers[pair[0]], panel.tickers[pair[1]])
+    x, y = panel.returns[i, :n_windows * window_len], panel.returns[j, :n_windows * window_len]
+    names = (panel.tickers[i], panel.tickers[j])
     samples = _window_estimates(x, y, n_windows, names)
     (rho_bar_hat,) = _window_estimates(x, y, 1, names)
     return GlobalTestResult(samples, rho_bar_hat, *_ks_test(samples, rho_bar_hat, window_len))
@@ -219,7 +210,7 @@ def _sorted_pairs(pairs, n_series):
     integers, any other's as objects; InvalidParameter if a pair is not two numbers."""
     pairs = all_pairs(n_series) if pairs is None else pairs
     if not (isinstance(pairs, np.ndarray) and pairs.dtype.kind == "i" and pairs.shape[1:] == (2,)):
-        pairs = [_checked_pair(pair) for pair in _items("pairs", pairs)]
+        pairs = [_checked_pair(pair) for pair in checked_items("pairs", pairs)]
         pairs = np.array([(min(p), max(p)) for p in pairs], dtype=object).reshape(-1, 2)
     ij = np.sort(pairs, axis=1)
     return ij[np.lexsort((ij[:, 1], ij[:, 0]))]  # stable: the order of sorted((min, max))
@@ -336,7 +327,8 @@ def global_scan(panel: ReturnPanel, window_lens, alphas=DEFAULT_ALPHAS,
     skips every pair, and a pair of non-integer or out-of-range indices is
     skipped.  pairs is taken as local_scan takes it.
     """
-    window_lens, alphas = _items("window_lens", window_lens), _items("alphas", alphas)
+    window_lens = checked_items("window_lens", window_lens)
+    alphas = checked_items("alphas", alphas)
     for window_len in window_lens:
         checked_int("window_len", window_len, MIN_T)
     for alpha in alphas:
@@ -360,8 +352,8 @@ def cumulative_corr(panel: ReturnPanel, pair, t1: int, tau: int):
     LocalTestConfig(t1, tau)  # the scans' checks of t1 and tau
     if checked_type("panel", panel, ReturnPanel).n_steps < t1 + tau:
         raise InsufficientData(f"need at least t1 + tau = {t1 + tau} steps, got {panel.n_steps}")
-    centered, sd = gated_rows(np.stack(_pair_rows(panel, pair)),
-                              [panel.tickers[k] for k in pair])
+    i, j = _pair_rows(panel, pair)
+    centered, sd = gated_rows(panel.returns[[i, j]], [panel.tickers[i], panel.tickers[j]])
     z = centered / sd
     lengths = np.arange(t1, panel.n_steps + 1, tau)
     estimates = np.cumsum(z[0] * z[1])[lengths - 1] / lengths
@@ -521,7 +513,7 @@ def local_scan(panel: ReturnPanel, configs, pairs=None,
     """
     if sigma_convention not in (SIGMA_WINDOW, SIGMA_PAPER):
         raise InvalidParameter(f"unknown sigma convention {sigma_convention!r}")
-    configs = _items("configs", configs)
+    configs = checked_items("configs", configs)
     for config in configs:
         if not isinstance(config, LocalTestConfig):
             raise InvalidParameter(f"configs must hold LocalTestConfigs, got {config!r}")

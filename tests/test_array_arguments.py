@@ -205,7 +205,8 @@ def test_portfolio_variance_takes_only_its_typed_arguments(cov_or_weights, value
     args[cov_or_weights] = value
     with pytest.raises(InvalidParameter) as info:
         portfolio.portfolio_variance(*args)
-    assert str(info.value) == "portfolio_variance takes a CovarianceMatrix and a WeightVector"
+    what, cls = (("cov", "CovarianceMatrix"), ("weights", "WeightVector"))[cov_or_weights]
+    assert str(info.value) == f"{what} must be of type {cls}, got {type(value).__name__}"
     assert portfolio.portfolio_variance(cov, weights) == 1.5
 
 

@@ -1,4 +1,5 @@
 import csv
+import os
 import tempfile
 from pathlib import Path
 
@@ -257,6 +258,32 @@ def test_save_load_round_trip(tmp_path):
     dataio.save_panel_csv(panel, str(path))
     back = dataio.load_price_panel(str(path), kind="returns")
     assert back.returns.tobytes() == panel.returns.tobytes()  # -0.0 keeps its sign
+
+
+def test_a_file_descriptor_is_not_a_path():
+    read_end, write_end = os.pipe()
+    panel = make_panel(np.eye(2, 3))
+    with open(read_end, "rb") as reader:
+        with open(write_end, "wb"), pytest.raises(InvalidParameter) as info:
+            dataio.save_panel_csv(panel, write_end)  # would write to the pipe and close it
+        with pytest.raises(InvalidParameter) as again:  # the pipe has no writer left: no wait
+            dataio.load_price_panel(read_end)
+        assert reader.read() == b""  # nothing was written, and the read end is still open
+    assert str(info.value) == str(again.value) == "path must be of type str or PathLike, got int"
+
+
+@pytest.mark.parametrize("window, message", [
+    ((0, 1.5), "window bounds must be integers, got (0, 1.5)"),
+    ((3,), "window must be two integers (lo, hi), got (3,)"),
+    ((5, 5), "window (5, 5) outside panel range"),
+    ((-1, 5), "window (-1, 5) outside panel range"),
+])
+def test_a_covariance_window_is_two_integers_lo_below_hi(window, message):
+    with pytest.raises(InvalidParameter) as info:
+        CovarianceMatrix(("A", "B"), np.eye(2), window)
+    assert str(info.value) == message
+    cov = CovarianceMatrix(("A", "B"), np.eye(2), np.array([3, 10]))
+    assert cov.window == (3, 10) and type(cov.window[0]) is int and cov.window_len == 7
 
 
 def test_standardized_rows_across_row_blocks(monkeypatch):

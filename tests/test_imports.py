@@ -16,7 +16,8 @@ driver, every integer argument
 checked by errors.checked_int or the three checks that name a whole
 window or pair, every real argument checked by errors.checked_real or
 the pair check, every array cast to float64 by errors.checked_array,
-every input file read in dataio, every error class free of fields,
+every input file read in dataio, every TypeError caught only by
+errors' rules, every error class free of fields,
 so that each survives pickling with its type and message, and every
 dataclass a value type whose __post_init__ enforces a rule.
 """
@@ -441,6 +442,21 @@ def test_input_text_is_read_only_in_dataio():
                         & _READ_CALLS and not _writes(sub)):
                     readers.add((path.name, getattr(node, "name", None)))
     assert readers == INPUT_READERS
+
+
+# Where a TypeError is caught: the collection rule, which names a value that
+# is not iterable.  Any other except clause naming TypeError is a hand-written
+# unpack check that should call errors.checked_items.
+def test_type_errors_are_caught_only_by_the_collection_rule():
+    catchers = set()
+    for path in sorted((SRC / "corrstat").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            for sub in ast.walk(node):
+                if (isinstance(sub, ast.ExceptHandler) and sub.type is not None
+                        and "TypeError" in set(_referenced_names(sub.type))):
+                    catchers.add((path.name, getattr(node, "name", None)))
+    assert catchers == {("errors.py", "checked_items")}
 
 
 def _is_dataclass_decorator(node):

@@ -51,9 +51,13 @@ def test_each_error_is_named(call, error, message, tmp_path):
 PANEL = gaussian_panel(5, 100, seed=22)
 SNAPSHOT = spectral.spectral_snapshot(corrdist.corr_matrix(PANEL))
 EIG = spectral.eig_sym(np.eye(5))
+BAND = portfolio.MCBand(1.0, 0.1)
+SAMPLE = portfolio.QExperiment(3, (0, 10), (10, 20), 1.0, 9.0, "9")
 
 # (the call, given pytest's tmp_path; its message); each argument of a toolkit
-# type is refused by errors.checked_type before any of its attributes is read
+# type, and each path, is refused by errors.checked_type before any of its
+# attributes is read or any file opened, and each item of a collection (a
+# sample, a q, an index, a label, a window bound) by its own rule
 WRONG_TYPE = {
     "q_series-panel": (lambda _: portfolio.q_series(PANEL.returns, 10, 10),
                        "panel must be of type ReturnPanel, got ndarray"),
@@ -107,6 +111,22 @@ WRONG_TYPE = {
                     "panel must be of type ReturnPanel, got tuple"),
     "save_panel_csv": (lambda tmp: dataio.save_panel_csv(PANEL.returns, tmp / "p.csv"),
                        "panel must be of type ReturnPanel, got ndarray"),
+    "save_panel_csv-path": (lambda _: dataio.save_panel_csv(PANEL, None),
+                            "path must be of type str or PathLike, got NoneType"),
+    "load_price_panel-path": (lambda _: dataio.load_price_panel(None),
+                              "path must be of type str or PathLike, got NoneType"),
+    "flag_band_violations-experiments": (lambda _: portfolio.flag_band_violations([1], BAND),
+                                         "experiment must be of type QExperiment, got int"),
+    "flag_band_violations-q": (lambda _: portfolio.flag_band_violations([SAMPLE], BAND),
+                               "q of sample 3 must be a finite number, got '9'"),
+    "select-indices": (lambda _: PANEL.select([0.5]),
+                       "index must be a non-negative integer, got 0.5"),
+    "ReturnPanel-tickers": (lambda _: dataio.ReturnPanel((0, 1), ("0", "1"), np.eye(2)),
+                            "ticker 0 must be of type str, got int"),
+    "ReturnPanel-times": (lambda _: dataio.ReturnPanel(("A", "B"), (0, 1), np.eye(2)),
+                          "time label 0 must be of type str, got int"),
+    "CovarianceMatrix-window": (lambda _: dataio.CovarianceMatrix(("A", "B"), np.eye(2), "ab"),
+                                "window bounds must be integers, got ('a', 'b')"),
 }
 
 
