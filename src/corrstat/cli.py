@@ -10,7 +10,7 @@ wall-clock values would break byte-level reproducibility.
 Each flag's own rules are checked where argparse parses it, by its type:
 a real flag reads the (ok, bound) rule the library checks it with, and
 counts and sizes stop at 2**53, or at a lower library bound (density's
---T at corrdist.MAX_T).  Handlers check only what needs another
+--T at dataio.MAX_T).  Handlers check only what needs another
 flag or the panel.
 
 Exit codes: 0 success, 2 flag validation failure (message names the
@@ -76,7 +76,7 @@ def _echo_config(report: dict):
 
 # The largest integer a float64 holds exactly: every count or size flag is
 # used as a float or as an array size, so none may exceed it.
-_INT_CAP = 2 ** 53
+_INT_CAP = dataio.MAX_CELLS
 
 
 def _bounded(cast, ok, bound: str, many: bool = False):
@@ -444,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("density", parents=[common],
                        help="exact sampling density of the Pearson estimator")
     p.add_argument("--rho-bar", required=True, type=_bounded(float, *corrdist.RHO_BAR_RULE))
-    p.add_argument("--T", type=_count(corrdist.MIN_T, high=corrdist.MAX_T), required=True)
+    p.add_argument("--T", type=_count(dataio.MIN_T, high=dataio.MAX_T), required=True)
     p.add_argument("--grid", type=_count(2), default=2001)
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.set_defaults(handler=cmd_density)

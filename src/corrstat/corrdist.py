@@ -44,17 +44,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataio import MIN_T, CovarianceMatrix, ReturnPanel, checked_window, gated_rows
+from .dataio import MAX_T, MIN_T, CovarianceMatrix, ReturnPanel, checked_window, gated_rows
 from .errors import (InvalidParameter, NumericsError, checked_array, checked_int, checked_real,
                      checked_type)
 
 RHO_BAR_LIMIT = 1.0 - 1e-12
 RHO_BAR_RULE = (lambda r: abs(r) <= RHO_BAR_LIMIT,
                 f"a number in [-{RHO_BAR_LIMIT!r}, {RHO_BAR_LIMIT!r}]")
-# Longest sample the law is evaluated for: lgamma(T-1) - lgamma(T-1/2) and
-# the T-scaled log terms lose digits to cancellation as T grows, and the
-# density's mass is off by under 4e-8 at 1e8 but by 2.5e-5 at 1e10.
-MAX_T = 10 ** 8
 
 
 @dataclass(frozen=True)
@@ -65,9 +61,8 @@ class CorrParams:
     n_obs: int
 
     def __post_init__(self):
-        checked_real("rho_bar", self.rho_bar, *RHO_BAR_RULE)
-        if checked_int("n_obs", self.n_obs, MIN_T) > MAX_T:
-            raise InvalidParameter(f"n_obs must be an integer <= {MAX_T}, got {self.n_obs!r}")
+        object.__setattr__(self, "rho_bar", checked_real("rho_bar", self.rho_bar, *RHO_BAR_RULE))
+        object.__setattr__(self, "n_obs", checked_int("n_obs", self.n_obs, MIN_T, MAX_T))
 
 
 class CorrMoments(NamedTuple):

@@ -16,7 +16,6 @@ import math
 import os
 from contextlib import closing
 from dataclasses import dataclass, replace
-from numbers import Integral
 
 import numpy as np
 
@@ -32,11 +31,21 @@ from .errors import (
     checked_items,
     checked_symmetric,
     checked_type,
+    is_integer,
 )
 from .rngutil import rng_for
 
 # Fewest observations a correlation window may hold: the sampling law's domain.
 MIN_T = 10
+# Longest time length a count may give, and the longest sample the law is
+# evaluated for: lgamma(T-1) - lgamma(T-1/2) and the T-scaled log terms lose
+# digits to cancellation as T grows, and the density's mass is off by under
+# 4e-8 at 1e8 but by 2.5e-5 at 1e10.
+MAX_T = 10 ** 8
+# Most cells a panel or matrix may hold: 2**53, the largest integer a float64
+# holds exactly; MAX_SQUARE is the largest N of an N x N matrix within it.
+MAX_CELLS = 2 ** 53
+MAX_SQUARE = math.isqrt(MAX_CELLS)
 
 
 def freeze(obj, **rules):
@@ -103,11 +112,10 @@ class ReturnPanel:
 
     def select(self, indices) -> "ReturnPanel":
         """Sub-panel with the given ticker indices, integers in [0, N), order preserved."""
-        idx = []
-        for i in checked_items("indices", indices):
-            if checked_int("index", i, 0) >= self.n_series:
+        idx = [checked_int("index", i, 0) for i in checked_items("indices", indices)]
+        for i in idx:
+            if i >= self.n_series:
                 raise InvalidParameter(f"index must lie in [0, {self.n_series}), got {i!r}")
-            idx.append(int(i))
         return replace(
             self,
             tickers=tuple(self.tickers[i] for i in idx),
@@ -374,7 +382,7 @@ def checked_window(n_steps: int, window, min_len: int) -> tuple[int, int]:
     """window as two ints (default: all n_steps columns), inside the panel and min_len long."""
     lo, hi = (0, n_steps) if window is None else checked_items("window", window, 2,
                                                                 "two integers (lo, hi)")
-    if not (isinstance(lo, Integral) and isinstance(hi, Integral)):
+    if not (is_integer(lo) and is_integer(hi)):
         raise InvalidParameter(f"window bounds must be integers, got {(lo, hi)!r}")
     lo, hi = int(lo), int(hi)
     if not (0 <= lo < hi <= n_steps):
@@ -419,9 +427,12 @@ def synchronous_reshuffle(panel: ReturnPanel, seed: int) -> ReturnPanel:
 
 
 def window_slices(t_total: int, window_len: int) -> tuple[tuple[int, int], ...]:
-    """K = floor(t_total / window_len) consecutive [lo, hi) ranges from 0; the rest is dropped."""
-    checked_int("t_total", t_total, 0)
-    if checked_int("window_len", window_len, MIN_T) > t_total:
+    """K = floor(t_total / window_len) consecutive [lo, hi) ranges from 0; the rest is dropped.
+
+    t_total is a time length, at most MAX_T, so K is at most MAX_T / MIN_T."""
+    t_total = checked_int("t_total", t_total, 0, MAX_T)
+    window_len = checked_int("window_len", window_len, MIN_T)
+    if window_len > t_total:
         raise InsufficientData(
             f"window_len {window_len} exceeds available length {t_total}"
         )

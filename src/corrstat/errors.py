@@ -12,12 +12,18 @@ checked_items takes every collection argument: its items come back as a
 tuple (a string's characters); a value that is not iterable or, given a
 count, does not hold exactly that many items (at most count + 1 are read,
 so an endless iterator is refused) raises InvalidParameter naming it.
-checked_int takes every count, size, index and seed: a Python or numpy
-integer at its bound passes unchanged; anything else, an integral float
-included, raises InvalidParameter.  Nothing is truncated or hashed.
-checked_real takes every level, threshold and shape parameter: a Python
-or numpy real that its rule accepts passes unchanged; anything else, a
-numeric string included, raises InvalidParameter, and NaN fails every
+is_integer and is_real decide what an integer and a real are: a Python or
+numpy integer, and that or a Python or numpy float; a bool is neither
+(np.bool_ is no numbers.Integral, and bool is excluded by name).
+checked_int takes every count, size, index and seed: an integer at its
+bound comes back as a Python int; anything else, an integral float
+included, raises InvalidParameter.  Nothing is truncated or hashed.  A
+count that sizes work also has a ceiling, past which it raises
+InvalidParameter naming the argument and the ceiling.
+checked_real takes every level, threshold and shape parameter: a real
+that its rule accepts comes back as a Python float, and the rule sees
+that float; anything else, a numeric string and a real beyond float64
+such as 10**400 included, raises InvalidParameter, and NaN fails every
 comparison, so every bounded rule refuses it.  A rule is an (ok, bound)
 pair, named *_RULE in the module that owns it; the CLI builds the flag
 type from the same pair.
@@ -36,6 +42,7 @@ It returns the matrix's exact symmetric part, so a Cholesky factor or an
 eigh, which read one triangle, and a solve or w'Cw, which read both, see
 one matrix; no caller symmetrizes by hand.
 """
+import math
 from itertools import islice
 from numbers import Integral, Real
 
@@ -115,18 +122,39 @@ def checked_items(what, value, count=None, bound="a collection"):
     return items
 
 
-def checked_int(what, value, low):
-    """value when it is an integer >= low, else InvalidParameter naming what."""
-    if isinstance(value, Integral) and value >= low:
-        return value
+def is_integer(value) -> bool:
+    """Whether value is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """Whether value is a Python or numpy real, integers included; a bool is not one."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def checked_int(what, value, low, high=math.inf):
+    """value as an int when it is an integer in [low, high], else InvalidParameter naming
+    what and the bound it misses."""
+    if is_integer(value):
+        number = int(value)
+        if number > high:
+            raise InvalidParameter(f"{what} must be an integer <= {high}, got {value!r}")
+        if number >= low:
+            return number
     bound = "a non-negative integer" if low == 0 else f"an integer >= {low}"
     raise InvalidParameter(f"{what} must be {bound}, got {value!r}")
 
 
 def checked_real(what, value, ok, bound):
-    """value when it is a real number ok accepts, else InvalidParameter naming what and bound."""
-    if isinstance(value, Real) and ok(value):
-        return value
+    """value as a float when it is a real within float64's range that ok accepts, else
+    InvalidParameter naming what and bound."""
+    try:
+        number = float(value) if is_real(value) else None
+    except OverflowError:  # an integer beyond float64
+        number = None
+    # a finite numpy long double beyond float64 rounds to inf: it is refused as well
+    if number is not None and math.isinf(number) == (abs(value) == math.inf) and ok(number):
+        return number
     raise InvalidParameter(f"{what} must be {bound}, got {value!r}")
 
 

@@ -32,8 +32,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import synthgen
-from .dataio import (CovarianceMatrix, ReturnPanel, centered_rows, checked_labels,
-                     checked_window, freeze, gated_rows)
+from .dataio import (MAX_CELLS, MAX_T, CovarianceMatrix, ReturnPanel, centered_rows,
+                     checked_labels, checked_window, freeze, gated_rows)
 from .errors import (IllPosed, InsufficientData, InvalidParameter, NumericsError, checked_int,
                      checked_items, checked_real, checked_type)
 from .rngutil import rng_for
@@ -162,7 +162,8 @@ def portfolio_variance(cov: CovarianceMatrix, weights: WeightVector) -> float:
 def select_stocks(panel: ReturnPanel, n_stocks: int, select_seed: int) -> ReturnPanel:
     """Seeded random subset of n_stocks rows, original order kept."""
     n = checked_type("panel", panel, ReturnPanel).n_series
-    if checked_int("n_stocks", n_stocks, 1) > n:
+    n_stocks = checked_int("n_stocks", n_stocks, 1)
+    if n_stocks > n:
         raise InvalidParameter(f"n_stocks must lie in [1, {n}], got {n_stocks}")
     idx = rng_for(select_seed, "stock-subset").choice(n, size=n_stocks, replace=False)
     return panel.select(sorted(int(i) for i in idx))
@@ -193,8 +194,7 @@ def q_series(panel: ReturnPanel, t1: int, t2: int, chained: bool = True) -> list
     gates of _gated_solve.
     """
     checked_type("panel", panel, ReturnPanel)
-    checked_int("t1", t1, 2)
-    checked_int("t2", t2, 2)
+    t1, t2 = checked_int("t1", t1, 2), checked_int("t2", t2, 2)
     checked_type("chained", chained, bool)
     _check_posed(panel.n_series, t1)
     ranges = _ranges(panel.n_steps, t1, t2, chained)
@@ -258,12 +258,12 @@ def mc_band(n_series: int, t1: int, t2: int, replicas: int,
     estimation row of X makes S singular (NotPositiveDefinite or
     NumericsError, not ZeroVariance); a flat realized row is not gated and
     leaves q defined; and the truth enters no per-replica solve, so it
-    fails no condition gate.
+    fails no condition gate.  t1 and t2 are time lengths, at most MAX_T, and
+    replicas is at most MAX_CELLS.
     """
-    checked_int("n_series", n_series, 1)
-    checked_int("t1", t1, 2)
-    checked_int("t2", t2, 2)
-    checked_int("replicas", replicas, MIN_REPLICAS)
+    n_series = checked_int("n_series", n_series, 1)
+    t1, t2 = checked_int("t1", t1, 2, MAX_T), checked_int("t2", t2, 2, MAX_T)
+    replicas = checked_int("replicas", replicas, MIN_REPLICAS, MAX_CELLS)
     _check_posed(n_series, t1, BAND_T1_MARGIN)
     if checked_type("truth", truth, synthgen.TrueCorrelation).n_series != n_series:
         raise InvalidParameter("truth dimension does not match n_series")
@@ -284,12 +284,13 @@ def flag_band_violations(experiments, band: MCBand,
     finite mean and a finite sd >= 0, and so is each experiment unless it is
     a QExperiment with a finite q, so a NaN cannot read as no violation.
     """
-    checked_type("band", band, MCBand)
-    checked_real("band mean", band.mean, math.isfinite, "a finite number")
-    checked_real("band sd", band.sd, lambda sd: 0.0 <= sd < math.inf, "a finite number >= 0")
-    limit = band.mean + checked_real("n_sigma", n_sigma, *BAND_SIGMAS_RULE) * band.sd
-    experiments = checked_items("experiments", experiments)
-    for exp in experiments:
-        checked_type("experiment", exp, QExperiment)
-        checked_real(f"q of sample {exp.sample}", exp.q, math.isfinite, "a finite number")
-    return [exp.q > limit for exp in experiments]
+    mean = checked_real("band mean", checked_type("band", band, MCBand).mean, math.isfinite,
+                        "a finite number")
+    sd = checked_real("band sd", band.sd, lambda sd: 0.0 <= sd < math.inf, "a finite number >= 0")
+    limit = mean + checked_real("n_sigma", n_sigma, *BAND_SIGMAS_RULE) * sd
+    qs = []
+    for exp in checked_items("experiments", experiments):
+        exp = checked_type("experiment", exp, QExperiment)
+        qs.append(checked_real(f"q of sample {exp.sample}", exp.q, math.isfinite,
+                               "a finite number"))
+    return [q > limit for q in qs]

@@ -22,6 +22,6 @@ def rng_for(seed: int, label: str, *indices) -> np.random.Generator:
     The label is hashed; seed and each index must be integers >= 0.
     """
     digest = hashlib.sha256(label.encode("utf-8")).digest()
-    entropy = ((int(checked_int("seed", seed, 0)), int.from_bytes(digest[:8], "big"))
-               + tuple(int(checked_int("substream index", i, 0)) for i in indices))
+    entropy = ((checked_int("seed", seed, 0), int.from_bytes(digest[:8], "big"))
+               + tuple(checked_int("substream index", i, 0) for i in indices))
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))

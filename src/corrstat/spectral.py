@@ -124,8 +124,8 @@ def spectral_snapshot(corr, sectors: int = DEFAULT_SECTOR_COUNT) -> SpectralSnap
     eigenspace, so the IPR is flagged unstable.
     """
     eig = eig_sym(corr)
-    n = eig.n_series
-    if n <= checked_int("sectors", sectors, 1) + 1:
+    n, sectors = eig.n_series, checked_int("sectors", sectors, 1)
+    if n <= sectors + 1:
         raise InvalidParameter(
             f"need more than sectors + 1 = {sectors + 1} series, got {n}"
         )

@@ -33,15 +33,14 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
 
 from . import synthgen
 from .corrdist import CorrParams, rho_cdf
-from .dataio import (MIN_T, ReturnPanel, centered_rows, gated_rows, standardized_rows,
-                     synchronous_reshuffle, window_slices)
+from .dataio import (MAX_CELLS, MAX_SQUARE, MAX_T, MIN_T, ReturnPanel, centered_rows,
+                     gated_rows, standardized_rows, synchronous_reshuffle, window_slices)
 from .errors import (
     CorrstatError,
     InsufficientData,
@@ -52,6 +51,8 @@ from .errors import (
     checked_items,
     checked_real,
     checked_type,
+    is_integer,
+    is_real,
 )
 from .parallel import parallel_map, resolve_threads
 
@@ -77,20 +78,21 @@ class GlobalTestResult(NamedTuple):
 
 @dataclass(frozen=True)
 class LocalTestConfig:
-    """Expanding-window geometry: first window t1, increments of tau."""
+    """Expanding-window geometry: first window t1, increments of tau, time lengths at
+    most MAX_T; each n at most MAX_CELLS."""
 
     t1: int
     tau: int
     n_values: tuple[int, ...] = DEFAULT_N_VALUES
 
     def __post_init__(self):
-        checked_int("t1", self.t1, MIN_T)
-        checked_int("tau", self.tau, 1)
-        object.__setattr__(self, "n_values", checked_items("n_values", self.n_values))
-        if not self.n_values:
+        object.__setattr__(self, "t1", checked_int("t1", self.t1, MIN_T, MAX_T))
+        object.__setattr__(self, "tau", checked_int("tau", self.tau, 1, MAX_T))
+        n_values = checked_items("n_values", self.n_values)
+        if not n_values:
             raise InvalidParameter("n_values must not be empty")
-        for n in self.n_values:
-            checked_int("n", n, 1)
+        object.__setattr__(self, "n_values",
+                           tuple(checked_int("n", n, 1, MAX_CELLS) for n in n_values))
 
 
 class LocalTestOutcome(NamedTuple):
@@ -138,29 +140,30 @@ def ks_pvalue(d_stat: float, k: int) -> float:
     """
     from scipy.special import kolmogorov
 
-    checked_real("D", d_stat, lambda d: 0.0 <= d <= 1.0, "a number in [0, 1]")
-    if checked_int("K", k, 0) < MIN_WINDOWS:
+    d_stat = checked_real("D", d_stat, lambda d: 0.0 <= d <= 1.0, "a number in [0, 1]")
+    k = checked_int("K", k, 0, MAX_CELLS)
+    if k < MIN_WINDOWS:
         raise InsufficientSamples(f"KS p-value needs K >= {MIN_WINDOWS}, got {k}")
     root = math.sqrt(k)
     return float(kolmogorov(d_stat * (root + 0.12 + 0.11 / root)))
 
 
 def _checked_pair(pair):
-    """pair's two items when they are numbers; InvalidParameter otherwise."""
+    """pair's two items as Python numbers when each is a real or a bool (a number but no
+    index, so a scan skips it); InvalidParameter otherwise."""
     items = checked_items("a pair", pair, 2, "two numbers")
-    if not all(isinstance(i, Real) for i in items):
+    if not all(is_real(i) or isinstance(i, (bool, np.bool_)) for i in items):
         raise InvalidParameter(f"a pair must be two numbers, got {pair!r}")
-    return items
+    return tuple(int(i) if is_integer(i) else float(i) if is_real(i) else bool(i) for i in items)
 
 
 def _pair_rows(panel: ReturnPanel, pair):
     """The pair's two row indices: distinct integers in [0, N), else InvalidParameter."""
     i, j = _checked_pair(pair)
     n = panel.n_series
-    if not (isinstance(i, Integral) and isinstance(j, Integral)
-            and 0 <= i < n and 0 <= j < n and i != j):
+    if not (is_integer(i) and is_integer(j) and 0 <= i < n and 0 <= j < n and i != j):
         raise InvalidParameter(f"pair {pair!r} invalid for N={n}")
-    return int(i), int(j)
+    return i, j
 
 
 def global_test(panel: ReturnPanel, pair, window_len: int) -> GlobalTestResult:
@@ -201,8 +204,7 @@ def _window_estimates(x, y, n_windows, names):
 
 
 def all_pairs(n: int) -> np.ndarray:
-    checked_int("n", n, 0)
-    return np.stack(np.triu_indices(n, 1), axis=1)
+    return np.stack(np.triu_indices(checked_int("n", n, 0, MAX_SQUARE), 1), axis=1)
 
 
 def _sorted_pairs(pairs, n_series):
@@ -295,17 +297,23 @@ def _scan(names, panel, pairs, counter, grid, params, controls, dataset) -> Scan
     names are the cells' dimension and threshold names.
 
     Each skip entry is tagged with its control, None on the scanned panel.
-    The params are params, n_pairs and controls, mc_seed None without MC.
+    The params are params, n_pairs and the controls as their rules return
+    them, mc_seed None without MC.  dataset must be a str.
     """
-    if controls["mc_family"] is not None or controls["mc_nu"] is not None:
-        synthgen.checked_family(controls["mc_family"], controls["mc_nu"], prefix="mc_")
+    checked_type("dataset", dataset, str)
+    if controls.get("reshuffle_seed") is not None:
+        controls["reshuffle_seed"] = checked_int("seed", controls["reshuffle_seed"], 0)
+    if controls["mc_family"] is None and controls["mc_nu"] is None:
+        controls["mc_seed"] = None
+    else:
+        controls["mc_nu"] = synthgen.checked_family(controls["mc_family"], controls["mc_nu"],
+                                                    prefix="mc_")
+        controls["mc_seed"] = checked_int("seed", controls["mc_seed"], 0)
     pairs = _sorted_pairs(pairs, checked_type("panel", panel, ReturnPanel).n_series)
     counts, skipped = {}, []
     for name, scanned in _control_panels(panel, **controls).items():
         counts[name], skips = counter(scanned, pairs)
         skipped += [dict(entry, control=name or None) for entry in skips]
-    if controls["mc_family"] is None:
-        controls = dict(controls, mc_seed=None)
     return ScanReport(dataset=dataset, params={**params, "n_pairs": len(pairs), **controls},
                       cells=_cells(*names, grid, counts), skipped=skipped)
 
@@ -327,17 +335,14 @@ def global_scan(panel: ReturnPanel, window_lens, alphas=DEFAULT_ALPHAS,
     skips every pair, and a pair of non-integer or out-of-range indices is
     skipped.  pairs is taken as local_scan takes it.
     """
-    window_lens = checked_items("window_lens", window_lens)
-    alphas = checked_items("alphas", alphas)
-    for window_len in window_lens:
-        checked_int("window_len", window_len, MIN_T)
-    for alpha in alphas:
-        checked_real("alpha", alpha, *ALPHA_RULE)
+    window_lens = [checked_int("window_len", w, MIN_T)
+                   for w in checked_items("window_lens", window_lens)]
+    alphas = [checked_real("alpha", a, *ALPHA_RULE) for a in checked_items("alphas", alphas)]
     resolve_threads(threads)
     return _scan(("T_w", "alpha"), panel, pairs,
                  lambda p, ps: _global_counts(p, ps, window_lens, alphas),
                  [(w, w, alpha) for w in window_lens for alpha in alphas],
-                 {"window_lens": list(window_lens), "alphas": [float(a) for a in alphas]},
+                 {"window_lens": window_lens, "alphas": alphas},
                  dict(reshuffle_seed=reshuffle_seed, mc_family=mc_family, mc_nu=mc_nu,
                       mc_seed=mc_seed), dataset)
 
@@ -349,7 +354,8 @@ def cumulative_corr(panel: ReturnPanel, pair, t1: int, tau: int):
     (1/L) sum x_t y_t over its prefix; values can leave [-1, 1] slightly
     because the prefix is not re-standardized, by construction.
     """
-    LocalTestConfig(t1, tau)  # the scans' checks of t1 and tau
+    config = LocalTestConfig(t1, tau)  # the scans' checks of t1 and tau
+    t1, tau = config.t1, config.tau
     if checked_type("panel", panel, ReturnPanel).n_steps < t1 + tau:
         raise InsufficientData(f"need at least t1 + tau = {t1 + tau} steps, got {panel.n_steps}")
     i, j = _pair_rows(panel, pair)
@@ -389,9 +395,9 @@ def local_test(estimates, n: int, sigma_convention: str = SIGMA_WINDOW,
     below 1 raises InvalidParameter; a rho outside [-1, 1] is taken, as
     cumulative_corr's prefix estimates may leave it.
     """
-    checked_int("n", n, 1)
+    n = checked_int("n", n, 1, MAX_CELLS)
     if sigma_convention == SIGMA_PAPER:
-        checked_int("tau", tau, 1)
+        tau = checked_int("tau", tau, 1, MAX_T)
     est = checked_array("estimates", estimates, 2)
     if est.shape[1] != 2:
         raise InvalidParameter(f"estimates must be (length, rho) pairs, got shape {est.shape}")
@@ -412,8 +418,8 @@ def _split_pairs(pairs, n_series, bad):
     """
     failed = ((pairs < 0) | (pairs >= n_series)).any(axis=1) | (pairs[:, 0] == pairs[:, 1])
     if pairs.dtype == object:  # _pair_rows refuses non-integers
-        failed |= np.array([not (isinstance(i, Integral) and isinstance(j, Integral))
-                            for i, j in pairs], dtype=bool)
+        failed |= np.array([not (is_integer(i) and is_integer(j)) for i, j in pairs],
+                           dtype=bool)
     ij = np.where(failed[:, None], 0, pairs).astype(np.int64)
     failed |= bad[ij].any(axis=1)
     return ij[~failed], [tuple(pair) for pair in pairs[failed].tolist()]
@@ -521,6 +527,6 @@ def local_scan(panel: ReturnPanel, configs, pairs=None,
                  lambda p, ps: _local_counts(p, ps, configs, sigma_convention),
                  [(c, c.tau, n) for c in configs for n in c.n_values],
                  {"configs": [{"t1": c.t1, "tau": c.tau} for c in configs],
-                  "n_values": sorted({int(n) for c in configs for n in c.n_values}),
+                  "n_values": sorted({n for c in configs for n in c.n_values}),
                   "sigma_convention": sigma_convention},
                  dict(mc_family=mc_family, mc_nu=mc_nu, mc_seed=mc_seed), dataset)

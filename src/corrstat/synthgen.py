@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corrdist import corr_matrix
-from .dataio import ReturnPanel, freeze
+from .dataio import MAX_CELLS, MAX_SQUARE, ReturnPanel, freeze
 from .errors import (InvalidParameter, NotPositiveDefinite, checked_int, checked_real,
                      checked_symmetric, checked_type)
 from .rngutil import rng_for
@@ -35,15 +35,17 @@ NU_RULE = (lambda nu: MIN_NU <= nu < math.inf, f"a finite number >= {MIN_NU:g}")
 
 
 def checked_family(family, nu, prefix: str = ""):
-    """InvalidParameter unless family is a generator family and nu is, for
-    student-t, a nu NU_RULE accepts, and None otherwise; prefix names both."""
+    """nu, a float for student-t and None for gaussian; InvalidParameter unless family
+    is a generator family and nu is, for student-t, a nu NU_RULE accepts, and None
+    otherwise; prefix names both."""
     if family == FAMILY_STUDENT_T:
-        checked_real("nu", nu, *NU_RULE)
-    elif nu is not None:
+        return checked_real("nu", nu, *NU_RULE)
+    if nu is not None:
         raise InvalidParameter(f"{prefix}nu must be None unless {prefix}family is "
                                f"{FAMILY_STUDENT_T!r}, got {nu!r}")
-    elif family != FAMILY_GAUSSIAN:
+    if family != FAMILY_GAUSSIAN:
         raise InvalidParameter(f"unknown {prefix}family {family!r}")
+    return None
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,7 @@ def cholesky(matrix) -> np.ndarray:
 
 def synthetic_tickers(n: int) -> tuple[str, ...]:
     """Ticker names S0, S1, ... (zero-padded) of an N-row synthetic panel."""
-    checked_int("N", n, 1)
+    n = checked_int("N", n, 1, MAX_CELLS)
     width = len(str(n - 1))
     return tuple(f"S{i:0{width}d}" for i in range(n))
 
@@ -105,10 +107,11 @@ def draw_variates(n_series: int, n_steps: int, seed: int, family: str,
 def sample_panel(truth: TrueCorrelation, n_steps: int, seed: int, family: str,
                  nu: float | None = None, replica: int = 0) -> ReturnPanel:
     """Panel of n_steps i.i.d. family columns with correlation truth, one
-    series per row of truth, deterministic per (seed, replica)."""
-    checked_family(family, nu)
-    checked_int("n_steps", n_steps, 1)
-    checked_type("truth", truth, TrueCorrelation)
+    series per row of truth, deterministic per (seed, replica); its N x n_steps cells
+    stay within MAX_CELLS."""
+    nu = checked_family(family, nu)
+    n_steps = checked_int("n_steps", n_steps, 1,
+                          MAX_CELLS // checked_type("truth", truth, TrueCorrelation).n_series)
     z, scale = draw_variates(truth.n_series, n_steps, seed, family, nu, replica)
     returns = cholesky(truth.entries) @ z
     if scale is not None:
@@ -141,22 +144,23 @@ def sample_estimate_as_truth(panel) -> TrueCorrelation:
 
 
 def identity_correlation(n: int) -> TrueCorrelation:
-    checked_int("N", n, 1)
+    n = checked_int("N", n, 1, MAX_SQUARE)
     return TrueCorrelation(np.eye(n))
 
 
 def equicorr_correlation(n: int, rho: float) -> TrueCorrelation:
     """All off-diagonals equal to rho; PD for rho in (-1/(N-1), 1)."""
-    checked_int("N", n, 2)
-    checked_real("rho", rho, lambda r: -1.0 / (n - 1) < r < 1.0, f"a number in (-1/{n - 1}, 1)")
-    c = np.full((n, n), float(rho))
+    n = checked_int("N", n, 2, MAX_SQUARE)
+    rho = checked_real("rho", rho, lambda r: -1.0 / (n - 1) < r < 1.0,
+                       f"a number in (-1/{n - 1}, 1)")
+    c = np.full((n, n), rho)
     np.fill_diagonal(c, 1.0)
     return TrueCorrelation(c)
 
 
 def one_factor_correlation(n: int, seed: int) -> TrueCorrelation:
     """C = beta beta^T + diag(1 - beta^2) with seeded uniform loadings."""
-    checked_int("N", n, 1)
+    n = checked_int("N", n, 1, MAX_SQUARE)
     beta = rng_for(seed, "one-factor-loadings").uniform(*_LOADING_RANGE, size=n)
     c = np.outer(beta, beta)
     np.fill_diagonal(c, 1.0)

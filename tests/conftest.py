@@ -1,4 +1,5 @@
 import json
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -9,6 +10,7 @@ import scipy
 from hypothesis import HealthCheck, settings
 
 from corrstat import dataio, synthgen
+from corrstat.errors import CorrstatError
 
 settings.register_profile(
     "suite",
@@ -36,6 +38,20 @@ def gaussian_panel(n_series, n_steps, seed, truth=None, replica=0):
     if truth is None:
         truth = synthgen.one_factor_correlation(n_series, seed=seed)
     return synthgen.sample_panel(truth, n_steps, seed, synthgen.FAMILY_GAUSSIAN, replica=replica)
+
+
+def outcome(call, value):
+    """call(value)'s result as its repr, arrays in full and a generator as its state, or
+    the type and message of the CorrstatError it raises; so a numpy number that leaks
+    into a result (np.uint64(0) where 0 belongs) shows."""
+    try:
+        got = call(value)
+    except CorrstatError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(got, np.random.Generator):
+        got = got.bit_generator.state
+    with np.printoptions(threshold=sys.maxsize, floatmode="unique"):
+        return repr(got)
 
 
 def traced_peak(fn):
@@ -156,7 +172,8 @@ def _changes(old, new, where):
             yield from _changes(a, b, f"{where}[{k}]")
     elif isinstance(old, list) and isinstance(new, list):
         yield f"{where}: {len(old)} items -> {len(new)} items"
-    elif type(old) is not type(new) or old != new:
+    # a NaN is unequal to itself, yet two NaNs are the same value
+    elif type(old) is not type(new) or (old != new and (old == old or new == new)):
         shift = ""
         if type(old) in (int, float) and type(new) in (int, float) and old:
             shift = f" ({(new - old) / abs(old):+.3e} relative)"

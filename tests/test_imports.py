@@ -13,9 +13,9 @@ gated solve run by the optimizer or the q ratio's one kernel, every
 NotSymmetric built and every matrix symmetrized by
 errors.checked_symmetric, every ScanReport built by the scans' one
 driver, every integer argument
-checked by errors.checked_int or the three checks that name a whole
-window or pair, every real argument checked by errors.checked_real or
-the pair check, every array cast to float64 by errors.checked_array,
+and every real told apart by errors' two predicates alone (only errors
+imports numbers), every value checked_int and checked_real return used
+by its caller, every array cast to float64 by errors.checked_array,
 every input file read in dataio, every TypeError caught only by
 errors' rules, every error class free of fields,
 so that each survives pickling with its type and message, and every
@@ -341,15 +341,12 @@ def test_every_error_survives_pickling_with_its_type_and_message():
         assert (type(again), str(again)) == (cls, "m")
 
 
-# Where an integer type is tested: the one rule for every count, size,
-# index and seed, and the three checks that name a whole window or pair
-# in their messages.  Any other function naming Integral (or np.integer)
-# is a hand-rolled integer check that should call checked_int.
+# Where an integer type is tested: the one predicate, which checked_int and
+# the checks that name a whole window or pair in their messages all ask, so
+# a bool is refused everywhere alike.  Any other function naming Integral (or
+# np.integer) is a hand-rolled integer check that should ask errors.
 INTEGER_CHECKS = {
-    ("errors.py", "checked_int"),
-    ("dataio.py", "checked_window"),
-    ("stationarity.py", "_pair_rows"),
-    ("stationarity.py", "_split_pairs"),
+    ("errors.py", "is_integer"),
 }
 
 
@@ -372,18 +369,45 @@ def test_integers_are_checked_only_by_the_integer_rule():
     assert _definitions_naming("Integral", "integer") == INTEGER_CHECKS
 
 
-# Where a real type is tested: the one rule for every level, threshold
-# and shape parameter, and the pair check, which names a whole pair in
-# its message.  Any other function naming Real (or np.floating) is a
-# hand-rolled real check that should call checked_real.
+# Where a real type is tested: the one predicate, which checked_real and the
+# pair check, which names a whole pair in its message, both ask.  Any other
+# function naming Real (or np.floating) is a hand-rolled real check that
+# should ask errors.
 REAL_CHECKS = {
-    ("errors.py", "checked_real"),
-    ("stationarity.py", "_checked_pair"),
+    ("errors.py", "is_real"),
 }
 
 
 def test_reals_are_checked_only_by_the_real_rule():
     assert _definitions_naming("Real", "floating") == REAL_CHECKS
+
+
+# The numbers ABCs are errors' alone: no other module can tell an integer or
+# a real apart by another rule.
+def test_only_errors_imports_numbers():
+    importers = set()
+    for path in sorted((SRC / "corrstat").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "numbers" in names:
+                importers.add(path.name)
+    assert importers == {"errors.py"}
+
+
+# checked_int and checked_real return the int or float a caller must compute
+# with; a call that stands as a statement checks a value and then lets the
+# unchecked one (a numpy unsigned integer, say) flow on.
+def test_every_checked_number_is_used():
+    bare = []
+    for path in sorted((SRC / "corrstat").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        bare += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                 if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+                 and {getattr(node.value.func, "id", None), getattr(node.value.func, "attr", None)}
+                 & {"checked_int", "checked_real"}]
+    assert not bare, bare
 
 
 # Where an array is cast to float64: the one rule for every array the

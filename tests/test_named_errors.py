@@ -75,6 +75,12 @@ WRONG_TYPE = {
                     "panel must be of type ReturnPanel, got ndarray"),
     "local_scan": (lambda _: stationarity.local_scan(None, [stationarity.LocalTestConfig(20, 10)]),
                    "panel must be of type ReturnPanel, got NoneType"),
+    "global_scan-dataset": (lambda _: stationarity.global_scan(PANEL, [20], dataset=True),
+                            "dataset must be of type str, got bool"),
+    "local_scan-dataset": (
+        lambda _: stationarity.local_scan(PANEL, [stationarity.LocalTestConfig(20, 10)],
+                                          dataset=None),
+        "dataset must be of type str, got NoneType"),
     "global_test": (lambda _: stationarity.global_test(PANEL.returns, (0, 1), 20),
                     "panel must be of type ReturnPanel, got ndarray"),
     "cumulative_corr": (lambda _: stationarity.cumulative_corr((PANEL,), (0, 1), 20, 10),

@@ -133,3 +133,14 @@ def test_a_mismatch_names_the_value_that_changed(regen, tmp_path, monkeypatch):
         with pytest.raises(AssertionError) as info:
             compare_report(got, "density.json", request)
         assert str(info.value) == f"density.json differs from the corpus:\n  {line}"
+
+
+def test_a_nan_that_stays_nan_is_no_change():
+    # NaN != NaN, so a lister comparing with != alone would list every NaN as changed
+    assert (conftest.report_changes("r.json", b'{"a": NaN, "b": [NaN, 1.0]}',
+                                    b'{"a": NaN, "b": [NaN, 2.0]}')
+            == ["report.b[1]: 1.0 -> 2.0 (+1.000e+00 relative)"])
+    assert conftest.report_changes("r.txt", b"q nan 3", b"q nan 3 ") == [
+        "report: same values, different bytes"]
+    assert conftest.report_changes("r.csv", b"a\n1.0\n", b"a\nnan\n") == [
+        "report[1][0]: 1.0 -> nan (+nan relative)"]
