@@ -7,7 +7,9 @@ it and its items.
 """
 from __future__ import annotations
 
-from .errors import checked_int
+from collections.abc import Callable
+
+from .errors import checked_int, checked_items, checked_type
 
 
 def resolve_threads(threads) -> int:
@@ -16,6 +18,8 @@ def resolve_threads(threads) -> int:
 
 
 def parallel_map(fn, items, threads=1):
-    """[fn(x) for x in items] once threads is validated."""
+    """[fn(x) for x in items] once threads, the callable fn and the collection items are
+    validated."""
     resolve_threads(threads)
-    return [fn(item) for item in items]
+    fn = checked_type("fn", fn, Callable)
+    return [fn(item) for item in checked_items("items", items)]

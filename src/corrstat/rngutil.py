@@ -9,19 +9,20 @@ string replica is refused rather than hashed into another stream.
 """
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
-from .errors import checked_int
+from .errors import checked_int, checked_type
 
 
 def rng_for(seed: int, label: str, *indices) -> np.random.Generator:
     """Generator on an independent substream keyed by (seed, label, *indices).
 
-    The label is hashed; seed and each index must be integers >= 0.
+    The label, a str, is hashed; seed and each index must be integers >= 0.
+    hashlib is imported here, so a process that draws nothing never loads OpenSSL.
     """
-    digest = hashlib.sha256(label.encode("utf-8")).digest()
+    import hashlib
+
+    digest = hashlib.sha256(checked_type("label", label, str).encode("utf-8")).digest()
     entropy = ((checked_int("seed", seed, 0), int.from_bytes(digest[:8], "big"))
                + tuple(checked_int("substream index", i, 0) for i in indices))
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))

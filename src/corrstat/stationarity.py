@@ -298,17 +298,18 @@ def _scan(names, panel, pairs, counter, grid, params, controls, dataset) -> Scan
 
     Each skip entry is tagged with its control, None on the scanned panel.
     The params are params, n_pairs and the controls as their rules return
-    them, mc_seed None without MC.  dataset must be a str.
+    them; mc_seed is checked with or without MC, and echoed as None without it.
+    dataset must be a str.
     """
     checked_type("dataset", dataset, str)
     if controls.get("reshuffle_seed") is not None:
         controls["reshuffle_seed"] = checked_int("seed", controls["reshuffle_seed"], 0)
+    controls["mc_seed"] = checked_int("seed", controls["mc_seed"], 0)
     if controls["mc_family"] is None and controls["mc_nu"] is None:
         controls["mc_seed"] = None
     else:
         controls["mc_nu"] = synthgen.checked_family(controls["mc_family"], controls["mc_nu"],
                                                     prefix="mc_")
-        controls["mc_seed"] = checked_int("seed", controls["mc_seed"], 0)
     pairs = _sorted_pairs(pairs, checked_type("panel", panel, ReturnPanel).n_series)
     counts, skipped = {}, []
     for name, scanned in _control_panels(panel, **controls).items():
@@ -391,12 +392,13 @@ def local_test(estimates, n: int, sigma_convention: str = SIGMA_WINDOW,
 
     sigma_k belongs to the earlier estimate: 1/sqrt(L_k) under the
     "window" convention (L_k = actual window length), 1/sqrt(k tau)
-    under the "paper" convention (k = 1-based estimate ordinal).  A length
-    below 1 raises InvalidParameter; a rho outside [-1, 1] is taken, as
-    cumulative_corr's prefix estimates may leave it.
+    under the "paper" convention (k = 1-based estimate ordinal), which needs
+    tau; under either, a tau that is not None must be an integer in [1, MAX_T].
+    A length below 1 raises InvalidParameter; a rho outside [-1, 1] is taken,
+    as cumulative_corr's prefix estimates may leave it.
     """
     n = checked_int("n", n, 1, MAX_CELLS)
-    if sigma_convention == SIGMA_PAPER:
+    if tau is not None or sigma_convention == SIGMA_PAPER:
         tau = checked_int("tau", tau, 1, MAX_T)
     est = checked_array("estimates", estimates, 2)
     if est.shape[1] != 2:

@@ -95,11 +95,15 @@ def draw_variates(n_series: int, n_steps: int, seed: int, family: str,
     s_t per step, or None for a Gaussian.
 
     sample_panel's columns are (lower @ z) * scale; mc_band works on z itself, so
-    their replica k is one stream.
+    their replica k is one stream.  family and nu pass checked_family, and the
+    n_series x n_steps cells stay within MAX_CELLS.
     """
+    nu = checked_family(family, nu)
+    n_series = checked_int("n_series", n_series, 1, MAX_CELLS)
+    n_steps = checked_int("n_steps", n_steps, 1, MAX_CELLS // n_series)
     rng = rng_for(seed, f"{family}-panel", replica)
     z = rng.standard_normal((n_series, n_steps))
-    if family == FAMILY_STUDENT_T:
+    if nu is not None:
         return z, np.sqrt(nu / rng.chisquare(nu, size=n_steps))
     return z, None
 
@@ -109,15 +113,13 @@ def sample_panel(truth: TrueCorrelation, n_steps: int, seed: int, family: str,
     """Panel of n_steps i.i.d. family columns with correlation truth, one
     series per row of truth, deterministic per (seed, replica); its N x n_steps cells
     stay within MAX_CELLS."""
-    nu = checked_family(family, nu)
-    n_steps = checked_int("n_steps", n_steps, 1,
-                          MAX_CELLS // checked_type("truth", truth, TrueCorrelation).n_series)
-    z, scale = draw_variates(truth.n_series, n_steps, seed, family, nu, replica)
+    n_series = checked_type("truth", truth, TrueCorrelation).n_series
+    z, scale = draw_variates(n_series, n_steps, seed, family, nu, replica)
     returns = cholesky(truth.entries) @ z
     if scale is not None:
         returns *= scale[None, :]
-    times = tuple(str(k) for k in range(n_steps))
-    return ReturnPanel(synthetic_tickers(truth.n_series), times, returns)
+    times = tuple(str(k) for k in range(z.shape[1]))
+    return ReturnPanel(synthetic_tickers(n_series), times, returns)
 
 
 def sample_estimate_as_truth(panel) -> TrueCorrelation:
