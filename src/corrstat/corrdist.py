@@ -160,13 +160,7 @@ def gaussian_approx_density(rho, params: CorrParams):
 _MASS_TOL = 5e-6
 _PANELS = 64
 _Z_HALF_WIDTH = 10.0  # in units of the Fisher-z scale 1/sqrt(T-3)
-# the 7-node Gauss-Legendre rule, np.polynomial.legendre.leggauss(7) to the bit, written out
-# so that a process which evaluates no law never loads numpy.polynomial
-_GL_X = np.array([-0.9491079123427586, -0.7415311855993945, -0.4058451513773972, 0.0,
-                  0.4058451513773972, 0.7415311855993945, 0.9491079123427586])
-_GL_W = np.array([0.12948496616886973, 0.27970539148927687, 0.3818300505051187,
-                  0.4179591836734693, 0.3818300505051187, 0.27970539148927687,
-                  0.12948496616886973])
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(7)
 
 
 def _z_logdensity(z, params: CorrParams):

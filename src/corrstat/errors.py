@@ -12,6 +12,8 @@ checked_items takes every collection argument: its items come back as a
 tuple (a string's characters); a value that is not iterable or, given a
 count, does not hold exactly that many items (at most count + 1 are read,
 so an endless iterator is refused) raises InvalidParameter naming it.
+checked_iter is its first half: the iterator, read lazily, for a map
+that needs its items one at a time.
 is_integer and is_real decide what an integer and a real are: a Python or
 numpy integer, and that or a Python or numpy float; a bool is neither
 (np.bool_ is no numbers.Integral, and bool is excluded by name).
@@ -110,12 +112,17 @@ def checked_type(what, value, cls):
     raise InvalidParameter(f"{what} must be of type {names}, got {type(value).__name__}")
 
 
-def checked_items(what, value, count=None, bound="a collection"):
-    """value's items as a tuple, exactly count of them if given, else InvalidParameter."""
+def checked_iter(what, value, bound="a collection"):
+    """iter(value), read lazily, else InvalidParameter."""
     try:
-        items = iter(value)
+        return iter(value)
     except TypeError:  # not iterable
         raise InvalidParameter(f"{what} must be {bound}, got {value!r}") from None
+
+
+def checked_items(what, value, count=None, bound="a collection"):
+    """value's items as a tuple, exactly count of them if given, else InvalidParameter."""
+    items = checked_iter(what, value, bound)
     items = tuple(islice(items, None if count is None else count + 1))  # ends an endless one
     if count not in (None, len(items)):
         raise InvalidParameter(f"{what} must be {bound}, got {value!r}")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from .errors import checked_int, checked_items, checked_type
+from .errors import checked_int, checked_iter, checked_type
 
 
 def resolve_threads(threads) -> int:
@@ -19,7 +19,7 @@ def resolve_threads(threads) -> int:
 
 def parallel_map(fn, items, threads=1):
     """[fn(x) for x in items] once threads, the callable fn and the collection items are
-    validated."""
+    validated; items are read one at a time, so only fn's results are held."""
     resolve_threads(threads)
     fn = checked_type("fn", fn, Callable)
-    return [fn(item) for item in checked_items("items", items)]
+    return [fn(item) for item in checked_iter("items", items)]

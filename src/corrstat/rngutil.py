@@ -9,6 +9,8 @@ string replica is refused rather than hashed into another stream.
 """
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 from .errors import checked_int, checked_type
@@ -18,10 +20,7 @@ def rng_for(seed: int, label: str, *indices) -> np.random.Generator:
     """Generator on an independent substream keyed by (seed, label, *indices).
 
     The label, a str, is hashed; seed and each index must be integers >= 0.
-    hashlib is imported here, so a process that draws nothing never loads OpenSSL.
     """
-    import hashlib
-
     digest = hashlib.sha256(checked_type("label", label, str).encode("utf-8")).digest()
     entropy = ((checked_int("seed", seed, 0), int.from_bytes(digest[:8], "big"))
                + tuple(checked_int("substream index", i, 0) for i in indices))

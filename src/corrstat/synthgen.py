@@ -39,7 +39,7 @@ def checked_family(family, nu, prefix: str = ""):
     is a generator family and nu is, for student-t, a nu NU_RULE accepts, and None
     otherwise; prefix names both."""
     if family == FAMILY_STUDENT_T:
-        return checked_real("nu", nu, *NU_RULE)
+        return checked_real(f"{prefix}nu", nu, *NU_RULE)
     if nu is not None:
         raise InvalidParameter(f"{prefix}nu must be None unless {prefix}family is "
                                f"{FAMILY_STUDENT_T!r}, got {nu!r}")

@@ -192,6 +192,9 @@ ENTRY_POINTS = [
           (panel(), Arg("t1", Count("t1", 2), also=("minimum-variance problem",)),
            Arg("t2", Count("t2", 2)),
            Arg("chained", Typed("chained", (bool,))))),
+    Entry("portfolio.q_series", portfolio.q_series, dict(panel=QPANEL, t1=25, t2=10, chained=False),
+          (Arg("t1", Count("t1", 2), also=("minimum-variance problem",)),
+           Arg("t2", Count("t2", 2)))),
     Entry("portfolio.mc_band", portfolio.mc_band,
           dict(n_series=3, t1=20, t2=20, replicas=30, truth=TRUTH, seed=0),
           (Arg("n_series", Count("n_series", 1), also=("truth dimension",)),
@@ -263,7 +266,7 @@ ENTRY_POINTS = [
            Arg("threads", Count("threads", 1)), DATASET)),
     Entry("stationarity.global_scan", stationarity.global_scan,
           dict(panel=PANEL, window_lens=(25,), mc_family=STUDENT_T, mc_nu=4.0),
-          (Arg("mc_nu", Real("nu", synthgen.NU_RULE[1], math.inf)),)),
+          (Arg("mc_nu", Real("mc_nu", synthgen.NU_RULE[1], math.inf)),)),
     Entry("stationarity.cumulative_corr", stationarity.cumulative_corr,
           dict(panel=PANEL, pair=(0, 2), t1=20, tau=10),
           (panel(), PAIR, Arg("t1", Count("t1", MIN_T, MAX_T), also=("need at least",)),
@@ -318,8 +321,8 @@ EXEMPT = {
         "spectral.MarketResidual", "stationarity.GlobalTestResult",
         "stationarity.LocalTestOutcome", "stationarity.ScanCell", "stationarity.ScanReport")},
     **{name: "a rule, tested directly and run by every row above" for name in (
-        "errors.checked_type", "errors.checked_items", "errors.is_integer", "errors.is_real",
-        "errors.checked_int", "errors.checked_real", "errors.checked_array",
+        "errors.checked_type", "errors.checked_iter", "errors.checked_items", "errors.is_integer",
+        "errors.is_real", "errors.checked_int", "errors.checked_real", "errors.checked_array",
         "errors.checked_symmetric", "dataio.checked_labels", "dataio.checked_window",
         "dataio.freeze", "synthgen.checked_family")},
     **{f"dataio.{name}": "a row kernel, given only arrays a rule has checked" for name in (

@@ -274,9 +274,3 @@ def test_density_nonnegative(rho_bar, t, rho):
     value = float(corrdist.rho_density(rho, CorrParams(rho_bar, t)))
     assert value >= 0.0
     assert np.isfinite(value)
-
-
-def test_the_written_out_quadrature_rule_is_numpy_s_to_the_bit():
-    nodes, weights = np.polynomial.legendre.leggauss(7)
-    assert corrdist._GL_X.tobytes() == nodes.tobytes()
-    assert corrdist._GL_W.tobytes() == weights.tobytes()

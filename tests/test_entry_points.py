@@ -36,8 +36,8 @@ from _entry_points import (BAND, COV, ENTRY_POINTS, EXEMPT, PANEL, PARAMS, SQUAR
 from conftest import gaussian_panel, make_panel, outcome
 from corrstat import corrdist, dataio, errors, portfolio, rngutil, spectral, stationarity
 from corrstat.errors import (DomainError, DuplicateTicker, InsufficientData, InvalidParameter,
-                             NotSymmetric, checked_array, checked_items, checked_real,
-                             checked_symmetric)
+                             NotSymmetric, checked_array, checked_items, checked_iter,
+                             checked_real, checked_symmetric)
 from corrstat.stationarity import LocalTestConfig
 from corrstat.synthgen import TrueCorrelation
 
@@ -494,6 +494,8 @@ def test_the_collection_rule():
     assert checked_items("x", (i for i in range(3)), 3, "three") == (0, 1, 2)
     assert checked_items("x", "ab", 2, "two letters") == ("a", "b")  # a string's characters
     assert checked_items("x", {}) == ()
+    endless = itertools.count()
+    assert checked_iter("x", endless) is endless  # read lazily, nothing taken
     for value, count, message in [((1, 2, 3), 2, "x must be two items, got (1, 2, 3)"),
                                   ([1], 2, "x must be two items, got [1]"),
                                   (5, 2, "x must be two items, got 5"),
@@ -502,6 +504,8 @@ def test_the_collection_rule():
         with pytest.raises(InvalidParameter) as info:
             checked_items("x", value, *(() if count is None else (count, "two items")))
         assert str(info.value) == message
+    with pytest.raises(InvalidParameter, match=r"^x must be a collection, got None$"):
+        checked_iter("x", None)
 
 
 def test_the_collection_rule_reads_at_most_one_item_past_its_count():

@@ -4,9 +4,7 @@ The local scan, the q ratio with its Monte Carlo band, the spectrum and
 the simulator never evaluate the law, so their processes must start and
 finish without any scipy module; corrdist imports scipy lazily inside the
 function that needs it.  Where the law is evaluated, scipy.special is the
-only scipy module loaded.  A run that draws nothing and evaluates no law
-loads neither OpenSSL (rngutil imports hashlib where it draws) nor
-numpy.random nor numpy.polynomial.  Nothing starts a thread pool either: the
+only scipy module loaded.  Nothing starts a thread pool either: the
 scans run their pairs on the calling thread.  The AST checks at the end
 keep every import of the package, the scripts and the tests in use,
 every public name read by the program, every ZeroVariance built at
@@ -129,11 +127,6 @@ def _import_time_imports(body):
                 yield from _import_time_imports(getattr(node, field, []))
 
 
-# Imported only inside the functions that need them: scipy where the law is
-# evaluated, hashlib (and with it OpenSSL) where a substream is drawn.
-LAZY_IMPORTS = ("scipy", "hashlib")
-
-
 def test_no_module_imports_scipy_at_import_time():
     offenders = []
     for path in sorted((SRC / "corrstat").glob("*.py")):
@@ -143,27 +136,9 @@ def test_no_module_imports_scipy_at_import_time():
                 names = [alias.name for alias in node.names]
             else:
                 names = [node.module or ""]
-            if any(name.partition(".")[0] in LAZY_IMPORTS for name in names):
+            if any(name == "scipy" or name.startswith("scipy.") for name in names):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, offenders
-
-
-def test_a_run_that_draws_nothing_loads_no_openssl_and_no_numpy_random():
-    # the panel is written as plain text: simulate would draw it
-    _run_python("""
-import os, sys, tempfile
-from corrstat import cli
-with tempfile.TemporaryDirectory() as tmp:
-    panel = os.path.join(tmp, "panel.csv")
-    with open(panel, "w") as fh:
-        fh.write("A,B,C\\n" + "".join(f"{k % 7},{k % 5},{k % 11}\\n" for k in range(120)))
-    base = ["--input", panel, "--input-kind", "returns"]
-    for argv in (["local-scan", "--t1", "30", "--tau", "10"],
-                 ["spectral", "--window", "40", "--sectors", "1"]):
-        assert cli.main(argv + base + ["--out", os.path.join(tmp, "out.json")]) == 0, argv
-loaded = [m for m in ("_hashlib", "numpy.random", "numpy.polynomial") if m in sys.modules]
-assert not loaded, loaded
-""")
 
 
 def _imported_names(tree):
@@ -505,7 +480,7 @@ def test_type_errors_are_caught_only_by_the_collection_rule():
                 if (isinstance(sub, ast.ExceptHandler) and sub.type is not None
                         and "TypeError" in set(_referenced_names(sub.type))):
                     catchers.add((path.name, getattr(node, "name", None)))
-    assert catchers == {("errors.py", "checked_items")}
+    assert catchers == {("errors.py", "checked_iter")}
 
 
 def _is_dataclass_decorator(node):

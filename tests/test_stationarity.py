@@ -180,7 +180,7 @@ STUDENT_T_ONLY = "mc_nu must be None unless mc_family is 'student-t', got "
     (synthgen.FAMILY_GAUSSIAN, math.nan, STUDENT_T_ONLY + "nan"),
     (synthgen.FAMILY_GAUSSIAN, "4", STUDENT_T_ONLY + "'4'"),
     (None, 4.0, STUDENT_T_ONLY + "4.0"),
-    (synthgen.FAMILY_STUDENT_T, None, "nu must be a finite number >= 3, got None"),
+    (synthgen.FAMILY_STUDENT_T, None, "mc_nu must be a finite number >= 3, got None"),
 ])
 def test_the_mc_keywords_are_checked_before_any_work(scan, mc_family, mc_nu, message):
     # every row is flat, so the MC control builds no generator that could check them
